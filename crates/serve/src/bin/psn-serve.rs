@@ -14,10 +14,10 @@
 //! text `GET /metrics` endpoint on `127.0.0.1:PORT` (again, 0 binds an
 //! ephemeral port, printed as `metrics on 127.0.0.1:PORT`). `--restore`
 //! resumes from a snapshot written by an earlier `Snapshot` request;
-//! `--smoke` runs a scripted ingest → detect → snapshot → kill → restore
-//! cycle against a real socket — including HTTP probes of the metrics
-//! endpoint when `--metrics-listen` is given — and exits nonzero on any
-//! mismatch (CI's serve-smoke and telemetry-smoke jobs).
+//! `--smoke` runs a scripted ingest → detect → snapshot → kill → restore →
+//! pipelined-round cycle against a real socket — including HTTP probes of
+//! the metrics endpoint when `--metrics-listen` is given — and exits
+//! nonzero on any mismatch (CI's serve-smoke and telemetry-smoke jobs).
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -110,6 +110,13 @@ fn config(o: &Options) -> ServeConfig {
     cfg
 }
 
+/// Serve `session`'s registries as Prometheus text on `127.0.0.1:port`.
+fn metrics_endpoint(session: &ServeSession, port: u16) -> Result<psn_serve::HttpHandle, String> {
+    let (m, t) = (session.metrics_registry(), session.telemetry_registry());
+    let l = TcpListener::bind(("127.0.0.1", port)).map_err(|e| format!("bind metrics: {e}"))?;
+    Ok(psn_serve::serve_metrics(l, m, t))
+}
+
 fn run_server(o: &Options) -> Result<(), String> {
     let session = match &o.restore {
         Some(path) => {
@@ -126,17 +133,10 @@ fn run_server(o: &Options) -> Result<(), String> {
         None => ServeSession::new(config(o)),
     };
     let listener = TcpListener::bind(("127.0.0.1", o.port)).map_err(|e| format!("bind: {e}"))?;
-    let http = match o.metrics_listen {
-        Some(port) => {
-            let (m, t) = (session.metrics_registry(), session.telemetry_registry());
-            let l =
-                TcpListener::bind(("127.0.0.1", port)).map_err(|e| format!("bind metrics: {e}"))?;
-            let h = psn_serve::serve_metrics(l, m, t);
-            println!("metrics on {}", h.addr());
-            Some(h)
-        }
-        None => None,
-    };
+    let http = o.metrics_listen.map(|port| metrics_endpoint(&session, port)).transpose()?;
+    if let Some(h) = &http {
+        println!("metrics on {}", h.addr());
+    }
     let handle = serve(listener, session).map_err(|e| format!("serve: {e}"))?;
     println!("listening on {}", handle.addr());
     handle.wait();
@@ -148,11 +148,21 @@ fn run_server(o: &Options) -> Result<(), String> {
 
 // --- smoke mode -----------------------------------------------------------
 
-fn roundtrip(c: &mut TcpStream, req: &Request) -> Result<Response, String> {
-    wire::write_frame(c, req).map_err(|e| format!("write: {e}"))?;
+fn reply(c: &mut TcpStream) -> Result<Response, String> {
     wire::read_frame::<Response>(c)
         .map_err(|e| format!("read: {e}"))?
         .ok_or_else(|| "server closed the connection".into())
+}
+
+fn roundtrip(c: &mut TcpStream, req: &Request) -> Result<Response, String> {
+    wire::write_frame(c, req).map_err(|e| format!("write: {e}"))?;
+    reply(c)
+}
+
+/// Sensor `p` observes its attribute `attr` = `v` at `ms`.
+fn ingest(ms: u64, p: usize, attr: usize, v: i64) -> Request {
+    let (at, key) = (SimTime::from_millis(ms), AttrKey::new(p, attr));
+    Request::Ingest { at, process: p, key, value: AttrValue::Int(v) }
 }
 
 fn check(cond: bool, what: &str) -> Result<(), String> {
@@ -209,17 +219,10 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
 
     // Phase 1: serve, ingest the script over the wire, detect, snapshot.
     let session = ServeSession::new(config(&o));
-    let http = match metrics_listen {
-        Some(port) => {
-            let (m, t) = (session.metrics_registry(), session.telemetry_registry());
-            let l =
-                TcpListener::bind(("127.0.0.1", port)).map_err(|e| format!("bind metrics: {e}"))?;
-            let h = psn_serve::serve_metrics(l, m, t);
-            eprintln!("smoke: metrics on {}", h.addr());
-            Some(h)
-        }
-        None => None,
-    };
+    let http = metrics_listen.map(|port| metrics_endpoint(&session, port)).transpose()?;
+    if let Some(h) = &http {
+        eprintln!("smoke: metrics on {}", h.addr());
+    }
     let h = serve(TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?, session)
         .map_err(|e| format!("serve: {e}"))?;
     let addr = h.addr();
@@ -234,15 +237,7 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
     };
     check(matches!(roundtrip(&mut c, &watch)?, Response::Watching { .. }), "watch registered")?;
     for &(sec, p, attr, v) in SCRIPT {
-        let r = roundtrip(
-            &mut c,
-            &Request::Ingest {
-                at: SimTime::from_secs(sec),
-                process: p,
-                key: AttrKey::new(p, attr),
-                value: AttrValue::Int(v),
-            },
-        )?;
+        let r = roundtrip(&mut c, &ingest(sec * 1000, p, attr, v))?;
         check(matches!(r, Response::Ingested { .. }), "event ingested")?;
     }
     let r = roundtrip(&mut c, &Request::Advance { to: SimTime::from_secs(30) })?;
@@ -275,8 +270,7 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
     frame.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
     frame.extend_from_slice(garbage);
     c.write_all(&frame).map_err(|e| format!("write garbage: {e}"))?;
-    let r =
-        wire::read_frame::<Response>(&mut c).map_err(|e| format!("read: {e}"))?.ok_or("closed")?;
+    let r = reply(&mut c)?;
     check(matches!(r, Response::Error { .. }), "malformed frame answered with a typed error")?;
     check(roundtrip(&mut c, &Request::Ping)? == Response::Pong, "connection survives garbage")?;
 
@@ -317,15 +311,7 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
     check(modal2 == modal, "restored modal status identical")?;
 
     // The restored server is live: new ingest past the watermark works.
-    let r = roundtrip(
-        &mut c,
-        &Request::Ingest {
-            at: SimTime::from_secs(40),
-            process: 0,
-            key: AttrKey::new(0, 0),
-            value: AttrValue::Int(3),
-        },
-    )?;
+    let r = roundtrip(&mut c, &ingest(40_000, 0, 0, 3))?;
     check(matches!(r, Response::Ingested { .. }), "restored server accepts new events")?;
     let r = roundtrip(&mut c, &Request::Advance { to: SimTime::from_secs(60) })?;
     check(
@@ -341,12 +327,8 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
     let mut high_mid = 0u64;
     for i in 0..SUSTAINED {
         let at = SimTime::from_millis(61_000 + i * 100);
-        let p = (i % 2) as usize;
-        let attr = ((i / 2) % 2) as usize;
-        let r = roundtrip(
-            &mut c,
-            &Request::Ingest { at, process: p, key: AttrKey::new(p, attr), value: AttrValue::Int((i % 7) as i64) },
-        )?;
+        let (p, attr) = ((i % 2) as usize, ((i / 2) % 2) as usize);
+        let r = roundtrip(&mut c, &ingest(61_000 + i * 100, p, attr, (i % 7) as i64))?;
         if !matches!(r, Response::Ingested { .. }) {
             return Err(format!("sustained ingest event {i}: {r:?}"));
         }
@@ -383,6 +365,32 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
         mem_high_water_cuts <= high_mid.max(1) * 2,
         "doubling the ingest did not double the high-water mark",
     )?;
+
+    // One pipelined round in a single write, so CI drives the server's
+    // burst path over a real socket: replies come back in request order.
+    let t0 = 61_000 + SUSTAINED * 100;
+    let mut round: Vec<Request> = (0..32).map(|i| ingest(t0 + i, (i % 2) as usize, 0, 1)).collect();
+    round.push(Request::Advance { to: SimTime::from_millis(t0 + 1000) });
+    round.push(Request::Status { name: "occ".into() });
+    let mut bytes = Vec::new();
+    for req in &round {
+        wire::encode_frame(&mut bytes, req).map_err(|e| format!("encode: {e}"))?;
+    }
+    c.write_all(&bytes).map_err(|e| format!("write round: {e}"))?;
+    let first_id = SCRIPT.len() as u64 + 1 + SUSTAINED;
+    for i in 0..round.len() as u64 {
+        let r = reply(&mut c)?;
+        let ok = match &r {
+            Response::Ingested { world_event } => i < 32 && *world_event == first_id + i,
+            Response::Advanced { new_reports, .. } => i == 32 && *new_reports >= 32,
+            Response::Status { .. } => i == 33,
+            _ => false,
+        };
+        if !ok {
+            return Err(format!("pipelined round, reply {i}: {r:?}"));
+        }
+    }
+    check(true, "pipelined round of 32 ingests + advance + status answered in order")?;
 
     check(roundtrip(&mut c, &Request::Shutdown)? == Response::ShuttingDown, "phase 2 shutdown")?;
     drop(c);

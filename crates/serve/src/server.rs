@@ -3,15 +3,16 @@
 //! One **service thread** owns the [`ServeSession`] and applies requests
 //! strictly in arrival order off an internal command channel — the session
 //! needs no locks and every reply reflects a consistent engine state. Each
-//! accepted connection gets a **reader thread** that decodes frames,
-//! forwards `(request, reply-sender)` pairs to the service thread, and
-//! writes the replies back. Malformed frames never reach the session:
-//! recoverable ones (bad JSON in a well-delimited frame) get a typed
+//! accepted connection gets a **reader thread** that decodes the frames its
+//! client has already sent, forwards them as one `(requests, reply-sender)`
+//! burst, and writes the replies back in one write; a lone frame is a burst
+//! of one, so no reply waits for input. Malformed frames never reach the
+//! session: recoverable ones (bad JSON in a well-delimited frame) get a typed
 //! [`Response::Error`] and the connection continues; desynchronizing ones
 //! (oversized length prefix, truncation) close that connection — the
 //! server itself always stays up.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -22,7 +23,16 @@ use std::time::Duration;
 use crate::session::ServeSession;
 use crate::wire::{self, ErrorCode, Request, Response};
 
-type Command = (Request, Sender<Response>);
+type Command = (Vec<Request>, Sender<Vec<Response>>);
+
+/// Have the service thread apply `burst` back to back. `None` once it has
+/// stopped: the reply channel lives for one call, so a command the stopping
+/// service drops unanswered disconnects it instead of parking the caller.
+fn call(cmd: &Sender<Command>, burst: Vec<Request>) -> Option<Vec<Response>> {
+    let (tx, rx) = mpsc::channel();
+    cmd.send((burst, tx)).ok()?;
+    rx.recv().ok()
+}
 
 /// Server-side clamps for subscription streams: a push period below
 /// [`MIN_PUSH_INTERVAL_MS`] would let one connection monopolise the
@@ -57,9 +67,7 @@ impl ServerHandle {
     /// it queues behind whatever connections have sent). `None` once the
     /// service thread has stopped.
     pub fn request(&self, req: Request) -> Option<Response> {
-        let (tx, rx) = mpsc::channel();
-        self.cmd.send((req, tx)).ok()?;
-        rx.recv().ok()
+        call(&self.cmd, vec![req])?.pop()
     }
 
     /// Block until a client's `Shutdown` request stops the service, then
@@ -74,13 +82,9 @@ impl ServerHandle {
     }
 
     /// Stop the server and recover the session (e.g. to snapshot it).
-    pub fn stop(mut self) -> Option<ServeSession> {
+    pub fn stop(self) -> Option<ServeSession> {
         let _ = self.request(Request::Shutdown);
-        let session = self.service.take().and_then(|h| h.join().ok());
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        session
+        self.wait()
     }
 }
 
@@ -101,11 +105,13 @@ pub fn serve(listener: TcpListener, session: ServeSession) -> std::io::Result<Se
     let service_flag = Arc::clone(&stopping);
     let service = std::thread::spawn(move || {
         let mut session = session;
-        while let Ok((req, reply)) = cmd_rx.recv() {
-            let is_shutdown = matches!(req, Request::Shutdown);
-            let resp = session.handle(req);
-            let _ = reply.send(resp);
-            if is_shutdown {
+        while let Ok((burst, reply)) = cmd_rx.recv() {
+            // `Shutdown` is the last request applied: whatever the burst
+            // holds behind it is dropped, as on every other connection.
+            let stop = burst.iter().position(|r| matches!(r, Request::Shutdown));
+            let upto = stop.map_or(burst.len(), |at| at + 1);
+            let _ = reply.send(burst.into_iter().take(upto).map(|r| session.handle(r)).collect());
+            if stop.is_some() {
                 service_flag.store(true, Ordering::Release);
                 break;
             }
@@ -135,104 +141,124 @@ pub fn serve(listener: TcpListener, session: ServeSession) -> std::io::Result<Se
     Ok(ServerHandle { addr, cmd: cmd_tx, stopping, service: Some(service), accept: Some(accept) })
 }
 
+/// The connection is to be closed, once what is queued has been written.
+struct Close;
+
 fn connection(stream: TcpStream, tx: Sender<Command>) {
     // The listener is nonblocking; the per-connection protocol loop wants
     // blocking reads.
     if stream.set_nonblocking(false).is_err() {
         return;
     }
-    // Frames are small and strictly request/response: waiting for ACKs
-    // (Nagle) only adds latency.
+    // Replies are small and the client waits on them: holding one back
+    // for an ACK (Nagle) only adds latency.
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else { return };
+    let Ok(writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
+    let mut link = Link { tx, writer, burst: Vec::new(), out: Vec::new() };
     loop {
-        match wire::read_frame::<Request>(&mut reader) {
+        // Blocks only with nothing decoded and nothing queued: whoever comes
+        // back here with either has seen the next frame complete in `reader`.
+        let step = match wire::read_frame::<Request>(&mut reader) {
+            Ok(Some(Request::SubscribeMetrics { interval_ms, count })) => {
+                link.subscription(None, interval_ms, count)
+            }
+            Ok(Some(Request::SubscribeTrace { from, interval_ms, count })) => {
+                link.subscription(Some(from), interval_ms, count)
+            }
             Ok(Some(req)) => {
-                // Subscriptions are served by this reader: ack, then pace
-                // push frames by issuing ordinary requests through the
-                // command channel — the session stays single-threaded and
-                // every pushed snapshot is consistent.
-                match req {
-                    Request::SubscribeMetrics { interval_ms, count } => {
-                        if subscription(&mut writer, &tx, "metrics", interval_ms, count, |_| {
-                            Request::Metrics
-                        })
-                        .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                    Request::SubscribeTrace { from, interval_ms, count } => {
-                        // The cursor advances by however many reports each
-                        // push returned, so frames never repeat a report.
-                        let cursor = std::cell::Cell::new(from);
-                        if subscription(&mut writer, &tx, "trace", interval_ms, count, |last| {
-                            if let Some(Response::TraceSlice { from, reports, .. }) = last {
-                                cursor.set(from + reports.len());
-                            }
-                            Request::TraceSlice { from: cursor.get(), limit: crate::MAX_SLICE }
-                        })
-                        .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                    _ => {}
-                }
-                let (rtx, rrx) = mpsc::channel();
-                if tx.send((req, rtx)).is_err() {
-                    let _ = wire::write_frame(&mut writer, &Response::ShuttingDown);
-                    break;
-                }
-                let Ok(resp) = rrx.recv() else { break };
-                let stopping = matches!(resp, Response::ShuttingDown);
-                if wire::write_frame(&mut writer, &resp).is_err() || stopping {
-                    break;
-                }
+                link.burst.push(req);
+                Ok(())
             }
-            Ok(None) => break, // clean client disconnect
-            Err(e) => {
-                let resp = Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };
-                let recoverable = wire::recoverable(&e);
-                if wire::write_frame(&mut writer, &resp).is_err() || !recoverable {
-                    break;
-                }
-            }
+            Ok(None) => Err(Close), // clean client disconnect
+            // The error takes its frame's place among the replies.
+            Err(e) => link.dispatch().and_then(|_| {
+                link.push(&Response::Error { code: ErrorCode::BadRequest, message: e.to_string() });
+                wire::recoverable(&e).then_some(()).ok_or(Close)
+            }),
+        };
+        // The burst is every frame that can be had without waiting.
+        if step.is_ok() && wire::frame_buffered(reader.buffer()) {
+            continue;
+        }
+        let step = step.and_then(|()| link.dispatch().map(drop));
+        if link.flush().is_err() || step.is_err() {
+            break;
         }
     }
 }
 
-/// Run one subscription stream on a connection: write the
-/// [`Response::Subscribed`] ack, then `count` push frames at
-/// `interval_ms` cadence, each produced by sending `next(last_response)`
-/// through the command channel. Returns `Err(())` when the connection or
-/// the service is gone (the caller closes the connection).
-fn subscription(
-    writer: &mut BufWriter<TcpStream>,
-    tx: &Sender<Command>,
-    stream: &str,
-    interval_ms: u64,
-    count: u32,
-    mut next: impl FnMut(Option<&Response>) -> Request,
-) -> Result<(), ()> {
-    let (interval_ms, count) = clamp_subscription(interval_ms, count);
-    let ack = Response::Subscribed { stream: stream.into(), count, interval_ms };
-    wire::write_frame(writer, &ack).map_err(|_| ())?;
-    let mut last: Option<Response> = None;
-    for _ in 0..count {
-        std::thread::sleep(Duration::from_millis(interval_ms));
-        let req = next(last.as_ref());
-        let (rtx, rrx) = mpsc::channel();
-        tx.send((req, rtx)).map_err(|_| ())?;
-        let resp = rrx.recv().map_err(|_| ())?;
-        wire::write_frame(writer, &resp).map_err(|_| ())?;
-        last = Some(resp);
+/// A connection's way to the session and back: decoded requests collect in
+/// `burst` and go to the service thread in one command, the replies collect
+/// in `out` and leave in one write.
+struct Link {
+    tx: Sender<Command>,
+    writer: TcpStream,
+    burst: Vec<Request>,
+    out: Vec<u8>,
+}
+
+impl Link {
+    /// Queue one reply; one too large for a frame becomes a typed error.
+    fn push(&mut self, resp: &Response) {
+        if let Err(e) = wire::encode_frame(&mut self.out, resp) {
+            let resp = Response::Error { code: ErrorCode::Internal, message: e.to_string() };
+            wire::encode_frame(&mut self.out, &resp).expect("two sizes and a sentence fit");
+        }
     }
-    Ok(())
+
+    /// Hand the burst over, queue its replies in order, return the last.
+    fn dispatch(&mut self) -> Result<Option<Response>, Close> {
+        if self.burst.is_empty() {
+            return Ok(None);
+        }
+        let mut replies = call(&self.tx, std::mem::take(&mut self.burst))
+            .unwrap_or_else(|| vec![Response::ShuttingDown]);
+        replies.iter().for_each(|r| self.push(r));
+        match replies.pop() {
+            Some(Response::ShuttingDown) => Err(Close),
+            last => Ok(last),
+        }
+    }
+
+    /// Write what is queued, in one go.
+    fn flush(&mut self) -> Result<(), Close> {
+        let sent = self.writer.write_all(&self.out);
+        self.out.clear();
+        sent.map_err(|_| Close)
+    }
+
+    /// Run one subscription stream, served by this reader so the session
+    /// stays single-threaded and every pushed snapshot is consistent:
+    /// answer the frames ahead of it, ack with [`Response::Subscribed`],
+    /// then push `count` frames at `interval_ms` cadence, each an ordinary
+    /// request through the command channel — `TraceSlice` from `cursor`,
+    /// or `Metrics` without one.
+    fn subscription(
+        &mut self,
+        mut cursor: Option<usize>,
+        interval_ms: u64,
+        count: u32,
+    ) -> Result<(), Close> {
+        self.dispatch()?;
+        let (interval_ms, count) = clamp_subscription(interval_ms, count);
+        let stream = if cursor.is_some() { "trace" } else { "metrics" }.into();
+        self.push(&Response::Subscribed { stream, count, interval_ms });
+        for _ in 0..count {
+            self.flush()?;
+            std::thread::sleep(Duration::from_millis(interval_ms));
+            self.burst.push(match cursor {
+                Some(from) => Request::TraceSlice { from, limit: crate::MAX_SLICE },
+                None => Request::Metrics,
+            });
+            // The cursor advances by however many reports each push
+            // returned, so frames never repeat a report.
+            if let Some(Response::TraceSlice { from, reports, .. }) = self.dispatch()? {
+                cursor = Some(from + reports.len());
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

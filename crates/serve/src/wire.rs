@@ -2,8 +2,11 @@
 //!
 //! Every frame is a 4-byte little-endian length followed by that many
 //! bytes of UTF-8 JSON — one [`Request`] per client frame, one
-//! [`Response`] per server frame, strictly request/response on each
-//! connection. Frames are capped at [`MAX_FRAME`] bytes; a peer announcing
+//! [`Response`] per request frame, in request order on each connection.
+//! A client may pipeline: the frames it has already sent are applied as
+//! one contiguous burst in the session's serial order and their replies
+//! leave in one write; a reply is never held back to wait for more input.
+//! Frames are capped at [`MAX_FRAME`] bytes; a peer announcing
 //! a larger frame is protocol-broken and the connection is dropped (the
 //! *server* stays up). Malformed JSON inside a well-framed body gets a
 //! typed [`Response::Error`] and the connection continues — no wire input
@@ -65,6 +68,23 @@ pub fn recoverable(e: &WireError) -> bool {
     matches!(e, WireError::BadUtf8 | WireError::BadJson(_))
 }
 
+/// Append one frame to `out`. On error nothing is appended, so `out` still
+/// ends on a frame boundary.
+pub fn encode_frame<T: Serialize>(out: &mut Vec<u8>, msg: &T) -> std::io::Result<()> {
+    let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
+    let body = serde_json::to_string(msg).map_err(|e| invalid(format!("{e:?}")))?;
+    if body.len() > MAX_FRAME {
+        let len = body.len();
+        return Err(invalid(format!(
+            "outgoing frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
+        )));
+    }
+    out.reserve(4 + body.len());
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(body.as_bytes());
+    Ok(())
+}
+
 /// Write one frame.
 ///
 /// The length prefix and body go out in a *single* write: split across
@@ -72,20 +92,19 @@ pub fn recoverable(e: &WireError) -> bool {
 /// own segment and Nagle holds the body back until it is acknowledged —
 /// a delayed-ACK stall (tens of milliseconds) on every frame.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
-    let body = serde_json::to_string(msg)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    let bytes = body.as_bytes();
-    if bytes.len() > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("outgoing frame of {} bytes exceeds the cap", bytes.len()),
-        ));
-    }
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    frame.extend_from_slice(bytes);
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, msg)?;
     w.write_all(&frame)?;
     w.flush()
+}
+
+/// Does `buf` — bytes received, not yet consumed — start with a frame that
+/// [`read_frame`] can finish without reading more? An oversized prefix
+/// counts: it is refused on the prefix alone.
+pub(crate) fn frame_buffered(buf: &[u8]) -> bool {
+    let Some(prefix) = buf.first_chunk::<4>() else { return false };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    len > MAX_FRAME || buf.len() - 4 >= len
 }
 
 /// Read one frame. `Ok(None)` is a clean EOF at a frame boundary.
@@ -93,10 +112,9 @@ pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> Result<Option<T>, WireEr
     let mut len_buf = [0u8; 4];
     // Probe the first byte separately so a peer closing between frames is
     // a clean end-of-stream rather than an error.
-    match r.read(&mut len_buf[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(WireError::Io(e)),
+    match r.read_exact(&mut len_buf[..1]) {
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        probe => probe?,
     }
     r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -397,5 +415,56 @@ mod tests {
         buf.extend_from_slice(b"short");
         let err = read_frame::<Request>(&mut &buf[..]).unwrap_err();
         assert!(matches!(err, WireError::Io(_)));
+    }
+
+    #[test]
+    fn an_interrupted_first_read_is_retried_like_every_other_byte() {
+        /// Fails the first `read` with `Interrupted`, then serves `rest`.
+        struct Flaky<'a> {
+            interrupted: bool,
+            rest: &'a [u8],
+        }
+        impl Read for Flaky<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if !std::mem::replace(&mut self.interrupted, true) {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                self.rest.read(buf)
+            }
+        }
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Request::Ping).unwrap();
+        let mut r = Flaky { interrupted: false, rest: &buf };
+        assert_eq!(read_frame::<Request>(&mut r).unwrap(), Some(Request::Ping));
+        assert!(r.interrupted, "the signal really hit the prefix probe");
+        assert_eq!(read_frame::<Request>(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn frame_buffered_wants_the_whole_frame_or_a_refusable_prefix() {
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, &Request::Frontier).unwrap();
+        for cut in 0..buf.len() {
+            assert!(!frame_buffered(&buf[..cut]), "{cut} of {} bytes", buf.len());
+        }
+        assert!(frame_buffered(&buf));
+        buf.extend_from_slice(&[7, 0]);
+        assert!(frame_buffered(&buf), "bytes of the next frame do not matter");
+        assert!(frame_buffered(&u32::MAX.to_le_bytes()), "read_frame refuses it without reading");
+        assert!(frame_buffered(&0u32.to_le_bytes()), "an empty body is complete");
+    }
+
+    #[test]
+    fn an_oversized_message_leaves_the_buffer_on_its_frame_boundary() {
+        let mut out = Vec::new();
+        encode_frame(&mut out, &Response::Pong).unwrap();
+        let boundary = out.clone();
+        let huge = Response::Error { code: ErrorCode::Internal, message: "x".repeat(MAX_FRAME) };
+        let err = encode_frame(&mut out, &huge).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&MAX_FRAME.to_string()), "{err}");
+        assert_eq!(out, boundary);
+        assert!(write_frame(&mut out, &huge).is_err());
+        assert_eq!(out, boundary);
     }
 }
