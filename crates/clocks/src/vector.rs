@@ -12,34 +12,48 @@
 //! Vector time is *strongly consistent*: the partial order on timestamps is
 //! isomorphic to the causality partial order on events, which is what makes
 //! consistent-cut tests and `Possibly`/`Definitely` detection exact.
+//!
+//! A stamp of at most [`INLINE_COMPONENTS`] components is stored in-struct;
+//! a wider one is one reference-counted buffer that clones share and the
+//! first write through a shared stamp copies. Reading a clock, broadcasting
+//! a strobe and logging an event are therefore O(1) in n; the protocol's
+//! O(n) per receiver is the VC3/SVC2 merge itself.
 
 use std::hash::{Hash, Hasher};
 use std::ops::{Index, IndexMut};
+use std::sync::Arc;
 
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::traits::{Causality, LogicalClock, ProcessId, Timestamp};
 
 /// Stamps with at most this many components are stored in-struct; larger
-/// stamps spill to the heap. Small deployments (the paper's n = 4..16
-/// sensor cells) stay allocation-free on every clone/merge; E7/A3's n = 64
-/// strobe vectors take the heap path.
+/// stamps spill to one shared heap buffer. The root is in P, so a world of
+/// `d` sensors stamps `d + 1` components: up to 7 sensors stay
+/// allocation-free, and an 8-door hall (9 wide) already spills, as do
+/// E7/A3's n = 64 and E14's n = 1025 strobe vectors.
 pub const INLINE_COMPONENTS: usize = 8;
 
 /// Storage for a vector timestamp: inline array up to
-/// [`INLINE_COMPONENTS`], heap vector above.
+/// [`INLINE_COMPONENTS`], a shared copy-on-write buffer above.
 #[derive(Debug, Clone)]
 enum Repr {
     Inline { len: u8, buf: [u64; INLINE_COMPONENTS] },
-    Spilled(Vec<u64>),
+    Spilled(Arc<[u64]>),
 }
 
 /// A vector timestamp over `n` processes.
 ///
-/// Internally a small-vector: components live in-struct for `n ≤ 8` (no
-/// heap allocation on construction, clone, or merge) and in a `Vec` above.
-/// All observable behaviour — comparison, hashing, serialization — depends
-/// only on the component slice, never on which representation holds it.
+/// Components live in-struct for `n ≤ 8` (no heap allocation on
+/// construction, clone, or merge). Above that they live in one
+/// reference-counted buffer: a clone — a strobe's broadcast fan-out, a
+/// clock read into the log, an actor checkpoint — shares it, and the first
+/// write through a stamp whose buffer is shared copies it
+/// ([`VectorStamp::as_mut_slice`]). A clock that has handed out a stamp
+/// therefore pays one O(n) copy at its next tick or merge, and a stamp
+/// nobody writes to is never copied at all. All observable behaviour —
+/// comparison, hashing, serialization — depends only on the component
+/// slice, never on which representation holds it or who else shares it.
 #[derive(Debug, Clone)]
 pub struct VectorStamp(Repr);
 
@@ -49,7 +63,7 @@ impl VectorStamp {
         if n <= INLINE_COMPONENTS {
             VectorStamp(Repr::Inline { len: n as u8, buf: [0; INLINE_COMPONENTS] })
         } else {
-            VectorStamp(Repr::Spilled(vec![0; n]))
+            VectorStamp(Repr::Spilled(vec![0; n].into()))
         }
     }
 
@@ -60,7 +74,7 @@ impl VectorStamp {
             buf[..v.len()].copy_from_slice(v);
             VectorStamp(Repr::Inline { len: v.len() as u8, buf })
         } else {
-            VectorStamp(Repr::Spilled(v.to_vec()))
+            VectorStamp(Repr::Spilled(v.into()))
         }
     }
 
@@ -69,7 +83,7 @@ impl VectorStamp {
     /// components are observationally identical; not useful otherwise.
     #[doc(hidden)]
     pub fn spilled(v: Vec<u64>) -> Self {
-        VectorStamp(Repr::Spilled(v))
+        VectorStamp(Repr::Spilled(v.into()))
     }
 
     /// True if the components are stored in-struct (n ≤ 8 and not
@@ -99,11 +113,13 @@ impl VectorStamp {
         }
     }
 
-    /// The components as a mutable slice.
+    /// The components as a mutable slice. Every mutator goes through here:
+    /// a spilled buffer that other stamps share is copied first, so a write
+    /// is never visible through another stamp.
     pub fn as_mut_slice(&mut self) -> &mut [u64] {
         match &mut self.0 {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
-            Repr::Spilled(v) => v,
+            Repr::Spilled(v) => Arc::make_mut(v),
         }
     }
 
@@ -193,11 +209,7 @@ impl VectorStamp {
                 return;
             }
         }
-        for i in 0..a.len() {
-            if b[i] > a[i] {
-                a[i] = b[i];
-            }
-        }
+        merge_max_scalar(a, b);
     }
 
     /// The componentwise maximum of two stamps.
@@ -205,6 +217,16 @@ impl VectorStamp {
         let mut out = self.clone();
         out.merge_from(other);
         out
+    }
+}
+
+/// Componentwise unsigned max, one component at a time: the definition the
+/// SIMD kernels below must reproduce bit for bit.
+fn merge_max_scalar(a: &mut [u64], b: &[u64]) {
+    for i in 0..a.len() {
+        if b[i] > a[i] {
+            a[i] = b[i];
+        }
     }
 }
 
@@ -271,11 +293,7 @@ unsafe fn merge_max_avx2(a: &mut [u64], b: &[u64]) {
 
 impl From<Vec<u64>> for VectorStamp {
     fn from(v: Vec<u64>) -> Self {
-        if v.len() <= INLINE_COMPONENTS {
-            VectorStamp::from_slice(&v)
-        } else {
-            VectorStamp(Repr::Spilled(v))
-        }
+        VectorStamp::from_slice(&v)
     }
 }
 
@@ -529,6 +547,60 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash(&inline), hash(&spilled));
+    }
+
+    /// The `unsafe` kernels against the scalar definition and against a
+    /// reference written here, for every length up to 129 (sixteen AVX-512
+    /// blocks and one over, so every tail length of both kernels occurs), with
+    /// values on both sides of 2⁶³ (AVX2 has no unsigned compare and goes
+    /// through a sign bias), into a buffer that is uniquely owned and into
+    /// one the write has just un-shared. A kernel the CPU lacks is skipped;
+    /// the scalar one never is.
+    #[test]
+    fn simd_merge_kernels_agree_with_scalar_for_every_length() {
+        type Kernel = (&'static str, fn(&mut [u64], &[u64]));
+        let mut kernels: Vec<Kernel> = vec![("scalar", merge_max_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just verified at runtime.
+                kernels.push(("avx2", |a, b| unsafe { merge_max_avx2(a, b) }));
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F support was just verified at runtime.
+                kernels.push(("avx512", |a, b| unsafe { merge_max_avx512(a, b) }));
+            }
+        }
+        const TOP: u64 = 1 << 63;
+        let value = |i: usize, salt: u64| {
+            let x = (i as u64 + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            match x >> 62 {
+                0 => TOP - 1 - (x & 3), // just below 2⁶³
+                1 => TOP + (x & 3),     // at and just above it
+                2 => x & !TOP,          // anywhere below
+                _ => x | TOP,           // anywhere above
+            }
+        };
+        for len in 0..=129 {
+            let a: Vec<u64> = (0..len).map(|i| value(i, 1)).collect();
+            let b: Vec<u64> = (0..len).map(|i| value(i, 1_000_003)).collect();
+            let expected: Vec<u64> = a.iter().zip(&b).map(|(x, y)| *x.max(y)).collect();
+            for (name, kernel) in &kernels {
+                for shared in [false, true] {
+                    let mut dst = VectorStamp::spilled(a.clone());
+                    let holder = shared.then(|| dst.clone());
+                    kernel(dst.as_mut_slice(), &b);
+                    assert_eq!(dst.as_slice(), expected, "{name}, len {len}, shared {shared}");
+                    if let Some(holder) = holder {
+                        assert_eq!(holder.as_slice(), a, "{name} wrote through a shared buffer");
+                    }
+                }
+            }
+            // The dispatch in `merge_from` picks one of them by length and CPU.
+            let mut dst = VectorStamp::from(a.clone());
+            dst.merge_from(&VectorStamp::from(b.clone()));
+            assert_eq!(dst.as_slice(), expected, "merge_from, len {len}");
+        }
     }
 
     #[test]

@@ -557,6 +557,90 @@ mod tests {
         assert_eq!(trace.net, whole_trace.net);
     }
 
+    /// FNV-1a, the repo's content hash for golden values.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The snapshot is a file format: snapshots written before a change of
+    /// representation must still restore, and `session.snapshot_bytes` must
+    /// not drift. Pinned byte for byte (constants recorded at PR 12, before
+    /// wide stamps became shared buffers and `NetMsg::Report` a box): a
+    /// scripted session's snapshot, and a journal holding every `NetMsg`
+    /// variant with stamps wide enough to spill.
+    #[test]
+    fn snapshot_json_is_pinned_byte_for_byte() {
+        use crate::bundle::{StampSet, StrobePayload};
+        use crate::message::Report;
+        use psn_clocks::{PhysReading, ScalarStamp};
+        use psn_world::{AttrKey, AttrValue};
+
+        let mut live = live_from(&scenario(), &ExecutionConfig::default());
+        live.advance_to(SimTime::from_secs(40)).unwrap();
+        let json = live.snapshot().to_json();
+        assert_eq!(
+            (json.len(), fnv1a(json.as_bytes())),
+            (5628, 18437775560689066229),
+            "scripted session"
+        );
+
+        let wide = |bump: u64| VectorStamp::from((0..10).map(|k| k * 3 + bump).collect::<Vec<_>>());
+        let stamps = |bump: u64| StampSet {
+            lamport: ScalarStamp { value: 7 + bump, process: 2 },
+            vector: wide(bump),
+            strobe_scalar: ScalarStamp { value: 4, process: 2 },
+            strobe_vector: wide(bump + 1),
+            physical: PhysReading(1_000_123),
+            synced: PhysReading(1_000_000),
+            truth: SimTime::from_millis(1),
+        };
+        let key = AttrKey::new(2, 0);
+        let msgs = [
+            NetMsg::WorldSense { key, value: AttrValue::Int(3), world_event: 5 },
+            NetMsg::Strobe {
+                origin: 2,
+                seq: 9,
+                payload: StrobePayload::new(ScalarStamp { value: 4, process: 2 }, wide(1)),
+            },
+            NetMsg::Report(Box::new(Report {
+                process: 2,
+                sense_seq: 1,
+                key,
+                value: AttrValue::Int(3),
+                stamps: stamps(0),
+                send_stamps: stamps(1),
+                world_event: 5,
+            })),
+            NetMsg::Actuate { key, command: AttrValue::Bool(true), stamps: Box::new(stamps(2)) },
+        ];
+        let snap = LiveSnapshot {
+            version: LIVE_SNAPSHOT_VERSION,
+            n: 9,
+            config: ExecutionConfig::default(),
+            watermark: SimTime::from_secs(1),
+            events: msgs
+                .into_iter()
+                .enumerate()
+                .map(|(i, msg)| LoggedEvent {
+                    at: SimTime::from_millis(i as u64),
+                    to: 2,
+                    from: 2,
+                    msg,
+                })
+                .collect(),
+        };
+        let json = snap.to_json();
+        assert_eq!(
+            (json.len(), fnv1a(json.as_bytes())),
+            (1753, 18206666437061904726),
+            "every message kind"
+        );
+        let back = LiveSnapshot::from_json(&json).expect("round trip");
+        assert_eq!(back.events, snap.events);
+    }
+
     #[test]
     fn snapshot_mid_window_with_active_faults_restores_exactly() {
         use psn_sim::fault::{FaultScript, FaultSpec};

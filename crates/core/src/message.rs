@@ -44,9 +44,6 @@ pub struct Report {
 }
 
 /// Everything that travels between actors in an execution.
-// Boxing the big variants would touch every construction/match site for a
-// type that only lives inside the engine's event queue; not worth it.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NetMsg {
     /// Simulator → sensor: a watched attribute changed (not a network
@@ -72,8 +69,10 @@ pub enum NetMsg {
         /// The clock payloads.
         payload: StrobePayload,
     },
-    /// Sensor → root report of a sense event.
-    Report(Report),
+    /// Sensor → root report of a sense event. Boxed: a report carries two
+    /// stamp sets, and every queue entry, ring slot and broadcast clone is
+    /// as large as the enum's largest variant.
+    Report(Box<Report>),
     /// Root → sensor actuation command. A computation message: it carries
     /// the root's send stamps so the sensor's actuate event is causally
     /// ordered after the detection (the §4.1 chain
@@ -87,6 +86,10 @@ pub enum NetMsg {
         stamps: Box<StampSet>,
     },
 }
+
+// The engine moves a `NetMsg` by value through its heap, its shard rings and
+// its journal: a variant that would grow the enum past this belongs in a box.
+const _: () = assert!(std::mem::size_of::<NetMsg>() <= 128);
 
 impl Message for NetMsg {
     fn size_bytes(&self) -> usize {
@@ -120,6 +123,8 @@ impl Message for NetMsg {
             payload.scalar.value += bump;
         } else {
             let k = rng.index(payload.vector.len());
+            // The broadcast's other copies and the sender's logged stamp
+            // share this buffer; `as_mut_slice` copies it before the write.
             payload.vector.as_mut_slice()[k] += bump;
         }
         true
@@ -201,7 +206,7 @@ mod tests {
 
     #[test]
     fn report_size_includes_both_stamp_sets() {
-        let r = NetMsg::Report(Report {
+        let r = NetMsg::Report(Box::new(Report {
             process: 0,
             sense_seq: 1,
             key: AttrKey::new(0, 0),
@@ -209,7 +214,7 @@ mod tests {
             stamps: stamps(4),
             send_stamps: stamps(4),
             world_event: 0,
-        });
+        }));
         assert_eq!(r.size_bytes(), 16 + 2 * (32 + 64));
     }
 }

@@ -371,7 +371,7 @@ impl Actor<NetMsg> for SensorProcess {
                 }
                 ctx.send(
                     self.root,
-                    NetMsg::Report(Report {
+                    NetMsg::Report(Box::new(Report {
                         process: self.id,
                         sense_seq: self.sense_count,
                         key,
@@ -379,7 +379,7 @@ impl Actor<NetMsg> for SensorProcess {
                         stamps,
                         send_stamps,
                         world_event,
-                    }),
+                    })),
                 );
             }
             NetMsg::Strobe { origin, seq, payload } => {
@@ -441,6 +441,12 @@ mod tests {
     use psn_sim::time::SimTime;
     use psn_world::AttrKey;
 
+    /// A dummy root that just absorbs messages.
+    struct Sink;
+    impl Actor<NetMsg> for Sink {
+        fn on_message(&mut self, _: &mut Context<'_, NetMsg>, _: ActorId, _: NetMsg) {}
+    }
+
     fn run_two_sensors(delay: DelayModel) -> Arc<Mutex<ExecutionLog>> {
         let log = ExecutionLog::shared();
         let net = NetworkConfig::full_mesh(3, delay);
@@ -454,11 +460,6 @@ mod tests {
                 StrobePolicy::default(),
                 Arc::clone(&log),
             )));
-        }
-        // A dummy root that just absorbs messages.
-        struct Sink;
-        impl Actor<NetMsg> for Sink {
-            fn on_message(&mut self, _: &mut Context<'_, NetMsg>, _: ActorId, _: NetMsg) {}
         }
         engine.add_actor(Box::new(Sink));
         // Two world events at 10ms (P0) and 20ms (P1).
@@ -506,6 +507,112 @@ mod tests {
         let p1_sense = &log.events_of(1)[0];
         assert_eq!(p1_sense.stamps.strobe_vector.as_slice(), [1, 1, 0]);
         assert_eq!(p1_sense.stamps.strobe_scalar.value, 2, "caught up to 1, ticked to 2");
+    }
+
+    /// A sensor that first records every strobe payload exactly as the
+    /// engine delivered it.
+    struct Tapped {
+        inner: SensorProcess,
+        seen: Arc<Mutex<Vec<(ActorId, crate::bundle::StrobePayload)>>>,
+    }
+    impl Actor<NetMsg> for Tapped {
+        fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
+            self.inner.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, NetMsg>, from: ActorId, msg: NetMsg) {
+            if let NetMsg::Strobe { payload, .. } = &msg {
+                self.seen.lock().push((ctx.id(), payload.clone()));
+            }
+            self.inner.on_message(ctx, from, msg);
+        }
+    }
+
+    /// A wide strobe's broadcast copies share one vector buffer, so
+    /// `NetMsg::corrupt` must un-share before it writes: a channel fault on
+    /// one recipient's copy garbles that copy and nothing else — not the
+    /// other recipients' payloads, not the stamp the sender logged — and a
+    /// quarantining receiver drops exactly that copy (E13's semantics).
+    #[test]
+    fn corrupting_one_copy_of_a_wide_broadcast_spares_the_others() {
+        use psn_sim::fault::{ChannelEffect, ChannelFaultRule, FaultScript, FaultSpec};
+        const SENSORS: usize = 10; // stamps are 11 wide: spilled, shared
+        const VICTIM: ActorId = 3;
+        let script = FaultScript::new().with(
+            SimTime::ZERO,
+            FaultSpec::Channel(ChannelFaultRule {
+                from: Some(0),
+                to: Some(VICTIM),
+                prob: 1.0,
+                effect: ChannelEffect::Corrupt,
+                duration: None,
+            }),
+        );
+        let sense = |id: usize| NetMsg::WorldSense {
+            key: AttrKey::new(id, 0),
+            value: AttrValue::Int(1),
+            world_event: id,
+        };
+        let mut vector_hits = 0;
+        for seed in 1..=8 {
+            let log = ExecutionLog::shared();
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let net = NetworkConfig::full_mesh(SENSORS + 1, DelayModel::Synchronous);
+            let mut engine = Engine::new(net, seed);
+            for id in 0..SENSORS {
+                engine.add_actor(Box::new(Tapped {
+                    inner: SensorProcess::new(
+                        id,
+                        SENSORS,
+                        SENSORS,
+                        ClockConfig::default(),
+                        StrobePolicy { quarantine: true, ..Default::default() },
+                        Arc::clone(&log),
+                    ),
+                    seen: Arc::clone(&seen),
+                }));
+            }
+            engine.add_actor(Box::new(Sink));
+            engine.install_faults(&script);
+            // P0 senses and strobes; then the victim senses (before any
+            // other strobe could tell it about P0), then everyone else.
+            engine.inject(SimTime::from_millis(10), 0, 0, sense(0));
+            engine.inject(SimTime::from_millis(20), VICTIM, VICTIM, sense(VICTIM));
+            for id in (1..SENSORS).filter(|&id| id != VICTIM) {
+                engine.inject(SimTime::from_millis(30 + id as u64), id, id, sense(id));
+            }
+            engine.run();
+            assert_eq!(engine.fault_stats().expect("plane installed").corrupted, 1);
+
+            let mut expected = vec![0; SENSORS + 1];
+            expected[0] = 1;
+            let log = log.lock();
+            assert_eq!(
+                log.events_of(0)[0].stamps.strobe_vector.as_slice(),
+                expected,
+                "the sender's logged stamp shares the broadcast's buffer and must not move"
+            );
+            let from_p0: Vec<_> =
+                seen.lock().iter().filter(|(_, p)| p.scalar.process == 0).cloned().collect();
+            assert_eq!(from_p0.len(), SENSORS - 1, "every peer sensor got P0's strobe");
+            for (to, payload) in &from_p0 {
+                if *to == VICTIM {
+                    assert!(!payload.verify(), "the victim's copy is the garbled one");
+                    vector_hits += usize::from(payload.vector.as_slice() != expected);
+                } else {
+                    assert!(payload.verify(), "P{to}'s copy was garbled along with the victim's");
+                    assert_eq!(payload.vector.as_slice(), expected);
+                }
+            }
+            for id in 1..SENSORS {
+                let knows_p0 = log.events_of(id)[0].stamps.strobe_vector[0];
+                assert_eq!(
+                    knows_p0,
+                    u64::from(id != VICTIM),
+                    "P{id}: quarantine dropped the wrong copies"
+                );
+            }
+        }
+        assert!(vector_hits > 0, "no seed garbled the vector: the shared buffer was never written");
     }
 
     #[test]

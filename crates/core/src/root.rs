@@ -177,12 +177,9 @@ impl Actor<NetMsg> for RootProcess {
                     kind: EventKind::Receive { from },
                     stamps,
                 });
-                log.reports.push(ReceivedReport {
-                    report: report.clone(),
-                    arrived_at: now,
-                    root_vector,
-                });
-                let commands = self.rule.on_report(&report, &log);
+                log.reports.push(ReceivedReport { report: *report, arrived_at: now, root_vector });
+                let report = &log.reports.last().expect("just pushed").report;
+                let commands = self.rule.on_report(report, &log);
                 for (target, key, command) in commands {
                     log.actuations.push(ActuationRecord { at: now, target, key, command });
                     drop(log);

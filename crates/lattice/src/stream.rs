@@ -638,8 +638,8 @@ mod tests {
                 .collect(),
         );
         check_equivalence(&h, 500);
-        assert!(!packed_window_fits(&vec![7usize; 22]));
-        assert!(packed_window_fits(&vec![2usize; 13]));
+        assert!(!packed_window_fits(&[7usize; 22]));
+        assert!(packed_window_fits(&[2usize; 13]));
     }
 
     #[test]

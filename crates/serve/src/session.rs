@@ -572,6 +572,21 @@ mod tests {
         assert!(none.is_empty(), "out-of-range from clamps to empty, no panic");
     }
 
+    /// The served snapshot is a file format and `session.snapshot_bytes` a
+    /// benchmark metric: pinned byte for byte (recorded at PR 12), taken
+    /// mid-script so the journal, the pending tail and the watch are all in
+    /// it.
+    #[test]
+    fn snapshot_json_is_pinned_byte_for_byte() {
+        let mut s = scripted_session();
+        s.handle(Request::Advance { to: SimTime::from_secs(4) });
+        let json = s.snapshot().to_json();
+        let fnv1a = json
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        assert_eq!((json.len(), fnv1a), (1548, 17945049562119053174));
+    }
+
     #[test]
     fn snapshot_kill_restore_preserves_frontier_and_status() {
         let mut s = scripted_session();
