@@ -265,9 +265,7 @@ impl StreamLattice {
                 }
                 let e = &self.windows[i][ci as usize];
                 let ok = (0..n).all(|j| {
-                    j == i
-                        || cut[j] >= lens[j]
-                        || !self.windows[j][cut[j] as usize].lt(e)
+                    j == i || cut[j] >= lens[j] || !self.windows[j][cut[j] as usize].lt(e)
                 });
                 if ok {
                     let mut succ = cut.clone();
@@ -483,8 +481,7 @@ impl AdvancementFrontier {
                         || self.queues[p][0].stamped.definitely_overlaps(&self.queues[q][0].stamped)
                 })
             }) || k == 1;
-            let truth_start =
-                self.queues.iter().map(|q| q[0].truth_start).max().expect("nonempty");
+            let truth_start = self.queues.iter().map(|q| q[0].truth_start).max().expect("nonempty");
             let truth_end = self
                 .queues
                 .iter()
@@ -519,10 +516,7 @@ impl AdvancementFrontier {
         for p in 0..k {
             while let Some(front) = self.queues[p].front() {
                 let dominated = (0..k).any(|q| {
-                    q != p
-                        && starved[q]
-                        && !gates[q].open
-                        && front.stamped.hi.lt(&gates[q].floor)
+                    q != p && starved[q] && !gates[q].open && front.stamped.hi.lt(&gates[q].floor)
                 });
                 if dominated {
                     self.queues[p].pop_front();
@@ -590,10 +584,7 @@ mod tests {
         let h = History::new(vec![vec![vs(&[1, 0]), vs(&[3, 2])], vec![vs(&[1, 1]), vs(&[1, 2])]]);
         check_equivalence(&h, 1_000);
         // Message-pruned.
-        let h = History::new(vec![
-            vec![vs(&[1, 0]), vs(&[2, 0])],
-            vec![vs(&[0, 1]), vs(&[2, 2])],
-        ]);
+        let h = History::new(vec![vec![vs(&[1, 0]), vs(&[2, 0])], vec![vs(&[0, 1]), vs(&[2, 2])]]);
         check_equivalence(&h, 1_000);
         // Empty.
         let h = History::new(vec![vec![], vec![]]);

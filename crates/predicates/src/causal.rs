@@ -25,7 +25,7 @@ use psn_clocks::VectorStamp;
 use psn_core::ExecutionTrace;
 use psn_lattice::StampedInterval;
 use psn_sim::time::SimTime;
-use psn_world::{AttrKey, AttrValue, WorldState};
+use psn_world::WorldState;
 
 use crate::spec::Conjunct;
 
@@ -71,12 +71,7 @@ fn local_intervals(
         trace.log.reports.iter().filter(|r| r.report.process == conjunct.process).collect();
     reports.sort_by_key(|r| r.report.sense_seq);
 
-    let vars = conjunct.expr.variables();
-    let mut state: std::collections::HashMap<AttrKey, AttrValue> =
-        vars.iter().map(|&k| (k, initial.get(k).unwrap_or(AttrValue::Int(0)))).collect();
-    let eval = |state: &std::collections::HashMap<AttrKey, AttrValue>| {
-        conjunct.expr.eval_bool(&|k| state.get(&k).copied().unwrap_or(AttrValue::Int(0)))
-    };
+    let mut state = conjunct.expr.compile(initial);
     let stamp_of = |r: &psn_core::ReceivedReport| -> VectorStamp {
         match family {
             StampFamily::Causal => r.report.stamps.vector.clone(),
@@ -85,17 +80,15 @@ fn local_intervals(
     };
 
     let mut out = Vec::new();
-    let mut holds = eval(&state);
+    let mut holds = state.holds();
     let mut open: Option<(VectorStamp, SimTime)> =
         if holds { Some((VectorStamp::zero(n_stamp), SimTime::ZERO)) } else { None };
     let mut last_stamp = VectorStamp::zero(n_stamp);
     for r in &reports {
-        if state.contains_key(&r.report.key) {
-            state.insert(r.report.key, r.report.value);
-        }
+        let relevant = state.set(r.report.key, r.report.value).is_some();
         let s = stamp_of(r);
         last_stamp = s.clone();
-        let now = eval(&state);
+        let now = if relevant { state.holds() } else { holds };
         match (holds, now) {
             (false, true) => open = Some((s, r.report.stamps.truth)),
             (true, false) => {
@@ -199,7 +192,7 @@ mod tests {
     use psn_sim::delay::DelayModel;
     use psn_sim::time::{SimDuration, SimTime};
     use psn_world::scenarios::exhibition::{self, ExhibitionParams};
-    use psn_world::truth_intervals;
+    use psn_world::{truth_intervals, AttrKey};
 
     /// Two-door exhibition; conjuncts: door d busy (x_d − y_d > k).
     fn busy_conjuncts(k: i64) -> Vec<Conjunct> {

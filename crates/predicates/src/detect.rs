@@ -26,13 +26,13 @@
 //! borderline detections. The application chooses the borderline policy
 //! (treat as positive to err on the safe side — the §5 recommendation).
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use psn_core::{ExecutionTrace, ReceivedReport};
 use psn_sim::time::SimTime;
-use psn_world::{AttrKey, AttrValue, WorldState};
+use psn_world::{AttrValue, WorldState};
 
 use crate::metrics::DetectorMetrics;
 use crate::spec::Predicate;
@@ -93,9 +93,11 @@ impl Discipline {
     }
 }
 
+type OrderKey = (i128, usize, usize);
+
 /// Sort key for one report under a discipline. Every key is totalized with
 /// `(process, sense_seq)` so sweeps are deterministic.
-fn order_key(r: &ReceivedReport, arrival_idx: usize, d: Discipline) -> (i128, usize, usize) {
+fn order_key(r: &ReceivedReport, arrival_idx: usize, d: Discipline) -> OrderKey {
     let p = r.report.process;
     let s = r.report.sense_seq;
     match d {
@@ -201,24 +203,19 @@ fn detect_impl(
             );
         }
     };
-    // Order the observation stream per the discipline.
-    let mut ordered: Vec<&ReceivedReport> = trace.log.reports.iter().collect();
-    let keys: HashMap<*const ReceivedReport, (i128, usize, usize)> = trace
+    // Order the observation stream per the discipline (a stable sort: equal
+    // keys keep arrival order).
+    let mut ordered: Vec<(OrderKey, &ReceivedReport)> = trace
         .log
         .reports
         .iter()
         .enumerate()
-        .map(|(i, r)| (r as *const _, order_key(r, i, discipline)))
+        .map(|(i, r)| (order_key(r, i, discipline), r))
         .collect();
-    ordered.sort_by_key(|r| keys[&(*r as *const _)]);
+    ordered.sort_by_key(|&(key, _)| key);
 
-    let vars = predicate.variables();
-    let mut state: HashMap<AttrKey, AttrValue> =
-        vars.iter().map(|&k| (k, initial.get(k).unwrap_or(AttrValue::Int(0)))).collect();
-
-    let eval = |state: &HashMap<AttrKey, AttrValue>| {
-        predicate.eval(&|k| state.get(&k).copied().unwrap_or(AttrValue::Int(0)))
-    };
+    let mut state = predicate.compile(initial);
+    let vector = discipline == Discipline::VectorStrobe;
 
     // The race window for borderline classification: reports within this
     // many sweep positions of each other can be concurrent-and-adjacent.
@@ -228,102 +225,78 @@ fn detect_impl(
     // (start, borderline, root-local arrival of the rising-edge report —
     // None for the deployment-time open interval).
     let mut open: Option<(SimTime, bool, Option<SimTime>)> = None;
-    let mut holds = eval(&state);
+    let mut holds = state.holds();
     if holds {
         open = Some((SimTime::ZERO, false, None));
     }
-    // Recent history for race probes: (index, report, previous value of its
-    // key before it applied).
-    let mut recent: Vec<(usize, &ReceivedReport, Option<AttrValue>)> = Vec::new();
+    // Recent relevant history for race probes: (index, report, the value of
+    // its key before it applied), oldest first.
+    let mut recent: VecDeque<(usize, &ReceivedReport, AttrValue)> = VecDeque::new();
 
-    for (idx, r) in ordered.iter().enumerate() {
-        let key = r.report.key;
-        let relevant = state.contains_key(&key);
-        let prev_value = state.get(&key).copied();
-        if relevant {
-            state.insert(key, r.report.value);
-        }
-        let now_holds = eval(&state);
-        let is_race = discipline == Discipline::VectorStrobe
-            && recent.iter().any(|(i, s, _)| {
-                idx - i <= window
-                    && s.report.process != r.report.process
+    for (idx, &(_, r)) in ordered.iter().enumerate() {
+        // An irrelevant report leaves the observed state, and so φ, as it
+        // was: no edge, no probe, no history entry.
+        let Some(prev_value) = state.set(r.report.key, r.report.value) else { continue };
+        let now_holds = state.holds();
+        // The history entries racing with `r`: within the window, another
+        // process's, concurrent in strobe-vector order. Newest first, and
+        // walked only at an edge or by the near-miss probe, so the vector
+        // comparisons are paid only there.
+        let racing = || {
+            recent.iter().rev().take_while(|(i, ..)| idx - i <= window).filter(|(_, s, _)| {
+                s.report.process != r.report.process
                     && s.report.stamps.strobe_vector.concurrent(&r.report.stamps.strobe_vector)
-            });
+            })
+        };
+        let is_race = || vector && racing().next().is_some();
 
         match (holds, now_holds) {
             (false, true) => {
-                open = Some((r.report.stamps.truth, is_race, Some(r.arrived_at)));
+                open = Some((r.report.stamps.truth, is_race(), Some(r.arrived_at)));
             }
             (true, false) => {
                 let (start, race_at_start, seen_at) = open.take().expect("open interval");
                 let d = Detection {
                     start,
                     end: Some(r.report.stamps.truth),
-                    borderline: race_at_start || is_race,
+                    borderline: race_at_start || is_race(),
                 };
                 metrics.on_occurrence(&d, seen_at);
                 emit(&mut sink, Some(r));
                 detections.push(d);
             }
+            // Near-miss probe (vector strobe only): if φ did not rise, but
+            // would have risen had this report been ordered before an
+            // adjacent concurrent report, the occurrence may exist in truth
+            // — emit a borderline blip so the application can err on the
+            // safe side.
+            (false, false) if vector => {
+                for (_, s, s_prev) in racing() {
+                    // Tentatively roll back S (as if R preceded it): write
+                    // one slot, evaluate, restore it.
+                    let cur = state.set(s.report.key, *s_prev).expect("history is relevant");
+                    let probe = state.holds();
+                    state.set(s.report.key, cur);
+                    if probe {
+                        let d = Detection {
+                            start: r.report.stamps.truth,
+                            end: Some(r.report.stamps.truth),
+                            borderline: true,
+                        };
+                        metrics.on_occurrence(&d, Some(r.arrived_at));
+                        emit(&mut sink, Some(r));
+                        detections.push(d);
+                        break;
+                    }
+                }
+            }
             _ => {}
         }
 
-        // Near-miss probe (vector strobe only): if φ did not rise, but
-        // would have risen had this report been ordered before an adjacent
-        // concurrent report, the occurrence may exist in truth — emit a
-        // borderline blip so the application can err on the safe side.
-        if discipline == Discipline::VectorStrobe && !now_holds && !holds && relevant && is_race {
-            for (i, s, s_prev) in recent.iter().rev() {
-                if idx - i > window {
-                    break;
-                }
-                if s.report.process == r.report.process
-                    || !s.report.stamps.strobe_vector.concurrent(&r.report.stamps.strobe_vector)
-                    || !state.contains_key(&s.report.key)
-                {
-                    continue;
-                }
-                // Tentatively roll back S (as if R preceded it).
-                let cur = state.get(&s.report.key).copied();
-                match s_prev {
-                    Some(v) => {
-                        state.insert(s.report.key, *v);
-                    }
-                    None => {
-                        state.remove(&s.report.key);
-                    }
-                }
-                let probe = eval(&state);
-                // Restore.
-                match cur {
-                    Some(v) => {
-                        state.insert(s.report.key, v);
-                    }
-                    None => {
-                        state.remove(&s.report.key);
-                    }
-                }
-                if probe {
-                    let d = Detection {
-                        start: r.report.stamps.truth,
-                        end: Some(r.report.stamps.truth),
-                        borderline: true,
-                    };
-                    metrics.on_occurrence(&d, Some(r.arrived_at));
-                    emit(&mut sink, Some(r));
-                    detections.push(d);
-                    break;
-                }
-            }
-        }
-
         holds = now_holds;
-        if relevant {
-            recent.push((idx, r, prev_value));
-            if recent.len() > 2 * window {
-                recent.remove(0);
-            }
+        recent.push_back((idx, r, prev_value));
+        if recent.len() > 2 * window {
+            recent.pop_front();
         }
     }
     if let Some((start, race, seen_at)) = open {

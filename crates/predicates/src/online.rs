@@ -13,17 +13,15 @@
 //! adequate hold-back on a lossless network there are none, and the online
 //! detector's output equals the offline sweep's exactly (tested).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use psn_core::ReceivedReport;
 use psn_sim::time::{SimDuration, SimTime};
-use psn_world::{AttrKey, AttrValue, WorldState};
+use psn_world::WorldState;
 
 use crate::detect::Detection;
 use crate::metrics::DetectorMetrics;
-use crate::spec::Predicate;
+use crate::spec::{Compiled, Predicate};
 
 type OrderKey = (u64, usize, usize);
 
@@ -50,8 +48,7 @@ fn strobe_key(r: &ReceivedReport) -> OrderKey {
 
 /// A streaming detector over the scalar-strobe order.
 pub struct OnlineDetector {
-    predicate: Predicate,
-    state: HashMap<AttrKey, AttrValue>,
+    state: Compiled,
     holds: bool,
     hold_back: SimDuration,
     /// Buffered, not-yet-released reports.
@@ -70,15 +67,10 @@ impl OnlineDetector {
     /// before evaluation (use ≥ 2Δ for in-order release under Δ-bounded
     /// delays). `initial` is the deployment-time observed state.
     pub fn new(predicate: Predicate, initial: &WorldState, hold_back: SimDuration) -> Self {
-        let state: HashMap<AttrKey, AttrValue> = predicate
-            .variables()
-            .into_iter()
-            .map(|k| (k, initial.get(k).unwrap_or(AttrValue::Int(0))))
-            .collect();
-        let holds = predicate.eval(&|k| state.get(&k).copied().unwrap_or(AttrValue::Int(0)));
+        let mut state = predicate.compile(initial);
+        let holds = state.holds();
         let open = if holds { Some((SimTime::ZERO, None)) } else { None };
         OnlineDetector {
-            predicate,
             state,
             holds,
             hold_back,
@@ -134,11 +126,10 @@ impl OnlineDetector {
             }
         }
         self.last_released = Some(self.last_released.unwrap_or(key).max(key));
-        if self.state.contains_key(&r.report.key) {
-            self.state.insert(r.report.key, r.report.value);
+        if self.state.set(r.report.key, r.report.value).is_none() {
+            return;
         }
-        let now_holds =
-            self.predicate.eval(&|k| self.state.get(&k).copied().unwrap_or(AttrValue::Int(0)));
+        let now_holds = self.state.holds();
         match (self.holds, now_holds) {
             (false, true) => self.open = Some((r.report.stamps.truth, Some(r.arrived_at))),
             (true, false) => {

@@ -145,6 +145,12 @@ impl Expr {
         }
     }
 
+    /// Compile this expression (one conjunct's, say) for slot evaluation,
+    /// observing `initial`.
+    pub fn compile(&self, initial: &WorldState) -> Compiled {
+        Compiled::new(std::iter::once(self), self.variables(), initial)
+    }
+
     /// All variables mentioned.
     pub fn variables(&self) -> Vec<AttrKey> {
         let mut out = Vec::new();
@@ -215,6 +221,18 @@ impl Predicate {
         self.eval(&|k| state.get(k).unwrap_or(AttrValue::Int(0)))
     }
 
+    /// Compile for slot evaluation, observing `initial` (the deployment-time
+    /// state; a variable it lacks reads `Int(0)`, as in
+    /// [`eval_state`](Self::eval_state)).
+    pub fn compile(&self, initial: &WorldState) -> Compiled {
+        match self {
+            Predicate::Conjunctive(cs) => {
+                Compiled::new(cs.iter().map(|c| &c.expr), self.variables(), initial)
+            }
+            Predicate::Relational(e) => e.compile(initial),
+        }
+    }
+
     /// All variables mentioned.
     pub fn variables(&self) -> Vec<AttrKey> {
         let mut out = match self {
@@ -250,6 +268,154 @@ impl Predicate {
                 .and(Expr::var(AttrKey::new(room, 0)).gt(Expr::float(threshold))),
         }])
     }
+}
+
+/// One instruction of a [`Compiled`] program: postfix over an `f64` stack.
+/// A boolean result is pushed as 1.0 / 0.0 and an operand is true iff it is
+/// `!= 0.0` — the coercions of [`Expr::eval_num`] / [`Expr::eval_bool`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Lit(f64),
+    /// Push the current value of slot `i`.
+    Slot(usize),
+    Add,
+    Sub,
+    Mul,
+    /// Replace the top `n` operands by their sum, added first to last.
+    Sum(usize),
+    Gt,
+    Ge,
+    Lt,
+    Eq,
+    And,
+    Or,
+    Not,
+}
+
+/// A predicate compiled once against its sorted [`Predicate::variables`]:
+/// the observed state is one dense slot per variable and φ is a flat postfix
+/// program over those slots. Every detector holds one of these — per report
+/// it costs a binary search over the predicate's own variables and one pass
+/// over the program, performing the same `f64` operations in the same order
+/// as [`Predicate::eval`], which stays the definition (and the oracle the
+/// proptests check this against).
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    /// Sorted; `vals[i]` is the observed value of `vars[i]`.
+    vars: Vec<AttrKey>,
+    vals: Vec<AttrValue>,
+    ops: Vec<Op>,
+    /// Operand stack, kept for its capacity.
+    stack: Vec<f64>,
+}
+
+impl Compiled {
+    /// The conjunction of `exprs` (one expression for a relational predicate
+    /// or a single conjunct; none is vacuously true) over `vars`, observed
+    /// from `initial` — a variable it lacks reads `Int(0)`.
+    fn new<'a>(
+        exprs: impl Iterator<Item = &'a Expr>,
+        vars: Vec<AttrKey>,
+        initial: &WorldState,
+    ) -> Self {
+        let mut ops = Vec::new();
+        for (i, e) in exprs.enumerate() {
+            lower(e, &vars, &mut ops);
+            if i > 0 {
+                ops.push(Op::And);
+            }
+        }
+        if ops.is_empty() {
+            ops.push(Op::Lit(1.0));
+        }
+        let vals = vars.iter().map(|&k| initial.get(k).unwrap_or(AttrValue::Int(0))).collect();
+        Compiled { vars, vals, ops, stack: Vec::new() }
+    }
+
+    fn slot(&self, key: AttrKey) -> Option<usize> {
+        self.vars.binary_search(&key).ok()
+    }
+
+    /// Is `key` one of the predicate's variables?
+    pub fn watches(&self, key: AttrKey) -> bool {
+        self.slot(key).is_some()
+    }
+
+    /// Observe `key = value`. Returns the value it replaces, or `None` when
+    /// `key` is not one of the predicate's variables: the report is
+    /// irrelevant, nothing changed, and [`holds`](Self::holds) cannot have.
+    pub fn set(&mut self, key: AttrKey, value: AttrValue) -> Option<AttrValue> {
+        let slot = self.slot(key)?;
+        Some(std::mem::replace(&mut self.vals[slot], value))
+    }
+
+    /// Does the predicate hold in the observed state?
+    pub fn holds(&mut self) -> bool {
+        fn binary(stack: &mut Vec<f64>, f: impl FnOnce(f64, f64) -> f64) {
+            let b = stack.pop().expect("right operand");
+            let a = stack.pop().expect("left operand");
+            stack.push(f(a, b));
+        }
+        let truth = |b: bool| f64::from(u8::from(b));
+        let stack = &mut self.stack;
+        stack.clear();
+        for op in &self.ops {
+            match *op {
+                Op::Lit(x) => stack.push(x),
+                Op::Slot(i) => stack.push(self.vals[i].as_float()),
+                Op::Sum(n) => {
+                    let terms = stack.len() - n;
+                    let sum = stack[terms..].iter().sum();
+                    stack.truncate(terms);
+                    stack.push(sum);
+                }
+                Op::Add => binary(stack, |a, b| a + b),
+                Op::Sub => binary(stack, |a, b| a - b),
+                Op::Mul => binary(stack, |a, b| a * b),
+                Op::Gt => binary(stack, |a, b| truth(a > b)),
+                Op::Ge => binary(stack, |a, b| truth(a >= b)),
+                Op::Lt => binary(stack, |a, b| truth(a < b)),
+                Op::Eq => binary(stack, |a, b| truth(a == b)),
+                Op::And => binary(stack, |a, b| truth(a != 0.0 && b != 0.0)),
+                Op::Or => binary(stack, |a, b| truth(a != 0.0 || b != 0.0)),
+                Op::Not => {
+                    let a = stack.pop().expect("operand");
+                    stack.push(truth(a == 0.0));
+                }
+            }
+        }
+        stack.pop().expect("a program leaves its result") != 0.0
+    }
+}
+
+/// Append `e` in postfix; `vars` is sorted and lists every variable of `e`.
+fn lower(e: &Expr, vars: &[AttrKey], ops: &mut Vec<Op>) {
+    let (a, b, op) = match e {
+        Expr::Lit(v) => return ops.push(Op::Lit(v.as_float())),
+        Expr::Var(k) => {
+            return ops.push(Op::Slot(vars.binary_search(k).expect("compiled over its variables")))
+        }
+        Expr::Sum(xs) => {
+            xs.iter().for_each(|x| lower(x, vars, ops));
+            return ops.push(Op::Sum(xs.len()));
+        }
+        Expr::Not(a) => {
+            lower(a, vars, ops);
+            return ops.push(Op::Not);
+        }
+        Expr::Add(a, b) => (a, b, Op::Add),
+        Expr::Sub(a, b) => (a, b, Op::Sub),
+        Expr::Mul(a, b) => (a, b, Op::Mul),
+        Expr::Gt(a, b) => (a, b, Op::Gt),
+        Expr::Ge(a, b) => (a, b, Op::Ge),
+        Expr::Lt(a, b) => (a, b, Op::Lt),
+        Expr::Eq(a, b) => (a, b, Op::Eq),
+        Expr::And(a, b) => (a, b, Op::And),
+        Expr::Or(a, b) => (a, b, Op::Or),
+    };
+    lower(a, vars, ops);
+    lower(b, vars, ops);
+    ops.push(op);
 }
 
 #[cfg(test)]

@@ -32,11 +32,13 @@
 //!   whole trace with an infinite hold-back (so the seal performs the full
 //!   sort) and is **unconditionally** bit-identical to [`modal_status`] —
 //!   batch experiments share the one streaming implementation.
+//!
+//! [`modal_status`]: crate::modal::modal_status
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use psn_clocks::VectorStamp;
+use psn_clocks::{ProcessId, VectorStamp};
 use psn_core::{ExecutionTrace, ReceivedReport};
 use psn_lattice::stream::{AdvancementFrontier, FrontierInterval, FrontierOccurrence, PeerGate};
 use psn_lattice::StampedInterval;
@@ -44,7 +46,7 @@ use psn_sim::time::{SimDuration, SimTime};
 use psn_world::{AttrKey, AttrValue, WorldState};
 
 use crate::modal::ModalStatus;
-use crate::spec::{Conjunct, Predicate};
+use crate::spec::{Compiled, Conjunct, Predicate};
 
 type OrderKey = (u64, usize, usize);
 
@@ -94,12 +96,7 @@ enum Shape {
 /// state machine with only counts retained.
 #[derive(Debug, Clone)]
 struct RelationalSweep {
-    predicate: Predicate,
-    /// Dense live state: `vals[i]` is the current value of `vars[i]`.
-    /// Predicate arity is small, so the linear scan beats hashing on the
-    /// per-report hot path (every eval reads every variable anyway).
-    vars: Vec<AttrKey>,
-    vals: Vec<AttrValue>,
+    state: Compiled,
     holds: bool,
     /// Truth start of the currently open occurrence.
     open: Option<SimTime>,
@@ -107,35 +104,17 @@ struct RelationalSweep {
 }
 
 impl RelationalSweep {
-    fn new(predicate: Predicate, initial: &WorldState) -> Self {
-        let mut vars: Vec<AttrKey> = Vec::new();
-        for k in predicate.variables() {
-            if !vars.contains(&k) {
-                vars.push(k);
-            }
-        }
-        let vals: Vec<AttrValue> =
-            vars.iter().map(|&k| initial.get(k).unwrap_or(AttrValue::Int(0))).collect();
-        let holds = predicate.eval(&|k| {
-            vars.iter().position(|&v| v == k).map(|i| vals[i]).unwrap_or(AttrValue::Int(0))
-        });
+    fn new(predicate: &Predicate, initial: &WorldState) -> Self {
+        let mut state = predicate.compile(initial);
+        let holds = state.holds();
         let open = holds.then_some(SimTime::ZERO);
-        RelationalSweep { predicate, vars, vals, holds, open, closed: 0 }
-    }
-
-    fn slot(&self, k: AttrKey) -> Option<usize> {
-        self.vars.iter().position(|&v| v == k)
+        RelationalSweep { state, holds, open, closed: 0 }
     }
 
     fn apply(&mut self, e: &Pending) {
         // Only relevant keys are buffered, so the slot exists.
-        if let Some(i) = self.slot(e.attr) {
-            self.vals[i] = e.value;
-        }
-        let (vars, vals) = (&self.vars, &self.vals);
-        let now = self.predicate.eval(&|k| {
-            vars.iter().position(|&v| v == k).map(|i| vals[i]).unwrap_or(AttrValue::Int(0))
-        });
+        self.state.set(e.attr, e.value);
+        let now = self.state.holds();
         match (self.holds, now) {
             (false, true) => self.open = Some(e.truth),
             (true, false) => {
@@ -157,11 +136,8 @@ impl RelationalSweep {
 /// the offline detector's per-process replay).
 #[derive(Debug, Clone)]
 struct ConjunctBuilder {
-    conjunct: Conjunct,
-    /// Dense live state (see [`RelationalSweep`]): conjunct arity is tiny,
-    /// so linear search beats hashing per report.
-    vars: Vec<AttrKey>,
-    vals: Vec<AttrValue>,
+    process: ProcessId,
+    state: Compiled,
     holds: bool,
     /// `(lo stamp, truth start)` of the currently open interval.
     open: Option<(VectorStamp, SimTime)>,
@@ -169,23 +145,13 @@ struct ConjunctBuilder {
 }
 
 impl ConjunctBuilder {
-    fn new(conjunct: Conjunct, initial: &WorldState, n_stamp: usize) -> Self {
-        let mut vars: Vec<AttrKey> = Vec::new();
-        for &k in conjunct.expr.variables().iter() {
-            if !vars.contains(&k) {
-                vars.push(k);
-            }
-        }
-        let vals: Vec<AttrValue> =
-            vars.iter().map(|&k| initial.get(k).unwrap_or(AttrValue::Int(0))).collect();
-        let holds = conjunct.expr.eval_bool(&|k| {
-            vars.iter().position(|&v| v == k).map(|i| vals[i]).unwrap_or(AttrValue::Int(0))
-        });
+    fn new(conjunct: &Conjunct, initial: &WorldState, n_stamp: usize) -> Self {
+        let mut state = conjunct.expr.compile(initial);
+        let holds = state.holds();
         let open = holds.then(|| (VectorStamp::zero(n_stamp), SimTime::ZERO));
         ConjunctBuilder {
-            conjunct,
-            vars,
-            vals,
+            process: conjunct.process,
+            state,
             holds,
             open,
             last_stamp: VectorStamp::zero(n_stamp),
@@ -196,14 +162,9 @@ impl ConjunctBuilder {
     /// the closed interval for the advancement frontier.
     fn apply(&mut self, e: &Pending) -> Option<FrontierInterval> {
         let stamp = e.stamp.as_ref().expect("conjunctive entries carry the strobe vector");
-        if let Some(i) = self.vars.iter().position(|&v| v == e.attr) {
-            self.vals[i] = e.value;
-        }
+        let relevant = self.state.set(e.attr, e.value).is_some();
         self.last_stamp = stamp.clone();
-        let (vars, vals) = (&self.vars, &self.vals);
-        let now = self.conjunct.expr.eval_bool(&|k| {
-            vars.iter().position(|&v| v == k).map(|i| vals[i]).unwrap_or(AttrValue::Int(0))
-        });
+        let now = if relevant { self.state.holds() } else { self.holds };
         let out = match (self.holds, now) {
             (false, true) => {
                 self.open = Some((stamp.clone(), e.truth));
@@ -248,7 +209,7 @@ struct ConjunctiveStream {
 impl ConjunctiveStream {
     fn new(conjuncts: &[Conjunct], initial: &WorldState, n_stamp: usize) -> Self {
         let builders =
-            conjuncts.iter().map(|c| ConjunctBuilder::new(c.clone(), initial, n_stamp)).collect();
+            conjuncts.iter().map(|c| ConjunctBuilder::new(c, initial, n_stamp)).collect();
         ConjunctiveStream {
             builders,
             frontier: AdvancementFrontier::new(conjuncts.len()),
@@ -262,7 +223,7 @@ impl ConjunctiveStream {
         let process = e.key.1;
         let mut fed = false;
         for (i, b) in self.builders.iter_mut().enumerate() {
-            if b.conjunct.process == process {
+            if b.process == process {
                 if let Some(iv) = b.apply(e) {
                     self.frontier.push(i, iv);
                     fed = true;
@@ -281,8 +242,7 @@ impl ConjunctiveStream {
         self.frontier.advance(&mut self.scratch);
         self.possibly += self.scratch.len();
         self.definitely += self.scratch.iter().filter(|o| o.definitely).count();
-        if self.frontier.pending() > 0
-            && (0..self.builders.len()).any(|i| self.frontier.starved(i))
+        if self.frontier.pending() > 0 && (0..self.builders.len()).any(|i| self.frontier.starved(i))
         {
             let gates: Vec<PeerGate> = self
                 .builders
@@ -322,6 +282,8 @@ impl ConjunctiveStream {
 /// [`seal`](Self::seal). `hold_back ≥ 2Δ` keeps the release order equal to
 /// the offline sort (zero late reports) and therefore every answer
 /// bit-identical to the offline sweep over the same reports.
+///
+/// [`modal_status`]: crate::modal::modal_status
 #[derive(Debug, Clone)]
 pub struct StreamingModal {
     shape: Shape,
@@ -347,9 +309,7 @@ impl StreamingModal {
             Predicate::Conjunctive(cs) => {
                 Shape::Conjunctive(ConjunctiveStream::new(cs, initial, n + 1))
             }
-            Predicate::Relational(_) => {
-                Shape::Relational(RelationalSweep::new(predicate.clone(), initial))
-            }
+            Predicate::Relational(_) => Shape::Relational(RelationalSweep::new(predicate, initial)),
         };
         StreamingModal {
             shape,
@@ -376,14 +336,14 @@ impl StreamingModal {
             Shape::Vacuous => None,
             // Irrelevant attributes cannot change the swept state, so they
             // cannot produce an edge — skip them entirely.
-            Shape::Relational(sw) => sw.slot(r.report.key).is_some().then(|| base(None)),
+            Shape::Relational(sw) => sw.state.watches(r.report.key).then(|| base(None)),
             // Every report of a watched process matters (it advances that
             // conjunct's last delivered stamp even when the attribute is
             // irrelevant), and it carries the strobe vector.
             Shape::Conjunctive(cs) => cs
                 .builders
                 .iter()
-                .any(|b| b.conjunct.process == r.report.process)
+                .any(|b| b.process == r.report.process)
                 .then(|| base(Some(r.report.stamps.strobe_vector.clone()))),
         }
     }
@@ -444,6 +404,8 @@ impl StreamingModal {
     /// globally correct ([`late_reports`](Self::late_reports) == 0).
     /// O(window): clones the bounded live state and seals the clone; the
     /// stream itself is undisturbed.
+    ///
+    /// [`modal_status`]: crate::modal::modal_status
     pub fn status(&self) -> ModalStatus {
         let mut probe = self.clone();
         probe.release_until(SimTime::MAX);
@@ -612,12 +574,8 @@ mod tests {
         // so far (the offline oracle run on a truncated trace).
         let (scenario, trace) = fixture(150, 7);
         let init = scenario.timeline.initial_state();
-        for pred in [
-            Predicate::occupancy_over(3, 70),
-            Predicate::Conjunctive(busy_conjuncts(2)),
-        ] {
-            let mut s =
-                StreamingModal::new(&pred, &init, trace.n, SimDuration::from_millis(300));
+        for pred in [Predicate::occupancy_over(3, 70), Predicate::Conjunctive(busy_conjuncts(2))] {
+            let mut s = StreamingModal::new(&pred, &init, trace.n, SimDuration::from_millis(300));
             let step = (trace.log.reports.len() / 7).max(1);
             for (i, r) in trace.log.reports.iter().enumerate() {
                 s.offer(r);
@@ -647,10 +605,7 @@ mod tests {
         for r in &trace.log.reports {
             s.offer(r);
         }
-        assert_eq!(
-            s.status(),
-            ModalStatus { possibly: 0, definitely: 0, holding_now: false }
-        );
+        assert_eq!(s.status(), ModalStatus { possibly: 0, definitely: 0, holding_now: false });
     }
 
     #[test]
@@ -735,9 +690,7 @@ mod tests {
         assert_eq!(n, 3);
         assert!(fits, "3 processes × 4-bit windows pack easily");
         let wide = Predicate::Conjunctive(
-            (0..20)
-                .map(|p| Conjunct { process: p, expr: Expr::int(1).gt(Expr::int(0)) })
-                .collect(),
+            (0..20).map(|p| Conjunct { process: p, expr: Expr::int(1).gt(Expr::int(0)) }).collect(),
         );
         let (n, fits) = stream_packing(&wide, 15);
         assert_eq!(n, 20);

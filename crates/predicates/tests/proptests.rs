@@ -10,7 +10,7 @@ use psn_predicates::{
 use psn_sim::delay::DelayModel;
 use psn_sim::time::{SimDuration, SimTime};
 use psn_world::scenarios::exhibition::{self, ExhibitionParams};
-use psn_world::{truth_intervals, AttrKey, AttrValue};
+use psn_world::{truth_intervals, AttrKey, AttrValue, WorldState};
 
 // ---------------------------------------------------------------------------
 // Expression semantics
@@ -62,6 +62,122 @@ proptest! {
         prop_assert_eq!(v().sub(v()).eval_num(&read), 0.0);
         prop_assert_eq!(v().add(Expr::int(0)).eval_num(&read), x as f64);
         prop_assert_eq!(v().mul(Expr::int(1)).eval_num(&read), x as f64);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The compiled form against its definition
+// ---------------------------------------------------------------------------
+
+/// Values where `f64` arithmetic and the bool/number coercions have corners:
+/// both zeros, both infinities, NaN, and integers `f64` cannot hold exactly.
+fn value() -> BoxedStrategy<AttrValue> {
+    let int = prop_oneof![
+        -3i64..4,
+        Just((1i64 << 53) + 1),
+        Just(-(1i64 << 53) - 1),
+        Just(i64::MAX),
+        Just(i64::MIN),
+    ];
+    let float = prop_oneof![
+        (-8i64..9).prop_map(|q| q as f64 / 4.0),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+    ];
+    prop_oneof![
+        (0u8..2).prop_map(|b| AttrValue::Bool(b == 1)),
+        int.prop_map(AttrValue::Int),
+        float.prop_map(AttrValue::Float),
+    ]
+    .boxed()
+}
+
+/// A key from a pool of six; object 9 is in no generated expression.
+fn key() -> impl Strategy<Value = AttrKey> {
+    (0usize..3, 0usize..2).prop_map(|(o, a)| AttrKey::new(o, a))
+}
+
+/// Expression trees of every node kind, `depth` levels below the root.
+fn expr(depth: u32) -> BoxedStrategy<Expr> {
+    let leaf = prop_oneof![value().prop_map(Expr::Lit), key().prop_map(Expr::Var)];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    let sub = expr(depth - 1);
+    let pair = || (sub.clone(), sub.clone());
+    prop_oneof![
+        leaf,
+        pair().prop_map(|(a, b)| a.add(b)),
+        pair().prop_map(|(a, b)| a.sub(b)),
+        pair().prop_map(|(a, b)| a.mul(b)),
+        proptest::collection::vec(sub.clone(), 0..4).prop_map(Expr::Sum),
+        pair().prop_map(|(a, b)| a.gt(b)),
+        pair().prop_map(|(a, b)| a.ge(b)),
+        pair().prop_map(|(a, b)| a.lt(b)),
+        pair().prop_map(|(a, b)| a.eq_expr(b)),
+        pair().prop_map(|(a, b)| a.and(b)),
+        pair().prop_map(|(a, b)| a.or(b)),
+        sub.clone().prop_map(Expr::negate),
+    ]
+    .boxed()
+}
+
+/// Identity of a value, NaN included.
+fn bits(v: AttrValue) -> (u8, u64) {
+    match v {
+        AttrValue::Bool(b) => (0, u64::from(b)),
+        AttrValue::Int(i) => (1, i as u64),
+        AttrValue::Float(f) => (2, f.to_bits()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `Compiled::holds` is `Predicate::eval` over the same values — at the
+    /// initial state (some variables missing from it) and after every `set`
+    /// — and `set` reports relevance and the replaced value exactly.
+    #[test]
+    fn compiled_form_matches_eval(
+        exprs in proptest::collection::vec(expr(4), 0..4),
+        relational in 0u8..2,
+        initial in proptest::collection::vec((key(), value()), 0..6),
+        sets in proptest::collection::vec((0usize..4, 0usize..2, value()), 0..24),
+    ) {
+        let predicate = match exprs.first() {
+            Some(e) if relational == 1 => Predicate::Relational(e.clone()),
+            _ => Predicate::Conjunctive(
+                exprs
+                    .iter()
+                    .enumerate()
+                    .map(|(process, e)| Conjunct { process, expr: e.clone() })
+                    .collect(),
+            ),
+        };
+        let vars = predicate.variables();
+        let mut world = WorldState::default();
+        for &(k, v) in &initial {
+            world.set(k, v);
+        }
+        let mut compiled = predicate.compile(&world);
+        prop_assert_eq!(compiled.holds(), predicate.eval_state(&world));
+        for &(object, attr, v) in &sets {
+            // Object 3 stands for one outside every expression.
+            let k = AttrKey::new(if object == 3 { 9 } else { object }, attr);
+            let before = world.get(k).unwrap_or(AttrValue::Int(0));
+            let replaced = compiled.set(k, v);
+            prop_assert_eq!(compiled.watches(k), vars.contains(&k));
+            if vars.contains(&k) {
+                prop_assert_eq!(replaced.map(bits), Some(bits(before)));
+                world.set(k, v);
+            } else {
+                prop_assert!(replaced.is_none());
+            }
+            prop_assert_eq!(compiled.holds(), predicate.eval_state(&world));
+        }
     }
 }
 

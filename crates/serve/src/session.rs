@@ -442,11 +442,7 @@ impl ServeSession {
         ServeSnapshot {
             live: self.live.snapshot(),
             pending: self.pending.clone(),
-            watches: self
-                .detectors
-                .iter()
-                .map(|d| (d.name.clone(), d.predicate.clone()))
-                .collect(),
+            watches: self.detectors.iter().map(|d| (d.name.clone(), d.predicate.clone())).collect(),
             hold_back: self.hold_back,
             initial: self.initial.clone(),
         }

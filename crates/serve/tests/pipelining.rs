@@ -74,6 +74,19 @@ fn a_malformed_frame_mid_burst_is_answered_in_its_place() {
 }
 
 #[test]
+fn a_frame_of_a_million_open_brackets_is_a_bad_request_not_a_stack_overflow() {
+    let (h, mut c) = start(2);
+    for open in ["[", "{\"a\":"] {
+        let body = open.repeat(MAX_FRAME / open.len());
+        c.write_all(&raw_frame(body.as_bytes())).expect("send");
+        assert!(is_bad_request(&reply(&mut c)));
+    }
+    c.write_all(&frame(&Request::Ping)).expect("send");
+    assert_eq!(reply(&mut c), Some(Response::Pong));
+    h.stop();
+}
+
+#[test]
 fn an_oversized_prefix_mid_burst_closes_after_everything_before_it_is_answered() {
     let (h, mut c) = start(2);
     let mut burst = [frame(&Request::Ping), frame(&ingest(1000, 0, 1))].concat();
