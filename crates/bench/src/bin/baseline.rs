@@ -39,8 +39,13 @@ use serde::{Serialize, Value};
 struct RateMap(BTreeMap<String, f64>);
 
 impl Serialize for RateMap {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(self.0.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+    fn serialize<S: serde::Sink>(&self, s: &mut S) {
+        s.map_begin();
+        for (k, v) in &self.0 {
+            s.map_key(k);
+            s.f64(*v);
+        }
+        s.map_end()
     }
 }
 

@@ -23,7 +23,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Sink, Source};
 
 use crate::traits::{Causality, LogicalClock, ProcessId, Timestamp};
 
@@ -337,14 +337,14 @@ impl Hash for VectorStamp {
 }
 
 impl Serialize for VectorStamp {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        self.as_slice().serialize(s)
     }
 }
 
 impl Deserialize for VectorStamp {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Vec::<u64>::from_value(v).map(VectorStamp::from)
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, Error> {
+        Vec::<u64>::deserialize(src).map(VectorStamp::from)
     }
 }
 

@@ -105,8 +105,7 @@ impl ServeSnapshot {
     /// Read from a file.
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         let s = std::fs::read_to_string(path)?;
-        Self::from_json(&s)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))
+        Self::from_json(&s).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 

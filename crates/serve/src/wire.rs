@@ -12,6 +12,7 @@
 //! typed [`Response::Error`] and the connection continues — no wire input
 //! can panic the service.
 
+use std::cell::RefCell;
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
@@ -68,34 +69,34 @@ pub fn recoverable(e: &WireError) -> bool {
     matches!(e, WireError::BadUtf8 | WireError::BadJson(_))
 }
 
-/// Append one frame to `out`. On error nothing is appended, so `out` still
-/// ends on a frame boundary.
+/// Append one frame to `out`, its body written in place behind the length
+/// prefix. On error nothing is appended: `out` still ends on a frame boundary.
 pub fn encode_frame<T: Serialize>(out: &mut Vec<u8>, msg: &T) -> std::io::Result<()> {
-    let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
-    let body = serde_json::to_string(msg).map_err(|e| invalid(format!("{e:?}")))?;
-    if body.len() > MAX_FRAME {
-        let len = body.len();
-        return Err(invalid(format!(
-            "outgoing frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
-        )));
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    serde_json::write_to(msg, out);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME {
+        out.truncate(start);
+        let why = format!("outgoing frame of {len} bytes exceeds the {MAX_FRAME}-byte cap");
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, why));
     }
-    out.reserve(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body.as_bytes());
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     Ok(())
 }
 
-/// Write one frame.
+/// Write one frame, encoded in a buffer the calling thread reuses.
 ///
 /// The length prefix and body go out in a *single* write: split across
 /// two writes on an unbuffered `TcpStream`, the 4-byte prefix forms its
 /// own segment and Nagle holds the body back until it is acknowledged —
 /// a delayed-ACK stall (tens of milliseconds) on every frame.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
-    let mut frame = Vec::new();
-    encode_frame(&mut frame, msg)?;
-    w.write_all(&frame)?;
-    w.flush()
+    thread_local!(static FRAME: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) });
+    FRAME.with_borrow_mut(|frame| {
+        frame.clear();
+        encode_frame(frame, msg).and_then(|()| w.write_all(frame)).and_then(|()| w.flush())
+    })
 }
 
 /// Does `buf` — bytes received, not yet consumed — start with a frame that

@@ -305,3 +305,139 @@ fn burst_serial_and_dribbled_delivery_get_the_same_replies() {
         }
     }
 }
+
+// --- hostile bytes ------------------------------------------------------------
+
+#[test]
+fn a_high_surrogate_before_a_non_low_escape_is_a_bad_request() {
+    // `\uD800` then `A` panicked the reader thread of a debug build;
+    // `\uD800` then `￿` decoded to U+123FF. Escapes assembled at run time.
+    let (h, mut c) = start(2);
+    for low in ["0041", "FFFF"] {
+        let body =
+            format!(r#"{{"Status":{{"name":"{}{}"}}}}"#, "\\uD800", format_args!("\\u{low}"));
+        c.write_all(&[raw_frame(body.as_bytes()), frame(&Request::Ping)].concat()).expect("send");
+        assert!(is_bad_request(&reply(&mut c)), "{body}");
+        assert_eq!(reply(&mut c), Some(Response::Pong), "the reader lives on after {body}");
+    }
+    h.stop();
+}
+
+/// Flip, truncate, duplicate or insert (`\`, `"`, `[`, `{`, `\u`) bytes in
+/// frame bodies, `count` times over the script; prefixes are rewritten, so
+/// every frame stays well-delimited. A frame that happens to decode to a
+/// request with wall-clock output or connection-level effects (metrics,
+/// subscriptions, shutdown) is put back as it was.
+fn mutate(frames: &[Vec<u8>], rng: &mut Rng, count: usize) -> Vec<Vec<u8>> {
+    const INSERTS: [&[u8]; 5] = [b"\\", b"\"", b"[", b"{", b"\\u"];
+    let mut bodies: Vec<Vec<u8>> = frames.iter().map(|f| f[4..].to_vec()).collect();
+    for _ in 0..count {
+        let body = &mut bodies[rng.below(frames.len() as u64) as usize];
+        let at = rng.below(body.len() as u64 + 1) as usize;
+        match rng.below(4) {
+            0 if at < body.len() => body[at] ^= 1 << rng.below(8),
+            1 => body.truncate(at),
+            2 => {
+                let span = body[at..(at + 1 + rng.below(8) as usize).min(body.len())].to_vec();
+                body.splice(at..at, span);
+            }
+            _ => {
+                let insert = INSERTS[rng.below(INSERTS.len() as u64) as usize];
+                body.splice(at..at, insert.iter().copied());
+            }
+        }
+    }
+    bodies
+        .iter()
+        .zip(frames)
+        .map(|(body, clean)| {
+            let mutated = raw_frame(body);
+            match read_frame::<Request>(&mut &mutated[..]) {
+                Ok(Some(
+                    Request::Metrics
+                    | Request::SubscribeMetrics { .. }
+                    | Request::SubscribeTrace { .. }
+                    | Request::Shutdown,
+                )) => clean.clone(),
+                _ => mutated,
+            }
+        })
+        .collect()
+}
+
+/// Send `frames`, serially or in one write, and collect one reply per
+/// frame; then send `last` and collect its reply. With `closes`, the
+/// server must close the connection after that reply, and must not before
+/// it. A fresh connection must still be answered.
+fn replies_then(frames: &[Vec<u8>], last: &[u8], closes: bool, how: Delivery) -> Vec<Response> {
+    let (h, mut c) = start(3);
+    let mut out: Vec<Response> = match how {
+        Delivery::Serial => frames
+            .iter()
+            .map(|f| {
+                c.write_all(f).expect("send");
+                reply(&mut c).expect("a reply per frame: no reader died")
+            })
+            .collect(),
+        _ => {
+            c.write_all(&frames.concat()).expect("send");
+            frames
+                .iter()
+                .map(|_| reply(&mut c).expect("a reply per frame: no reader died"))
+                .collect()
+        }
+    };
+    c.write_all(last).expect("send");
+    out.push(reply(&mut c).expect("the last frame is answered"));
+    if closes {
+        assert_eq!(reply(&mut c), None, "a desynchronised connection is closed");
+    }
+    let mut fresh = TcpStream::connect(h.addr()).expect("connect");
+    write_frame(&mut fresh, &Request::Ping).expect("send");
+    assert_eq!(reply(&mut fresh), Some(Response::Pong), "the server answers new connections");
+    h.stop();
+    out
+}
+
+#[test]
+fn mutated_frames_are_answered_in_place_and_never_kill_a_reader() {
+    for seed in [1, 2, 3, 5] {
+        let clean = script(seed, 120);
+        let mut rng = Rng(seed.wrapping_mul(0xA076_1D64_78BD_642F));
+        for round in 0..4 {
+            let frames = mutate(&clean, &mut rng, 80);
+            // The last frame either keeps the stream in sync (a Ping) or
+            // announces more than MAX_FRAME, which only a close can answer.
+            let desync = rng.below(2) == 0;
+            let last = if desync {
+                (MAX_FRAME as u32 + 1).to_le_bytes().to_vec()
+            } else {
+                frame(&Request::Ping)
+            };
+            let serial = replies_then(&frames, &last, desync, Delivery::Serial);
+            let burst = replies_then(&frames, &last, desync, Delivery::Burst);
+            assert_eq!(serial, burst, "seed {seed}, round {round}");
+            assert_eq!(serial.len(), frames.len() + 1, "seed {seed}, round {round}");
+            for (i, (f, r)) in frames.iter().zip(&serial).enumerate() {
+                match read_frame::<Request>(&mut &f[..]) {
+                    Err(e) => {
+                        assert!(psn_serve::wire::recoverable(&e), "frame {i}: {e}");
+                        let want =
+                            Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };
+                        assert_eq!(r, &want, "seed {seed}, round {round}, frame {i}");
+                    }
+                    Ok(_) => assert!(!is_bad_request(&Some(r.clone())), "frame {i}: {r:?}"),
+                }
+            }
+            let refused =
+                frames.iter().filter(|f| read_frame::<Request>(&mut &f[..]).is_err()).count();
+            assert!((12..108).contains(&refused), "both kinds of frame: {refused} of 120 refused");
+            let tail = serial.last().cloned();
+            if desync {
+                assert!(is_bad_request(&tail), "seed {seed}, round {round}: {tail:?}");
+            } else {
+                assert_eq!(tail, Some(Response::Pong), "seed {seed}, round {round}");
+            }
+        }
+    }
+}

@@ -32,7 +32,7 @@
 //! JSONL) and [`crate::trace_analysis`] (happened-before DAG, critical
 //! paths, channel histograms, loss-vicinity windows).
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Sink, Source};
 
 use crate::network::ActorId;
 use crate::time::SimTime;
@@ -50,14 +50,14 @@ pub const DEFAULT_RING_CAPACITY: usize = 256;
 pub struct MsgId(pub u64);
 
 impl Serialize for MsgId {
-    fn to_value(&self) -> Value {
-        Value::UInt(self.0)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.u64(self.0)
     }
 }
 
 impl Deserialize for MsgId {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        u64::from_value(v).map(MsgId)
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, Error> {
+        u64::deserialize(src).map(MsgId)
     }
 }
 
@@ -205,35 +205,48 @@ impl PartialEq for ClockStamp {
 }
 
 impl Serialize for ClockStamp {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink>(&self, s: &mut S) {
         match self {
-            ClockStamp::None => Value::Null,
-            ClockStamp::Scalar(v) => Value::Map(vec![("scalar".to_string(), Value::UInt(*v))]),
-            ClockStamp::Vector(v) => Value::Map(vec![(
-                "vector".to_string(),
-                Value::Seq(v.as_slice().iter().map(|&c| Value::UInt(c)).collect()),
-            )]),
+            ClockStamp::None => return s.null(),
+            ClockStamp::Scalar(v) => {
+                s.map_begin();
+                s.map_key("scalar");
+                s.u64(*v);
+            }
+            ClockStamp::Vector(v) => {
+                s.map_begin();
+                s.map_key("vector");
+                v.as_slice().serialize(s);
+            }
         }
+        s.map_end()
     }
 }
 
 impl Deserialize for ClockStamp {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(ClockStamp::None),
-            Value::Map(m) => match m.first() {
-                Some((k, Value::UInt(s))) if k == "scalar" => Ok(ClockStamp::Scalar(*s)),
-                Some((k, Value::Seq(seq))) if k == "vector" => {
-                    let mut comps = Vec::with_capacity(seq.len());
-                    for c in seq {
-                        comps.push(u64::from_value(c)?);
-                    }
-                    Ok(ClockStamp::Vector(StampVec::from_slice(&comps)))
-                }
-                _ => Err(Error::custom("ClockStamp: unknown map shape")),
-            },
-            _ => Err(Error::custom("ClockStamp: expected null or map")),
+    /// `null`, or a map whose *first* entry is `"scalar": n` or
+    /// `"vector": [..]` (later entries are ignored).
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, Error> {
+        if src.peek()? == serde::Kind::Null {
+            src.null()?;
+            return Ok(ClockStamp::None);
         }
+        let mut stamp = None;
+        src.map("ClockStamp", |src, key| {
+            if stamp.is_some() {
+                return src.skip();
+            }
+            stamp = Some(match key {
+                "scalar" => match src.number("integer")? {
+                    serde::Number::UInt(c) => ClockStamp::Scalar(c),
+                    _ => return Err(Error::custom("ClockStamp: unknown map shape")),
+                },
+                "vector" => ClockStamp::Vector(StampVec::from_slice(&Vec::deserialize(src)?)),
+                _ => return Err(Error::custom("ClockStamp: unknown map shape")),
+            });
+            Ok(())
+        })?;
+        stamp.ok_or_else(|| Error::custom("ClockStamp: unknown map shape"))
     }
 }
 
@@ -569,33 +582,28 @@ impl Trace {
 }
 
 impl Serialize for Trace {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink>(&self, s: &mut S) {
         self.assert_sealed();
-        Value::Map(vec![
-            ("enabled".to_string(), Value::Bool(self.enabled)),
-            (
-                "records".to_string(),
-                Value::Seq(self.records.iter().map(|r| r.to_value()).collect()),
-            ),
-        ])
+        s.map_begin();
+        s.map_key("enabled");
+        s.bool(self.enabled);
+        s.map_key("records");
+        self.records.serialize(s);
+        s.map_end()
     }
 }
 
 impl Deserialize for Trace {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map().ok_or_else(|| Error::custom("Trace: expected map"))?;
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, Error> {
         let mut trace = Trace::disabled();
-        for (k, val) in m {
-            match k.as_str() {
-                "enabled" => trace.enabled = bool::from_value(val)?,
-                "records" => {
-                    let seq = val.as_seq().ok_or_else(|| Error::custom("Trace.records: seq"))?;
-                    trace.records =
-                        seq.iter().map(TraceRecord::from_value).collect::<Result<Vec<_>, _>>()?;
-                }
-                _ => {}
+        src.map("Trace", |src, key| {
+            match key {
+                "enabled" => trace.enabled = bool::deserialize(src)?,
+                "records" => trace.records = Vec::deserialize(src)?,
+                _ => src.skip()?,
             }
-        }
+            Ok(())
+        })?;
         trace.next_seq = trace.records.iter().map(|r| r.seq + 1).max().unwrap_or(0);
         // A deserialized trace was sealed when serialized: appends continue
         // in plain seq order.
