@@ -93,11 +93,11 @@ impl Discipline {
     }
 }
 
-type OrderKey = (i128, usize, usize);
+type SweepKey = (i128, usize, usize);
 
 /// Sort key for one report under a discipline. Every key is totalized with
 /// `(process, sense_seq)` so sweeps are deterministic.
-fn order_key(r: &ReceivedReport, arrival_idx: usize, d: Discipline) -> OrderKey {
+fn order_key(r: &ReceivedReport, arrival_idx: usize, d: Discipline) -> SweepKey {
     let p = r.report.process;
     let s = r.report.sense_seq;
     match d {
@@ -205,7 +205,7 @@ fn detect_impl(
     };
     // Order the observation stream per the discipline (a stable sort: equal
     // keys keep arrival order).
-    let mut ordered: Vec<(OrderKey, &ReceivedReport)> = trace
+    let mut ordered: Vec<(SweepKey, &ReceivedReport)> = trace
         .log
         .reports
         .iter()

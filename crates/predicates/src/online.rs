@@ -11,7 +11,9 @@
 //! has also arrived. Reports that still arrive "late" (after their stamp
 //! position was evaluated) are applied immediately and counted; with an
 //! adequate hold-back on a lossless network there are none, and the online
-//! detector's output equals the offline sweep's exactly (tested).
+//! detector's output equals the offline sweep's exactly (tested). The
+//! hold-back buffer is [`crate::stream`]'s, with arrivals numbered so that
+//! of two reports with one strobe key the first to arrive is released first.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +24,7 @@ use psn_world::WorldState;
 use crate::detect::Detection;
 use crate::metrics::DetectorMetrics;
 use crate::spec::{Compiled, Predicate};
-
-type OrderKey = (u64, usize, usize);
+use crate::stream::{HoldBack, Pending};
 
 /// A point-in-time readout of a streaming detector — what a live query
 /// (`psn-serve`'s `status` request) reports without disturbing the stream.
@@ -42,23 +43,17 @@ pub struct OnlineStatus {
     pub late_reports: usize,
 }
 
-fn strobe_key(r: &ReceivedReport) -> OrderKey {
-    (r.report.stamps.strobe_scalar.value, r.report.process, r.report.sense_seq)
-}
-
 /// A streaming detector over the scalar-strobe order.
 pub struct OnlineDetector {
     state: Compiled,
     holds: bool,
-    hold_back: SimDuration,
-    /// Buffered, not-yet-released reports.
-    buffer: Vec<ReceivedReport>,
+    /// Buffered, not-yet-released reports, tie-broken by arrival number.
+    buffer: HoldBack<u64, ()>,
+    arrivals: u64,
     detections: Vec<Detection>,
     /// (truth start, arrival of the rising-edge report — None for the
     /// deployment-time open interval).
     open: Option<(SimTime, Option<SimTime>)>,
-    last_released: Option<OrderKey>,
-    late_reports: usize,
     metrics: DetectorMetrics,
 }
 
@@ -73,12 +68,10 @@ impl OnlineDetector {
         OnlineDetector {
             state,
             holds,
-            hold_back,
-            buffer: Vec::new(),
+            buffer: HoldBack::new(hold_back),
+            arrivals: 0,
             detections: Vec::new(),
             open,
-            last_released: None,
-            late_reports: 0,
             metrics: DetectorMetrics::disabled(),
         }
     }
@@ -93,48 +86,28 @@ impl OnlineDetector {
     /// Feed the next report **in arrival order**. Releases (and evaluates)
     /// every buffered report whose hold-back has expired.
     pub fn offer(&mut self, r: &ReceivedReport) {
-        let now = r.arrived_at;
-        self.buffer.push(r.clone());
+        self.buffer.push(Pending::new(r, self.arrivals, ()));
+        self.arrivals += 1;
         self.metrics.buffer_depth.set(self.buffer.len() as u64);
-        let watermark =
-            SimTime::from_nanos(now.as_nanos().saturating_sub(self.hold_back.as_nanos()));
-        self.release_until(watermark);
+        self.release_until(self.buffer.watermark(r.arrived_at));
     }
 
     fn release_until(&mut self, watermark: SimTime) {
-        // Strictly in key order: release the minimum-key buffered report
-        // while it is due; stop at the first not-yet-due one. (Releasing a
-        // due report over a smaller-key, recently-arrived one would
-        // evaluate out of strobe order.)
-        loop {
-            let min_idx =
-                self.buffer.iter().enumerate().min_by_key(|(_, b)| strobe_key(b)).map(|(i, _)| i);
-            let Some(i) = min_idx else { break };
-            if self.buffer[i].arrived_at > watermark {
-                break;
-            }
-            let b = self.buffer.remove(i);
-            self.apply(&b);
+        while let Some(e) = self.buffer.pop_due(watermark) {
+            self.apply(&e);
         }
     }
 
-    fn apply(&mut self, r: &ReceivedReport) {
-        let key = strobe_key(r);
-        if let Some(last) = self.last_released {
-            if key < last {
-                self.late_reports += 1;
-            }
-        }
-        self.last_released = Some(self.last_released.unwrap_or(key).max(key));
-        if self.state.set(r.report.key, r.report.value).is_none() {
+    fn apply(&mut self, e: &Pending<u64, ()>) {
+        if self.state.set(e.attr, e.value).is_none() {
             return;
         }
         let now_holds = self.state.holds();
         match (self.holds, now_holds) {
-            (false, true) => self.open = Some((r.report.stamps.truth, Some(r.arrived_at))),
+            (false, true) => self.open = Some((e.truth, Some(e.arrived_at))),
             (true, false) => {
                 let (start, seen_at) = self.open.take().expect("open interval");
-                let d = Detection { start, end: Some(r.report.stamps.truth), borderline: false };
+                let d = Detection { start, end: Some(e.truth), borderline: false };
                 self.metrics.on_occurrence(&d, seen_at);
                 self.detections.push(d);
             }
@@ -156,7 +129,7 @@ impl OnlineDetector {
             open_since: self.open.map(|(start, _)| start),
             occurrences: self.detections.len(),
             buffered: self.buffer.len(),
-            late_reports: self.late_reports,
+            late_reports: self.buffer.late_reports,
         }
     }
 
@@ -168,7 +141,7 @@ impl OnlineDetector {
     /// Reports that arrived after their strobe-order position had already
     /// been evaluated (0 with adequate hold-back on a lossless network).
     pub fn late_reports(&self) -> usize {
-        self.late_reports
+        self.buffer.late_reports
     }
 
     /// Number of currently buffered (held-back) reports.

@@ -48,40 +48,107 @@ use psn_world::{AttrKey, AttrValue, WorldState};
 use crate::modal::ModalStatus;
 use crate::spec::{Compiled, Conjunct, Predicate};
 
-type OrderKey = (u64, usize, usize);
+/// Strobe order: scalar strobe, then process, then sense sequence — the
+/// offline sweep's sort key.
+pub(crate) type OrderKey = (u64, usize, usize);
 
-fn strobe_key(r: &ReceivedReport) -> OrderKey {
+pub(crate) fn strobe_key(r: &ReceivedReport) -> OrderKey {
     (r.report.stamps.strobe_scalar.value, r.report.process, r.report.sense_seq)
 }
 
-/// A buffered report, slimmed to what the sweep needs (the strobe vector is
-/// carried only for conjunctive shapes).
+/// A held-back report, slimmed to what evaluation needs. `T` orders reports
+/// with equal keys (a Duplicate fault delivers one report twice): the online
+/// detector numbers arrivals so the first wins, the streaming detector uses
+/// `()` and keeps its heap's order. `S` is the strobe vector for conjunctive
+/// shapes, nothing otherwise.
 #[derive(Debug, Clone)]
-struct Pending {
+pub(crate) struct Pending<T, S> {
     key: OrderKey,
-    arrived_at: SimTime,
-    attr: AttrKey,
-    value: AttrValue,
-    truth: SimTime,
-    stamp: Option<VectorStamp>,
+    tie: T,
+    pub(crate) arrived_at: SimTime,
+    pub(crate) attr: AttrKey,
+    pub(crate) value: AttrValue,
+    pub(crate) truth: SimTime,
+    stamp: S,
 }
 
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+impl<T, S> Pending<T, S> {
+    pub(crate) fn new(r: &ReceivedReport, tie: T, stamp: S) -> Self {
+        Pending {
+            key: strobe_key(r),
+            tie,
+            arrived_at: r.arrived_at,
+            attr: r.report.key,
+            value: r.report.value,
+            truth: r.report.stamps.truth,
+            stamp,
+        }
     }
 }
-impl Eq for Pending {}
-impl PartialOrd for Pending {
+
+impl<T: Ord, S> PartialEq for Pending<T, S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl<T: Ord, S> Eq for Pending<T, S> {}
+impl<T: Ord, S> PartialOrd for Pending<T, S> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Pending {
+impl<T: Ord, S> Ord for Pending<T, S> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+        self.key.cmp(&other.key).then_with(|| self.tie.cmp(&other.tie))
     }
 }
+
+/// The hold-back buffer both streaming detectors share: a report waits until
+/// `hold_back` of arrival time has passed, then leaves strictly in `(key,
+/// tie)` order; one released below the highest key already released counts
+/// as late.
+#[derive(Debug, Clone)]
+pub(crate) struct HoldBack<T, S> {
+    heap: BinaryHeap<Reverse<Pending<T, S>>>,
+    hold_back: SimDuration,
+    last_released: Option<OrderKey>,
+    pub(crate) late_reports: usize,
+}
+
+impl<T: Ord, S> HoldBack<T, S> {
+    pub(crate) fn new(hold_back: SimDuration) -> Self {
+        HoldBack { heap: BinaryHeap::new(), hold_back, last_released: None, late_reports: 0 }
+    }
+
+    pub(crate) fn push(&mut self, e: Pending<T, S>) {
+        self.heap.push(Reverse(e));
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The release watermark after an arrival at `now`.
+    pub(crate) fn watermark(&self, now: SimTime) -> SimTime {
+        SimTime::from_nanos(now.as_nanos().saturating_sub(self.hold_back.as_nanos()))
+    }
+
+    /// Release the minimum report if it arrived by `watermark`. Release
+    /// stops at the first not-yet-due minimum: releasing a due report over a
+    /// smaller-key, recently-arrived one would evaluate out of strobe order.
+    pub(crate) fn pop_due(&mut self, watermark: SimTime) -> Option<Pending<T, S>> {
+        if self.heap.peek()?.0.arrived_at > watermark {
+            return None;
+        }
+        let Reverse(e) = self.heap.pop()?;
+        self.late_reports += usize::from(self.last_released.is_some_and(|last| e.key < last));
+        self.last_released = Some(self.last_released.map_or(e.key, |last| last.max(e.key)));
+        Some(e)
+    }
+}
+
+/// What [`StreamingModal`] holds back.
+type Held = Pending<(), Option<VectorStamp>>;
 
 /// The per-shape incremental machinery.
 #[derive(Debug, Clone)]
@@ -111,7 +178,7 @@ impl RelationalSweep {
         RelationalSweep { state, holds, open, closed: 0 }
     }
 
-    fn apply(&mut self, e: &Pending) {
+    fn apply(&mut self, e: &Held) {
         // Only relevant keys are buffered, so the slot exists.
         self.state.set(e.attr, e.value);
         let now = self.state.holds();
@@ -160,7 +227,7 @@ impl ConjunctBuilder {
 
     /// Apply one report of this conjunct's process; a falling edge returns
     /// the closed interval for the advancement frontier.
-    fn apply(&mut self, e: &Pending) -> Option<FrontierInterval> {
+    fn apply(&mut self, e: &Held) -> Option<FrontierInterval> {
         let stamp = e.stamp.as_ref().expect("conjunctive entries carry the strobe vector");
         let relevant = self.state.set(e.attr, e.value).is_some();
         self.last_stamp = stamp.clone();
@@ -219,7 +286,7 @@ impl ConjunctiveStream {
         }
     }
 
-    fn apply(&mut self, e: &Pending) {
+    fn apply(&mut self, e: &Held) {
         let process = e.key.1;
         let mut fed = false;
         for (i, b) in self.builders.iter_mut().enumerate() {
@@ -287,10 +354,7 @@ impl ConjunctiveStream {
 #[derive(Debug, Clone)]
 pub struct StreamingModal {
     shape: Shape,
-    hold_back: SimDuration,
-    buffer: BinaryHeap<Reverse<Pending>>,
-    last_released: Option<OrderKey>,
-    late_reports: usize,
+    buffer: HoldBack<(), Option<VectorStamp>>,
     mem_high_water: u64,
 }
 
@@ -311,27 +375,13 @@ impl StreamingModal {
             }
             Predicate::Relational(_) => Shape::Relational(RelationalSweep::new(predicate, initial)),
         };
-        StreamingModal {
-            shape,
-            hold_back,
-            buffer: BinaryHeap::new(),
-            last_released: None,
-            late_reports: 0,
-            mem_high_water: 0,
-        }
+        StreamingModal { shape, buffer: HoldBack::new(hold_back), mem_high_water: 0 }
     }
 
     /// Slim a report down to what this shape needs, or `None` if it cannot
     /// affect the verdict (wrong process / irrelevant attribute).
-    fn wants(&self, r: &ReceivedReport) -> Option<Pending> {
-        let base = |stamp: Option<VectorStamp>| Pending {
-            key: strobe_key(r),
-            arrived_at: r.arrived_at,
-            attr: r.report.key,
-            value: r.report.value,
-            truth: r.report.stamps.truth,
-            stamp,
-        };
+    fn wants(&self, r: &ReceivedReport) -> Option<Held> {
+        let base = |stamp| Pending::new(r, (), stamp);
         match &self.shape {
             Shape::Vacuous => None,
             // Irrelevant attributes cannot change the swept state, so they
@@ -353,50 +403,25 @@ impl StreamingModal {
     pub fn offer(&mut self, r: &ReceivedReport) {
         let Some(entry) = self.wants(r) else { return };
         let now = entry.arrived_at;
-        self.buffer.push(Reverse(entry));
-        if self.hold_back != SimDuration::MAX {
-            let watermark =
-                SimTime::from_nanos(now.as_nanos().saturating_sub(self.hold_back.as_nanos()));
-            self.release_until(watermark);
+        self.buffer.push(entry);
+        if self.buffer.hold_back != SimDuration::MAX {
+            self.release_until(self.buffer.watermark(now));
         }
         self.note_high_water();
     }
 
-    /// Strictly in key order: release the minimum-key buffered report while
-    /// it is due; stop at the first not-yet-due one (the [`crate::online`]
-    /// rule — releasing a due report over a smaller-key, recently-arrived
-    /// one would evaluate out of strobe order).
     fn release_until(&mut self, watermark: SimTime) {
-        while let Some(Reverse(head)) = self.buffer.peek() {
-            if head.arrived_at > watermark {
-                break;
+        while let Some(e) = self.buffer.pop_due(watermark) {
+            match &mut self.shape {
+                Shape::Vacuous => {}
+                Shape::Relational(sw) => sw.apply(&e),
+                Shape::Conjunctive(cs) => cs.apply(&e),
             }
-            let Reverse(e) = self.buffer.pop().expect("peeked");
-            self.apply(&e);
-        }
-    }
-
-    fn apply(&mut self, e: &Pending) {
-        if let Some(last) = self.last_released {
-            if e.key < last {
-                self.late_reports += 1;
-            }
-        }
-        self.last_released = Some(self.last_released.unwrap_or(e.key).max(e.key));
-        match &mut self.shape {
-            Shape::Vacuous => {}
-            Shape::Relational(sw) => sw.apply(e),
-            Shape::Conjunctive(cs) => cs.apply(e),
         }
     }
 
     fn note_high_water(&mut self) {
-        let live = self.buffer.len()
-            + match &self.shape {
-                Shape::Conjunctive(cs) => cs.live(),
-                _ => 0,
-            };
-        self.mem_high_water = self.mem_high_water.max(live as u64);
+        self.mem_high_water = self.mem_high_water.max(self.frontier_width() as u64);
     }
 
     /// The exact modal status of everything offered so far — equal to
@@ -423,7 +448,7 @@ impl StreamingModal {
     /// Reports applied after their strobe-order position had been passed
     /// (0 with adequate hold-back on intact strobes).
     pub fn late_reports(&self) -> usize {
-        self.late_reports
+        self.buffer.late_reports
     }
 
     /// Reports currently held back awaiting their watermark.

@@ -168,16 +168,10 @@ impl<M: Message> EventProvider<M> for ChannelProvider<M> {
                 }
             }
         }
-        // Stable partition preserves arrival order among the due events.
-        let mut kept = Vec::new();
-        for ev in self.buffer.drain(..) {
-            if ev.at < up_to {
-                sink.push(ev);
-            } else {
-                kept.push(ev);
-            }
-        }
-        self.buffer = kept;
+        // A stable partition in place: the due events leave in arrival
+        // order, the rest close up behind them and the buffer keeps its
+        // capacity.
+        sink.extend(self.buffer.extract_if(.., |ev| ev.at < up_to));
     }
 
     fn exhausted(&self) -> bool {
@@ -263,5 +257,36 @@ mod tests {
         p.poll(SimTime::from_millis(60), &mut sink);
         assert_eq!(sink.len(), 2);
         assert!(p.exhausted(), "disconnected and drained");
+
+        // Interleaved polls and arrivals, on a fresh channel.
+        let (tx, rx) = mpsc::channel();
+        let mut p = ChannelProvider::new(rx);
+        let mut sink = Vec::new();
+        // Arrival order is not time order; each poll also brings arrivals.
+        for (ms, k) in [(40, 0), (5, 1), (30, 2), (10, 3)] {
+            tx.send(ev(ms, k)).unwrap();
+        }
+        p.poll(SimTime::from_millis(20), &mut sink);
+        assert_eq!(sink, vec![ev(5, 1), ev(10, 3)]);
+        assert_eq!(p.buffered(), 2);
+        for (ms, k) in [(25, 4), (50, 5), (20, 6)] {
+            tx.send(ev(ms, k)).unwrap();
+        }
+        // The watermark sits exactly on an event, as an `Advance` to the last
+        // ingested event's time does: that event stays buffered.
+        p.poll(SimTime::from_millis(30), &mut sink);
+        assert_eq!(sink[2..], [ev(25, 4), ev(20, 6)], "due arrivals leave in arrival order");
+        assert_eq!(p.buffered(), 3);
+        // Five events were held at once during the poll; a buffer rebuilt
+        // from the three kept ones would have room for four.
+        assert!(p.buffer.capacity() >= 5, "the partition keeps the buffer's capacity");
+        p.poll(SimTime::from_millis(30), &mut sink);
+        assert_eq!(sink.len(), 4, "a repeated watermark releases nothing new");
+        tx.send(ev(45, 7)).unwrap();
+        drop(tx);
+        p.poll(SimTime::from_millis(60), &mut sink);
+        let order: Vec<u64> = sink[4..].iter().map(|e| e.msg.0).collect();
+        assert_eq!(order, vec![0, 2, 5, 7], "buffered events keep their arrival order");
+        assert!(p.exhausted());
     }
 }
