@@ -27,7 +27,7 @@
 //! cargo run --release -p psn-bench --bin chaos -- --quick --seeds 3
 //! cargo run --release -p psn-bench --bin chaos -- --quick --seeds 3 --shards 4
 //! cargo run --release -p psn-bench --bin chaos -- --quick --seeds 3 --shards 4 \
-//!     --optimistic --shard-plan affinity
+//!     --shard-plan affinity
 //! cargo run --release -p psn-bench --bin chaos -- --only office,hospital --seeds 5
 //! cargo run --release -p psn-bench --bin chaos -- --only scenarios/exhibition.psn
 //! cargo run --release -p psn-bench --bin chaos -- --grammar --seeds 20
@@ -50,17 +50,14 @@
 //! Sharding needs lookahead, so built-in targets swap the pure Δ-bounded
 //! delay (minimum 0) for a `[50 ms, 300 ms]` band — same Δ ceiling,
 //! nonzero floor (grammar-sampled scenarios always carry a nonzero delay
-//! floor for the same reason). `--optimistic` additionally runs the
-//! primary on the Time Warp path and `--shard-plan NAME` picks the
-//! actor→shard map; the replay leg always stays sequential-conservative,
-//! so the same invariant then proves speculation and planning
-//! bit-identical under live fault scripts.
+//! floor for the same reason). `--shard-plan NAME` picks the actor→shard
+//! map; the replay leg always stays sequential, so the same invariant then
+//! proves planning bit-identical under live fault scripts.
 
 use psn_bench::metrics_out::cell_object;
 use psn_bench::telemetry_out;
 use psn_core::{
     run_execution, run_execution_profiled, ExecutionConfig, ExecutionTrace, ShardPlanKind,
-    SpeculationMode,
 };
 use psn_predicates::{detect_occurrences, detection_matches, Discipline, Expr, Predicate};
 use psn_sim::fault::{ChaosConfig, FaultScript};
@@ -74,7 +71,7 @@ use psn_world::{truth_intervals, AttrKey};
 use serde::Value;
 
 const USAGE: &str = "usage: chaos [--seeds N] [--quick] [--shards K] [--shard-plan NAME] \
-     [--optimistic] [--telemetry-out <path.jsonl>] [--only LIST] [--grammar]\n\
+     [--telemetry-out <path.jsonl>] [--only LIST] [--grammar]\n\
      --only LIST  soak specific targets: a comma- or space-separated list of\n\
                   built-in world names (exhibition, office, hospital, habitat)\n\
                   and/or .psn file paths, e.g. `--only office,hospital` or\n\
@@ -129,7 +126,6 @@ fn builtin_case(
     quick: bool,
     shards: usize,
     plan: ShardPlanKind,
-    optimistic: bool,
 ) -> Option<SoakCase> {
     let secs = if quick { 300 } else { 600 };
     let (scenario, pred, horizon): (Scenario, Predicate, SimTime) = match name {
@@ -176,8 +172,6 @@ fn builtin_case(
     };
     let n = scenario.num_processes();
     let script = FaultScript::generate(&ChaosConfig::new((0..n).collect(), horizon), seed);
-    let speculation =
-        if optimistic { SpeculationMode::Optimistic } else { SpeculationMode::Conservative };
     let cfg = ExecutionConfig {
         delay: builtin_delay(shards),
         seed,
@@ -185,7 +179,6 @@ fn builtin_case(
         faults: Some(script),
         shards,
         shard_plan: Some(plan),
-        speculation: Some(speculation),
         ..Default::default()
     };
     Some(SoakCase {
@@ -199,14 +192,13 @@ fn builtin_case(
 }
 
 /// Build a soak case from compiled `.psn` source (a file or a sampled
-/// program), applying the CLI shard/plan/speculation overrides.
+/// program), applying the CLI shard/plan overrides.
 fn compiled_case(
     label: String,
     source: &str,
     origin: &str,
     shards: usize,
     plan: ShardPlanKind,
-    optimistic: bool,
 ) -> Result<SoakCase, String> {
     let compiled = psn_lang::compile(source).map_err(|diags| {
         format!(
@@ -219,9 +211,6 @@ fn compiled_case(
     if shards > 1 {
         cfg.shards = shards;
         cfg.shard_plan = Some(plan);
-    }
-    if optimistic {
-        cfg.speculation = Some(SpeculationMode::Optimistic);
     }
     let horizon = compiled.scenario.timeline.duration();
     Ok(SoakCase {
@@ -239,7 +228,6 @@ fn compiled_case(
 fn soak(case: &SoakCase) -> Result<String, String> {
     let SoakCase { label, scenario, cfg, preds, discipline, horizon } = case;
     let shards = cfg.shards;
-    let optimistic = cfg.speculation == Some(SpeculationMode::Optimistic);
     // With a --telemetry-out sink open the primary run is profiled and one
     // JSONL record is emitted per run; otherwise this is run_execution.
     let trace: ExecutionTrace = if telemetry_out::is_enabled() {
@@ -250,11 +238,7 @@ fn soak(case: &SoakCase) -> Result<String, String> {
             "chaos",
             cell_object(
                 &format!("{label} shards={shards}"),
-                &[
-                    ("seed", Value::UInt(cfg.seed)),
-                    ("shards", Value::UInt(shards as u64)),
-                    ("optimistic", Value::Bool(optimistic)),
-                ],
+                &[("seed", Value::UInt(cfg.seed)), ("shards", Value::UInt(shards as u64))],
             ),
             &metrics.snapshot(),
             &telemetry.snapshot(),
@@ -265,12 +249,10 @@ fn soak(case: &SoakCase) -> Result<String, String> {
     };
 
     // 1. Determinism: same (scenario, script, seed) ⇒ identical run. When
-    // the primary run is sharded (and possibly optimistic), the replay runs
-    // sequentially-conservatively — the same invariant then proves the
-    // sharded/speculative engine bit-identical to the sequential one under
-    // this fault script.
-    let replay_cfg =
-        ExecutionConfig { shards: 1, shard_plan: None, speculation: None, ..cfg.clone() };
+    // the primary run is sharded, the replay runs sequentially — the same
+    // invariant then proves the sharded engine bit-identical to the
+    // sequential one under this fault script.
+    let replay_cfg = ExecutionConfig { shards: 1, shard_plan: None, ..cfg.clone() };
     let replay = run_execution(scenario, &replay_cfg);
     if replay.sim.records() != trace.sim.records() {
         return Err(format!("{label}: replay diverged (structured trace records differ)"));
@@ -338,12 +320,10 @@ fn soak(case: &SoakCase) -> Result<String, String> {
     }
 
     let n_faults = cfg.faults.as_ref().map_or(0, |s| s.faults.len());
-    let spec_note =
-        if optimistic { format!(", {} rollbacks", trace.rollbacks) } else { String::new() };
     Ok(format!(
         "{label}: ok — {} faults scripted (crashes {} recoveries {} cuts {} heals {} \
          clock {}), {} msgs ({} lost, {} corrupted, {} duplicated, {} reordered, {} parked), \
-         {} detections / {} truth{spec_note}",
+         {} detections / {} truth",
         n_faults,
         fs.crashes,
         fs.recoveries,
@@ -361,32 +341,15 @@ fn soak(case: &SoakCase) -> Result<String, String> {
     ))
 }
 
-fn run_grammar_seed(
-    seed: u64,
-    shards: usize,
-    plan: ShardPlanKind,
-    optimistic: bool,
-) -> Result<String, String> {
+fn run_grammar_seed(seed: u64, shards: usize, plan: ShardPlanKind) -> Result<String, String> {
     let source = psn_lang::sample_source(seed);
-    let case = compiled_case(
-        format!("grammar seed {seed}"),
-        &source,
-        "<sampled>",
-        shards,
-        plan,
-        optimistic,
-    )?;
+    let case = compiled_case(format!("grammar seed {seed}"), &source, "<sampled>", shards, plan)?;
     soak(&case)
 }
 
-fn run_file(
-    path: &str,
-    shards: usize,
-    plan: ShardPlanKind,
-    optimistic: bool,
-) -> Result<String, String> {
+fn run_file(path: &str, shards: usize, plan: ShardPlanKind) -> Result<String, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
-    let case = compiled_case(path.to_string(), &source, path, shards, plan, optimistic)?;
+    let case = compiled_case(path.to_string(), &source, path, shards, plan)?;
     soak(&case)
 }
 
@@ -396,9 +359,8 @@ fn run_builtin_seed(
     quick: bool,
     shards: usize,
     plan: ShardPlanKind,
-    optimistic: bool,
 ) -> Result<String, String> {
-    let case = builtin_case(name, seed, quick, shards, plan, optimistic)
+    let case = builtin_case(name, seed, quick, shards, plan)
         .unwrap_or_else(|| panic!("not a built-in scenario: {name}"));
     soak(&case)
 }
@@ -436,7 +398,6 @@ fn main() {
             }
         })
         .unwrap_or(ShardPlanKind::Contiguous);
-    let optimistic = args.iter().any(|a| a == "--optimistic");
     // --only takes a comma- or space-separated list of built-in names
     // and/or .psn paths, terminated by the next --flag.
     let only: Vec<String> = args
@@ -474,10 +435,8 @@ fn main() {
         }
     }
     if shards > 1 {
-        let mode = if optimistic { "optimistic" } else { "conservative" };
         println!(
-            "chaos: sharded mode ({shards} shards, {mode}, {plan:?} plan; \
-             replay leg runs sequentially)"
+            "chaos: sharded mode ({shards} shards, {plan:?} plan; replay leg runs sequentially)"
         );
     }
     let mut failures = 0u64;
@@ -495,21 +454,21 @@ fn main() {
     if grammar {
         println!("chaos: grammar mode — {seeds} sampled scenario(s) from the psn-lang grammar");
         for seed in 0..seeds {
-            tally(run_grammar_seed(seed, shards, plan, optimistic));
+            tally(run_grammar_seed(seed, shards, plan));
         }
     } else if !only.is_empty() {
         for entry in &only {
             if BUILTINS.contains(&entry.as_str()) {
                 for seed in 0..seeds {
-                    tally(run_builtin_seed(entry, seed, quick, shards, plan, optimistic));
+                    tally(run_builtin_seed(entry, seed, quick, shards, plan));
                 }
             } else {
-                tally(run_file(entry, shards, plan, optimistic));
+                tally(run_file(entry, shards, plan));
             }
         }
     } else {
         for seed in 0..seeds {
-            tally(run_builtin_seed("exhibition", seed, quick, shards, plan, optimistic));
+            tally(run_builtin_seed("exhibition", seed, quick, shards, plan));
         }
     }
     telemetry_out::finish();

@@ -10,7 +10,7 @@
 //! cargo run --release -p psn-bench --bin experiments -- --only e7 e9 --trace-out /tmp/traces
 //! cargo run --release -p psn-bench --bin experiments -- --only e7 --shards 4 --delay-floor-ms 50
 //! cargo run --release -p psn-bench --bin experiments -- --only e7 --shards 4 \
-//!     --delay-floor-ms 50 --shard-plan affinity --optimistic
+//!     --delay-floor-ms 50 --shard-plan affinity
 //! ```
 //!
 //! `--shards N` runs every cell on the sharded engine (bit-identical to
@@ -18,9 +18,8 @@
 //! the conservative scheduler has lookahead — the CI shard-equivalence job
 //! runs the same cells with and without `--shards` at the same floor and
 //! diffs the trace files. `--shard-plan NAME` picks how actors map to
-//! shards (contiguous, interleaved/roundrobin, hash, affinity) and
-//! `--optimistic` switches the sharded cells to the Time Warp path; both
-//! are proven bit-identical by the same trace diff.
+//! shards (contiguous, interleaved/roundrobin, hash, affinity); every plan
+//! is proven bit-identical by the same trace diff.
 
 use std::time::Instant;
 
@@ -53,7 +52,6 @@ fn main() {
         .and_then(|v| v.parse().ok());
     let shard_plan: Option<&String> =
         args.iter().position(|a| a == "--shard-plan").and_then(|p| args.get(p + 1));
-    let optimistic = args.iter().any(|a| a == "--optimistic");
     // Ids may be space-separated, comma-separated, or a mix:
     // `--only e9 e11`, `--only e9,e11,e12`, `--only e9, e11`.
     let only: Vec<String> = match args.iter().position(|a| a == "--only") {
@@ -71,15 +69,14 @@ fn main() {
             "usage: experiments [--quick] [--csv] [--only e1 e2,e3 ...] [--list] \
              [--metrics-out <path.jsonl>] [--telemetry-out <path.jsonl>] \
              [--trace-out <dir>] [--trace-format chrome|jsonl] \
-             [--shards N] [--delay-floor-ms X] [--shard-plan NAME] [--optimistic]\n\
+             [--shards N] [--delay-floor-ms X] [--shard-plan NAME]\n\
              \n\
              --only accepts experiment ids separated by spaces, commas, or both\n\
              (e.g. `--only e9,e11,e12`); see --list for the known ids.\n\
              --shards runs cells on the sharded engine (bit-identical);\n\
              --delay-floor-ms raises the minimum network delay (lookahead);\n\
              --shard-plan picks the actor→shard map (contiguous, interleaved,\n\
-             roundrobin, hash, affinity);\n\
-             --optimistic runs sharded cells on the Time Warp path."
+             roundrobin, hash, affinity)."
         );
         return;
     }
@@ -100,9 +97,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-    if optimistic {
-        psn_bench::common::set_optimistic(true);
     }
     if let Some(path) = metrics_path {
         if let Err(e) = metrics_out::set_metrics_out(path) {

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! The input is the JSONL format written by the `--telemetry-out` flag of
-//! `experiments`, `chaos`, and `baseline` (one record per cell, carrying a
+//! `experiments`, `chaos`, and `psn-script` (one record per cell, carrying a
 //! `MetricsSnapshot` and a `TelemetrySnapshot`). For each cell the report
 //! answers the questions the telemetry plane exists for:
 //!
@@ -15,8 +15,6 @@
 //! - **barrier-wait share** — what fraction of all shard time was spent
 //!   blocked on the coordinator, against the shard count (the strong-
 //!   scaling ceiling in one number);
-//! - **rollback cost** — optimistic-mode time spent rolling back and
-//!   re-running lanes, per `engine.rollbacks` lane re-run;
 //! - **ring pressure** — exchange-ring high-water marks per shard next to
 //!   the `engine.ring_spills` overflow count (capacity headroom);
 //! - **attribution** — how much of the measured run wall the per-shard
@@ -151,16 +149,6 @@ fn report(records: &[Record]) {
             .collect();
         if !coord.is_empty() {
             println!("coordinator: {}", coord.join(", "));
-        }
-        let rollbacks = r.metrics.counter("engine.rollbacks").unwrap_or(0);
-        let rollback_ns = t.coordinator_ns(Phase::Rollback) + t.coordinator_ns(Phase::Redo);
-        if rollbacks > 0 {
-            println!(
-                "rollback cost: {:.1} ms over {} lane re-run(s) = {:.2} ms each",
-                ms(rollback_ns),
-                rollbacks,
-                ms(rollback_ns) / rollbacks as f64
-            );
         }
         let spills = r.metrics.counter("engine.ring_spills").unwrap_or(0);
         let high_water: Vec<String> = t

@@ -11,7 +11,7 @@
 //! cargo run --release -p psn-bench --bin psn-script -- scenarios/exhibition.psn
 //! cargo run --release -p psn-bench --bin psn-script -- --check scenarios/*.psn
 //! cargo run --release -p psn-bench --bin psn-script -- scenarios/office.psn \
-//!     --shards 4 --shard-plan affinity --optimistic --telemetry-out tel.jsonl
+//!     --shards 4 --shard-plan affinity --telemetry-out tel.jsonl
 //! ```
 //!
 //! `--check` parses and type-checks without running (a pre-commit lint);
@@ -28,7 +28,7 @@
 
 use psn_bench::metrics_out::{self, cell_object};
 use psn_bench::{telemetry_out, trace_out};
-use psn_core::{run_execution_profiled, ShardPlanKind, SpeculationMode};
+use psn_core::{run_execution_profiled, ShardPlanKind};
 use psn_lang::{compile, render, CompiledScenario};
 use psn_predicates::{
     detect_occurrences, modal_status, score, stream_packing, BorderlinePolicy, StreamingModal,
@@ -40,7 +40,7 @@ use psn_world::truth_intervals;
 use serde::Value;
 
 const USAGE: &str = "usage: psn-script [--check] [--stream] FILE.psn... \
-    [--shards K] [--shard-plan contiguous|interleaved|hash|affinity] [--optimistic] \
+    [--shards K] [--shard-plan contiguous|interleaved|hash|affinity] \
     [--metrics-out <path.jsonl>] [--telemetry-out <path.jsonl>] \
     [--trace-out <dir>] [--trace-format chrome|jsonl]\n\
     --check parses and type-checks without running.\n\
@@ -59,7 +59,6 @@ struct Options {
     files: Vec<String>,
     shards: Option<usize>,
     plan: Option<ShardPlanKind>,
-    optimistic: bool,
 }
 
 fn parse_args() -> Options {
@@ -68,14 +67,8 @@ fn parse_args() -> Options {
         eprintln!("{USAGE}");
         std::process::exit(0);
     }
-    let mut opts = Options {
-        check: false,
-        stream: false,
-        files: Vec::new(),
-        shards: None,
-        plan: None,
-        optimistic: false,
-    };
+    let mut opts =
+        Options { check: false, stream: false, files: Vec::new(), shards: None, plan: None };
     let mut i = 0;
     let value = |args: &[String], i: &mut usize, flag: &str| -> String {
         *i += 1;
@@ -88,7 +81,6 @@ fn parse_args() -> Options {
         match args[i].as_str() {
             "--check" => opts.check = true,
             "--stream" => opts.stream = true,
-            "--optimistic" => opts.optimistic = true,
             "--shards" => {
                 let v = value(&args, &mut i, "--shards");
                 opts.shards = Some(v.parse().unwrap_or_else(|_| {
@@ -181,9 +173,6 @@ fn run_file(path: &str, opts: &Options) -> Result<(), ()> {
     }
     if let Some(plan) = opts.plan {
         compiled.config.shard_plan = Some(plan);
-    }
-    if opts.optimistic {
-        compiled.config.speculation = Some(SpeculationMode::Optimistic);
     }
 
     let metrics = Metrics::new();

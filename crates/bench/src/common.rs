@@ -1,9 +1,9 @@
 //! Shared scaffolding for the experiments.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use psn_clocks::VectorStamp;
-use psn_core::{ExecutionConfig, ExecutionTrace, ShardPlanKind, SpeculationMode};
+use psn_core::{ExecutionConfig, ExecutionTrace, ShardPlanKind};
 use psn_lattice::History;
 use psn_sim::delay::DelayModel;
 use psn_sim::time::{SimDuration, SimTime};
@@ -105,10 +105,6 @@ pub fn delay_floor() -> SimDuration {
 /// `--shards` > 1.
 static SHARD_PLAN: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-wide window discipline (`experiments --optimistic`): when set,
-/// sharded cells run the Time Warp path instead of conservative barriers.
-static OPTIMISTIC: AtomicBool = AtomicBool::new(false);
-
 /// Set the shard plan every subsequent [`delta_config`] cell uses.
 pub fn set_shard_plan(kind: ShardPlanKind) {
     let idx = match kind {
@@ -142,20 +138,9 @@ pub fn parse_shard_plan(name: &str) -> Option<ShardPlanKind> {
     }
 }
 
-/// Enable or disable optimistic (Time Warp) execution for subsequent
-/// [`delta_config`] cells.
-pub fn set_optimistic(on: bool) {
-    OPTIMISTIC.store(on, Ordering::Relaxed);
-}
-
-/// Whether optimistic execution is enabled.
-pub fn optimistic() -> bool {
-    OPTIMISTIC.load(Ordering::Relaxed)
-}
-
 /// A Δ-bounded execution config with the given Δ and seed, honoring the
 /// process-wide [`set_shards`] / [`set_delay_floor_ms`] / [`set_shard_plan`]
-/// / [`set_optimistic`] overrides.
+/// overrides.
 pub fn delta_config(delta: SimDuration, seed: u64) -> ExecutionConfig {
     let floor = delay_floor();
     let delay = if delta.is_zero() && floor.is_zero() {
@@ -163,14 +148,11 @@ pub fn delta_config(delta: SimDuration, seed: u64) -> ExecutionConfig {
     } else {
         DelayModel::DeltaBounded { min: floor, max: delta.max(floor) }
     };
-    let speculation =
-        if optimistic() { SpeculationMode::Optimistic } else { SpeculationMode::Conservative };
     ExecutionConfig {
         delay,
         seed,
         shards: shards(),
         shard_plan: Some(shard_plan()),
-        speculation: Some(speculation),
         ..Default::default()
     }
 }

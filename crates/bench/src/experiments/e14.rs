@@ -17,10 +17,6 @@
 //!   (`engine.op_barriers`). Both are identical for every shard count
 //!   above 1: the schedule depends on event times, op times, and
 //!   lookahead only;
-//! - `win(opt)` / `rollbacks` — barrier count and lane re-runs of the
-//!   optimistic (Time Warp) run at the largest shard count: speculation
-//!   commits a doubled window per barrier, so `win(opt) < win(con)` is the
-//!   synchronization saved and `rollbacks` the price paid for it;
 //! - `ev/window` — events per window, the per-barrier parallel work. The
 //!   shape claim is that this column grows ~linearly with n (at fixed
 //!   event rate per node) and the speedup on a multicore machine follows
@@ -30,8 +26,7 @@
 //! - `rr ev/s` vs `aff ev/s` — the round-robin (interleaved) plan against
 //!   the traffic-aware affinity plan at the same shard count.
 //!
-//! Every variant — each shard count, the optimistic run, and both plan
-//! runs — is asserted bit-identical to the sequential run before its
+//! Every variant — each shard count and both plan runs — is asserted bit-identical to the sequential run before its
 //! timing is reported, so a row in this table is also an equivalence
 //! proof over its workload.
 //!
@@ -45,7 +40,7 @@ use std::time::Instant;
 
 use psn_core::{
     run_execution_instrumented, run_execution_profiled, ExecutionConfig, ExecutionTrace,
-    ShardPlanKind, SpeculationMode,
+    ShardPlanKind,
 };
 use psn_sim::delay::DelayModel;
 use psn_sim::fault::{CutPolicy, FaultScript, FaultSpec};
@@ -72,7 +67,6 @@ struct Cell {
     events: u64,
     windows: u64,
     op_barriers: u64,
-    rollbacks: u64,
     wall: f64,
     trace: ExecutionTrace,
 }
@@ -83,7 +77,6 @@ fn run_cell(
     faults: Option<FaultScript>,
     duration: SimTime,
     plan: ShardPlanKind,
-    spec: SpeculationMode,
 ) -> Cell {
     let params = ExhibitionParams {
         doors: n,
@@ -100,7 +93,6 @@ fn run_cell(
         shards,
         faults,
         shard_plan: Some(plan),
-        speculation: Some(spec),
         ..Default::default()
     };
     let metrics = Metrics::new();
@@ -114,7 +106,7 @@ fn run_cell(
     let wall = t0.elapsed().as_secs_f64();
     let snap = metrics.snapshot();
     if telemetry.is_enabled() {
-        let label = format!("n={n} shards={shards} plan={plan:?} spec={spec:?}");
+        let label = format!("n={n} shards={shards} plan={plan:?}");
         telemetry_out::emit_cell(
             "e14",
             cell_object(
@@ -123,7 +115,6 @@ fn run_cell(
                     ("n", Value::UInt(n as u64)),
                     ("shards", Value::UInt(shards as u64)),
                     ("plan", Value::Str(format!("{plan:?}"))),
-                    ("spec", Value::Str(format!("{spec:?}"))),
                     ("faults", Value::Bool(faulted)),
                 ],
             ),
@@ -135,7 +126,6 @@ fn run_cell(
         events: snap.counter("engine.events_processed").unwrap_or(0),
         windows: snap.counter("engine.windows").unwrap_or(0),
         op_barriers: snap.counter("engine.op_barriers").unwrap_or(0),
-        rollbacks: snap.counter("engine.rollbacks").unwrap_or(0),
         wall,
         trace,
     }
@@ -182,20 +172,16 @@ pub fn run(quick: bool) -> Table {
     let duration = SimTime::from_secs(if quick { 20 } else { 60 });
 
     let mut table = Table::new(
-        "E14 — strong scaling vs n, shard count, plan, and window discipline \
-         (exhibition, Δ ∈ [40 ms, 240 ms])",
+        "E14 — strong scaling vs n, shard count, and plan (exhibition, Δ ∈ [40 ms, 240 ms])",
         &[
             "n",
             "faults",
             "events",
             "win(con)",
             "ops",
-            "win(opt)",
-            "rollbacks",
             "ev/window",
             "seq ev/s",
             "con ev/s",
-            "opt ev/s",
             "rr ev/s",
             "aff ev/s",
         ],
@@ -207,64 +193,25 @@ pub fn run(quick: bool) -> Table {
     let n_max = *ns.last().expect("nonempty ns");
     fault_rows.push((n_max, Some(partition_storm(n_max, duration)), "partition storm"));
 
-    // The plan/discipline variants run at the largest shard count tried.
+    // The plan variants run at the largest shard count tried.
     let k_var = *shard_counts.last().expect("nonempty shard counts");
 
     for (n, faults, fault_label) in fault_rows {
-        let seq = run_cell(
-            n,
-            1,
-            faults.clone(),
-            duration,
-            ShardPlanKind::Contiguous,
-            SpeculationMode::Conservative,
-        );
+        let seq = run_cell(n, 1, faults.clone(), duration, ShardPlanKind::Contiguous);
         let mut best_rate = 0.0f64;
         let mut windows = 0u64;
         let mut op_barriers = 0u64;
         for &k in shard_counts {
-            let par = run_cell(
-                n,
-                k,
-                faults.clone(),
-                duration,
-                ShardPlanKind::Contiguous,
-                SpeculationMode::Conservative,
-            );
+            let par = run_cell(n, k, faults.clone(), duration, ShardPlanKind::Contiguous);
             assert_identical(&seq.trace, &par.trace, n, k);
             windows = windows.max(par.windows);
             op_barriers = op_barriers.max(par.op_barriers);
             best_rate = best_rate.max(par.events as f64 / par.wall);
         }
-        // Conservative vs optimistic: same workload, same shard count, Time
-        // Warp windows — fewer barriers, same bits.
-        let opt = run_cell(
-            n,
-            k_var,
-            faults.clone(),
-            duration,
-            ShardPlanKind::Contiguous,
-            SpeculationMode::Optimistic,
-        );
-        assert_identical(&seq.trace, &opt.trace, n, k_var);
         // Round-robin (interleaved) vs traffic-aware affinity planning.
-        let rr = run_cell(
-            n,
-            k_var,
-            faults.clone(),
-            duration,
-            ShardPlanKind::Interleaved,
-            SpeculationMode::Conservative,
-        );
+        let rr = run_cell(n, k_var, faults.clone(), duration, ShardPlanKind::Interleaved);
         assert_identical(&seq.trace, &rr.trace, n, k_var);
-        let aff = run_cell(
-            n,
-            k_var,
-            faults.clone(),
-            duration,
-            ShardPlanKind::Affinity,
-            SpeculationMode::Conservative,
-        );
+        let aff = run_cell(n, k_var, faults.clone(), duration, ShardPlanKind::Affinity);
         assert_identical(&seq.trace, &aff.trace, n, k_var);
         let seq_rate = seq.events as f64 / seq.wall;
         let ev_per_window = if windows > 0 { seq.events as f64 / windows as f64 } else { f64::NAN };
@@ -274,12 +221,9 @@ pub fn run(quick: bool) -> Table {
             seq.events.to_string(),
             windows.to_string(),
             op_barriers.to_string(),
-            opt.windows.to_string(),
-            opt.rollbacks.to_string(),
             format!("{ev_per_window:.0}"),
             format!("{seq_rate:.0}"),
             format!("{best_rate:.0}"),
-            format!("{:.0}", opt.events as f64 / opt.wall),
             format!("{:.0}", rr.events as f64 / rr.wall),
             format!("{:.0}", aff.events as f64 / aff.wall),
         ]);
@@ -317,25 +261,19 @@ pub fn run(quick: bool) -> Table {
         "—".to_string(),
         "—".to_string(),
         "—".to_string(),
-        "—".to_string(),
-        "—".to_string(),
         format!("{:.0}", seq_events as f64 / seq_wall),
         format!("{:.0}", par_events as f64 / par_wall),
-        "—".to_string(),
         "—".to_string(),
         "—".to_string(),
     ]);
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     table.note(format!(
-        "Every variant cell — each shard count, the optimistic run, and both plan runs — is \
-         asserted bit-identical to its sequential run before timing. `win(con)`/`win(opt)` \
-         count lookahead windows (`engine.windows`) under conservative vs optimistic \
-         discipline: speculation commits a doubled window span per barrier, so win(opt) < \
-         win(con) measures the synchronization saved; `ops` counts fault-plane sub-barriers \
-         separately (`engine.op_barriers`), and `rollbacks` counts lanes re-run after a \
-         straggler (the Time Warp cost). `con/opt/rr/aff ev/s` ran at {k_var} shards (con = \
-         best over all shard counts, contiguous plan; rr = round-robin/interleaved; aff = \
+        "Every variant cell — each shard count and both plan runs — is asserted \
+         bit-identical to its sequential run before timing. `win(con)` counts lookahead \
+         windows (`engine.windows`); `ops` counts fault-plane sub-barriers separately \
+         (`engine.op_barriers`). `rr/aff ev/s` ran at {k_var} shards, `con ev/s` is the best \
+         over all shard counts (contiguous plan; rr = round-robin/interleaved; aff = \
          traffic-aware affinity). Shape claim: parallel work per lookahead window \
          (`ev/window`) grows ~linearly with n at fixed per-node event rate — wall-clock \
          speedup on a multicore machine follows it, and the partition-storm row shows the \

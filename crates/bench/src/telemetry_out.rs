@@ -1,6 +1,6 @@
 //! JSONL telemetry sink for the experiment runners.
 //!
-//! `--telemetry-out <path>` (on `experiments`, `chaos`, and `baseline`)
+//! `--telemetry-out <path>` (on `experiments`, `chaos`, and `psn-script`)
 //! opens a process-wide sink here; each instrumented cell then calls
 //! [`emit_cell`] with both the [`MetricsSnapshot`] and the
 //! [`TelemetrySnapshot`] of its run, producing **one JSON line per cell**:

@@ -88,11 +88,6 @@ pub struct ExecutionConfig {
     /// configs serialized before this field existed still deserialize:
     /// the vendored serde shim maps an absent field to `None`.)
     pub shard_plan: Option<ShardPlanKind>,
-    /// Window discipline for sharded runs: conservative lookahead windows
-    /// or optimistic (Time Warp) speculation with rollback. `None`
-    /// (default) means [`SpeculationMode::Conservative`]. Bit-identical
-    /// either way; `Option` for snapshot back-compat as above.
-    pub speculation: Option<SpeculationMode>,
 }
 
 /// How [`run_execution_full`] partitions the `n + 1` actors (sensors plus
@@ -116,22 +111,6 @@ pub enum ShardPlanKind {
     Affinity,
 }
 
-/// Window discipline for sharded runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SpeculationMode {
-    /// Lookahead-bounded windows only (the default): lanes never execute
-    /// past the horizon that cross-shard messages could still reach.
-    Conservative,
-    /// Optimistic (Time Warp): lanes run several windows ahead from a
-    /// checkpoint and roll back when a straggler cross-shard message
-    /// arrives below the speculated horizon. Requires every actor to be
-    /// forkable ([`psn_sim::engine::Actor::fork`]) — the sensor and root
-    /// processes are, provided the actuation rule implements
-    /// [`ActuationRule::fork`]; otherwise the engine silently falls back
-    /// to conservative windows. Bit-identical to conservative mode.
-    Optimistic,
-}
-
 impl Default for ExecutionConfig {
     fn default() -> Self {
         ExecutionConfig {
@@ -150,7 +129,6 @@ impl Default for ExecutionConfig {
             shards: 1,
             fifo_dense_limit: None,
             shard_plan: None,
-            speculation: None,
         }
     }
 }
@@ -159,11 +137,6 @@ impl ExecutionConfig {
     /// The effective shard plan kind (`None` → [`ShardPlanKind::Contiguous`]).
     pub fn shard_plan_kind(&self) -> ShardPlanKind {
         self.shard_plan.unwrap_or(ShardPlanKind::Contiguous)
-    }
-
-    /// The effective window discipline (`None` → [`SpeculationMode::Conservative`]).
-    pub fn speculation_mode(&self) -> SpeculationMode {
-        self.speculation.unwrap_or(SpeculationMode::Conservative)
     }
 }
 
@@ -184,11 +157,6 @@ pub struct ExecutionTrace {
     /// Fault-plane counters (`None` when [`ExecutionConfig::faults`] was
     /// `None`, i.e. no plane was installed).
     pub faults: Option<psn_sim::fault::FaultStats>,
-    /// Speculative windows rolled back during the run. Always `0` unless
-    /// [`ExecutionConfig::speculation`] asked for
-    /// [`SpeculationMode::Optimistic`] on a sharded run. Rollbacks are a
-    /// throughput signal only — the trace is bit-identical regardless.
-    pub rollbacks: u64,
 }
 
 impl ExecutionTrace {
@@ -242,56 +210,6 @@ pub fn world_events(scenario: &Scenario) -> Vec<ExternalEvent<NetMsg>> {
         }
     }
     out
-}
-
-/// Coordinator-side rollback of the psn-core state that lives *outside*
-/// the engine's lanes: the shared [`ExecutionLog`] and the [`ExecMetrics`]
-/// semantic counters, both of which actors append to mid-window through
-/// shared handles that a lane checkpoint cannot capture. The engine calls
-/// [`checkpoint`](psn_sim::engine::SpeculationHooks::checkpoint) at a
-/// quiescent barrier (no lane running), so length marks and counter
-/// snapshots describe exactly the committed prefix; a rollback truncates /
-/// restores to them and the deterministic redo re-produces whatever the
-/// discarded speculation had appended below the redo bound.
-struct LogHooks {
-    log: Arc<Mutex<ExecutionLog>>,
-    exec: ExecMetrics,
-    /// `(events, reports, actuations)` lengths at the checkpoint.
-    log_mark: (usize, usize, usize),
-    /// [`ExecMetrics::handles`] values at the checkpoint, in handle order.
-    exec_mark: [u64; 8],
-}
-
-impl LogHooks {
-    fn new(log: Arc<Mutex<ExecutionLog>>, exec: ExecMetrics) -> Self {
-        LogHooks { log, exec, log_mark: (0, 0, 0), exec_mark: [0; 8] }
-    }
-}
-
-impl psn_sim::engine::SpeculationHooks for LogHooks {
-    fn checkpoint(&mut self) {
-        {
-            let log = self.log.lock();
-            self.log_mark = (log.events.len(), log.reports.len(), log.actuations.len());
-        }
-        for (slot, c) in self.exec_mark.iter_mut().zip(self.exec.handles()) {
-            *slot = c.get();
-        }
-    }
-
-    fn commit(&mut self) {}
-
-    fn rollback(&mut self) {
-        {
-            let mut log = self.log.lock();
-            log.events.truncate(self.log_mark.0);
-            log.reports.truncate(self.log_mark.1);
-            log.actuations.truncate(self.log_mark.2);
-        }
-        for (mark, c) in self.exec_mark.iter().zip(self.exec.handles()) {
-            c.reset_to(*mark);
-        }
-    }
 }
 
 /// Build the engine for an `n`-sensor execution: network plane, metrics,
@@ -369,10 +287,6 @@ pub(crate) fn build_engine(
     if let Some(script) = &cfg.faults {
         engine.install_faults(script);
     }
-    if cfg.speculation_mode() == SpeculationMode::Optimistic {
-        engine.set_optimistic(true);
-        engine.set_speculation_hooks(Box::new(LogHooks::new(Arc::clone(log), exec_metrics)));
-    }
     engine
 }
 
@@ -423,8 +337,8 @@ pub fn run_execution_full(
 /// Run `scenario` with both a metrics registry and a phase-scoped
 /// wall-clock [`psn_sim::telemetry::Telemetry`] registry attached. The
 /// telemetry plane records where the host machine's time goes (per-shard
-/// busy / barrier-wait / ring-exchange, coordinator drain / rollback /
-/// redo) and is strictly observational: the returned trace is bit-identical
+/// busy / barrier-wait / ring-exchange, coordinator drain) and is strictly
+/// observational: the returned trace is bit-identical
 /// to an unprofiled [`run_execution`] of the same inputs.
 pub fn run_execution_profiled(
     scenario: &Scenario,
@@ -467,7 +381,6 @@ fn run_execution_inner(
     } else {
         engine.run()
     };
-    let rollbacks = engine.rollbacks();
     let fault_stats = engine.fault_stats();
     let mut log =
         Arc::try_unwrap(log).map(Mutex::into_inner).unwrap_or_else(|shared| shared.lock().clone());
@@ -485,7 +398,6 @@ fn run_execution_inner(
         sim: engine.trace().clone(),
         ended_at,
         faults: fault_stats,
-        rollbacks,
     }
 }
 
@@ -796,33 +708,12 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_mode_is_bit_identical_and_rolls_back() {
-        let s = tiny_scenario();
-        let base =
-            run_execution(&s, &ExecutionConfig { delay: floored_delay(), ..Default::default() });
-        assert_eq!(base.rollbacks, 0, "sequential runs never speculate");
-        let cfg = ExecutionConfig {
-            delay: floored_delay(),
-            shards: 4,
-            shard_plan: Some(ShardPlanKind::Affinity),
-            speculation: Some(SpeculationMode::Optimistic),
-            ..Default::default()
-        };
-        let t = run_execution(&s, &cfg);
-        assert_eq!(base.log.events, t.log.events);
-        assert_eq!(base.log.reports, t.log.reports);
-        assert_eq!(base.log.actuations, t.log.actuations);
-        assert_eq!(base.net, t.net);
-        assert!(t.rollbacks > 0, "this workload must trigger real rollbacks");
-    }
-
-    #[test]
-    fn optimistic_actuation_loop_matches_sequential() {
+    fn sharded_actuation_loop_matches_sequential() {
         use crate::message::Report;
         use psn_clocks::ProcessId;
         use psn_world::{AttrKey, AttrValue};
 
-        // A stateful rule (running count) that opts into speculation.
+        // A stateful rule (running count) at the root.
         struct EveryOther {
             count: u64,
         }
@@ -839,9 +730,6 @@ mod tests {
                     Vec::new()
                 }
             }
-            fn fork(&self) -> Option<Box<dyn ActuationRule>> {
-                Some(Box::new(EveryOther { count: self.count }))
-            }
         }
 
         let s = tiny_scenario();
@@ -851,22 +739,16 @@ mod tests {
             Box::new(EveryOther { count: 0 }),
         );
         assert!(!seq.log.actuations.is_empty(), "the rule must actually actuate");
-        let cfg = ExecutionConfig {
-            delay: floored_delay(),
-            shards: 4,
-            speculation: Some(SpeculationMode::Optimistic),
-            ..Default::default()
-        };
-        let opt = run_execution_with_rule(&s, &cfg, Box::new(EveryOther { count: 0 }));
-        assert!(opt.rollbacks > 0, "rollbacks must cover actuation state too");
-        assert_eq!(seq.log.events, opt.log.events);
-        assert_eq!(seq.log.reports, opt.log.reports);
-        assert_eq!(seq.log.actuations, opt.log.actuations);
-        assert_eq!(seq.net, opt.net);
+        let cfg = ExecutionConfig { delay: floored_delay(), shards: 4, ..Default::default() };
+        let par = run_execution_with_rule(&s, &cfg, Box::new(EveryOther { count: 0 }));
+        assert_eq!(seq.log.events, par.log.events);
+        assert_eq!(seq.log.reports, par.log.reports);
+        assert_eq!(seq.log.actuations, par.log.actuations);
+        assert_eq!(seq.net, par.net);
     }
 
     #[test]
-    fn optimistic_instrumented_counts_survive_rollbacks() {
+    fn sharded_instrumented_counts_match_sequential() {
         let s = tiny_scenario();
         let m_seq = psn_sim::metrics::Metrics::new();
         let seq = run_execution_instrumented(
@@ -874,18 +756,12 @@ mod tests {
             &ExecutionConfig { delay: floored_delay(), ..Default::default() },
             &m_seq,
         );
-        let m_opt = psn_sim::metrics::Metrics::new();
-        let cfg = ExecutionConfig {
-            delay: floored_delay(),
-            shards: 4,
-            speculation: Some(SpeculationMode::Optimistic),
-            ..Default::default()
-        };
-        let opt = run_execution_instrumented(&s, &cfg, &m_opt);
-        assert_eq!(seq.log.events, opt.log.events);
-        assert!(opt.rollbacks > 0, "need real rollbacks to exercise the counter restore");
+        let m_par = psn_sim::metrics::Metrics::new();
+        let cfg = ExecutionConfig { delay: floored_delay(), shards: 4, ..Default::default() };
+        let par = run_execution_instrumented(&s, &cfg, &m_par);
+        assert_eq!(seq.log.events, par.log.events);
         let a = m_seq.snapshot();
-        let b = m_opt.snapshot();
+        let b = m_par.snapshot();
         for name in [
             "exec.senses",
             "exec.sends",
@@ -895,11 +771,12 @@ mod tests {
             "exec.strobe_scalar_bytes",
             "exec.strobe_vector_bytes",
             "exec.causal_piggyback_bytes",
+            "engine.events_processed",
             "engine.messages_delivered",
+            "engine.messages_dropped",
         ] {
-            assert_eq!(a.counter(name), b.counter(name), "{name} drifted across rollbacks");
+            assert_eq!(a.counter(name), b.counter(name), "{name} differs across shard counts");
         }
-        assert_eq!(b.counter("engine.rollbacks"), Some(opt.rollbacks));
     }
 
     #[test]

@@ -58,7 +58,6 @@ impl TraceFile {
             sim: psn_sim::trace::Trace::disabled(),
             ended_at: self.ended_at,
             faults: None,
-            rollbacks: 0,
         }
     }
 

@@ -398,7 +398,6 @@ impl LiveExecution {
             sim: psn_sim::trace::Trace::disabled(),
             ended_at: self.watermark,
             faults: self.engine.fault_stats(),
-            rollbacks: self.engine.rollbacks(),
         }
     }
 
@@ -406,7 +405,6 @@ impl LiveExecution {
     /// [`ExecutionTrace`] (the batch result shape).
     pub fn finish(mut self) -> ExecutionTrace {
         let ended_at = self.engine.finish();
-        let rollbacks = self.engine.rollbacks();
         let fault_stats = self.engine.fault_stats();
         let net = self.engine.stats().clone();
         let sim = self.engine.trace().clone();
@@ -415,7 +413,7 @@ impl LiveExecution {
             .map(Mutex::into_inner)
             .unwrap_or_else(|shared| shared.lock().clone());
         log.events.sort_by_key(|e| (e.at, e.process, e.seq));
-        ExecutionTrace { n: self.n, log, net, sim, ended_at, faults: fault_stats, rollbacks }
+        ExecutionTrace { n: self.n, log, net, sim, ended_at, faults: fault_stats }
     }
 }
 
@@ -566,10 +564,10 @@ mod tests {
 
     /// The snapshot is a file format: snapshots written before a change of
     /// representation must still restore, and `session.snapshot_bytes` must
-    /// not drift. Pinned byte for byte (constants recorded at PR 12, before
-    /// wide stamps became shared buffers and `NetMsg::Report` a box): a
-    /// scripted session's snapshot, and a journal holding every `NetMsg`
-    /// variant with stamps wide enough to spill.
+    /// not drift. Pinned byte for byte: a scripted session's snapshot, and a
+    /// journal holding every `NetMsg` variant with stamps wide enough to
+    /// spill. The constants are the earlier format's bytes with only the
+    /// retired `,"speculation":null` config entry removed.
     #[test]
     fn snapshot_json_is_pinned_byte_for_byte() {
         use crate::bundle::{StampSet, StrobePayload};
@@ -582,7 +580,7 @@ mod tests {
         let json = live.snapshot().to_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (5628, 18437775560689066229),
+            (5609, 7888484709165289015),
             "scripted session"
         );
 
@@ -634,11 +632,43 @@ mod tests {
         let json = snap.to_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (1753, 18206666437061904726),
+            (1734, 14830479847546392352),
             "every message kind"
         );
         let back = LiveSnapshot::from_json(&json).expect("round trip");
         assert_eq!(back.events, snap.events);
+    }
+
+    /// Snapshots written while `ExecutionConfig` still carried a window
+    /// discipline restore: the retired `speculation` entry is an unknown key
+    /// the deserializer skips, whatever its value, and the restored session
+    /// runs on exactly like an uninterrupted one (the discipline never
+    /// changed an output).
+    #[test]
+    fn snapshot_with_retired_speculation_key_restores_and_runs_on() {
+        let s = scenario();
+        let cfg = ExecutionConfig::default();
+        let cut = SimTime::from_secs(40);
+        let mut whole = live_from(&s, &cfg);
+        drive(&mut whole, SimTime::from_secs(90), SimDuration::from_millis(900));
+        let whole_trace = whole.finish();
+
+        let mut first = live_from(&s, &cfg);
+        first.advance_to(cut).unwrap();
+        let json = first.snapshot().to_json();
+        for retired in [r#","speculation":null"#, r#","speculation":"Optimistic""#] {
+            let old =
+                json.replacen(r#""shard_plan":null"#, &format!(r#""shard_plan":null{retired}"#), 1);
+            assert_eq!(old.len(), json.len() + retired.len(), "fixture carries {retired}");
+            let snap = LiveSnapshot::from_json(&old).expect("unknown key is skipped");
+            let rest: Vec<_> = world_events(&s).into_iter().filter(|e| e.at >= cut).collect();
+            let mut second = snap.restore(Box::new(TimelineProvider::new(rest))).expect("restore");
+            drive(&mut second, SimTime::from_secs(90), SimDuration::from_millis(900));
+            let trace = second.finish();
+            assert_eq!(trace.log.events, whole_trace.log.events, "{retired}");
+            assert_eq!(trace.log.reports, whole_trace.log.reports, "{retired}");
+            assert_eq!(trace.net, whole_trace.net, "{retired}");
+        }
     }
 
     #[test]

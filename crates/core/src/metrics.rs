@@ -68,24 +68,6 @@ impl ExecMetrics {
         ExecMetrics::attach(&Metrics::disabled(), 0)
     }
 
-    /// Every counter handle in a fixed order, for whole-bundle snapshot /
-    /// restore by the optimistic-mode speculation hooks (see
-    /// `psn-core`'s execution module): the checkpoint records each value,
-    /// and a rollback [`Counter::reset_to`]s them so a discarded
-    /// speculative window leaves no trace in the semantic counts.
-    pub fn handles(&self) -> [&Counter; 8] {
-        [
-            &self.senses,
-            &self.sends,
-            &self.receives,
-            &self.actuates,
-            &self.strobes,
-            &self.strobe_scalar_bytes,
-            &self.strobe_vector_bytes,
-            &self.causal_piggyback_bytes,
-        ]
-    }
-
     /// Record one strobe broadcast: the payload reaches the `n−1` peers
     /// plus the root, costing O(1) bytes per receiver under the scalar
     /// discipline and O(n) under the vector discipline.

@@ -270,30 +270,6 @@ impl SensorProcess {
 }
 
 impl Actor<NetMsg> for SensorProcess {
-    fn fork(&self) -> Option<Box<dyn Actor<NetMsg> + Send>> {
-        // Every field is a value clone except the log handle, which stays
-        // shared on purpose: the engine's speculation hooks roll the shared
-        // log back alongside the actors (see psn-core's execution module),
-        // so the fork must keep writing where the rollback can reach.
-        Some(Box::new(SensorProcess {
-            id: self.id,
-            n: self.n,
-            root: self.root,
-            cfg: self.cfg.clone(),
-            policy: self.policy,
-            bundle: self.bundle.clone(),
-            sense_count: self.sense_count,
-            event_seq: self.event_seq,
-            strobe_seq: self.strobe_seq,
-            seen_strobes: self.seen_strobes.clone(),
-            log: Arc::clone(&self.log),
-            metrics: self.metrics.clone(),
-            trace_stamp: self.trace_stamp,
-            recovery: self.recovery.clone(),
-            heartbeat_gen: self.heartbeat_gen,
-        }))
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
         // Clock hardware imperfections come from this actor's own stream,
         // so the bundle is built here rather than in `new`.

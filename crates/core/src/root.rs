@@ -31,16 +31,6 @@ pub trait ActuationRule: Send {
         report: &Report,
         history: &ExecutionLog,
     ) -> Vec<(ProcessId, AttrKey, AttrValue)>;
-
-    /// A deep copy of the rule's current state, used as the rollback
-    /// checkpoint by the optimistic sharded mode
-    /// ([`crate::execution::SpeculationMode::Optimistic`]). `None` (the
-    /// default) makes the root unforkable, and the engine silently falls
-    /// back to conservative windows — stateful rules opt in by cloning
-    /// themselves here.
-    fn fork(&self) -> Option<Box<dyn ActuationRule>> {
-        None
-    }
 }
 
 /// A no-op rule: observe only.
@@ -48,10 +38,6 @@ pub struct NoActuation;
 impl ActuationRule for NoActuation {
     fn on_report(&mut self, _: &Report, _: &ExecutionLog) -> Vec<(ProcessId, AttrKey, AttrValue)> {
         Vec::new()
-    }
-
-    fn fork(&self) -> Option<Box<dyn ActuationRule>> {
-        Some(Box::new(NoActuation))
     }
 }
 
@@ -127,27 +113,6 @@ impl RootProcess {
 }
 
 impl Actor<NetMsg> for RootProcess {
-    fn fork(&self) -> Option<Box<dyn Actor<NetMsg> + Send>> {
-        // Forkable exactly when the actuation rule is: the rule is the only
-        // field without a structural clone. The log handle stays shared so
-        // the speculation hooks' rollback reaches the fork's appends too.
-        let rule = self.rule.fork()?;
-        Some(Box::new(RootProcess {
-            id: self.id,
-            n: self.n,
-            cfg: self.cfg.clone(),
-            bundle: self.bundle.clone(),
-            event_seq: self.event_seq,
-            rule,
-            flood: self.flood,
-            quarantine: self.quarantine,
-            seen_strobes: self.seen_strobes.clone(),
-            log: Arc::clone(&self.log),
-            metrics: self.metrics.clone(),
-            trace_stamp: self.trace_stamp,
-        }))
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
         self.bundle = Some(ClockBundle::new(self.id, self.n + 1, &self.cfg, ctx.rng()));
     }
@@ -254,10 +219,6 @@ mod tests {
             } else {
                 Vec::new()
             }
-        }
-
-        fn fork(&self) -> Option<Box<dyn ActuationRule>> {
-            Some(Box::new(Threshold))
         }
     }
 

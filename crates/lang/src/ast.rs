@@ -24,7 +24,7 @@ pub struct ScenarioDef {
     pub strobes: Vec<Field>,
     /// `network { ... }` block (delay/loss/fifo).
     pub network: Option<NetworkDef>,
-    /// `run { ... }` fields (shards, plan, optimistic, discipline, …).
+    /// `run { ... }` fields (shards, plan, discipline, …).
     pub run: Vec<Field>,
     /// `predicate "name" relational|conjunctive { ... }` blocks.
     pub predicates: Vec<PredicateDef>,

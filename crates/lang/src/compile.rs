@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use psn_core::{ClockConfig, ExecutionConfig, ShardPlanKind, SpeculationMode, TraceStampMode};
+use psn_core::{ClockConfig, ExecutionConfig, ShardPlanKind, TraceStampMode};
 use psn_predicates::{Conjunct, Discipline, Expr, Predicate};
 use psn_sim::delay::DelayModel;
 use psn_sim::fault::{
@@ -610,15 +610,6 @@ fn lower_run_block(
                     }
                 }
             }
-            "optimistic" => {
-                if let Some(v) = r.bool(f) {
-                    config.speculation = Some(if v {
-                        SpeculationMode::Optimistic
-                    } else {
-                        SpeculationMode::Conservative
-                    });
-                }
-            }
             "discipline" => {
                 if let Some(name) = r.ident(f) {
                     match parse_discipline(name) {
@@ -659,7 +650,7 @@ fn lower_run_block(
                 r.diags,
                 f,
                 "run",
-                &["shards", "plan", "optimistic", "discipline", "stamp", "trace", "end_time"],
+                &["shards", "plan", "discipline", "stamp", "trace", "end_time"],
             ),
         }
     }
@@ -1056,13 +1047,23 @@ mod tests {
         let src = r#"scenario "s" {
             world exhibition { doors 4 duration 120s }
             network { delay uniform 20ms..200ms }
-            run { shards 4 plan affinity optimistic true discipline arrival }
+            run { shards 4 plan affinity discipline arrival }
         }"#;
         let c = compile(src).expect("compiles");
         assert_eq!(c.config.shards, 4);
         assert_eq!(c.config.shard_plan, Some(ShardPlanKind::Affinity));
-        assert_eq!(c.config.speculation, Some(SpeculationMode::Optimistic));
         assert_eq!(c.discipline, Discipline::Arrival);
+
+        // Sharded runs have one window discipline, so there is nothing to
+        // choose: `optimistic` is an unknown field like any other.
+        let errs =
+            compile(&src.replace("plan affinity", "plan affinity optimistic true")).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(
+            errs[0].message,
+            "unknown run field `optimistic` (known: shards, plan, discipline, stamp, trace, \
+             end_time)"
+        );
     }
 
     #[test]

@@ -143,36 +143,6 @@ pub trait Actor<M: Message> {
     /// after a crash, or a clock fault. Default: ignore faults entirely —
     /// actors that model no recoverable state need no changes.
     fn on_fault(&mut self, _ctx: &mut Context<'_, M>, _event: &FaultEvent) {}
-    /// A deep copy of this actor's current state, used as the rollback
-    /// checkpoint by the optimistic sharded mode ([`Engine::set_optimistic`]).
-    /// Returning `None` (the default) marks the actor unforkable; an engine
-    /// with any unforkable actor silently falls back to conservative
-    /// windows, so existing actors need no changes until they opt in.
-    fn fork(&self) -> Option<Box<dyn Actor<M> + Send>> {
-        None
-    }
-}
-
-/// Host-side checkpoint/rollback callbacks for the optimistic sharded mode.
-///
-/// Actors frequently write into host-owned side state the engine knows
-/// nothing about (e.g. a shared execution log behind a mutex). When the
-/// engine speculates past a window bound it must be able to undo those
-/// writes too, so a host installs hooks via
-/// [`Engine::set_speculation_hooks`]. The protocol is strictly bracketed
-/// and single-level: every `checkpoint()` is followed by exactly one
-/// `commit()` or `rollback()` before the next `checkpoint()`.
-pub trait SpeculationHooks {
-    /// A speculative window is about to run; snapshot external state.
-    fn checkpoint(&mut self);
-    /// The speculative window was confirmed causally complete; forget the
-    /// snapshot.
-    fn commit(&mut self);
-    /// A straggler invalidated the speculative window; restore external
-    /// state to the `checkpoint()` snapshot. The engine re-executes the
-    /// safe prefix immediately after, so restored state is re-extended
-    /// bit-identically.
-    fn rollback(&mut self);
 }
 
 /// Buffered actions produced by an actor callback.
@@ -280,9 +250,6 @@ impl<M> Context<'_, M> {
 /// Fault operations are *not* queue events: the coordinator interleaves
 /// them between windows (see [`Engine::run`]), which is what lets shard
 /// heaps stay private to their worker threads.
-// `Clone` because the optimistic mode's queue journal keeps copies of
-// popped entries for rollback (see [`EventQueue::spec_begin`]).
-#[derive(Clone)]
 enum Pending<M> {
     Deliver { from: u32, to: u32, msg: M, id: u64 },
     Timer { actor: u32, tag: u64 },
@@ -313,7 +280,6 @@ struct EngineMetrics {
     events_per_sec: Gauge,
     windows: Counter,
     op_barriers: Counter,
-    rollbacks: Counter,
     ring_spills: Counter,
 }
 
@@ -329,7 +295,6 @@ impl EngineMetrics {
             events_per_sec: m.gauge("engine.events_per_sec"),
             windows: m.counter("engine.windows"),
             op_barriers: m.counter("engine.op_barriers"),
-            rollbacks: m.counter("engine.rollbacks"),
             ring_spills: m.counter("engine.ring_spills"),
         }
     }
@@ -341,16 +306,9 @@ impl EngineMetrics {
 /// [`Engine::set_fifo_dense_limit`] (tests cross-validate the two paths).
 pub const DENSE_ACTOR_LIMIT: usize = 2048;
 
-/// Default speculative horizon for [`Engine::set_optimistic`]: optimistic
-/// windows run `8 ×` the conservative lookahead. At that span, even a
-/// 100%-rollback run (2 barriers per speculative span: the failed attempt
-/// plus the redo) still beats the conservative mode's 1 barrier per
-/// lookahead whenever the typical straggler lands past `2 ×` lookahead.
-pub const SPEC_HORIZON: u32 = 8;
-
 /// Slots per exchange ring (per directed shard pair). Overflow spills to
 /// the outbox, so this bounds memory, not correctness.
-const RING_CAPACITY: usize = 1024;
+pub(in crate::engine) const RING_CAPACITY: usize = 1024;
 
 /// Per-channel last-scheduled-delivery times backing the FIFO clamp.
 ///
@@ -359,7 +317,7 @@ const RING_CAPACITY: usize = 1024;
 /// runs don't multiply the footprint). `Sparse` is a flat map keyed
 /// `(from << 32) | to`; it is only ever probed per-message, never iterated,
 /// so map order cannot leak into behaviour.
-enum FifoStore {
+pub(in crate::engine) enum FifoStore {
     /// FIFO disabled, or not yet initialised (built on first clamp).
     Unset,
     Off,
@@ -513,81 +471,65 @@ type RingItem<M> = (SimTime, u64, Pending<M>);
 /// lane owning everybody. Per-actor vectors are full-size (indexed by
 /// global actor id) so the hot path needs no local-index indirection;
 /// non-member slots are simply never touched.
-struct Lane<M: Message> {
-    shard: usize,
-    now: SimTime,
-    queue: EventQueue<Pending<M>>,
-    actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
+pub(in crate::engine) struct Lane<M: Message> {
+    pub(in crate::engine) shard: usize,
+    pub(in crate::engine) now: SimTime,
+    pub(in crate::engine) queue: EventQueue<Pending<M>>,
+    pub(in crate::engine) actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
     /// Per-actor protocol streams (`factory.stream(id + 1)`).
-    rngs: Vec<RngStream>,
+    pub(in crate::engine) rngs: Vec<RngStream>,
     /// Per-sender network streams (`"engine.network.<id>"`): delay and loss
     /// draws for messages *sent by* that actor.
-    net_rngs: Vec<RngStream>,
+    pub(in crate::engine) net_rngs: Vec<RngStream>,
     /// Per-sender fault-plane streams (`"engine.faults.<id>"`); empty until
     /// [`Engine::install_faults`].
-    fault_rngs: Vec<RngStream>,
+    pub(in crate::engine) fault_rngs: Vec<RngStream>,
     /// Per-sender loss-model state (Gilbert–Elliott is stateful, so each
     /// channel owner carries its own copy).
-    loss: Vec<crate::loss::LossModel>,
+    pub(in crate::engine) loss: Vec<crate::loss::LossModel>,
     /// Per-sender transmission counters; message id = `((from+1) << 40) | c`.
-    msg_ctr: Vec<u64>,
+    pub(in crate::engine) msg_ctr: Vec<u64>,
     /// Per-actor timer counters; timer key payload = `(actor << 40) | c`.
-    timer_ctr: Vec<u64>,
+    pub(in crate::engine) timer_ctr: Vec<u64>,
     /// The actor ids this lane owns, ascending.
-    members: Vec<ActorId>,
+    pub(in crate::engine) members: Vec<ActorId>,
     /// `owner[actor] = shard`; empty in sequential mode (everything local).
-    owner: Vec<u32>,
-    /// Cross-shard events awaiting routing at the next window barrier.
-    /// With the ring exchange installed this only holds ring overflow
-    /// (and, in optimistic windows, everything — speculative events must
-    /// stay private until commit).
-    outbox: Vec<(SimTime, u64, Pending<M>)>,
+    pub(in crate::engine) owner: Vec<u32>,
+    /// Cross-shard events awaiting routing at the next barrier: those sent
+    /// by start dispatches (before the rings exist) and ring overflow.
+    pub(in crate::engine) outbox: Vec<(SimTime, u64, Pending<M>)>,
     /// Ring exchange, producing side: `ring_out[shard]` publishes to that
     /// shard's lane as events are generated, overlapping the barrier work.
-    /// Empty (or `None` for self/unused pairs) outside conservative
-    /// sharded runs.
-    ring_out: Vec<Option<crate::ring::Producer<RingItem<M>>>>,
+    /// Empty (or `None` for self pairs) outside sharded runs.
+    pub(in crate::engine) ring_out: Vec<Option<crate::ring::Producer<RingItem<M>>>>,
     /// Ring exchange, consuming side: `ring_in[shard]` receives events
     /// published by that shard's lane.
-    ring_in: Vec<Option<crate::ring::Consumer<RingItem<M>>>>,
-    /// Messages dropped for lack of a topology link. Only this counter —
-    /// not `NetStats` — sees that path, and the optimistic mode's deferred
-    /// metric flush needs an exact per-lane tally to reconstruct
-    /// `engine.messages_dropped`.
-    dropped_nolink: u64,
-    fifo: FifoStore,
-    fifo_dense_limit: usize,
-    /// When true (speculative window), every FIFO-clamp store is journaled
-    /// in `fifo_undo` for rollback.
-    fifo_log: bool,
-    /// Undo journal of `(slot, previous value)` pairs, replayed in reverse
-    /// on rollback. Dense slot = `rank * stride + to`; sparse slot =
-    /// `(from << 32) | to` (a sparse entry absent before the window rolls
-    /// back to a stored `ZERO`, which the clamp treats identically).
-    fifo_undo: Vec<(u64, SimTime)>,
-    trace: Trace,
-    stats: NetStats,
+    pub(in crate::engine) ring_in: Vec<Option<crate::ring::Consumer<RingItem<M>>>>,
+    pub(in crate::engine) fifo: FifoStore,
+    pub(in crate::engine) fifo_dense_limit: usize,
+    pub(in crate::engine) trace: Trace,
+    pub(in crate::engine) stats: NetStats,
     /// Transmit/delivery-side fault counters (the plane is read-only during
     /// windows); merged into the plane's op-side counters on read.
-    fstats: FaultStats,
+    pub(in crate::engine) fstats: FaultStats,
     /// Messages parked by this lane at transmit time; drained into the
     /// plane at the next coordinator barrier.
-    parked_out: Vec<Parked<M>>,
+    pub(in crate::engine) parked_out: Vec<Parked<M>>,
     /// Signed because a lane can deliver (−1) messages another lane sent
     /// (+1); only the sum across lanes is meaningful.
-    in_flight: i64,
-    events_processed: u64,
-    halted: bool,
-    action_scratch: Vec<Action<M>>,
-    peer_scratch: Vec<ActorId>,
-    m: EngineMetrics,
+    pub(in crate::engine) in_flight: i64,
+    pub(in crate::engine) events_processed: u64,
+    pub(in crate::engine) halted: bool,
+    pub(in crate::engine) action_scratch: Vec<Action<M>>,
+    pub(in crate::engine) peer_scratch: Vec<ActorId>,
+    pub(in crate::engine) m: EngineMetrics,
     /// Phase-scoped wall-clock telemetry for this shard. Inert (no clock
     /// reads, no stores) unless a live [`Telemetry`] registry was attached.
-    tel: ShardTelemetry,
+    pub(in crate::engine) tel: ShardTelemetry,
 }
 
 impl<M: Message> Lane<M> {
-    fn new(m: EngineMetrics) -> Self {
+    pub(in crate::engine) fn new(m: EngineMetrics) -> Self {
         Lane {
             shard: 0,
             now: SimTime::ZERO,
@@ -604,11 +546,8 @@ impl<M: Message> Lane<M> {
             outbox: Vec::new(),
             ring_out: Vec::new(),
             ring_in: Vec::new(),
-            dropped_nolink: 0,
             fifo: FifoStore::Unset,
             fifo_dense_limit: DENSE_ACTOR_LIMIT,
-            fifo_log: false,
-            fifo_undo: Vec::new(),
             trace: Trace::disabled(),
             stats: NetStats::default(),
             fstats: FaultStats::default(),
@@ -644,9 +583,7 @@ impl<M: Message> Lane<M> {
     }
 
     /// Schedule a delivery, locally or (sharded mode) via the exchange
-    /// ring when installed, with the outbox as ring-overflow spill and as
-    /// the sole cross-shard path in optimistic windows (speculative events
-    /// must stay private until commit — a ring publish can't be recalled).
+    /// ring when installed, with the outbox as ring-overflow spill.
     #[inline]
     fn schedule_delivery(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M, id: u64) {
         let key = event_key(key_class::DELIVER, id);
@@ -679,7 +616,7 @@ impl<M: Message> Lane<M> {
     /// call this after their window (overlapping other lanes' windows);
     /// the coordinator calls it again at the barrier, when producers are
     /// quiescent, to make the drain exhaustive.
-    fn absorb_rings(&mut self) {
+    pub(in crate::engine) fn absorb_rings(&mut self) {
         for i in 0..self.ring_in.len() {
             if let Some(ring) = self.ring_in[i].as_mut() {
                 while let Some((at, key, pending)) = ring.pop() {
@@ -691,7 +628,11 @@ impl<M: Message> Lane<M> {
 
     /// Dispatch `on_start` to every member, in id order, under start
     /// cursors (which the canonical seal orders before all queue events).
-    fn dispatch_starts(&mut self, net: &NetworkConfig, plane: Option<&FaultPlane<M>>) {
+    pub(in crate::engine) fn dispatch_starts(
+        &mut self,
+        net: &NetworkConfig,
+        plane: Option<&FaultPlane<M>>,
+    ) {
         for i in 0..self.members.len() {
             if self.halted {
                 break;
@@ -705,7 +646,7 @@ impl<M: Message> Lane<M> {
     /// Pop and process local events while `at < wend` (`None` = unbounded)
     /// — the engine's hot loop, shared verbatim by the sequential run and
     /// the shard workers.
-    fn advance_until(
+    pub(in crate::engine) fn advance_until(
         &mut self,
         wend: Option<SimTime>,
         net: &NetworkConfig,
@@ -772,7 +713,7 @@ impl<M: Message> Lane<M> {
         }
     }
 
-    fn dispatch(
+    pub(in crate::engine) fn dispatch(
         &mut self,
         id: ActorId,
         what: Dispatch<M>,
@@ -861,7 +802,6 @@ impl<M: Message> Lane<M> {
         plane: Option<&FaultPlane<M>>,
     ) {
         if !net.topology.connected(from, to) {
-            self.dropped_nolink += 1;
             self.m.dropped.inc();
             return; // no link: silently dropped
         }
@@ -1044,9 +984,6 @@ impl<M: Message> Lane<M> {
                     let slot = r * *stride + to;
                     let cell = &mut last[slot];
                     let t = if deliver_at < *cell { *cell } else { deliver_at };
-                    if self.fifo_log {
-                        self.fifo_undo.push((slot as u64, *cell));
-                    }
                     *cell = t;
                     return t;
                 }
@@ -1054,9 +991,6 @@ impl<M: Message> Lane<M> {
                     let key = ((from as u64) << 32) | to as u64;
                     let cell = last.entry(key).or_insert(SimTime::ZERO);
                     let t = if deliver_at < *cell { *cell } else { deliver_at };
-                    if self.fifo_log {
-                        self.fifo_undo.push((key, *cell));
-                    }
                     *cell = t;
                     return t;
                 }
@@ -1134,192 +1068,6 @@ impl<M: Message> Lane<M> {
             self.fifo = FifoStore::Sparse { last: map };
         }
     }
-
-    /// Can every actor this lane owns produce a rollback checkpoint? The
-    /// optimistic coordinator probes this once per run and silently falls
-    /// back to conservative windows on `false`. (A slot already recovered
-    /// with [`Engine::take_actor`] is never dispatched, so it needs no
-    /// checkpoint and does not block speculation.)
-    fn forkable(&self) -> bool {
-        self.members.iter().all(|&id| self.actors[id].as_ref().is_none_or(|a| a.fork().is_some()))
-    }
-
-    /// Open a speculative window: snapshot everything a window can mutate
-    /// (actor state via [`Actor::fork`], member RNG/loss/counter state,
-    /// accumulators, a trace mark) and switch the queue and FIFO clamp
-    /// into journaling mode. Cost is proportional to the lane's member
-    /// count plus the window's work — never to queue depth.
-    fn begin_spec(&mut self) -> LaneCheckpoint<M> {
-        let member_clone = |v: &[RngStream]| -> Vec<RngStream> {
-            if v.is_empty() {
-                Vec::new()
-            } else {
-                self.members.iter().map(|&id| v[id].clone()).collect()
-            }
-        };
-        let cp = LaneCheckpoint {
-            now: self.now,
-            halted: self.halted,
-            in_flight: self.in_flight,
-            events_processed: self.events_processed,
-            dropped_nolink: self.dropped_nolink,
-            stats: self.stats.clone(),
-            fstats: self.fstats.clone(),
-            actors: self
-                .members
-                .iter()
-                .map(|&id| {
-                    self.actors[id]
-                        .as_ref()
-                        .map(|a| a.fork().expect("probed forkable at run start"))
-                })
-                .collect(),
-            rngs: member_clone(&self.rngs),
-            net_rngs: member_clone(&self.net_rngs),
-            fault_rngs: member_clone(&self.fault_rngs),
-            loss: self.members.iter().map(|&id| self.loss[id].clone()).collect(),
-            msg_ctr: self.members.iter().map(|&id| self.msg_ctr[id]).collect(),
-            timer_ctr: self.members.iter().map(|&id| self.timer_ctr[id]).collect(),
-            parked_len: self.parked_out.len(),
-            outbox_len: self.outbox.len(),
-            trace: self.trace.mark(),
-        };
-        self.queue.spec_begin();
-        debug_assert!(self.fifo_undo.is_empty());
-        self.fifo_log = true;
-        cp
-    }
-
-    /// Confirm a speculative window: merge the journaled queue work and
-    /// drop the journals. O(window work).
-    fn commit_spec(&mut self, _cp: LaneCheckpoint<M>) {
-        self.queue.spec_commit();
-        self.fifo_log = false;
-        self.fifo_undo.clear();
-    }
-
-    /// Undo a speculative window completely: restore the queue from its
-    /// journal, replay the FIFO undo log in reverse, put back the forked
-    /// actor/RNG/counter state, truncate the trace and outbox, and restore
-    /// every scalar accumulator. After this the lane is bit-identical to
-    /// the moment [`Lane::begin_spec`] ran.
-    fn rollback_spec(&mut self, cp: LaneCheckpoint<M>) {
-        self.queue.spec_rollback();
-        while let Some((slot, prev)) = self.fifo_undo.pop() {
-            match &mut self.fifo {
-                FifoStore::Dense { last, .. } => last[slot as usize] = prev,
-                FifoStore::Sparse { last } => {
-                    last.insert(slot, prev);
-                }
-                // The store only transitions Unset → Dense/Sparse, and only
-                // before its first journaled write.
-                FifoStore::Unset | FifoStore::Off => unreachable!("journaled write without store"),
-            }
-        }
-        self.fifo_log = false;
-        let LaneCheckpoint {
-            now,
-            halted,
-            in_flight,
-            events_processed,
-            dropped_nolink,
-            stats,
-            fstats,
-            actors,
-            rngs,
-            net_rngs,
-            fault_rngs,
-            loss,
-            msg_ctr,
-            timer_ctr,
-            parked_len,
-            outbox_len,
-            trace,
-        } = cp;
-        for (i, actor) in actors.into_iter().enumerate() {
-            let id = self.members[i];
-            self.actors[id] = actor;
-            self.loss[id] = loss[i].clone();
-            self.msg_ctr[id] = msg_ctr[i];
-            self.timer_ctr[id] = timer_ctr[i];
-        }
-        for (i, r) in rngs.into_iter().enumerate() {
-            self.rngs[self.members[i]] = r;
-        }
-        for (i, r) in net_rngs.into_iter().enumerate() {
-            self.net_rngs[self.members[i]] = r;
-        }
-        for (i, r) in fault_rngs.into_iter().enumerate() {
-            self.fault_rngs[self.members[i]] = r;
-        }
-        self.trace.rollback(&trace);
-        self.parked_out.truncate(parked_len);
-        self.outbox.truncate(outbox_len);
-        self.now = now;
-        self.halted = halted;
-        self.in_flight = in_flight;
-        self.events_processed = events_processed;
-        self.dropped_nolink = dropped_nolink;
-        self.stats = stats;
-        self.fstats = fstats;
-    }
-
-    /// Flush this lane's counter deltas since `snap` into the real metric
-    /// handles `m`, then advance `snap`. The optimistic mode detaches the
-    /// lanes' own handles (counters cannot be decremented, so speculative
-    /// work must not touch them) and instead calls this at every commit
-    /// point; checkpoints are taken right after a flush, so a rollback
-    /// restores the counters to exactly the flushed values.
-    fn flush_metrics(&self, snap: &mut MetricSnap, m: &EngineMetrics) {
-        m.events.add(self.events_processed - snap.events);
-        m.delivered.add(self.stats.messages_delivered - snap.delivered);
-        m.dropped.add((self.stats.messages_lost - snap.lost) + (self.dropped_nolink - snap.nolink));
-        *snap = MetricSnap::of(self);
-    }
-}
-
-/// Everything [`Lane::begin_spec`] snapshots; consumed by
-/// [`Lane::rollback_spec`] or dropped by [`Lane::commit_spec`]. Member-
-/// indexed vectors run parallel to `Lane::members`.
-struct LaneCheckpoint<M: Message> {
-    now: SimTime,
-    halted: bool,
-    in_flight: i64,
-    events_processed: u64,
-    dropped_nolink: u64,
-    stats: NetStats,
-    fstats: FaultStats,
-    actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
-    rngs: Vec<RngStream>,
-    net_rngs: Vec<RngStream>,
-    fault_rngs: Vec<RngStream>,
-    loss: Vec<crate::loss::LossModel>,
-    msg_ctr: Vec<u64>,
-    timer_ctr: Vec<u64>,
-    parked_len: usize,
-    outbox_len: usize,
-    trace: crate::trace::TraceMark,
-}
-
-/// Per-lane counter baseline for the optimistic mode's deferred metric
-/// flush (see [`Lane::flush_metrics`]).
-#[derive(Clone, Copy, Default)]
-struct MetricSnap {
-    events: u64,
-    delivered: u64,
-    lost: u64,
-    nolink: u64,
-}
-
-impl MetricSnap {
-    fn of<M: Message>(lane: &Lane<M>) -> Self {
-        MetricSnap {
-            events: lane.events_processed,
-            delivered: lane.stats.messages_delivered,
-            lost: lane.stats.messages_lost,
-            nolink: lane.dropped_nolink,
-        }
-    }
 }
 
 /// The simulation engine.
@@ -1343,23 +1091,6 @@ pub struct Engine<M: Message> {
     /// The installed fault plane, if any. `None` on the hot path costs one
     /// predictable branch per event; see [`Engine::install_faults`].
     fault: Option<Box<FaultPlane<M>>>,
-    /// Use the lock-free SPSC exchange rings for cross-shard events in
-    /// conservative sharded runs (on by default; the outbox is always the
-    /// spill path).
-    ring_exchange: bool,
-    /// Run sharded windows optimistically (Time Warp): speculate
-    /// `spec_horizon × lookahead` past the conservative bound, roll back
-    /// on stragglers. Requires every actor to implement [`Actor::fork`];
-    /// falls back to conservative windows otherwise.
-    optimistic: bool,
-    /// Speculative window length as a multiple of the conservative
-    /// lookahead; ≥ 2 (1 would speculate nothing).
-    spec_horizon: u32,
-    /// Host-side checkpoint/rollback callbacks for optimistic runs.
-    hooks: Option<Box<dyn SpeculationHooks + Send>>,
-    /// Lane-rollbacks performed by optimistic runs (also exported as the
-    /// `engine.rollbacks` counter).
-    rollback_count: u64,
     m: EngineMetrics,
     /// Phase-scoped wall-clock telemetry registry. Disabled (inert, no
     /// clock reads) unless [`Engine::set_telemetry`] attached a live one.
@@ -1380,55 +1111,9 @@ impl<M: Message> Engine<M> {
             op_cursor: 0,
             started: false,
             fault: None,
-            ring_exchange: true,
-            optimistic: false,
-            spec_horizon: SPEC_HORIZON,
-            hooks: None,
-            rollback_count: 0,
             m,
             tel: Telemetry::disabled(),
         }
-    }
-
-    /// Toggle the lock-free SPSC exchange rings for conservative sharded
-    /// runs (on by default). With rings off, every cross-shard event takes
-    /// the outbox + coordinator-barrier path — useful as a control when
-    /// measuring, and as a conservative fallback. Either setting yields
-    /// the bit-identical run.
-    pub fn set_ring_exchange(&mut self, on: bool) {
-        self.ring_exchange = on;
-    }
-
-    /// Opt in to optimistic (Time Warp) sharded execution: windows
-    /// speculate past the conservative lookahead bound from per-lane
-    /// checkpoints and roll back when a cross-shard straggler arrives
-    /// inside the speculated span. Requires every actor (and
-    /// [`SpeculationHooks`] for any host-side state) to support
-    /// checkpointing via [`Actor::fork`]; an engine with an unforkable
-    /// actor silently runs conservative windows instead. Either mode
-    /// yields the bit-identical run — speculation only changes how many
-    /// barriers it takes to get there.
-    pub fn set_optimistic(&mut self, on: bool) {
-        self.optimistic = on;
-    }
-
-    /// Speculative window length as a multiple of the conservative
-    /// lookahead (default [`SPEC_HORIZON`]); clamped to ≥ 2.
-    pub fn set_speculation_horizon(&mut self, factor: u32) {
-        self.spec_horizon = factor.max(2);
-    }
-
-    /// Install host-side checkpoint/rollback callbacks for optimistic
-    /// runs (see [`SpeculationHooks`]). Hosts whose actors write into
-    /// external state (logs, channels) must install hooks or keep
-    /// speculation off.
-    pub fn set_speculation_hooks(&mut self, hooks: Box<dyn SpeculationHooks + Send>) {
-        self.hooks = Some(hooks);
-    }
-
-    /// Total lane-rollbacks performed by optimistic runs on this engine.
-    pub fn rollbacks(&self) -> u64 {
-        self.rollback_count
     }
 
     /// Install a [`FaultScript`]: every scripted fault is expanded into a
@@ -1643,83 +1328,41 @@ impl<M: Message> Engine<M> {
     /// The sequential event loop shared by [`Engine::run`] (`limit: None`)
     /// and [`Engine::step_until`] (`limit: Some(bound)`, exclusive):
     /// interleave time-sorted fault-plane ops with queue events, stopping
-    /// at halt, end-time, exhaustion, or the limit.
+    /// at halt or wherever [`next_stop`] says the run is over.
     fn advance_loop(&mut self, limit: Option<SimTime>) {
-        loop {
-            if self.lane.halted {
-                break;
-            }
+        while !self.lane.halted {
             let op_at =
                 self.fault.as_deref().and_then(|p| p.ops.get(self.op_cursor)).map(|&(at, _)| at);
-            let next = match (op_at, self.lane.queue.peek_time()) {
-                (Some(a), Some(b)) => {
-                    if a <= b {
-                        a
-                    } else {
-                        b
-                    }
+            match next_stop(op_at, self.lane.queue.peek_time(), self.end_time, limit) {
+                Stop::Op => {
+                    // Fault ops count as events for continuity with the
+                    // former queue-scheduled scheme.
+                    let idx = self.op_cursor;
+                    self.op_cursor += 1;
+                    self.lane.events_processed += 1;
+                    self.m.events.inc();
+                    let mut plane = self.fault.take().expect("op implies plane");
+                    // Transmit-time parks accumulate lane-side; fold them into
+                    // the plane before the op so a heal releases them (the
+                    // sharded coordinator does the same at its op barriers).
+                    collect_parked(std::slice::from_mut(&mut self.lane), &mut plane);
+                    apply_plane_op(
+                        std::slice::from_mut(&mut self.lane),
+                        &mut plane,
+                        idx,
+                        &self.network,
+                    );
+                    self.fault = Some(plane);
+                    self.m.queue_depth.set(self.lane.queue.len() as u64);
                 }
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if next > self.end_time {
-                self.lane.now = self.end_time;
-                break;
-            }
-            if let Some(lim) = limit {
-                if next >= lim {
+                Stop::Advance { until, .. } => {
+                    self.lane.advance_until(until, &self.network, self.fault.as_deref());
+                }
+                Stop::End => {
+                    self.lane.now = self.end_time;
                     break;
                 }
-            }
-            if op_at == Some(next) {
-                // Fault ops apply before queue events at the same instant
-                // (class FAULT sorts first) and count as events for
-                // continuity with the former queue-scheduled scheme.
-                let idx = self.op_cursor;
-                self.op_cursor += 1;
-                self.lane.events_processed += 1;
-                self.m.events.inc();
-                let mut plane = self.fault.take().expect("op implies plane");
-                // Transmit-time parks accumulate lane-side; fold them into
-                // the plane before the op so a heal releases them (the
-                // sharded coordinator does the same at its op barriers).
-                collect_parked(std::slice::from_mut(&mut self.lane), &mut plane);
-                apply_plane_op(
-                    std::slice::from_mut(&mut self.lane),
-                    &mut plane,
-                    idx,
-                    &self.network,
-                );
-                self.fault = Some(plane);
-                self.m.queue_depth.set(self.lane.queue.len() as u64);
-            } else {
-                // Advance the queue up to (exclusive) the next op; with no
-                // ops pending, run unbounded. The end-time check above
-                // already bounded `next`, and events past `end_time` stop
-                // the loop on the next iteration.
-                let wend = op_at;
-                let end_bound = if self.end_time == SimTime::MAX {
-                    None
-                } else {
-                    Some(self.end_time.saturating_add(SimDuration::from_nanos(1)))
-                };
-                let bound = match (wend, end_bound) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                let bound = match (bound, limit) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                self.lane.advance_until(bound, &self.network, self.fault.as_deref());
-                if bound.is_none() || self.lane.queue.is_empty() {
-                    // Nothing left below the bound and no op clipped us —
-                    // unbounded advance drained everything it ever will.
-                    if op_at.is_none() {
-                        break;
-                    }
-                }
+                Stop::Drained => break,
             }
         }
     }
@@ -1779,8 +1422,6 @@ impl<M: Message> Engine<M> {
         let mut op_cursor = self.op_cursor;
         let mut end_hit = false;
         let mut outbox_scratch: Vec<(SimTime, u64, Pending<M>)> = Vec::new();
-        let mut hooks = self.hooks.take();
-        let mut rollbacks = 0u64;
 
         // Start dispatches run on the coordinator, per lane in shard order;
         // canonical start cursors make the resulting records order by actor
@@ -1795,48 +1436,26 @@ impl<M: Message> Engine<M> {
         }
         route_outboxes(&mut lanes, &mut outbox_scratch);
 
-        // Speculation is all-or-nothing per run: every lane must be able
-        // to checkpoint, or windows stay conservative.
-        let optimistic_run = self.optimistic && lanes.iter().all(Lane::forkable);
-        let spec_span = SimDuration::from_nanos(
-            lookahead.as_nanos().saturating_mul(self.spec_horizon.max(2) as u64),
-        );
-        // Speculative cross-shard events must stay private until commit (a
-        // ring publish cannot be recalled), so the rings serve the
-        // conservative mode only.
-        if self.ring_exchange && !optimistic_run {
-            for lane in &mut lanes {
-                lane.ring_out = (0..k).map(|_| None).collect();
-                lane.ring_in = (0..k).map(|_| None).collect();
-            }
-            for i in 0..k {
-                for j in 0..k {
-                    if i != j {
-                        let (tx, rx) = crate::ring::spsc(RING_CAPACITY);
-                        lanes[i].ring_out[j] = Some(tx);
-                        lanes[j].ring_in[i] = Some(rx);
-                    }
+        // One SPSC exchange ring per directed shard pair; the outbox is the
+        // spill path when a ring is full.
+        for lane in &mut lanes {
+            lane.ring_out = (0..k).map(|_| None).collect();
+            lane.ring_in = (0..k).map(|_| None).collect();
+        }
+        for i in 0..k {
+            for j in 0..k {
+                if i != j {
+                    let (tx, rx) = crate::ring::spsc(RING_CAPACITY);
+                    lanes[i].ring_out[j] = Some(tx);
+                    lanes[j].ring_in[i] = Some(rx);
                 }
             }
-        }
-        // In optimistic runs the lanes' metric handles are detached
-        // (counters cannot be decremented, so speculative work must not
-        // reach them); the coordinator flushes per-lane deltas at every
-        // commit point instead. Snapshots baseline whatever the start
-        // dispatches already recorded through the live handles.
-        let mut snaps: Vec<MetricSnap> = Vec::new();
-        if optimistic_run {
-            let inactive = EngineMetrics::attach(&Metrics::disabled());
-            for lane in &mut lanes {
-                lane.m = inactive.clone();
-            }
-            snaps = lanes.iter().map(MetricSnap::of).collect();
         }
 
         // The serial prefix (lane split, start dispatch, plan routing) is
         // coordinator busy time. During the window loop the coordinator
-        // records only drains/rollbacks, so its busy spans never overlap
-        // the shards' own accounting.
+        // records only drains, so its busy spans never overlap the shards'
+        // own accounting.
         coord_tel.record(Phase::Busy, Some(wall_start));
         // Per-worker shard handles for the one wait the lane can't record:
         // the final block on a closing command channel (the lane has
@@ -1897,165 +1516,65 @@ impl<M: Message> Engine<M> {
                 });
             }
 
-            loop {
-                if lanes.iter().any(|l| l.halted) {
-                    break;
-                }
+            while !lanes.iter().any(|l| l.halted) {
                 let op_at = op_times.get(op_cursor).copied();
-                let qmin = lanes.iter().filter_map(|l| l.queue.peek_time()).min();
-                let next = match (op_at, qmin) {
-                    (Some(a), Some(b)) => {
-                        if a <= b {
-                            a
-                        } else {
-                            b
-                        }
-                    }
-                    (Some(a), None) => a,
-                    (None, Some(b)) => b,
-                    (None, None) => break,
-                };
-                if next > end_time {
-                    end_hit = true;
-                    break;
-                }
-                if op_at == Some(next) {
-                    // Coordinator sub-barrier: apply the op under the write
-                    // lock, with all lanes at rest. Counted in
-                    // `engine.op_barriers`, not `engine.windows` — an op
-                    // barrier synchronizes every lane like a window boundary
-                    // does, but it advances no lookahead window, and folding
-                    // the two together made barrier-wait attribution lie
-                    // about window cost.
-                    let idx = op_cursor;
-                    op_cursor += 1;
-                    if !optimistic_run {
-                        // (In optimistic runs the lane-0 increment below
-                        // reaches `engine.events_processed` via the flush.)
+                let queue_at = lanes.iter().filter_map(|l| l.queue.peek_time()).min();
+                match next_stop(op_at, queue_at, end_time, None) {
+                    Stop::Op => {
+                        // Coordinator sub-barrier: apply the op under the
+                        // write lock, with all lanes at rest. Counted in
+                        // `engine.op_barriers`, not `engine.windows` — an op
+                        // barrier synchronizes every lane like a window
+                        // boundary does, but it advances no lookahead window,
+                        // and folding the two together made barrier-wait
+                        // attribution lie about window cost.
+                        let idx = op_cursor;
+                        op_cursor += 1;
                         metrics.events.inc();
-                    }
-                    metrics.op_barriers.inc();
-                    let mut guard = plane_lock.write();
-                    let plane = guard.as_deref_mut().expect("op implies plane");
-                    collect_parked(&mut lanes, plane);
-                    lanes[0].events_processed += 1;
-                    apply_plane_op(&mut lanes, plane, idx, net);
-                    // Ops can dispatch actors (Recover/Clock handlers) whose
-                    // sends target other shards; route them now so the next
-                    // qmin sees them — left in a ring or an outbox they
-                    // would surface after the destination lane advanced
-                    // past their delivery time. Workers are idle at an op
-                    // barrier, so the ring drain is exhaustive.
-                    let d0 = coord_tel.start();
-                    for lane in &mut lanes {
-                        lane.absorb_rings();
-                    }
-                    route_outboxes(&mut lanes, &mut outbox_scratch);
-                    coord_tel.record(Phase::CoordinatorDrain, d0);
-                    if optimistic_run {
-                        // Op effects (drops at a cut, the op's own event
-                        // count) go through the deferred flush like window
-                        // work does.
-                        for (lane, snap) in lanes.iter().zip(snaps.iter_mut()) {
-                            lane.flush_metrics(snap, &metrics);
+                        metrics.op_barriers.inc();
+                        let mut guard = plane_lock.write();
+                        let plane = guard.as_deref_mut().expect("op implies plane");
+                        collect_parked(&mut lanes, plane);
+                        lanes[0].events_processed += 1;
+                        apply_plane_op(&mut lanes, plane, idx, net);
+                        // Ops can dispatch actors (Recover/Clock handlers)
+                        // whose sends target other shards; route them now so
+                        // the next stop sees them — left in a ring or an
+                        // outbox they would surface after the destination
+                        // lane advanced past their delivery time. Workers are
+                        // idle at an op barrier, so the ring drain is
+                        // exhaustive.
+                        let d0 = coord_tel.start();
+                        for lane in &mut lanes {
+                            lane.absorb_rings();
                         }
+                        route_outboxes(&mut lanes, &mut outbox_scratch);
+                        coord_tel.record(Phase::CoordinatorDrain, d0);
                     }
-                } else {
-                    // One parallel window [next, wend) — conservative bound
-                    // `next + L`, or the speculative span when optimistic
-                    // and nothing (op, end time) clips the base bound.
-                    let mut wend = next.saturating_add(lookahead);
-                    if let Some(a) = op_at {
-                        wend = wend.min(a);
-                    }
-                    if end_time != SimTime::MAX {
-                        wend = wend.min(end_time.saturating_add(SimDuration::from_nanos(1)));
-                    }
-                    let mut spec = false;
-                    if optimistic_run {
-                        let mut wspec = next.saturating_add(spec_span);
-                        if let Some(a) = op_at {
-                            wspec = wspec.min(a);
+                    Stop::Advance { from, until } => {
+                        // One parallel window [from, from + L), clipped by
+                        // the next op or the end time.
+                        let mut wend = from.saturating_add(lookahead);
+                        if let Some(u) = until {
+                            wend = wend.min(u);
                         }
-                        if end_time != SimTime::MAX {
-                            wspec = wspec.min(end_time.saturating_add(SimDuration::from_nanos(1)));
+                        metrics.windows.inc();
+                        run_window(&cmd_tx, &res_rx, &mut lanes, wend);
+                        // Producers are quiescent at the barrier, so this
+                        // coordinator drain (after the workers' own
+                        // overlapped absorb) is exhaustive.
+                        let d0 = coord_tel.start();
+                        for lane in &mut lanes {
+                            lane.absorb_rings();
                         }
-                        if wspec > wend {
-                            spec = true;
-                            wend = wspec;
-                        }
+                        route_outboxes(&mut lanes, &mut outbox_scratch);
+                        coord_tel.record(Phase::CoordinatorDrain, d0);
                     }
-                    metrics.windows.inc();
-                    let mut cps: Vec<LaneCheckpoint<M>> = Vec::new();
-                    if spec {
-                        if let Some(h) = hooks.as_deref_mut() {
-                            h.checkpoint();
-                        }
-                        cps = lanes.iter_mut().map(Lane::begin_spec).collect();
+                    Stop::End => {
+                        end_hit = true;
+                        break;
                     }
-                    run_window(&cmd_tx, &res_rx, &mut lanes, wend);
-                    if spec {
-                        // Straggler scan: `c` = earliest cross-shard arrival
-                        // produced anywhere in the speculative span. Every
-                        // event < c was processed on local information only,
-                        // so the prefix [next, c) is already the sequential
-                        // execution; anything ≥ c may depend on c.
-                        let c =
-                            lanes.iter().flat_map(|l| l.outbox.iter().map(|&(at, _, _)| at)).min();
-                        match c {
-                            Some(c) if c < wend => {
-                                // Rollback every lane and redo the proven
-                                // prefix [next, c). The redo's cross-shard
-                                // sends are exactly the speculative run's
-                                // sends before c (deterministic replay), and
-                                // c is the minimum of their arrivals — so
-                                // every redo arrival lands ≥ c, after every
-                                // lane's redo position. c ≥ next + L (the
-                                // base bound is never clipped in a spec
-                                // window), so even the rollback path makes a
-                                // full conservative window of progress per
-                                // two barriers.
-                                let rb0 = coord_tel.start();
-                                if let Some(h) = hooks.as_deref_mut() {
-                                    h.rollback();
-                                }
-                                for (lane, cp) in lanes.iter_mut().zip(cps) {
-                                    lane.rollback_spec(cp);
-                                }
-                                coord_tel.record(Phase::Rollback, rb0);
-                                rollbacks += k as u64;
-                                metrics.rollbacks.add(k as u64);
-                                metrics.windows.inc();
-                                let rd0 = coord_tel.start();
-                                run_window(&cmd_tx, &res_rx, &mut lanes, c);
-                                coord_tel.record(Phase::Redo, rd0);
-                            }
-                            _ => {
-                                // No straggler: the whole span is causally
-                                // complete. Merge journals, keep the work.
-                                for (lane, cp) in lanes.iter_mut().zip(cps) {
-                                    lane.commit_spec(cp);
-                                }
-                                if let Some(h) = hooks.as_deref_mut() {
-                                    h.commit();
-                                }
-                            }
-                        }
-                    }
-                    // Producers are quiescent at the barrier, so this
-                    // coordinator drain (after the workers' own overlapped
-                    // absorb) is exhaustive.
-                    let d0 = coord_tel.start();
-                    for lane in &mut lanes {
-                        lane.absorb_rings();
-                    }
-                    route_outboxes(&mut lanes, &mut outbox_scratch);
-                    coord_tel.record(Phase::CoordinatorDrain, d0);
-                    if optimistic_run {
-                        for (lane, snap) in lanes.iter().zip(snaps.iter_mut()) {
-                            lane.flush_metrics(snap, &metrics);
-                        }
-                    }
+                    Stop::Drained => break,
                 }
             }
             drop(cmd_tx); // workers exit on channel close
@@ -2064,8 +1583,6 @@ impl<M: Message> Engine<M> {
         // merge — coordinator busy time again (see the prefix span above).
         let suffix0 = coord_tel.start();
 
-        self.hooks = hooks;
-        self.rollback_count += rollbacks;
         self.op_cursor = op_cursor;
         let mut plane = plane_lock.into_inner();
         if let Some(p) = plane.as_deref_mut() {
@@ -2136,11 +1653,8 @@ impl<M: Message> Engine<M> {
                 outbox: Vec::new(),
                 ring_out: Vec::new(),
                 ring_in: Vec::new(),
-                dropped_nolink: 0,
                 fifo: FifoStore::Unset,
                 fifo_dense_limit: base.fifo_dense_limit,
-                fifo_log: false,
-                fifo_undo: Vec::new(),
                 trace: if base.trace.is_enabled() { Trace::enabled() } else { Trace::disabled() },
                 stats: NetStats::default(),
                 fstats: FaultStats::default(),
@@ -2207,7 +1721,6 @@ impl<M: Message> Engine<M> {
             base.trace.absorb(&mut lane.trace);
             base.in_flight += lane.in_flight;
             base.events_processed += lane.events_processed;
-            base.dropped_nolink += lane.dropped_nolink;
             base.halted |= lane.halted;
             base.parked_out.append(&mut lane.parked_out);
             for (at, key, p) in lane.queue.drain_entries() {
@@ -2266,6 +1779,50 @@ impl<M: Message> Engine<M> {
             Some(slot) => slot.take().ok_or(EngineError::ActorTaken { id }),
         }
     }
+}
+
+/// What a run loop does next, as decided by [`next_stop`].
+enum Stop {
+    /// Apply the next fault-plane op: it is due no later than the next
+    /// queue event (ops fire first at a shared instant).
+    Op,
+    /// Process queue events from `from`, the earliest pending one, up to
+    /// the exclusive bound `until` (`None` = unbounded): the next op, one
+    /// past the end time, or the caller's limit, whichever comes first.
+    Advance { from: SimTime, until: Option<SimTime> },
+    /// The next event lies past the end time: the run ends there.
+    End,
+    /// Nothing is due before the caller's limit, or at all.
+    Drained,
+}
+
+/// The next-stop rule both run loops share: the sequential loop (one
+/// lane, optionally stepping to `limit`) and the sharded coordinator (the
+/// earliest event over all lanes, no limit), which further clips an
+/// [`Stop::Advance`] to one lookahead window.
+fn next_stop(
+    op_at: Option<SimTime>,
+    queue_at: Option<SimTime>,
+    end_time: SimTime,
+    limit: Option<SimTime>,
+) -> Stop {
+    let next = match (op_at, queue_at) {
+        (Some(a), Some(b)) => a.min(b),
+        (Some(t), None) | (None, Some(t)) => t,
+        (None, None) => return Stop::Drained,
+    };
+    if next > end_time {
+        return Stop::End;
+    }
+    if limit.is_some_and(|lim| next >= lim) {
+        return Stop::Drained;
+    }
+    if op_at == Some(next) {
+        return Stop::Op;
+    }
+    let past_end =
+        (end_time != SimTime::MAX).then(|| end_time.saturating_add(SimDuration::from_nanos(1)));
+    Stop::Advance { from: next, until: [op_at, past_end, limit].into_iter().flatten().min() }
 }
 
 /// Dispatch one parallel window `[·, wend)` to the shard workers and
@@ -3169,9 +2726,6 @@ mod tests {
                 ctx.set_timer(self.period, tag + 1);
             }
         }
-        fn fork(&self) -> Option<Box<dyn Actor<TestMsg> + Send>> {
-            Some(Box::new(Gossip { rounds: self.rounds, period: self.period }))
-        }
     }
 
     fn gossip_engine(n: usize, delay: DelayModel, seed: u64) -> Engine<TestMsg> {
@@ -3294,80 +2848,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_exchange_off_is_bit_identical() {
-        let mut seq = gossip_engine(12, shardable_delay(), 7);
-        seq.enable_trace();
-        seq.run();
-        let want = fingerprint(&seq);
-        for on in [true, false] {
-            let mut par = gossip_engine(12, shardable_delay(), 7);
-            par.enable_trace();
-            par.set_ring_exchange(on);
-            par.run_sharded(4);
-            assert_eq!(fingerprint(&par), want, "ring_exchange={on}");
+    /// Sends `count` pings to `to` each time the fault plane recovers it.
+    struct BurstOnRecover {
+        to: ActorId,
+        count: u32,
+    }
+    impl Actor<TestMsg> for BurstOnRecover {
+        fn on_message(&mut self, _: &mut Context<'_, TestMsg>, _: ActorId, _: TestMsg) {}
+        fn on_fault(&mut self, ctx: &mut Context<'_, TestMsg>, _event: &FaultEvent) {
+            for k in 0..self.count {
+                ctx.send(self.to, TestMsg::Ping(k));
+            }
         }
     }
 
     #[test]
-    fn optimistic_run_is_bit_identical_and_rolls_back() {
-        let mut seq = gossip_engine(12, shardable_delay(), 99);
-        seq.enable_trace();
-        seq.run();
-        let want = fingerprint(&seq);
-        for shards in [2, 4, 7] {
-            let mut par = gossip_engine(12, shardable_delay(), 99);
-            par.enable_trace();
-            par.set_optimistic(true);
-            par.run_sharded(shards);
-            assert_eq!(fingerprint(&par), want, "optimistic, shards={shards}");
-            assert!(
-                par.rollbacks() > 0,
-                "gossip cross-traffic must trigger at least one rollback (shards={shards})"
-            );
-        }
+    fn full_ring_spills_to_the_outbox_bit_identically() {
+        // A recovery handler runs on the coordinator at an op barrier while
+        // every worker is idle, so nothing drains the ring its burst to the
+        // other shard fills: everything past the ring's capacity spills.
+        let burst = 3 * RING_CAPACITY as u32;
+        let script = FaultScript::new().with(
+            SimTime::from_millis(5),
+            FaultSpec::Crash { actor: 0, recover_after: Some(SimDuration::from_millis(5)) },
+        );
+        let run = |shards: usize, m: &Metrics| {
+            let net = NetworkConfig::full_mesh(4, shardable_delay());
+            let mut e = Engine::new(net, 17);
+            e.set_metrics(m);
+            e.add_actor(Box::new(BurstOnRecover { to: 3, count: burst }));
+            e.add_actor(Box::new(Beacon { fire: true, received: 0 }));
+            e.add_actor(Box::new(Beacon { fire: false, received: 0 }));
+            e.add_actor(Box::new(Collector::pair().0));
+            e.enable_trace();
+            e.install_faults(&script);
+            if shards > 1 {
+                e.run_sharded(shards);
+            } else {
+                e.run();
+            }
+            fingerprint(&e)
+        };
+        let want = run(1, &Metrics::disabled());
+        assert!(want.1.messages_delivered >= burst as u64, "the burst is delivered");
+        let m = Metrics::new();
+        // Two contiguous shards: {0, 1} and {2, 3}, so the burst crosses.
+        assert_eq!(run(2, &m), want, "a spilled run must replay bit-identically");
+        let spills = m.snapshot().counter("engine.ring_spills").expect("registered");
+        assert!(spills >= (burst as usize - RING_CAPACITY) as u64, "spills = {spills}");
     }
 
     #[test]
-    fn optimistic_windows_and_metrics_match_sequential() {
+    fn sharded_metrics_match_sequential() {
         let seq_metrics = Metrics::new();
         let mut seq = gossip_engine(12, shardable_delay(), 99);
         seq.set_metrics(&seq_metrics);
         seq.run();
-        let want_events = seq_metrics.snapshot().counter("engine.events_processed");
-        let want_delivered = seq_metrics.snapshot().counter("engine.messages_delivered");
-        let want_dropped = seq_metrics.snapshot().counter("engine.messages_dropped");
+        let want = seq_metrics.snapshot();
 
-        let run = |optimistic: bool| {
-            let m = Metrics::new();
-            let mut par = gossip_engine(12, shardable_delay(), 99);
-            par.set_metrics(&m);
-            par.set_optimistic(optimistic);
-            par.run_sharded(4);
-            m.snapshot()
-        };
-        let cons = run(false);
-        let opt = run(true);
-        // The deferred flush reconstructs the counters exactly.
-        for (name, want) in [
-            ("engine.events_processed", want_events),
-            ("engine.messages_delivered", want_delivered),
-            ("engine.messages_dropped", want_dropped),
-        ] {
-            assert_eq!(cons.counter(name), want, "conservative {name}");
-            assert_eq!(opt.counter(name), want, "optimistic {name}");
+        let m = Metrics::new();
+        let mut par = gossip_engine(12, shardable_delay(), 99);
+        par.set_metrics(&m);
+        par.run_sharded(4);
+        let got = m.snapshot();
+        for name in
+            ["engine.events_processed", "engine.messages_delivered", "engine.messages_dropped"]
+        {
+            assert_eq!(got.counter(name), want.counter(name), "{name}");
         }
-        // Speculation is the point: materially fewer synchronization
-        // barriers than the conservative window count.
-        let (cw, ow) =
-            (cons.counter("engine.windows").unwrap(), opt.counter("engine.windows").unwrap());
-        assert!(ow < cw, "optimistic must reduce barriers: {ow} vs {cw}");
-        assert!(opt.counter("engine.rollbacks").unwrap() > 0);
-        assert_eq!(cons.counter("engine.rollbacks"), Some(0));
         // No fault script installed, so no op sub-barriers: the windows
-        // counter now measures lookahead windows alone.
-        assert_eq!(cons.counter("engine.op_barriers"), Some(0));
-        assert_eq!(opt.counter("engine.op_barriers"), Some(0));
+        // counter measures lookahead windows alone.
+        assert!(got.counter("engine.windows").unwrap() > 0);
+        assert_eq!(got.counter("engine.op_barriers"), Some(0));
     }
 
     #[test]
@@ -3396,79 +2948,6 @@ mod tests {
         // of them count as lookahead windows any more.
         assert_eq!(snap.counter("engine.op_barriers"), Some(4));
         assert!(snap.counter("engine.windows").unwrap() > 4);
-    }
-
-    #[test]
-    fn optimistic_with_faults_matches_sequential() {
-        let script = FaultScript::new()
-            .with(
-                SimTime::from_millis(25),
-                FaultSpec::Crash { actor: 3, recover_after: Some(SimDuration::from_millis(30)) },
-            )
-            .with(
-                SimTime::from_millis(40),
-                FaultSpec::Partition {
-                    group: vec![1, 2],
-                    heal_after: SimDuration::from_millis(50),
-                    policy: CutPolicy::Park,
-                },
-            );
-        let run = |optimistic: bool, shards: usize| {
-            let mut e = gossip_engine(12, shardable_delay(), 4242);
-            e.enable_trace();
-            e.install_faults(&script);
-            e.set_optimistic(optimistic);
-            if shards <= 1 {
-                e.run();
-            } else {
-                e.run_sharded(shards);
-            }
-            fingerprint(&e)
-        };
-        let want = run(false, 1);
-        for shards in [2, 4] {
-            assert_eq!(run(true, shards), want, "optimistic+faults, shards={shards}");
-        }
-    }
-
-    /// An actor without [`Actor::fork`] support, wrapping Gossip.
-    struct NoFork(Gossip);
-    impl Actor<TestMsg> for NoFork {
-        fn on_start(&mut self, ctx: &mut Context<'_, TestMsg>) {
-            self.0.on_start(ctx);
-        }
-        fn on_message(&mut self, ctx: &mut Context<'_, TestMsg>, from: ActorId, msg: TestMsg) {
-            self.0.on_message(ctx, from, msg);
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_, TestMsg>, tag: u64) {
-            self.0.on_timer(ctx, tag);
-        }
-    }
-
-    #[test]
-    fn optimistic_without_fork_falls_back_to_conservative() {
-        let mk = || {
-            let net = NetworkConfig::full_mesh(8, shardable_delay());
-            let mut e = Engine::new(net, 11);
-            for i in 0..8 {
-                let g = Gossip { rounds: 8, period: SimDuration::from_millis(10) };
-                // One unforkable actor disables speculation engine-wide.
-                if i == 5 {
-                    e.add_actor(Box::new(NoFork(g)));
-                } else {
-                    e.add_actor(Box::new(g));
-                }
-            }
-            e.enable_trace();
-            e
-        };
-        let mut seq = mk();
-        seq.run();
-        let mut par = mk();
-        par.set_optimistic(true);
-        par.run_sharded(4);
-        assert_eq!(fingerprint(&par), fingerprint(&seq));
-        assert_eq!(par.rollbacks(), 0, "no speculation without universal fork support");
     }
 
     #[test]

@@ -229,18 +229,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
-
-    /// Restore the counter to an earlier observed value. This deliberately
-    /// breaks the monotone discipline for exactly one purpose: speculation
-    /// rollback (see [`crate::engine::SpeculationHooks`]) — a rolled-back
-    /// window's increments are undone by restoring the checkpoint snapshot
-    /// taken while all workers were quiescent. Never call this while other
-    /// threads may be recording.
-    pub fn reset_to(&self, v: u64) {
-        if self.active {
-            self.cell.store(v, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A last-value gauge that also remembers its high-water mark.
@@ -390,20 +378,6 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(m.snapshot().counter("events"), Some(5));
-    }
-
-    #[test]
-    fn reset_to_restores_a_checkpoint_value() {
-        let m = Metrics::new();
-        let c = m.counter("spec");
-        c.add(10);
-        let mark = c.get();
-        c.add(7); // speculative window increments …
-        c.reset_to(mark); // … undone on rollback
-        assert_eq!(c.get(), 10);
-        let inert = Metrics::disabled().counter("spec");
-        inert.reset_to(9);
-        assert_eq!(inert.get(), 0, "disabled handles stay inert");
     }
 
     #[test]

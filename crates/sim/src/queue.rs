@@ -74,7 +74,7 @@ impl Ord for Entry {
     }
 }
 
-/// Payload storage: one slot per pending (or journaled) event, vacated
+/// Payload storage: one slot per pending event, vacated
 /// slots reused last-in first-out, so a queue at steady depth never grows.
 #[derive(Debug)]
 struct Slab<E> {
@@ -104,25 +104,6 @@ impl<E> Slab<E> {
     }
 }
 
-/// The undo journal backing one speculative window (see
-/// [`EventQueue::spec_begin`]). Kept as a separate struct so the
-/// non-speculative hot path pays only an `Option` discriminant check.
-#[derive(Debug)]
-struct SpecJournal {
-    /// Events scheduled during the window (their payloads in the shared
-    /// slab); freed on rollback, merged into the main heap on commit.
-    staged: BinaryHeap<Entry>,
-    /// Committed events popped during the window. The caller got a clone;
-    /// the slab keeps the original until commit frees it or rollback pushes
-    /// the entry back. (Events popped out of `staged` need no journal
-    /// entry: they did not exist at the checkpoint.)
-    popped: Vec<Entry>,
-    /// `scheduled_total` / `next_seq` at the checkpoint, restored on
-    /// rollback.
-    scheduled_mark: u64,
-    seq_mark: u64,
-}
-
 /// A deterministic future-event list.
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -130,9 +111,6 @@ pub struct EventQueue<E> {
     slab: Slab<E>,
     next_seq: u64,
     scheduled_total: u64,
-    /// Present only between [`EventQueue::spec_begin`] and the matching
-    /// commit/rollback — i.e. during a Time-Warp window.
-    spec: Option<Box<SpecJournal>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -149,7 +127,6 @@ impl<E> EventQueue<E> {
             slab: Slab { slots: Vec::new(), free: Vec::new() },
             next_seq: 0,
             scheduled_total: 0,
-            spec: None,
         }
     }
 
@@ -177,30 +154,17 @@ impl<E> EventQueue<E> {
     /// which are.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
         self.scheduled_total += 1;
-        let entry = Entry { at, key, slot: self.slab.insert(payload) };
-        match &mut self.spec {
-            None => self.heap.push(entry),
-            Some(j) => j.staged.push(entry),
-        }
+        self.heap.push(Entry { at, key, slot: self.slab.insert(payload) });
     }
 
     /// The time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let main = self.heap.peek();
-        match &self.spec {
-            None => main.map(|e| e.at),
-            Some(j) => match (main, j.staged.peek()) {
-                (Some(a), Some(b)) => Some(if a >= b { a.at } else { b.at }), // reversed Ord
-                (Some(a), None) => Some(a.at),
-                (None, Some(b)) => Some(b.at),
-                (None, None) => None,
-            },
-        }
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.spec.as_ref().map_or(0, |j| j.staged.len())
+        self.heap.len()
     }
 
     /// True if no events are pending.
@@ -216,7 +180,6 @@ impl<E> EventQueue<E> {
     /// Remove **all** pending events and return them as `(time, key,
     /// payload)` in fire order. Used to re-partition a queue across shards.
     pub fn drain_entries(&mut self) -> Vec<(SimTime, u64, E)> {
-        debug_assert!(self.spec.is_none(), "drain during a speculative window");
         let mut entries = std::mem::take(&mut self.heap).into_vec();
         entries.sort_unstable_by_key(|e| (e.at, e.key));
         let out = entries.into_iter().map(|e| (e.at, e.key, self.slab.take(e.slot))).collect();
@@ -241,7 +204,6 @@ impl<E> EventQueue<E> {
         &mut self,
         pred: &mut impl FnMut(&E) -> bool,
     ) -> Vec<(SimTime, u64, E)> {
-        debug_assert!(self.spec.is_none(), "drain during a speculative window");
         let mut kept = std::mem::take(&mut self.heap).into_vec();
         let slab = &self.slab;
         let mut out: Vec<Entry> = kept.extract_if(.., |e| pred(slab.get(e.slot))).collect();
@@ -250,79 +212,15 @@ impl<E> EventQueue<E> {
         out.into_iter().map(|e| (e.at, e.key, self.slab.take(e.slot))).collect()
     }
 
-    /// Open a speculative window: subsequent schedules go to a side heap
-    /// and pops of pre-existing events are journaled, so the queue can be
-    /// restored to this exact point by [`EventQueue::spec_rollback`] or the
-    /// window's effects kept by [`EventQueue::spec_commit`]. Nesting is a
-    /// bug (the engine checkpoints only at window barriers).
-    pub fn spec_begin(&mut self) {
-        debug_assert!(self.spec.is_none(), "nested speculative window");
-        self.spec = Some(Box::new(SpecJournal {
-            staged: BinaryHeap::new(),
-            popped: Vec::new(),
-            scheduled_mark: self.scheduled_total,
-            seq_mark: self.next_seq,
-        }));
-    }
-
-    /// Keep the open window's effects: free the journaled pops' payloads,
-    /// merge the staged events into the main heap and drop the journal.
-    /// O(staged · log n) — the cost is proportional to the work the window
-    /// performed.
-    pub fn spec_commit(&mut self) {
-        let j = *self.spec.take().expect("no speculative window open");
-        for e in j.popped {
-            self.slab.take(e.slot);
-        }
-        self.heap.extend(j.staged);
-    }
-
-    /// Discard the open window's effects: free its staged events, push the
-    /// journaled pops back, and restore the scheduled-total counter.
-    pub fn spec_rollback(&mut self) {
-        let j = *self.spec.take().expect("no speculative window open");
-        for e in j.staged.into_vec() {
-            self.slab.take(e.slot);
-        }
-        self.heap.extend(j.popped);
-        self.scheduled_total = j.scheduled_mark;
-        self.next_seq = j.seq_mark;
-    }
-}
-
-impl<E: Clone> EventQueue<E> {
     /// Remove and return the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_entry().map(|(at, _, p)| (at, p))
     }
 
     /// Remove and return the earliest event as `(time, key, payload)`.
-    ///
-    /// `Clone` bound: during a speculative window (between
-    /// [`EventQueue::spec_begin`] and commit/rollback) every pop of a
-    /// *committed* event hands out a clone and journals the entry so
-    /// rollback can restore it; with no window open this is the plain heap
-    /// pop.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        let Some(j) = self.spec.as_deref_mut() else {
-            let e = self.heap.pop()?;
-            return Some((e.at, e.key, self.slab.take(e.slot)));
-        };
-        // Reversed `Ord`: `a >= b` means `a` fires at-or-before `b`.
-        let from_main = match (self.heap.peek(), j.staged.peek()) {
-            (Some(a), Some(b)) => a >= b,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if from_main {
-            let e = self.heap.pop().expect("peeked");
-            j.popped.push(e);
-            Some((e.at, e.key, self.slab.get(e.slot).clone()))
-        } else {
-            let e = j.staged.pop().expect("peeked");
-            Some((e.at, e.key, self.slab.take(e.slot)))
-        }
+        let e = self.heap.pop()?;
+        Some((e.at, e.key, self.slab.take(e.slot)))
     }
 }
 
@@ -436,60 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_rollback_restores_exact_state() {
-        let mut q = EventQueue::new();
-        for i in 0..6u64 {
-            q.schedule_keyed(SimTime::from_millis(10 * i), event_key(key_class::DELIVER, i), i);
-        }
-        assert_eq!(q.pop(), Some((SimTime::ZERO, 0)));
-        let total = q.scheduled_total();
-
-        q.spec_begin();
-        // Pop committed events, schedule new ones, pop one of those too.
-        assert_eq!(q.pop(), Some((SimTime::from_millis(10), 1)));
-        q.schedule_keyed(SimTime::from_millis(15), event_key(key_class::DELIVER, 100), 100);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(15), 100)));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(20), 2)));
-        q.schedule_keyed(SimTime::from_millis(25), event_key(key_class::DELIVER, 101), 101);
-        assert_eq!(q.len(), 4);
-        q.spec_rollback();
-
-        assert_eq!(q.scheduled_total(), total, "counter restored");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(order, vec![1, 2, 3, 4, 5], "pre-window events all back, staged gone");
-    }
-
-    #[test]
-    fn spec_commit_merges_staged_events() {
-        let mut q = EventQueue::new();
-        q.schedule_keyed(SimTime::from_millis(10), event_key(key_class::DELIVER, 1), 1);
-        q.schedule_keyed(SimTime::from_millis(30), event_key(key_class::DELIVER, 3), 3);
-        q.spec_begin();
-        assert_eq!(q.pop(), Some((SimTime::from_millis(10), 1)));
-        q.schedule_keyed(SimTime::from_millis(20), event_key(key_class::DELIVER, 2), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(20)), "staged event visible");
-        q.spec_commit();
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(order, vec![2, 3], "popped event stays popped, staged event merged");
-    }
-
-    #[test]
-    fn spec_pop_interleaves_staged_and_committed_by_key() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(5);
-        q.schedule_keyed(t, event_key(key_class::DELIVER, 0), 0);
-        q.schedule_keyed(t, event_key(key_class::DELIVER, 2), 2);
-        q.spec_begin();
-        q.schedule_keyed(t, event_key(key_class::DELIVER, 1), 1);
-        q.schedule_keyed(t, event_key(key_class::DELIVER, 3), 3);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(order, vec![0, 1, 2, 3], "canonical key order across both heaps");
-        q.spec_rollback();
-        let back: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(back, vec![0, 2], "only committed events restored");
-    }
-
-    #[test]
     fn steady_state_loop_never_grows_the_slab() {
         // Fill to depth 64, then pop one and schedule one: every schedule
         // reuses the slot its pop vacated.
@@ -506,22 +350,6 @@ mod tests {
             q.schedule(later(now), i);
             assert_eq!(q.slab.slots.len(), 64, "iteration {i} grew the slab");
         }
-        // A speculative window of 8 pops and 8 schedules holds at most 8
-        // extra slots: the journaled originals of committed pops.
-        for w in 0..200 {
-            q.spec_begin();
-            for i in 0..8 {
-                let (now, _) = q.pop().expect("depth stays 64");
-                q.schedule(later(now), i);
-            }
-            assert!(q.slab.slots.len() <= 72, "window {w} grew the slab past 72");
-            if w % 3 == 0 {
-                q.spec_rollback();
-            } else {
-                q.spec_commit();
-            }
-            assert_eq!(q.len(), 64);
-        }
     }
 
     /// The differential property: the slab queue against a sorted-`Vec`
@@ -532,9 +360,9 @@ mod tests {
         use std::cell::Cell;
         use std::rc::Rc;
 
-        /// A payload that keeps a count of its live instances (clones
-        /// included), so a leaked or doubly-kept payload shows as a count
-        /// above what the model says the queue holds.
+        /// A payload that keeps a count of its live instances, so a leaked
+        /// or doubly-kept payload shows as a count above what the model
+        /// says the queue holds.
         #[derive(Debug)]
         struct Tracked {
             id: u64,
@@ -545,12 +373,6 @@ mod tests {
             fn new(id: u64, live: &Rc<Cell<i64>>) -> Self {
                 live.set(live.get() + 1);
                 Tracked { id, live: Rc::clone(live) }
-            }
-        }
-
-        impl Clone for Tracked {
-            fn clone(&self) -> Self {
-                Tracked::new(self.id, &self.live)
             }
         }
 
@@ -568,8 +390,6 @@ mod tests {
             Peek,
             DrainMatching(u64),
             DrainEntries,
-            SpecBegin,
-            SpecEnd(bool),
         }
 
         fn op() -> impl Strategy<Value = Op> {
@@ -581,21 +401,15 @@ mod tests {
                 Just(Op::Peek),
                 (2u64..5).prop_map(Op::DrainMatching),
                 Just(Op::DrainEntries),
-                Just(Op::SpecBegin),
-                (0u8..2).prop_map(|c| Op::SpecEnd(c == 1)),
             ]
         }
 
-        /// The reference: pending `(at, key, id)` kept sorted, and a copy of
-        /// the whole state taken at `spec_begin` for rollback.
-        #[derive(Debug, Clone, Default)]
+        /// The reference: pending `(at, key, id)` kept sorted.
+        #[derive(Debug, Default)]
         struct Model {
             pending: Vec<(SimTime, u64, u64)>,
             next_seq: u64,
             scheduled_total: u64,
-            /// Committed events popped in the open window (the slab keeps
-            /// their originals until the window closes).
-            journaled: i64,
         }
 
         impl Model {
@@ -610,7 +424,6 @@ mod tests {
             let live = Rc::new(Cell::new(0i64));
             let mut q: EventQueue<Tracked> = EventQueue::new();
             let mut m = Model::default();
-            let mut checkpoint: Option<(Model, u64)> = None;
             let mut ids = 0u64;
             // Keys unique across the whole run but not monotone in schedule
             // order: an odd multiplier is a bijection on the low 32 bits.
@@ -637,14 +450,11 @@ mod tests {
                         let got = q.pop_entry().map(|(at, key, p)| (at, key, p.id));
                         let want = (!m.pending.is_empty()).then(|| m.pending.remove(0));
                         assert_eq!(got, want, "pop");
-                        if let (Some((_, _, id)), Some((_, mark))) = (want, &checkpoint) {
-                            m.journaled += i64::from(id < *mark);
-                        }
                     }
                     Op::Peek => {
                         assert_eq!(q.peek_time(), m.pending.first().map(|e| e.0), "peek");
                     }
-                    Op::DrainMatching(modulus) if checkpoint.is_none() => {
+                    Op::DrainMatching(modulus) => {
                         let got: Vec<_> = q
                             .drain_matching(|p| p.id % modulus == 0)
                             .into_iter()
@@ -655,7 +465,7 @@ mod tests {
                         m.pending = kept;
                         assert_eq!(got, hit.iter().map(|e| (e.0, e.2)).collect::<Vec<_>>());
                     }
-                    Op::DrainEntries if checkpoint.is_none() => {
+                    Op::DrainEntries => {
                         // Drain and reschedule verbatim, as the sharded
                         // engine's lane split and merge do.
                         let all = q.drain_entries();
@@ -667,33 +477,10 @@ mod tests {
                         }
                         m.scheduled_total += m.pending.len() as u64;
                     }
-                    Op::SpecBegin if checkpoint.is_none() => {
-                        q.spec_begin();
-                        checkpoint = Some((m.clone(), ids));
-                    }
-                    Op::SpecEnd(commit) => {
-                        if let Some((saved, _)) = checkpoint.take() {
-                            if commit {
-                                q.spec_commit();
-                            } else {
-                                q.spec_rollback();
-                                m = saved;
-                            }
-                            m.journaled = 0;
-                        }
-                    }
-                    _ => {}
                 }
                 assert_eq!(q.len(), m.pending.len(), "len after {op:?}");
                 assert_eq!(q.scheduled_total(), m.scheduled_total, "total after {op:?}");
-                assert_eq!(
-                    live.get(),
-                    m.pending.len() as i64 + m.journaled,
-                    "live payloads after {op:?}"
-                );
-            }
-            if checkpoint.is_some() {
-                q.spec_rollback();
+                assert_eq!(live.get(), m.pending.len() as i64, "live payloads after {op:?}");
             }
             drop(q);
             assert_eq!(live.get(), 0, "every payload dropped exactly once");

@@ -8,10 +8,10 @@
 //! - `barrier_wait` — a shard worker blocked waiting for its next window
 //!   command (the price of synchronization);
 //! - `ring_exchange` — absorbing cross-shard SPSC ring publications;
-//! - `rollback` — undoing a mis-speculated Time Warp window;
-//! - `redo` — re-running the proven prefix after a rollback;
 //! - `coordinator_drain` — the coordinator routing outboxes at barriers
-//!   (and, in live sessions, draining the ingest provider).
+//!   (and, in live sessions, draining the ingest provider);
+//! - `detector` — streaming predicate detection: offering fresh reports to
+//!   the per-predicate detectors and answering status queries.
 //!
 //! Each recorded span adds to a per-shard `(ns, count)` accumulator and to
 //! a streaming HDR-style **log-bucket histogram** (one power-of-two bucket
@@ -25,9 +25,9 @@
 //! run — and **nothing it reads ever feeds back**: no RNG draw, no event
 //! ordering, no branch in simulation logic depends on a telemetry value.
 //! A telemetry-on run is bit-identical to a telemetry-off run (pinned by
-//! `tests/telemetry_determinism.rs` across sequential, sharded, and
-//! optimistic modes), and a disabled registry costs one `Option` branch
-//! per span — the sequential-engine overhead guard holds it ≤ 2%.
+//! `tests/telemetry_determinism.rs` across sequential and sharded runs),
+//! and a disabled registry costs one `Option` branch per span — the
+//! sequential-engine overhead guard holds it ≤ 2%.
 //!
 //! The API mirrors [`crate::metrics`]: a cloneable [`Telemetry`] registry
 //! hands out per-shard [`ShardTelemetry`] handles that are inert when the
@@ -55,19 +55,15 @@ pub enum Phase {
     BarrierWait = 1,
     /// Absorbing cross-shard ring publications.
     RingExchange = 2,
-    /// Undoing a mis-speculated window.
-    Rollback = 3,
-    /// Re-running the proven prefix after a rollback.
-    Redo = 4,
     /// Coordinator barrier work: outbox routing, op barriers, live ingest.
-    CoordinatorDrain = 5,
+    CoordinatorDrain = 3,
     /// Streaming predicate detection: feeding fresh reports to the
     /// per-predicate streaming detectors and answering status queries.
-    Detector = 6,
+    Detector = 4,
 }
 
 /// How many phases exist (array dimension for the per-shard slots).
-pub const PHASE_COUNT: usize = 7;
+pub const PHASE_COUNT: usize = 5;
 
 impl Phase {
     /// Every phase, in discriminant order.
@@ -75,8 +71,6 @@ impl Phase {
         Phase::Busy,
         Phase::BarrierWait,
         Phase::RingExchange,
-        Phase::Rollback,
-        Phase::Redo,
         Phase::CoordinatorDrain,
         Phase::Detector,
     ];
@@ -87,8 +81,6 @@ impl Phase {
             Phase::Busy => "busy",
             Phase::BarrierWait => "barrier_wait",
             Phase::RingExchange => "ring_exchange",
-            Phase::Rollback => "rollback",
-            Phase::Redo => "redo",
             Phase::CoordinatorDrain => "coordinator_drain",
             Phase::Detector => "detector",
         }
@@ -156,7 +148,7 @@ struct Inner {
     enabled: bool,
     /// Indexed by shard; grown on demand by [`Telemetry::shard`].
     shards: Mutex<Vec<Arc<ShardSlot>>>,
-    /// Coordinator-side spans (outbox routing, rollback/redo, live ingest).
+    /// Coordinator-side spans (outbox routing, op barriers, live ingest).
     coord: Arc<ShardSlot>,
     run_wall_ns: AtomicU64,
     runs: AtomicU64,
@@ -216,8 +208,8 @@ impl Telemetry {
         ShardTelemetry { slot: Some(shards[idx].clone()) }
     }
 
-    /// The coordinator-side recording handle (barrier routing, rollback
-    /// bookkeeping, live ingest drains).
+    /// The coordinator-side recording handle (barrier routing, op
+    /// barriers, live ingest drains).
     pub fn coordinator(&self) -> ShardTelemetry {
         if !self.inner.enabled {
             return ShardTelemetry::disabled();

@@ -351,16 +351,6 @@ impl TraceKind {
     }
 }
 
-/// An opaque checkpoint of a [`Trace`]'s staging state, taken with
-/// [`Trace::mark`] and consumed by [`Trace::rollback`] — the trace half of
-/// the engine's optimistic-window undo.
-#[derive(Debug, Clone)]
-pub struct TraceMark {
-    staged_len: usize,
-    cursor: u128,
-    intra: u32,
-}
-
 /// A record staged during the run, carrying its canonical sort key instead
 /// of a pre-assigned sequence number.
 #[derive(Debug, Clone)]
@@ -475,27 +465,6 @@ impl Trace {
             self.next_seq += 1;
             self.records.push(TraceRecord { seq, at, kind });
         }
-    }
-
-    /// Checkpoint the staging state for a speculative window (see the
-    /// engine's optimistic mode): pre-seal, staged records are append-only,
-    /// so a `(staged length, cursor, intra)` triple restores the trace
-    /// exactly. Meaningless after the first seal.
-    pub fn mark(&self) -> TraceMark {
-        debug_assert!(self.canonical, "mark() only applies to an unsealed trace");
-        TraceMark { staged_len: self.staged.len(), cursor: self.cursor, intra: self.intra }
-    }
-
-    /// Discard every record staged since `mark` and restore the cursor
-    /// state, undoing a rolled-back speculative window.
-    pub fn rollback(&mut self, mark: &TraceMark) {
-        if !self.enabled {
-            return;
-        }
-        debug_assert!(self.canonical && self.staged.len() >= mark.staged_len);
-        self.staged.truncate(mark.staged_len);
-        self.cursor = mark.cursor;
-        self.intra = mark.intra;
     }
 
     /// Move every record staged in `other` into this trace's staging

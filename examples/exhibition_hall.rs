@@ -50,18 +50,6 @@ impl ActuationRule for CapacityRule {
             Vec::new()
         }
     }
-
-    // Opting into the optimistic sharded mode: the running occupancy is the
-    // rule's whole state, so a clone is a valid rollback checkpoint.
-    fn fork(&self) -> Option<Box<dyn ActuationRule>> {
-        Some(Box::new(CapacityRule {
-            doors: self.doors,
-            capacity: self.capacity,
-            x: self.x.clone(),
-            y: self.y.clone(),
-            locked: self.locked,
-        }))
-    }
 }
 
 fn main() {

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use psn_core::{
         run_execution, run_execution_instrumented, run_execution_profiled, run_execution_with_rule,
         ActuationRule, ClockConfig, ExecMetrics, ExecutionConfig, ExecutionTrace, ShardPlanKind,
-        SpeculationMode, StrobePolicy,
+        StrobePolicy,
     };
     pub use psn_faults::{
         ChannelEffect, ChannelFaultRule, ChaosConfig, ClockFaultKind, CutPolicy, FaultScript,

@@ -402,16 +402,14 @@ mod shard_invariance {
     use super::*;
     use proptest::prelude::*;
 
-    /// One full execution at a given shard count, plan, and window
-    /// discipline, with everything observable folded into a comparable
-    /// tuple.
+    /// One full execution at a given shard count and plan, with
+    /// everything observable folded into a comparable tuple.
     fn fingerprint(
         shards: usize,
         seed: u64,
         delay_min_ms: u64,
         chaos: bool,
         plan: ShardPlanKind,
-        spec: SpeculationMode,
     ) -> pervasive_time::core::execution::ExecutionTrace {
         let params = ExhibitionParams {
             doors: 3,
@@ -439,7 +437,6 @@ mod shard_invariance {
             faults,
             shards,
             shard_plan: Some(plan),
-            speculation: Some(spec),
             ..Default::default()
         };
         run_execution(&scenario, &cfg)
@@ -448,14 +445,13 @@ mod shard_invariance {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// The tentpole's contract, as a property: the shard count, the
-        /// actor→shard plan, and the window discipline are all
-        /// **unobservable**. For random seeds, lookahead widths, and with
-        /// or without a seeded chaos fault script, every observable — the
-        /// full structured trace (hashed), the execution log, the network
-        /// counters, the fault counters, the end time — is bit-identical
-        /// across shard counts {1, 2, 4, 7} × {conservative, optimistic}
-        /// × {contiguous, affinity}.
+        /// The tentpole's contract, as a property: the shard count and the
+        /// actor→shard plan are both **unobservable**. For random seeds,
+        /// lookahead widths, and with or without a seeded chaos fault
+        /// script, every observable — the full structured trace (hashed),
+        /// the execution log, the network counters, the fault counters,
+        /// the end time — is bit-identical across shard counts
+        /// {1, 2, 4, 7} × {contiguous, affinity}.
         #[test]
         fn shard_count_is_unobservable(
             seed in 0u64..1000,
@@ -463,43 +459,36 @@ mod shard_invariance {
             chaos_bit in 0u64..2,
         ) {
             let chaos = chaos_bit == 1;
-            let want = fingerprint(
-                1, seed, delay_min_ms, chaos,
-                ShardPlanKind::Contiguous, SpeculationMode::Conservative,
-            );
+            let want = fingerprint(1, seed, delay_min_ms, chaos, ShardPlanKind::Contiguous);
             let want_hash = trace_full_hash(&want.sim);
             if chaos {
                 let fs = want.faults.clone().expect("plane installed");
                 prop_assert!(fs.crashes + fs.cuts + fs.clock_faults > 0, "chaos script must bite");
             }
             for shards in [2usize, 4, 7] {
-                for spec in [SpeculationMode::Conservative, SpeculationMode::Optimistic] {
-                    for plan in [ShardPlanKind::Contiguous, ShardPlanKind::Affinity] {
-                        let got = fingerprint(shards, seed, delay_min_ms, chaos, plan, spec);
-                        let label = format!("shards={shards} {spec:?} {plan:?}");
-                        prop_assert_eq!(trace_full_hash(&got.sim), want_hash, "trace hash, {}", label);
-                        prop_assert_eq!(&got.log.events, &want.log.events, "events, {}", label);
-                        prop_assert_eq!(&got.log.reports, &want.log.reports, "reports, {}", label);
-                        prop_assert_eq!(&got.log.actuations, &want.log.actuations, "actuations, {}", label);
-                        prop_assert_eq!(&got.net, &want.net, "net counters, {}", label);
-                        prop_assert_eq!(&got.faults, &want.faults, "fault stats, {}", label);
-                        prop_assert_eq!(got.ended_at, want.ended_at, "end time, {}", label);
-                    }
+                for plan in [ShardPlanKind::Contiguous, ShardPlanKind::Affinity] {
+                    let got = fingerprint(shards, seed, delay_min_ms, chaos, plan);
+                    let label = format!("shards={shards} {plan:?}");
+                    prop_assert_eq!(trace_full_hash(&got.sim), want_hash, "trace hash, {}", label);
+                    prop_assert_eq!(&got.log.events, &want.log.events, "events, {}", label);
+                    prop_assert_eq!(&got.log.reports, &want.log.reports, "reports, {}", label);
+                    prop_assert_eq!(&got.log.actuations, &want.log.actuations, "actuations, {}", label);
+                    prop_assert_eq!(&got.net, &want.net, "net counters, {}", label);
+                    prop_assert_eq!(&got.faults, &want.faults, "fault stats, {}", label);
+                    prop_assert_eq!(got.ended_at, want.ended_at, "end time, {}", label);
                 }
             }
         }
     }
 }
 
-/// The optimistic (Time Warp) engine against a pinned golden hash: a fixed
+/// The sharded engine against a pinned golden hash: a fixed
 /// `(scenario, config, seed)` with a floored Δ-band (the floor is the
 /// lookahead; a pure Δ-bounded delay has minimum 0 and would fall back to
 /// the sequential loop) must produce the recorded full-format trace hash
-/// both sequentially and under optimistic sharded execution — while the
-/// optimistic run actually speculates (rollbacks > 0) and the sequential
-/// one, by construction, never does.
+/// both sequentially and on 4 shards.
 #[test]
-fn optimistic_run_reproduces_the_sequential_golden_hash() {
+fn sharded_run_reproduces_the_sequential_golden_hash() {
     let params = ExhibitionParams {
         doors: 4,
         arrival_rate_hz: 3.0,
@@ -508,7 +497,7 @@ fn optimistic_run_reproduces_the_sequential_golden_hash() {
         capacity: 90,
     };
     let scenario = exhibition::generate(&params, 13);
-    let cfg = |shards: usize, spec: SpeculationMode| ExecutionConfig {
+    let cfg = |shards: usize| ExecutionConfig {
         delay: DelayModel::DeltaBounded {
             min: SimDuration::from_millis(30),
             max: SimDuration::from_millis(150),
@@ -516,34 +505,31 @@ fn optimistic_run_reproduces_the_sequential_golden_hash() {
         seed: 13,
         record_sim_trace: true,
         shards,
-        speculation: Some(spec),
         ..Default::default()
     };
-    let seq = run_execution(&scenario, &cfg(1, SpeculationMode::Conservative));
+    let seq = run_execution(&scenario, &cfg(1));
     assert!(seq.sim.len() > 1_000, "trace must be non-trivial, got {}", seq.sim.len());
-    assert_eq!(seq.rollbacks, 0, "the sequential engine never rolls back");
     assert_eq!(
         trace_full_hash(&seq.sim),
-        OPTIMISTIC_GOLDEN_FULL_TRACE_HASH,
+        FLOORED_DELTA_GOLDEN_FULL_TRACE_HASH,
         "sequential floored-Δ run diverged from the recorded golden hash"
     );
-    let opt = run_execution(&scenario, &cfg(4, SpeculationMode::Optimistic));
-    assert!(opt.rollbacks > 0, "the optimistic run must actually speculate and roll back");
+    let sharded = run_execution(&scenario, &cfg(4));
     assert_eq!(
-        trace_full_hash(&opt.sim),
-        OPTIMISTIC_GOLDEN_FULL_TRACE_HASH,
-        "optimistic run diverged from the sequential golden hash"
+        trace_full_hash(&sharded.sim),
+        FLOORED_DELTA_GOLDEN_FULL_TRACE_HASH,
+        "4-shard run diverged from the sequential golden hash"
     );
-    assert_eq!(seq.log.events, opt.log.events);
-    assert_eq!(seq.log.reports, opt.log.reports);
-    assert_eq!(seq.net, opt.net);
-    assert_eq!(seq.ended_at, opt.ended_at);
+    assert_eq!(seq.log.events, sharded.log.events);
+    assert_eq!(seq.log.reports, sharded.log.reports);
+    assert_eq!(seq.net, sharded.net);
+    assert_eq!(seq.ended_at, sharded.ended_at);
 }
 
 /// Recorded from the sequential leg of
-/// `optimistic_run_reproduces_the_sequential_golden_hash`; deterministic
+/// `sharded_run_reproduces_the_sequential_golden_hash`; deterministic
 /// across machines (FNV-1a over the full trace format).
-const OPTIMISTIC_GOLDEN_FULL_TRACE_HASH: u64 = 397811650213989502;
+const FLOORED_DELTA_GOLDEN_FULL_TRACE_HASH: u64 = 397811650213989502;
 
 mod affinity_plan {
     use pervasive_time::sim::engine::ShardPlan;

@@ -1,9 +1,8 @@
 //! The telemetry plane is observational: wall-clock reads feed histograms
 //! only, never scheduling decisions, so attaching a live [`Telemetry`]
 //! registry must not change a single byte of any output — on the
-//! sequential engine, the conservative sharded engine at any shard count,
-//! or the optimistic (Time Warp) path. These tests enforce that three
-//! ways: telemetry-on vs telemetry-off bit-identity of the serialized
+//! sequential engine or the sharded engine at any shard count. These tests
+//! enforce that three ways: telemetry-on vs telemetry-off bit-identity of the serialized
 //! outputs, a pinned golden hash (the same constant for every execution
 //! mode — the sharded-equals-sequential guarantee and the telemetry-is-
 //! free guarantee in one number), and a paired A/B wall-clock guard on
@@ -34,7 +33,7 @@ fn scenario() -> Scenario {
 /// Shards > 1 need lookahead, so every mode (sequential included) runs
 /// under the same Δ-band — that is what makes the golden hash one
 /// constant across all of them.
-fn cfg(shards: usize, optimistic: bool) -> ExecutionConfig {
+fn cfg(shards: usize) -> ExecutionConfig {
     ExecutionConfig {
         delay: DelayModel::DeltaBounded {
             min: SimDuration::from_millis(40),
@@ -42,11 +41,6 @@ fn cfg(shards: usize, optimistic: bool) -> ExecutionConfig {
         },
         seed: 23,
         shards,
-        speculation: Some(if optimistic {
-            SpeculationMode::Optimistic
-        } else {
-            SpeculationMode::Conservative
-        }),
         ..Default::default()
     }
 }
@@ -65,8 +59,8 @@ fn output_hash(trace: &ExecutionTrace) -> u64 {
     h
 }
 
-/// One constant for all eight runs of the matrix below: {sequential,
-/// 2 shards, 4 shards, optimistic 4 shards} × {telemetry off, on}.
+/// One constant for all six runs of the matrix below: {sequential,
+/// 2 shards, 4 shards} × {telemetry off, on}.
 /// Regenerate by running this test with the println uncommented if the
 /// workload or the engine's canonical ordering deliberately changes.
 const GOLDEN_OUTPUT_HASH: u64 = 0x9557_c668_40a9_8b49;
@@ -74,14 +68,9 @@ const GOLDEN_OUTPUT_HASH: u64 = 0x9557_c668_40a9_8b49;
 #[test]
 fn telemetry_on_output_is_bit_identical_across_engines() {
     let scenario = scenario();
-    let modes: &[(usize, bool, &str)] = &[
-        (1, false, "sequential"),
-        (2, false, "sharded x2"),
-        (4, false, "sharded x4"),
-        (4, true, "optimistic x4"),
-    ];
-    for &(shards, optimistic, label) in modes {
-        let cfg = cfg(shards, optimistic);
+    let modes: &[(usize, &str)] = &[(1, "sequential"), (2, "sharded x2"), (4, "sharded x4")];
+    for &(shards, label) in modes {
+        let cfg = cfg(shards);
         let off = {
             let telemetry = Telemetry::disabled();
             run_execution_profiled(&scenario, &cfg, &Metrics::disabled(), &telemetry)
@@ -122,7 +111,7 @@ fn telemetry_on_output_is_bit_identical_across_engines() {
 #[test]
 fn sequential_telemetry_overhead_within_two_percent() {
     let scenario = scenario();
-    let cfg = cfg(1, false);
+    let cfg = cfg(1);
     let time_with = |telemetry: &Telemetry| {
         let t0 = std::time::Instant::now();
         std::hint::black_box(run_execution_profiled(
