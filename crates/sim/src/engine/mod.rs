@@ -38,21 +38,22 @@
 //! lock, and windows resume. With `L = 0` (synchronous or `delta(Δ)`
 //! delays) or one shard the engine falls back to the sequential loop.
 
-use crate::fault::{
-    ChannelEffect, CutPolicy, FaultEvent, FaultPlane, FaultScript, FaultStats, Parked, PlaneOp,
-};
+use crate::fault::{CutPolicy, FaultEvent, FaultPlane, FaultScript, FaultStats, Parked, PlaneOp};
 use crate::metrics::{Counter, Gauge, Metrics, Timer};
 use crate::network::{ActorId, NetStats, NetworkConfig};
-use crate::queue::{event_key, key_class, EventQueue};
+use crate::queue::{event_key, key_class};
 use crate::rng::{RngFactory, RngStream};
-use crate::telemetry::{Phase, ShardTelemetry, Telemetry};
+use crate::telemetry::{Phase, Telemetry};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ClockStamp, FaultRecordKind, MsgId, ProcessEventKind, Trace, TraceKind};
 
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::mpsc;
 use std::time::Instant;
+
+mod lane;
+mod sharded;
+
+use lane::{FifoStore, Lane};
+pub use sharded::ShardPlan;
 
 /// A typed error from the engine's *external* boundary — the operations a
 /// long-running host (e.g. `psn-serve`) drives with data it did not
@@ -305,770 +306,6 @@ impl EngineMetrics {
 /// do not allocate O(n²) memory. Override per engine with
 /// [`Engine::set_fifo_dense_limit`] (tests cross-validate the two paths).
 pub const DENSE_ACTOR_LIMIT: usize = 2048;
-
-/// Slots per exchange ring (per directed shard pair). Overflow spills to
-/// the outbox, so this bounds memory, not correctness.
-pub(in crate::engine) const RING_CAPACITY: usize = 1024;
-
-/// Per-channel last-scheduled-delivery times backing the FIFO clamp.
-///
-/// `Dense` stores a `members × n` matrix indexed by the *rank* of the
-/// sending actor within this lane (not `n × n` per lane, so sharded large
-/// runs don't multiply the footprint). `Sparse` is a flat map keyed
-/// `(from << 32) | to`; it is only ever probed per-message, never iterated,
-/// so map order cannot leak into behaviour.
-pub(in crate::engine) enum FifoStore {
-    /// FIFO disabled, or not yet initialised (built on first clamp).
-    Unset,
-    Off,
-    Dense {
-        stride: usize,
-        rank: Vec<u32>,
-        last: Vec<SimTime>,
-    },
-    Sparse {
-        last: HashMap<u64, SimTime>,
-    },
-}
-
-/// An explicit assignment of actors to shards for
-/// [`Engine::run_with_plan`]. Plans are pure data: the same plan always
-/// yields the same partition, and *any* plan yields the same run (that is
-/// the whole point — see the shard-count-invariance proptest).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    owner: Vec<u32>,
-}
-
-impl ShardPlan {
-    /// `n` actors in `shards` contiguous blocks of `ceil(n / shards)`.
-    /// Contiguity keeps neighbour-heavy topologies (rings, grids) mostly
-    /// intra-shard.
-    pub fn contiguous(n: usize, shards: usize) -> Self {
-        let k = shards.clamp(1, n.max(1));
-        let block = n.div_ceil(k).max(1);
-        ShardPlan { owner: (0..n).map(|i| (i / block) as u32).collect() }
-    }
-
-    /// Round-robin: actor `i` goes to shard `i % shards`. Balances load
-    /// when activity correlates with id ranges.
-    pub fn interleaved(n: usize, shards: usize) -> Self {
-        let k = shards.clamp(1, n.max(1));
-        ShardPlan { owner: (0..n).map(|i| (i % k) as u32).collect() }
-    }
-
-    /// Deterministic hash partition (splitmix64 of the actor id), for
-    /// statistically balanced shards independent of id structure.
-    pub fn by_hash(n: usize, shards: usize) -> Self {
-        let k = shards.clamp(1, n.max(1)) as u64;
-        let owner = (0..n as u64)
-            .map(|i| {
-                let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                ((z ^ (z >> 31)) % k) as u32
-            })
-            .collect();
-        ShardPlan { owner }
-    }
-
-    /// Traffic-aware partition: cluster actors so that heavily communicating
-    /// pairs co-locate, then bin-pack clusters onto shards. `edges` is an
-    /// undirected affinity graph `(a, b, weight)` — typically per-channel
-    /// message counts from [`crate::trace_analysis::TraceAnalysis::affinity_edges`]
-    /// or a static estimate from the workload shape.
-    ///
-    /// The algorithm is a deterministic greedy edge merge: edges sorted by
-    /// `(weight desc, a, b)` union their endpoint clusters while the merged
-    /// cluster stays within `ceil(n / shards)` actors, then clusters are
-    /// placed largest-first onto the least-loaded shard (lowest index on
-    /// ties). Like every plan, the result only shapes *performance* — any
-    /// plan yields the bit-identical run.
-    pub fn by_affinity(n: usize, shards: usize, edges: &[(ActorId, ActorId, u64)]) -> Self {
-        let k = shards.clamp(1, n.max(1));
-        if n == 0 {
-            return ShardPlan { owner: Vec::new() };
-        }
-        let cap = n.div_ceil(k).max(1);
-
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let g = parent[parent[x as usize] as usize];
-                parent[x as usize] = g;
-                x = g;
-            }
-            x
-        }
-
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        let mut csize = vec![1u32; n];
-        let mut es: Vec<(u32, u32, u64)> = edges
-            .iter()
-            .filter(|&&(a, b, w)| a < n && b < n && a != b && w > 0)
-            .map(
-                |&(a, b, w)| if a <= b { (a as u32, b as u32, w) } else { (b as u32, a as u32, w) },
-            )
-            .collect();
-        es.sort_unstable_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
-        for (a, b, _) in es {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb && (csize[ra as usize] + csize[rb as usize]) as usize <= cap {
-                // Root the merge at the lower id so cluster identity is
-                // independent of edge processing order among equals.
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent[hi as usize] = lo;
-                csize[lo as usize] += csize[hi as usize];
-            }
-        }
-
-        // Gather clusters in ascending-root order, then place largest-first
-        // (stable sort keeps the ascending-root tie-break deterministic).
-        let mut members: HashMap<u32, Vec<u32>> = HashMap::new();
-        for i in 0..n as u32 {
-            let r = find(&mut parent, i);
-            members.entry(r).or_default().push(i);
-        }
-        let mut clusters: Vec<(u32, Vec<u32>)> = members.into_iter().collect();
-        clusters.sort_unstable_by_key(|(root, _)| *root);
-        clusters.sort_by_key(|(_, m)| std::cmp::Reverse(m.len()));
-
-        let mut owner = vec![0u32; n];
-        let mut load = vec![0usize; k];
-        for (_, m) in clusters {
-            let s = (0..k).min_by_key(|&s| (load[s], s)).unwrap();
-            load[s] += m.len();
-            for a in m {
-                owner[a as usize] = s as u32;
-            }
-        }
-        ShardPlan { owner }
-    }
-
-    /// An explicit `actor → shard` map. Panics if empty.
-    pub fn explicit(owner: Vec<u32>) -> Self {
-        assert!(!owner.is_empty(), "ShardPlan::explicit: empty owner map");
-        ShardPlan { owner }
-    }
-
-    /// Number of shards this plan spreads actors over.
-    pub fn shard_count(&self) -> usize {
-        self.owner.iter().copied().max().map_or(1, |m| m as usize + 1)
-    }
-
-    /// The owning shard of each actor, indexed by actor id.
-    pub fn owner(&self) -> &[u32] {
-        &self.owner
-    }
-}
-
-/// What the exchange rings carry: a cross-shard event as `(delivery time,
-/// canonical key, payload)` — exactly an outbox entry.
-type RingItem<M> = (SimTime, u64, Pending<M>);
-
-/// The per-shard execution state: one lane owns a disjoint subset of the
-/// actors, their private RNG streams, a heap of their pending events, and
-/// its own trace/stats accumulators. The sequential engine is exactly one
-/// lane owning everybody. Per-actor vectors are full-size (indexed by
-/// global actor id) so the hot path needs no local-index indirection;
-/// non-member slots are simply never touched.
-pub(in crate::engine) struct Lane<M: Message> {
-    pub(in crate::engine) shard: usize,
-    pub(in crate::engine) now: SimTime,
-    pub(in crate::engine) queue: EventQueue<Pending<M>>,
-    pub(in crate::engine) actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
-    /// Per-actor protocol streams (`factory.stream(id + 1)`).
-    pub(in crate::engine) rngs: Vec<RngStream>,
-    /// Per-sender network streams (`"engine.network.<id>"`): delay and loss
-    /// draws for messages *sent by* that actor.
-    pub(in crate::engine) net_rngs: Vec<RngStream>,
-    /// Per-sender fault-plane streams (`"engine.faults.<id>"`); empty until
-    /// [`Engine::install_faults`].
-    pub(in crate::engine) fault_rngs: Vec<RngStream>,
-    /// Per-sender loss-model state (Gilbert–Elliott is stateful, so each
-    /// channel owner carries its own copy).
-    pub(in crate::engine) loss: Vec<crate::loss::LossModel>,
-    /// Per-sender transmission counters; message id = `((from+1) << 40) | c`.
-    pub(in crate::engine) msg_ctr: Vec<u64>,
-    /// Per-actor timer counters; timer key payload = `(actor << 40) | c`.
-    pub(in crate::engine) timer_ctr: Vec<u64>,
-    /// The actor ids this lane owns, ascending.
-    pub(in crate::engine) members: Vec<ActorId>,
-    /// `owner[actor] = shard`; empty in sequential mode (everything local).
-    pub(in crate::engine) owner: Vec<u32>,
-    /// Cross-shard events awaiting routing at the next barrier: those sent
-    /// by start dispatches (before the rings exist) and ring overflow.
-    pub(in crate::engine) outbox: Vec<(SimTime, u64, Pending<M>)>,
-    /// Ring exchange, producing side: `ring_out[shard]` publishes to that
-    /// shard's lane as events are generated, overlapping the barrier work.
-    /// Empty (or `None` for self pairs) outside sharded runs.
-    pub(in crate::engine) ring_out: Vec<Option<crate::ring::Producer<RingItem<M>>>>,
-    /// Ring exchange, consuming side: `ring_in[shard]` receives events
-    /// published by that shard's lane.
-    pub(in crate::engine) ring_in: Vec<Option<crate::ring::Consumer<RingItem<M>>>>,
-    pub(in crate::engine) fifo: FifoStore,
-    pub(in crate::engine) fifo_dense_limit: usize,
-    pub(in crate::engine) trace: Trace,
-    pub(in crate::engine) stats: NetStats,
-    /// Transmit/delivery-side fault counters (the plane is read-only during
-    /// windows); merged into the plane's op-side counters on read.
-    pub(in crate::engine) fstats: FaultStats,
-    /// Messages parked by this lane at transmit time; drained into the
-    /// plane at the next coordinator barrier.
-    pub(in crate::engine) parked_out: Vec<Parked<M>>,
-    /// Signed because a lane can deliver (−1) messages another lane sent
-    /// (+1); only the sum across lanes is meaningful.
-    pub(in crate::engine) in_flight: i64,
-    pub(in crate::engine) events_processed: u64,
-    pub(in crate::engine) halted: bool,
-    pub(in crate::engine) action_scratch: Vec<Action<M>>,
-    pub(in crate::engine) peer_scratch: Vec<ActorId>,
-    pub(in crate::engine) m: EngineMetrics,
-    /// Phase-scoped wall-clock telemetry for this shard. Inert (no clock
-    /// reads, no stores) unless a live [`Telemetry`] registry was attached.
-    pub(in crate::engine) tel: ShardTelemetry,
-}
-
-impl<M: Message> Lane<M> {
-    pub(in crate::engine) fn new(m: EngineMetrics) -> Self {
-        Lane {
-            shard: 0,
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            actors: Vec::new(),
-            rngs: Vec::new(),
-            net_rngs: Vec::new(),
-            fault_rngs: Vec::new(),
-            loss: Vec::new(),
-            msg_ctr: Vec::new(),
-            timer_ctr: Vec::new(),
-            members: Vec::new(),
-            owner: Vec::new(),
-            outbox: Vec::new(),
-            ring_out: Vec::new(),
-            ring_in: Vec::new(),
-            fifo: FifoStore::Unset,
-            fifo_dense_limit: DENSE_ACTOR_LIMIT,
-            trace: Trace::disabled(),
-            stats: NetStats::default(),
-            fstats: FaultStats::default(),
-            parked_out: Vec::new(),
-            in_flight: 0,
-            events_processed: 0,
-            halted: false,
-            action_scratch: Vec::new(),
-            peer_scratch: Vec::new(),
-            m,
-            tel: ShardTelemetry::disabled(),
-        }
-    }
-
-    /// Does this lane own the destination? (Sequential lanes own everyone;
-    /// ids past the owner map — topology nodes with no actor — count as
-    /// local, so the delivery no-ops in the sending lane like it would in
-    /// the sequential engine.)
-    #[inline]
-    fn local(&self, actor: ActorId) -> bool {
-        match self.owner.get(actor) {
-            None => true,
-            Some(&s) => s as usize == self.shard,
-        }
-    }
-
-    #[inline]
-    fn next_msg_id(&mut self, from: ActorId) -> u64 {
-        let c = self.msg_ctr[from];
-        self.msg_ctr[from] = c + 1;
-        debug_assert!(c < (1 << 40), "per-sender message counter overflow");
-        ((from as u64 + 1) << 40) | c
-    }
-
-    /// Schedule a delivery, locally or (sharded mode) via the exchange
-    /// ring when installed, with the outbox as ring-overflow spill.
-    #[inline]
-    fn schedule_delivery(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M, id: u64) {
-        let key = event_key(key_class::DELIVER, id);
-        let pending = Pending::Deliver { from: from as u32, to: to as u32, msg, id };
-        if self.local(to) {
-            self.queue.schedule_keyed(at, key, pending);
-        } else {
-            let dest = self.owner[to] as usize;
-            match self.ring_out.get_mut(dest).and_then(Option::as_mut) {
-                Some(ring) => {
-                    if let Err(item) = ring.push((at, key, pending)) {
-                        // Ring full: spill to the outbox (routed at the next
-                        // barrier). Count it — sustained spills mean the ring
-                        // capacity is undersized for this workload.
-                        self.m.ring_spills.inc();
-                        self.outbox.push(item);
-                    }
-                }
-                None => self.outbox.push((at, key, pending)),
-            }
-        }
-        self.in_flight += 1;
-        self.m.in_flight.set(self.in_flight.max(0) as u64);
-    }
-
-    /// Absorb every event currently published to this lane's incoming
-    /// rings into the local heap. Safe mid-run: published arrivals are at
-    /// or beyond every lane's window bound, and heap order is total on
-    /// `(time, key)`, so absorption timing cannot change the run. Workers
-    /// call this after their window (overlapping other lanes' windows);
-    /// the coordinator calls it again at the barrier, when producers are
-    /// quiescent, to make the drain exhaustive.
-    pub(in crate::engine) fn absorb_rings(&mut self) {
-        for i in 0..self.ring_in.len() {
-            if let Some(ring) = self.ring_in[i].as_mut() {
-                while let Some((at, key, pending)) = ring.pop() {
-                    self.queue.schedule_keyed(at, key, pending);
-                }
-            }
-        }
-    }
-
-    /// Dispatch `on_start` to every member, in id order, under start
-    /// cursors (which the canonical seal orders before all queue events).
-    pub(in crate::engine) fn dispatch_starts(
-        &mut self,
-        net: &NetworkConfig,
-        plane: Option<&FaultPlane<M>>,
-    ) {
-        for i in 0..self.members.len() {
-            if self.halted {
-                break;
-            }
-            let id = self.members[i];
-            self.trace.set_cursor(Trace::start_cursor(id));
-            self.dispatch(id, Dispatch::Start, net, plane);
-        }
-    }
-
-    /// Pop and process local events while `at < wend` (`None` = unbounded)
-    /// — the engine's hot loop, shared verbatim by the sequential run and
-    /// the shard workers.
-    pub(in crate::engine) fn advance_until(
-        &mut self,
-        wend: Option<SimTime>,
-        net: &NetworkConfig,
-        plane: Option<&FaultPlane<M>>,
-    ) {
-        while !self.halted {
-            let Some(at) = self.queue.peek_time() else { break };
-            if let Some(end) = wend {
-                if at >= end {
-                    break;
-                }
-            }
-            let (at, key, pending) = self.queue.pop_entry().expect("peeked");
-            debug_assert!(at >= self.now, "time must be monotone");
-            self.now = at;
-            self.events_processed += 1;
-            self.m.events.inc();
-            self.trace.set_cursor(Trace::event_cursor(key));
-            match pending {
-                Pending::Deliver { from, to, msg, id } => {
-                    let (from, to) = (from as ActorId, to as ActorId);
-                    // One predictable branch when no fault plane is
-                    // installed; a delivery to a crashed node is lost.
-                    match plane {
-                        Some(p) if p.is_down(to) => {
-                            self.fstats.dropped_at_down += 1;
-                            self.trace
-                                .record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
-                            self.stats.messages_lost += 1;
-                            self.stats.messages_faulted += 1;
-                            self.m.dropped.inc();
-                            self.in_flight -= 1;
-                            self.m.in_flight.set(self.in_flight.max(0) as u64);
-                        }
-                        _ => {
-                            self.trace.record(
-                                self.now,
-                                TraceKind::Delivered { from, to, msg: MsgId(id) },
-                            );
-                            self.stats.messages_delivered += 1;
-                            self.m.delivered.inc();
-                            self.in_flight -= 1;
-                            self.m.in_flight.set(self.in_flight.max(0) as u64);
-                            self.dispatch(to, Dispatch::Message { from, msg }, net, plane);
-                        }
-                    }
-                }
-                Pending::Timer { actor, tag } => {
-                    let actor = actor as ActorId;
-                    // A crashed node's timers are silently discarded (the
-                    // process re-arms what it needs on recovery).
-                    match plane {
-                        Some(p) if p.is_down(actor) => {
-                            self.fstats.timers_suppressed += 1;
-                        }
-                        _ => {
-                            self.trace.record(self.now, TraceKind::TimerFired { actor, tag });
-                            self.dispatch(actor, Dispatch::Timer { tag }, net, plane);
-                        }
-                    }
-                }
-            }
-            self.m.queue_depth.set(self.queue.len() as u64);
-        }
-    }
-
-    pub(in crate::engine) fn dispatch(
-        &mut self,
-        id: ActorId,
-        what: Dispatch<M>,
-        net: &NetworkConfig,
-        plane: Option<&FaultPlane<M>>,
-    ) {
-        let Some(slot) = self.actors.get_mut(id) else { return };
-        let Some(mut actor) = slot.take() else { return };
-        // Lend the lane's scratch buffer to the callback, then take it
-        // back: dispatch allocates nothing once the buffer has warmed up.
-        let mut actions = std::mem::take(&mut self.action_scratch);
-        debug_assert!(actions.is_empty());
-        let mut ctx = Context {
-            now: self.now,
-            id,
-            n: self.actors.len(),
-            trace_on: self.trace.is_enabled(),
-            rng: &mut self.rngs[id],
-            actions: &mut actions,
-        };
-        match what {
-            Dispatch::Start => actor.on_start(&mut ctx),
-            Dispatch::Message { from, msg } => actor.on_message(&mut ctx, from, msg),
-            Dispatch::Timer { tag } => actor.on_timer(&mut ctx, tag),
-            Dispatch::Fault { event } => actor.on_fault(&mut ctx, &event),
-        }
-        self.actors[id] = Some(actor);
-        for a in actions.drain(..) {
-            self.apply(id, a, net, plane);
-        }
-        self.action_scratch = actions;
-    }
-
-    fn apply(
-        &mut self,
-        from: ActorId,
-        action: Action<M>,
-        net: &NetworkConfig,
-        plane: Option<&FaultPlane<M>>,
-    ) {
-        match action {
-            Action::Send { to, msg } => self.transmit(from, to, msg, net, plane),
-            Action::Broadcast { msg } => {
-                self.stats.broadcasts += 1;
-                let mut peers = std::mem::take(&mut self.peer_scratch);
-                net.topology.collect_neighbors(from, &mut peers);
-                // The message moves to the final peer; only the first
-                // `len - 1` transmissions clone it.
-                if let Some((&last, rest)) = peers.split_last() {
-                    for &to in rest {
-                        self.transmit(from, to, msg.clone(), net, plane);
-                    }
-                    self.transmit(from, last, msg, net, plane);
-                }
-                self.peer_scratch = peers;
-            }
-            Action::SetTimer { after, tag } => {
-                let c = self.timer_ctr[from];
-                self.timer_ctr[from] = c + 1;
-                debug_assert!(c < (1 << 40), "per-actor timer counter overflow");
-                let key = event_key(key_class::TIMER, ((from as u64) << 40) | c);
-                self.queue.schedule_keyed(
-                    self.now + after,
-                    key,
-                    Pending::Timer { actor: from as u32, tag },
-                );
-            }
-            Action::Note { label } => {
-                self.trace.record(self.now, TraceKind::Note { actor: from, label });
-            }
-            Action::Trace(t) => {
-                let ProcessTrace { kind, stamp, detail } = *t;
-                self.trace
-                    .record(self.now, TraceKind::Process { actor: from, kind, stamp, detail });
-            }
-            Action::Halt => self.halted = true,
-        }
-    }
-
-    fn transmit(
-        &mut self,
-        from: ActorId,
-        to: ActorId,
-        msg: M,
-        net: &NetworkConfig,
-        plane: Option<&FaultPlane<M>>,
-    ) {
-        if !net.topology.connected(from, to) {
-            self.m.dropped.inc();
-            return; // no link: silently dropped
-        }
-        // One predictable branch: with a fault plane installed the
-        // transmission goes through the partition/channel-fault pipeline,
-        // which replicates this hot path exactly when no fault applies.
-        if let Some(plane) = plane {
-            return self.transmit_faulted(from, to, msg, net, plane);
-        }
-        let bytes = msg.size_bytes();
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        let id = self.next_msg_id(from);
-        self.trace.record(self.now, TraceKind::Sent { from, to, bytes, msg: MsgId(id) });
-        if self.loss[from].is_lost(&mut self.net_rngs[from]) {
-            self.stats.messages_lost += 1;
-            self.m.dropped.inc();
-            self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
-            return;
-        }
-        let delay = net.delay.sample(&mut self.net_rngs[from]);
-        let mut deliver_at = self.now + delay;
-        if net.fifo {
-            deliver_at = self.fifo_clamp(from, to, deliver_at, net);
-        }
-        self.schedule_delivery(deliver_at, from, to, msg, id);
-    }
-
-    /// [`Lane::transmit`] with the fault plane interposed: partitions
-    /// block or park, channel-fault rules drop/duplicate/reorder/corrupt,
-    /// then the normal loss/delay/FIFO pipeline runs. When nothing in the
-    /// plane applies, this performs exactly the same accounting, records,
-    /// and RNG draws as the plain path (the faults-off determinism test
-    /// relies on it). The plane is read-only here — all mutation
-    /// (counters, parked messages) lands in this lane's own accumulators.
-    fn transmit_faulted(
-        &mut self,
-        from: ActorId,
-        to: ActorId,
-        mut msg: M,
-        net: &NetworkConfig,
-        plane: &FaultPlane<M>,
-    ) {
-        let bytes = msg.size_bytes();
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        let id = self.next_msg_id(from);
-        self.trace.record(self.now, TraceKind::Sent { from, to, bytes, msg: MsgId(id) });
-
-        // 1. Partitions sever the channel before anything else.
-        if plane.active_cuts > 0 && plane.blocked(from, to) {
-            match plane.cut_policy(from, to) {
-                CutPolicy::Drop => {
-                    self.stats.messages_lost += 1;
-                    self.stats.messages_faulted += 1;
-                    self.m.dropped.inc();
-                    self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
-                    self.fstats.dropped_by_partition += 1;
-                }
-                CutPolicy::Park => {
-                    self.trace.record(
-                        self.now,
-                        TraceKind::Fault { actor: from, kind: FaultRecordKind::Parked, detail: id },
-                    );
-                    self.parked_out.push(Parked { from, to, msg, id, deliver_at: self.now });
-                    self.fstats.parked += 1;
-                    self.in_flight += 1; // parked still counts as in flight
-                    self.m.in_flight.set(self.in_flight.max(0) as u64);
-                }
-            }
-            return;
-        }
-
-        // 2. Channel-fault pipeline (draws only from the sender's plane
-        // stream).
-        let mut duplicate = false;
-        let mut extra_delay = None;
-        if plane.active_rules > 0 {
-            match plane.channel_effect(from, to, &mut self.fault_rngs[from]) {
-                Some(ChannelEffect::Drop) => {
-                    self.stats.messages_lost += 1;
-                    self.stats.messages_faulted += 1;
-                    self.m.dropped.inc();
-                    self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
-                    self.trace.record(
-                        self.now,
-                        TraceKind::Fault {
-                            actor: from,
-                            kind: FaultRecordKind::ChannelDrop,
-                            detail: id,
-                        },
-                    );
-                    self.fstats.dropped_by_channel += 1;
-                    return;
-                }
-                // Not a match guard: corrupt() both decides and mutates,
-                // and a failed guard would fall through to other arms.
-                #[allow(clippy::collapsible_match)]
-                Some(ChannelEffect::Corrupt) => {
-                    if msg.corrupt(&mut self.fault_rngs[from]) {
-                        self.fstats.corrupted += 1;
-                        self.trace.record(
-                            self.now,
-                            TraceKind::Fault {
-                                actor: from,
-                                kind: FaultRecordKind::Corrupted,
-                                detail: id,
-                            },
-                        );
-                    }
-                }
-                Some(ChannelEffect::Duplicate) => duplicate = true,
-                Some(ChannelEffect::Reorder { extra }) => extra_delay = Some(extra),
-                None => {}
-            }
-        }
-
-        // 3. The normal loss/delay/FIFO pipeline, identical to the plain
-        // path (same per-sender net stream draw order).
-        if self.loss[from].is_lost(&mut self.net_rngs[from]) {
-            self.stats.messages_lost += 1;
-            self.m.dropped.inc();
-            self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
-            return;
-        }
-        let delay = net.delay.sample(&mut self.net_rngs[from]);
-        let mut deliver_at = self.now + delay;
-        if let Some(extra) = extra_delay {
-            // Reorder: extra delay and no FIFO clamp (and no fifo-state
-            // update), so later sends on this channel may overtake.
-            deliver_at += extra;
-            self.fstats.reordered += 1;
-            self.trace.record(
-                self.now,
-                TraceKind::Fault { actor: from, kind: FaultRecordKind::Reordered, detail: id },
-            );
-        } else if net.fifo {
-            deliver_at = self.fifo_clamp(from, to, deliver_at, net);
-        }
-        let copy = if duplicate { Some(msg.clone()) } else { None };
-        self.schedule_delivery(deliver_at, from, to, msg, id);
-
-        // 4. The duplicate copy: its own message id, its own delay (from
-        // the sender's plane stream), no FIFO clamp.
-        if let Some(copy) = copy {
-            let dup_id = self.next_msg_id(from);
-            self.stats.messages_sent += 1;
-            self.stats.bytes_sent += bytes as u64;
-            self.stats.messages_duplicated += 1;
-            self.fstats.duplicated += 1;
-            self.trace.record(self.now, TraceKind::Sent { from, to, bytes, msg: MsgId(dup_id) });
-            self.trace.record(
-                self.now,
-                TraceKind::Fault { actor: from, kind: FaultRecordKind::Duplicated, detail: dup_id },
-            );
-            let dup_delay = net.delay.sample(&mut self.fault_rngs[from]);
-            self.schedule_delivery(self.now + dup_delay, from, to, copy, dup_id);
-        }
-    }
-
-    /// Apply the per-channel FIFO clamp and update the channel state.
-    #[inline]
-    fn fifo_clamp(
-        &mut self,
-        from: ActorId,
-        to: ActorId,
-        deliver_at: SimTime,
-        net: &NetworkConfig,
-    ) -> SimTime {
-        loop {
-            match &mut self.fifo {
-                FifoStore::Off => return deliver_at,
-                FifoStore::Dense { stride, rank, last } => {
-                    if to >= *stride || from >= rank.len() {
-                        self.fifo_setup(net); // topology grew: rebuild
-                        continue;
-                    }
-                    let r = rank[from] as usize;
-                    debug_assert!(r != u32::MAX as usize, "sender not a member of this lane");
-                    let slot = r * *stride + to;
-                    let cell = &mut last[slot];
-                    let t = if deliver_at < *cell { *cell } else { deliver_at };
-                    *cell = t;
-                    return t;
-                }
-                FifoStore::Sparse { last } => {
-                    let key = ((from as u64) << 32) | to as u64;
-                    let cell = last.entry(key).or_insert(SimTime::ZERO);
-                    let t = if deliver_at < *cell { *cell } else { deliver_at };
-                    *cell = t;
-                    return t;
-                }
-                FifoStore::Unset => {
-                    self.fifo_setup(net);
-                    continue;
-                }
-            }
-        }
-    }
-
-    /// (Re)build the FIFO store for the current topology size, preserving
-    /// any existing channel state. Cold: runs once per run (or per
-    /// topology-size change).
-    #[cold]
-    fn fifo_setup(&mut self, net: &NetworkConfig) {
-        if !net.fifo {
-            self.fifo = FifoStore::Off;
-            return;
-        }
-        let n = net.topology.len().max(self.actors.len());
-        let old = std::mem::replace(&mut self.fifo, FifoStore::Unset);
-        if n <= self.fifo_dense_limit {
-            let mut rank = vec![u32::MAX; n];
-            for (r, &id) in self.members.iter().enumerate() {
-                if id < n {
-                    rank[id] = r as u32;
-                }
-            }
-            let mut last = vec![SimTime::ZERO; self.members.len() * n];
-            // Preserve prior clamp state across a rebuild (re-runs after
-            // topology growth).
-            match old {
-                FifoStore::Dense { stride, rank: old_rank, last: old_last } => {
-                    for (from, &r_old) in old_rank.iter().enumerate() {
-                        if r_old == u32::MAX || from >= n || rank[from] == u32::MAX {
-                            continue;
-                        }
-                        let r_new = rank[from] as usize;
-                        for to in 0..stride.min(n) {
-                            last[r_new * n + to] = old_last[r_old as usize * stride + to];
-                        }
-                    }
-                }
-                FifoStore::Sparse { last: old_last } => {
-                    for (key, at) in old_last {
-                        let (from, to) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
-                        if from < n && to < n && rank[from] != u32::MAX {
-                            last[rank[from] as usize * n + to] = at;
-                        }
-                    }
-                }
-                _ => {}
-            }
-            self.fifo = FifoStore::Dense { stride: n, rank, last };
-        } else {
-            let mut map = HashMap::new();
-            match old {
-                FifoStore::Dense { stride, rank: old_rank, last: old_last } => {
-                    for (from, &r) in old_rank.iter().enumerate() {
-                        if r == u32::MAX {
-                            continue;
-                        }
-                        for to in 0..stride {
-                            let at = old_last[r as usize * stride + to];
-                            if at != SimTime::ZERO {
-                                map.insert(((from as u64) << 32) | to as u64, at);
-                            }
-                        }
-                    }
-                }
-                FifoStore::Sparse { last } => map = last,
-                _ => {}
-            }
-            self.fifo = FifoStore::Sparse { last: map };
-        }
-    }
-}
 
 /// The simulation engine.
 pub struct Engine<M: Message> {
@@ -1367,253 +604,6 @@ impl<M: Message> Engine<M> {
         }
     }
 
-    /// Shorthand for [`Engine::run_with_plan`] over a
-    /// [`ShardPlan::contiguous`] partition into `shards` shards.
-    pub fn run_sharded(&mut self, shards: usize) -> SimTime {
-        self.run_with_plan(&ShardPlan::contiguous(self.lane.actors.len(), shards))
-    }
-
-    /// Run with actors partitioned across shard worker threads, advancing
-    /// all shards concurrently through lookahead-bounded windows. The
-    /// result — delivered-event sequence, per-actor RNG draws, trace,
-    /// stats, fault effects — is **bit-identical** to [`Engine::run`].
-    ///
-    /// Falls back to the sequential loop when the plan has one shard, the
-    /// network's lookahead ([`crate::delay::DelayModel::min_bound`]) is
-    /// zero, or there are no actors. Like `run`, one call consumes the
-    /// pending timeline; alternating `run`/`run_with_plan` calls on one
-    /// engine is supported (state merges back into the resident lane).
-    ///
-    /// Caveat: [`Context::halt`] stops a sharded run at the end of the
-    /// window (or start batch) that observed it, not mid-window — halting
-    /// protocols should keep using `run`. `now()` still reports the halting
-    /// lane's time.
-    pub fn run_with_plan(&mut self, plan: &ShardPlan) -> SimTime {
-        let n = self.lane.actors.len();
-        let lookahead = self.network.delay.min_bound();
-        let k = plan.shard_count().min(n.max(1));
-        if k <= 1 || n == 0 || lookahead.is_zero() {
-            return self.run();
-        }
-        assert!(
-            plan.owner().len() >= n,
-            "ShardPlan covers {} actors but engine has {n}",
-            plan.owner().len()
-        );
-        let wall_start = Instant::now();
-        let events_before = self.lane.events_processed;
-        self.lane.trace.configure_actors(n);
-
-        let mut lanes = self.split_lanes(plan.owner(), k);
-        let op_times: Vec<SimTime> = self
-            .fault
-            .as_deref()
-            .map(|p| p.ops.iter().map(|&(at, _)| at).collect())
-            .unwrap_or_default();
-        let plane_lock: RwLock<Option<Box<FaultPlane<M>>>> = RwLock::new(self.fault.take());
-        let net = &self.network;
-        let end_time = self.end_time;
-        let metrics = self.m.clone();
-        // Telemetry is recorded per shard (workers) plus a coordinator
-        // slot; `tel_on` gates every wall-clock read so a disabled
-        // registry costs nothing on the barrier path.
-        let tel_on = self.tel.is_enabled();
-        let coord_tel = self.tel.coordinator();
-        let mut op_cursor = self.op_cursor;
-        let mut end_hit = false;
-        let mut outbox_scratch: Vec<(SimTime, u64, Pending<M>)> = Vec::new();
-
-        // Start dispatches run on the coordinator, per lane in shard order;
-        // canonical start cursors make the resulting records order by actor
-        // id regardless. Like the sequential path, starts fire once per
-        // engine, not once per run.
-        if !self.started {
-            self.started = true;
-            let guard = plane_lock.read();
-            for lane in &mut lanes {
-                lane.dispatch_starts(net, guard.as_deref());
-            }
-        }
-        route_outboxes(&mut lanes, &mut outbox_scratch);
-
-        // One SPSC exchange ring per directed shard pair; the outbox is the
-        // spill path when a ring is full.
-        for lane in &mut lanes {
-            lane.ring_out = (0..k).map(|_| None).collect();
-            lane.ring_in = (0..k).map(|_| None).collect();
-        }
-        for i in 0..k {
-            for j in 0..k {
-                if i != j {
-                    let (tx, rx) = crate::ring::spsc(RING_CAPACITY);
-                    lanes[i].ring_out[j] = Some(tx);
-                    lanes[j].ring_in[i] = Some(rx);
-                }
-            }
-        }
-
-        // The serial prefix (lane split, start dispatch, plan routing) is
-        // coordinator busy time. During the window loop the coordinator
-        // records only drains, so its busy spans never overlap the shards'
-        // own accounting.
-        coord_tel.record(Phase::Busy, Some(wall_start));
-        // Per-worker shard handles for the one wait the lane can't record:
-        // the final block on a closing command channel (the lane has
-        // already been sent back by then).
-        let wtels: Vec<ShardTelemetry> = (0..k).map(|i| self.tel.shard(i)).collect();
-        std::thread::scope(|scope| {
-            let mut cmd_tx: Vec<mpsc::Sender<(Lane<M>, SimTime)>> = Vec::with_capacity(k);
-            let mut res_rx: Vec<mpsc::Receiver<Lane<M>>> = Vec::with_capacity(k);
-            for wtel in wtels {
-                let (tx, rx) = mpsc::channel::<(Lane<M>, SimTime)>();
-                let (res_tx, rres) = mpsc::channel::<Lane<M>>();
-                cmd_tx.push(tx);
-                res_rx.push(rres);
-                let plane_lock = &plane_lock;
-                // The first wait clock starts on the coordinator side so
-                // thread-spawn latency lands in barrier wait — the shard
-                // slots then cover the scope's whole lifetime and the
-                // profile report can attribute ~all of the run wall.
-                let spawn0 = if tel_on { Some(Instant::now()) } else { None };
-                scope.spawn(move || {
-                    let mut wait0 = spawn0;
-                    loop {
-                        // Time blocked on the coordinator as barrier wait
-                        // — recorded into the received lane's shard slot,
-                        // so the attribution follows the lane even though
-                        // the clock read happens before we know which
-                        // window this is.
-                        let Ok((mut lane, wend)) = rx.recv() else {
-                            if let Some(w0) = wait0 {
-                                wtel.record_ns(Phase::BarrierWait, w0.elapsed().as_nanos() as u64);
-                            }
-                            break;
-                        };
-                        if let Some(w0) = wait0 {
-                            lane.tel.record_ns(Phase::BarrierWait, w0.elapsed().as_nanos() as u64);
-                        }
-                        let t0 = lane.tel.start();
-                        {
-                            let guard = plane_lock.read();
-                            lane.advance_until(Some(wend), net, guard.as_deref());
-                        }
-                        lane.tel.record(Phase::Busy, t0);
-                        // Overlap exchange with other lanes' windows: pull
-                        // whatever peers have published so far; the
-                        // coordinator finishes the drain at the barrier.
-                        let r0 = lane.tel.start();
-                        lane.absorb_rings();
-                        lane.tel.record(Phase::RingExchange, r0);
-                        // Clock the next wait from *before* the send: on a
-                        // busy machine the scheduler may run the whole
-                        // coordinator barrier between our send and our next
-                        // statement, and that time is barrier wait.
-                        wait0 = if tel_on { Some(Instant::now()) } else { None };
-                        if res_tx.send(lane).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-
-            while !lanes.iter().any(|l| l.halted) {
-                let op_at = op_times.get(op_cursor).copied();
-                let queue_at = lanes.iter().filter_map(|l| l.queue.peek_time()).min();
-                match next_stop(op_at, queue_at, end_time, None) {
-                    Stop::Op => {
-                        // Coordinator sub-barrier: apply the op under the
-                        // write lock, with all lanes at rest. Counted in
-                        // `engine.op_barriers`, not `engine.windows` — an op
-                        // barrier synchronizes every lane like a window
-                        // boundary does, but it advances no lookahead window,
-                        // and folding the two together made barrier-wait
-                        // attribution lie about window cost.
-                        let idx = op_cursor;
-                        op_cursor += 1;
-                        metrics.events.inc();
-                        metrics.op_barriers.inc();
-                        let mut guard = plane_lock.write();
-                        let plane = guard.as_deref_mut().expect("op implies plane");
-                        collect_parked(&mut lanes, plane);
-                        lanes[0].events_processed += 1;
-                        apply_plane_op(&mut lanes, plane, idx, net);
-                        // Ops can dispatch actors (Recover/Clock handlers)
-                        // whose sends target other shards; route them now so
-                        // the next stop sees them — left in a ring or an
-                        // outbox they would surface after the destination
-                        // lane advanced past their delivery time. Workers are
-                        // idle at an op barrier, so the ring drain is
-                        // exhaustive.
-                        let d0 = coord_tel.start();
-                        for lane in &mut lanes {
-                            lane.absorb_rings();
-                        }
-                        route_outboxes(&mut lanes, &mut outbox_scratch);
-                        coord_tel.record(Phase::CoordinatorDrain, d0);
-                    }
-                    Stop::Advance { from, until } => {
-                        // One parallel window [from, from + L), clipped by
-                        // the next op or the end time.
-                        let mut wend = from.saturating_add(lookahead);
-                        if let Some(u) = until {
-                            wend = wend.min(u);
-                        }
-                        metrics.windows.inc();
-                        run_window(&cmd_tx, &res_rx, &mut lanes, wend);
-                        // Producers are quiescent at the barrier, so this
-                        // coordinator drain (after the workers' own
-                        // overlapped absorb) is exhaustive.
-                        let d0 = coord_tel.start();
-                        for lane in &mut lanes {
-                            lane.absorb_rings();
-                        }
-                        route_outboxes(&mut lanes, &mut outbox_scratch);
-                        coord_tel.record(Phase::CoordinatorDrain, d0);
-                    }
-                    Stop::End => {
-                        end_hit = true;
-                        break;
-                    }
-                    Stop::Drained => break,
-                }
-            }
-            drop(cmd_tx); // workers exit on channel close
-        });
-        // Serial suffix: parked-message collection, ring teardown, lane
-        // merge — coordinator busy time again (see the prefix span above).
-        let suffix0 = coord_tel.start();
-
-        self.op_cursor = op_cursor;
-        let mut plane = plane_lock.into_inner();
-        if let Some(p) = plane.as_deref_mut() {
-            collect_parked(&mut lanes, p);
-        }
-        self.fault = plane;
-        for lane in &mut lanes {
-            // Rings are drained at every barrier, so dropping the handles
-            // here cannot lose events.
-            debug_assert!(lane.ring_in.iter_mut().flatten().all(|r| r.is_empty()));
-            if tel_on {
-                // Worst occupancy this lane's producers ever observed —
-                // the capacity-pressure signal behind `engine.ring_spills`.
-                let hw = lane.ring_out.iter().flatten().map(|p| p.high_water()).max();
-                if let Some(hw) = hw {
-                    lane.tel.record_ring_high_water(hw as u64);
-                }
-            }
-            lane.ring_out.clear();
-            lane.ring_in.clear();
-        }
-        self.merge_lanes(lanes);
-        if end_hit {
-            self.lane.now = end_time;
-        }
-        self.m.queue_depth.set(self.lane.queue.len() as u64);
-        self.m.in_flight.set(self.lane.in_flight.max(0) as u64);
-        coord_tel.record(Phase::Busy, suffix0);
-        self.finish_run(wall_start, events_before)
-    }
-
     /// Seal the trace and record wall-clock metrics; returns final time.
     fn finish_run(&mut self, wall_start: Instant, events_before: u64) -> SimTime {
         self.lane.trace.seal();
@@ -1627,110 +617,6 @@ impl<M: Message> Engine<M> {
                 .set(((self.lane.events_processed - events_before) as f64 / secs) as u64);
         }
         self.lane.now
-    }
-
-    /// Split the resident lane into `k` per-shard lanes according to
-    /// `owner`. Full-size per-actor vectors are cloned into every lane
-    /// (cheap: RNG streams are ~32 B) so workers index by global id.
-    fn split_lanes(&mut self, owner: &[u32], k: usize) -> Vec<Lane<M>> {
-        let n = self.lane.actors.len();
-        let tel = &self.tel;
-        let base = &mut self.lane;
-        let mut lanes: Vec<Lane<M>> = (0..k)
-            .map(|shard| Lane {
-                shard,
-                now: base.now,
-                queue: EventQueue::new(),
-                actors: (0..n).map(|_| None).collect(),
-                rngs: base.rngs.clone(),
-                net_rngs: base.net_rngs.clone(),
-                fault_rngs: base.fault_rngs.clone(),
-                loss: base.loss.clone(),
-                msg_ctr: base.msg_ctr.clone(),
-                timer_ctr: base.timer_ctr.clone(),
-                members: Vec::new(),
-                owner: owner[..n].to_vec(),
-                outbox: Vec::new(),
-                ring_out: Vec::new(),
-                ring_in: Vec::new(),
-                fifo: FifoStore::Unset,
-                fifo_dense_limit: base.fifo_dense_limit,
-                trace: if base.trace.is_enabled() { Trace::enabled() } else { Trace::disabled() },
-                stats: NetStats::default(),
-                fstats: FaultStats::default(),
-                parked_out: Vec::new(),
-                in_flight: 0,
-                events_processed: 0,
-                halted: base.halted,
-                action_scratch: Vec::new(),
-                peer_scratch: Vec::new(),
-                m: base.m.clone(),
-                tel: tel.shard(shard),
-            })
-            .collect();
-        for (id, &shard) in owner.iter().enumerate() {
-            let s = shard as usize;
-            debug_assert!(s < k, "owner[{id}] = {s} out of range for {k} shards");
-            lanes[s].actors[id] = base.actors[id].take();
-            lanes[s].members.push(id);
-        }
-        let mut distributed = 0i64;
-        for (at, key, p) in base.queue.drain_entries() {
-            let dest = match &p {
-                Pending::Deliver { to, .. } => {
-                    owner.get(*to as usize).map(|&s| s as usize).unwrap_or(0)
-                }
-                Pending::Timer { actor, .. } => owner[*actor as usize] as usize,
-            };
-            if matches!(p, Pending::Deliver { .. }) {
-                lanes[dest].in_flight += 1;
-                distributed += 1;
-            }
-            lanes[dest].queue.schedule_keyed(at, key, p);
-        }
-        // Whatever in-flight count is not in the queue (parked messages
-        // from a previous run) stays on lane 0, so the global sum is
-        // preserved across split/merge.
-        lanes[0].in_flight += base.in_flight - distributed;
-        base.in_flight = 0;
-        lanes
-    }
-
-    /// Merge per-shard lanes back into the resident lane: actors, RNG and
-    /// counter state (members only), traces (canonical absorb), stats, and
-    /// any leftover queue entries.
-    fn merge_lanes(&mut self, mut lanes: Vec<Lane<M>>) {
-        let base = &mut self.lane;
-        let mut max_now = base.now;
-        for lane in &mut lanes {
-            max_now = max_now.max(lane.now);
-            for i in 0..lane.members.len() {
-                let id = lane.members[i];
-                base.actors[id] = lane.actors[id].take();
-                base.rngs[id] = lane.rngs[id].clone();
-                base.net_rngs[id] = lane.net_rngs[id].clone();
-                if !base.fault_rngs.is_empty() {
-                    base.fault_rngs[id] = lane.fault_rngs[id].clone();
-                }
-                base.loss[id] = lane.loss[id].clone();
-                base.msg_ctr[id] = lane.msg_ctr[id];
-                base.timer_ctr[id] = lane.timer_ctr[id];
-            }
-            base.stats.absorb(&lane.stats);
-            base.fstats.absorb(&lane.fstats);
-            base.trace.absorb(&mut lane.trace);
-            base.in_flight += lane.in_flight;
-            base.events_processed += lane.events_processed;
-            base.halted |= lane.halted;
-            base.parked_out.append(&mut lane.parked_out);
-            for (at, key, p) in lane.queue.drain_entries() {
-                base.queue.schedule_keyed(at, key, p);
-            }
-        }
-        // The FIFO channel state is split per shard and cheap to rebuild;
-        // force re-init on the next (sequential) run.
-        base.fifo = FifoStore::Unset;
-        base.now = max_now;
     }
 
     /// Current simulation time.
@@ -1823,52 +709,6 @@ fn next_stop(
     let past_end =
         (end_time != SimTime::MAX).then(|| end_time.saturating_add(SimDuration::from_nanos(1)));
     Stop::Advance { from: next, until: [op_at, past_end, limit].into_iter().flatten().min() }
-}
-
-/// Dispatch one parallel window `[·, wend)` to the shard workers and
-/// collect the lanes back, reusing the `lanes` vector's allocation.
-/// Collection is in shard order from per-worker channels: a worker that
-/// panicked closes its channel, turning a would-be deadlock into an
-/// immediate error (the scope join then re-raises the worker's own panic).
-fn run_window<M: Message>(
-    cmd_tx: &[mpsc::Sender<(Lane<M>, SimTime)>],
-    res_rx: &[mpsc::Receiver<Lane<M>>],
-    lanes: &mut Vec<Lane<M>>,
-    wend: SimTime,
-) {
-    for lane in lanes.drain(..) {
-        let shard = lane.shard;
-        cmd_tx[shard].send((lane, wend)).expect("worker alive");
-    }
-    for (i, rx) in res_rx.iter().enumerate() {
-        lanes.push(rx.recv().unwrap_or_else(|_| panic!("shard worker {i} died")));
-    }
-}
-
-/// Route every lane's outbox into the destination lanes' heaps. Arrival
-/// order into a heap is immaterial — heap order is total on
-/// `(time, canonical key)` — so no sort is needed. `scratch` is a
-/// coordinator-owned buffer swapped with each non-empty outbox so the
-/// steady state allocates nothing (capacities circulate between the
-/// coordinator and the lanes instead of being dropped every barrier).
-fn route_outboxes<M: Message>(
-    lanes: &mut [Lane<M>],
-    scratch: &mut Vec<(SimTime, u64, Pending<M>)>,
-) {
-    debug_assert!(scratch.is_empty());
-    for li in 0..lanes.len() {
-        if lanes[li].outbox.is_empty() {
-            continue;
-        }
-        std::mem::swap(&mut lanes[li].outbox, scratch);
-        for (at, key, p) in scratch.drain(..) {
-            let dest = match &p {
-                Pending::Deliver { to, .. } => lanes[li].owner[*to as usize] as usize,
-                Pending::Timer { actor, .. } => lanes[li].owner[*actor as usize] as usize,
-            };
-            lanes[dest].queue.schedule_keyed(at, key, p);
-        }
-    }
 }
 
 /// Drain every lane's transmit-time parked messages into the plane (order
@@ -2096,8 +936,10 @@ fn apply_plane_op<M: Message>(
 
 #[cfg(test)]
 mod tests {
+    use super::sharded::RING_CAPACITY;
     use super::*;
     use crate::delay::DelayModel;
+    use crate::fault::ChannelEffect;
     use crate::loss::LossModel;
 
     #[derive(Clone, Debug, PartialEq)]
