@@ -26,9 +26,9 @@
 //! - `rr ev/s` vs `aff ev/s` — the round-robin (interleaved) plan against
 //!   the traffic-aware affinity plan at the same shard count.
 //!
-//! Every variant — each shard count and both plan runs — is asserted bit-identical to the sequential run before its
-//! timing is reported, so a row in this table is also an equivalence
-//! proof over its workload.
+//! Every variant — each shard count and both plan runs — is asserted
+//! bit-identical to the sequential run before its timing is reported, so
+//! a row in this table is also an equivalence proof over its workload.
 //!
 //! The last rows demonstrate the two boundary behaviours: a partition-
 //! heavy fault script (barriers multiply, `ev/window` collapses) and a

@@ -119,9 +119,9 @@ pub trait Message: Clone + Send + Sync {
     fn size_bytes(&self) -> usize;
 
     /// Mutate the payload to model in-flight corruption (fault plane,
-    /// [`ChannelEffect::Corrupt`]); return `true` if anything changed.
-    /// All randomness must come from `rng` (the plane's per-sender stream).
-    /// The default is incorruptible, so existing message types are
+    /// [`crate::fault::ChannelEffect::Corrupt`]); return `true` if anything
+    /// changed. All randomness must come from `rng` (the plane's per-sender
+    /// stream). The default is incorruptible, so existing message types are
     /// unaffected until they opt in.
     fn corrupt(&mut self, _rng: &mut RngStream) -> bool {
         false

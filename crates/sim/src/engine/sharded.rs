@@ -167,7 +167,7 @@ impl<M: Message> Engine<M> {
     /// pending timeline; alternating `run`/`run_with_plan` calls on one
     /// engine is supported (state merges back into the resident lane).
     ///
-    /// Caveat: [`Context::halt`] stops a sharded run at the end of the
+    /// Caveat: [`super::Context::halt`] stops a sharded run at the end of the
     /// window (or start batch) that observed it, not mid-window — halting
     /// protocols should keep using `run`. `now()` still reports the halting
     /// lane's time.
