@@ -4,8 +4,8 @@
 //! `GET /metrics` with the [Prometheus text exposition format] rendered
 //! from the session's [`Metrics`] and [`Telemetry`] registries. Both
 //! registries are `Arc`-shared with the engine, so the listener snapshots
-//! them directly — it never touches the service thread's command channel
-//! and therefore cannot delay ingest or queries.
+//! them directly — it never takes the session lock and therefore cannot
+//! delay ingest or queries.
 //!
 //! The parser is defensive by construction: it reads at most
 //! `MAX_HEAD` bytes of request head under a short read timeout, answers
@@ -140,7 +140,7 @@ fn read_request_path(stream: &mut TcpStream) -> Result<String, String> {
 
 /// Mangle a dotted metric name into a Prometheus-safe identifier with the
 /// `psn_` namespace prefix (`engine.op_barriers` → `psn_engine_op_barriers`).
-fn prom_name(name: &str) -> String {
+pub(crate) fn prom_name(name: &str) -> String {
     let mangled: String =
         name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
     format!("psn_{mangled}")
@@ -261,6 +261,25 @@ mod tests {
             "psn_telemetry_phase_ns{shard=\"coordinator\",phase=\"coordinator_drain\"} 250"
         ));
         assert!(resp.contains("psn_telemetry_run_wall_ns 1500"));
+        handle.stop();
+    }
+
+    #[test]
+    fn every_metric_family_is_typed_once_across_watches() {
+        use crate::{Request, ServeConfig, ServeSession};
+        let mut session = ServeSession::new(ServeConfig::new(2));
+        for name in ["a.b", "a_c"] {
+            let predicate = psn_predicates::Predicate::occupancy_over(2, 3);
+            session.handle(Request::Watch { name: name.into(), predicate });
+        }
+        let tcp = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let handle = serve_metrics(tcp, session.metrics_registry(), session.telemetry_registry());
+        let resp = scrape(handle.addr(), b"GET /metrics HTTP/1.0\r\n\r\n");
+        let types: Vec<&str> = resp.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let unique: std::collections::BTreeSet<&str> = types.iter().copied().collect();
+        assert_eq!(types.len(), unique.len(), "a family typed twice: {resp}");
+        assert!(resp.contains("psn_detector_a_b_frontier_width 0"), "{resp}");
+        assert!(resp.contains("psn_detector_a_c_frontier_width 0"), "{resp}");
         handle.stop();
     }
 

@@ -13,13 +13,12 @@
 //!   a [`psn_core::live::LiveExecution`] fed by a channel provider plus
 //!   named [`psn_predicates::OnlineDetector`]s, with whole-session
 //!   snapshot/restore built on deterministic journal replay;
-//! - [`server`] — connection fan-in: reader threads decode frames and
-//!   funnel them through one command channel to the service thread, so no
-//!   wire input — malformed or otherwise — can panic or wedge the engine;
+//! - [`server`] — connection fan-in: reader threads decode frames and apply
+//!   each burst under one session lock, so no wire input — malformed or
+//!   otherwise — can panic or wedge the engine;
 //! - [`http`] — an optional Prometheus-text `GET /metrics` endpoint
 //!   (`--metrics-listen`) that snapshots the session's `Arc`-shared
-//!   metrics and telemetry registries without touching the command
-//!   channel.
+//!   metrics and telemetry registries without taking the session lock.
 //!
 //! The `psn-serve` binary wraps this into a CLI (see `--help`); its
 //! `--smoke` mode runs a scripted ingest-detect-snapshot-restore cycle

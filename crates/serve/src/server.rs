@@ -1,42 +1,65 @@
-//! The TCP server: connection fan-in to a single-threaded session.
+//! The TCP server: connection fan-in to one session behind one lock.
 //!
-//! One **service thread** owns the [`ServeSession`] and applies requests
-//! strictly in arrival order off an internal command channel — the session
-//! needs no locks and every reply reflects a consistent engine state. Each
-//! accepted connection gets a **reader thread** that decodes the frames its
-//! client has already sent, forwards them as one `(requests, reply-sender)`
-//! burst, and writes the replies back in one write; a lone frame is a burst
-//! of one, so no reply waits for input. Malformed frames never reach the
-//! session: recoverable ones (bad JSON in a well-delimited frame) get a typed
-//! [`Response::Error`] and the connection continues; desynchronizing ones
-//! (oversized length prefix, truncation) close that connection — the
-//! server itself always stays up.
+//! The [`ServeSession`] sits behind **one session lock**. Each accepted
+//! connection gets a **reader thread** that decodes the frames its client
+//! has already sent, applies them back to back as one burst under the lock,
+//! releases it, and writes the replies back in one write; a lone frame is a
+//! burst of one, so no reply waits for input. A burst is applied whole, so
+//! bursts never interleave and every reply reflects a consistent engine
+//! state. Malformed frames never reach the session: recoverable ones (bad
+//! JSON in a well-delimited frame) get a typed [`Response::Error`] and the
+//! connection continues; desynchronizing ones (oversized length prefix,
+//! truncation) close that connection — the server itself always stays up.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::session::ServeSession;
 use crate::wire::{self, ErrorCode, Request, Response};
 
-type Command = (Vec<Request>, Sender<Vec<Response>>);
+/// The session, until [`ServerHandle::wait`] takes it once a `Shutdown`
+/// has stopped it.
+struct Served {
+    session: Option<ServeSession>,
+    stopped: bool,
+}
 
-/// Have the service thread apply `burst` back to back. `None` once it has
-/// stopped: the reply channel lives for one call, so a command the stopping
-/// service drops unanswered disconnects it instead of parking the caller.
-fn call(cmd: &Sender<Command>, burst: Vec<Request>) -> Option<Vec<Response>> {
-    let (tx, rx) = mpsc::channel();
-    cmd.send((burst, tx)).ok()?;
-    rx.recv().ok()
+/// The session lock every reader thread and the handle share; `stop` is
+/// signalled when `stopped` is set or a panic poisons the lock.
+struct Shared {
+    served: Mutex<Served>,
+    stop: Condvar,
+}
+
+impl Shared {
+    /// Apply `reqs` back to back under the session lock, each reply to `out`.
+    /// A `Shutdown` stops the session and is the last request applied.
+    /// `false`, with nothing applied, once stopped (or the lock is poisoned).
+    fn apply(&self, reqs: impl Iterator<Item = Request>, mut out: impl FnMut(Response)) -> bool {
+        let mut served = match self.served.lock() {
+            Ok(served) if !served.stopped => served,
+            _ => return false,
+        };
+        for req in reqs {
+            let stop = matches!(req, Request::Shutdown);
+            out(served.session.as_mut().expect("taken only once stopped").handle(req));
+            if stop {
+                served.stopped = true;
+                self.stop.notify_all();
+                break;
+            }
+        }
+        true
+    }
 }
 
 /// Server-side clamps for subscription streams: a push period below
 /// [`MIN_PUSH_INTERVAL_MS`] would let one connection monopolise the
-/// command channel, and an unbounded count would pin the reader thread
+/// session lock, and an unbounded count would pin the reader thread
 /// forever.
 pub const MIN_PUSH_INTERVAL_MS: u64 = 10;
 /// Maximum push frames one subscription may request.
@@ -51,9 +74,8 @@ pub fn clamp_subscription(interval_ms: u64, count: u32) -> (u64, u32) {
 /// A running server: address, in-process request path, and shutdown.
 pub struct ServerHandle {
     addr: SocketAddr,
-    cmd: Sender<Command>,
+    shared: Arc<Shared>,
     stopping: Arc<AtomicBool>,
-    service: Option<JoinHandle<ServeSession>>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -64,21 +86,21 @@ impl ServerHandle {
     }
 
     /// Apply a request in-process (same ordering guarantees as the wire:
-    /// it queues behind whatever connections have sent). `None` once the
-    /// service thread has stopped.
+    /// a burst of one under the session lock). `None` once the session has
+    /// stopped.
     pub fn request(&self, req: Request) -> Option<Response> {
-        call(&self.cmd, vec![req])?.pop()
+        let mut out = None;
+        self.shared.apply([req].into_iter(), |r| out = Some(r));
+        out
     }
 
-    /// Block until a client's `Shutdown` request stops the service, then
-    /// reap the threads and return the final session.
-    pub fn wait(mut self) -> Option<ServeSession> {
-        let session = self.service.take().and_then(|h| h.join().ok());
-        self.stopping.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        session
+    /// Block until a client's `Shutdown` request stops the session, then
+    /// stop accepting and return the final session (`None` if a panic
+    /// poisoned it).
+    pub fn wait(self) -> Option<ServeSession> {
+        (self.shared.served.lock().ok())
+            .and_then(|served| self.shared.stop.wait_while(served, |s| !s.stopped).ok())
+            .and_then(|mut served| served.session.take())
     }
 
     /// Stop the server and recover the session (e.g. to snapshot it).
@@ -89,8 +111,12 @@ impl ServerHandle {
 }
 
 impl Drop for ServerHandle {
+    /// Stop accepting; connections already accepted keep their readers.
     fn drop(&mut self) {
         self.stopping.store(true, Ordering::Release);
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -100,35 +126,20 @@ pub fn serve(listener: TcpListener, session: ServeSession) -> std::io::Result<Se
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stopping = Arc::new(AtomicBool::new(false));
-    let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
-
-    let service_flag = Arc::clone(&stopping);
-    let service = std::thread::spawn(move || {
-        let mut session = session;
-        while let Ok((burst, reply)) = cmd_rx.recv() {
-            // `Shutdown` is the last request applied: whatever the burst
-            // holds behind it is dropped, as on every other connection.
-            let stop = burst.iter().position(|r| matches!(r, Request::Shutdown));
-            let upto = stop.map_or(burst.len(), |at| at + 1);
-            let _ = reply.send(burst.into_iter().take(upto).map(|r| session.handle(r)).collect());
-            if stop.is_some() {
-                service_flag.store(true, Ordering::Release);
-                break;
-            }
-        }
-        session
+    let shared = Arc::new(Shared {
+        served: Mutex::new(Served { session: Some(session), stopped: false }),
+        stop: Condvar::new(),
     });
 
-    let accept_flag = Arc::clone(&stopping);
-    let accept_tx = cmd_tx.clone();
+    let (accept_flag, accept_shared) = (Arc::clone(&stopping), Arc::clone(&shared));
     let accept = std::thread::spawn(move || {
         while !accept_flag.load(Ordering::Acquire) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let tx = accept_tx.clone();
+                    let shared = Arc::clone(&accept_shared);
                     // Reader threads are detached: they exit when their
-                    // client disconnects or the service stops answering.
-                    std::thread::spawn(move || connection(stream, tx));
+                    // client disconnects or the session stops.
+                    std::thread::spawn(move || connection(stream, shared));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -138,13 +149,13 @@ pub fn serve(listener: TcpListener, session: ServeSession) -> std::io::Result<Se
         }
     });
 
-    Ok(ServerHandle { addr, cmd: cmd_tx, stopping, service: Some(service), accept: Some(accept) })
+    Ok(ServerHandle { addr, shared, stopping, accept: Some(accept) })
 }
 
 /// The connection is to be closed, once what is queued has been written.
 struct Close;
 
-fn connection(stream: TcpStream, tx: Sender<Command>) {
+fn connection(stream: TcpStream, shared: Arc<Shared>) {
     // The listener is nonblocking; the per-connection protocol loop wants
     // blocking reads.
     if stream.set_nonblocking(false).is_err() {
@@ -155,16 +166,13 @@ fn connection(stream: TcpStream, tx: Sender<Command>) {
     let _ = stream.set_nodelay(true);
     let Ok(writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
-    let mut link = Link { tx, writer, burst: Vec::new(), out: Vec::new() };
+    let mut link = Link { shared, writer, burst: Vec::new(), replies: Vec::new(), out: Vec::new() };
     loop {
         // Blocks only with nothing decoded and nothing queued: whoever comes
         // back here with either has seen the next frame complete in `reader`.
         let step = match wire::read_frame::<Request>(&mut reader) {
-            Ok(Some(Request::SubscribeMetrics { interval_ms, count })) => {
-                link.subscription(None, interval_ms, count)
-            }
-            Ok(Some(Request::SubscribeTrace { from, interval_ms, count })) => {
-                link.subscription(Some(from), interval_ms, count)
+            Ok(Some(sub @ (Request::SubscribeMetrics { .. } | Request::SubscribeTrace { .. }))) => {
+                link.subscription(sub)
             }
             Ok(Some(req)) => {
                 link.burst.push(req);
@@ -173,7 +181,8 @@ fn connection(stream: TcpStream, tx: Sender<Command>) {
             Ok(None) => Err(Close), // clean client disconnect
             // The error takes its frame's place among the replies.
             Err(e) => link.dispatch().and_then(|_| {
-                link.push(&Response::Error { code: ErrorCode::BadRequest, message: e.to_string() });
+                let error = Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };
+                queue(&mut link.out, &error);
                 wire::recoverable(&e).then_some(()).ok_or(Close)
             }),
         };
@@ -188,34 +197,36 @@ fn connection(stream: TcpStream, tx: Sender<Command>) {
     }
 }
 
+/// Queue one reply frame; one too large for a frame becomes a typed error.
+fn queue(out: &mut Vec<u8>, resp: &Response) {
+    if let Err(e) = wire::encode_frame(out, resp) {
+        let resp = Response::Error { code: ErrorCode::Internal, message: e.to_string() };
+        wire::encode_frame(out, &resp).expect("two sizes and a sentence fit");
+    }
+}
+
 /// A connection's way to the session and back: decoded requests collect in
-/// `burst` and go to the service thread in one command, the replies collect
-/// in `out` and leave in one write.
+/// `burst` and are applied under one lock, their replies collect in
+/// `replies` and are encoded into `out` after it, to leave in one write.
 struct Link {
-    tx: Sender<Command>,
+    shared: Arc<Shared>,
     writer: TcpStream,
     burst: Vec<Request>,
+    replies: Vec<Response>,
     out: Vec<u8>,
 }
 
 impl Link {
-    /// Queue one reply; one too large for a frame becomes a typed error.
-    fn push(&mut self, resp: &Response) {
-        if let Err(e) = wire::encode_frame(&mut self.out, resp) {
-            let resp = Response::Error { code: ErrorCode::Internal, message: e.to_string() };
-            wire::encode_frame(&mut self.out, &resp).expect("two sizes and a sentence fit");
-        }
-    }
-
-    /// Hand the burst over, queue its replies in order, return the last.
+    /// Apply the burst, queue its replies in order, return the last.
     fn dispatch(&mut self) -> Result<Option<Response>, Close> {
         if self.burst.is_empty() {
             return Ok(None);
         }
-        let mut replies = call(&self.tx, std::mem::take(&mut self.burst))
-            .unwrap_or_else(|| vec![Response::ShuttingDown]);
-        replies.iter().for_each(|r| self.push(r));
-        match replies.pop() {
+        let replies = &mut self.replies;
+        if !self.shared.apply(self.burst.drain(..), |r| replies.push(r)) {
+            replies.push(Response::ShuttingDown);
+        }
+        match replies.drain(..).inspect(|r| queue(&mut self.out, r)).last() {
             Some(Response::ShuttingDown) => Err(Close),
             last => Ok(last),
         }
@@ -228,22 +239,21 @@ impl Link {
         sent.map_err(|_| Close)
     }
 
-    /// Run one subscription stream, served by this reader so the session
-    /// stays single-threaded and every pushed snapshot is consistent:
-    /// answer the frames ahead of it, ack with [`Response::Subscribed`],
-    /// then push `count` frames at `interval_ms` cadence, each an ordinary
-    /// request through the command channel — `TraceSlice` from `cursor`,
-    /// or `Metrics` without one.
-    fn subscription(
-        &mut self,
-        mut cursor: Option<usize>,
-        interval_ms: u64,
-        count: u32,
-    ) -> Result<(), Close> {
-        self.dispatch()?;
-        let (interval_ms, count) = clamp_subscription(interval_ms, count);
-        let stream = if cursor.is_some() { "trace" } else { "metrics" }.into();
-        self.push(&Response::Subscribed { stream, count, interval_ms });
+    /// Run one subscription stream, served by this reader so every pushed
+    /// snapshot is consistent: apply `sub` behind the frames ahead of it (the
+    /// session acks it with the clamped [`Response::Subscribed`]), then push
+    /// `count` frames at `interval_ms` cadence, each an ordinary burst of one
+    /// under the session lock — `TraceSlice` from the trace cursor, or
+    /// `Metrics`.
+    fn subscription(&mut self, sub: Request) -> Result<(), Close> {
+        let mut cursor = match sub {
+            Request::SubscribeTrace { from, .. } => Some(from),
+            _ => None,
+        };
+        self.burst.push(sub);
+        let Some(Response::Subscribed { count, interval_ms, .. }) = self.dispatch()? else {
+            return Ok(());
+        };
         for _ in 0..count {
             self.flush()?;
             std::thread::sleep(Duration::from_millis(interval_ms));
@@ -258,6 +268,17 @@ impl Link {
             }
         }
         Ok(())
+    }
+}
+
+impl Drop for Link {
+    /// A request that panicked under the lock has poisoned it by now: wake
+    /// [`ServerHandle::wait`] to find the session stopped. (Only a reader
+    /// can panic while `wait` blocks: `wait` consumes the handle.)
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.shared.stop.notify_all();
+        }
     }
 }
 

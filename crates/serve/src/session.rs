@@ -1,7 +1,7 @@
 //! The serving session: one live execution plus named streaming detectors.
 //!
-//! [`ServeSession`] is single-threaded by design — the server funnels every
-//! request through one command channel, so the session needs no internal
+//! [`ServeSession`] is single-threaded by design — the server applies every
+//! request under one session lock, so the session needs no internal
 //! locking and every request observes a consistent engine state. It owns:
 //!
 //! - a [`LiveExecution`] fed by a [`ChannelProvider`] (the ingest path),
@@ -138,7 +138,7 @@ pub struct ServeSession {
     snapshot_path: Option<PathBuf>,
     /// The session's metrics registry, shared with the live engine.
     /// Clones are cheap `Arc` handles; the HTTP exposition listener holds
-    /// one and snapshots it without going through the command channel.
+    /// one and snapshots it without taking the session lock.
     metrics: Metrics,
     /// The phase-scoped wall-clock telemetry registry (same sharing).
     telemetry: Telemetry,
@@ -231,7 +231,7 @@ impl ServeSession {
     }
 
     /// A handle to the session's metrics registry. Snapshotting through a
-    /// clone is thread-safe and does not go through the command channel —
+    /// clone is thread-safe and does not take the session lock —
     /// this is what the `--metrics-listen` HTTP exposition listener holds.
     pub fn metrics_registry(&self) -> Metrics {
         self.metrics.clone()
@@ -368,6 +368,18 @@ impl ServeSession {
                 }
             }
             Request::Watch { name, predicate } => {
+                // Names that mangle alike would export one Prometheus family
+                // twice, and a scrape with a duplicate is refused whole.
+                let mangled = crate::http::prom_name(&name);
+                let clash = self
+                    .detectors
+                    .iter()
+                    .find(|d| d.name != name && crate::http::prom_name(&d.name) == mangled);
+                if let Some(d) = clash {
+                    let message =
+                        format!("watch {name:?} would export the metrics of {:?}", d.name);
+                    return Response::Error { code: ErrorCode::BadRequest, message };
+                }
                 self.add_watch(name.clone(), predicate);
                 Response::Watching { name, watched: self.detectors.len() }
             }
@@ -396,11 +408,9 @@ impl ServeSession {
                 metrics: self.metrics.snapshot(),
                 telemetry: self.telemetry.snapshot(),
             },
-            // Subscriptions are a connection-level protocol: the reader
-            // acknowledges and paces the push frames itself (see
-            // `server::connection`). Reaching the session — e.g. via the
-            // in-process `ServerHandle::request` path — they just return
-            // the ack with the server's clamping applied.
+            // The ack, with the server's clamps applied; the reader that
+            // received the subscription paces the push frames (see
+            // `server::connection`), and in-process the ack is all.
             Request::SubscribeMetrics { interval_ms, count } => {
                 let (interval_ms, count) = crate::server::clamp_subscription(interval_ms, count);
                 Response::Subscribed { stream: "metrics".into(), count, interval_ms }
@@ -541,6 +551,22 @@ mod tests {
         assert!(matches!(s.handle(Request::Ping), Response::Pong));
         let r = ingest(&mut s, 20_000, 0, 0, 9);
         assert!(matches!(r, Response::Ingested { .. }));
+    }
+
+    #[test]
+    fn a_watch_name_that_mangles_onto_another_is_refused() {
+        let mut s = ServeSession::new(ServeConfig::new(2));
+        let watch = |name: &str| Request::Watch {
+            name: name.into(),
+            predicate: Predicate::occupancy_over(2, 3),
+        };
+        assert!(matches!(s.handle(watch("a.b")), Response::Watching { watched: 1, .. }));
+        let r = s.handle(watch("a_b"));
+        let Response::Error { code: ErrorCode::BadRequest, message } = r else { panic!("{r:?}") };
+        assert!(message.contains("\"a_b\"") && message.contains("\"a.b\""), "{message}");
+        // Re-watching the same name replaces it; a distinct mangling is fine.
+        assert!(matches!(s.handle(watch("a.b")), Response::Watching { watched: 1, .. }));
+        assert!(matches!(s.handle(watch("a.c")), Response::Watching { watched: 2, .. }));
     }
 
     #[test]
