@@ -30,9 +30,7 @@ use psn_bench::metrics_out::{self, cell_object};
 use psn_bench::{telemetry_out, trace_out};
 use psn_core::{run_execution_profiled, ShardPlanKind};
 use psn_lang::{compile, render, CompiledScenario};
-use psn_predicates::{
-    detect_occurrences, modal_status, score, stream_packing, BorderlinePolicy, StreamingModal,
-};
+use psn_predicates::{detect_occurrences, modal_status, score, BorderlinePolicy, StreamingModal};
 use psn_sim::metrics::Metrics;
 use psn_sim::telemetry::Telemetry;
 use psn_sim::time::SimDuration;
@@ -46,12 +44,6 @@ const USAGE: &str = "usage: psn-script [--check] [--stream] FILE.psn... \
     --check parses and type-checks without running.\n\
     --stream also scores each predicate through the streaming detector \
     (bounded hold-back, Δ-bound GC) and reports its memory high-water.";
-
-/// Live-window depth assumed by the `--check` packing diagnostic: how many
-/// un-retired events per involved process the streaming detector is sized
-/// for when deciding between the packed-`u64` cut encoding and the hash
-/// frontier fallback.
-const CHECK_WINDOW_DEPTH: usize = 15;
 
 struct Options {
     check: bool,
@@ -283,18 +275,6 @@ fn main() {
                     c.predicates.len(),
                     c.scenario.timeline.len(),
                 );
-                for p in &c.predicates {
-                    let (involved, fits) = stream_packing(&p.predicate, CHECK_WINDOW_DEPTH);
-                    if !fits {
-                        eprintln!(
-                            "{path}: warning: predicate \"{}\" spans {involved} processes — a \
-                             {CHECK_WINDOW_DEPTH}-deep live window exceeds the packed 64-bit cut \
-                             encoding, so the streaming detector will use the slower hash-set \
-                             frontier fallback",
-                            p.name,
-                        );
-                    }
-                }
             })
         } else {
             run_file(path, &opts)

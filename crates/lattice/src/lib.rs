@@ -12,7 +12,9 @@
 //! - [`lattice`] — BFS enumeration, level profile, width;
 //! - [`slim`] — the E4 measurements (states vs O(pⁿ) vs chain);
 //! - [`intervals`] — Allen's 13 real-time relations and the
-//!   possibly/definitely overlap tests on vector-stamped intervals.
+//!   possibly/definitely overlap tests on vector-stamped intervals;
+//! - [`stream`] — the Garg–Waldecker interval advancement every
+//!   conjunctive `Possibly`/`Definitely` detector runs.
 
 #![warn(missing_docs)]
 
@@ -30,7 +32,4 @@ pub use intervals::{allen_relation, Allen, StampedInterval};
 pub use lattice::{enumerate_lattice, LatticeStats};
 pub use slim::{measure, SlimReport};
 pub use snapshot::{max_consistent_cut_within, min_consistent_cut_containing};
-pub use stream::{
-    packed_window_fits, AdvancementFrontier, FrontierInterval, FrontierOccurrence, PeerGate,
-    StreamLattice,
-};
+pub use stream::{AdvancementFrontier, FrontierInterval, FrontierOccurrence, PeerGate};

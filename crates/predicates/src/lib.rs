@@ -46,5 +46,5 @@ pub use metrics::DetectorMetrics;
 pub use modal::{modal_status, ModalStatus};
 pub use online::{OnlineDetector, OnlineStatus};
 pub use spec::{Conjunct, Expr, Predicate};
-pub use stream::{modal_status_streaming, stream_packing, StreamingModal};
+pub use stream::{modal_status_streaming, StreamingModal};
 pub use timing::{detect_timing, match_timing, TimingMatch, TimingSpec};

@@ -13,12 +13,12 @@
 //! - **Relational** predicates run the scalar-strobe sweep one released
 //!   report at a time (state map + edge detection), keeping only counts and
 //!   the open interval — O(1) beyond the hold-back buffer.
-//! - **Conjunctive** predicates build each conjunct's truth intervals
-//!   incrementally and feed the closed ones to
-//!   [`psn_lattice::stream::AdvancementFrontier`], the streaming form of
-//!   the Garg–Waldecker advancement: it pauses while a needed interval is
-//!   still open or in flight and resumes when it closes, producing the
-//!   offline occurrence sequence exactly. Consumed intervals pop
+//! - **Conjunctive** predicates build each conjunct's truth intervals with
+//!   the builder [`crate::causal::detect_conjunctive`] replays, and feed the
+//!   closed ones to the same [`psn_lattice::stream::AdvancementFrontier`]:
+//!   it pauses while a needed interval is still open or in flight and
+//!   resumes when it closes, producing the sealed replay's occurrence
+//!   sequence exactly. Consumed intervals pop
 //!   immediately; stalled queues are garbage-collected under delivered-
 //!   stamp dominance ([`AdvancementFrontier::prune`]) — the Δ-bound GC.
 //! - [`StreamingModal::status`] is **exact**: it seals a clone of the
@@ -38,13 +38,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use psn_clocks::{ProcessId, VectorStamp};
+use psn_clocks::VectorStamp;
 use psn_core::{ExecutionTrace, ReceivedReport};
-use psn_lattice::stream::{AdvancementFrontier, FrontierInterval, FrontierOccurrence, PeerGate};
-use psn_lattice::StampedInterval;
+use psn_lattice::stream::{AdvancementFrontier, FrontierOccurrence, PeerGate};
 use psn_sim::time::{SimDuration, SimTime};
 use psn_world::{AttrKey, AttrValue, WorldState};
 
+use crate::causal::ConjunctBuilder;
 use crate::modal::ModalStatus;
 use crate::spec::{Compiled, Conjunct, Predicate};
 
@@ -199,69 +199,6 @@ impl RelationalSweep {
     }
 }
 
-/// One conjunct's incremental truth-interval builder (the streaming form of
-/// the offline detector's per-process replay).
-#[derive(Debug, Clone)]
-struct ConjunctBuilder {
-    process: ProcessId,
-    state: Compiled,
-    holds: bool,
-    /// `(lo stamp, truth start)` of the currently open interval.
-    open: Option<(VectorStamp, SimTime)>,
-    last_stamp: VectorStamp,
-}
-
-impl ConjunctBuilder {
-    fn new(conjunct: &Conjunct, initial: &WorldState, n_stamp: usize) -> Self {
-        let mut state = conjunct.expr.compile(initial);
-        let holds = state.holds();
-        let open = holds.then(|| (VectorStamp::zero(n_stamp), SimTime::ZERO));
-        ConjunctBuilder {
-            process: conjunct.process,
-            state,
-            holds,
-            open,
-            last_stamp: VectorStamp::zero(n_stamp),
-        }
-    }
-
-    /// Apply one report of this conjunct's process; a falling edge returns
-    /// the closed interval for the advancement frontier.
-    fn apply(&mut self, e: &Held) -> Option<FrontierInterval> {
-        let stamp = e.stamp.as_ref().expect("conjunctive entries carry the strobe vector");
-        let relevant = self.state.set(e.attr, e.value).is_some();
-        self.last_stamp = stamp.clone();
-        let now = if relevant { self.state.holds() } else { self.holds };
-        let out = match (self.holds, now) {
-            (false, true) => {
-                self.open = Some((stamp.clone(), e.truth));
-                None
-            }
-            (true, false) => {
-                let (lo, t0) = self.open.take().expect("open interval");
-                Some(FrontierInterval {
-                    stamped: StampedInterval { lo, hi: stamp.clone() },
-                    truth_start: t0,
-                    truth_end: Some(e.truth),
-                })
-            }
-            _ => None,
-        };
-        self.holds = now;
-        out
-    }
-
-    /// The still-open interval, closed at the last delivered stamp — what
-    /// the offline detector appends after the final report.
-    fn trailing(&self) -> Option<FrontierInterval> {
-        self.open.as_ref().map(|(lo, t0)| FrontierInterval {
-            stamped: StampedInterval { lo: lo.clone(), hi: self.last_stamp.clone() },
-            truth_start: *t0,
-            truth_end: None,
-        })
-    }
-}
-
 /// Conjunctive streaming: builders + the lattice advancement frontier, with
 /// only running tallies kept (mid-stream occurrences always close).
 #[derive(Debug, Clone)]
@@ -288,10 +225,11 @@ impl ConjunctiveStream {
 
     fn apply(&mut self, e: &Held) {
         let process = e.key.1;
+        let stamp = e.stamp.as_ref().expect("conjunctive entries carry the strobe vector");
         let mut fed = false;
         for (i, b) in self.builders.iter_mut().enumerate() {
             if b.process == process {
-                if let Some(iv) = b.apply(e) {
+                if let Some(iv) = b.apply(e.attr, e.value, e.truth, stamp) {
                     self.frontier.push(i, iv);
                     fed = true;
                 }
@@ -311,17 +249,16 @@ impl ConjunctiveStream {
         self.definitely += self.scratch.iter().filter(|o| o.definitely).count();
         if self.frontier.pending() > 0 && (0..self.builders.len()).any(|i| self.frontier.starved(i))
         {
-            let gates: Vec<PeerGate> = self
-                .builders
-                .iter()
-                .map(|b| PeerGate { open: b.open.is_some(), floor: b.last_stamp.clone() })
-                .collect();
+            let gates: Vec<PeerGate> = self.builders.iter().map(ConjunctBuilder::gate).collect();
             self.frontier.prune(&gates);
         }
     }
 
     /// Close every open interval at its last delivered stamp and run the
-    /// advancement to quiescence — exactly the offline detector's seal.
+    /// advancement to quiescence — what [`detect_conjunctive`] does after its
+    /// replay.
+    ///
+    /// [`detect_conjunctive`]: crate::causal::detect_conjunctive
     fn seal(mut self) -> ModalStatus {
         for (i, b) in self.builders.iter().enumerate() {
             if let Some(iv) = b.trailing() {
@@ -489,23 +426,6 @@ impl Shape {
             Shape::Conjunctive(cs) => cs.seal(),
         }
     }
-}
-
-/// Does `predicate`'s shape keep the streaming cut window inside the packed
-/// 64-bit encoding with `window_depth` un-retired events per involved
-/// process? Conjunctive predicates involve their conjunct processes;
-/// relational predicates involve every process their attributes name.
-/// Returns `(involved processes, fits)` — `psn-script --check` warns when a
-/// shape forces the hash fallback.
-pub fn stream_packing(predicate: &Predicate, window_depth: usize) -> (usize, bool) {
-    let involved: std::collections::BTreeSet<usize> = match predicate {
-        Predicate::Conjunctive(cs) => cs.iter().map(|c| c.process).collect(),
-        // Relational attributes are sensed by the process watching their
-        // object (the repo's door-d / room-d convention).
-        Predicate::Relational(_) => predicate.variables().into_iter().map(|k| k.object).collect(),
-    };
-    let lens = vec![window_depth; involved.len()];
-    (involved.len(), psn_lattice::stream::packed_window_fits(&lens))
 }
 
 /// Sealed-trace adapter: the modal status of a whole trace computed by the
@@ -707,18 +627,5 @@ mod tests {
         );
         // And the GC must not have changed the verdict.
         assert_eq!(s.seal(), modal_status(&trace, &pred, &init));
-    }
-
-    #[test]
-    fn stream_packing_reports_shape() {
-        let (n, fits) = stream_packing(&Predicate::occupancy_over(3, 10), 15);
-        assert_eq!(n, 3);
-        assert!(fits, "3 processes × 4-bit windows pack easily");
-        let wide = Predicate::Conjunctive(
-            (0..20).map(|p| Conjunct { process: p, expr: Expr::int(1).gt(Expr::int(0)) }).collect(),
-        );
-        let (n, fits) = stream_packing(&wide, 15);
-        assert_eq!(n, 20);
-        assert!(!fits, "20 processes × 4-bit windows exceed 64 bits");
     }
 }
