@@ -8,15 +8,13 @@
 //!   flagged as race-involved by the vector-strobe discipline);
 //! - timer `detector.latency_ns` — per-occurrence detection latency vs
 //!   ground truth: the gap between the rising edge's ground-truth time and
-//!   the root-local arrival of the report that let the detector see it;
-//! - gauge `detector.buffer_depth` — the online detector's hold-back
-//!   buffer occupancy (high-water tracked).
+//!   the root-local arrival of the report that let the detector see it.
 //!
 //! Recording is observational only; instrumented and plain detection
 //! produce identical output (the workspace-root determinism test covers
 //! this end to end).
 
-use psn_sim::metrics::{Counter, Gauge, Metrics, Timer};
+use psn_sim::metrics::{Counter, Metrics, Timer};
 use psn_sim::time::SimTime;
 
 use crate::detect::Detection;
@@ -31,8 +29,6 @@ pub struct DetectorMetrics {
     pub borderline: Counter,
     /// Detection latency vs ground truth, in nanoseconds.
     pub latency: Timer,
-    /// Online hold-back buffer occupancy.
-    pub buffer_depth: Gauge,
 }
 
 impl DetectorMetrics {
@@ -43,7 +39,6 @@ impl DetectorMetrics {
             occurrences: metrics.counter("detector.occurrences"),
             borderline: metrics.counter("detector.borderline"),
             latency: metrics.timer_with_range("detector.latency_ns", 0.0, 1e10, 100),
-            buffer_depth: metrics.gauge("detector.buffer_depth"),
         }
     }
 

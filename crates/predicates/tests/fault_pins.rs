@@ -1,22 +1,19 @@
-//! Both streaming detectors pinned bit for bit under Duplicate + Reorder
+//! The streaming detector pinned bit for bit under Duplicate + Reorder
 //! faults on the root-bound channel.
 //!
 //! A Duplicate fault delivers one report twice, with one strobe key and two
 //! arrival times, so the hold-back buffer meets equal keys; Reorder lets
 //! reports overtake each other. For a 3-door exhibition at Δ = 150 ms, seeds
 //! 0..6, two occupancy thresholds and hold-backs of 0, 100, 300 and 700 ms,
-//! an FNV-1a hash folds:
+//! an FNV-1a hash folds `StreamingModal`'s `late_reports`, `buffered` and
+//! `frontier_width` after every offer, `status()` every 50 offers, then
+//! `seal()`.
 //!
-//! - `OnlineDetector::status()` after every offer, then `finish()`;
-//! - `StreamingModal`'s `late_reports`, `buffered` and `frontier_width`
-//!   after every offer, `status()` every 50 offers, then `seal()`.
-//!
-//! The constants were computed on the commit before both detectors shared
-//! one keyed hold-back heap. A change to either detector's release order
-//! among equal keys moves a constant.
+//! The constants were computed before the hold-back became a keyed heap. A
+//! change to the release order among equal keys moves a constant.
 
 use psn_core::{run_execution, ExecutionConfig, ExecutionTrace};
-use psn_predicates::{Detection, ModalStatus, OnlineDetector, Predicate, StreamingModal};
+use psn_predicates::{ModalStatus, Predicate, StreamingModal};
 use psn_sim::delay::DelayModel;
 use psn_sim::fault::{ChannelEffect, ChannelFaultRule, FaultScript, FaultSpec};
 use psn_sim::time::{SimDuration, SimTime};
@@ -74,30 +71,6 @@ fn faulted_run(seed: u64) -> (Scenario, ExecutionTrace) {
     (scenario, trace)
 }
 
-fn online_hash(trace: &ExecutionTrace, scenario: &Scenario, pred: &Predicate) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let init = scenario.timeline.initial_state();
-    for hold in HOLD_BACKS_MS {
-        let mut d = OnlineDetector::new(pred.clone(), &init, SimDuration::from_millis(hold));
-        for r in &trace.log.reports {
-            d.offer(r);
-            let s = d.status();
-            put(&mut h, u64::from(s.holds));
-            put(&mut h, s.open_since.map_or(u64::MAX, |t| t.as_nanos()));
-            put(&mut h, s.occurrences as u64);
-            put(&mut h, s.buffered as u64);
-            put(&mut h, s.late_reports as u64);
-        }
-        let found: Vec<Detection> = d.finish();
-        put(&mut h, found.len() as u64);
-        for f in &found {
-            put(&mut h, f.start.as_nanos());
-            put(&mut h, f.end.map_or(u64::MAX, |t| t.as_nanos()));
-        }
-    }
-    h
-}
-
 fn stream_hash(trace: &ExecutionTrace, scenario: &Scenario, pred: &Predicate) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let init = scenario.timeline.initial_state();
@@ -117,20 +90,20 @@ fn stream_hash(trace: &ExecutionTrace, scenario: &Scenario, pred: &Predicate) ->
     h
 }
 
-/// `(seed, occupancy threshold, OnlineDetector hash, StreamingModal hash)`.
-const PINNED: [(u64, i64, u64, u64); 12] = [
-    (0, 60, 0x5be8bdba5ab392b8, 0x527e99006b5d81c1),
-    (0, 20, 0x6013c3abeb80a434, 0x1867e7baa9a11d81),
-    (1, 60, 0x32e789ff62af1969, 0xe60abd5b235b5284),
-    (1, 20, 0x05bfe5940c525329, 0xdecb43b6f39d6530),
-    (2, 60, 0x7ca5db7195cfc7d2, 0xd98889eff94ab4f0),
-    (2, 20, 0xddfe0fcdec91293c, 0x5e69df805003c4b0),
-    (3, 60, 0x0974c4e6ba072864, 0xbd26797a3843822a),
-    (3, 20, 0x7aae254d15f6b9a2, 0x88f6a8551667a22a),
-    (4, 60, 0xf76024541117e325, 0x1b4f00c4a7bbe3c7),
-    (4, 20, 0xbd3cdf76713c0fbc, 0xec27e9a22491a473),
-    (5, 60, 0xb4c16cfd31ed2ba5, 0x0b6d2875a6318ba6),
-    (5, 20, 0x63ce2a750be40fd3, 0x021a2b9e1d41edba),
+/// `(seed, occupancy threshold, StreamingModal hash)`.
+const PINNED: [(u64, i64, u64); 12] = [
+    (0, 60, 0x527e99006b5d81c1),
+    (0, 20, 0x1867e7baa9a11d81),
+    (1, 60, 0xe60abd5b235b5284),
+    (1, 20, 0xdecb43b6f39d6530),
+    (2, 60, 0xd98889eff94ab4f0),
+    (2, 20, 0x5e69df805003c4b0),
+    (3, 60, 0xbd26797a3843822a),
+    (3, 20, 0x88f6a8551667a22a),
+    (4, 60, 0x1b4f00c4a7bbe3c7),
+    (4, 20, 0xec27e9a22491a473),
+    (5, 60, 0x0b6d2875a6318ba6),
+    (5, 20, 0x021a2b9e1d41edba),
 ];
 
 #[test]
@@ -142,12 +115,11 @@ fn both_detectors_are_pinned_under_duplicate_and_reorder_faults() {
         let stats = trace.faults.as_ref().expect("a fault script ran");
         assert!(stats.duplicated > 0 && stats.reordered > 0, "seed {seed}: both rules must fire");
         duplicated += stats.duplicated;
-        for (_, capacity, online, stream) in PINNED.iter().filter(|p| p.0 == seed) {
+        for (_, capacity, want) in PINNED.iter().filter(|p| p.0 == seed) {
             let pred = Predicate::occupancy_over(DOORS, *capacity);
-            let got =
-                (online_hash(&trace, &scenario, &pred), stream_hash(&trace, &scenario, &pred));
-            if got != (*online, *stream) {
-                moved.push(format!("    ({seed}, {capacity}, {:#018x}, {:#018x}),", got.0, got.1));
+            let got = stream_hash(&trace, &scenario, &pred);
+            if got != *want {
+                moved.push(format!("    ({seed}, {capacity}, {got:#018x}),"));
             }
         }
     }

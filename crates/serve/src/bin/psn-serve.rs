@@ -22,6 +22,7 @@
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 
+use psn_predicates::{ModalStatus, OnlineStatus};
 use psn_serve::wire;
 use psn_serve::{serve, Request, Response, ServeConfig, ServeSession, ServeSnapshot};
 use psn_sim::delay::DelayModel;
@@ -174,6 +175,17 @@ fn check(cond: bool, what: &str) -> Result<(), String> {
     }
 }
 
+/// A `Status` reply's on-line readout restates its modal answer, and no
+/// report was applied late — the precondition for an exact modal answer.
+fn check_readout(online: OnlineStatus, modal: ModalStatus) -> Result<(), String> {
+    check(online.late_reports == 0, "no late reports")?;
+    check(online.holds == modal.holding_now, "online holds = modal holding_now")?;
+    check(
+        online.occurrences == modal.possibly - usize::from(modal.holding_now),
+        "online occurrences = modal possibly - holding_now",
+    )
+}
+
 /// Two doors; entries on attr 0, exits on attr 1; occupancy_over(2, 3)
 /// rises at the fourth entry and falls when exits catch up.
 const SCRIPT: &[(u64, usize, usize, i64)] = &[
@@ -249,8 +261,9 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
     let Response::Status { online, modal, .. } = r else {
         return Err(format!("status: {r:?}"));
     };
-    check(online.occurrences == 1, "online detector saw the occurrence")?;
+    check(online.occurrences == 1, "online readout saw the occurrence")?;
     check(modal.possibly == 1 && modal.definitely == 1, "modal verdict Possibly=Definitely=1")?;
+    check_readout(online, modal)?;
     let r = roundtrip(&mut c, &Request::Frontier)?;
     let Response::Frontier { vector: frontier_before, reports: reports_before, .. } = r else {
         return Err(format!("frontier: {r:?}"));
@@ -309,6 +322,7 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
     };
     check(online2 == online, "restored online status identical")?;
     check(modal2 == modal, "restored modal status identical")?;
+    check_readout(online2, modal2)?;
 
     // The restored server is live: new ingest past the watermark works.
     let r = roundtrip(&mut c, &ingest(40_000, 0, 0, 3))?;

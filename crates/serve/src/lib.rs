@@ -10,9 +10,9 @@
 //!   register predicates and read their `Possibly`/`Definitely` + online
 //!   status, page through the report stream, snapshot, shut down;
 //! - [`session`] — the single-threaded state machine behind the protocol:
-//!   a [`psn_core::live::LiveExecution`] fed by a channel provider plus
-//!   named [`psn_predicates::OnlineDetector`]s, with whole-session
-//!   snapshot/restore built on deterministic journal replay;
+//!   a [`psn_core::live::LiveExecution`] that ingests directly plus one
+//!   named [`psn_predicates::StreamingModal`] per watched predicate, with
+//!   whole-session snapshot/restore built on deterministic journal replay;
 //! - [`server`] — connection fan-in: reader threads decode frames and apply
 //!   each burst under one session lock, so no wire input — malformed or
 //!   otherwise — can panic or wedge the engine;

@@ -264,11 +264,29 @@ pub enum Response {
         /// Predicates watched in total.
         watched: usize,
     },
-    /// Status of a watched predicate.
+    /// Status of a watched predicate. Both verdicts come from the watch's
+    /// one streaming detector, sealed once per request.
+    ///
+    /// Servers that ran a second, report-by-report detector beside the
+    /// modal one answered `online` differently:
+    ///
+    /// - `online` now counts the held-back reports too, so it always
+    ///   agrees with `modal`; with `late_reports == 0` it is the offline
+    ///   sweep over every report received;
+    /// - `buffered` and `late_reports` count only the reports the
+    ///   predicate can use;
+    /// - under Duplicate faults, ties between equal strobe keys follow the
+    ///   streaming detector's heap order, not arrival order;
+    /// - a conjunctive predicate gives the modal answer (`open_since` is
+    ///   `None`).
     Status {
         /// The predicate's name.
         name: String,
-        /// Streaming (online) detector status.
+        /// The on-line readout, restated from the modal answer:
+        /// `holds == modal.holding_now`, `occurrences == modal.possibly −
+        /// modal.holding_now`, `open_since` the open occurrence's start on a
+        /// relational predicate, plus the hold-back's `buffered` and
+        /// `late_reports`.
         online: OnlineStatus,
         /// Modal verdict counts over the observation so far (computed by
         /// the streaming modal detector — O(window), not a trace re-sweep).

@@ -94,7 +94,7 @@ pub mod prelude {
     pub use psn_predicates::{
         detect_conjunctive, detect_occurrences, detect_occurrences_instrumented, score,
         AccuracyReport, BorderlinePolicy, Conjunct, Detection, DetectorMetrics, Discipline, Expr,
-        OnlineDetector, Predicate, StampFamily,
+        Predicate, StampFamily,
     };
     pub use psn_sim::delay::DelayModel;
     pub use psn_sim::fault::{

@@ -1,8 +1,8 @@
 //! The metrics layer is observational: turning instrumentation on must not
 //! change a single byte of any output. These tests run the full pipeline
-//! (execution → sweep detection → online detection) twice — once plain,
-//! once with a live [`Metrics`] registry threaded through every layer — and
-//! compare the *serialized* outputs for bit-identity.
+//! (execution → sweep detection) twice — once plain, once with a live
+//! [`Metrics`] registry threaded through every layer — and compare the
+//! *serialized* outputs for bit-identity.
 
 use pervasive_time::prelude::*;
 
@@ -69,30 +69,4 @@ fn instrumented_pipeline_output_is_bit_identical() {
         );
         assert_eq!(snap.counter("detector.occurrences"), Some(det_on.len() as u64), "seed {seed}");
     }
-}
-
-#[test]
-fn instrumented_online_detection_is_bit_identical() {
-    let (scenario, cfg) = scenario_and_cfg(17);
-    let init = scenario.timeline.initial_state();
-    let pred = Predicate::occupancy_over(3, 70);
-    let trace = run_execution(&scenario, &cfg);
-    let hold = SimDuration::from_millis(500); // 2Δ
-
-    let mut plain = OnlineDetector::new(pred.clone(), &init, hold);
-    let metrics = Metrics::new();
-    let mut inst =
-        OnlineDetector::new(pred, &init, hold).with_metrics(DetectorMetrics::attach(&metrics));
-    for r in &trace.log.reports {
-        plain.offer(r);
-        inst.offer(r);
-    }
-    let out_plain = plain.finish();
-    let out_inst = inst.finish();
-    assert_eq!(
-        serde_json::to_string(&out_plain).unwrap(),
-        serde_json::to_string(&out_inst).unwrap(),
-        "online detections must be bit-identical"
-    );
-    assert_eq!(metrics.snapshot().counter("detector.occurrences"), Some(out_inst.len() as u64));
 }

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use pervasive_time::lattice::{enumerate_lattice, History};
 use pervasive_time::predicates::{
     detect_conjunctive, detect_occurrences, modal_status, modal_status_streaming, Discipline,
-    ModalStatus, OnlineDetector, StampFamily, StreamingModal,
+    ModalStatus, StampFamily, StreamingModal,
 };
 use pervasive_time::prelude::*;
 
@@ -378,14 +378,19 @@ fn relational_occurrences_match_the_scalar_replay() {
                 };
                 let sweep = detect_occurrences(&trace, &pred, &initial, Discipline::ScalarStrobe);
                 assert_eq!(pairs(sweep), oracle, "detect_occurrences at {at}");
-                let mut online = OnlineDetector::new(pred.clone(), &initial, hold_back(&delay));
                 let mut streaming =
                     StreamingModal::new(&pred, &initial, trace.n, hold_back(&delay));
                 for r in &trace.log.reports {
-                    online.offer(r);
                     streaming.offer(r);
                 }
-                assert_eq!(pairs(online.finish()), oracle, "OnlineDetector at {at}");
+                let (online, _) = streaming.readout();
+                let closed = oracle.iter().filter(|(_, end)| end.is_some()).count();
+                let open = oracle.last().filter(|(_, end)| end.is_none()).map(|&(start, _)| start);
+                assert_eq!(
+                    (online.occurrences, online.holds, online.open_since),
+                    (closed, open.is_some(), open),
+                    "StreamingModal::readout at {at}"
+                );
                 let expected = ModalStatus {
                     possibly: oracle.len(),
                     definitely: oracle.len(),
