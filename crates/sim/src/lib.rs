@@ -88,9 +88,7 @@ pub mod prelude {
     pub use crate::loss::LossModel;
     pub use crate::metrics::{Counter, Gauge, Metrics, MetricsSnapshot, Timer};
     pub use crate::network::{ActorId, NetStats, NetworkConfig, Topology};
-    pub use crate::provider::{
-        ChannelProvider, EventProvider, ExternalEvent, GeneratorProvider, TimelineProvider,
-    };
+    pub use crate::provider::{ChannelProvider, EventProvider, ExternalEvent, TimelineProvider};
     pub use crate::rng::{RngFactory, RngStream};
     pub use crate::stats::OnlineStats;
     pub use crate::sweep::{run_sweep, run_sweep_auto, run_sweep_instrumented};

@@ -4,15 +4,13 @@
 //! before [`Engine::run`](crate::engine::Engine::run). A long-running
 //! service instead advances the engine **incrementally**
 //! ([`Engine::step_until`](crate::engine::Engine::step_until)) and pulls
-//! events from whatever source it has — a pre-built timeline, a seeded
-//! generator, or a live channel fed by ingest connections. [`EventProvider`]
-//! abstracts the source so the same driver loop serves all three:
+//! events from whatever source it has — a pre-built timeline or a live
+//! channel fed by other threads. [`EventProvider`] abstracts the source so
+//! the same driver loop serves both:
 //!
 //! - [`TimelineProvider`] — a pre-built event list (the batch path);
-//! - [`GeneratorProvider`] — events synthesised on demand by a closure
-//!   (seeded load generators, chaos drivers);
 //! - [`ChannelProvider`] — events arriving over an `mpsc` channel from
-//!   other threads (the wire-ingest path of `psn-serve`).
+//!   other threads.
 //!
 //! The contract mirrors the engine's stepping watermark: `poll(up_to)`
 //! surrenders every available event with `at < up_to`, in the order the
@@ -50,7 +48,7 @@ pub trait EventProvider<M: Message>: Send {
     fn poll(&mut self, up_to: SimTime, sink: &mut Vec<ExternalEvent<M>>);
 
     /// True when the source will never yield another event (list drained,
-    /// generator done, channel disconnected and buffer empty). A live
+    /// or channel disconnected and buffer empty). A live
     /// channel with connected senders is never exhausted.
     fn exhausted(&self) -> bool;
 }
@@ -71,11 +69,6 @@ impl<M> TimelineProvider<M> {
     pub fn new(events: Vec<ExternalEvent<M>>) -> Self {
         TimelineProvider { events, cursor: 0 }
     }
-
-    /// Events not yet surrendered.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
 }
 
 impl<M: Message> EventProvider<M> for TimelineProvider<M> {
@@ -88,46 +81,6 @@ impl<M: Message> EventProvider<M> for TimelineProvider<M> {
 
     fn exhausted(&self) -> bool {
         self.cursor == self.events.len()
-    }
-}
-
-/// Events synthesised on demand by a closure.
-///
-/// On each poll the closure sees the half-open window `[from, up_to)` it
-/// must cover and appends that window's events to the sink; it returns
-/// `false` once it will never produce another event. Windows never overlap
-/// and never repeat, so a seeded closure yields a deterministic stream
-/// regardless of how the driver paces its polls.
-pub struct GeneratorProvider<M> {
-    #[allow(clippy::type_complexity)]
-    gen: Box<dyn FnMut(SimTime, SimTime, &mut Vec<ExternalEvent<M>>) -> bool + Send>,
-    covered_to: SimTime,
-    done: bool,
-}
-
-impl<M> GeneratorProvider<M> {
-    /// Wrap a generator closure `gen(from, up_to, sink) -> more`.
-    pub fn new(
-        gen: impl FnMut(SimTime, SimTime, &mut Vec<ExternalEvent<M>>) -> bool + Send + 'static,
-    ) -> Self {
-        GeneratorProvider { gen: Box::new(gen), covered_to: SimTime::ZERO, done: false }
-    }
-}
-
-impl<M: Message> EventProvider<M> for GeneratorProvider<M> {
-    fn poll(&mut self, up_to: SimTime, sink: &mut Vec<ExternalEvent<M>>) {
-        if self.done || up_to <= self.covered_to {
-            return;
-        }
-        let from = self.covered_to;
-        self.covered_to = up_to;
-        if !(self.gen)(from, up_to, sink) {
-            self.done = true;
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.done
     }
 }
 
@@ -217,27 +170,6 @@ mod tests {
         p.poll(SimTime::MAX, &mut sink);
         assert_eq!(sink, events, "batch injection order is the list order");
         assert!(p.exhausted());
-    }
-
-    #[test]
-    fn generator_provider_covers_disjoint_windows() {
-        let mut p = GeneratorProvider::new(|from: SimTime, up_to: SimTime, sink: &mut Vec<_>| {
-            // One event per whole millisecond in [from, up_to).
-            let mut ms = from.as_nanos().div_ceil(1_000_000);
-            while SimTime::from_millis(ms) < up_to {
-                sink.push(ev(ms, ms));
-                ms += 1;
-            }
-            up_to < SimTime::from_millis(5)
-        });
-        let mut sink = Vec::new();
-        p.poll(SimTime::from_millis(2), &mut sink);
-        p.poll(SimTime::from_millis(2), &mut sink); // same watermark: no repeat
-        p.poll(SimTime::from_millis(5), &mut sink);
-        assert_eq!(sink.iter().map(|e| e.msg.0).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-        assert!(p.exhausted());
-        p.poll(SimTime::from_millis(9), &mut sink);
-        assert_eq!(sink.len(), 5, "a done generator yields nothing more");
     }
 
     #[test]
