@@ -9,15 +9,14 @@
 //! detectors built on different clocks therefore compare on *identical*
 //! executions.
 
-use std::sync::Arc;
+use std::any::Any;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use psn_sim::delay::DelayModel;
 use psn_sim::engine::Engine;
 use psn_sim::loss::LossModel;
-use psn_sim::network::{NetStats, NetworkConfig, Topology};
+use psn_sim::network::{ActorId, NetStats, NetworkConfig, Topology};
 use psn_sim::provider::{EventProvider, ExternalEvent, TimelineProvider};
 use psn_sim::time::SimTime;
 use psn_world::Scenario;
@@ -225,7 +224,6 @@ pub(crate) fn build_engine(
     cfg: &ExecutionConfig,
     rule: Box<dyn ActuationRule>,
     metrics: &psn_sim::metrics::Metrics,
-    log: &Arc<Mutex<ExecutionLog>>,
     heartbeat_horizon: Option<SimTime>,
 ) -> Engine<NetMsg> {
     assert!(n > 0, "execution needs at least one sensor process");
@@ -270,7 +268,6 @@ pub(crate) fn build_engine(
                 n, // root actor id
                 cfg.clocks.clone(),
                 cfg.strobes,
-                Arc::clone(log),
             )
             .with_metrics(exec_metrics.clone())
             .with_trace_stamp(cfg.trace_stamp)
@@ -278,7 +275,7 @@ pub(crate) fn build_engine(
         ));
     }
     engine.add_actor(Box::new(
-        RootProcess::new(n, n, cfg.clocks.clone(), rule, Arc::clone(log))
+        RootProcess::new(n, n, cfg.clocks.clone(), rule)
             .with_flood(cfg.strobes.flood)
             .with_quarantine(cfg.strobes.quarantine)
             .with_metrics(exec_metrics.clone())
@@ -288,6 +285,35 @@ pub(crate) fn build_engine(
         engine.install_faults(script);
     }
     engine
+}
+
+/// Sensor `id` of an engine [`build_engine`] wired, read in place.
+pub(crate) fn sensor(engine: &Engine<NetMsg>, id: ActorId) -> &SensorProcess {
+    let actor: &dyn Any = engine.actor(id).expect("sensors stay resident");
+    actor.downcast_ref().expect("actors 0..n are sensors")
+}
+
+/// The root of an `n`-sensor engine [`build_engine`] wired, read in place.
+pub(crate) fn root(engine: &Engine<NetMsg>, n: usize) -> &RootProcess {
+    let actor: &dyn Any = engine.actor(n).expect("the root stays resident");
+    actor.downcast_ref().expect("actor n is the root")
+}
+
+/// Take the `n` sensors and the root out of `engine`, drop the engine, and
+/// seal their logs into one [`ExecutionLog`]: each log is moved, never
+/// copied (see [`ExecutionLog::seal`]).
+pub(crate) fn seal_log(mut engine: Engine<NetMsg>, n: usize) -> ExecutionLog {
+    let mut logs = Vec::with_capacity(n + 1);
+    for id in 0..n {
+        let actor: Box<dyn Any> = engine.take_actor(id);
+        logs.push(actor.downcast::<SensorProcess>().expect("actors 0..n are sensors").into_log());
+    }
+    let actor: Box<dyn Any> = engine.take_actor(n);
+    let (events, reports, actuations) =
+        actor.downcast::<RootProcess>().expect("actor n is the root").into_logs();
+    logs.push(events);
+    drop(engine);
+    ExecutionLog::seal(logs, reports, actuations)
 }
 
 /// The [`psn_sim::engine::ShardPlan`] `cfg` asks for, over the `n + 1`
@@ -358,9 +384,8 @@ fn run_execution_inner(
 ) -> ExecutionTrace {
     let n = scenario.num_processes();
     assert!(n > 0, "scenario must have at least one sensor process");
-    let log = ExecutionLog::shared();
     let horizon = scenario.timeline.duration() + psn_sim::time::SimDuration::from_secs(30);
-    let mut engine = build_engine(n, cfg, rule, metrics, &log, Some(horizon));
+    let mut engine = build_engine(n, cfg, rule, metrics, Some(horizon));
     engine.set_telemetry(telemetry);
 
     // Inject the world timeline through the provider abstraction: a single
@@ -381,24 +406,10 @@ fn run_execution_inner(
     } else {
         engine.run()
     };
-    let fault_stats = engine.fault_stats();
-    let mut log =
-        Arc::try_unwrap(log).map(Mutex::into_inner).unwrap_or_else(|shared| shared.lock().clone());
-    // Canonicalise the merged event stream: shard lanes append to the
-    // shared log in nondeterministic lock order, and the sequential engine
-    // appends in dispatch order. `(at, process, seq)` is a total key over
-    // the identical event *set* both modes produce, so sorting makes the
-    // log bit-identical for every shard count. Reports and actuations are
-    // appended only by the root (one lane) and are already canonical.
-    log.events.sort_by_key(|e| (e.at, e.process, e.seq));
-    ExecutionTrace {
-        n,
-        log,
-        net: engine.stats().clone(),
-        sim: engine.trace().clone(),
-        ended_at,
-        faults: fault_stats,
-    }
+    let faults = engine.fault_stats();
+    let net = engine.stats().clone();
+    let sim = engine.trace().clone();
+    ExecutionTrace { n, log: seal_log(engine, n), net, sim, ended_at, faults }
 }
 
 #[cfg(test)]
@@ -631,6 +642,18 @@ mod tests {
         let again = run_execution(&s, &cfg);
         assert_eq!(t.log.events, again.log.events);
         assert_eq!(t.faults, again.faults);
+
+        // On two shards (which need a floored delay) recovery reads the
+        // process's own log on whichever lane runs it: the log equals the
+        // sequential one.
+        let floored = ExecutionConfig { delay: floored_delay(), ..cfg };
+        let seq = run_execution(&s, &floored);
+        assert_eq!(seq.faults.as_ref().map(|f| f.recoveries), Some(1));
+        let par = run_execution(&s, &ExecutionConfig { shards: 2, ..floored });
+        assert_eq!(par.log.events, seq.log.events);
+        assert_eq!(par.log.reports, seq.log.reports);
+        assert_eq!(par.faults, seq.faults);
+        assert_eq!(par.net, seq.net);
     }
 
     #[test]
@@ -721,7 +744,7 @@ mod tests {
             fn on_report(
                 &mut self,
                 report: &Report,
-                _: &ExecutionLog,
+                _: &[crate::log::ReceivedReport],
             ) -> Vec<(ProcessId, AttrKey, AttrValue)> {
                 self.count += 1;
                 if self.count.is_multiple_of(2) {
@@ -745,6 +768,42 @@ mod tests {
         assert_eq!(seq.log.reports, par.log.reports);
         assert_eq!(seq.log.actuations, par.log.actuations);
         assert_eq!(seq.net, par.net);
+    }
+
+    /// A rule sees what P₀ knows: the reports received before the one in
+    /// hand, one more at each call, in the same sequence on any shard count.
+    #[test]
+    fn actuation_rule_sees_the_reports_received_before() {
+        use crate::log::ReceivedReport;
+        use crate::message::Report;
+        use psn_clocks::ProcessId;
+        use psn_world::{AttrKey, AttrValue};
+        use std::sync::{Arc, Mutex};
+
+        struct HistoryLens(Arc<Mutex<Vec<usize>>>);
+        impl ActuationRule for HistoryLens {
+            fn on_report(
+                &mut self,
+                _: &Report,
+                history: &[ReceivedReport],
+            ) -> Vec<(ProcessId, AttrKey, AttrValue)> {
+                self.0.lock().unwrap().push(history.len());
+                Vec::new()
+            }
+        }
+
+        let s = tiny_scenario();
+        let lens = |shards| {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let cfg = ExecutionConfig { delay: floored_delay(), shards, ..Default::default() };
+            let t = run_execution_with_rule(&s, &cfg, Box::new(HistoryLens(Arc::clone(&seen))));
+            let seen = std::mem::take(&mut *seen.lock().unwrap());
+            assert_eq!(seen, (0..t.log.reports.len()).collect::<Vec<_>>(), "{shards} shard(s)");
+            seen
+        };
+        let sequential = lens(1);
+        assert!(!sequential.is_empty());
+        assert_eq!(lens(2), sequential);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! injects a complete pre-built timeline and runs to quiescence. A
 //! long-running detection service cannot: events arrive over the wire while
 //! queries about the causal frontier and predicate status must be answered
-//! *now*. [`LiveExecution`] drives the same engine, the same actors, and
-//! the same shared [`ExecutionLog`] incrementally:
+//! *now*. [`LiveExecution`] drives the same engine and the same actors,
+//! each owning its log, incrementally:
 //!
 //! 1. pull due events from an [`EventProvider`] (a pre-built timeline or a
 //!    live channel), then take the due ones from the events handed to
@@ -31,9 +31,6 @@
 //! tie-breaking), which is why the journal is kept in arrival order rather
 //! than time order.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use psn_clocks::VectorStamp;
@@ -41,8 +38,8 @@ use psn_sim::engine::{Engine, EngineError};
 use psn_sim::provider::{EventProvider, ExternalEvent};
 use psn_sim::time::SimTime;
 
-use crate::execution::{build_engine, ExecutionConfig, ExecutionTrace};
-use crate::log::ExecutionLog;
+use crate::execution::{build_engine, root, seal_log, sensor, ExecutionConfig, ExecutionTrace};
+use crate::log::{ExecutionLog, ReceivedReport};
 use crate::message::NetMsg;
 use crate::root::{ActuationRule, NoActuation};
 
@@ -182,7 +179,6 @@ impl LiveSnapshot {
 /// [`EventProvider`].
 pub struct LiveExecution {
     engine: Engine<NetMsg>,
-    log: Arc<Mutex<ExecutionLog>>,
     provider: Box<dyn EventProvider<NetMsg>>,
     n: usize,
     config: ExecutionConfig,
@@ -223,11 +219,9 @@ impl LiveExecution {
         metrics: &psn_sim::metrics::Metrics,
         provider: Box<dyn EventProvider<NetMsg>>,
     ) -> Self {
-        let log = ExecutionLog::shared();
-        let engine = build_engine(n, &cfg, rule, metrics, &log, None);
+        let engine = build_engine(n, &cfg, rule, metrics, None);
         LiveExecution {
             engine,
-            log,
             provider,
             n,
             config: cfg,
@@ -358,34 +352,23 @@ impl LiveExecution {
     /// report arrives the frontier is the zero vector (over n sensors + the
     /// root).
     pub fn frontier(&self) -> VectorStamp {
-        let log = self.log.lock();
-        match log.reports.last() {
+        match self.reports().last() {
             Some(r) => r.root_vector.clone(),
             None => VectorStamp::zero(self.n + 1),
         }
     }
 
-    /// Run `f` against the shared execution log (briefly locking it).
-    pub fn with_log<R>(&self, f: impl FnOnce(&ExecutionLog) -> R) -> R {
-        f(&self.log.lock())
+    /// The reports the root has received, in arrival order: read in place
+    /// from the root's own log. `psn-serve` feeds the ones past its cursor
+    /// to its per-predicate detectors.
+    pub fn reports(&self) -> &[ReceivedReport] {
+        root(&self.engine, self.n).reports()
     }
 
-    /// Visit every report from index `from` onward, in arrival order,
-    /// without cloning (briefly locking the log). Returns how many were
-    /// visited. This is the streaming-detector pump: `psn-serve` feeds
-    /// fresh reports to its per-predicate detectors through here instead
-    /// of materialising a `Vec` per advance.
-    pub fn visit_new_reports(
-        &self,
-        from: usize,
-        mut f: impl FnMut(&crate::log::ReceivedReport),
-    ) -> usize {
-        let log = self.log.lock();
-        let from = from.min(log.reports.len());
-        for r in &log.reports[from..] {
-            f(r);
-        }
-        log.reports.len() - from
+    /// How many events the processes have recorded, the root's included.
+    pub fn event_count(&self) -> usize {
+        (0..self.n).map(|id| sensor(&self.engine, id).log().len()).sum::<usize>()
+            + root(&self.engine, self.n).events().len()
     }
 
     /// Capture a restartable snapshot of the session as of its watermark.
@@ -399,14 +382,18 @@ impl LiveExecution {
         }
     }
 
-    /// A detector-consumable view of the execution so far. The log is
-    /// cloned and canonicalised exactly like the batch trace (sorted by
-    /// `(at, process, seq)`); `ended_at` is the current watermark. The
-    /// simulator-internal trace is not included (it is still being
+    /// A detector-consumable view of the execution so far. The process
+    /// logs are cloned and sealed exactly like the batch trace (events in
+    /// `(at, process, seq)` order); `ended_at` is the current watermark.
+    /// The simulator-internal trace is not included (it is still being
     /// written).
     pub fn trace_view(&self) -> ExecutionTrace {
-        let mut log = self.log.lock().clone();
-        log.events.sort_by_key(|e| (e.at, e.process, e.seq));
+        let root = root(&self.engine, self.n);
+        let logs = (0..self.n)
+            .map(|id| sensor(&self.engine, id).log().to_vec())
+            .chain(std::iter::once(root.events().to_vec()))
+            .collect();
+        let log = ExecutionLog::seal(logs, root.reports().to_vec(), root.actuations().to_vec());
         ExecutionTrace {
             n: self.n,
             log,
@@ -417,19 +404,16 @@ impl LiveExecution {
         }
     }
 
-    /// Finish the session: seal the engine trace and return the final
-    /// [`ExecutionTrace`] (the batch result shape).
+    /// Finish the session: seal the engine trace and the process logs
+    /// (moved, not copied) and return the final [`ExecutionTrace`] (the
+    /// batch result shape).
     pub fn finish(mut self) -> ExecutionTrace {
         let ended_at = self.engine.finish();
-        let fault_stats = self.engine.fault_stats();
+        let faults = self.engine.fault_stats();
         let net = self.engine.stats().clone();
         let sim = self.engine.trace().clone();
-        drop(self.engine);
-        let mut log = Arc::try_unwrap(self.log)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|shared| shared.lock().clone());
-        log.events.sort_by_key(|e| (e.at, e.process, e.seq));
-        ExecutionTrace { n: self.n, log, net, sim, ended_at, faults: fault_stats }
+        let log = seal_log(self.engine, self.n);
+        ExecutionTrace { n: self.n, log, net, sim, ended_at, faults }
     }
 }
 
@@ -526,8 +510,8 @@ mod tests {
         live.advance_to(SimTime::from_secs(200)).unwrap();
         let end = live.frontier();
         assert!(mid.lt(&end), "the frontier only grows");
-        let reports = live.with_log(|l| l.reports.len());
-        assert!(reports > 0);
+        assert!(!live.reports().is_empty());
+        assert_eq!(live.reports().last().map(|r| &r.root_vector), Some(&end));
     }
 
     #[test]
@@ -740,7 +724,7 @@ mod tests {
         live.advance_to(SimTime::from_secs(120)).unwrap();
         assert_eq!(live.rejected(), 1);
         assert!(matches!(live.last_rejection(), Some(EngineError::UnknownActor { .. })));
-        let senses = live.with_log(|l| l.sense_events().len());
+        let senses = live.trace_view().log.sense_events().len();
         assert_eq!(senses, s.timeline.len(), "the good events all landed");
         assert!(live.advance_to(SimTime::from_secs(1)).is_err(), "watermark cannot regress");
     }

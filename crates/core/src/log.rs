@@ -1,18 +1,23 @@
-//! The shared execution log.
+//! Process logs and the sealed execution log.
 //!
-//! Actors append to an [`ExecutionLog`] behind an `Arc<Mutex<…>>`. Under
-//! the sequential engine the lock is uncontended; under the sharded engine
-//! (`ExecutionConfig::shards > 1`) lanes append concurrently and the
-//! append order is not deterministic — `run_execution_full` therefore
-//! sorts `events` by `(at, process, seq)` after every run, which is a
-//! total key over the event set and makes the log bit-identical across
-//! shard counts. After the run, the log *is* the observable history:
-//! every process event with its full stamp set, every report in arrival
-//! order at P₀, and every actuation command issued.
+//! Each process records its own events (paper §2.1): a
+//! [`SensorProcess`](crate::process::SensorProcess) appends its sense, send
+//! and actuate events to a log it owns, and the root P₀ appends its own
+//! receive and send events plus the reports it received and the actuation
+//! commands it issued. No log is shared, so an append takes no lock; under
+//! the sharded engine a process's log moves with its actor to the lane that
+//! runs it.
+//!
+//! An [`ExecutionLog`] is the sealed view of one execution, built by
+//! [`ExecutionLog::seal`]: every process event in `(at, process, seq)`
+//! order, every report in arrival order at P₀, and every actuation command
+//! issued. Each process log is one sorted run of that order (a process
+//! records its events in time order and numbers them in sequence), the key
+//! tells processes apart, and equal keys (an amnesiac restart can repeat a
+//! number) keep their recording order, so the sealed log is bit-identical
+//! for every shard count. The seal moves each process log into the result
+//! and releases it as it goes; no second copy of the events is made.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use psn_clocks::{ProcessId, VectorStamp};
@@ -50,8 +55,8 @@ pub struct ActuationRecord {
 /// Everything observable about one execution.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ExecutionLog {
-    /// All process events (every process), in recording order (== ground
-    /// truth chronological order, since the engine is monotone).
+    /// All process events (every process), in `(at, process, seq)` order:
+    /// ground-truth chronological, since the engine is monotone.
     pub events: Vec<ProcEvent>,
     /// Reports in arrival order at the root.
     pub reports: Vec<ReceivedReport>,
@@ -60,9 +65,26 @@ pub struct ExecutionLog {
 }
 
 impl ExecutionLog {
-    /// A fresh, shared, empty log.
-    pub fn shared() -> Arc<Mutex<ExecutionLog>> {
-        Arc::new(Mutex::new(ExecutionLog::default()))
+    /// Seal per-process event logs and the root's report and actuation
+    /// logs into one view, events in `(at, process, seq)` order. The
+    /// largest log is grown in place and every other log is moved into it
+    /// and released, so at most one log's events are resident twice; the
+    /// order is then fixed without a scratch copy of the events (see
+    /// [`sort_canonical`]).
+    pub fn seal(
+        mut logs: Vec<Vec<ProcEvent>>,
+        reports: Vec<ReceivedReport>,
+        actuations: Vec<ActuationRecord>,
+    ) -> ExecutionLog {
+        let total: usize = logs.iter().map(Vec::len).sum();
+        let largest = (0..logs.len()).max_by_key(|&i| logs[i].len());
+        let mut events = largest.map(|i| std::mem::take(&mut logs[i])).unwrap_or_default();
+        events.reserve_exact(total - events.len());
+        for log in logs {
+            events.extend(log);
+        }
+        sort_canonical(&mut events);
+        ExecutionLog { events, reports, actuations }
     }
 
     /// Events of one process, in order.
@@ -78,6 +100,31 @@ impl ExecutionLog {
     /// Reports of one process, in arrival order.
     pub fn reports_of(&self, p: ProcessId) -> Vec<&ReceivedReport> {
         self.reports.iter().filter(|r| r.report.process == p).collect()
+    }
+}
+
+/// Put `events` in `(at, process, seq)` order, equal keys in their current
+/// order, without a scratch copy of the events: sort one compact key per
+/// event, with its position as the last field so every key is distinct
+/// (an unstable sort then equals a stable one), and apply the permutation
+/// in place by following its cycles.
+fn sort_canonical(events: &mut [ProcEvent]) {
+    let mut order: Vec<(SimTime, ProcessId, usize, usize)> =
+        events.iter().enumerate().map(|(i, e)| (e.at, e.process, e.seq, i)).collect();
+    order.sort_unstable();
+    // `order[j].3` is the position of the event that belongs at `j`; a
+    // slot is marked done by pointing it at itself.
+    for start in 0..events.len() {
+        let mut j = start;
+        loop {
+            let from = order[j].3;
+            order[j].3 = j;
+            if from == start {
+                break;
+            }
+            events.swap(j, from);
+            j = from;
+        }
     }
 }
 
@@ -125,9 +172,22 @@ mod tests {
     }
 
     #[test]
-    fn shared_log_is_writable() {
-        let shared = ExecutionLog::shared();
-        shared.lock().events.push(ev(0, 1, true));
-        assert_eq!(shared.lock().events.len(), 1);
+    fn seal_merges_process_runs_and_keeps_equal_keys_in_order() {
+        let event = |p, ms, seq, relevant| ProcEvent {
+            at: SimTime::from_millis(ms),
+            ..ev(p, seq, relevant)
+        };
+        let logs = vec![
+            vec![event(0, 10, 1, true), event(0, 10, 2, false), event(0, 40, 3, true)],
+            // Process 2 restarted amnesiac at 30 ms: its seq 1 repeats at
+            // the same instant, and the two must keep their recording order.
+            vec![event(2, 5, 1, true), event(2, 30, 1, true), event(2, 30, 1, false)],
+            vec![event(1, 10, 1, true), event(1, 35, 2, false)],
+        ];
+        let mut expected = logs.concat();
+        expected.sort_by_key(|e| (e.at, e.process, e.seq));
+        let sealed = ExecutionLog::seal(logs, Vec::new(), Vec::new());
+        assert_eq!(sealed.events, expected);
+        assert!(ExecutionLog::seal(Vec::new(), Vec::new(), Vec::new()).events.is_empty());
     }
 }

@@ -4,11 +4,9 @@
 //! back-end server that processes the sensed information." The root
 //! collects reports, maintains its own causality-based clocks (ticking per
 //! SC3/VC3 on each report), and optionally runs an **actuation rule** that
-//! closes the sense → send → receive → actuate loop of §4.1.
-
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+//! closes the sense → send → receive → actuate loop of §4.1. The root owns
+//! its logs: its own receive and send events, the reports it received, and
+//! the actuation commands it issued.
 
 use psn_clocks::ProcessId;
 use psn_sim::engine::{Actor, Context};
@@ -17,26 +15,32 @@ use psn_world::{AttrKey, AttrValue};
 
 use crate::bundle::{ClockBundle, ClockConfig};
 use crate::event::{EventKind, ProcEvent};
-use crate::log::{ActuationRecord, ExecutionLog, ReceivedReport};
+use crate::log::{ActuationRecord, ReceivedReport};
 use crate::message::{NetMsg, Report};
 use crate::metrics::ExecMetrics;
 
 /// A rule the root evaluates online on each arriving report. Returning
 /// commands closes the actuation loop.
 pub trait ActuationRule: Send {
-    /// Inspect the arriving report (and the history so far); return
-    /// `(target process, attribute, command)` triples to actuate.
+    /// Inspect the arriving report and the reports the root received
+    /// before it, in arrival order: what P₀ knows, and nothing of the
+    /// processes' local events. Return `(target process, attribute,
+    /// command)` triples to actuate.
     fn on_report(
         &mut self,
         report: &Report,
-        history: &ExecutionLog,
+        history: &[ReceivedReport],
     ) -> Vec<(ProcessId, AttrKey, AttrValue)>;
 }
 
 /// A no-op rule: observe only.
 pub struct NoActuation;
 impl ActuationRule for NoActuation {
-    fn on_report(&mut self, _: &Report, _: &ExecutionLog) -> Vec<(ProcessId, AttrKey, AttrValue)> {
+    fn on_report(
+        &mut self,
+        _: &Report,
+        _: &[ReceivedReport],
+    ) -> Vec<(ProcessId, AttrKey, AttrValue)> {
         Vec::new()
     }
 }
@@ -55,20 +59,19 @@ pub struct RootProcess {
     /// [`crate::process::StrobePolicy::quarantine`]).
     quarantine: bool,
     seen_strobes: Vec<u64>,
-    log: Arc<Mutex<ExecutionLog>>,
+    /// The root's own receive and send events, in recording order.
+    events: Vec<ProcEvent>,
+    /// Reports in arrival order.
+    reports: Vec<ReceivedReport>,
+    /// Actuation commands issued.
+    actuations: Vec<ActuationRecord>,
     metrics: ExecMetrics,
     trace_stamp: crate::process::TraceStampMode,
 }
 
 impl RootProcess {
     /// A root with actor id `id` (conventionally `n`, after the sensors).
-    pub fn new(
-        id: ProcessId,
-        n: usize,
-        cfg: ClockConfig,
-        rule: Box<dyn ActuationRule>,
-        log: Arc<Mutex<ExecutionLog>>,
-    ) -> Self {
+    pub fn new(id: ProcessId, n: usize, cfg: ClockConfig, rule: Box<dyn ActuationRule>) -> Self {
         RootProcess {
             id,
             n,
@@ -79,7 +82,9 @@ impl RootProcess {
             flood: false,
             quarantine: false,
             seen_strobes: vec![0; n + 1],
-            log,
+            events: Vec::new(),
+            reports: Vec::new(),
+            actuations: Vec::new(),
             metrics: ExecMetrics::disabled(),
             trace_stamp: crate::process::TraceStampMode::default(),
         }
@@ -110,6 +115,27 @@ impl RootProcess {
         self.metrics = metrics;
         self
     }
+
+    /// The root's own receive and send events, in recording order.
+    pub fn events(&self) -> &[ProcEvent] {
+        &self.events
+    }
+
+    /// The reports received so far, in arrival order.
+    pub fn reports(&self) -> &[ReceivedReport] {
+        &self.reports
+    }
+
+    /// The actuation commands issued so far.
+    pub fn actuations(&self) -> &[ActuationRecord] {
+        &self.actuations
+    }
+
+    /// Give up the logs (sealing an execution): own events, reports,
+    /// actuations.
+    pub(crate) fn into_logs(self) -> (Vec<ProcEvent>, Vec<ReceivedReport>, Vec<ActuationRecord>) {
+        (self.events, self.reports, self.actuations)
+    }
 }
 
 impl Actor<NetMsg> for RootProcess {
@@ -134,20 +160,17 @@ impl Actor<NetMsg> for RootProcess {
                         from as u64,
                     );
                 }
-                let mut log = self.log.lock();
-                log.events.push(ProcEvent {
+                self.events.push(ProcEvent {
                     process: self.id,
                     seq: self.event_seq,
                     at: now,
                     kind: EventKind::Receive { from },
                     stamps,
                 });
-                log.reports.push(ReceivedReport { report: *report, arrived_at: now, root_vector });
-                let report = &log.reports.last().expect("just pushed").report;
-                let commands = self.rule.on_report(report, &log);
+                let commands = self.rule.on_report(&report, &self.reports);
+                self.reports.push(ReceivedReport { report: *report, arrived_at: now, root_vector });
                 for (target, key, command) in commands {
-                    log.actuations.push(ActuationRecord { at: now, target, key, command });
-                    drop(log);
+                    self.actuations.push(ActuationRecord { at: now, target, key, command });
                     // The command is a computation message: a send event s
                     // at the root (SC2/VC2), stamps piggybacked.
                     let bundle = self.bundle.as_mut().expect("started");
@@ -165,8 +188,7 @@ impl Actor<NetMsg> for RootProcess {
                         target,
                         NetMsg::Actuate { key, command, stamps: Box::new(send_stamps.clone()) },
                     );
-                    log = self.log.lock();
-                    log.events.push(ProcEvent {
+                    self.events.push(ProcEvent {
                         process: self.id,
                         seq: self.event_seq,
                         at: now,
@@ -200,6 +222,7 @@ impl Actor<NetMsg> for RootProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::ExecutionLog;
     use crate::process::{SensorProcess, StrobePolicy};
     use psn_sim::delay::DelayModel;
     use psn_sim::engine::Engine;
@@ -212,7 +235,7 @@ mod tests {
         fn on_report(
             &mut self,
             report: &Report,
-            _: &ExecutionLog,
+            _: &[ReceivedReport],
         ) -> Vec<(ProcessId, AttrKey, AttrValue)> {
             if report.value.as_int() > 5 {
                 vec![(report.process, report.key, AttrValue::Bool(true))]
@@ -222,8 +245,7 @@ mod tests {
         }
     }
 
-    fn run(rule: Box<dyn ActuationRule>) -> Arc<Mutex<ExecutionLog>> {
-        let log = ExecutionLog::shared();
+    fn run(rule: Box<dyn ActuationRule>) -> ExecutionLog {
         let net = NetworkConfig::full_mesh(3, DelayModel::Synchronous);
         let mut engine = Engine::new(net, 1);
         for id in 0..2 {
@@ -233,16 +255,9 @@ mod tests {
                 2,
                 ClockConfig::default(),
                 StrobePolicy::default(),
-                Arc::clone(&log),
             )));
         }
-        engine.add_actor(Box::new(RootProcess::new(
-            2,
-            2,
-            ClockConfig::default(),
-            rule,
-            Arc::clone(&log),
-        )));
+        engine.add_actor(Box::new(RootProcess::new(2, 2, ClockConfig::default(), rule)));
         engine.inject(
             SimTime::from_millis(10),
             0,
@@ -264,13 +279,12 @@ mod tests {
             },
         );
         engine.run();
-        log
+        crate::execution::seal_log(engine, 2)
     }
 
     #[test]
     fn root_collects_reports_in_order() {
         let log = run(Box::new(NoActuation));
-        let log = log.lock();
         assert_eq!(log.reports.len(), 2);
         assert_eq!(log.reports[0].report.process, 0);
         assert_eq!(log.reports[1].report.process, 1);
@@ -280,7 +294,6 @@ mod tests {
     #[test]
     fn root_vector_advances_monotonically() {
         let log = run(Box::new(NoActuation));
-        let log = log.lock();
         let v0 = &log.reports[0].root_vector;
         let v1 = &log.reports[1].root_vector;
         assert!(v0.lt(v1), "the root's knowledge frontier only grows");
@@ -289,7 +302,6 @@ mod tests {
     #[test]
     fn actuation_rule_closes_the_loop() {
         let log = run(Box::new(Threshold));
-        let log = log.lock();
         assert_eq!(log.actuations.len(), 1, "only the report with value 9 triggers");
         assert_eq!(log.actuations[0].target, 1);
         // The actuated sensor recorded an 'a' event.
@@ -300,7 +312,6 @@ mod tests {
     #[test]
     fn receive_events_recorded_at_root() {
         let log = run(Box::new(NoActuation));
-        let log = log.lock();
         let root_events = log.events_of(2);
         assert_eq!(root_events.len(), 2);
         assert!(root_events.iter().all(|e| e.kind.tag() == 'r'));

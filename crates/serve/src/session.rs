@@ -244,11 +244,9 @@ impl ServeSession {
         let mut modal =
             StreamingModal::new(&predicate, &self.initial, self.live.n(), self.hold_back);
         // Catch a late registration up with the stream seen so far.
-        self.live.with_log(|l| {
-            for r in &l.reports[..self.report_cursor.min(l.reports.len())] {
-                modal.offer(r);
-            }
-        });
+        for r in &self.live.reports()[..self.report_cursor] {
+            modal.offer(r);
+        }
         let mem_gauge = self.metrics.gauge(&format!("detector.{name}.mem_high_water_cuts"));
         let width_gauge = self.metrics.gauge(&format!("detector.{name}.frontier_width"));
         mem_gauge.set(modal.mem_high_water_cuts());
@@ -258,18 +256,18 @@ impl ServeSession {
     }
 
     /// Feed reports that arrived since the last pump to every detector —
-    /// zero-copy out of the shared log, timed as the `detector` telemetry
-    /// phase, with the per-detector memory gauges refreshed after.
+    /// read in place from the root's report log, timed as the `detector`
+    /// telemetry phase, with the per-detector memory gauges refreshed after.
     fn pump_detectors(&mut self) {
         let tel = self.telemetry.coordinator();
         let t0 = tel.start();
-        let detectors = &mut self.detectors;
-        let seen = self.live.visit_new_reports(self.report_cursor, |r| {
-            for d in detectors.iter_mut() {
+        let reports = self.live.reports();
+        for r in &reports[self.report_cursor..] {
+            for d in &mut self.detectors {
                 d.modal.offer(r);
             }
-        });
-        self.report_cursor += seen;
+        }
+        self.report_cursor = reports.len();
         for d in &self.detectors {
             d.mem_gauge.set(d.modal.mem_high_water_cuts());
             d.width_gauge.set(d.modal.frontier_width() as u64);
@@ -336,16 +334,13 @@ impl ServeSession {
                     Err(e) => Self::engine_error(e),
                 }
             }
-            Request::Frontier => {
-                let (reports, events) = self.live.with_log(|l| (l.reports.len(), l.events.len()));
-                Response::Frontier {
-                    watermark: self.live.watermark(),
-                    vector: self.live.frontier(),
-                    reports,
-                    events,
-                    rejected: self.live.rejected(),
-                }
-            }
+            Request::Frontier => Response::Frontier {
+                watermark: self.live.watermark(),
+                vector: self.live.frontier(),
+                reports: self.live.reports().len(),
+                events: self.live.event_count(),
+                rejected: self.live.rejected(),
+            },
             Request::Watch { name, predicate } => {
                 // Names that mangle alike would export one Prometheus family
                 // twice, and a scrape with a duplicate is refused whole.
@@ -399,12 +394,13 @@ impl ServeSession {
                 let (interval_ms, count) = crate::server::clamp_subscription(interval_ms, count);
                 Response::Subscribed { stream: "trace".into(), count, interval_ms }
             }
-            Request::TraceSlice { from, limit } => self.live.with_log(|l| {
-                let total = l.reports.len();
+            Request::TraceSlice { from, limit } => {
+                let reports = self.live.reports();
+                let total = reports.len();
                 let from = from.min(total);
                 let to = from.saturating_add(limit.min(MAX_SLICE)).min(total);
-                Response::TraceSlice { from, total, reports: l.reports[from..to].to_vec() }
-            }),
+                Response::TraceSlice { from, total, reports: reports[from..to].to_vec() }
+            }
             Request::Snapshot => {
                 let snap = self.snapshot();
                 let json = snap.to_json();

@@ -47,6 +47,7 @@ use crate::telemetry::{Phase, Telemetry};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ClockStamp, FaultRecordKind, MsgId, ProcessEventKind, Trace, TraceKind};
 
+use std::any::Any;
 use std::time::Instant;
 
 mod lane;
@@ -113,8 +114,10 @@ impl std::error::Error for EngineError {}
 ///
 /// `Send + Sync` because shard workers own messages (`Send`) and share the
 /// fault plane's parked-message buffer behind a read lock (`Sync`); message
-/// payloads are plain data, so the bounds are free.
-pub trait Message: Clone + Send + Sync {
+/// payloads are plain data, so the bounds are free. `'static` because an
+/// [`Actor`] is `Any`, which needs every type it is generic over to own
+/// its data.
+pub trait Message: Clone + Send + Sync + 'static {
     /// The on-the-wire size of this payload, in bytes.
     fn size_bytes(&self) -> usize;
 
@@ -132,8 +135,11 @@ pub trait Message: Clone + Send + Sync {
 ///
 /// All callbacks receive a [`Context`] through which the actor reads the
 /// current time, draws randomness from its private stream, sends messages,
-/// sets timers, annotates the trace, and can halt the run.
-pub trait Actor<M: Message> {
+/// sets timers, annotates the trace, and can halt the run. `Any` is a
+/// supertrait so a host can read a resident actor's state by its concrete
+/// type ([`Engine::actor`]) or take it back after the run
+/// ([`Engine::take_actor`]) and downcast it.
+pub trait Actor<M: Message>: Any {
     /// Called once before the first event, in actor-id order.
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}
     /// A message from `from` has been delivered.
@@ -645,6 +651,13 @@ impl<M: Message> Engine<M> {
     /// already-registered senders.
     pub fn network_mut(&mut self) -> &mut NetworkConfig {
         &mut self.network
+    }
+
+    /// Read a resident actor's state between runs or steps: `None` if `id`
+    /// is out of range or the actor was taken. Upcast the reference to
+    /// `&dyn Any` to reach the concrete type.
+    pub fn actor(&self, id: ActorId) -> Option<&(dyn Actor<M> + Send)> {
+        self.lane.actors.get(id)?.as_deref()
     }
 
     /// Recover an actor after the run to read its final state.

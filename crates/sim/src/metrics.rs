@@ -239,12 +239,15 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Set the current value, updating the high-water mark.
+    /// Set the current value, updating the high-water mark. The locked
+    /// read-modify-write runs only when `v` may raise the mark.
     #[inline]
     pub fn set(&self, v: u64) {
         if self.active {
             self.cell.value.store(v, Ordering::Relaxed);
-            self.cell.high.fetch_max(v, Ordering::Relaxed);
+            if v > self.cell.high.load(Ordering::Relaxed) {
+                self.cell.high.fetch_max(v, Ordering::Relaxed);
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example exhibition_hall
 //! ```
 
-use pervasive_time::core::{ExecutionLog, Report};
+use pervasive_time::core::{ReceivedReport, Report};
 use pervasive_time::prelude::*;
 use psn_clocks::ProcessId;
 
@@ -35,7 +35,7 @@ impl ActuationRule for CapacityRule {
     fn on_report(
         &mut self,
         report: &Report,
-        _history: &ExecutionLog,
+        _history: &[ReceivedReport],
     ) -> Vec<(ProcessId, AttrKey, AttrValue)> {
         match report.key.attr {
             0 => self.x[report.key.object] = report.value.as_int(),

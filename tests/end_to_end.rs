@@ -106,14 +106,18 @@ fn habitat_regime_strobes_are_near_perfect() {
 
 #[test]
 fn actuation_loop_reacts_to_detection() {
-    use pervasive_time::core::{ExecutionLog, Report};
+    use pervasive_time::core::{ReceivedReport, Report};
     use pervasive_time::world::AttrValue as AV;
 
     struct AlarmRule {
         fired: bool,
     }
     impl ActuationRule for AlarmRule {
-        fn on_report(&mut self, report: &Report, _h: &ExecutionLog) -> Vec<(usize, AttrKey, AV)> {
+        fn on_report(
+            &mut self,
+            report: &Report,
+            _h: &[ReceivedReport],
+        ) -> Vec<(usize, AttrKey, AV)> {
             if !self.fired && report.value.as_int() >= 3 {
                 self.fired = true;
                 vec![(report.process, report.key, AV::Bool(true))]
