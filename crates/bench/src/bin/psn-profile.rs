@@ -15,8 +15,6 @@
 //! - **barrier-wait share** — what fraction of all shard time was spent
 //!   blocked on the coordinator, against the shard count (the strong-
 //!   scaling ceiling in one number);
-//! - **ring pressure** — exchange-ring high-water marks per shard next to
-//!   the `engine.ring_spills` overflow count (capacity headroom);
 //! - **attribution** — how much of the measured run wall the per-shard
 //!   phase spans cover (the instrumentation's own completeness check;
 //!   ≥95% on a healthy sharded run).
@@ -81,7 +79,7 @@ fn pct(part: u64, whole: u64) -> f64 {
 
 /// Fraction of the run wall covered by the instrumentation: the mean
 /// per-shard phase sum (each worker loop is wrapped end to end —
-/// barrier-wait → busy → ring-exchange — so every active shard
+/// barrier-wait → busy → exchange — so every active shard
 /// individually accounts for the parallel section) plus the coordinator's
 /// busy spans (the serial split/merge sections, which never overlap the
 /// shards' accounting). ≥95% on a healthy run.
@@ -149,23 +147,6 @@ fn report(records: &[Record]) {
             .collect();
         if !coord.is_empty() {
             println!("coordinator: {}", coord.join(", "));
-        }
-        let spills = r.metrics.counter("engine.ring_spills").unwrap_or(0);
-        let high_water: Vec<String> = t
-            .shards
-            .iter()
-            .filter(|s| s.ring_high_water > 0)
-            .map(|s| format!("shard {} hw {}", s.shard, s.ring_high_water))
-            .collect();
-        if !high_water.is_empty() || spills > 0 {
-            println!(
-                "ring pressure: {} — engine.ring_spills = {spills}",
-                if high_water.is_empty() {
-                    "no ring traffic".to_string()
-                } else {
-                    high_water.join(", ")
-                }
-            );
         }
         let windows = r.metrics.counter("engine.windows").unwrap_or(0);
         let op_barriers = r.metrics.counter("engine.op_barriers").unwrap_or(0);

@@ -19,6 +19,7 @@
 //! Criterion micro-benchmarks live in `benches/` (clock operations,
 //! detectors, lattice enumeration, engine throughput, sweep scaling).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;

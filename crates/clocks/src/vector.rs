@@ -192,6 +192,7 @@ impl VectorStamp {
 
     /// Componentwise maximum, in place.
     #[inline]
+    #[allow(unsafe_code)]
     pub fn merge_from(&mut self, other: &VectorStamp) {
         let b = other.as_slice();
         let a = self.as_mut_slice();
@@ -239,6 +240,7 @@ fn merge_max_scalar(a: &mut [u64], b: &[u64]) {
 /// have any (equal) length and alignment.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
+#[allow(unsafe_code)]
 unsafe fn merge_max_avx512(a: &mut [u64], b: &[u64]) {
     use std::arch::x86_64::*;
     debug_assert_eq!(a.len(), b.len());
@@ -269,6 +271,7 @@ unsafe fn merge_max_avx512(a: &mut [u64], b: &[u64]) {
 /// any (equal) length and alignment.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
 unsafe fn merge_max_avx2(a: &mut [u64], b: &[u64]) {
     use std::arch::x86_64::*;
     debug_assert_eq!(a.len(), b.len());
@@ -557,6 +560,7 @@ mod tests {
     /// one the write has just un-shared. A kernel the CPU lacks is skipped;
     /// the scalar one never is.
     #[test]
+    #[allow(unsafe_code)]
     fn simd_merge_kernels_agree_with_scalar_for_every_length() {
         type Kernel = (&'static str, fn(&mut [u64], &[u64]));
         let mut kernels: Vec<Kernel> = vec![("scalar", merge_max_scalar)];

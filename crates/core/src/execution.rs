@@ -363,7 +363,7 @@ pub fn run_execution_full(
 /// Run `scenario` with both a metrics registry and a phase-scoped
 /// wall-clock [`psn_sim::telemetry::Telemetry`] registry attached. The
 /// telemetry plane records where the host machine's time goes (per-shard
-/// busy / barrier-wait / ring-exchange, coordinator drain) and is strictly
+/// busy / barrier-wait / exchange, coordinator drain) and is strictly
 /// observational: the returned trace is bit-identical
 /// to an unprofiled [`run_execution`] of the same inputs.
 pub fn run_execution_profiled(

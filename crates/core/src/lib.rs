@@ -44,6 +44,7 @@
 //! assert_eq!(trace.log.sense_events().len(), scenario.timeline.len());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bundle;

@@ -237,7 +237,7 @@ impl LiveExecution {
 
     /// Attach a phase-scoped wall-clock [`psn_sim::telemetry::Telemetry`]
     /// registry: the engine records its run phases (busy, barrier wait,
-    /// ring exchange, …) and [`advance_to`](Self::advance_to) times its
+    /// exchange, …) and [`advance_to`](Self::advance_to) times its
     /// provider poll + inject drain on the coordinator slot. Strictly
     /// observational — the session's results are bit-identical with or
     /// without telemetry attached.

@@ -70,7 +70,7 @@ impl ExecutionLog {
     /// largest log is grown in place and every other log is moved into it
     /// and released, so at most one log's events are resident twice; the
     /// order is then fixed without a scratch copy of the events (see
-    /// [`sort_canonical`]).
+    /// `sort_canonical`).
     pub fn seal(
         mut logs: Vec<Vec<ProcEvent>>,
         reports: Vec<ReceivedReport>,

@@ -70,7 +70,7 @@ pub enum NetMsg {
         payload: StrobePayload,
     },
     /// Sensor → root report of a sense event. Boxed: a report carries two
-    /// stamp sets, and every queue entry, ring slot and broadcast clone is
+    /// stamp sets, and every queue entry, channel slot and broadcast clone is
     /// as large as the enum's largest variant.
     Report(Box<Report>),
     /// Root → sensor actuation command. A computation message: it carries

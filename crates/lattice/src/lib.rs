@@ -16,6 +16,7 @@
 //! - [`stream`] — the Garg–Waldecker interval advancement every
 //!   conjunctive `Possibly`/`Definitely` detector runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fine_grained;

@@ -25,6 +25,7 @@
 //!   incremental antichain frontier and Δ-bound GC, exact
 //!   [`modal::modal_status`] answers at any prefix.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accuracy;

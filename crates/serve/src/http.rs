@@ -210,14 +210,6 @@ pub fn prometheus_text(metrics: &MetricsSnapshot, telemetry: &TelemetrySnapshot)
     series("coordinator", &telemetry.coordinator);
     out.push_str(&phase_lines);
     out.push_str(&span_lines);
-    let _ = writeln!(out, "# TYPE psn_telemetry_ring_high_water gauge");
-    for s in &telemetry.shards {
-        let _ = writeln!(
-            out,
-            "psn_telemetry_ring_high_water{{shard=\"{}\"}} {}",
-            s.shard, s.ring_high_water
-        );
-    }
     out
 }
 

@@ -25,6 +25,7 @@
 //! against a real socket and exits nonzero on any mismatch, which is what
 //! CI's serve-smoke job executes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod http;

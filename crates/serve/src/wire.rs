@@ -315,7 +315,7 @@ pub enum Response {
         /// gauges, timers), snapshotted at reply time.
         metrics: psn_sim::metrics::MetricsSnapshot,
         /// The phase-scoped wall-clock telemetry snapshot (per-shard
-        /// busy / barrier-wait / ring-exchange, coordinator drain, log
+        /// busy / barrier-wait / exchange, coordinator drain, log
         /// histograms).
         telemetry: psn_sim::telemetry::TelemetrySnapshot,
     },

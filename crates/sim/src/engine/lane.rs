@@ -16,6 +16,7 @@ use super::{
     DENSE_ACTOR_LIMIT,
 };
 use std::collections::HashMap;
+use std::sync::mpsc;
 
 /// Per-channel last-scheduled-delivery times backing the FIFO clamp.
 ///
@@ -38,9 +39,9 @@ pub(in crate::engine) enum FifoStore {
     },
 }
 
-/// What the exchange rings carry: a cross-shard event as `(delivery time,
-/// canonical key, payload)` — exactly an outbox entry.
-type RingItem<M> = (SimTime, u64, Pending<M>);
+/// What crosses shards: a delivery as `(delivery time, canonical key,
+/// payload)`, exactly the entry it becomes in the destination lane's heap.
+type Crossing<M> = (SimTime, u64, Pending<M>);
 
 /// The per-shard execution state: one lane owns a disjoint subset of the
 /// actors, their private RNG streams, a heap of their pending events, and
@@ -72,16 +73,12 @@ pub(in crate::engine) struct Lane<M: Message> {
     pub(in crate::engine) members: Vec<ActorId>,
     /// `owner[actor] = shard`; empty in sequential mode (everything local).
     pub(in crate::engine) owner: Vec<u32>,
-    /// Cross-shard events awaiting routing at the next barrier: those sent
-    /// by start dispatches (before the rings exist) and ring overflow.
-    pub(in crate::engine) outbox: Vec<(SimTime, u64, Pending<M>)>,
-    /// Ring exchange, producing side: `ring_out[shard]` publishes to that
-    /// shard's lane as events are generated, overlapping the barrier work.
-    /// Empty (or `None` for self pairs) outside sharded runs.
-    pub(in crate::engine) ring_out: Vec<Option<crate::ring::Producer<RingItem<M>>>>,
-    /// Ring exchange, consuming side: `ring_in[shard]` receives events
-    /// published by that shard's lane.
-    pub(in crate::engine) ring_in: Vec<Option<crate::ring::Consumer<RingItem<M>>>>,
+    /// Cross-shard deliveries sent to this lane, absorbed into `queue` by
+    /// [`Lane::absorb_inbox`]. `None` outside sharded runs.
+    pub(in crate::engine) inbox: Option<mpsc::Receiver<Crossing<M>>>,
+    /// `peers[shard]` sends into that shard's inbox. Empty outside sharded
+    /// runs.
+    pub(in crate::engine) peers: Vec<mpsc::Sender<Crossing<M>>>,
     pub(in crate::engine) fifo: FifoStore,
     pub(in crate::engine) fifo_dense_limit: usize,
     pub(in crate::engine) trace: Trace,
@@ -120,9 +117,8 @@ impl<M: Message> Lane<M> {
             timer_ctr: Vec::new(),
             members: Vec::new(),
             owner: Vec::new(),
-            outbox: Vec::new(),
-            ring_out: Vec::new(),
-            ring_in: Vec::new(),
+            inbox: None,
+            peers: Vec::new(),
             fifo: FifoStore::Unset,
             fifo_dense_limit: DENSE_ACTOR_LIMIT,
             trace: Trace::disabled(),
@@ -159,8 +155,8 @@ impl<M: Message> Lane<M> {
         ((from as u64 + 1) << 40) | c
     }
 
-    /// Schedule a delivery, locally or (sharded mode) via the exchange
-    /// ring when installed, with the outbox as ring-overflow spill.
+    /// Schedule a delivery, locally or (sharded mode) into the owning
+    /// lane's inbox.
     #[inline]
     fn schedule_delivery(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M, id: u64) {
         let key = event_key(key_class::DELIVER, id);
@@ -168,37 +164,25 @@ impl<M: Message> Lane<M> {
         if self.local(to) {
             self.queue.schedule_keyed(at, key, pending);
         } else {
-            let dest = self.owner[to] as usize;
-            match self.ring_out.get_mut(dest).and_then(Option::as_mut) {
-                Some(ring) => {
-                    if let Err(item) = ring.push((at, key, pending)) {
-                        // Ring full: spill to the outbox (routed at the next
-                        // barrier). Count it — sustained spills mean the ring
-                        // capacity is undersized for this workload.
-                        self.m.ring_spills.inc();
-                        self.outbox.push(item);
-                    }
-                }
-                None => self.outbox.push((at, key, pending)),
-            }
+            self.peers[self.owner[to] as usize]
+                .send((at, key, pending))
+                .expect("every inbox lives until the lanes merge");
         }
         self.in_flight += 1;
         self.m.in_flight.set(self.in_flight.max(0) as u64);
     }
 
-    /// Absorb every event currently published to this lane's incoming
-    /// rings into the local heap. Safe mid-run: published arrivals are at
-    /// or beyond every lane's window bound, and heap order is total on
-    /// `(time, key)`, so absorption timing cannot change the run. Workers
-    /// call this after their window (overlapping other lanes' windows);
-    /// the coordinator calls it again at the barrier, when producers are
-    /// quiescent, to make the drain exhaustive.
-    pub(in crate::engine) fn absorb_rings(&mut self) {
-        for i in 0..self.ring_in.len() {
-            if let Some(ring) = self.ring_in[i].as_mut() {
-                while let Some((at, key, pending)) = ring.pop() {
-                    self.queue.schedule_keyed(at, key, pending);
-                }
+    /// Absorb every delivery waiting in this lane's inbox into the local
+    /// heap. Safe mid-run: a cross-shard delivery is due at or beyond every
+    /// lane's window bound, and heap order is total on `(time, key)`, so
+    /// absorption timing cannot change the run. Workers call this after
+    /// their window (overlapping other lanes' windows); the coordinator
+    /// calls it again at the barrier, when senders are idle, so the drain
+    /// is complete.
+    pub(in crate::engine) fn absorb_inbox(&mut self) {
+        if let Some(inbox) = &self.inbox {
+            for (at, key, pending) in inbox.try_iter() {
+                self.queue.schedule_keyed(at, key, pending);
             }
         }
     }

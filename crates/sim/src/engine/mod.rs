@@ -287,7 +287,6 @@ struct EngineMetrics {
     events_per_sec: Gauge,
     windows: Counter,
     op_barriers: Counter,
-    ring_spills: Counter,
 }
 
 impl EngineMetrics {
@@ -302,7 +301,6 @@ impl EngineMetrics {
             events_per_sec: m.gauge("engine.events_per_sec"),
             windows: m.counter("engine.windows"),
             op_barriers: m.counter("engine.op_barriers"),
-            ring_spills: m.counter("engine.ring_spills"),
         }
     }
 }
@@ -949,7 +947,6 @@ fn apply_plane_op<M: Message>(
 
 #[cfg(test)]
 mod tests {
-    use super::sharded::RING_CAPACITY;
     use super::*;
     use crate::delay::DelayModel;
     use crate::fault::ChannelEffect;
@@ -1717,24 +1714,54 @@ mod tests {
         }
     }
 
+    /// Echoes every message to `to`, and each of `ticks` ticks of a
+    /// `period` timer: the ids of its sends follow the order in which its
+    /// lane handles messages and ticks.
+    struct EchoTicker {
+        to: ActorId,
+        period: SimDuration,
+        ticks: u64,
+    }
+    impl Actor<TestMsg> for EchoTicker {
+        fn on_start(&mut self, ctx: &mut Context<'_, TestMsg>) {
+            ctx.set_timer(self.period, 0);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, TestMsg>, _: ActorId, msg: TestMsg) {
+            ctx.send(self.to, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, TestMsg>, tag: u64) {
+            ctx.send(self.to, TestMsg::Ping(tag as u32));
+            if tag + 1 < self.ticks {
+                ctx.set_timer(self.period, tag + 1);
+            }
+        }
+    }
+
     #[test]
-    fn full_ring_spills_to_the_outbox_bit_identically() {
+    fn op_barrier_burst_crosses_shards_bit_identically() {
         // A recovery handler runs on the coordinator at an op barrier while
-        // every worker is idle, so nothing drains the ring its burst to the
-        // other shard fills: everything past the ring's capacity spills.
-        let burst = 3 * RING_CAPACITY as u32;
+        // every worker is idle; its whole burst lands in another shard's
+        // inbox, which the coordinator must drain before the next stop.
+        // A fixed 2 ms delay puts the burst at 12 ms, and the receiver ticks
+        // every 1.75 ms: the next window opens at the 10.5 ms tick, after
+        // the op, and holds both the burst and the 12.25 ms tick. Left in
+        // the inbox, the burst would be handled after the tick.
+        let burst = 3_072;
         let script = FaultScript::new().with(
             SimTime::from_millis(5),
             FaultSpec::Crash { actor: 0, recover_after: Some(SimDuration::from_millis(5)) },
         );
-        let run = |shards: usize, m: &Metrics| {
-            let net = NetworkConfig::full_mesh(4, shardable_delay());
+        let run = |shards: usize| {
+            let net = NetworkConfig::full_mesh(4, DelayModel::Fixed(SimDuration::from_millis(2)));
             let mut e = Engine::new(net, 17);
-            e.set_metrics(m);
             e.add_actor(Box::new(BurstOnRecover { to: 3, count: burst }));
             e.add_actor(Box::new(Beacon { fire: true, received: 0 }));
-            e.add_actor(Box::new(Beacon { fire: false, received: 0 }));
             e.add_actor(Box::new(Collector::pair().0));
+            e.add_actor(Box::new(EchoTicker {
+                to: 2,
+                period: SimDuration::from_micros(1_750),
+                ticks: 40,
+            }));
             e.enable_trace();
             e.install_faults(&script);
             if shards > 1 {
@@ -1744,13 +1771,13 @@ mod tests {
             }
             fingerprint(&e)
         };
-        let want = run(1, &Metrics::disabled());
+        let want = run(1);
         assert!(want.1.messages_delivered >= burst as u64, "the burst is delivered");
-        let m = Metrics::new();
-        // Two contiguous shards: {0, 1} and {2, 3}, so the burst crosses.
-        assert_eq!(run(2, &m), want, "a spilled run must replay bit-identically");
-        let spills = m.snapshot().counter("engine.ring_spills").expect("registered");
-        assert!(spills >= (burst as usize - RING_CAPACITY) as u64, "spills = {spills}");
+        // Contiguous shards keep actor 0 and actor 3 apart, so the burst
+        // crosses.
+        for shards in [2, 4] {
+            assert_eq!(run(shards), want, "shards={shards} must replay bit-identically");
+        }
     }
 
     #[test]

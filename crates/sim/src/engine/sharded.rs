@@ -1,5 +1,7 @@
 //! The sharded driver: shard plans, the lookahead-window coordinator of
-//! [`Engine::run_with_plan`], the SPSC exchange rings and outbox routing.
+//! [`Engine::run_with_plan`], and the cross-shard exchange: one channel
+//! into each lane, drained by its worker after a window and by the
+//! coordinator at every barrier.
 
 use crate::fault::{FaultPlane, FaultStats};
 use crate::network::{ActorId, NetStats};
@@ -14,10 +16,6 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::Instant;
-
-/// Slots per exchange ring (per directed shard pair). Overflow spills to
-/// the outbox, so this bounds memory, not correctness.
-pub(in crate::engine) const RING_CAPACITY: usize = 1024;
 
 /// An explicit assignment of actors to shards for
 /// [`Engine::run_with_plan`]. Plans are pure data: the same plan always
@@ -204,12 +202,12 @@ impl<M: Message> Engine<M> {
         let coord_tel = self.tel.coordinator();
         let mut op_cursor = self.op_cursor;
         let mut end_hit = false;
-        let mut outbox_scratch: Vec<(SimTime, u64, Pending<M>)> = Vec::new();
 
         // Start dispatches run on the coordinator, per lane in shard order;
         // canonical start cursors make the resulting records order by actor
         // id regardless. Like the sequential path, starts fire once per
-        // engine, not once per run.
+        // engine, not once per run. Their cross-shard sends go into the
+        // inboxes like a worker's, and are absorbed before the first stop.
         if !self.started {
             self.started = true;
             let guard = plane_lock.read();
@@ -217,25 +215,11 @@ impl<M: Message> Engine<M> {
                 lane.dispatch_starts(net, guard.as_deref());
             }
         }
-        route_outboxes(&mut lanes, &mut outbox_scratch);
-
-        // One SPSC exchange ring per directed shard pair; the outbox is the
-        // spill path when a ring is full.
         for lane in &mut lanes {
-            lane.ring_out = (0..k).map(|_| None).collect();
-            lane.ring_in = (0..k).map(|_| None).collect();
-        }
-        for i in 0..k {
-            for j in 0..k {
-                if i != j {
-                    let (tx, rx) = crate::ring::spsc(RING_CAPACITY);
-                    lanes[i].ring_out[j] = Some(tx);
-                    lanes[j].ring_in[i] = Some(rx);
-                }
-            }
+            lane.absorb_inbox();
         }
 
-        // The serial prefix (lane split, start dispatch, plan routing) is
+        // The serial prefix (lane split, start dispatch, inbox drain) is
         // coordinator busy time. During the window loop the coordinator
         // records only drains, so its busy spans never overlap the shards'
         // own accounting.
@@ -282,11 +266,11 @@ impl<M: Message> Engine<M> {
                         }
                         lane.tel.record(Phase::Busy, t0);
                         // Overlap exchange with other lanes' windows: pull
-                        // whatever peers have published so far; the
-                        // coordinator finishes the drain at the barrier.
+                        // whatever peers have sent so far; the coordinator
+                        // finishes the drain at the barrier.
                         let r0 = lane.tel.start();
-                        lane.absorb_rings();
-                        lane.tel.record(Phase::RingExchange, r0);
+                        lane.absorb_inbox();
+                        lane.tel.record(Phase::Exchange, r0);
                         // Clock the next wait from *before* the send: on a
                         // busy machine the scheduler may run the whole
                         // coordinator barrier between our send and our next
@@ -321,17 +305,15 @@ impl<M: Message> Engine<M> {
                         lanes[0].events_processed += 1;
                         apply_plane_op(&mut lanes, plane, idx, net);
                         // Ops can dispatch actors (Recover/Clock handlers)
-                        // whose sends target other shards; route them now so
-                        // the next stop sees them — left in a ring or an
-                        // outbox they would surface after the destination
-                        // lane advanced past their delivery time. Workers are
-                        // idle at an op barrier, so the ring drain is
-                        // exhaustive.
+                        // whose sends target other shards; absorb them now
+                        // so the next stop sees them — left in an inbox
+                        // they would surface after the destination lane
+                        // advanced past their delivery time. Workers are
+                        // idle at an op barrier, so the drain is complete.
                         let d0 = coord_tel.start();
                         for lane in &mut lanes {
-                            lane.absorb_rings();
+                            lane.absorb_inbox();
                         }
-                        route_outboxes(&mut lanes, &mut outbox_scratch);
                         coord_tel.record(Phase::CoordinatorDrain, d0);
                     }
                     Stop::Advance { from, until } => {
@@ -343,14 +325,13 @@ impl<M: Message> Engine<M> {
                         }
                         metrics.windows.inc();
                         run_window(&cmd_tx, &res_rx, &mut lanes, wend);
-                        // Producers are quiescent at the barrier, so this
+                        // Senders are idle at the barrier, so this
                         // coordinator drain (after the workers' own
-                        // overlapped absorb) is exhaustive.
+                        // overlapped absorb) is complete.
                         let d0 = coord_tel.start();
                         for lane in &mut lanes {
-                            lane.absorb_rings();
+                            lane.absorb_inbox();
                         }
-                        route_outboxes(&mut lanes, &mut outbox_scratch);
                         coord_tel.record(Phase::CoordinatorDrain, d0);
                     }
                     Stop::End => {
@@ -362,8 +343,8 @@ impl<M: Message> Engine<M> {
             }
             drop(cmd_tx); // workers exit on channel close
         });
-        // Serial suffix: parked-message collection, ring teardown, lane
-        // merge — coordinator busy time again (see the prefix span above).
+        // Serial suffix: parked-message collection and lane merge —
+        // coordinator busy time again (see the prefix span above).
         let suffix0 = coord_tel.start();
 
         self.op_cursor = op_cursor;
@@ -372,21 +353,6 @@ impl<M: Message> Engine<M> {
             collect_parked(&mut lanes, p);
         }
         self.fault = plane;
-        for lane in &mut lanes {
-            // Rings are drained at every barrier, so dropping the handles
-            // here cannot lose events.
-            debug_assert!(lane.ring_in.iter_mut().flatten().all(|r| r.is_empty()));
-            if tel_on {
-                // Worst occupancy this lane's producers ever observed —
-                // the capacity-pressure signal behind `engine.ring_spills`.
-                let hw = lane.ring_out.iter().flatten().map(|p| p.high_water()).max();
-                if let Some(hw) = hw {
-                    lane.tel.record_ring_high_water(hw as u64);
-                }
-            }
-            lane.ring_out.clear();
-            lane.ring_in.clear();
-        }
         self.merge_lanes(lanes);
         if end_hit {
             self.lane.now = end_time;
@@ -399,13 +365,17 @@ impl<M: Message> Engine<M> {
 
     /// Split the resident lane into `k` per-shard lanes according to
     /// `owner`. Full-size per-actor vectors are cloned into every lane
-    /// (cheap: RNG streams are ~32 B) so workers index by global id.
+    /// (cheap: RNG streams are ~32 B) so workers index by global id. Each
+    /// lane gets its own inbox and a sender into every lane's inbox.
     fn split_lanes(&mut self, owner: &[u32], k: usize) -> Vec<Lane<M>> {
         let n = self.lane.actors.len();
         let tel = &self.tel;
         let base = &mut self.lane;
-        let mut lanes: Vec<Lane<M>> = (0..k)
-            .map(|shard| Lane {
+        let (peers, inboxes): (Vec<_>, Vec<_>) = (0..k).map(|_| mpsc::channel()).unzip();
+        let mut lanes: Vec<Lane<M>> = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(shard, inbox)| Lane {
                 shard,
                 now: base.now,
                 queue: EventQueue::new(),
@@ -418,9 +388,8 @@ impl<M: Message> Engine<M> {
                 timer_ctr: base.timer_ctr.clone(),
                 members: Vec::new(),
                 owner: owner[..n].to_vec(),
-                outbox: Vec::new(),
-                ring_out: Vec::new(),
-                ring_in: Vec::new(),
+                inbox: Some(inbox),
+                peers: peers.clone(),
                 fifo: FifoStore::Unset,
                 fifo_dense_limit: base.fifo_dense_limit,
                 trace: if base.trace.is_enabled() { Trace::enabled() } else { Trace::disabled() },
@@ -466,7 +435,8 @@ impl<M: Message> Engine<M> {
 
     /// Merge per-shard lanes back into the resident lane: actors, RNG and
     /// counter state (members only), traces (canonical absorb), stats, and
-    /// any leftover queue entries.
+    /// any leftover queue entries. Dropping the lanes drops the exchange
+    /// channels; every inbox was drained at the last barrier.
     fn merge_lanes(&mut self, mut lanes: Vec<Lane<M>>) {
         let base = &mut self.lane;
         let mut max_now = base.now;
@@ -519,31 +489,5 @@ fn run_window<M: Message>(
     }
     for (i, rx) in res_rx.iter().enumerate() {
         lanes.push(rx.recv().unwrap_or_else(|_| panic!("shard worker {i} died")));
-    }
-}
-
-/// Route every lane's outbox into the destination lanes' heaps. Arrival
-/// order into a heap is immaterial — heap order is total on
-/// `(time, canonical key)` — so no sort is needed. `scratch` is a
-/// coordinator-owned buffer swapped with each non-empty outbox so the
-/// steady state allocates nothing (capacities circulate between the
-/// coordinator and the lanes instead of being dropped every barrier).
-fn route_outboxes<M: Message>(
-    lanes: &mut [Lane<M>],
-    scratch: &mut Vec<(SimTime, u64, Pending<M>)>,
-) {
-    debug_assert!(scratch.is_empty());
-    for li in 0..lanes.len() {
-        if lanes[li].outbox.is_empty() {
-            continue;
-        }
-        std::mem::swap(&mut lanes[li].outbox, scratch);
-        for (at, key, p) in scratch.drain(..) {
-            let dest = match &p {
-                Pending::Deliver { to, .. } => lanes[li].owner[*to as usize] as usize,
-                Pending::Timer { actor, .. } => lanes[li].owner[*actor as usize] as usize,
-            };
-            lanes[dest].queue.schedule_keyed(at, key, p);
-        }
     }
 }

@@ -14,8 +14,8 @@
 //! - the paper's delay models and message-loss models ([`delay`], [`loss`]),
 //! - dynamic logical overlays with broadcast, FIFO/non-FIFO channels and
 //!   byte accounting ([`network`]),
-//! - an actor-based engine ([`engine`]) with a lock-free SPSC exchange
-//!   ring for its sharded mode ([`ring`]),
+//! - an actor-based engine ([`engine`]) whose sharded mode exchanges
+//!   cross-shard messages through one channel into each shard,
 //! - causally stamped structured run traces ([`trace`]) with Chrome
 //!   trace-event / JSONL exporters ([`trace_export`]) and offline
 //!   happened-before analysis ([`trace_analysis`]),
@@ -57,6 +57,7 @@
 //! assert_eq!(engine.stats().messages_delivered, 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delay;
@@ -67,7 +68,6 @@ pub mod metrics;
 pub mod network;
 pub mod provider;
 pub mod queue;
-pub mod ring;
 pub mod rng;
 pub mod stats;
 pub mod sweep;

@@ -7,9 +7,10 @@
 //! - `busy` — executing events inside `Lane::advance_until` windows;
 //! - `barrier_wait` — a shard worker blocked waiting for its next window
 //!   command (the price of synchronization);
-//! - `ring_exchange` — absorbing cross-shard SPSC ring publications;
-//! - `coordinator_drain` — the coordinator routing outboxes at barriers
-//!   (and, in live sessions, draining the ingest provider);
+//! - `exchange` — a shard worker draining its cross-shard inbox after its
+//!   window;
+//! - `coordinator_drain` — the coordinator draining every inbox at
+//!   barriers (and, in live sessions, draining the ingest provider);
 //! - `detector` — streaming predicate detection: offering fresh reports to
 //!   the per-predicate detectors and answering status queries.
 //!
@@ -53,9 +54,9 @@ pub enum Phase {
     Busy = 0,
     /// A shard worker blocked waiting for its next window command.
     BarrierWait = 1,
-    /// Absorbing cross-shard ring publications.
-    RingExchange = 2,
-    /// Coordinator barrier work: outbox routing, op barriers, live ingest.
+    /// A shard worker draining its cross-shard inbox.
+    Exchange = 2,
+    /// Coordinator barrier work: inbox drains, op barriers, live ingest.
     CoordinatorDrain = 3,
     /// Streaming predicate detection: feeding fresh reports to the
     /// per-predicate streaming detectors and answering status queries.
@@ -70,7 +71,7 @@ impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
         Phase::Busy,
         Phase::BarrierWait,
-        Phase::RingExchange,
+        Phase::Exchange,
         Phase::CoordinatorDrain,
         Phase::Detector,
     ];
@@ -80,7 +81,7 @@ impl Phase {
         match self {
             Phase::Busy => "busy",
             Phase::BarrierWait => "barrier_wait",
-            Phase::RingExchange => "ring_exchange",
+            Phase::Exchange => "exchange",
             Phase::CoordinatorDrain => "coordinator_drain",
             Phase::Detector => "detector",
         }
@@ -93,13 +94,12 @@ impl Phase {
 }
 
 /// One shard's accumulators: per-phase total ns + span count + log-bucket
-/// histogram, plus the ring-occupancy high-water mark. All atomics —
-/// recorded from worker threads, read by snapshotters, never reset.
+/// histogram. All atomics — recorded from worker threads, read by
+/// snapshotters, never reset.
 struct ShardSlot {
     phase_ns: [AtomicU64; PHASE_COUNT],
     phase_count: [AtomicU64; PHASE_COUNT],
     hist: [[AtomicU64; HISTOGRAM_BUCKETS]; PHASE_COUNT],
-    ring_high_water: AtomicU64,
 }
 
 impl ShardSlot {
@@ -108,7 +108,6 @@ impl ShardSlot {
             phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_count: std::array::from_fn(|_| AtomicU64::new(0)),
             hist: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            ring_high_water: AtomicU64::new(0),
         })
     }
 
@@ -148,7 +147,7 @@ struct Inner {
     enabled: bool,
     /// Indexed by shard; grown on demand by [`Telemetry::shard`].
     shards: Mutex<Vec<Arc<ShardSlot>>>,
-    /// Coordinator-side spans (outbox routing, op barriers, live ingest).
+    /// Coordinator-side spans (inbox drains, op barriers, live ingest).
     coord: Arc<ShardSlot>,
     run_wall_ns: AtomicU64,
     runs: AtomicU64,
@@ -208,7 +207,7 @@ impl Telemetry {
         ShardTelemetry { slot: Some(shards[idx].clone()) }
     }
 
-    /// The coordinator-side recording handle (barrier routing, op
+    /// The coordinator-side recording handle (barrier inbox drains, op
     /// barriers, live ingest drains).
     pub fn coordinator(&self) -> ShardTelemetry {
         if !self.inner.enabled {
@@ -235,11 +234,7 @@ impl Telemetry {
             shards: shards
                 .iter()
                 .enumerate()
-                .map(|(i, slot)| ShardSample {
-                    shard: i,
-                    ring_high_water: slot.ring_high_water.load(Ordering::Relaxed),
-                    phases: slot.sample(),
-                })
+                .map(|(i, slot)| ShardSample { shard: i, phases: slot.sample() })
                 .collect(),
             coordinator: self.inner.coord.sample(),
         }
@@ -292,14 +287,6 @@ impl ShardTelemetry {
             slot.record(phase, ns);
         }
     }
-
-    /// Raise the ring-occupancy high-water mark to at least `occupancy`.
-    #[inline]
-    pub fn record_ring_high_water(&self, occupancy: u64) {
-        if let Some(slot) = self.slot.as_deref() {
-            slot.ring_high_water.fetch_max(occupancy, Ordering::Relaxed);
-        }
-    }
 }
 
 /// One histogram bucket: `count` spans with `floor_ns <= ns < 2*floor_ns`.
@@ -330,10 +317,6 @@ pub struct PhaseSample {
 pub struct ShardSample {
     /// Shard index (the sequential engine records as shard 0).
     pub shard: usize,
-    /// Highest cross-shard exchange-ring occupancy this shard's producers
-    /// reached (0 when rings were never used; compare against the ring
-    /// capacity and the `engine.ring_spills` metric for pressure).
-    pub ring_high_water: u64,
     /// Per-phase accumulators, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseSample>,
 }
@@ -388,7 +371,6 @@ mod tests {
         assert_eq!(h.start(), None, "no Instant::now() when disabled");
         h.record(Phase::Busy, None);
         h.record_ns(Phase::Busy, 1_000);
-        h.record_ring_high_water(7);
         t.record_run_wall(5);
         let snap = t.snapshot();
         assert!(!snap.enabled);
@@ -404,15 +386,12 @@ mod tests {
         s0.record_ns(Phase::Busy, 100);
         s0.record_ns(Phase::Busy, 28);
         s0.record_ns(Phase::BarrierWait, 50);
-        s1.record_ns(Phase::RingExchange, 9);
-        s1.record_ring_high_water(3);
-        s1.record_ring_high_water(2); // high-water keeps the max
+        s1.record_ns(Phase::Exchange, 9);
         t.record_run_wall(1_000);
         let snap = t.snapshot();
         assert_eq!(snap.phase_ns(0, Phase::Busy), 128);
         assert_eq!(snap.phase_ns(0, Phase::BarrierWait), 50);
-        assert_eq!(snap.phase_ns(1, Phase::RingExchange), 9);
-        assert_eq!(snap.shards[1].ring_high_water, 3);
+        assert_eq!(snap.phase_ns(1, Phase::Exchange), 9);
         assert_eq!(snap.run_wall_ns, 1_000);
         assert_eq!(snap.runs, 1);
         assert_eq!(snap.total_shard_ns(), 128 + 50 + 9);

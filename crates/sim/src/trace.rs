@@ -37,9 +37,8 @@ use serde::{Deserialize, Error, Serialize, Sink, Source};
 use crate::network::ActorId;
 use crate::time::SimTime;
 
-/// Staging reservation granularity (records per actor) used by
-/// [`Trace::configure_actors`].
-pub const DEFAULT_RING_CAPACITY: usize = 256;
+/// Staged records reserved per actor by [`Trace::configure_actors`].
+pub const STAGED_RECORDS_PER_ACTOR: usize = 64;
 
 /// Identity of one attempted transmission, monotone within a run.
 ///
@@ -435,7 +434,7 @@ impl Trace {
         if !self.enabled {
             return;
         }
-        self.staged.reserve(n.saturating_mul(DEFAULT_RING_CAPACITY / 4));
+        self.staged.reserve(n.saturating_mul(STAGED_RECORDS_PER_ACTOR));
     }
 
     /// Set the canonical cursor for subsequent records and reset the

@@ -16,6 +16,7 @@
 //! E1 (ε → detection accuracy), E7 ("sync is not free") and E11/E12
 //! (crash/partition resilience) consume these.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

@@ -18,6 +18,7 @@
 //! - [`scenarios`] — the paper's application scenarios: exhibition hall
 //!   (§5), smart office (§3.1), hospital (§5), and habitat monitoring.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ground_truth;

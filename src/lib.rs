@@ -67,6 +67,7 @@
 //! assert!(report.recall() >= 0.0); // see EXPERIMENTS.md for the real numbers
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use psn_clocks as clocks;
