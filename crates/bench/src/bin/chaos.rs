@@ -26,8 +26,6 @@
 //! cargo run --release -p psn-bench --bin chaos -- --seeds 50
 //! cargo run --release -p psn-bench --bin chaos -- --quick --seeds 3
 //! cargo run --release -p psn-bench --bin chaos -- --quick --seeds 3 --shards 4
-//! cargo run --release -p psn-bench --bin chaos -- --quick --seeds 3 --shards 4 \
-//!     --shard-plan affinity
 //! cargo run --release -p psn-bench --bin chaos -- --only office,hospital --seeds 5
 //! cargo run --release -p psn-bench --bin chaos -- --only scenarios/exhibition.psn
 //! cargo run --release -p psn-bench --bin chaos -- --grammar --seeds 20
@@ -50,15 +48,15 @@
 //! Sharding needs lookahead, so built-in targets swap the pure Δ-bounded
 //! delay (minimum 0) for a `[50 ms, 300 ms]` band — same Δ ceiling,
 //! nonzero floor (grammar-sampled scenarios always carry a nonzero delay
-//! floor for the same reason). `--shard-plan NAME` picks the actor→shard
-//! map; the replay leg always stays sequential, so the same invariant then
-//! proves planning bit-identical under live fault scripts.
+//! floor for the same reason).
+//!
+//! An unknown flag, a missing value or an unparsable number prints the
+//! usage and exits with code 2.
 
+use psn_bench::cli::Args;
 use psn_bench::metrics_out::cell_object;
 use psn_bench::telemetry_out;
-use psn_core::{
-    run_execution, run_execution_profiled, ExecutionConfig, ExecutionTrace, ShardPlanKind,
-};
+use psn_core::{run_execution, run_execution_profiled, ExecutionConfig, ExecutionTrace};
 use psn_predicates::{detect_occurrences, detection_matches, Discipline, Expr, Predicate};
 use psn_sim::fault::{ChaosConfig, FaultScript};
 use psn_sim::metrics::Metrics;
@@ -70,7 +68,7 @@ use psn_world::scenarios::{exhibition, habitat, hospital, office, Scenario};
 use psn_world::{truth_intervals, AttrKey};
 use serde::Value;
 
-const USAGE: &str = "usage: chaos [--seeds N] [--quick] [--shards K] [--shard-plan NAME] \
+const USAGE: &str = "usage: chaos [--seeds N] [--quick] [--shards K] \
      [--telemetry-out <path.jsonl>] [--only LIST] [--grammar]\n\
      --only LIST  soak specific targets: a comma- or space-separated list of\n\
                   built-in world names (exhibition, office, hospital, habitat)\n\
@@ -120,13 +118,7 @@ fn builtin_delay(shards: usize) -> psn_sim::delay::DelayModel {
 /// Build the soak case for a built-in world name, or `None` if the name
 /// is not a built-in. Each world gets its canonical predicate and a
 /// generated fault script over all of its processes.
-fn builtin_case(
-    name: &str,
-    seed: u64,
-    quick: bool,
-    shards: usize,
-    plan: ShardPlanKind,
-) -> Option<SoakCase> {
+fn builtin_case(name: &str, seed: u64, quick: bool, shards: usize) -> Option<SoakCase> {
     let secs = if quick { 300 } else { 600 };
     let (scenario, pred, horizon): (Scenario, Predicate, SimTime) = match name {
         "exhibition" => {
@@ -178,7 +170,6 @@ fn builtin_case(
         record_sim_trace: true,
         faults: Some(script),
         shards,
-        shard_plan: Some(plan),
         ..Default::default()
     };
     Some(SoakCase {
@@ -192,13 +183,12 @@ fn builtin_case(
 }
 
 /// Build a soak case from compiled `.psn` source (a file or a sampled
-/// program), applying the CLI shard/plan overrides.
+/// program), applying the CLI shard override.
 fn compiled_case(
     label: String,
     source: &str,
     origin: &str,
     shards: usize,
-    plan: ShardPlanKind,
 ) -> Result<SoakCase, String> {
     let compiled = psn_lang::compile(source).map_err(|diags| {
         format!(
@@ -210,7 +200,6 @@ fn compiled_case(
     cfg.record_sim_trace = true;
     if shards > 1 {
         cfg.shards = shards;
-        cfg.shard_plan = Some(plan);
     }
     let horizon = compiled.scenario.timeline.duration();
     Ok(SoakCase {
@@ -252,7 +241,7 @@ fn soak(case: &SoakCase) -> Result<String, String> {
     // the primary run is sharded, the replay runs sequentially — the same
     // invariant then proves the sharded engine bit-identical to the
     // sequential one under this fault script.
-    let replay_cfg = ExecutionConfig { shards: 1, shard_plan: None, ..cfg.clone() };
+    let replay_cfg = ExecutionConfig { shards: 1, ..cfg.clone() };
     let replay = run_execution(scenario, &replay_cfg);
     if replay.sim.records() != trace.sim.records() {
         return Err(format!("{label}: replay diverged (structured trace records differ)"));
@@ -341,26 +330,20 @@ fn soak(case: &SoakCase) -> Result<String, String> {
     ))
 }
 
-fn run_grammar_seed(seed: u64, shards: usize, plan: ShardPlanKind) -> Result<String, String> {
+fn run_grammar_seed(seed: u64, shards: usize) -> Result<String, String> {
     let source = psn_lang::sample_source(seed);
-    let case = compiled_case(format!("grammar seed {seed}"), &source, "<sampled>", shards, plan)?;
+    let case = compiled_case(format!("grammar seed {seed}"), &source, "<sampled>", shards)?;
     soak(&case)
 }
 
-fn run_file(path: &str, shards: usize, plan: ShardPlanKind) -> Result<String, String> {
+fn run_file(path: &str, shards: usize) -> Result<String, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
-    let case = compiled_case(path.to_string(), &source, path, shards, plan)?;
+    let case = compiled_case(path.to_string(), &source, path, shards)?;
     soak(&case)
 }
 
-fn run_builtin_seed(
-    name: &str,
-    seed: u64,
-    quick: bool,
-    shards: usize,
-    plan: ShardPlanKind,
-) -> Result<String, String> {
-    let case = builtin_case(name, seed, quick, shards, plan)
+fn run_builtin_seed(name: &str, seed: u64, quick: bool, shards: usize) -> Result<String, String> {
+    let case = builtin_case(name, seed, quick, shards)
         .unwrap_or_else(|| panic!("not a built-in scenario: {name}"));
     soak(&case)
 }
@@ -368,56 +351,29 @@ fn run_builtin_seed(
 const BUILTINS: [&str; 4] = ["exhibition", "office", "hospital", "habitat"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let grammar = args.iter().any(|a| a == "--grammar");
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let plan: ShardPlanKind = args
-        .iter()
-        .position(|a| a == "--shard-plan")
-        .and_then(|p| args.get(p + 1))
-        .map(|name| match psn_bench::common::parse_shard_plan(name) {
-            Some(kind) => kind,
-            None => {
-                eprintln!(
-                    "unknown --shard-plan {name} (known: contiguous, interleaved, \
-                     roundrobin, hash, affinity)"
-                );
-                std::process::exit(1);
-            }
-        })
-        .unwrap_or(ShardPlanKind::Contiguous);
+    let mut args = Args::from_env(USAGE);
+    let (mut quick, mut grammar) = (false, false);
+    let mut seeds: u64 = 20;
+    let mut shards: usize = 1;
     // --only takes a comma- or space-separated list of built-in names
     // and/or .psn paths, terminated by the next --flag.
-    let only: Vec<String> = args
-        .iter()
-        .position(|a| a == "--only")
-        .map(|p| {
-            args[p + 1..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .flat_map(|a| a.split(','))
-                .filter(|s| !s.is_empty())
-                .map(String::from)
-                .collect()
-        })
-        .unwrap_or_default();
-    let telemetry_path: Option<&String> =
-        args.iter().position(|a| a == "--telemetry-out").and_then(|p| args.get(p + 1));
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}");
-        return;
+    let mut only: Vec<String> = Vec::new();
+    let mut telemetry_path: Option<String> = None;
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--grammar" => grammar = true,
+            "--seeds" => seeds = args.parse("--seeds"),
+            "--shards" => shards = args.parse("--shards"),
+            "--only" => only = args.list("--only"),
+            "--telemetry-out" => telemetry_path = Some(args.value("--telemetry-out")),
+            "--help" | "-h" => {
+                eprintln!("{USAGE}");
+                return;
+            }
+            flag if flag.starts_with("--") => args.fail(&format!("unknown flag {flag}")),
+            other => args.fail(&format!("unexpected argument {other}")),
+        }
     }
     for entry in &only {
         if !BUILTINS.contains(&entry.as_str()) && !std::path::Path::new(entry).is_file() {
@@ -429,15 +385,13 @@ fn main() {
         }
     }
     if let Some(path) = telemetry_path {
-        if let Err(e) = telemetry_out::set_telemetry_out(path) {
+        if let Err(e) = telemetry_out::set_telemetry_out(&path) {
             eprintln!("cannot open --telemetry-out {path}: {e}");
             std::process::exit(1);
         }
     }
     if shards > 1 {
-        println!(
-            "chaos: sharded mode ({shards} shards, {plan:?} plan; replay leg runs sequentially)"
-        );
+        println!("chaos: sharded mode ({shards} shards; replay leg runs sequentially)");
     }
     let mut failures = 0u64;
     let mut runs = 0u64;
@@ -454,21 +408,21 @@ fn main() {
     if grammar {
         println!("chaos: grammar mode — {seeds} sampled scenario(s) from the psn-lang grammar");
         for seed in 0..seeds {
-            tally(run_grammar_seed(seed, shards, plan));
+            tally(run_grammar_seed(seed, shards));
         }
     } else if !only.is_empty() {
         for entry in &only {
             if BUILTINS.contains(&entry.as_str()) {
                 for seed in 0..seeds {
-                    tally(run_builtin_seed(entry, seed, quick, shards, plan));
+                    tally(run_builtin_seed(entry, seed, quick, shards));
                 }
             } else {
-                tally(run_file(entry, shards, plan));
+                tally(run_file(entry, shards));
             }
         }
     } else {
         for seed in 0..seeds {
-            tally(run_builtin_seed("exhibition", seed, quick, shards, plan));
+            tally(run_builtin_seed("exhibition", seed, quick, shards));
         }
     }
     telemetry_out::finish();

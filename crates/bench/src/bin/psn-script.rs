@@ -11,7 +11,7 @@
 //! cargo run --release -p psn-bench --bin psn-script -- scenarios/exhibition.psn
 //! cargo run --release -p psn-bench --bin psn-script -- --check scenarios/*.psn
 //! cargo run --release -p psn-bench --bin psn-script -- scenarios/office.psn \
-//!     --shards 4 --shard-plan affinity --telemetry-out tel.jsonl
+//!     --shards 4 --telemetry-out tel.jsonl
 //! ```
 //!
 //! `--check` parses and type-checks without running (a pre-commit lint);
@@ -26,9 +26,10 @@
 //!   |                        ^^^^
 //! ```
 
+use psn_bench::cli::Args;
 use psn_bench::metrics_out::{self, cell_object};
 use psn_bench::{telemetry_out, trace_out};
-use psn_core::{run_execution_profiled, ShardPlanKind};
+use psn_core::run_execution_profiled;
 use psn_lang::{compile, render, CompiledScenario};
 use psn_predicates::{detect_occurrences, modal_status, score, BorderlinePolicy, StreamingModal};
 use psn_sim::metrics::Metrics;
@@ -37,8 +38,7 @@ use psn_sim::time::SimDuration;
 use psn_world::truth_intervals;
 use serde::Value;
 
-const USAGE: &str = "usage: psn-script [--check] [--stream] FILE.psn... \
-    [--shards K] [--shard-plan contiguous|interleaved|hash|affinity] \
+const USAGE: &str = "usage: psn-script [--check] [--stream] FILE.psn... [--shards K] \
     [--metrics-out <path.jsonl>] [--telemetry-out <path.jsonl>] \
     [--trace-out <dir>] [--trace-format chrome|jsonl]\n\
     --check parses and type-checks without running.\n\
@@ -50,92 +50,55 @@ struct Options {
     stream: bool,
     files: Vec<String>,
     shards: Option<usize>,
-    plan: Option<ShardPlanKind>,
 }
 
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}");
-        std::process::exit(0);
-    }
-    let mut opts =
-        Options { check: false, stream: false, files: Vec::new(), shards: None, plan: None };
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value\n{USAGE}");
-            std::process::exit(2);
-        })
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::from_env(USAGE);
+    let mut opts = Options { check: false, stream: false, files: Vec::new(), shards: None };
+    let mut trace_dir: Option<String> = None;
+    let mut trace_format = trace_out::TraceFormat::Jsonl;
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
             "--check" => opts.check = true,
             "--stream" => opts.stream = true,
-            "--shards" => {
-                let v = value(&args, &mut i, "--shards");
-                opts.shards = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards {v}");
-                    std::process::exit(2);
-                }));
-            }
-            "--shard-plan" => {
-                let v = value(&args, &mut i, "--shard-plan");
-                opts.plan = Some(psn_bench::common::parse_shard_plan(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown --shard-plan {v} (known: contiguous, interleaved, roundrobin, \
-                         hash, affinity)"
-                    );
-                    std::process::exit(2);
-                }));
-            }
+            "--shards" => opts.shards = Some(args.parse("--shards")),
             "--metrics-out" => {
-                let v = value(&args, &mut i, "--metrics-out");
+                let v = args.value("--metrics-out");
                 if let Err(e) = metrics_out::set_metrics_out(&v) {
                     eprintln!("cannot open --metrics-out {v}: {e}");
                     std::process::exit(2);
                 }
             }
             "--telemetry-out" => {
-                let v = value(&args, &mut i, "--telemetry-out");
+                let v = args.value("--telemetry-out");
                 if let Err(e) = telemetry_out::set_telemetry_out(&v) {
                     eprintln!("cannot open --telemetry-out {v}: {e}");
                     std::process::exit(2);
                 }
             }
-            "--trace-out" => {
-                let v = value(&args, &mut i, "--trace-out");
-                let format = args
-                    .iter()
-                    .position(|a| a == "--trace-format")
-                    .and_then(|p| args.get(p + 1))
-                    .map(|f| {
-                        trace_out::TraceFormat::parse(f).unwrap_or_else(|| {
-                            eprintln!("unknown --trace-format {f} (known: chrome, jsonl)");
-                            std::process::exit(2);
-                        })
-                    })
-                    .unwrap_or(trace_out::TraceFormat::Jsonl);
-                if let Err(e) = trace_out::set_trace_out(&v, format) {
-                    eprintln!("cannot open --trace-out {v}: {e}");
-                    std::process::exit(2);
-                }
-            }
+            "--trace-out" => trace_dir = Some(args.value("--trace-out")),
             "--trace-format" => {
-                i += 1; // consumed together with --trace-out
+                let f = args.value("--trace-format");
+                trace_format = trace_out::TraceFormat::parse(&f).unwrap_or_else(|| {
+                    args.fail(&format!("unknown --trace-format {f} (known: chrome, jsonl)"))
+                });
             }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}\n{USAGE}");
-                std::process::exit(2);
+            "--help" | "-h" => {
+                eprintln!("{USAGE}");
+                std::process::exit(0);
             }
+            flag if flag.starts_with("--") => args.fail(&format!("unknown flag {flag}")),
             file => opts.files.push(file.to_string()),
         }
-        i += 1;
+    }
+    if let Some(dir) = trace_dir {
+        if let Err(e) = trace_out::set_trace_out(&dir, trace_format) {
+            eprintln!("cannot open --trace-out {dir}: {e}");
+            std::process::exit(2);
+        }
     }
     if opts.files.is_empty() {
-        eprintln!("no .psn files given\n{USAGE}");
-        std::process::exit(2);
+        args.fail("no .psn files given");
     }
     opts
 }
@@ -162,9 +125,6 @@ fn run_file(path: &str, opts: &Options) -> Result<(), ()> {
     let mut compiled = compile_file(path)?;
     if let Some(shards) = opts.shards {
         compiled.config.shards = shards;
-    }
-    if let Some(plan) = opts.plan {
-        compiled.config.shard_plan = Some(plan);
     }
 
     let metrics = Metrics::new();

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use psn_clocks::VectorStamp;
-use psn_core::{ExecutionConfig, ExecutionTrace, ShardPlanKind};
+use psn_core::{ExecutionConfig, ExecutionTrace};
 use psn_lattice::History;
 use psn_sim::delay::DelayModel;
 use psn_sim::time::{SimDuration, SimTime};
@@ -100,47 +100,8 @@ pub fn delay_floor() -> SimDuration {
     SimDuration::from_millis(DELAY_FLOOR_MS.load(Ordering::Relaxed))
 }
 
-/// Process-wide shard plan (`experiments --shard-plan NAME`), stored as an
-/// index into the [`ShardPlanKind`] variants. Only consulted when
-/// `--shards` > 1.
-static SHARD_PLAN: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the shard plan every subsequent [`delta_config`] cell uses.
-pub fn set_shard_plan(kind: ShardPlanKind) {
-    let idx = match kind {
-        ShardPlanKind::Contiguous => 0,
-        ShardPlanKind::Interleaved => 1,
-        ShardPlanKind::Hash => 2,
-        ShardPlanKind::Affinity => 3,
-    };
-    SHARD_PLAN.store(idx, Ordering::Relaxed);
-}
-
-/// The configured shard plan.
-pub fn shard_plan() -> ShardPlanKind {
-    match SHARD_PLAN.load(Ordering::Relaxed) {
-        1 => ShardPlanKind::Interleaved,
-        2 => ShardPlanKind::Hash,
-        3 => ShardPlanKind::Affinity,
-        _ => ShardPlanKind::Contiguous,
-    }
-}
-
-/// Parse a shard-plan name as the CLIs accept it. "roundrobin" (and the
-/// hyphenated spelling) is an alias for the interleaved plan.
-pub fn parse_shard_plan(name: &str) -> Option<ShardPlanKind> {
-    match name {
-        "contiguous" => Some(ShardPlanKind::Contiguous),
-        "interleaved" | "roundrobin" | "round-robin" => Some(ShardPlanKind::Interleaved),
-        "hash" => Some(ShardPlanKind::Hash),
-        "affinity" => Some(ShardPlanKind::Affinity),
-        _ => None,
-    }
-}
-
 /// A Δ-bounded execution config with the given Δ and seed, honoring the
-/// process-wide [`set_shards`] / [`set_delay_floor_ms`] / [`set_shard_plan`]
-/// overrides.
+/// process-wide [`set_shards`] / [`set_delay_floor_ms`] overrides.
 pub fn delta_config(delta: SimDuration, seed: u64) -> ExecutionConfig {
     let floor = delay_floor();
     let delay = if delta.is_zero() && floor.is_zero() {
@@ -148,13 +109,7 @@ pub fn delta_config(delta: SimDuration, seed: u64) -> ExecutionConfig {
     } else {
         DelayModel::DeltaBounded { min: floor, max: delta.max(floor) }
     };
-    ExecutionConfig {
-        delay,
-        seed,
-        shards: shards(),
-        shard_plan: Some(shard_plan()),
-        ..Default::default()
-    }
+    ExecutionConfig { delay, seed, shards: shards(), ..Default::default() }
 }
 
 /// Analytic per-family wire bytes for one execution (the strobe payloads

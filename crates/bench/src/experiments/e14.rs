@@ -22,13 +22,11 @@
 //!   event rate per node) and the speedup on a multicore machine follows
 //!   it; wall-clock rates on the snapshot machine are also printed but are
 //!   meaningless when the machine has a single core (the table note
-//!   records the core count);
-//! - `rr ev/s` vs `aff ev/s` — the round-robin (interleaved) plan against
-//!   the traffic-aware affinity plan at the same shard count.
+//!   records the core count).
 //!
-//! Every variant — each shard count and both plan runs — is asserted
-//! bit-identical to the sequential run before its timing is reported, so
-//! a row in this table is also an equivalence proof over its workload.
+//! Every shard count is asserted bit-identical to the sequential run
+//! before its timing is reported, so a row in this table is also an
+//! equivalence proof over its workload.
 //!
 //! The last rows demonstrate the two boundary behaviours: a partition-
 //! heavy fault script (barriers multiply, `ev/window` collapses) and a
@@ -40,7 +38,6 @@ use std::time::Instant;
 
 use psn_core::{
     run_execution_instrumented, run_execution_profiled, ExecutionConfig, ExecutionTrace,
-    ShardPlanKind,
 };
 use psn_sim::delay::DelayModel;
 use psn_sim::fault::{CutPolicy, FaultScript, FaultSpec};
@@ -71,13 +68,7 @@ struct Cell {
     trace: ExecutionTrace,
 }
 
-fn run_cell(
-    n: usize,
-    shards: usize,
-    faults: Option<FaultScript>,
-    duration: SimTime,
-    plan: ShardPlanKind,
-) -> Cell {
+fn run_cell(n: usize, shards: usize, faults: Option<FaultScript>, duration: SimTime) -> Cell {
     let params = ExhibitionParams {
         doors: n,
         arrival_rate_hz: (n as f64) / 64.0,
@@ -87,14 +78,7 @@ fn run_cell(
     };
     let scenario = exhibition::generate(&params, 11);
     let faulted = faults.is_some();
-    let cfg = ExecutionConfig {
-        delay: delay(),
-        seed: 1,
-        shards,
-        faults,
-        shard_plan: Some(plan),
-        ..Default::default()
-    };
+    let cfg = ExecutionConfig { delay: delay(), seed: 1, shards, faults, ..Default::default() };
     let metrics = Metrics::new();
     // With a --telemetry-out sink open, run through the profiled entry
     // point and emit one JSONL record per cell; otherwise the registry is
@@ -106,7 +90,7 @@ fn run_cell(
     let wall = t0.elapsed().as_secs_f64();
     let snap = metrics.snapshot();
     if telemetry.is_enabled() {
-        let label = format!("n={n} shards={shards} plan={plan:?}");
+        let label = format!("n={n} shards={shards}");
         telemetry_out::emit_cell(
             "e14",
             cell_object(
@@ -114,7 +98,6 @@ fn run_cell(
                 &[
                     ("n", Value::UInt(n as u64)),
                     ("shards", Value::UInt(shards as u64)),
-                    ("plan", Value::Str(format!("{plan:?}"))),
                     ("faults", Value::Bool(faulted)),
                 ],
             ),
@@ -172,19 +155,8 @@ pub fn run(quick: bool) -> Table {
     let duration = SimTime::from_secs(if quick { 20 } else { 60 });
 
     let mut table = Table::new(
-        "E14 — strong scaling vs n, shard count, and plan (exhibition, Δ ∈ [40 ms, 240 ms])",
-        &[
-            "n",
-            "faults",
-            "events",
-            "win(con)",
-            "ops",
-            "ev/window",
-            "seq ev/s",
-            "con ev/s",
-            "rr ev/s",
-            "aff ev/s",
-        ],
+        "E14 — strong scaling vs n and shard count (exhibition, Δ ∈ [40 ms, 240 ms])",
+        &["n", "faults", "events", "win(con)", "ops", "ev/window", "seq ev/s", "con ev/s"],
     );
 
     let mut fault_rows: Vec<(usize, Option<FaultScript>, &str)> =
@@ -193,26 +165,18 @@ pub fn run(quick: bool) -> Table {
     let n_max = *ns.last().expect("nonempty ns");
     fault_rows.push((n_max, Some(partition_storm(n_max, duration)), "partition storm"));
 
-    // The plan variants run at the largest shard count tried.
-    let k_var = *shard_counts.last().expect("nonempty shard counts");
-
     for (n, faults, fault_label) in fault_rows {
-        let seq = run_cell(n, 1, faults.clone(), duration, ShardPlanKind::Contiguous);
+        let seq = run_cell(n, 1, faults.clone(), duration);
         let mut best_rate = 0.0f64;
         let mut windows = 0u64;
         let mut op_barriers = 0u64;
         for &k in shard_counts {
-            let par = run_cell(n, k, faults.clone(), duration, ShardPlanKind::Contiguous);
+            let par = run_cell(n, k, faults.clone(), duration);
             assert_identical(&seq.trace, &par.trace, n, k);
             windows = windows.max(par.windows);
             op_barriers = op_barriers.max(par.op_barriers);
             best_rate = best_rate.max(par.events as f64 / par.wall);
         }
-        // Round-robin (interleaved) vs traffic-aware affinity planning.
-        let rr = run_cell(n, k_var, faults.clone(), duration, ShardPlanKind::Interleaved);
-        assert_identical(&seq.trace, &rr.trace, n, k_var);
-        let aff = run_cell(n, k_var, faults.clone(), duration, ShardPlanKind::Affinity);
-        assert_identical(&seq.trace, &aff.trace, n, k_var);
         let seq_rate = seq.events as f64 / seq.wall;
         let ev_per_window = if windows > 0 { seq.events as f64 / windows as f64 } else { f64::NAN };
         table.row(vec![
@@ -224,8 +188,6 @@ pub fn run(quick: bool) -> Table {
             format!("{ev_per_window:.0}"),
             format!("{seq_rate:.0}"),
             format!("{best_rate:.0}"),
-            format!("{:.0}", rr.events as f64 / rr.wall),
-            format!("{:.0}", aff.events as f64 / aff.wall),
         ]);
     }
 
@@ -263,18 +225,14 @@ pub fn run(quick: bool) -> Table {
         "—".to_string(),
         format!("{:.0}", seq_events as f64 / seq_wall),
         format!("{:.0}", par_events as f64 / par_wall),
-        "—".to_string(),
-        "—".to_string(),
     ]);
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     table.note(format!(
-        "Every variant cell — each shard count and both plan runs — is asserted \
-         bit-identical to its sequential run before timing. `win(con)` counts lookahead \
-         windows (`engine.windows`); `ops` counts fault-plane sub-barriers separately \
-         (`engine.op_barriers`). `rr/aff ev/s` ran at {k_var} shards, `con ev/s` is the best \
-         over all shard counts (contiguous plan; rr = round-robin/interleaved; aff = \
-         traffic-aware affinity). Shape claim: parallel work per lookahead window \
+        "Every shard count is asserted bit-identical to its sequential run before timing. \
+         `win(con)` counts lookahead windows (`engine.windows`); `ops` counts fault-plane \
+         sub-barriers separately (`engine.op_barriers`). `con ev/s` is the best over all \
+         shard counts (contiguous partition). Shape claim: parallel work per lookahead window \
          (`ev/window`) grows ~linearly with n at fixed per-node event rate — wall-clock \
          speedup on a multicore machine follows it, and the partition-storm row shows the \
          collapse when fault ops multiply barriers and shrink effective lookahead (windows + \

@@ -3,6 +3,7 @@
 //! - [`experiments`] — E1–E10, one per quantitative claim in the paper
 //!   (run them with `cargo run --release -p psn-bench --bin experiments`);
 //! - [`table`] — markdown/CSV result tables;
+//! - [`cli`] — strict argument reading shared by the binaries;
 //! - [`common`] — shared scaffolding (controlled two-pulse scenarios,
 //!   strobe-stamp histories, per-clock-family byte accounting);
 //! - [`metrics_out`] — the `--metrics-out` JSONL sink: one line per
@@ -22,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod common;
 pub mod experiments;
 pub mod metrics_out;

@@ -16,8 +16,10 @@ use serde::{Deserialize, Serialize};
 use psn_sim::delay::DelayModel;
 use psn_sim::engine::Engine;
 use psn_sim::loss::LossModel;
+use psn_sim::metrics::Metrics;
 use psn_sim::network::{ActorId, NetStats, NetworkConfig, Topology};
 use psn_sim::provider::{EventProvider, ExternalEvent, TimelineProvider};
+use psn_sim::telemetry::Telemetry;
 use psn_sim::time::SimTime;
 use psn_world::Scenario;
 
@@ -81,33 +83,6 @@ pub struct ExecutionConfig {
     /// path — the dense-vs-sparse cross-validation tests run the same cell
     /// both ways and require bit-identical results.
     pub fifo_dense_limit: Option<usize>,
-    /// How actors are partitioned across shards when `shards > 1`. `None`
-    /// (default) means [`ShardPlanKind::Contiguous`]. Any plan produces a
-    /// bit-identical run — this is a throughput knob only. (`Option` so
-    /// configs serialized before this field existed still deserialize:
-    /// the vendored serde shim maps an absent field to `None`.)
-    pub shard_plan: Option<ShardPlanKind>,
-}
-
-/// How [`run_execution_full`] partitions the `n + 1` actors (sensors plus
-/// the root) into engine shards — see [`psn_sim::engine::ShardPlan`]. Every
-/// kind yields a bit-identical run; they differ only in load balance and
-/// cross-shard traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardPlanKind {
-    /// Contiguous id ranges (the historical `run_sharded` layout).
-    Contiguous,
-    /// Round-robin by actor id.
-    Interleaved,
-    /// Seeded hash of the actor id.
-    Hash,
-    /// Traffic-aware ([`psn_sim::engine::ShardPlan::by_affinity`]):
-    /// co-locate chatty pairs using a static estimate of per-sensor report
-    /// volume — each sensor's edge to the root is weighted by the number
-    /// of world events it will observe, so the heaviest reporters share
-    /// the root's shard and their report traffic never crosses a shard
-    /// boundary.
-    Affinity,
 }
 
 impl Default for ExecutionConfig {
@@ -127,15 +102,7 @@ impl Default for ExecutionConfig {
             recovery: RecoveryPolicy::default(),
             shards: 1,
             fifo_dense_limit: None,
-            shard_plan: None,
         }
-    }
-}
-
-impl ExecutionConfig {
-    /// The effective shard plan kind (`None` → [`ShardPlanKind::Contiguous`]).
-    pub fn shard_plan_kind(&self) -> ShardPlanKind {
-        self.shard_plan.unwrap_or(ShardPlanKind::Contiguous)
     }
 }
 
@@ -176,7 +143,7 @@ pub fn run_execution_with_rule(
     cfg: &ExecutionConfig,
     rule: Box<dyn ActuationRule>,
 ) -> ExecutionTrace {
-    run_execution_full(scenario, cfg, rule, &psn_sim::metrics::Metrics::disabled())
+    run_execution_inner(scenario, cfg, rule, &Metrics::disabled(), &Telemetry::disabled())
 }
 
 /// Run `scenario` under `cfg`, recording engine and execution metrics
@@ -186,9 +153,9 @@ pub fn run_execution_with_rule(
 pub fn run_execution_instrumented(
     scenario: &Scenario,
     cfg: &ExecutionConfig,
-    metrics: &psn_sim::metrics::Metrics,
+    metrics: &Metrics,
 ) -> ExecutionTrace {
-    run_execution_full(scenario, cfg, Box::new(NoActuation), metrics)
+    run_execution_inner(scenario, cfg, Box::new(NoActuation), metrics, &Telemetry::disabled())
 }
 
 /// The world timeline as an injection sequence: each world event becomes an
@@ -223,7 +190,7 @@ pub(crate) fn build_engine(
     n: usize,
     cfg: &ExecutionConfig,
     rule: Box<dyn ActuationRule>,
-    metrics: &psn_sim::metrics::Metrics,
+    metrics: &Metrics,
     heartbeat_horizon: Option<SimTime>,
 ) -> Engine<NetMsg> {
     assert!(n > 0, "execution needs at least one sensor process");
@@ -316,50 +283,6 @@ pub(crate) fn seal_log(mut engine: Engine<NetMsg>, n: usize) -> ExecutionLog {
     ExecutionLog::seal(logs, reports, actuations)
 }
 
-/// The [`psn_sim::engine::ShardPlan`] `cfg` asks for, over the `n + 1`
-/// actors (n sensors plus the root). [`ShardPlanKind::Affinity`] weights
-/// each sensor↔root edge by the number of world events the sensor will
-/// observe — a static, pre-run estimate of its report traffic (the same
-/// quantity [`psn_sim::trace_analysis::TraceAnalysis::affinity_edges`]
-/// measures after the fact) — so the heaviest reporters land on the root's
-/// shard and their traffic never crosses a shard boundary.
-fn shard_plan_for(
-    scenario: &Scenario,
-    n: usize,
-    cfg: &ExecutionConfig,
-) -> psn_sim::engine::ShardPlan {
-    use psn_sim::engine::ShardPlan;
-    let actors = n + 1;
-    match cfg.shard_plan_kind() {
-        ShardPlanKind::Contiguous => ShardPlan::contiguous(actors, cfg.shards),
-        ShardPlanKind::Interleaved => ShardPlan::interleaved(actors, cfg.shards),
-        ShardPlanKind::Hash => ShardPlan::by_hash(actors, cfg.shards),
-        ShardPlanKind::Affinity => {
-            let mut weight = vec![0u64; n];
-            for e in &scenario.timeline.events {
-                if let Some(p) = scenario.sensing.process_for(e.key) {
-                    if p < n {
-                        weight[p] += 1;
-                    }
-                }
-            }
-            let edges: Vec<(usize, usize, u64)> =
-                (0..n).filter(|&p| weight[p] > 0).map(|p| (p, n, weight[p])).collect();
-            ShardPlan::by_affinity(actors, cfg.shards, &edges)
-        }
-    }
-}
-
-/// The general entry point: custom actuation rule plus metrics registry.
-pub fn run_execution_full(
-    scenario: &Scenario,
-    cfg: &ExecutionConfig,
-    rule: Box<dyn ActuationRule>,
-    metrics: &psn_sim::metrics::Metrics,
-) -> ExecutionTrace {
-    run_execution_inner(scenario, cfg, rule, metrics, &psn_sim::telemetry::Telemetry::disabled())
-}
-
 /// Run `scenario` with both a metrics registry and a phase-scoped
 /// wall-clock [`psn_sim::telemetry::Telemetry`] registry attached. The
 /// telemetry plane records where the host machine's time goes (per-shard
@@ -369,8 +292,8 @@ pub fn run_execution_full(
 pub fn run_execution_profiled(
     scenario: &Scenario,
     cfg: &ExecutionConfig,
-    metrics: &psn_sim::metrics::Metrics,
-    telemetry: &psn_sim::telemetry::Telemetry,
+    metrics: &Metrics,
+    telemetry: &Telemetry,
 ) -> ExecutionTrace {
     run_execution_inner(scenario, cfg, Box::new(NoActuation), metrics, telemetry)
 }
@@ -379,8 +302,8 @@ fn run_execution_inner(
     scenario: &Scenario,
     cfg: &ExecutionConfig,
     rule: Box<dyn ActuationRule>,
-    metrics: &psn_sim::metrics::Metrics,
-    telemetry: &psn_sim::telemetry::Telemetry,
+    metrics: &Metrics,
+    telemetry: &Telemetry,
 ) -> ExecutionTrace {
     let n = scenario.num_processes();
     assert!(n > 0, "scenario must have at least one sensor process");
@@ -401,11 +324,7 @@ fn run_execution_inner(
         engine.inject(ev.at, ev.to, ev.from, ev.msg);
     }
 
-    let ended_at = if cfg.shards > 1 {
-        engine.run_with_plan(&shard_plan_for(scenario, n, cfg))
-    } else {
-        engine.run()
-    };
+    let ended_at = engine.run_sharded(cfg.shards);
     let faults = engine.fault_stats();
     let net = engine.stats().clone();
     let sim = engine.trace().clone();
@@ -700,33 +619,6 @@ mod tests {
         DelayModel::DeltaBounded {
             min: SimDuration::from_millis(40),
             max: SimDuration::from_millis(240),
-        }
-    }
-
-    #[test]
-    fn every_shard_plan_kind_replays_bit_identically() {
-        let s = tiny_scenario();
-        let base =
-            run_execution(&s, &ExecutionConfig { delay: floored_delay(), ..Default::default() });
-        let kinds = [
-            ShardPlanKind::Contiguous,
-            ShardPlanKind::Interleaved,
-            ShardPlanKind::Hash,
-            ShardPlanKind::Affinity,
-        ];
-        for kind in kinds {
-            for shards in [2, 4] {
-                let cfg = ExecutionConfig {
-                    delay: floored_delay(),
-                    shards,
-                    shard_plan: Some(kind),
-                    ..Default::default()
-                };
-                let t = run_execution(&s, &cfg);
-                assert_eq!(base.log.events, t.log.events, "{kind:?} × {shards} shards");
-                assert_eq!(base.log.reports, t.log.reports, "{kind:?} × {shards} shards");
-                assert_eq!(base.net, t.net, "{kind:?} × {shards} shards");
-            }
         }
     }
 

@@ -64,7 +64,7 @@ pub use causal_delivery::{CausalBuffer, CausalMsg, CausalSender};
 pub use event::{EventKind, ProcEvent};
 pub use execution::{
     run_execution, run_execution_instrumented, run_execution_profiled, run_execution_with_rule,
-    world_events, ExecutionConfig, ExecutionTrace, ShardPlanKind,
+    world_events, ExecutionConfig, ExecutionTrace,
 };
 pub use io::TraceFile;
 pub use live::{LiveExecution, LiveSnapshot, LoggedEvent, RestoreError, LIVE_SNAPSHOT_VERSION};

@@ -566,8 +566,9 @@ mod tests {
     /// representation must still restore, and `session.snapshot_bytes` must
     /// not drift. Pinned byte for byte: a scripted session's snapshot, and a
     /// journal holding every `NetMsg` variant with stamps wide enough to
-    /// spill. The constants are the earlier format's bytes with only the
-    /// retired `,"speculation":null` config entry removed.
+    /// spill. The constants are the earlier formats' bytes with only the
+    /// two retired config entries, the window discipline and the partition
+    /// plan (both `null`), removed.
     #[test]
     fn snapshot_json_is_pinned_byte_for_byte() {
         use crate::bundle::{StampSet, StrobePayload};
@@ -580,7 +581,7 @@ mod tests {
         let json = live.snapshot().to_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (5609, 7888484709165289015),
+            (5591, 5638301643168460564),
             "scripted session"
         );
 
@@ -632,7 +633,7 @@ mod tests {
         let json = snap.to_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (1734, 14830479847546392352),
+            (1716, 2577971987606110009),
             "every message kind"
         );
         let back = LiveSnapshot::from_json(&json).expect("round trip");
@@ -640,10 +641,10 @@ mod tests {
     }
 
     /// Snapshots written while `ExecutionConfig` still carried a window
-    /// discipline restore: the retired `speculation` entry is an unknown key
-    /// the deserializer skips, whatever its value, and the restored session
-    /// runs on exactly like an uninterrupted one (the discipline never
-    /// changed an output).
+    /// discipline or a shard plan restore: each retired entry is an unknown
+    /// key the deserializer skips, whatever its value, and the restored
+    /// session runs on exactly like an uninterrupted one (neither choice
+    /// ever changed an output).
     #[test]
     fn snapshot_with_retired_speculation_key_restores_and_runs_on() {
         let s = scenario();
@@ -656,9 +657,14 @@ mod tests {
         let mut first = live_from(&s, &cfg);
         first.advance_to(cut).unwrap();
         let json = first.snapshot().to_json();
-        for retired in [r#","speculation":null"#, r#","speculation":"Optimistic""#] {
-            let old =
-                json.replacen(r#""shard_plan":null"#, &format!(r#""shard_plan":null{retired}"#), 1);
+        let anchor = r#""fifo_dense_limit":null"#;
+        for retired in [
+            r#","speculation":null"#,
+            r#","speculation":"Optimistic""#,
+            r#","shard_plan":null"#,
+            r#","shard_plan":"Affinity""#,
+        ] {
+            let old = json.replacen(anchor, &format!("{anchor}{retired}"), 1);
             assert_eq!(old.len(), json.len() + retired.len(), "fixture carries {retired}");
             let snap = LiveSnapshot::from_json(&old).expect("unknown key is skipped");
             let rest: Vec<_> = world_events(&s).into_iter().filter(|e| e.at >= cut).collect();

@@ -24,7 +24,7 @@ pub struct ScenarioDef {
     pub strobes: Vec<Field>,
     /// `network { ... }` block (delay/loss/fifo).
     pub network: Option<NetworkDef>,
-    /// `run { ... }` fields (shards, plan, discipline, …).
+    /// `run { ... }` fields (shards, discipline, …).
     pub run: Vec<Field>,
     /// `predicate "name" relational|conjunctive { ... }` blocks.
     pub predicates: Vec<PredicateDef>,
@@ -62,7 +62,7 @@ pub enum Value {
     Dur(u64),
     /// `true` / `false`.
     Bool(bool),
-    /// A bare identifier (e.g. a plan or discipline name).
+    /// A bare identifier (e.g. a discipline name).
     Ident(String),
 }
 

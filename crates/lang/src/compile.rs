@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use psn_core::{ClockConfig, ExecutionConfig, ShardPlanKind, TraceStampMode};
+use psn_core::{ClockConfig, ExecutionConfig, TraceStampMode};
 use psn_predicates::{Conjunct, Discipline, Expr, Predicate};
 use psn_sim::delay::DelayModel;
 use psn_sim::fault::{
@@ -621,25 +621,6 @@ fn lower_run_block(
                     }
                 }
             }
-            "plan" => {
-                if let Some(name) = r.ident(f) {
-                    match name {
-                        "contiguous" => config.shard_plan = Some(ShardPlanKind::Contiguous),
-                        "interleaved" | "roundrobin" | "round_robin" => {
-                            config.shard_plan = Some(ShardPlanKind::Interleaved)
-                        }
-                        "hash" => config.shard_plan = Some(ShardPlanKind::Hash),
-                        "affinity" => config.shard_plan = Some(ShardPlanKind::Affinity),
-                        other => r.diags.push(Diagnostic::new(
-                            f.value.span,
-                            format!(
-                                "unknown shard plan `{other}` (known: contiguous, interleaved, \
-                                 hash, affinity)"
-                            ),
-                        )),
-                    }
-                }
-            }
             "discipline" => {
                 if let Some(name) = r.ident(f) {
                     match parse_discipline(name) {
@@ -680,7 +661,7 @@ fn lower_run_block(
                 r.diags,
                 f,
                 "run",
-                &["shards", "plan", "discipline", "stamp", "trace", "end_time"],
+                &["shards", "discipline", "stamp", "trace", "end_time"],
             ),
         }
     }
@@ -1077,23 +1058,27 @@ mod tests {
         let src = r#"scenario "s" {
             world exhibition { doors 4 duration 120s }
             network { delay uniform 20ms..200ms }
-            run { shards 4 plan affinity discipline arrival }
+            run { shards 4 discipline arrival }
         }"#;
         let c = compile(src).expect("compiles");
         assert_eq!(c.config.shards, 4);
-        assert_eq!(c.config.shard_plan, Some(ShardPlanKind::Affinity));
         assert_eq!(c.discipline, Discipline::Arrival);
 
-        // Sharded runs have one window discipline, so there is nothing to
-        // choose: `optimistic` is an unknown field like any other.
-        let errs =
-            compile(&src.replace("plan affinity", "plan affinity optimistic true")).unwrap_err();
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert_eq!(
-            errs[0].message,
-            "unknown run field `optimistic` (known: shards, plan, discipline, stamp, trace, \
-             end_time)"
-        );
+        // Sharded runs have one window discipline and one partition, so
+        // there is nothing to choose: `optimistic` and `plan` are unknown
+        // fields like any other.
+        for (field, value) in [("optimistic", "true"), ("plan", "affinity")] {
+            let errs = compile(&src.replace("shards 4", &format!("shards 4 {field} {value}")))
+                .unwrap_err();
+            assert_eq!(errs.len(), 1, "{errs:?}");
+            assert_eq!(
+                errs[0].message,
+                format!(
+                    "unknown run field `{field}` (known: shards, discipline, stamp, trace, \
+                     end_time)"
+                )
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! One `.psn` file describes a complete experiment: the world (one of
 //! the parameterized generators — office, exhibition, hospital, habitat,
 //! structure), the network (delay/loss/FIFO), clock hardware and strobe
-//! policy, the run setup (shards, plan, detection discipline),
+//! policy, the run setup (shards, detection discipline),
 //! named predicates (relational or conjunctive), and a fault script
 //! (explicit entries and/or a seeded chaos block). The pipeline is
 //! classic and dependency-free:

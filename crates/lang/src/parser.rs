@@ -699,7 +699,7 @@ mod tests {
                 loss bernoulli 0.02
                 fifo true
             }
-            run { shards 4 plan affinity }
+            run { shards 4 discipline arrival }
             predicate "crowded" relational {
                 sum(d in 0..doors)(door[d].x - door[d].y) > 50
             }

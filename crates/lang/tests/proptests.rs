@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use psn_core::{run_execution, ExecutionConfig, ShardPlanKind};
+use psn_core::{run_execution, ExecutionConfig};
 use psn_lang::{compile, render, sample_source, CompiledScenario};
 
 fn compiled(seed: u64) -> CompiledScenario {
@@ -34,11 +34,7 @@ proptest! {
         prop_assert!(!c.predicates.is_empty());
 
         let seq = run_execution(&c.scenario, &c.config);
-        let sharded_cfg = ExecutionConfig {
-            shards: 4,
-            shard_plan: Some(ShardPlanKind::Contiguous),
-            ..c.config.clone()
-        };
+        let sharded_cfg = ExecutionConfig { shards: 4, ..c.config.clone() };
         let sharded = run_execution(&c.scenario, &sharded_cfg);
 
         // The sharded run is not merely error-free: it lands on the same

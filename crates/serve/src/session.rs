@@ -572,8 +572,9 @@ mod tests {
     /// The served snapshot is a file format and `session.snapshot_bytes` a
     /// benchmark metric: pinned byte for byte, taken mid-script so the
     /// journal, the pending tail and the watch are all in it. The constants
-    /// are the earlier format's bytes with only the retired
-    /// `,"speculation":null` config entry removed.
+    /// are the earlier formats' bytes with only the two retired config
+    /// entries, the window discipline and the partition plan (both `null`),
+    /// removed.
     #[test]
     fn snapshot_json_is_pinned_byte_for_byte() {
         let mut s = scripted_session();
@@ -582,7 +583,7 @@ mod tests {
         let fnv1a = json
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
-        assert_eq!((json.len(), fnv1a), (1529, 11468158241028657040));
+        assert_eq!((json.len(), fnv1a), (1511, 17084787727854512595));
     }
 
     /// A snapshot is input too: a pending event `Ingest` would refuse, or a

@@ -24,10 +24,10 @@
 //!
 //! # Sharded execution
 //!
-//! [`Engine::run_sharded`] partitions actors into shards (a [`ShardPlan`])
-//! and advances all shards concurrently through half-open time windows
-//! `[t, t + L)`, where the lookahead `L` is the network's minimum channel
-//! delay ([`crate::delay::DelayModel::min_bound`]). A message sent at
+//! [`Engine::run_sharded`] partitions actors into contiguous blocks, one
+//! per shard, and advances all shards concurrently through half-open time
+//! windows `[t, t + L)`, where the lookahead `L` is the network's minimum
+//! channel delay ([`crate::delay::DelayModel::min_bound`]). A message sent at
 //! `u ∈ [t, t+L)` arrives no earlier than `u + L ≥ t + L`, i.e. strictly
 //! after the window — so shards cannot causally interact *within* a window
 //! and may process their local events in parallel. Cross-shard messages are
@@ -54,7 +54,6 @@ mod lane;
 mod sharded;
 
 use lane::{FifoStore, Lane};
-pub use sharded::ShardPlan;
 
 /// A typed error from the engine's *external* boundary — the operations a
 /// long-running host (e.g. `psn-serve`) drives with data it did not
@@ -326,7 +325,7 @@ pub struct Engine<M: Message> {
     /// Next un-applied fault-plane operation (ops are time-sorted).
     op_cursor: usize,
     /// Whether `on_start` has been dispatched. Start callbacks fire exactly
-    /// once per engine, on the first `run`/`run_with_plan`/`step_until` —
+    /// once per engine, on the first `run`/`run_sharded`/`step_until` —
     /// incremental stepping must not re-arm start timers on every call.
     started: bool,
     /// The installed fault plane, if any. `None` on the hot path costs one
@@ -1608,23 +1607,18 @@ mod tests {
         }
     }
 
+    /// The contiguous partition clamps its shard count to `[1, n]` and
+    /// runs one lane per block of `ceil(n / shards)` actors; the lanes show
+    /// as the shard slots of an attached telemetry registry.
     #[test]
-    fn shard_plan_partitions_actors() {
-        let p = ShardPlan::contiguous(10, 4);
-        assert_eq!(p.shard_count(), 4);
-        assert_eq!(p.owner(), &[0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
-        let p = ShardPlan::interleaved(7, 3);
-        assert_eq!(p.owner(), &[0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(p.shard_count(), 3);
-        let p = ShardPlan::by_hash(100, 5);
-        assert_eq!(p.owner().len(), 100);
-        assert!(p.owner().iter().all(|&s| s < 5));
-        assert!(p.shard_count() <= 5);
-        let p = ShardPlan::explicit(vec![2, 0, 2]);
-        assert_eq!(p.shard_count(), 3);
-        // More shards than actors clamps instead of leaving empty lanes.
-        let p = ShardPlan::contiguous(3, 16);
-        assert_eq!(p.shard_count(), 3);
+    fn contiguous_partition_clamps_to_the_actor_count() {
+        for (n, shards, lanes) in [(10, 4, 4), (10, 6, 5), (3, 16, 3)] {
+            let tel = Telemetry::new();
+            let mut e = gossip_engine(n, shardable_delay(), 99);
+            e.set_telemetry(&tel);
+            e.run_sharded(shards);
+            assert_eq!(tel.snapshot().shards.len(), lanes, "n={n} shards={shards}");
+        }
     }
 
     #[test]
@@ -1640,63 +1634,6 @@ mod tests {
             par.enable_trace();
             par.run_sharded(shards);
             assert_eq!(fingerprint(&par), want, "shards={shards} must replay bit-identically");
-        }
-        // And under a non-contiguous placement.
-        let mut par = gossip_engine(12, shardable_delay(), 99);
-        par.enable_trace();
-        par.run_with_plan(&ShardPlan::interleaved(12, 3));
-        assert_eq!(fingerprint(&par), want, "interleaved plan must replay bit-identically");
-        let mut par = gossip_engine(12, shardable_delay(), 99);
-        par.enable_trace();
-        par.run_with_plan(&ShardPlan::by_hash(12, 4));
-        assert_eq!(fingerprint(&par), want, "hashed plan must replay bit-identically");
-    }
-
-    #[test]
-    fn by_affinity_is_a_deterministic_total_partition() {
-        // A chatty clique {0,1,2}, a pair {5,6}, singletons elsewhere.
-        let edges = vec![
-            (0usize, 1usize, 100u64),
-            (1, 2, 90),
-            (2, 0, 80),
-            (5, 6, 70),
-            (3, 9, 1),
-            (4, 4, 50),  // self-edge: ignored
-            (7, 99, 50), // out of range: ignored
-            (8, 9, 0),   // zero weight: ignored
-        ];
-        let p = ShardPlan::by_affinity(10, 3, &edges);
-        assert_eq!(p.owner().len(), 10, "covers all actors");
-        assert!(p.owner().iter().all(|&s| s < 3), "respects k");
-        assert_eq!(p, ShardPlan::by_affinity(10, 3, &edges), "deterministic");
-        // The clique and the pair each stay intra-shard (cluster cap is
-        // ceil(10/3) = 4, so both merges fit).
-        assert!(p.owner()[0] == p.owner()[1] && p.owner()[1] == p.owner()[2]);
-        assert_eq!(p.owner()[5], p.owner()[6]);
-        // Symmetric input yields the same plan regardless of direction.
-        let flipped: Vec<_> = edges.iter().map(|&(a, b, w)| (b, a, w)).collect();
-        assert_eq!(p, ShardPlan::by_affinity(10, 3, &flipped));
-        // Degenerate shapes don't panic.
-        assert_eq!(ShardPlan::by_affinity(0, 4, &[]).owner().len(), 0);
-        assert_eq!(ShardPlan::by_affinity(5, 1, &edges).owner(), &[0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn affinity_plan_replays_bit_identically() {
-        let mut seq = gossip_engine(12, shardable_delay(), 99);
-        seq.enable_trace();
-        seq.run();
-        let want = fingerprint(&seq);
-        // Derive the affinity graph from the sequential run's own trace —
-        // the realistic pipeline (trace → channel stats → plan).
-        let edges = crate::trace_analysis::TraceAnalysis::build(seq.trace()).affinity_edges();
-        assert!(!edges.is_empty(), "gossip produces cross-channel traffic");
-        for shards in [2, 4, 7] {
-            let plan = ShardPlan::by_affinity(12, shards, &edges);
-            let mut par = gossip_engine(12, shardable_delay(), 99);
-            par.enable_trace();
-            par.run_with_plan(&plan);
-            assert_eq!(fingerprint(&par), want, "affinity plan, shards={shards}");
         }
     }
 

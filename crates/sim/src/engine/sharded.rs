@@ -1,10 +1,10 @@
-//! The sharded driver: shard plans, the lookahead-window coordinator of
-//! [`Engine::run_with_plan`], and the cross-shard exchange: one channel
-//! into each lane, drained by its worker after a window and by the
-//! coordinator at every barrier.
+//! The sharded driver: the contiguous actor partition, the lookahead-window
+//! coordinator of [`Engine::run_sharded`], and the cross-shard exchange:
+//! one channel into each lane, drained by its worker after a window and by
+//! the coordinator at every barrier.
 
 use crate::fault::{FaultPlane, FaultStats};
-use crate::network::{ActorId, NetStats};
+use crate::network::NetStats;
 use crate::queue::EventQueue;
 use crate::telemetry::{Phase, ShardTelemetry};
 use crate::time::SimTime;
@@ -13,179 +13,45 @@ use crate::trace::Trace;
 use super::lane::{FifoStore, Lane};
 use super::{apply_plane_op, collect_parked, next_stop, Engine, Message, Pending, Stop};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::Instant;
 
-/// An explicit assignment of actors to shards for
-/// [`Engine::run_with_plan`]. Plans are pure data: the same plan always
-/// yields the same partition, and *any* plan yields the same run (that is
-/// the whole point — see the shard-count-invariance proptest).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    owner: Vec<u32>,
-}
-
-impl ShardPlan {
-    /// `n` actors in `shards` contiguous blocks of `ceil(n / shards)`.
-    /// Contiguity keeps neighbour-heavy topologies (rings, grids) mostly
-    /// intra-shard.
-    pub fn contiguous(n: usize, shards: usize) -> Self {
-        let k = shards.clamp(1, n.max(1));
-        let block = n.div_ceil(k).max(1);
-        ShardPlan { owner: (0..n).map(|i| (i / block) as u32).collect() }
-    }
-
-    /// Round-robin: actor `i` goes to shard `i % shards`. Balances load
-    /// when activity correlates with id ranges.
-    pub fn interleaved(n: usize, shards: usize) -> Self {
-        let k = shards.clamp(1, n.max(1));
-        ShardPlan { owner: (0..n).map(|i| (i % k) as u32).collect() }
-    }
-
-    /// Deterministic hash partition (splitmix64 of the actor id), for
-    /// statistically balanced shards independent of id structure.
-    pub fn by_hash(n: usize, shards: usize) -> Self {
-        let k = shards.clamp(1, n.max(1)) as u64;
-        let owner = (0..n as u64)
-            .map(|i| {
-                let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                ((z ^ (z >> 31)) % k) as u32
-            })
-            .collect();
-        ShardPlan { owner }
-    }
-
-    /// Traffic-aware partition: cluster actors so that heavily communicating
-    /// pairs co-locate, then bin-pack clusters onto shards. `edges` is an
-    /// undirected affinity graph `(a, b, weight)` — typically per-channel
-    /// message counts from [`crate::trace_analysis::TraceAnalysis::affinity_edges`]
-    /// or a static estimate from the workload shape.
-    ///
-    /// The algorithm is a deterministic greedy edge merge: edges sorted by
-    /// `(weight desc, a, b)` union their endpoint clusters while the merged
-    /// cluster stays within `ceil(n / shards)` actors, then clusters are
-    /// placed largest-first onto the least-loaded shard (lowest index on
-    /// ties). Like every plan, the result only shapes *performance* — any
-    /// plan yields the bit-identical run.
-    pub fn by_affinity(n: usize, shards: usize, edges: &[(ActorId, ActorId, u64)]) -> Self {
-        let k = shards.clamp(1, n.max(1));
-        if n == 0 {
-            return ShardPlan { owner: Vec::new() };
-        }
-        let cap = n.div_ceil(k).max(1);
-
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let g = parent[parent[x as usize] as usize];
-                parent[x as usize] = g;
-                x = g;
-            }
-            x
-        }
-
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        let mut csize = vec![1u32; n];
-        let mut es: Vec<(u32, u32, u64)> = edges
-            .iter()
-            .filter(|&&(a, b, w)| a < n && b < n && a != b && w > 0)
-            .map(
-                |&(a, b, w)| if a <= b { (a as u32, b as u32, w) } else { (b as u32, a as u32, w) },
-            )
-            .collect();
-        es.sort_unstable_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
-        for (a, b, _) in es {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb && (csize[ra as usize] + csize[rb as usize]) as usize <= cap {
-                // Root the merge at the lower id so cluster identity is
-                // independent of edge processing order among equals.
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent[hi as usize] = lo;
-                csize[lo as usize] += csize[hi as usize];
-            }
-        }
-
-        // Gather clusters in ascending-root order, then place largest-first
-        // (stable sort keeps the ascending-root tie-break deterministic).
-        let mut members: HashMap<u32, Vec<u32>> = HashMap::new();
-        for i in 0..n as u32 {
-            let r = find(&mut parent, i);
-            members.entry(r).or_default().push(i);
-        }
-        let mut clusters: Vec<(u32, Vec<u32>)> = members.into_iter().collect();
-        clusters.sort_unstable_by_key(|(root, _)| *root);
-        clusters.sort_by_key(|(_, m)| std::cmp::Reverse(m.len()));
-
-        let mut owner = vec![0u32; n];
-        let mut load = vec![0usize; k];
-        for (_, m) in clusters {
-            let s = (0..k).min_by_key(|&s| (load[s], s)).unwrap();
-            load[s] += m.len();
-            for a in m {
-                owner[a as usize] = s as u32;
-            }
-        }
-        ShardPlan { owner }
-    }
-
-    /// An explicit `actor → shard` map. Panics if empty.
-    pub fn explicit(owner: Vec<u32>) -> Self {
-        assert!(!owner.is_empty(), "ShardPlan::explicit: empty owner map");
-        ShardPlan { owner }
-    }
-
-    /// Number of shards this plan spreads actors over.
-    pub fn shard_count(&self) -> usize {
-        self.owner.iter().copied().max().map_or(1, |m| m as usize + 1)
-    }
-
-    /// The owning shard of each actor, indexed by actor id.
-    pub fn owner(&self) -> &[u32] {
-        &self.owner
-    }
-}
-
 impl<M: Message> Engine<M> {
-    /// Shorthand for [`Engine::run_with_plan`] over a
-    /// [`ShardPlan::contiguous`] partition into `shards` shards.
-    pub fn run_sharded(&mut self, shards: usize) -> SimTime {
-        self.run_with_plan(&ShardPlan::contiguous(self.lane.actors.len(), shards))
-    }
-
     /// Run with actors partitioned across shard worker threads, advancing
     /// all shards concurrently through lookahead-bounded windows. The
     /// result — delivered-event sequence, per-actor RNG draws, trace,
     /// stats, fault effects — is **bit-identical** to [`Engine::run`].
     ///
-    /// Falls back to the sequential loop when the plan has one shard, the
-    /// network's lookahead ([`crate::delay::DelayModel::min_bound`]) is
+    /// The partition is contiguous: `shards` is clamped to `[1, n]` and
+    /// actor `i` runs on shard `i / ceil(n / shards)`, which keeps
+    /// neighbour-heavy topologies (rings, grids) mostly intra-shard. Where
+    /// an actor runs never changes the output, only the cross-shard
+    /// traffic.
+    ///
+    /// Falls back to the sequential loop when the partition has one shard,
+    /// the network's lookahead ([`crate::delay::DelayModel::min_bound`]) is
     /// zero, or there are no actors. Like `run`, one call consumes the
-    /// pending timeline; alternating `run`/`run_with_plan` calls on one
+    /// pending timeline; alternating `run`/`run_sharded` calls on one
     /// engine is supported (state merges back into the resident lane).
     ///
     /// Caveat: [`super::Context::halt`] stops a sharded run at the end of the
     /// window (or start batch) that observed it, not mid-window — halting
     /// protocols should keep using `run`. `now()` still reports the halting
     /// lane's time.
-    pub fn run_with_plan(&mut self, plan: &ShardPlan) -> SimTime {
+    pub fn run_sharded(&mut self, shards: usize) -> SimTime {
         let n = self.lane.actors.len();
         let lookahead = self.network.delay.min_bound();
-        let k = plan.shard_count().min(n.max(1));
-        if k <= 1 || n == 0 || lookahead.is_zero() {
+        let block = n.div_ceil(shards.clamp(1, n.max(1))).max(1);
+        let k = n.div_ceil(block);
+        if k <= 1 || lookahead.is_zero() {
             return self.run();
         }
-        assert!(
-            plan.owner().len() >= n,
-            "ShardPlan covers {} actors but engine has {n}",
-            plan.owner().len()
-        );
+        let owner: Vec<u32> = (0..n).map(|i| (i / block) as u32).collect();
         let wall_start = Instant::now();
         let events_before = self.lane.events_processed;
         self.lane.trace.configure_actors(n);
 
-        let mut lanes = self.split_lanes(plan.owner(), k);
+        let mut lanes = self.split_lanes(&owner, k);
         let op_times: Vec<SimTime> = self
             .fault
             .as_deref()
@@ -387,7 +253,7 @@ impl<M: Message> Engine<M> {
                 msg_ctr: base.msg_ctr.clone(),
                 timer_ctr: base.timer_ctr.clone(),
                 members: Vec::new(),
-                owner: owner[..n].to_vec(),
+                owner: owner.to_vec(),
                 inbox: Some(inbox),
                 peers: peers.clone(),
                 fifo: FifoStore::Unset,

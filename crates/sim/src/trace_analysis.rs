@@ -202,23 +202,6 @@ impl<'a> TraceAnalysis<'a> {
         &self.channels
     }
 
-    /// The undirected traffic-affinity graph for
-    /// [`crate::engine::ShardPlan::by_affinity`]: per actor pair `(a, b)`
-    /// with `a < b`, the total transmissions in either direction. Sorted by
-    /// `(a, b)` — deterministic for a fixed trace, so the derived plan is
-    /// too.
-    pub fn affinity_edges(&self) -> Vec<(ActorId, ActorId, u64)> {
-        let mut und: BTreeMap<(ActorId, ActorId), u64> = BTreeMap::new();
-        for (&(from, to), cs) in &self.channels {
-            if from == to {
-                continue;
-            }
-            let key = if from < to { (from, to) } else { (to, from) };
-            *und.entry(key).or_default() += cs.sent;
-        }
-        und.into_iter().map(|((a, b), w)| (a, b, w)).collect()
-    }
-
     /// Index of the `Sent` record for a transmission id.
     pub fn send_of(&self, msg: u64) -> Option<usize> {
         self.send_of.get(&msg).copied()

@@ -89,8 +89,7 @@ pub mod prelude {
     };
     pub use psn_core::{
         run_execution, run_execution_instrumented, run_execution_profiled, run_execution_with_rule,
-        ActuationRule, ClockConfig, ExecMetrics, ExecutionConfig, ExecutionTrace, ShardPlanKind,
-        StrobePolicy,
+        ActuationRule, ClockConfig, ExecMetrics, ExecutionConfig, ExecutionTrace, StrobePolicy,
     };
     pub use psn_predicates::{
         detect_conjunctive, detect_occurrences, detect_occurrences_instrumented, score,

@@ -402,14 +402,13 @@ mod shard_invariance {
     use super::*;
     use proptest::prelude::*;
 
-    /// One full execution at a given shard count and plan, with
-    /// everything observable folded into a comparable tuple.
+    /// One full execution at a given shard count, with everything
+    /// observable folded into a comparable tuple.
     fn fingerprint(
         shards: usize,
         seed: u64,
         delay_min_ms: u64,
         chaos: bool,
-        plan: ShardPlanKind,
     ) -> pervasive_time::core::execution::ExecutionTrace {
         let params = ExhibitionParams {
             doors: 3,
@@ -436,7 +435,6 @@ mod shard_invariance {
             record_sim_trace: true,
             faults,
             shards,
-            shard_plan: Some(plan),
             ..Default::default()
         };
         run_execution(&scenario, &cfg)
@@ -445,13 +443,12 @@ mod shard_invariance {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// The tentpole's contract, as a property: the shard count and the
-        /// actor→shard plan are both **unobservable**. For random seeds,
-        /// lookahead widths, and with or without a seeded chaos fault
-        /// script, every observable — the full structured trace (hashed),
-        /// the execution log, the network counters, the fault counters,
-        /// the end time — is bit-identical across shard counts
-        /// {1, 2, 4, 7} × {contiguous, affinity}.
+        /// The tentpole's contract, as a property: the shard count is
+        /// **unobservable**. For random seeds, lookahead widths, and with or
+        /// without a seeded chaos fault script, every observable — the full
+        /// structured trace (hashed), the execution log, the network
+        /// counters, the fault counters, the end time — is bit-identical
+        /// across shard counts {1, 2, 4, 7}.
         #[test]
         fn shard_count_is_unobservable(
             seed in 0u64..1000,
@@ -459,24 +456,22 @@ mod shard_invariance {
             chaos_bit in 0u64..2,
         ) {
             let chaos = chaos_bit == 1;
-            let want = fingerprint(1, seed, delay_min_ms, chaos, ShardPlanKind::Contiguous);
+            let want = fingerprint(1, seed, delay_min_ms, chaos);
             let want_hash = trace_full_hash(&want.sim);
             if chaos {
                 let fs = want.faults.clone().expect("plane installed");
                 prop_assert!(fs.crashes + fs.cuts + fs.clock_faults > 0, "chaos script must bite");
             }
             for shards in [2usize, 4, 7] {
-                for plan in [ShardPlanKind::Contiguous, ShardPlanKind::Affinity] {
-                    let got = fingerprint(shards, seed, delay_min_ms, chaos, plan);
-                    let label = format!("shards={shards} {plan:?}");
-                    prop_assert_eq!(trace_full_hash(&got.sim), want_hash, "trace hash, {}", label);
-                    prop_assert_eq!(&got.log.events, &want.log.events, "events, {}", label);
-                    prop_assert_eq!(&got.log.reports, &want.log.reports, "reports, {}", label);
-                    prop_assert_eq!(&got.log.actuations, &want.log.actuations, "actuations, {}", label);
-                    prop_assert_eq!(&got.net, &want.net, "net counters, {}", label);
-                    prop_assert_eq!(&got.faults, &want.faults, "fault stats, {}", label);
-                    prop_assert_eq!(got.ended_at, want.ended_at, "end time, {}", label);
-                }
+                let got = fingerprint(shards, seed, delay_min_ms, chaos);
+                let label = format!("shards={shards}");
+                prop_assert_eq!(trace_full_hash(&got.sim), want_hash, "trace hash, {}", label);
+                prop_assert_eq!(&got.log.events, &want.log.events, "events, {}", label);
+                prop_assert_eq!(&got.log.reports, &want.log.reports, "reports, {}", label);
+                prop_assert_eq!(&got.log.actuations, &want.log.actuations, "actuations, {}", label);
+                prop_assert_eq!(&got.net, &want.net, "net counters, {}", label);
+                prop_assert_eq!(&got.faults, &want.faults, "fault stats, {}", label);
+                prop_assert_eq!(got.ended_at, want.ended_at, "end time, {}", label);
             }
         }
     }
@@ -530,44 +525,6 @@ fn sharded_run_reproduces_the_sequential_golden_hash() {
 /// `sharded_run_reproduces_the_sequential_golden_hash`; deterministic
 /// across machines (FNV-1a over the full trace format).
 const FLOORED_DELTA_GOLDEN_FULL_TRACE_HASH: u64 = 397811650213989502;
-
-mod affinity_plan {
-    use pervasive_time::sim::engine::ShardPlan;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// `ShardPlan::by_affinity` is a valid total partition for any
-        /// random weighted edge set: every actor is owned by exactly one
-        /// shard, shard indices stay below the requested count, and the
-        /// plan is a pure function of its inputs.
-        #[test]
-        fn by_affinity_is_a_valid_total_partition(
-            n in 1usize..40,
-            k in 1usize..9,
-            raw_edges in proptest::collection::vec((0usize..40, 0usize..40, 0u64..1000), 0..60),
-        ) {
-            let edges: Vec<(usize, usize, u64)> = raw_edges
-                .into_iter()
-                .map(|(a, b, w)| (a % n, b % n, w))
-                .collect();
-            let plan = ShardPlan::by_affinity(n, k, &edges);
-            prop_assert_eq!(plan.owner().len(), n, "every actor must be assigned");
-            prop_assert!(plan.shard_count() <= k, "plan must respect the requested shard count");
-            prop_assert!(plan.shard_count() >= 1);
-            for (actor, &owner) in plan.owner().iter().enumerate() {
-                prop_assert!(
-                    (owner as usize) < plan.shard_count(),
-                    "actor {} owned by out-of-range shard {}", actor, owner
-                );
-            }
-            // Deterministic: same inputs, same plan.
-            let again = ShardPlan::by_affinity(n, k, &edges);
-            prop_assert_eq!(plan.owner(), again.owner());
-        }
-    }
-}
 
 /// The sparse channel store is a drop-in for the dense FIFO matrix: the
 /// same E7 habitat cell, run with the dense path (default threshold) and
