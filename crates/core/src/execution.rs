@@ -18,7 +18,7 @@ use psn_sim::engine::Engine;
 use psn_sim::loss::LossModel;
 use psn_sim::metrics::Metrics;
 use psn_sim::network::{ActorId, NetStats, NetworkConfig, Topology};
-use psn_sim::provider::{EventProvider, ExternalEvent, TimelineProvider};
+use psn_sim::provider::ExternalEvent;
 use psn_sim::telemetry::Telemetry;
 use psn_sim::time::SimTime;
 use psn_world::Scenario;
@@ -160,9 +160,9 @@ pub fn run_execution_instrumented(
 
 /// The world timeline as an injection sequence: each world event becomes an
 /// [`ExternalEvent`] addressed to its watching sensor process at its
-/// ground-truth time (events nobody watches are dropped, exactly as batch
-/// injection drops them). This is the [`TimelineProvider`] source for both
-/// the batch path and timeline-fed live sessions.
+/// ground-truth time (events nobody watches are dropped). The batch path
+/// hands it to [`Engine::feed`]; timeline-fed live sessions wrap it in a
+/// [`psn_sim::provider::TimelineProvider`].
 pub fn world_events(scenario: &Scenario) -> Vec<ExternalEvent<NetMsg>> {
     let mut out = Vec::with_capacity(scenario.timeline.events.len());
     for e in &scenario.timeline.events {
@@ -311,18 +311,12 @@ fn run_execution_inner(
     let mut engine = build_engine(n, cfg, rule, metrics, Some(horizon));
     engine.set_telemetry(telemetry);
 
-    // Inject the world timeline through the provider abstraction: a single
-    // `poll(MAX)` surrenders the pre-built list in list order, so the
-    // injection sequence — and with it every inject id and delivery
-    // tie-break — is bit-identical to the historical direct loop. Sensing
-    // itself is immediate; only the network plane has delays.
-    engine.reserve_events(scenario.timeline.events.len());
-    let mut provider = TimelineProvider::new(world_events(scenario));
-    let mut batch = Vec::new();
-    provider.poll(SimTime::MAX, &mut batch);
-    for ev in batch {
-        engine.inject(ev.at, ev.to, ev.from, ev.msg);
-    }
+    // The engine injects each world event as its clock reaches it, under
+    // the inject id its list position gives, so the run is bit-identical
+    // to injecting the whole timeline up front while the queue holds only
+    // what is in flight. Sensing itself is immediate; only the network
+    // plane has delays.
+    engine.feed(world_events(scenario));
 
     let ended_at = engine.run_sharded(cfg.shards);
     let faults = engine.fault_stats();
@@ -728,6 +722,28 @@ mod tests {
         ] {
             assert_eq!(a.counter(name), b.counter(name), "{name} differs across shard counts");
         }
+    }
+
+    /// The world timeline enters the engine as its clock reaches it, so
+    /// the queue holds what is in flight, not the whole timeline (2 000
+    /// events here; up-front injection read a depth of 2 015).
+    #[test]
+    fn the_queue_holds_only_what_is_in_flight() {
+        let params = ExhibitionParams {
+            doors: 4,
+            arrival_rate_hz: 40.0,
+            mean_stay: SimDuration::from_secs(20),
+            duration: SimTime::from_secs(40),
+            capacity: 800,
+        };
+        let mut s = exhibition::generate(&params, 3);
+        assert!(s.timeline.len() >= 2_000, "{} world events", s.timeline.len());
+        s.timeline.events.truncate(2_000);
+        let m = psn_sim::metrics::Metrics::new();
+        let t = run_execution_instrumented(&s, &ExecutionConfig::default(), &m);
+        assert_eq!(t.log.reports.len(), 2_000);
+        let (_, high) = m.snapshot().gauge("engine.queue_depth").expect("gauge registered");
+        assert!(high < 200, "queue depth high-water {high}");
     }
 
     #[test]

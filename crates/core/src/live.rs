@@ -1,7 +1,7 @@
 //! Live, incrementally stepped executions with snapshot/restore.
 //!
 //! The batch pipeline ([`run_execution`](crate::execution::run_execution))
-//! injects a complete pre-built timeline and runs to quiescence. A
+//! feeds the engine a complete pre-built timeline and runs to quiescence. A
 //! long-running detection service cannot: events arrive over the wire while
 //! queries about the causal frontier and predicate status must be answered
 //! *now*. [`LiveExecution`] drives the same engine and the same actors,

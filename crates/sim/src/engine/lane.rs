@@ -172,6 +172,15 @@ impl<M: Message> Lane<M> {
         self.m.in_flight.set(self.in_flight.max(0) as u64);
     }
 
+    /// Schedule an external delivery (injected or fed) in this lane's
+    /// heap, where it counts as in flight.
+    pub(in crate::engine) fn admit(&mut self, at: SimTime, key: u64, pending: Pending<M>) {
+        self.queue.schedule_keyed(at, key, pending);
+        self.in_flight += 1;
+        self.m.in_flight.set(self.in_flight.max(0) as u64);
+        self.m.queue_depth.set(self.queue.len() as u64);
+    }
+
     /// Absorb every delivery waiting in this lane's inbox into the local
     /// heap. Safe mid-run: a cross-shard delivery is due at or beyond every
     /// lane's window bound, and heap order is total on `(time, key)`, so

@@ -21,6 +21,10 @@
 //!   (`"engine.network.<id>"` / `"engine.faults.<id>"`), so one actor's
 //!   draw sequence is a function of its own history only — independent of
 //!   how actors are interleaved across shards.
+//! - A pre-built external timeline is handed over once with
+//!   [`Engine::feed`] and injected as the clock reaches it (see the `feed`
+//!   module), so the queue holds only traffic in flight; the run equals
+//!   one with every event [`Engine::inject`]ed up front.
 //!
 //! # Sharded execution
 //!
@@ -41,6 +45,7 @@
 use crate::fault::{CutPolicy, FaultEvent, FaultPlane, FaultScript, FaultStats, Parked, PlaneOp};
 use crate::metrics::{Counter, Gauge, Metrics, Timer};
 use crate::network::{ActorId, NetStats, NetworkConfig};
+use crate::provider::ExternalEvent;
 use crate::queue::{event_key, key_class};
 use crate::rng::{RngFactory, RngStream};
 use crate::telemetry::{Phase, Telemetry};
@@ -50,9 +55,11 @@ use crate::trace::{ClockStamp, FaultRecordKind, MsgId, ProcessEventKind, Trace, 
 use std::any::Any;
 use std::time::Instant;
 
+mod feed;
 mod lane;
 mod sharded;
 
+use feed::Feed;
 use lane::{FifoStore, Lane};
 
 /// A typed error from the engine's *external* boundary — the operations a
@@ -322,6 +329,8 @@ pub struct Engine<M: Message> {
     /// transmitted ids (those start at `1 << 40`), so injections at an
     /// instant always sort before transmissions at the same instant.
     next_inject_id: u64,
+    /// The fed timeline's events not yet injected (see [`Engine::feed`]).
+    feed: Feed<M>,
     /// Next un-applied fault-plane operation (ops are time-sorted).
     op_cursor: usize,
     /// Whether `on_start` has been dispatched. Start callbacks fire exactly
@@ -348,6 +357,7 @@ impl<M: Message> Engine<M> {
             factory: RngFactory::new(seed),
             end_time: SimTime::MAX,
             next_inject_id: 0,
+            feed: Feed::default(),
             op_cursor: 0,
             started: false,
             fault: None,
@@ -455,14 +465,32 @@ impl<M: Message> Engine<M> {
         let id = self.next_inject_id;
         self.next_inject_id += 1;
         debug_assert!(id < (1 << 40), "inject id overflow into transmitted-id space");
-        self.lane.queue.schedule_keyed(
+        self.lane.admit(
             at,
             event_key(key_class::DELIVER, id),
             Pending::Deliver { from: from as u32, to: to as u32, msg, id },
         );
-        self.lane.in_flight += 1;
-        self.m.in_flight.set(self.lane.in_flight.max(0) as u64);
-        self.m.queue_depth.set(self.lane.queue.len() as u64);
+    }
+
+    /// Hand over an external timeline to be injected as the run reaches it:
+    /// each event enters the queue, under the inject id it gets here in
+    /// list order, just before the run loop would process anything at or
+    /// after its time. The run is the one [`Engine::inject`]ing every event
+    /// up front in list order would give — same pops, draws, trace and
+    /// stats — with only in-flight traffic queued. The list need not be in
+    /// time order. Events a run does not reach (past the end time, or
+    /// after a halt) are injected when [`Engine::run`] /
+    /// [`Engine::run_sharded`] returns, so [`Engine::in_flight`] counts
+    /// them as before; [`Engine::step_until`] keeps them for later steps.
+    pub fn feed(&mut self, events: Vec<ExternalEvent<M>>) {
+        debug_assert!(events.iter().all(|e| e.at >= self.lane.now), "feed into the past");
+        let first = self.next_inject_id;
+        self.next_inject_id += events.len() as u64;
+        debug_assert!(
+            self.next_inject_id <= 1 << 40,
+            "inject id overflow into transmitted-id space"
+        );
+        self.feed.extend(first, events);
     }
 
     /// The checked form of [`Engine::inject`] for events that cross the
@@ -494,13 +522,6 @@ impl<M: Message> Engine<M> {
         Ok(())
     }
 
-    /// Pre-reserve queue capacity for `n` additional events. Callers that
-    /// bulk-[`inject`](Engine::inject) a known timeline (e.g. the world
-    /// plane) should reserve up front to avoid repeated heap growth.
-    pub fn reserve_events(&mut self, n: usize) {
-        self.lane.queue.reserve(n);
-    }
-
     /// Dispatch `on_start` to every actor exactly once per engine (the
     /// first `run`/`step_until` call; later calls are no-ops).
     fn ensure_started(&mut self) {
@@ -522,6 +543,7 @@ impl<M: Message> Engine<M> {
         // The whole sequential run (start dispatch included) is shard-0
         // busy time; `record` is a no-op when no registry is attached.
         self.lane.tel.record(Phase::Busy, Some(wall_start));
+        self.feed.admit_rest(std::slice::from_mut(&mut self.lane));
         self.finish_run(wall_start, events_before)
     }
 
@@ -569,8 +591,16 @@ impl<M: Message> Engine<M> {
     /// and [`Engine::step_until`] (`limit: Some(bound)`, exclusive):
     /// interleave time-sorted fault-plane ops with queue events, stopping
     /// at halt or wherever [`next_stop`] says the run is over.
+    ///
+    /// The feed rule: each pass first injects the fed events due at or
+    /// before the queue head (the next fed instant when the queue is
+    /// empty), so the head is the earliest pending event, and then clips
+    /// the advance to the next fed time, so no fed event is passed over.
     fn advance_loop(&mut self, limit: Option<SimTime>) {
         while !self.lane.halted {
+            if let Some(head) = self.lane.queue.peek_time().or(self.feed.next_at()) {
+                self.feed.admit_while(std::slice::from_mut(&mut self.lane), |at| at <= head);
+            }
             let op_at =
                 self.fault.as_deref().and_then(|p| p.ops.get(self.op_cursor)).map(|&(at, _)| at);
             match next_stop(op_at, self.lane.queue.peek_time(), self.end_time, limit) {
@@ -589,6 +619,7 @@ impl<M: Message> Engine<M> {
                     apply_plane_op(
                         std::slice::from_mut(&mut self.lane),
                         &mut plane,
+                        &mut self.feed,
                         idx,
                         &self.network,
                     );
@@ -596,6 +627,7 @@ impl<M: Message> Engine<M> {
                     self.m.queue_depth.set(self.lane.queue.len() as u64);
                 }
                 Stop::Advance { until, .. } => {
+                    let until = [until, self.feed.next_at()].into_iter().flatten().min();
                     self.lane.advance_until(until, &self.network, self.fault.as_deref());
                 }
                 Stop::End => {
@@ -694,8 +726,9 @@ enum Stop {
 
 /// The next-stop rule both run loops share: the sequential loop (one
 /// lane, optionally stepping to `limit`) and the sharded coordinator (the
-/// earliest event over all lanes, no limit), which further clips an
-/// [`Stop::Advance`] to one lookahead window.
+/// earliest event over all lanes and the fed timeline's head, no limit),
+/// which further clips an [`Stop::Advance`] to one lookahead window.
+/// `queue_at` must be the earliest pending event, fed ones included.
 fn next_stop(
     op_at: Option<SimTime>,
     queue_at: Option<SimTime>,
@@ -750,6 +783,7 @@ fn host_of<M: Message>(lanes: &[Lane<M>], actor: ActorId) -> usize {
 fn apply_plane_op<M: Message>(
     lanes: &mut [Lane<M>],
     plane: &mut FaultPlane<M>,
+    feed: &mut Feed<M>,
     idx: usize,
     net: &NetworkConfig,
 ) {
@@ -820,6 +854,10 @@ fn apply_plane_op<M: Message>(
             plane.active_cuts += 1;
             plane.stats.cuts += 1;
             let policy = plane.cuts[ci].policy;
+            // Fed deliveries crossing the cut are intercepted like ones
+            // injected up front: queue them first, then drain.
+            let group = &plane.cuts[ci].group;
+            feed.admit_matching(lanes, |from, to| group.contains(&from) != group.contains(&to));
             // Intercept in-flight messages crossing the new cut, merging
             // per-lane drains into one canonical (time, key) order.
             let mut crossing: Vec<(usize, SimTime, u64, Pending<M>)> = Vec::new();
@@ -1910,6 +1948,188 @@ mod tests {
         stepped.finish();
         assert_eq!(stepped_fingerprint(&stepped), stepped_fingerprint(&whole));
         assert_eq!(stepped.now(), t, "a stepped engine parks at its watermark");
+    }
+
+    /// Halts the run on the first message it receives at or after `at`.
+    struct HaltAfter {
+        at: SimTime,
+    }
+    impl Actor<TestMsg> for HaltAfter {
+        fn on_message(&mut self, ctx: &mut Context<'_, TestMsg>, _: ActorId, _: TestMsg) {
+            if ctx.now() >= self.at {
+                ctx.halt();
+            }
+        }
+    }
+
+    /// Ten gossiping actors plus a [`HaltAfter`] at id 10, traced.
+    fn feed_engine(halt_at: SimTime) -> Engine<TestMsg> {
+        let mut e = Engine::new(NetworkConfig::full_mesh(11, shardable_delay()), 2024);
+        for _ in 0..10 {
+            e.add_actor(Box::new(Gossip { rounds: 12, period: SimDuration::from_millis(10) }));
+        }
+        e.add_actor(Box::new(HaltAfter { at: halt_at }));
+        e.enable_trace();
+        e
+    }
+
+    /// 240 events, two per millisecond over [0, 120) ms, to every actor.
+    /// Sources differ from destinations, so a partition cuts some of them.
+    fn feed_timeline() -> Vec<ExternalEvent<TestMsg>> {
+        (0..240usize)
+            .map(|i| ExternalEvent {
+                at: SimTime::from_millis(i as u64 / 2),
+                to: i * 7 % 11,
+                from: (i * 3 + 1) % 11,
+                msg: TestMsg::Ping(i as u32 % 4),
+            })
+            .collect()
+    }
+
+    /// Run `timeline` on `build()` at `shards`, fed or injected up front.
+    fn run_timeline(
+        build: &dyn Fn() -> Engine<TestMsg>,
+        timeline: &[ExternalEvent<TestMsg>],
+        shards: usize,
+        fed: bool,
+    ) -> Engine<TestMsg> {
+        let mut e = build();
+        if fed {
+            e.feed(timeline.to_vec());
+        } else {
+            for ev in timeline {
+                e.inject(ev.at, ev.to, ev.from, ev.msg.clone());
+            }
+        }
+        e.run_sharded(shards);
+        e
+    }
+
+    #[test]
+    fn fed_timeline_matches_injected_up_front() {
+        let ms = SimTime::from_millis;
+        let faults = FaultScript::new()
+            .with(
+                ms(25),
+                FaultSpec::Crash { actor: 3, recover_after: Some(SimDuration::from_millis(30)) },
+            )
+            .with(
+                ms(40),
+                FaultSpec::Partition {
+                    group: vec![1, 2],
+                    heal_after: SimDuration::from_millis(50),
+                    policy: CutPolicy::Park,
+                },
+            )
+            .with(
+                ms(70),
+                FaultSpec::Partition {
+                    group: vec![4, 5, 6],
+                    heal_after: SimDuration::from_millis(20),
+                    policy: CutPolicy::Drop,
+                },
+            )
+            .with(ms(60), FaultSpec::Clock { actor: 5, kind: ClockFaultKind::Reset });
+        let crash = FaultScript::new().with(
+            ms(30),
+            FaultSpec::Crash { actor: 7, recover_after: Some(SimDuration::from_millis(40)) },
+        );
+        // (name, end time, fault script, halt time)
+        let cases = [
+            ("end time mid-timeline", Some(ms(55)), None, SimTime::MAX),
+            ("ops on fed instants", None, Some(&faults), SimTime::MAX),
+            ("crash drops fed deliveries", None, Some(&crash), SimTime::MAX),
+            ("halting actor", None, None, ms(50)),
+        ];
+        let timeline = feed_timeline();
+        for (name, end, script, halt_at) in cases {
+            let build = || {
+                let mut e = feed_engine(halt_at);
+                if let Some(end) = end {
+                    e.set_end_time(end);
+                }
+                if let Some(script) = script {
+                    e.install_faults(script);
+                }
+                e
+            };
+            let seq = run_timeline(&build, &timeline, 1, false);
+            for shards in [1, 2, 4] {
+                let fed = run_timeline(&build, &timeline, shards, true);
+                let injected = run_timeline(&build, &timeline, shards, false);
+                let view = |e: &Engine<TestMsg>| (fingerprint(e), e.in_flight());
+                assert_eq!(view(&fed), view(&injected), "{name}, shards={shards}");
+                // A sharded run halts at the end of the window that saw the
+                // halt; everything else replays the sequential run.
+                if halt_at == SimTime::MAX {
+                    assert_eq!(view(&fed), view(&seq), "{name}, shards={shards} vs sequential");
+                }
+            }
+            // Each case bites.
+            match name {
+                "end time mid-timeline" | "halting actor" => {
+                    assert!(seq.in_flight() > 0, "{name}: fed events left unreached")
+                }
+                "ops on fed instants" => {
+                    let fs = seq.fault_stats().unwrap();
+                    assert!(fs.parked > 0 && fs.dropped_in_flight > 0, "{name}: {fs:?}");
+                }
+                _ => {
+                    let lost_fed = seq.trace().records().iter().any(|r| {
+                        matches!(r.kind, TraceKind::Lost { to: 7, msg: MsgId(id), .. } if id < 1 << 40)
+                    });
+                    assert!(lost_fed, "{name}: a fed delivery hit the down node");
+                }
+            }
+            assert_eq!(seq.is_halted(), halt_at != SimTime::MAX, "{name}");
+        }
+    }
+
+    /// The feed numbers events in list order and stable-sorts them by
+    /// time, so a list out of time order, or fed in two parts, replays like
+    /// injecting it up front — when run, sharded, or stepped.
+    #[test]
+    fn fed_timeline_out_of_time_order_matches_injected() {
+        let ev = |ms: u64, to: ActorId, k: u32| ExternalEvent {
+            at: SimTime::from_millis(ms),
+            to,
+            from: (to + 4) % 11,
+            msg: TestMsg::Ping(k),
+        };
+        let mut reversed = feed_timeline();
+        reversed.reverse();
+        let lists = [
+            vec![ev(10, 1, 0), ev(20, 2, 1), ev(15, 1, 2)],
+            vec![ev(15, 3, 0), ev(10, 3, 1), ev(15, 3, 2), ev(5, 6, 3), ev(10, 3, 0)],
+            reversed,
+        ];
+        let build = || feed_engine(SimTime::MAX);
+        for (i, list) in lists.iter().enumerate() {
+            let want = run_timeline(&build, list, 1, false);
+            for shards in [1, 2] {
+                let fed = run_timeline(&build, list, shards, true);
+                assert_eq!(fingerprint(&fed), fingerprint(&want), "list {i}, shards={shards}");
+            }
+            let (head, tail) = list.split_at(list.len() / 2);
+            let mut halves = build();
+            halves.feed(head.to_vec());
+            halves.feed(tail.to_vec());
+            halves.run();
+            assert_eq!(fingerprint(&halves), fingerprint(&want), "list {i} fed in two parts");
+            let mut stepped = build();
+            stepped.feed(list.clone());
+            let mut t = SimTime::ZERO;
+            while t < SimTime::from_secs(1) {
+                t = t.saturating_add(SimDuration::from_micros(4_300));
+                stepped.step_until(t).unwrap();
+            }
+            stepped.finish();
+            assert_eq!(
+                stepped_fingerprint(&stepped),
+                stepped_fingerprint(&want),
+                "list {i} stepped"
+            );
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@ impl<M: Message> Engine<M> {
     ///
     /// Falls back to the sequential loop when the partition has one shard,
     /// the network's lookahead ([`crate::delay::DelayModel::min_bound`]) is
-    /// zero, or there are no actors. Like `run`, one call consumes the
-    /// pending timeline; alternating `run`/`run_sharded` calls on one
-    /// engine is supported (state merges back into the resident lane).
+    /// zero, or there are no actors. Like `run`, one call runs until the
+    /// queue and the fed timeline drain, the end time passes, or an actor
+    /// halts; alternating `run`/`run_sharded` calls on one engine is
+    /// supported (state merges back into the resident lane).
     ///
     /// Caveat: [`super::Context::halt`] stops a sharded run at the end of the
     /// window (or start batch) that observed it, not mid-window — halting
@@ -151,7 +152,11 @@ impl<M: Message> Engine<M> {
 
             while !lanes.iter().any(|l| l.halted) {
                 let op_at = op_times.get(op_cursor).copied();
-                let queue_at = lanes.iter().filter_map(|l| l.queue.peek_time()).min();
+                let queue_at = lanes
+                    .iter()
+                    .filter_map(|l| l.queue.peek_time())
+                    .chain(self.feed.next_at())
+                    .min();
                 match next_stop(op_at, queue_at, end_time, None) {
                     Stop::Op => {
                         // Coordinator sub-barrier: apply the op under the
@@ -169,7 +174,7 @@ impl<M: Message> Engine<M> {
                         let plane = guard.as_deref_mut().expect("op implies plane");
                         collect_parked(&mut lanes, plane);
                         lanes[0].events_processed += 1;
-                        apply_plane_op(&mut lanes, plane, idx, net);
+                        apply_plane_op(&mut lanes, plane, &mut self.feed, idx, net);
                         // Ops can dispatch actors (Recover/Clock handlers)
                         // whose sends target other shards; absorb them now
                         // so the next stop sees them — left in an inbox
@@ -190,6 +195,9 @@ impl<M: Message> Engine<M> {
                             wend = wend.min(u);
                         }
                         metrics.windows.inc();
+                        // Every lane is at rest: hand the fed events the
+                        // window will reach to their owner lanes.
+                        self.feed.admit_while(&mut lanes, |at| at < wend);
                         run_window(&cmd_tx, &res_rx, &mut lanes, wend);
                         // Senders are idle at the barrier, so this
                         // coordinator drain (after the workers' own
@@ -223,6 +231,7 @@ impl<M: Message> Engine<M> {
         if end_hit {
             self.lane.now = end_time;
         }
+        self.feed.admit_rest(std::slice::from_mut(&mut self.lane));
         self.m.queue_depth.set(self.lane.queue.len() as u64);
         self.m.in_flight.set(self.lane.in_flight.max(0) as u64);
         coord_tel.record(Phase::Busy, suffix0);

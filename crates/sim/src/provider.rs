@@ -1,14 +1,16 @@
 //! Event providers: where externally injected events come from.
 //!
-//! The batch pipeline pre-builds a world timeline and injects it wholesale
-//! before [`Engine::run`](crate::engine::Engine::run). A long-running
-//! service instead advances the engine **incrementally**
+//! The batch pipeline pre-builds a world timeline and hands it to
+//! [`Engine::feed`](crate::engine::Engine::feed), which injects each event
+//! as the run's clock reaches it. A long-running service instead advances
+//! the engine **incrementally**
 //! ([`Engine::step_until`](crate::engine::Engine::step_until)) and pulls
 //! events from whatever source it has — a pre-built timeline or a live
 //! channel fed by other threads. [`EventProvider`] abstracts the source so
 //! the same driver loop serves both:
 //!
-//! - [`TimelineProvider`] — a pre-built event list (the batch path);
+//! - [`TimelineProvider`] — a pre-built event list (a timeline-fed or
+//!   restored live session);
 //! - [`ChannelProvider`] — events arriving over an `mpsc` channel from
 //!   other threads.
 //!
@@ -53,12 +55,13 @@ pub trait EventProvider<M: Message>: Send {
     fn exhausted(&self) -> bool;
 }
 
-/// A pre-built event list (the batch timeline source).
+/// A pre-built event list, polled by a live session.
 ///
 /// Events are yielded in list order; for incremental polling the list must
-/// be non-decreasing in `at` (a pre-built world timeline is). A single
-/// `poll(SimTime::MAX)` reproduces the batch pipeline's injection sequence
-/// exactly.
+/// be non-decreasing in `at` (a pre-built world timeline is). One
+/// unbounded poll yields the whole list in list order, the order
+/// [`Engine::feed`](crate::engine::Engine::feed) numbers a batch timeline
+/// in.
 pub struct TimelineProvider<M> {
     events: Vec<ExternalEvent<M>>,
     cursor: usize,
@@ -168,7 +171,7 @@ mod tests {
         let mut p = TimelineProvider::new(events.clone());
         let mut sink = Vec::new();
         p.poll(SimTime::MAX, &mut sink);
-        assert_eq!(sink, events, "batch injection order is the list order");
+        assert_eq!(sink, events, "one unbounded poll yields the list order, not time order");
         assert!(p.exhausted());
     }
 

@@ -130,16 +130,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserve capacity for at least `additional` more events, so bulk
-    /// scheduling (e.g. injecting a whole world timeline) does not regrow
-    /// the heap repeatedly. The payload slab is left to grow on its own: a
-    /// timeline-sized reservation is overrun by the first in-flight
-    /// messages, and the doubling of ~128-byte slots that follows raised
-    /// batch jobs' peak RSS by ~10% under glibc's allocator.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Schedule `payload` to fire at absolute time `at`, tie-breaking among
     /// simultaneous events by schedule order (class [`key_class::SEQ`]).
     pub fn schedule(&mut self, at: SimTime, payload: E) {
