@@ -68,7 +68,7 @@ pub fn strobe_history(trace: &ExecutionTrace) -> History {
 }
 
 /// Process-wide engine shard count for experiment cells (`experiments
-/// --shards N`). `1` (default) runs the sequential loop.
+/// --shards N`). `1` (default) runs one lane.
 static SHARDS: AtomicUsize = AtomicUsize::new(1);
 
 /// Process-wide delay floor in ms (`experiments --delay-floor-ms X`).

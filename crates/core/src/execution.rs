@@ -70,11 +70,13 @@ pub struct ExecutionConfig {
     /// How sensors come back from a crash (log replay, clock re-priming,
     /// ε-resync). Only consulted when `faults` crash-recovers a process.
     pub recovery: RecoveryPolicy,
-    /// Number of engine shards to run on (see [`psn_sim::engine::Engine::run_sharded`]).
-    /// `1` (default) runs the sequential loop. More shards execute the run
-    /// in parallel but **bit-identically**: the result is the same for
-    /// every shard count. Requires a delay model with a nonzero minimum
-    /// (lookahead); zero-lookahead models fall back to sequential.
+    /// Number of engine shards to run on (see [`psn_sim::engine::Engine::set_shards`]).
+    /// `1` (default) runs one lane. More shards execute the run in
+    /// parallel but **bit-identically**: the result is the same for every
+    /// shard count, for batch runs and live sessions
+    /// ([`LiveExecution`](crate::live::LiveExecution), `psn-serve`) alike.
+    /// Requires a delay model with a nonzero minimum (lookahead);
+    /// zero-lookahead models keep one lane.
     pub shards: usize,
     /// Override the engine's dense-FIFO actor limit
     /// ([`psn_sim::engine::DENSE_ACTOR_LIMIT`]). `None` (default) keeps the
@@ -178,9 +180,9 @@ pub fn world_events(scenario: &Scenario) -> Vec<ExternalEvent<NetMsg>> {
     out
 }
 
-/// Build the engine for an `n`-sensor execution: network plane, metrics,
-/// tracing, end-time policy, the n [`SensorProcess`] actors plus the root,
-/// and the fault plane. Shared by the batch runner and
+/// Build the engine for an `n`-sensor execution: network plane, shard
+/// count, metrics, tracing, end-time policy, the n [`SensorProcess`] actors
+/// plus the root, and the fault plane. Shared by the batch runner and
 /// [`LiveExecution`](crate::live::LiveExecution) so both paths wire the
 /// actors identically — the precondition for batch/live bit-identity.
 /// `heartbeat_horizon` bounds heartbeat-driven runs that set no explicit
@@ -208,6 +210,7 @@ pub(crate) fn build_engine(
         fifo: cfg.fifo,
     };
     let mut engine: Engine<NetMsg> = Engine::new(net, cfg.seed);
+    engine.set_shards(cfg.shards);
     if let Some(limit) = cfg.fifo_dense_limit {
         engine.set_fifo_dense_limit(limit);
     }
@@ -266,10 +269,17 @@ pub(crate) fn root(engine: &Engine<NetMsg>, n: usize) -> &RootProcess {
     actor.downcast_ref().expect("actor n is the root")
 }
 
-/// Take the `n` sensors and the root out of `engine`, drop the engine, and
-/// seal their logs into one [`ExecutionLog`]: each log is moved, never
-/// copied (see [`ExecutionLog::seal`]).
-pub(crate) fn seal_log(mut engine: Engine<NetMsg>, n: usize) -> ExecutionLog {
+/// The one engine → [`ExecutionTrace`] tail of the batch runner and
+/// [`LiveExecution::finish`](crate::live::LiveExecution::finish): finish
+/// the engine (sealing its trace), read its counters, then take the `n`
+/// sensors and the root out, drop the engine, and seal their logs into one
+/// [`ExecutionLog`]: each log is moved, never copied (see
+/// [`ExecutionLog::seal`]).
+pub(crate) fn into_trace(mut engine: Engine<NetMsg>, n: usize) -> ExecutionTrace {
+    let ended_at = engine.finish();
+    let faults = engine.fault_stats();
+    let net = engine.stats();
+    let sim = engine.trace().clone();
     let mut logs = Vec::with_capacity(n + 1);
     for id in 0..n {
         let actor: Box<dyn Any> = engine.take_actor(id);
@@ -280,7 +290,8 @@ pub(crate) fn seal_log(mut engine: Engine<NetMsg>, n: usize) -> ExecutionLog {
         actor.downcast::<RootProcess>().expect("actor n is the root").into_logs();
     logs.push(events);
     drop(engine);
-    ExecutionLog::seal(logs, reports, actuations)
+    let log = ExecutionLog::seal(logs, reports, actuations);
+    ExecutionTrace { n, log, net, sim, ended_at, faults }
 }
 
 /// Run `scenario` with both a metrics registry and a phase-scoped
@@ -317,12 +328,8 @@ fn run_execution_inner(
     // what is in flight. Sensing itself is immediate; only the network
     // plane has delays.
     engine.feed(world_events(scenario));
-
-    let ended_at = engine.run_sharded(cfg.shards);
-    let faults = engine.fault_stats();
-    let net = engine.stats().clone();
-    let sim = engine.trace().clone();
-    ExecutionTrace { n, log: seal_log(engine, n), net, sim, ended_at, faults }
+    engine.run();
+    into_trace(engine, n)
 }
 
 #[cfg(test)]

@@ -14,9 +14,16 @@
 //!    [`Engine::try_inject`](psn_sim::engine::Engine::try_inject) boundary,
 //! 3. [`step_until`](psn_sim::engine::Engine::step_until) the watermark.
 //!
-//! Because the actors are wired by the same builder as the batch path, a
+//! Because the engine is built by the same builder as the batch path —
+//! actors, fault plane and [`shards`](ExecutionConfig::shards) alike — and
+//! steps through the engine's one advance at every shard count, a
 //! timeline-fed live session replays **bit-identically** to the batch run
-//! of the same scenario.
+//! of the same scenario, and a snapshot restores at any shard count. The
+//! two share one engine → [`ExecutionTrace`] tail; batch stays a thin
+//! [`Engine::feed`](psn_sim::engine::Engine::feed) plus
+//! [`run`](psn_sim::engine::Engine::run), since journalling every world
+//! event and polling a provider would give up the feed's in-flight-only
+//! queue.
 //!
 //! ## Snapshot / restore
 //!
@@ -38,7 +45,7 @@ use psn_sim::engine::{Engine, EngineError};
 use psn_sim::provider::{EventProvider, ExternalEvent};
 use psn_sim::time::SimTime;
 
-use crate::execution::{build_engine, root, seal_log, sensor, ExecutionConfig, ExecutionTrace};
+use crate::execution::{build_engine, into_trace, root, sensor, ExecutionConfig, ExecutionTrace};
 use crate::log::{ExecutionLog, ReceivedReport};
 use crate::message::NetMsg;
 use crate::root::{ActuationRule, NoActuation};
@@ -397,7 +404,7 @@ impl LiveExecution {
         ExecutionTrace {
             n: self.n,
             log,
-            net: self.engine.stats().clone(),
+            net: self.engine.stats(),
             sim: psn_sim::trace::Trace::disabled(),
             ended_at: self.watermark,
             faults: self.engine.fault_stats(),
@@ -407,13 +414,8 @@ impl LiveExecution {
     /// Finish the session: seal the engine trace and the process logs
     /// (moved, not copied) and return the final [`ExecutionTrace`] (the
     /// batch result shape).
-    pub fn finish(mut self) -> ExecutionTrace {
-        let ended_at = self.engine.finish();
-        let faults = self.engine.fault_stats();
-        let net = self.engine.stats().clone();
-        let sim = self.engine.trace().clone();
-        let log = seal_log(self.engine, self.n);
-        ExecutionTrace { n: self.n, log, net, sim, ended_at, faults }
+    pub fn finish(self) -> ExecutionTrace {
+        into_trace(self.engine, self.n)
     }
 }
 
@@ -421,6 +423,7 @@ impl LiveExecution {
 mod tests {
     use super::*;
     use crate::execution::{run_execution, world_events};
+    use psn_sim::delay::DelayModel;
     use psn_sim::provider::TimelineProvider;
     use psn_sim::time::SimDuration;
     use psn_world::scenarios::exhibition::{self, ExhibitionParams};
@@ -457,19 +460,50 @@ mod tests {
         live.advance_to(end.saturating_add(SimDuration::from_secs(30))).expect("settle");
     }
 
+    /// The shards axis: the default Δ = 100 ms delay has no lookahead and
+    /// keeps one lane; a floored, traced configuration splits into every
+    /// shard count (the scenario has four actors).
+    fn shard_axis(cfg: ExecutionConfig) -> Vec<(ExecutionConfig, usize)> {
+        let delay = DelayModel::DeltaBounded {
+            min: SimDuration::from_millis(40),
+            max: SimDuration::from_millis(240),
+        };
+        let floored = ExecutionConfig { delay, record_sim_trace: true, ..cfg.clone() };
+        let mut axis = vec![(cfg, 1)];
+        axis.extend(
+            [1, 2, 4].map(|shards| (ExecutionConfig { shards, ..floored.clone() }, shards)),
+        );
+        axis
+    }
+
+    /// Drive `cfg` live in `chunk` steps and compare everything observable
+    /// with the batch run of the same configuration on one shard; the
+    /// engine runs on `lanes` lanes.
+    fn live_matches_batch(cfg: &ExecutionConfig, lanes: usize, chunk: SimDuration) {
+        let s = scenario();
+        let batch = run_execution(&s, &ExecutionConfig { shards: 1, ..cfg.clone() });
+        let tel = psn_sim::telemetry::Telemetry::new();
+        let mut live = live_from(&s, cfg);
+        live.set_telemetry(&tel);
+        drive(&mut live, SimTime::from_secs(90), chunk);
+        assert!(live.provider_exhausted());
+        assert_eq!(tel.snapshot().shards.len(), lanes, "shards={}", cfg.shards);
+        let t = live.finish();
+        let shards = cfg.shards;
+        assert_eq!(t.log.events, batch.log.events, "shards={shards}");
+        assert_eq!(t.log.reports, batch.log.reports, "shards={shards}");
+        assert_eq!(t.log.actuations, batch.log.actuations, "shards={shards}");
+        assert_eq!(t.net, batch.net, "shards={shards}");
+        assert_eq!(t.faults, batch.faults, "shards={shards}");
+        let jsonl = psn_sim::trace_export::jsonl;
+        assert_eq!(jsonl(&t.sim), jsonl(&batch.sim), "shards={shards}");
+    }
+
     #[test]
     fn live_stepping_matches_batch_bit_for_bit() {
-        let s = scenario();
-        let cfg = ExecutionConfig::default();
-        let batch = run_execution(&s, &cfg);
-        let mut live = live_from(&s, &cfg);
-        drive(&mut live, SimTime::from_secs(90), SimDuration::from_millis(700));
-        assert!(live.provider_exhausted());
-        let t = live.finish();
-        assert_eq!(t.log.events, batch.log.events);
-        assert_eq!(t.log.reports, batch.log.reports);
-        assert_eq!(t.log.actuations, batch.log.actuations);
-        assert_eq!(t.net, batch.net);
+        for (cfg, lanes) in shard_axis(ExecutionConfig::default()) {
+            live_matches_batch(&cfg, lanes, SimDuration::from_millis(700));
+        }
     }
 
     #[test]
@@ -488,16 +522,10 @@ mod tests {
                     policy: psn_sim::fault::CutPolicy::Drop,
                 },
             );
-        let s = scenario();
         let cfg = ExecutionConfig { faults: Some(script), ..Default::default() };
-        let batch = run_execution(&s, &cfg);
-        let mut live = live_from(&s, &cfg);
-        drive(&mut live, SimTime::from_secs(90), SimDuration::from_millis(1300));
-        let t = live.finish();
-        assert_eq!(t.log.events, batch.log.events);
-        assert_eq!(t.log.reports, batch.log.reports);
-        assert_eq!(t.net, batch.net);
-        assert_eq!(t.faults, batch.faults);
+        for (cfg, lanes) in shard_axis(cfg) {
+            live_matches_batch(&cfg, lanes, SimDuration::from_millis(1300));
+        }
     }
 
     #[test]

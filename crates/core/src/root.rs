@@ -279,7 +279,7 @@ mod tests {
             },
         );
         engine.run();
-        crate::execution::seal_log(engine, 2)
+        crate::execution::into_trace(engine, 2).log
     }
 
     #[test]

@@ -653,4 +653,79 @@ mod tests {
         assert_eq!(online, want_online, "per-predicate streaming status identical");
         assert_eq!(modal, want_modal);
     }
+
+    /// Seven doors plus the root: eight actors, so 2 and 4 shards split
+    /// them evenly.
+    const SHARDED_DOORS: usize = 7;
+
+    /// Play rounds `rounds` of a fixed script: each ingests eight counter
+    /// steps (entries run ahead of exits), advances by an uneven step, and
+    /// records the `Status`, `Frontier` and `TraceSlice` replies.
+    fn play(s: &mut ServeSession, rounds: std::ops::Range<u64>) -> Vec<Response> {
+        let mut replies = Vec::new();
+        for round in rounds {
+            for i in 0..8 {
+                let door = (round as usize * 3 + i) % SHARDED_DOORS;
+                let step = round as i64 + 1;
+                let (attr, v) = if i % 3 == 2 { (1, step) } else { (0, 2 * step) };
+                let r = ingest(s, round * 1000 + i as u64 * 97 + 1, door, attr, v);
+                assert!(matches!(r, Response::Ingested { .. }), "round {round}: {r:?}");
+            }
+            let r = s.handle(Request::Advance { to: SimTime::from_millis(round * 1000 + 731) });
+            assert!(matches!(r, Response::Advanced { .. }), "round {round}: {r:?}");
+            replies.push(s.handle(Request::Status { name: "occ".into() }));
+            replies.push(s.handle(Request::Frontier));
+            replies.push(s.handle(Request::TraceSlice { from: 0, limit: MAX_SLICE }));
+        }
+        replies
+    }
+
+    /// One script replayed at shards 1, 2 and 4 under a floored delay (the
+    /// default `delta(Δ)` has no lookahead and would stay on one lane):
+    /// the engine runs on that many lanes, every reply is identical, and
+    /// the snapshots differ only in their `shards` value. A snapshot taken
+    /// at 4 shards restores at 1 and runs on identically.
+    #[test]
+    fn replies_are_identical_at_every_shard_count() {
+        let delay = psn_sim::delay::DelayModel::DeltaBounded {
+            min: SimDuration::from_millis(20),
+            max: SimDuration::from_millis(150),
+        };
+        let session = |shards: usize| {
+            let mut cfg = ServeConfig::new(SHARDED_DOORS);
+            cfg.exec = ExecutionConfig { delay: delay.clone(), shards, ..Default::default() };
+            let mut s = ServeSession::new(cfg);
+            let predicate = Predicate::occupancy_over(SHARDED_DOORS, 6);
+            s.handle(Request::Watch { name: "occ".into(), predicate });
+            s
+        };
+        let lanes = |s: &ServeSession| s.telemetry_registry().snapshot().shards.len();
+        let shards_entry = |shards: usize| format!(r#""shards":{shards}"#);
+        let runs = [1, 2, 4].map(|shards| {
+            let mut s = session(shards);
+            let mut replies = play(&mut s, 0..3);
+            let snap = s.snapshot().to_json();
+            replies.extend(play(&mut s, 3..6));
+            assert_eq!(lanes(&s), shards, "the engine runs on the requested lanes");
+            assert_eq!(snap.matches(&shards_entry(shards)).count(), 1, "{snap}");
+            let snap = snap.replace(&shards_entry(shards), &shards_entry(1));
+            if shards == 4 {
+                let mut r = ServeSession::restore(ServeSnapshot::from_json(&snap).unwrap(), None)
+                    .expect("restore");
+                assert_eq!(r.live().config().shards, 1);
+                let tail = play(&mut r, 3..6);
+                assert_eq!(lanes(&r), 1, "restored on one lane");
+                assert_eq!(tail, replies[9..], "restored at one shard, it runs on identically");
+            }
+            (replies, snap)
+        });
+        let Response::Status { online, modal, .. } = &runs[0].0[15] else {
+            panic!("unexpected: {:?}", runs[0].0[15])
+        };
+        assert!(online.occurrences > 0 && modal.possibly > 0, "the script bites");
+        for (shards, run) in [2, 4].into_iter().zip(&runs[1..]) {
+            assert_eq!(run.0, runs[0].0, "shards={shards}: replies");
+            assert_eq!(run.1, runs[0].1, "shards={shards}: snapshot");
+        }
+    }
 }

@@ -86,7 +86,7 @@ impl DelayModel {
     /// so shards of actors can be advanced independently through any window
     /// narrower than this bound without missing a cross-shard message. Zero
     /// (synchronous, `delta(Δ)`, exponential) means no lookahead: the
-    /// sharded engine then falls back to the sequential loop.
+    /// engine then keeps one lane whatever its shard count.
     pub fn min_bound(&self) -> SimDuration {
         match *self {
             DelayModel::Synchronous => SimDuration::ZERO,

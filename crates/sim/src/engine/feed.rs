@@ -1,6 +1,6 @@
 //! The fed timeline: external events handed to the engine once with
-//! [`Engine::feed`](super::Engine::feed) and injected by the run loops as
-//! their clock reaches them, so the queue holds only traffic in flight.
+//! [`Engine::feed`](super::Engine::feed) and injected by the advance loop as
+//! its clock reaches them, so the queue holds only traffic in flight.
 //!
 //! Each fed event carries the inject id it would have had if it had been
 //! [`inject`](super::Engine::inject)ed up front, in list order. Heap order is
@@ -94,9 +94,11 @@ impl<M: Message> Feed<M> {
     }
 }
 
-/// Schedule one fed delivery in the lane that owns its destination.
-fn admit<M: Message>(lanes: &mut [Lane<M>], (at, key, pending): Fed<M>) {
-    let Pending::Deliver { to, .. } = &pending else { unreachable!("fed events are deliveries") };
+/// Schedule one external delivery in the lane that owns its destination.
+pub(in crate::engine) fn admit<M: Message>(lanes: &mut [Lane<M>], (at, key, pending): Fed<M>) {
+    let Pending::Deliver { to, .. } = &pending else {
+        unreachable!("external events are deliveries")
+    };
     let h = host_of(lanes, *to as ActorId);
     lanes[h].admit(at, key, pending);
 }

@@ -1,7 +1,7 @@
 //! One shard's execution state and the per-event hot path: dispatch,
 //! transmission through the network and fault planes, and the FIFO clamp.
-//! The sequential engine runs exactly one lane; a sharded run splits the
-//! actors over several.
+//! A one-shard engine runs exactly one lane; a sharded engine splits the
+//! actors over several, once, and keeps them.
 
 use crate::fault::{ChannelEffect, CutPolicy, FaultPlane, FaultStats, Parked};
 use crate::network::{ActorId, NetStats, NetworkConfig};
@@ -45,7 +45,7 @@ type Crossing<M> = (SimTime, u64, Pending<M>);
 
 /// The per-shard execution state: one lane owns a disjoint subset of the
 /// actors, their private RNG streams, a heap of their pending events, and
-/// its own trace/stats accumulators. The sequential engine is exactly one
+/// its own trace/stats accumulators. A one-shard engine is exactly one
 /// lane owning everybody. Per-actor vectors are full-size (indexed by
 /// global actor id) so the hot path needs no local-index indirection;
 /// non-member slots are simply never touched.
@@ -71,13 +71,13 @@ pub(in crate::engine) struct Lane<M: Message> {
     pub(in crate::engine) timer_ctr: Vec<u64>,
     /// The actor ids this lane owns, ascending.
     pub(in crate::engine) members: Vec<ActorId>,
-    /// `owner[actor] = shard`; empty in sequential mode (everything local).
+    /// `owner[actor] = shard`; empty on a one-lane engine (everything local).
     pub(in crate::engine) owner: Vec<u32>,
     /// Cross-shard deliveries sent to this lane, absorbed into `queue` by
-    /// [`Lane::absorb_inbox`]. `None` outside sharded runs.
+    /// [`Lane::absorb_inbox`]. `None` on a one-lane engine.
     pub(in crate::engine) inbox: Option<mpsc::Receiver<Crossing<M>>>,
-    /// `peers[shard]` sends into that shard's inbox. Empty outside sharded
-    /// runs.
+    /// `peers[shard]` sends into that shard's inbox. Empty on a one-lane
+    /// engine.
     pub(in crate::engine) peers: Vec<mpsc::Sender<Crossing<M>>>,
     pub(in crate::engine) fifo: FifoStore,
     pub(in crate::engine) fifo_dense_limit: usize,
@@ -135,10 +135,10 @@ impl<M: Message> Lane<M> {
         }
     }
 
-    /// Does this lane own the destination? (Sequential lanes own everyone;
-    /// ids past the owner map — topology nodes with no actor — count as
-    /// local, so the delivery no-ops in the sending lane like it would in
-    /// the sequential engine.)
+    /// Does this lane own the destination? (A lone lane owns everyone; ids
+    /// past the owner map — topology nodes with no actor — count as local,
+    /// so the delivery no-ops in the sending lane like it would on one
+    /// lane.)
     #[inline]
     fn local(&self, actor: ActorId) -> bool {
         match self.owner.get(actor) {
@@ -166,7 +166,7 @@ impl<M: Message> Lane<M> {
         } else {
             self.peers[self.owner[to] as usize]
                 .send((at, key, pending))
-                .expect("every inbox lives until the lanes merge");
+                .expect("every inbox lives as long as the lanes");
         }
         self.in_flight += 1;
         self.m.in_flight.set(self.in_flight.max(0) as u64);
@@ -214,8 +214,8 @@ impl<M: Message> Lane<M> {
     }
 
     /// Pop and process local events while `at < wend` (`None` = unbounded)
-    /// — the engine's hot loop, shared verbatim by the sequential run and
-    /// the shard workers.
+    /// — the engine's hot loop, shared verbatim by a lone lane's inline
+    /// advance and the shard workers.
     pub(in crate::engine) fn advance_until(
         &mut self,
         wend: Option<SimTime>,

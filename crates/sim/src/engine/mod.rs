@@ -15,7 +15,8 @@
 //!   (message id, `(actor, timer counter)`, fault-op index — see
 //!   [`crate::queue::event_key`]), so simultaneous events fire in an order
 //!   that does not depend on the order they were scheduled in. This is what
-//!   lets [`Engine::run_sharded`] replay a run bit-identically in parallel.
+//!   lets a sharded engine ([`Engine::set_shards`]) replay a run
+//!   bit-identically in parallel.
 //! - Randomness is per-entity: each actor has a private stream, and the
 //!   network/fault planes draw from **per-sender** labeled streams
 //!   (`"engine.network.<id>"` / `"engine.faults.<id>"`), so one actor's
@@ -26,12 +27,15 @@
 //!   module), so the queue holds only traffic in flight; the run equals
 //!   one with every event [`Engine::inject`]ed up front.
 //!
-//! # Sharded execution
+//! # One advance, any shard count
 //!
-//! [`Engine::run_sharded`] partitions actors into contiguous blocks, one
-//! per shard, and advances all shards concurrently through half-open time
-//! windows `[t, t + L)`, where the lookahead `L` is the network's minimum
-//! channel delay ([`crate::delay::DelayModel::min_bound`]). A message sent at
+//! [`Engine::run`] and [`Engine::step_until`] share one advance loop. At
+//! the first advance the actors are partitioned into contiguous blocks, one
+//! lane per shard ([`Engine::set_shards`]), and the lanes persist for the
+//! engine's life. One lane runs its events inline. Several lanes advance
+//! concurrently through half-open time windows `[t, t + L)`, where the
+//! lookahead `L` is the network's minimum channel delay
+//! ([`crate::delay::DelayModel::min_bound`]). A message sent at
 //! `u ∈ [t, t+L)` arrives no earlier than `u + L ≥ t + L`, i.e. strictly
 //! after the window — so shards cannot causally interact *within* a window
 //! and may process their local events in parallel. Cross-shard messages are
@@ -40,7 +44,7 @@
 //! immaterial. Fault-plane operations are coordinator sub-barriers: the
 //! window is clipped at the next op time, the op applies under a write
 //! lock, and windows resume. With `L = 0` (synchronous or `delta(Δ)`
-//! delays) or one shard the engine falls back to the sequential loop.
+//! delays) the engine keeps one lane.
 
 use crate::fault::{CutPolicy, FaultEvent, FaultPlane, FaultScript, FaultStats, Parked, PlaneOp};
 use crate::metrics::{Counter, Gauge, Metrics, Timer};
@@ -53,14 +57,17 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{ClockStamp, FaultRecordKind, MsgId, ProcessEventKind, Trace, TraceKind};
 
 use std::any::Any;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 mod feed;
 mod lane;
 mod sharded;
 
+use crate::telemetry::ShardTelemetry;
 use feed::Feed;
 use lane::{FifoStore, Lane};
+use sharded::Workers;
 
 /// A typed error from the engine's *external* boundary — the operations a
 /// long-running host (e.g. `psn-serve`) drives with data it did not
@@ -261,8 +268,8 @@ impl<M> Context<'_, M> {
 /// entries small — every queue entry is moved O(log n) times per heap
 /// operation, so entry size is directly visible in engine throughput.
 /// Fault operations are *not* queue events: the coordinator interleaves
-/// them between windows (see [`Engine::run`]), which is what lets shard
-/// heaps stay private to their worker threads.
+/// them between windows (see [`Engine::set_shards`]), which is what lets
+/// shard heaps stay private to their worker threads.
 enum Pending<M> {
     Deliver { from: u32, to: u32, msg: M, id: u64 },
     Timer { actor: u32, tag: u64 },
@@ -319,10 +326,14 @@ pub const DENSE_ACTOR_LIMIT: usize = 2048;
 
 /// The simulation engine.
 pub struct Engine<M: Message> {
-    /// The resident lane. Sequential runs execute directly on it; sharded
-    /// runs split it into per-shard lanes and merge back afterwards.
-    lane: Lane<M>,
-    network: NetworkConfig,
+    /// One lane until the first advance, which splits it into the shard
+    /// count's lanes (see [`Engine::set_shards`]); they are never merged
+    /// back.
+    lanes: Vec<Lane<M>>,
+    /// The requested shard count, applied at the first advance.
+    shards: usize,
+    /// Shared with the shard workers of a sharded advance.
+    network: Arc<NetworkConfig>,
     factory: RngFactory,
     end_time: SimTime,
     /// Ids for injected external deliveries: a small counter disjoint from
@@ -333,13 +344,16 @@ pub struct Engine<M: Message> {
     feed: Feed<M>,
     /// Next un-applied fault-plane operation (ops are time-sorted).
     op_cursor: usize,
-    /// Whether `on_start` has been dispatched. Start callbacks fire exactly
-    /// once per engine, on the first `run`/`run_sharded`/`step_until` —
+    /// Whether the lanes are split and `on_start` dispatched. Both happen
+    /// exactly once per engine, at the first `run`/`step_until` —
     /// incremental stepping must not re-arm start timers on every call.
     started: bool,
     /// The installed fault plane, if any. `None` on the hot path costs one
     /// predictable branch per event; see [`Engine::install_faults`].
     fault: Option<Box<FaultPlane<M>>>,
+    /// The sealed trace: [`Engine::finish`] moves the lanes' staged records
+    /// here.
+    trace: Trace,
     m: EngineMetrics,
     /// Phase-scoped wall-clock telemetry registry. Disabled (inert, no
     /// clock reads) unless [`Engine::set_telemetry`] attached a live one.
@@ -352,8 +366,9 @@ impl<M: Message> Engine<M> {
     pub fn new(network: NetworkConfig, seed: u64) -> Self {
         let m = EngineMetrics::attach(&Metrics::disabled());
         Engine {
-            lane: Lane::new(m.clone()),
-            network,
+            lanes: vec![Lane::new(m.clone())],
+            shards: 1,
+            network: Arc::new(network),
             factory: RngFactory::new(seed),
             end_time: SimTime::MAX,
             next_inject_id: 0,
@@ -361,9 +376,32 @@ impl<M: Message> Engine<M> {
             op_cursor: 0,
             started: false,
             fault: None,
+            trace: Trace::disabled(),
             m,
             tel: Telemetry::disabled(),
         }
+    }
+
+    /// Run on `shards` lanes of contiguous actor blocks, advanced
+    /// concurrently through lookahead windows. Every result — delivered
+    /// events, per-actor RNG draws, trace, stats, fault effects — is
+    /// **bit-identical** at every shard count, for [`Engine::run`] and
+    /// [`Engine::step_until`] alike.
+    ///
+    /// `shards` is clamped to `[1, n]` and actor `i` runs on lane
+    /// `i / ceil(n / shards)`, which keeps neighbour-heavy topologies
+    /// (rings, grids) mostly intra-shard. A network with zero lookahead
+    /// ([`crate::delay::DelayModel::min_bound`]) keeps one lane. The lanes
+    /// are split at the first advance and persist, so the shard count is
+    /// set once, before it: a later call panics.
+    ///
+    /// Caveat: [`Context::halt`] stops a sharded advance at the end of the
+    /// window (or start batch) that observed it, not mid-window — halting
+    /// protocols should keep one shard. `now()` reports the latest lane's
+    /// time.
+    pub fn set_shards(&mut self, shards: usize) {
+        assert!(!self.started, "the shard count is set before the first advance");
+        self.shards = shards;
     }
 
     /// Install a [`FaultScript`]: every scripted fault is expanded into a
@@ -376,10 +414,13 @@ impl<M: Message> Engine<M> {
     /// RNGs — an **empty** script is observationally identical to not
     /// installing one at all.
     pub fn install_faults(&mut self, script: &FaultScript) {
-        let plane = FaultPlane::new(script, self.lane.actors.len());
-        self.lane.fault_rngs = (0..self.lane.actors.len())
-            .map(|id| self.factory.labeled_stream(&format!("engine.faults.{id}")))
-            .collect();
+        let n = self.lanes[0].actors.len();
+        let plane = FaultPlane::new(script, n);
+        let rngs: Vec<RngStream> =
+            (0..n).map(|id| self.factory.labeled_stream(&format!("engine.faults.{id}"))).collect();
+        for lane in &mut self.lanes {
+            lane.fault_rngs = rngs.clone();
+        }
         self.op_cursor = 0;
         self.fault = Some(Box::new(plane));
     }
@@ -390,8 +431,10 @@ impl<M: Message> Engine<M> {
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.fault.as_ref().map(|p| {
             let mut s = p.stats();
-            s.absorb(&self.lane.fstats);
-            s.parked_leftover += self.lane.parked_out.len() as u64;
+            for lane in &self.lanes {
+                s.absorb(&lane.fstats);
+                s.parked_leftover += lane.parked_out.len() as u64;
+            }
             s
         })
     }
@@ -401,7 +444,7 @@ impl<M: Message> Engine<M> {
     /// delivered/lost counters it closes the queue-conservation identity
     /// the chaos soak asserts.
     pub fn in_flight(&self) -> u64 {
-        self.lane.in_flight.max(0) as u64
+        self.lanes.iter().map(|l| l.in_flight).sum::<i64>().max(0) as u64
     }
 
     /// Record engine metrics (events processed, delivered vs dropped
@@ -410,38 +453,46 @@ impl<M: Message> Engine<M> {
     /// attached is bit-identical to the same run without.
     pub fn set_metrics(&mut self, metrics: &Metrics) {
         self.m = EngineMetrics::attach(metrics);
-        self.lane.m = self.m.clone();
+        for lane in &mut self.lanes {
+            lane.m = self.m.clone();
+        }
     }
 
-    /// Attach a phase-scoped wall-clock [`Telemetry`] registry: sequential
-    /// runs record into shard slot 0; sharded runs record per shard plus a
-    /// coordinator slot. Strictly off the deterministic path — wall-clock
-    /// reads feed only telemetry, and a run with telemetry attached is
-    /// bit-identical to the same run without (see the `telemetry` module
-    /// docs and `tests/telemetry_determinism.rs`).
+    /// Attach a phase-scoped wall-clock [`Telemetry`] registry: each lane
+    /// records into its shard slot, and a sharded engine's coordinator into
+    /// the coordinator slot. Strictly off the deterministic path —
+    /// wall-clock reads feed only telemetry, and a run with telemetry
+    /// attached is bit-identical to the same run without (see the
+    /// `telemetry` module docs and `tests/telemetry_determinism.rs`).
     pub fn set_telemetry(&mut self, t: &Telemetry) {
         self.tel = t.clone();
-        self.lane.tel = t.shard(0);
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            lane.tel = t.shard(i);
+        }
     }
 
     /// Register an actor; returns its id. Actors must be added before
     /// [`Engine::run`]. Ids are assigned densely from 0 and must agree with
     /// the network topology's node numbering.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M> + Send>) -> ActorId {
-        let id = self.lane.actors.len();
-        self.lane.actors.push(Some(actor));
-        self.lane.rngs.push(self.factory.stream(id as u64 + 1));
-        self.lane.net_rngs.push(self.factory.labeled_stream(&format!("engine.network.{id}")));
-        self.lane.loss.push(self.network.loss.clone());
-        self.lane.msg_ctr.push(0);
-        self.lane.timer_ctr.push(0);
-        self.lane.members.push(id);
+        let lane = &mut self.lanes[0];
+        let id = lane.actors.len();
+        lane.actors.push(Some(actor));
+        lane.rngs.push(self.factory.stream(id as u64 + 1));
+        lane.net_rngs.push(self.factory.labeled_stream(&format!("engine.network.{id}")));
+        lane.loss.push(self.network.loss.clone());
+        lane.msg_ctr.push(0);
+        lane.timer_ctr.push(0);
+        lane.members.push(id);
         id
     }
 
     /// Enable trace recording.
     pub fn enable_trace(&mut self) {
-        self.lane.trace = Trace::enabled();
+        self.trace = Trace::enabled();
+        for lane in &mut self.lanes {
+            lane.trace = Trace::enabled();
+        }
     }
 
     /// Stop the run at this time even if events remain.
@@ -452,8 +503,10 @@ impl<M: Message> Engine<M> {
     /// Override [`DENSE_ACTOR_LIMIT`] for this engine (tests cross-validate
     /// the dense and sparse FIFO paths by forcing each).
     pub fn set_fifo_dense_limit(&mut self, limit: usize) {
-        self.lane.fifo_dense_limit = limit;
-        self.lane.fifo = FifoStore::Unset;
+        for lane in &mut self.lanes {
+            lane.fifo_dense_limit = limit;
+            lane.fifo = FifoStore::Unset;
+        }
     }
 
     /// Schedule an external input: `msg` will be delivered to `to` at `at`,
@@ -461,15 +514,12 @@ impl<M: Message> Engine<M> {
     /// precomputed world-plane timelines. `from` is a conventional source id
     /// (often the world actor's id).
     pub fn inject(&mut self, at: SimTime, to: ActorId, from: ActorId, msg: M) {
-        debug_assert!(at >= self.lane.now, "inject into the past");
+        debug_assert!(at >= self.now(), "inject into the past");
         let id = self.next_inject_id;
         self.next_inject_id += 1;
         debug_assert!(id < (1 << 40), "inject id overflow into transmitted-id space");
-        self.lane.admit(
-            at,
-            event_key(key_class::DELIVER, id),
-            Pending::Deliver { from: from as u32, to: to as u32, msg, id },
-        );
+        let pending = Pending::Deliver { from: from as u32, to: to as u32, msg, id };
+        feed::admit(&mut self.lanes, (at, event_key(key_class::DELIVER, id), pending));
     }
 
     /// Hand over an external timeline to be injected as the run reaches it:
@@ -479,11 +529,11 @@ impl<M: Message> Engine<M> {
     /// up front in list order would give — same pops, draws, trace and
     /// stats — with only in-flight traffic queued. The list need not be in
     /// time order. Events a run does not reach (past the end time, or
-    /// after a halt) are injected when [`Engine::run`] /
-    /// [`Engine::run_sharded`] returns, so [`Engine::in_flight`] counts
-    /// them as before; [`Engine::step_until`] keeps them for later steps.
+    /// after a halt) are injected when [`Engine::run`] returns, so
+    /// [`Engine::in_flight`] counts them as before; [`Engine::step_until`]
+    /// keeps them for later steps.
     pub fn feed(&mut self, events: Vec<ExternalEvent<M>>) {
-        debug_assert!(events.iter().all(|e| e.at >= self.lane.now), "feed into the past");
+        debug_assert!(events.iter().all(|e| e.at >= self.now()), "feed into the past");
         let first = self.next_inject_id;
         self.next_inject_id += events.len() as u64;
         debug_assert!(
@@ -505,15 +555,16 @@ impl<M: Message> Engine<M> {
         from: ActorId,
         msg: M,
     ) -> Result<(), EngineError> {
-        let n = self.lane.actors.len();
+        let n = self.lanes[0].actors.len();
         if to >= n {
             return Err(EngineError::UnknownActor { id: to, actors: n });
         }
         if from >= n {
             return Err(EngineError::UnknownActor { id: from, actors: n });
         }
-        if at < self.lane.now {
-            return Err(EngineError::TimeRegression { at, now: self.lane.now });
+        let now = self.now();
+        if at < now {
+            return Err(EngineError::TimeRegression { at, now });
         }
         if self.next_inject_id >= (1 << 40) {
             return Err(EngineError::InjectIdsExhausted);
@@ -522,29 +573,50 @@ impl<M: Message> Engine<M> {
         Ok(())
     }
 
-    /// Dispatch `on_start` to every actor exactly once per engine (the
-    /// first `run`/`step_until` call; later calls are no-ops).
+    /// Split the lanes and dispatch `on_start` to every actor, exactly once
+    /// per engine (the first advance; later calls are no-ops). Start
+    /// dispatches run per lane in shard order; canonical start cursors make
+    /// the resulting records order by actor id regardless, and cross-shard
+    /// sends are absorbed before the first stop.
     fn ensure_started(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        self.lane.trace.configure_actors(self.lane.actors.len());
-        self.lane.dispatch_starts(&self.network, self.fault.as_deref());
+        self.split_lanes();
+        let plane = self.fault.as_deref();
+        for lane in &mut self.lanes {
+            lane.trace.configure_actors(lane.members.len());
+            lane.dispatch_starts(&self.network, plane);
+        }
+        for lane in &mut self.lanes {
+            lane.absorb_inbox();
+        }
     }
 
-    /// Run until the queue drains, the end time passes, or an actor halts.
-    /// Returns the final simulation time.
+    /// Run until the queue and the fed timeline drain, the end time passes,
+    /// or an actor halts; then inject the fed events the run did not reach
+    /// and [`finish`](Engine::finish). Returns the final simulation time.
+    /// A later `run` (say, after [`Engine::set_end_time`] moved the end)
+    /// resumes where this one stopped, as one uninterrupted run would.
     pub fn run(&mut self) -> SimTime {
         let wall_start = Instant::now();
-        let events_before = self.lane.events_processed;
-        self.ensure_started();
-        self.advance_loop(None);
-        // The whole sequential run (start dispatch included) is shard-0
-        // busy time; `record` is a no-op when no registry is attached.
-        self.lane.tel.record(Phase::Busy, Some(wall_start));
-        self.feed.admit_rest(std::slice::from_mut(&mut self.lane));
-        self.finish_run(wall_start, events_before)
+        let events_before = self.events_processed();
+        self.advance(None);
+        self.feed.admit_rest(&mut self.lanes);
+        self.m.queue_depth.set(self.lanes.iter().map(|l| l.queue.len() as u64).sum());
+        self.m.in_flight.set(self.in_flight());
+        let end = self.finish();
+        let wall = wall_start.elapsed();
+        self.m.run_wall.record_duration(wall);
+        self.tel.record_run_wall(wall.as_nanos() as u64);
+        let secs = wall.as_secs_f64();
+        if secs > 0.0 {
+            self.m
+                .events_per_sec
+                .set(((self.events_processed() - events_before) as f64 / secs) as u64);
+        }
+        end
     }
 
     /// Advance the engine **incrementally** to `bound`: process every queue
@@ -554,84 +626,166 @@ impl<M: Message> Engine<M> {
     /// it repeatedly with a growing watermark to drive the engine from a
     /// live event source, injecting between calls; events at exactly
     /// `bound` stay pending, so later injections `≥ bound` are always
-    /// admissible. `on_start` is dispatched on the first call only. Returns
-    /// the new engine time; a `bound` behind the engine clock is a
-    /// [`EngineError::TimeRegression`].
+    /// admissible. `on_start` is dispatched on the first call only. Works
+    /// at every shard count, with the halt caveat of
+    /// [`Engine::set_shards`]. Returns the new engine time; a `bound`
+    /// behind the engine clock is a [`EngineError::TimeRegression`].
     pub fn step_until(&mut self, bound: SimTime) -> Result<SimTime, EngineError> {
-        if bound < self.lane.now {
-            return Err(EngineError::TimeRegression { at: bound, now: self.lane.now });
+        let now = self.now();
+        if bound < now {
+            return Err(EngineError::TimeRegression { at: bound, now });
         }
-        self.ensure_started();
-        let t0 = self.lane.tel.start();
-        self.advance_loop(Some(bound));
-        self.lane.tel.record(Phase::Busy, t0);
-        if !self.lane.halted {
+        self.advance(Some(bound));
+        if !self.is_halted() {
             let target = bound.min(self.end_time);
-            if target > self.lane.now {
-                self.lane.now = target;
+            for lane in &mut self.lanes {
+                lane.now = lane.now.max(target);
             }
         }
-        Ok(self.lane.now)
+        Ok(self.now())
     }
 
     /// Seal the trace after a sequence of [`Engine::step_until`] calls
-    /// (equivalent to what [`Engine::run`] does on completion) and return
-    /// the final time. Idempotent.
+    /// (what [`Engine::run`] does on completion) and return the final
+    /// time. The lanes' records since the last seal are sorted together
+    /// and appended, so a run resumed after a seal reads like one
+    /// uninterrupted run; the first seal moves them without a copy.
+    /// Idempotent.
     pub fn finish(&mut self) -> SimTime {
-        self.lane.trace.seal();
-        self.lane.now
+        let mut staged = Trace::enabled();
+        for lane in &mut self.lanes {
+            staged.absorb(&mut lane.trace);
+        }
+        self.trace.absorb(&mut staged);
+        self.trace.seal();
+        self.now()
     }
 
     /// True once an actor has called [`Context::halt`].
     pub fn is_halted(&self) -> bool {
-        self.lane.halted
+        self.lanes.iter().any(|l| l.halted)
     }
 
-    /// The sequential event loop shared by [`Engine::run`] (`limit: None`)
-    /// and [`Engine::step_until`] (`limit: Some(bound)`, exclusive):
-    /// interleave time-sorted fault-plane ops with queue events, stopping
-    /// at halt or wherever [`next_stop`] says the run is over.
+    /// The engine's one advance, shared by [`Engine::run`] (`limit: None`)
+    /// and [`Engine::step_until`] (`limit: Some(bound)`, exclusive). One
+    /// lane runs inline; several run lookahead windows on scoped workers,
+    /// spawned for this advance.
+    fn advance(&mut self, limit: Option<SimTime>) {
+        let t0 = self.tel.is_enabled().then(Instant::now);
+        self.ensure_started();
+        let plane = RwLock::new(self.fault.take());
+        if self.lanes.len() == 1 {
+            self.coordinate(&plane, None, limit);
+            // The whole advance (start dispatch included) is shard-0 busy
+            // time; `record` is a no-op when no registry is attached.
+            self.lanes[0].tel.record(Phase::Busy, t0);
+        } else {
+            // The serial prefix (lane split, start dispatch) is coordinator
+            // busy time. During the window loop the coordinator records
+            // only drains, so its busy spans never overlap the shards' own
+            // accounting.
+            self.tel.coordinator().record(Phase::Busy, t0);
+            let net = Arc::clone(&self.network);
+            let tels: Vec<ShardTelemetry> =
+                (0..self.lanes.len()).map(|i| self.tel.shard(i)).collect();
+            let tel_on = self.tel.is_enabled();
+            std::thread::scope(|scope| {
+                let workers = Workers::spawn(scope, &net, &plane, tels, tel_on);
+                self.coordinate(&plane, Some(&workers), limit);
+            });
+        }
+        self.fault = plane.into_inner().expect(PLANE_POISONED);
+    }
+
+    /// The coordinator loop: interleave time-sorted fault-plane ops with
+    /// queue events, stopping at halt or wherever [`next_stop`] says the
+    /// advance is over. Without `workers` the one lane advances inline;
+    /// with them, every lane advances through one lookahead window at a
+    /// time.
     ///
-    /// The feed rule: each pass first injects the fed events due at or
-    /// before the queue head (the next fed instant when the queue is
+    /// The feed rule: one lane first injects the fed events due at or
+    /// before its queue head (the next fed instant when the queue is
     /// empty), so the head is the earliest pending event, and then clips
-    /// the advance to the next fed time, so no fed event is passed over.
-    fn advance_loop(&mut self, limit: Option<SimTime>) {
-        while !self.lane.halted {
-            if let Some(head) = self.lane.queue.peek_time().or(self.feed.next_at()) {
-                self.feed.admit_while(std::slice::from_mut(&mut self.lane), |at| at <= head);
+    /// its advance to the next fed time, so no fed event is passed over.
+    /// Several lanes take, before each window, the fed events it will
+    /// reach, while every lane is at rest.
+    fn coordinate(
+        &mut self,
+        plane: &RwLock<Option<Box<FaultPlane<M>>>>,
+        workers: Option<&Workers<M>>,
+        limit: Option<SimTime>,
+    ) {
+        let coord = self.tel.coordinator();
+        let lookahead = self.network.delay.min_bound();
+        assert!(workers.is_none() || !lookahead.is_zero(), "sharded lanes need a lookahead");
+        let op_time = |plane: &FaultPlane<M>, cursor: usize| plane.ops.get(cursor).map(|op| op.0);
+        let mut op_at =
+            plane.read().expect(PLANE_POISONED).as_deref().and_then(|p| op_time(p, self.op_cursor));
+        while !self.is_halted() {
+            if workers.is_none() {
+                if let Some(head) = self.lanes[0].queue.peek_time().or(self.feed.next_at()) {
+                    self.feed.admit_while(&mut self.lanes, |at| at <= head);
+                }
             }
-            let op_at =
-                self.fault.as_deref().and_then(|p| p.ops.get(self.op_cursor)).map(|&(at, _)| at);
-            match next_stop(op_at, self.lane.queue.peek_time(), self.end_time, limit) {
+            let queue_at = self
+                .lanes
+                .iter()
+                .filter_map(|l| l.queue.peek_time())
+                .chain(self.feed.next_at())
+                .min();
+            match next_stop(op_at, queue_at, self.end_time, limit) {
                 Stop::Op => {
                     // Fault ops count as events for continuity with the
-                    // former queue-scheduled scheme.
+                    // former queue-scheduled scheme. Sharded, an op is a
+                    // coordinator sub-barrier with every lane at rest,
+                    // counted in `engine.op_barriers`, not `engine.windows`
+                    // — it synchronizes every lane like a window boundary
+                    // does, but advances no lookahead window.
                     let idx = self.op_cursor;
                     self.op_cursor += 1;
-                    self.lane.events_processed += 1;
+                    self.lanes[0].events_processed += 1;
                     self.m.events.inc();
-                    let mut plane = self.fault.take().expect("op implies plane");
-                    // Transmit-time parks accumulate lane-side; fold them into
-                    // the plane before the op so a heal releases them (the
-                    // sharded coordinator does the same at its op barriers).
-                    collect_parked(std::slice::from_mut(&mut self.lane), &mut plane);
-                    apply_plane_op(
-                        std::slice::from_mut(&mut self.lane),
-                        &mut plane,
-                        &mut self.feed,
-                        idx,
-                        &self.network,
-                    );
-                    self.fault = Some(plane);
-                    self.m.queue_depth.set(self.lane.queue.len() as u64);
+                    let mut guard = plane.write().expect(PLANE_POISONED);
+                    let p = guard.as_deref_mut().expect("op implies plane");
+                    // Transmit-time parks accumulate lane-side; fold them
+                    // into the plane before the op so a heal releases them.
+                    collect_parked(&mut self.lanes, p);
+                    apply_plane_op(&mut self.lanes, p, &mut self.feed, idx, &self.network);
+                    op_at = op_time(p, self.op_cursor);
+                    drop(guard);
+                    if workers.is_some() {
+                        self.m.op_barriers.inc();
+                        // Ops can dispatch actors (Recover/Clock handlers)
+                        // whose sends target other shards; absorb them now
+                        // so the next stop sees them.
+                        self.drain_inboxes(&coord);
+                    } else {
+                        self.m.queue_depth.set(self.lanes[0].queue.len() as u64);
+                    }
                 }
-                Stop::Advance { until, .. } => {
-                    let until = [until, self.feed.next_at()].into_iter().flatten().min();
-                    self.lane.advance_until(until, &self.network, self.fault.as_deref());
-                }
+                Stop::Advance { from, until } => match workers {
+                    None => {
+                        let until = [until, self.feed.next_at()].into_iter().flatten().min();
+                        let guard = plane.read().expect(PLANE_POISONED);
+                        self.lanes[0].advance_until(until, &self.network, guard.as_deref());
+                    }
+                    Some(workers) => {
+                        // One parallel window [from, from + L), clipped by
+                        // the next op, the end time or the limit.
+                        let mut wend = from.saturating_add(lookahead);
+                        if let Some(u) = until {
+                            wend = wend.min(u);
+                        }
+                        self.m.windows.inc();
+                        self.feed.admit_while(&mut self.lanes, |at| at < wend);
+                        workers.run_window(&mut self.lanes, wend);
+                        self.drain_inboxes(&coord);
+                    }
+                },
                 Stop::End => {
-                    self.lane.now = self.end_time;
+                    for lane in &mut self.lanes {
+                        lane.now = self.end_time;
+                    }
                     break;
                 }
                 Stop::Drained => break,
@@ -639,54 +793,55 @@ impl<M: Message> Engine<M> {
         }
     }
 
-    /// Seal the trace and record wall-clock metrics; returns final time.
-    fn finish_run(&mut self, wall_start: Instant, events_before: u64) -> SimTime {
-        self.lane.trace.seal();
-        let wall = wall_start.elapsed();
-        self.m.run_wall.record_duration(wall);
-        self.tel.record_run_wall(wall.as_nanos() as u64);
-        let secs = wall.as_secs_f64();
-        if secs > 0.0 {
-            self.m
-                .events_per_sec
-                .set(((self.lane.events_processed - events_before) as f64 / secs) as u64);
+    /// Absorb every lane's inbox at a barrier. Senders are idle there, so
+    /// this coordinator drain (after the workers' own overlapped absorb)
+    /// is complete.
+    fn drain_inboxes(&mut self, coord: &ShardTelemetry) {
+        let d0 = coord.start();
+        for lane in &mut self.lanes {
+            lane.absorb_inbox();
         }
-        self.lane.now
+        coord.record(Phase::CoordinatorDrain, d0);
     }
 
-    /// Current simulation time.
+    /// Current simulation time: the latest lane's clock.
     pub fn now(&self) -> SimTime {
-        self.lane.now
+        self.lanes.iter().map(|l| l.now).max().expect("an engine has a lane")
     }
 
-    /// Network counters accumulated so far.
-    pub fn stats(&self) -> &NetStats {
-        &self.lane.stats
+    /// Network counters accumulated so far, summed over the lanes.
+    pub fn stats(&self) -> NetStats {
+        let mut s = NetStats::default();
+        for lane in &self.lanes {
+            s.absorb(&lane.stats);
+        }
+        s
     }
 
-    /// The recorded trace.
+    /// The trace as of the last [`Engine::finish`] (or [`Engine::run`]).
     pub fn trace(&self) -> &Trace {
-        &self.lane.trace
+        &self.trace
     }
 
     /// Total events dispatched.
     pub fn events_processed(&self) -> u64 {
-        self.lane.events_processed
+        self.lanes.iter().map(|l| l.events_processed).sum()
     }
 
     /// Mutable access to the network configuration (e.g. to flip overlay
     /// links between runs). Note: per-sender loss-model state is cloned at
     /// [`Engine::add_actor`] time, so swapping `loss` here does not affect
-    /// already-registered senders.
+    /// already-registered senders, and a sharded engine's delay model must
+    /// keep a nonzero lookahead.
     pub fn network_mut(&mut self) -> &mut NetworkConfig {
-        &mut self.network
+        Arc::make_mut(&mut self.network)
     }
 
     /// Read a resident actor's state between runs or steps: `None` if `id`
     /// is out of range or the actor was taken. Upcast the reference to
     /// `&dyn Any` to reach the concrete type.
     pub fn actor(&self, id: ActorId) -> Option<&(dyn Actor<M> + Send)> {
-        self.lane.actors.get(id)?.as_deref()
+        self.lanes[host_of(&self.lanes, id)].actors.get(id)?.as_deref()
     }
 
     /// Recover an actor after the run to read its final state.
@@ -701,13 +856,19 @@ impl<M: Message> Engine<M> {
     /// The checked form of [`Engine::take_actor`]: an out-of-range id or a
     /// doubly-taken actor is a typed error, not a panic.
     pub fn try_take_actor(&mut self, id: ActorId) -> Result<Box<dyn Actor<M> + Send>, EngineError> {
-        let n = self.lane.actors.len();
-        match self.lane.actors.get_mut(id) {
+        let h = host_of(&self.lanes, id);
+        let lane = &mut self.lanes[h];
+        let n = lane.actors.len();
+        match lane.actors.get_mut(id) {
             None => Err(EngineError::UnknownActor { id, actors: n }),
             Some(slot) => slot.take().ok_or(EngineError::ActorTaken { id }),
         }
     }
 }
+
+/// The fault plane's lock is poisoned only if its one writer, the
+/// coordinator, panicked during an op, and then the advance unwinds.
+const PLANE_POISONED: &str = "the coordinator panicked applying a fault op";
 
 /// What a run loop does next, as decided by [`next_stop`].
 enum Stop {
@@ -724,11 +885,10 @@ enum Stop {
     Drained,
 }
 
-/// The next-stop rule both run loops share: the sequential loop (one
-/// lane, optionally stepping to `limit`) and the sharded coordinator (the
-/// earliest event over all lanes and the fed timeline's head, no limit),
-/// which further clips an [`Stop::Advance`] to one lookahead window.
-/// `queue_at` must be the earliest pending event, fed ones included.
+/// The coordinator's next-stop rule, for the earliest pending event over
+/// every lane and the fed timeline's head (`queue_at`), stepping to
+/// `limit` if one is set. Several lanes further clip a [`Stop::Advance`] to
+/// one lookahead window.
 fn next_stop(
     op_at: Option<SimTime>,
     queue_at: Option<SimTime>,
@@ -762,7 +922,8 @@ fn collect_parked<M: Message>(lanes: &mut [Lane<M>], plane: &mut FaultPlane<M>) 
     }
 }
 
-/// The owning lane of `actor` (lane 0 when sequential or out of range).
+/// The owning lane of `actor` (lane 0 when there is one lane, or for ids
+/// past the owner map).
 fn host_of<M: Message>(lanes: &[Lane<M>], actor: ActorId) -> usize {
     if lanes.len() == 1 {
         return 0;
@@ -771,8 +932,8 @@ fn host_of<M: Message>(lanes: &[Lane<M>], actor: ActorId) -> usize {
 }
 
 /// Execute one expanded fault-plane operation against the lane set, at the
-/// op's scripted time. Works identically for the sequential engine (one
-/// lane) and the sharded coordinator (all lanes at a window barrier).
+/// op's scripted time. Works identically on one lane and on all lanes at
+/// a window barrier.
 ///
 /// Trace-host rule: each op designates **one** host trace — the owning
 /// lane's for actor-scoped ops (crash/recover/clock), lane 0's for
@@ -1630,7 +1791,7 @@ mod tests {
     fn fingerprint(e: &Engine<TestMsg>) -> (SimTime, NetStats, u64, Option<FaultStats>, String) {
         (
             e.now(),
-            e.stats().clone(),
+            e.stats(),
             e.events_processed(),
             e.fault_stats(),
             crate::trace_export::jsonl(e.trace()),
@@ -1654,7 +1815,8 @@ mod tests {
             let tel = Telemetry::new();
             let mut e = gossip_engine(n, shardable_delay(), 99);
             e.set_telemetry(&tel);
-            e.run_sharded(shards);
+            e.set_shards(shards);
+            e.run();
             assert_eq!(tel.snapshot().shards.len(), lanes, "n={n} shards={shards}");
         }
     }
@@ -1670,7 +1832,8 @@ mod tests {
         for shards in [2, 4, 7] {
             let mut par = gossip_engine(12, shardable_delay(), 99);
             par.enable_trace();
-            par.run_sharded(shards);
+            par.set_shards(shards);
+            par.run();
             assert_eq!(fingerprint(&par), want, "shards={shards} must replay bit-identically");
         }
     }
@@ -1739,11 +1902,8 @@ mod tests {
             }));
             e.enable_trace();
             e.install_faults(&script);
-            if shards > 1 {
-                e.run_sharded(shards);
-            } else {
-                e.run();
-            }
+            e.set_shards(shards);
+            e.run();
             fingerprint(&e)
         };
         let want = run(1);
@@ -1766,7 +1926,8 @@ mod tests {
         let m = Metrics::new();
         let mut par = gossip_engine(12, shardable_delay(), 99);
         par.set_metrics(&m);
-        par.run_sharded(4);
+        par.set_shards(4);
+        par.run();
         let got = m.snapshot();
         for name in
             ["engine.events_processed", "engine.messages_delivered", "engine.messages_dropped"]
@@ -1798,7 +1959,8 @@ mod tests {
         let mut e = gossip_engine(12, shardable_delay(), 4242);
         e.set_metrics(&m);
         e.install_faults(&script);
-        e.run_sharded(4);
+        e.set_shards(4);
+        e.run();
         let snap = m.snapshot();
         // Two scripted faults with timed recoveries expand to four
         // time-sorted plane ops, each a coordinator sub-barrier — and none
@@ -1840,11 +2002,8 @@ mod tests {
             let mut e = gossip_engine(12, shardable_delay(), 4242);
             e.enable_trace();
             e.install_faults(&script);
-            if shards <= 1 {
-                e.run();
-            } else {
-                e.run_sharded(shards);
-            }
+            e.set_shards(shards);
+            e.run();
             fingerprint(&e)
         };
         let want = run(1);
@@ -1857,15 +2016,19 @@ mod tests {
 
     #[test]
     fn zero_lookahead_falls_back_to_sequential() {
-        // delta() has min_bound 0, so run_sharded must take the sequential
-        // path and still produce the exact sequential result.
+        // delta() has min_bound 0, so four requested shards keep one lane
+        // and still produce the exact sequential result.
         let mut seq = gossip_engine(8, DelayModel::delta(SimDuration::from_millis(20)), 5);
         seq.enable_trace();
         seq.run();
+        let tel = Telemetry::new();
         let mut par = gossip_engine(8, DelayModel::delta(SimDuration::from_millis(20)), 5);
         par.enable_trace();
-        par.run_sharded(4);
+        par.set_telemetry(&tel);
+        par.set_shards(4);
+        par.run();
         assert_eq!(fingerprint(&par), fingerprint(&seq));
+        assert_eq!(tel.snapshot().shards.len(), 1, "one lane");
     }
 
     #[test]
@@ -1877,7 +2040,8 @@ mod tests {
         let mut par = gossip_engine(10, shardable_delay(), 31);
         par.enable_trace();
         par.set_end_time(SimTime::from_millis(55));
-        par.run_sharded(3);
+        par.set_shards(3);
+        par.run();
         assert_eq!(fingerprint(&par), fingerprint(&seq));
         assert_eq!(par.now(), SimTime::from_millis(55));
     }
@@ -1893,7 +2057,8 @@ mod tests {
         par.enable_trace();
         par.inject(SimTime::from_millis(3), 4, 0, TestMsg::Ping(7));
         par.inject(SimTime::from_millis(1), 1, 0, TestMsg::Ping(9));
-        par.run_sharded(3);
+        par.set_shards(3);
+        par.run();
         assert_eq!(fingerprint(&par), fingerprint(&seq));
     }
 
@@ -1921,7 +2086,8 @@ mod tests {
         let mut par = gossip_engine(12, shardable_delay(), 321);
         par.set_fifo_dense_limit(0);
         par.enable_trace();
-        par.run_sharded(4);
+        par.set_shards(4);
+        par.run();
         assert_eq!(fingerprint(&par), fingerprint(&seq));
     }
 
@@ -1932,22 +2098,75 @@ mod tests {
         (f.1, f.2, f.3, f.4)
     }
 
+    /// Step `e` past `end` in uneven pieces, adding a step to each of
+    /// `marks` (event or fault-op instants) and a zero-length repeat of the
+    /// first, then finish. Returns the last bound.
+    fn step_unevenly(e: &mut Engine<TestMsg>, end: SimTime, marks: &[SimTime]) -> SimTime {
+        let pieces = [7_000, 1_300, 13_000, 500, 4_300].map(SimDuration::from_micros);
+        let mut bounds: Vec<SimTime> = marks.iter().chain(marks.first()).copied().collect();
+        let mut t = SimTime::ZERO;
+        for piece in pieces.iter().cycle() {
+            if t >= end {
+                break;
+            }
+            t = t.saturating_add(*piece);
+            bounds.push(t);
+        }
+        bounds.sort();
+        for b in bounds {
+            assert_eq!(e.step_until(b), Ok(b), "an unhalted engine parks at its bound");
+        }
+        e.finish();
+        t
+    }
+
     #[test]
     fn step_until_matches_run() {
         let mut whole = gossip_engine(9, shardable_delay(), 77);
         whole.enable_trace();
         whole.run();
-
-        let mut stepped = gossip_engine(9, shardable_delay(), 77);
-        stepped.enable_trace();
-        let mut t = SimTime::ZERO;
-        while t < SimTime::from_secs(2) {
-            t = t.saturating_add(SimDuration::from_millis(7));
-            stepped.step_until(t).unwrap();
+        // Every actor's timer fires at each multiple of 10 ms.
+        let ticks = [10, 20, 50].map(SimTime::from_millis);
+        for shards in [1, 2, 4] {
+            let mut stepped = gossip_engine(9, shardable_delay(), 77);
+            stepped.enable_trace();
+            stepped.set_shards(shards);
+            let last = step_unevenly(&mut stepped, SimTime::from_secs(2), &ticks);
+            let want = stepped_fingerprint(&whole);
+            assert_eq!(stepped_fingerprint(&stepped), want, "shards={shards}");
+            assert_eq!(stepped.now(), last, "a stepped engine parks at its watermark");
         }
-        stepped.finish();
-        assert_eq!(stepped_fingerprint(&stepped), stepped_fingerprint(&whole));
-        assert_eq!(stepped.now(), t, "a stepped engine parks at its watermark");
+    }
+
+    /// A run that ends at its end time and then resumes with a later one
+    /// equals one uninterrupted run: the lanes (and their FIFO clamps)
+    /// persist, and the resumed records seal after the first run's.
+    #[test]
+    fn resumed_run_matches_one_shot() {
+        for fifo in [true, false] {
+            let build = |shards: usize| {
+                let mut e = gossip_engine(10, shardable_delay(), 31);
+                e.network_mut().fifo = fifo;
+                e.enable_trace();
+                e.set_shards(shards);
+                e
+            };
+            let mut whole = build(1);
+            whole.set_end_time(SimTime::from_millis(200));
+            whole.run();
+            for shards in [1, 2, 4] {
+                let mut resumed = build(shards);
+                resumed.set_end_time(SimTime::from_millis(55));
+                assert_eq!(resumed.run(), SimTime::from_millis(55));
+                resumed.set_end_time(SimTime::from_millis(200));
+                resumed.run();
+                assert_eq!(
+                    fingerprint(&resumed),
+                    fingerprint(&whole),
+                    "fifo={fifo} shards={shards}"
+                );
+            }
+        }
     }
 
     /// Halts the run on the first message it receives at or after `at`.
@@ -2001,7 +2220,8 @@ mod tests {
                 e.inject(ev.at, ev.to, ev.from, ev.msg.clone());
             }
         }
-        e.run_sharded(shards);
+        e.set_shards(shards);
+        e.run();
         e
     }
 
@@ -2087,7 +2307,7 @@ mod tests {
 
     /// The feed numbers events in list order and stable-sorts them by
     /// time, so a list out of time order, or fed in two parts, replays like
-    /// injecting it up front — when run, sharded, or stepped.
+    /// injecting it up front — when run or stepped, at any shard count.
     #[test]
     fn fed_timeline_out_of_time_order_matches_injected() {
         let ev = |ms: u64, to: ActorId, k: u32| ExternalEvent {
@@ -2116,19 +2336,19 @@ mod tests {
             halves.feed(tail.to_vec());
             halves.run();
             assert_eq!(fingerprint(&halves), fingerprint(&want), "list {i} fed in two parts");
-            let mut stepped = build();
-            stepped.feed(list.clone());
-            let mut t = SimTime::ZERO;
-            while t < SimTime::from_secs(1) {
-                t = t.saturating_add(SimDuration::from_micros(4_300));
-                stepped.step_until(t).unwrap();
+            for shards in [1, 2, 4] {
+                let mut stepped = build();
+                stepped.set_shards(shards);
+                stepped.feed(list.clone());
+                let fed_at: Vec<SimTime> = list.iter().map(|e| e.at).collect();
+                step_unevenly(&mut stepped, SimTime::from_secs(1), &fed_at);
+                let want = stepped_fingerprint(&want);
+                assert_eq!(
+                    stepped_fingerprint(&stepped),
+                    want,
+                    "list {i} stepped, shards={shards}"
+                );
             }
-            stepped.finish();
-            assert_eq!(
-                stepped_fingerprint(&stepped),
-                stepped_fingerprint(&want),
-                "list {i} stepped"
-            );
         }
     }
 
@@ -2153,29 +2373,34 @@ mod tests {
         whole.run();
         assert_eq!(whole.fault_stats().unwrap().crashes, 1, "script bites");
 
-        let mut stepped = gossip_engine(8, shardable_delay(), 55);
-        stepped.enable_trace();
-        stepped.install_faults(&script);
-        let mut t = SimTime::ZERO;
-        while t < SimTime::from_secs(2) {
-            t = t.saturating_add(SimDuration::from_micros(3_300));
-            stepped.step_until(t).unwrap();
+        // The ops fire at 15 (crash), 40 (recover, cut) and 70 ms (heal).
+        let ops = [15, 40, 70].map(SimTime::from_millis);
+        for shards in [1, 2, 4] {
+            let mut stepped = gossip_engine(8, shardable_delay(), 55);
+            stepped.enable_trace();
+            stepped.install_faults(&script);
+            stepped.set_shards(shards);
+            step_unevenly(&mut stepped, SimTime::from_secs(2), &ops);
+            let want = stepped_fingerprint(&whole);
+            assert_eq!(stepped_fingerprint(&stepped), want, "shards={shards}");
         }
-        stepped.finish();
-        assert_eq!(stepped_fingerprint(&stepped), stepped_fingerprint(&whole));
     }
 
     #[test]
     fn step_until_dispatches_starts_once() {
-        let net = NetworkConfig::full_mesh(3, DelayModel::Synchronous);
-        let mut e = Engine::new(net, 5);
-        e.add_actor(Box::new(Beacon { fire: true, received: 0 }));
-        e.add_actor(Box::new(Beacon { fire: false, received: 0 }));
-        e.add_actor(Box::new(Beacon { fire: false, received: 0 }));
-        e.step_until(SimTime::from_millis(1)).unwrap();
-        e.step_until(SimTime::from_millis(2)).unwrap();
-        e.run();
-        assert_eq!(e.stats().broadcasts, 1, "on_start must not re-fire per step");
+        for shards in [1, 2, 4] {
+            let net = NetworkConfig::full_mesh(3, shardable_delay());
+            let mut e = Engine::new(net, 5);
+            e.add_actor(Box::new(Beacon { fire: true, received: 0 }));
+            e.add_actor(Box::new(Beacon { fire: false, received: 0 }));
+            e.add_actor(Box::new(Beacon { fire: false, received: 0 }));
+            e.set_shards(shards);
+            e.step_until(SimTime::from_millis(1)).unwrap();
+            e.step_until(SimTime::from_millis(2)).unwrap();
+            e.run();
+            assert_eq!(e.stats().broadcasts, 1, "on_start must not re-fire per step");
+            assert_eq!(e.stats().messages_delivered, 2, "shards={shards}");
+        }
     }
 
     #[test]

@@ -173,9 +173,9 @@ where
 /// falls back to the hardware default, warning once per process on stderr.
 ///
 /// `PSN_THREADS` caps the *sweep-level* thread pool. With the sharded
-/// engine (`Engine::run_sharded`) parallelism can also live *inside* a
-/// cell; when combining both, budget `sweep_threads × shards ≤ cores` —
-/// the two pools do not coordinate.
+/// engine (`Engine::set_shards`) parallelism can also live *inside* a
+/// cell, batch or live; when combining both, budget
+/// `sweep_threads × shards ≤ cores` — the two pools do not coordinate.
 pub fn default_threads() -> usize {
     let hardware = || std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1);
     match std::env::var("PSN_THREADS") {

@@ -315,7 +315,7 @@ pub struct PhaseSample {
 /// One shard's phase breakdown.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardSample {
-    /// Shard index (the sequential engine records as shard 0).
+    /// Shard index (a one-lane engine records as shard 0).
     pub shard: usize,
     /// Per-phase accumulators, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseSample>,

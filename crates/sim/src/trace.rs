@@ -467,14 +467,19 @@ impl Trace {
     }
 
     /// Move every record staged in `other` into this trace's staging
-    /// buffer (the shard engine merges per-shard traces this way before
-    /// the canonical seal). If this trace was already sealed (a second
-    /// sharded run on one engine), the incoming records are sealed
-    /// per-shard and appended in plain seq order instead.
+    /// buffer (the engine gathers its lanes' traces this way before the
+    /// canonical seal); into an empty buffer the records move without a
+    /// copy. If this trace was already sealed (a run resumed after
+    /// [`crate::engine::Engine::finish`]), the incoming records are sealed
+    /// on their own and appended in plain seq order instead.
     pub fn absorb(&mut self, other: &mut Trace) {
         if self.canonical {
             debug_assert!(other.canonical, "absorb requires an unsealed source");
-            self.staged.append(&mut other.staged);
+            if self.staged.is_empty() {
+                std::mem::swap(&mut self.staged, &mut other.staged);
+            } else {
+                self.staged.append(&mut other.staged);
+            }
         } else {
             other.seal();
             self.records.reserve(other.records.len());
