@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 
 use psn_clocks::{
-    Causality, HybridClock, LamportClock, LogicalClock, PhysReading, StrobeScalarClock,
-    StrobeVectorClock, Timestamp, VectorClock, VectorStamp,
+    Causality, LamportClock, LogicalClock, StrobeScalarClock, StrobeVectorClock, Timestamp,
+    VectorClock, VectorStamp,
 };
 
 // ---------------------------------------------------------------------------
@@ -244,25 +244,6 @@ proptest! {
             }
             prop_assert!(c.value() >= prev);
             prev = c.value();
-        }
-    }
-
-    /// HLC: the physical part never exceeds the max physical reading that
-    /// has appeared anywhere in the execution (it never invents time), and
-    /// ticking is monotone.
-    #[test]
-    fn hlc_bounded_and_monotone(
-        pts in proptest::collection::vec(0i64..1_000_000, 1..50)
-    ) {
-        let mut h = HybridClock::new(0);
-        let mut max_pt = i64::MIN;
-        let mut prev = (i64::MIN, 0u32);
-        for &pt in &pts {
-            max_pt = max_pt.max(pt);
-            let s = h.tick(PhysReading(pt));
-            prop_assert!(s.l <= max_pt);
-            prop_assert!((s.l, s.c) > prev, "HLC must strictly advance");
-            prev = (s.l, s.c);
         }
     }
 

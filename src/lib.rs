@@ -17,7 +17,7 @@
 //! | Crate | Provides |
 //! |---|---|
 //! | [`sim`] | deterministic DES engine, delay/loss models, sweeps |
-//! | [`clocks`] | the clock zoo (SC/VC/SSC/SVC rules + physical + HLC + matrix) |
+//! | [`clocks`] | the clock zoo (SC/VC/SSC/SVC rules + physical + physical vector) |
 //! | [`world`] | the ⟨O, C⟩ world plane, covert causality, scenarios |
 //! | [`core`] | the ⟨P, L, O, C⟩ execution model wiring the planes |
 //! | [`predicates`] | predicate language + detectors + accuracy scoring |
