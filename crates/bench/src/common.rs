@@ -13,7 +13,7 @@ use psn_world::{AttrKey, AttrValue, ObjectSpec, Timeline, WorldEvent};
 /// A controlled two-sensor scenario: attribute A (object 0) is true during
 /// `[a_on, a_off)` and attribute B (object 1) during `[b_on, b_off)` — the
 /// knob experiments E1 and E6 turn to create precise overlaps/races.
-pub fn two_pulse_scenario(
+pub(crate) fn two_pulse_scenario(
     a_on: SimTime,
     a_off: SimTime,
     b_on: SimTime,
@@ -46,7 +46,7 @@ pub fn two_pulse_scenario(
 }
 
 /// The conjunction A ∧ B over the two-pulse scenario.
-pub fn two_pulse_predicate() -> psn_predicates::Predicate {
+pub(crate) fn two_pulse_predicate() -> psn_predicates::Predicate {
     psn_predicates::Predicate::Relational(
         psn_predicates::Expr::var(AttrKey::new(0, 0))
             .and(psn_predicates::Expr::var(AttrKey::new(1, 0))),
@@ -77,7 +77,7 @@ static SHARDS: AtomicUsize = AtomicUsize::new(1);
 /// minimum forces the sequential fallback.
 static DELAY_FLOOR_MS: AtomicU64 = AtomicU64::new(0);
 
-/// Set the shard count every subsequent [`delta_config`] cell runs on.
+/// Set the shard count every subsequent `delta_config` cell runs on.
 pub fn set_shards(k: usize) {
     SHARDS.store(k.max(1), Ordering::Relaxed);
 }
@@ -88,7 +88,7 @@ pub fn shards() -> usize {
 }
 
 /// Set the delay floor (minimum network delay, ms) for subsequent
-/// [`delta_config`] cells. The CI shard-equivalence job raises this for
+/// `delta_config` cells. The CI shard-equivalence job raises this for
 /// *both* the sequential and the sharded leg, so the two runs stay
 /// comparable while the sharded one has real lookahead.
 pub fn set_delay_floor_ms(ms: u64) {
@@ -96,13 +96,13 @@ pub fn set_delay_floor_ms(ms: u64) {
 }
 
 /// The configured delay floor.
-pub fn delay_floor() -> SimDuration {
+pub(crate) fn delay_floor() -> SimDuration {
     SimDuration::from_millis(DELAY_FLOOR_MS.load(Ordering::Relaxed))
 }
 
 /// A Δ-bounded execution config with the given Δ and seed, honoring the
 /// process-wide [`set_shards`] / [`set_delay_floor_ms`] overrides.
-pub fn delta_config(delta: SimDuration, seed: u64) -> ExecutionConfig {
+pub(crate) fn delta_config(delta: SimDuration, seed: u64) -> ExecutionConfig {
     let floor = delay_floor();
     let delay = if delta.is_zero() && floor.is_zero() {
         DelayModel::Synchronous
@@ -115,17 +115,17 @@ pub fn delta_config(delta: SimDuration, seed: u64) -> ExecutionConfig {
 /// Analytic per-family wire bytes for one execution (the strobe payloads
 /// share one simulated message; experiment E7 separates them):
 /// each strobe broadcast reaches n−1 + 1 (root) peers.
-pub struct FamilyBytes {
+pub(crate) struct FamilyBytes {
     /// O(1) scalar strobe payloads.
     pub strobe_scalar: u64,
     /// O(n) vector strobe payloads.
     pub strobe_vector: u64,
     /// Report piggybacks for the causal clocks (one vector per report).
-    pub causal_piggyback: u64,
+    pub(crate) causal_piggyback: u64,
 }
 
 /// Compute the analytic byte costs for a trace.
-pub fn family_bytes(trace: &ExecutionTrace) -> FamilyBytes {
+pub(crate) fn family_bytes(trace: &ExecutionTrace) -> FamilyBytes {
     let n = trace.n as u64;
     let receivers = n; // n−1 peers + the root
     let broadcasts = trace.net.broadcasts;

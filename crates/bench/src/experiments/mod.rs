@@ -6,7 +6,7 @@
 //! here turns one *quantitative claim in the text* into a measured table
 //! (see DESIGN.md §6 for the index and EXPERIMENTS.md for paper-vs-measured).
 
-pub mod ablations;
+mod ablations;
 pub mod e1;
 pub mod e10;
 pub mod e11;

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Table {
     /// Experiment id + claim, e.g. "E2 — strobe accuracy vs Δ".
-    pub title: String,
+    pub(crate) title: String,
     /// Column headers.
     pub headers: Vec<String>,
     /// Rows of stringified cells.

@@ -75,22 +75,25 @@ impl DiffSender {
     }
 }
 
-/// Receiver-side reconstructor: tracks each sender's full vector.
+/// Receiver-side reconstructor: tracks each sender's full vector. The
+/// tests decode with it to check that every diff is lossless.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct DiffReceiver {
+struct DiffReceiver {
     n: usize,
     per_sender: HashMap<ProcessId, VectorStamp>,
 }
 
+#[cfg(test)]
 impl DiffReceiver {
     /// A reconstructor for `n`-component vectors.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         DiffReceiver { n, per_sender: HashMap::new() }
     }
 
     /// Apply a diff from `sender`, returning the sender's reconstructed
     /// full vector.
-    pub fn apply(&mut self, sender: ProcessId, diff: &VectorDiff) -> &VectorStamp {
+    fn apply(&mut self, sender: ProcessId, diff: &VectorDiff) -> &VectorStamp {
         let entry = self.per_sender.entry(sender).or_insert_with(|| VectorStamp::zero(self.n));
         for &(i, v) in &diff.0 {
             entry[i] = v;

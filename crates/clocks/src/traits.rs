@@ -40,11 +40,6 @@ impl Causality {
             other => other,
         }
     }
-
-    /// True for `Before` or `Equal` — i.e. `a ≤ b`.
-    pub fn is_before_or_equal(self) -> bool {
-        matches!(self, Causality::Before | Causality::Equal)
-    }
 }
 
 /// A timestamp produced by some clock.
@@ -104,13 +99,5 @@ mod tests {
         assert_eq!(Causality::After.flip(), Causality::Before);
         assert_eq!(Causality::Concurrent.flip(), Causality::Concurrent);
         assert_eq!(Causality::Equal.flip(), Causality::Equal);
-    }
-
-    #[test]
-    fn before_or_equal() {
-        assert!(Causality::Before.is_before_or_equal());
-        assert!(Causality::Equal.is_before_or_equal());
-        assert!(!Causality::After.is_before_or_equal());
-        assert!(!Causality::Concurrent.is_before_or_equal());
     }
 }

@@ -13,7 +13,7 @@
 //! isomorphic to the causality partial order on events, which is what makes
 //! consistent-cut tests and `Possibly`/`Definitely` detection exact.
 //!
-//! A stamp of at most [`INLINE_COMPONENTS`] components is stored in-struct;
+//! A stamp of at most `INLINE_COMPONENTS` components is stored in-struct;
 //! a wider one is one reference-counted buffer that clones share and the
 //! first write through a shared stamp copies. Reading a clock, broadcasting
 //! a strobe and logging an event are therefore O(1) in n; the protocol's
@@ -32,7 +32,7 @@ use crate::traits::{Causality, LogicalClock, ProcessId, Timestamp};
 /// `d` sensors stamps `d + 1` components: up to 7 sensors stay
 /// allocation-free, and an 8-door hall (9 wide) already spills, as do
 /// E7/A3's n = 64 and E14's n = 1025 strobe vectors.
-pub const INLINE_COMPONENTS: usize = 8;
+pub(crate) const INLINE_COMPONENTS: usize = 8;
 
 /// Storage for a vector timestamp: inline array up to
 /// [`INLINE_COMPONENTS`], a shared copy-on-write buffer above.

@@ -42,7 +42,7 @@ impl Default for ClockConfig {
 
 /// All clocks of one process.
 #[derive(Debug, Clone)]
-pub struct ClockBundle {
+pub(crate) struct ClockBundle {
     /// Lamport scalar clock (SC1–SC3) — causality-based.
     pub lamport: LamportClock,
     /// Mattern/Fidge vector clock (VC1–VC3) — causality-based.
@@ -58,7 +58,7 @@ pub struct ClockBundle {
     /// When set, the physical clocks are stuck at these
     /// `(physical, synced)` readings (the `Freeze` clock fault); logical
     /// clocks are unaffected.
-    pub frozen: Option<(PhysReading, PhysReading)>,
+    pub(crate) frozen: Option<(PhysReading, PhysReading)>,
 }
 
 impl ClockBundle {
@@ -96,7 +96,7 @@ impl ClockBundle {
     /// Apply a fault-plane clock fault to the physical clock hardware at
     /// ground-truth time `now`. Logical and strobe clocks have no hardware
     /// and are never affected.
-    pub fn apply_clock_fault(
+    pub(crate) fn apply_clock_fault(
         &mut self,
         kind: ClockFaultKind,
         now: SimTime,
@@ -121,7 +121,7 @@ impl ClockBundle {
     /// Apply the *relevant event* rules (SC1, VC1, SSC1, SVC1) for a sense
     /// event at ground-truth time `now`; returns the event's stamps and the
     /// strobe payload that the protocol must now broadcast.
-    pub fn on_sense(&mut self, now: SimTime) -> (StampSet, StrobePayload) {
+    pub(crate) fn on_sense(&mut self, now: SimTime) -> (StampSet, StrobePayload) {
         self.lamport.on_local_event();
         self.vector.on_local_event();
         self.strobe_scalar.on_local_event();
@@ -133,7 +133,7 @@ impl ClockBundle {
 
     /// Apply the internal-event rules (SC1, VC1 only — strobe clocks tick
     /// only on *sensed* relevant events) for a compute/actuate event.
-    pub fn on_internal(&mut self, now: SimTime) -> StampSet {
+    pub(crate) fn on_internal(&mut self, now: SimTime) -> StampSet {
         self.lamport.on_local_event();
         self.vector.on_local_event();
         self.snapshot(now)

@@ -64,7 +64,7 @@ impl EventKind {
     }
 
     /// Is this a *relevant* event for the strobe protocols (a sense event)?
-    pub fn is_relevant(&self) -> bool {
+    pub(crate) fn is_relevant(&self) -> bool {
         matches!(self, EventKind::Sense { .. })
     }
 }

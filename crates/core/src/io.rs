@@ -34,7 +34,7 @@ pub struct TraceFile {
 }
 
 /// Current format version.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+pub(crate) const TRACE_FORMAT_VERSION: u32 = 1;
 
 impl TraceFile {
     /// Capture a trace (the simulator-internal event trace is not

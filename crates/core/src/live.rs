@@ -46,7 +46,7 @@ use psn_sim::provider::{EventProvider, ExternalEvent};
 use psn_sim::time::SimTime;
 
 use crate::execution::{build_engine, into_trace, root, sensor, ExecutionConfig, ExecutionTrace};
-use crate::log::{ExecutionLog, ReceivedReport};
+use crate::log::ReceivedReport;
 use crate::message::NetMsg;
 use crate::root::{ActuationRule, NoActuation};
 
@@ -65,7 +65,7 @@ pub struct LoggedEvent {
 }
 
 /// Current snapshot format version.
-pub const LIVE_SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const LIVE_SNAPSHOT_VERSION: u32 = 1;
 
 /// A restartable capture of a live session: enough to rebuild the engine
 /// state bit-exactly by deterministic replay.
@@ -195,7 +195,6 @@ pub struct LiveExecution {
     /// arrival order.
     pending: Vec<LoggedEvent>,
     rejected: u64,
-    last_rejection: Option<EngineError>,
     scratch: Vec<ExternalEvent<NetMsg>>,
     /// Coordinator-slot handle of the attached telemetry registry (inert
     /// until [`LiveExecution::set_telemetry`]); times the ingest drain.
@@ -236,7 +235,6 @@ impl LiveExecution {
             journal: Vec::new(),
             pending: Vec::new(),
             rejected: 0,
-            last_rejection: None,
             scratch: Vec::new(),
             tel: psn_sim::telemetry::ShardTelemetry::disabled(),
         }
@@ -273,7 +271,7 @@ impl LiveExecution {
     /// Individual events the engine's boundary rejects (unknown process,
     /// time behind the watermark) are *counted and skipped* — a live
     /// service must keep running past one bad ingest — and visible via
-    /// [`rejected`](Self::rejected) / [`last_rejection`](Self::last_rejection).
+    /// [`rejected`](Self::rejected).
     /// Only a regressing watermark fails the whole call.
     pub fn advance_to(&mut self, t: SimTime) -> Result<SimTime, EngineError> {
         if t < self.watermark {
@@ -303,10 +301,7 @@ impl LiveExecution {
                         msg: ev.msg,
                     });
                 }
-                Err(e) => {
-                    self.rejected += 1;
-                    self.last_rejection = Some(e);
-                }
+                Err(_) => self.rejected += 1,
             }
         }
         self.scratch = batch;
@@ -335,16 +330,6 @@ impl LiveExecution {
     /// Events the injection boundary rejected (and skipped) so far.
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    /// The most recent rejection, if any.
-    pub fn last_rejection(&self) -> Option<EngineError> {
-        self.last_rejection
-    }
-
-    /// True once neither the provider nor the ingest buffer holds an event.
-    pub fn provider_exhausted(&self) -> bool {
-        self.provider.exhausted() && self.pending.is_empty()
     }
 
     /// The durable ingest journal: every injected event, in injection
@@ -389,18 +374,37 @@ impl LiveExecution {
         }
     }
 
+    /// Finish the session: seal the engine trace and the process logs
+    /// (moved, not copied) and return the final [`ExecutionTrace`] (the
+    /// batch result shape).
+    pub fn finish(self) -> ExecutionTrace {
+        into_trace(self.engine, self.n)
+    }
+}
+
+#[cfg(test)]
+impl LiveExecution {
+    /// True once neither the provider nor the ingest buffer holds an event.
+    pub(crate) fn provider_exhausted(&self) -> bool {
+        self.provider.exhausted() && self.pending.is_empty()
+    }
+
     /// A detector-consumable view of the execution so far. The process
     /// logs are cloned and sealed exactly like the batch trace (events in
     /// `(at, process, seq)` order); `ended_at` is the current watermark.
     /// The simulator-internal trace is not included (it is still being
     /// written).
-    pub fn trace_view(&self) -> ExecutionTrace {
+    pub(crate) fn trace_view(&self) -> ExecutionTrace {
         let root = root(&self.engine, self.n);
         let logs = (0..self.n)
             .map(|id| sensor(&self.engine, id).log().to_vec())
             .chain(std::iter::once(root.events().to_vec()))
             .collect();
-        let log = ExecutionLog::seal(logs, root.reports().to_vec(), root.actuations().to_vec());
+        let log = crate::log::ExecutionLog::seal(
+            logs,
+            root.reports().to_vec(),
+            root.actuations().to_vec(),
+        );
         ExecutionTrace {
             n: self.n,
             log,
@@ -409,13 +413,6 @@ impl LiveExecution {
             ended_at: self.watermark,
             faults: self.engine.fault_stats(),
         }
-    }
-
-    /// Finish the session: seal the engine trace and the process logs
-    /// (moved, not copied) and return the final [`ExecutionTrace`] (the
-    /// batch result shape).
-    pub fn finish(self) -> ExecutionTrace {
-        into_trace(self.engine, self.n)
     }
 }
 
@@ -757,7 +754,6 @@ mod tests {
         );
         live.advance_to(SimTime::from_secs(120)).unwrap();
         assert_eq!(live.rejected(), 1);
-        assert!(matches!(live.last_rejection(), Some(EngineError::UnknownActor { .. })));
         let senses = live.trace_view().log.sense_events().len();
         assert_eq!(senses, s.timeline.len(), "the good events all landed");
         assert!(live.advance_to(SimTime::from_secs(1)).is_err(), "watermark cannot regress");

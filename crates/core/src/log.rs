@@ -1,7 +1,7 @@
 //! Process logs and the sealed execution log.
 //!
 //! Each process records its own events (paper §2.1): a
-//! [`SensorProcess`](crate::process::SensorProcess) appends its sense, send
+//! `SensorProcess` appends its sense, send
 //! and actuate events to a log it owns, and the root P₀ appends its own
 //! receive and send events plus the reports it received and the actuation
 //! commands it issued. No log is shared, so an append takes no lock; under
@@ -87,19 +87,9 @@ impl ExecutionLog {
         ExecutionLog { events, reports, actuations }
     }
 
-    /// Events of one process, in order.
-    pub fn events_of(&self, p: ProcessId) -> Vec<&ProcEvent> {
-        self.events.iter().filter(|e| e.process == p).collect()
-    }
-
     /// All sense events, in ground-truth order.
     pub fn sense_events(&self) -> Vec<&ProcEvent> {
         self.events.iter().filter(|e| e.kind.is_relevant()).collect()
-    }
-
-    /// Reports of one process, in arrival order.
-    pub fn reports_of(&self, p: ProcessId) -> Vec<&ReceivedReport> {
-        self.reports.iter().filter(|r| r.report.process == p).collect()
     }
 }
 
@@ -125,6 +115,19 @@ fn sort_canonical(events: &mut [ProcEvent]) {
             events.swap(j, from);
             j = from;
         }
+    }
+}
+
+#[cfg(test)]
+impl ExecutionLog {
+    /// Events of one process, in order.
+    pub(crate) fn events_of(&self, p: ProcessId) -> Vec<&ProcEvent> {
+        self.events.iter().filter(|e| e.process == p).collect()
+    }
+
+    /// Reports of one process, in arrival order.
+    pub(crate) fn reports_of(&self, p: ProcessId) -> Vec<&ReceivedReport> {
+        self.reports.iter().filter(|r| r.report.process == p).collect()
     }
 }
 

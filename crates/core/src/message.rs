@@ -38,7 +38,7 @@ pub struct Report {
     pub stamps: StampSet,
     /// Timestamps of the **send** event (piggyback for the root's
     /// causality-based clocks, rules SC3/VC3).
-    pub send_stamps: StampSet,
+    pub(crate) send_stamps: StampSet,
     /// Ground-truth id of the observed world event — scoring only.
     pub world_event: WorldEventId,
 }

@@ -2,7 +2,7 @@
 //!
 //! [`ExecMetrics`] is a bundle of pre-registered handles into a
 //! [`psn_sim::metrics::Metrics`] registry, cloned into every
-//! [`crate::process::SensorProcess`] and the [`crate::root::RootProcess`]
+//! `SensorProcess` and the `RootProcess`
 //! of an instrumented execution (see
 //! [`crate::execution::run_execution_instrumented`]). It counts the
 //! paper's semantic events — sense `n`, send `s`, receive `r`, actuate `a`
@@ -36,15 +36,15 @@ pub struct ExecMetrics {
     /// Receive events (`r`): reports arriving at the root.
     pub receives: Counter,
     /// Actuate events (`a`) at sensor processes.
-    pub actuates: Counter,
+    pub(crate) actuates: Counter,
     /// Strobe broadcasts initiated (event-driven plus heartbeat).
     pub strobes: Counter,
     /// Wire bytes attributable to O(1) scalar strobe payloads.
-    pub strobe_scalar_bytes: Counter,
+    pub(crate) strobe_scalar_bytes: Counter,
     /// Wire bytes attributable to O(n) vector strobe payloads.
-    pub strobe_vector_bytes: Counter,
+    pub(crate) strobe_vector_bytes: Counter,
     /// Wire bytes of causal vector piggybacks on reports.
-    pub causal_piggyback_bytes: Counter,
+    pub(crate) causal_piggyback_bytes: Counter,
 }
 
 impl ExecMetrics {
@@ -71,7 +71,7 @@ impl ExecMetrics {
     /// Record one strobe broadcast: the payload reaches the `n−1` peers
     /// plus the root, costing O(1) bytes per receiver under the scalar
     /// discipline and O(n) under the vector discipline.
-    pub fn on_strobe_broadcast(&self) {
+    pub(crate) fn on_strobe_broadcast(&self) {
         self.strobes.inc();
         let receivers = self.n; // n−1 peers + the root
         self.strobe_scalar_bytes.add(receivers * SCALAR_BYTES);
@@ -80,7 +80,7 @@ impl ExecMetrics {
 
     /// Record one report send: the causal vector piggyback costs
     /// `8·(n+1)` bytes.
-    pub fn on_report_sent(&self) {
+    pub(crate) fn on_report_sent(&self) {
         self.sends.inc();
         self.causal_piggyback_bytes.add(SCALAR_BYTES * (self.n + 1));
     }

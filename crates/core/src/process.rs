@@ -1,7 +1,7 @@
 //! The sensor/actuator process (paper §2.1–2.2).
 //!
-//! A [`SensorProcess`] is an active network entity with an independent
-//! clock (the whole [`ClockBundle`]). Its behaviour per the execution
+//! A `SensorProcess` is an active network entity with an independent
+//! clock (the whole `ClockBundle`). Its behaviour per the execution
 //! model:
 //!
 //! - on a significant change of a watched attribute it records a **sense
@@ -16,7 +16,6 @@ use psn_clocks::{LogicalClock, ProcessId};
 use psn_sim::engine::{Actor, Context};
 use psn_sim::fault::FaultEvent;
 use psn_sim::network::ActorId;
-use psn_world::AttrValue;
 
 use crate::bundle::{ClockBundle, ClockConfig, StrobePayload};
 use crate::event::{EventKind, ProcEvent};
@@ -107,7 +106,7 @@ pub enum TraceStampMode {
 
 impl TraceStampMode {
     /// Extract this mode's [`psn_sim::trace::ClockStamp`] from a stamp set.
-    pub fn stamp_of(self, stamps: &crate::bundle::StampSet) -> psn_sim::trace::ClockStamp {
+    pub(crate) fn stamp_of(self, stamps: &crate::bundle::StampSet) -> psn_sim::trace::ClockStamp {
         match self {
             TraceStampMode::Scalar => psn_sim::trace::ClockStamp::Scalar(stamps.lamport.value),
             TraceStampMode::Vector => psn_sim::trace::ClockStamp::vector(stamps.vector.as_slice()),
@@ -116,7 +115,7 @@ impl TraceStampMode {
 }
 
 /// A sensor/actuator process actor.
-pub struct SensorProcess {
+pub(crate) struct SensorProcess {
     id: ProcessId,
     n: usize,
     root: ActorId,
@@ -172,21 +171,21 @@ impl SensorProcess {
 
     /// How to restore state when the fault plane recovers this process
     /// after a crash (builder style).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
+    pub(crate) fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
         self
     }
 
     /// Record semantic event counts and strobe byte accounting into
     /// `metrics` (builder style). Recording never changes behaviour.
-    pub fn with_metrics(mut self, metrics: ExecMetrics) -> Self {
+    pub(crate) fn with_metrics(mut self, metrics: ExecMetrics) -> Self {
         self.metrics = metrics;
         self
     }
 
     /// Which logical stamp to attach to structured trace records (builder
     /// style). Only consulted when the engine trace is enabled.
-    pub fn with_trace_stamp(mut self, mode: TraceStampMode) -> Self {
+    pub(crate) fn with_trace_stamp(mut self, mode: TraceStampMode) -> Self {
         self.trace_stamp = mode;
         self
     }
@@ -404,12 +403,6 @@ impl Actor<NetMsg> for SensorProcess {
     }
 }
 
-/// The command the actuation path applies to a sensed attribute: used by
-/// closed-loop examples (e.g. the exhibition hall locking its doors).
-pub fn actuation_command(value: bool) -> AttrValue {
-    AttrValue::Bool(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,7 +410,7 @@ mod tests {
     use psn_sim::engine::Engine;
     use psn_sim::network::NetworkConfig;
     use psn_sim::time::SimTime;
-    use psn_world::AttrKey;
+    use psn_world::{AttrKey, AttrValue};
     use std::any::Any;
     use std::sync::{Arc, Mutex};
 

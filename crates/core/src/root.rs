@@ -46,7 +46,7 @@ impl ActuationRule for NoActuation {
 }
 
 /// The root actor.
-pub struct RootProcess {
+pub(crate) struct RootProcess {
     id: ProcessId,
     n: usize,
     cfg: ClockConfig,
@@ -91,27 +91,27 @@ impl RootProcess {
     }
 
     /// Enable strobe flood relay at the root (builder style).
-    pub fn with_flood(mut self, flood: bool) -> Self {
+    pub(crate) fn with_flood(mut self, flood: bool) -> Self {
         self.flood = flood;
         self
     }
 
     /// Drop corrupted strobes instead of merging them (builder style).
-    pub fn with_quarantine(mut self, quarantine: bool) -> Self {
+    pub(crate) fn with_quarantine(mut self, quarantine: bool) -> Self {
         self.quarantine = quarantine;
         self
     }
 
     /// Which logical stamp to attach to structured trace records (builder
     /// style). Only consulted when the engine trace is enabled.
-    pub fn with_trace_stamp(mut self, mode: crate::process::TraceStampMode) -> Self {
+    pub(crate) fn with_trace_stamp(mut self, mode: crate::process::TraceStampMode) -> Self {
         self.trace_stamp = mode;
         self
     }
 
     /// Record semantic event counts and strobe byte accounting into
     /// `metrics` (builder style). Recording never changes behaviour.
-    pub fn with_metrics(mut self, metrics: ExecMetrics) -> Self {
+    pub(crate) fn with_metrics(mut self, metrics: ExecMetrics) -> Self {
         self.metrics = metrics;
         self
     }
@@ -124,11 +124,6 @@ impl RootProcess {
     /// The reports received so far, in arrival order.
     pub fn reports(&self) -> &[ReceivedReport] {
         &self.reports
-    }
-
-    /// The actuation commands issued so far.
-    pub fn actuations(&self) -> &[ActuationRecord] {
-        &self.actuations
     }
 
     /// Give up the logs (sealing an execution): own events, reports,
@@ -216,6 +211,14 @@ impl Actor<NetMsg> for RootProcess {
                 // The root senses nothing and is never actuated.
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl RootProcess {
+    /// The actuation commands issued so far.
+    pub fn actuations(&self) -> &[ActuationRecord] {
+        &self.actuations
     }
 }
 

@@ -1,6 +1,6 @@
 //! Lowering from the `.psn` AST onto the workspace structures.
 //!
-//! One [`ScenarioDef`] becomes a [`CompiledScenario`]: a generated
+//! One `ScenarioDef` becomes a [`CompiledScenario`]: a generated
 //! [`psn_world::Scenario`] (world topology + mobility from the named
 //! parameterized generator), an
 //! [`psn_core::ExecutionConfig`] (clock discipline, strobes, network and
@@ -591,7 +591,7 @@ fn lower_predicate(
 }
 
 /// Parse a discipline name (used by the `run { discipline ... }` field).
-pub fn parse_discipline(name: &str) -> Option<Discipline> {
+pub(crate) fn parse_discipline(name: &str) -> Option<Discipline> {
     Some(match name {
         "oracle" => Discipline::Oracle,
         "synced_physical" | "phys_sync" | "synced" => Discipline::SyncedPhysical,
@@ -918,7 +918,7 @@ fn lower_faults(
 }
 
 /// Lower an already-parsed [`ScenarioDef`].
-pub fn compile_def(def: &ScenarioDef) -> Result<CompiledScenario, Vec<Diagnostic>> {
+pub(crate) fn compile_def(def: &ScenarioDef) -> Result<CompiledScenario, Vec<Diagnostic>> {
     let mut diags = Vec::new();
     let seed = def.seed.as_ref().map(|s| s.node).unwrap_or(1);
 

@@ -71,7 +71,7 @@ pub enum Tok {
 
 impl Tok {
     /// How the token prints in "expected X, found Y" messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("`{s}`"),
             Tok::Str(s) => format!("\"{s}\""),

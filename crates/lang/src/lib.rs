@@ -35,16 +35,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
+mod ast;
 pub mod compile;
-pub mod diag;
+mod diag;
 pub mod generate;
 pub mod lexer;
 pub mod parser;
 
-pub use compile::{
-    check, compile, compile_def, parse_discipline, CompiledPredicate, CompiledScenario,
-};
+pub use compile::{check, compile, CompiledPredicate, CompiledScenario};
 pub use diag::{render, Diagnostic, Span, Spanned};
 pub use generate::sample_source;
 pub use parser::parse;

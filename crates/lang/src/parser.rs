@@ -671,7 +671,7 @@ impl Parser {
     }
 }
 
-/// Parse one `.psn` source file into a [`ScenarioDef`].
+/// Parse one `.psn` source file into a `ScenarioDef`.
 pub fn parse(source: &str) -> Result<ScenarioDef, Vec<Diagnostic>> {
     let toks = lex(source).map_err(|d| vec![d])?;
     let mut p = Parser { toks, pos: 0, depth: 0 };

@@ -27,7 +27,7 @@ use psn_clocks::{Causality, Timestamp, VectorStamp};
 /// The causality relation of one bounding-event pair, collapsed to three
 /// values (Equal counts as Concurrent: neither strictly precedes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Trit {
+pub(crate) enum Trit {
     /// The X-side event strictly precedes the Y-side event.
     Before,
     /// The Y-side event strictly precedes the X-side event.
@@ -48,13 +48,13 @@ fn trit(a: &VectorStamp, b: &VectorStamp) -> Trit {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RelationCode {
     /// lo(X) vs lo(Y).
-    pub lo_lo: Trit,
+    pub(crate) lo_lo: Trit,
     /// lo(X) vs hi(Y).
-    pub lo_hi: Trit,
+    pub(crate) lo_hi: Trit,
     /// hi(X) vs lo(Y).
-    pub hi_lo: Trit,
+    pub(crate) hi_lo: Trit,
     /// hi(X) vs hi(Y).
-    pub hi_hi: Trit,
+    pub(crate) hi_hi: Trit,
 }
 
 impl RelationCode {
@@ -150,21 +150,6 @@ impl RelationCode {
         }
         true
     }
-}
-
-/// Enumerate the distinct relation codes occurring among all interval
-/// pairs (one from `xs`, one from `ys`).
-pub fn distinct_codes(xs: &[StampedInterval], ys: &[StampedInterval]) -> Vec<RelationCode> {
-    let mut out: Vec<RelationCode> = Vec::new();
-    for x in xs {
-        for y in ys {
-            let c = RelationCode::classify(x, y);
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -293,13 +278,5 @@ mod tests {
             }
         }
         assert!(seen.len() > 10, "a rich family of codes occurs, got {}", seen.len());
-    }
-
-    #[test]
-    fn distinct_codes_deduplicates() {
-        let xs = vec![iv(&[1, 0], &[2, 0]), iv(&[3, 0], &[4, 0])];
-        let ys = vec![iv(&[0, 1], &[0, 2])];
-        let codes = distinct_codes(&xs, &ys);
-        assert_eq!(codes.len(), 1, "both pairs are fully concurrent");
     }
 }

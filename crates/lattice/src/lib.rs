@@ -19,18 +19,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fine_grained;
+mod fine_grained;
 pub mod history;
 pub mod intervals;
 pub mod lattice;
 pub mod slim;
-pub mod snapshot;
 pub mod stream;
 
-pub use fine_grained::{distinct_codes, RelationCode, Trit};
+pub use fine_grained::RelationCode;
 pub use history::History;
 pub use intervals::{allen_relation, Allen, StampedInterval};
 pub use lattice::{enumerate_lattice, LatticeStats};
 pub use slim::{measure, SlimReport};
-pub use snapshot::{max_consistent_cut_within, min_consistent_cut_containing};
 pub use stream::{AdvancementFrontier, FrontierInterval, FrontierOccurrence, PeerGate};

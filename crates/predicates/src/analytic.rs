@@ -9,10 +9,7 @@
 //!   probability for ε-synchronized clocks (experiment E1's curve);
 //! - [`race_probability`] — the probability that a sensed event is
 //!   race-involved (another process's event within ±Δ) under Poisson
-//!   arrivals (experiment E8's borderline-fraction curve);
-//! - [`expected_undetectable_rate`] — the rate of truth occurrences
-//!   shorter than the detector's resolution, which no single-time-axis
-//!   implementation can see.
+//!   arrivals (experiment E8's borderline-fraction curve).
 
 use psn_sim::time::SimDuration;
 
@@ -55,18 +52,6 @@ pub fn race_probability(event_rate_hz: f64, n: usize, delta: SimDuration) -> f64
     }
     let other_rate = event_rate_hz * (n as f64 - 1.0) / n as f64;
     1.0 - (-2.0 * delta.as_secs_f64() * other_rate).exp()
-}
-
-/// For truth occurrences whose durations are exponential with the given
-/// mean, the fraction shorter than the detector resolution `resolution`
-/// (2ε for synced physical clocks, ≈Δ for strobes): occurrences in this
-/// tail are fundamentally race-prone.
-pub fn expected_undetectable_rate(mean_duration: SimDuration, resolution: SimDuration) -> f64 {
-    let m = mean_duration.as_secs_f64();
-    if m <= 0.0 {
-        return 1.0;
-    }
-    1.0 - (-resolution.as_secs_f64() / m).exp()
 }
 
 #[cfg(test)]
@@ -259,14 +244,5 @@ mod tests {
         let mc = raced as f64 / events.len() as f64;
         let analytic = race_probability(rate, n, SimDuration::from_secs_f64(delta));
         assert!((mc - analytic).abs() < 0.02, "mc {mc} vs analytic {analytic}");
-    }
-
-    #[test]
-    fn undetectable_tail() {
-        let mean = SimDuration::from_secs(10);
-        assert_eq!(expected_undetectable_rate(mean, SimDuration::ZERO), 0.0);
-        let p = expected_undetectable_rate(mean, SimDuration::from_secs(1));
-        assert!((p - (1.0 - (-0.1f64).exp())).abs() < 1e-12);
-        assert!(expected_undetectable_rate(SimDuration::ZERO, mean) == 1.0);
     }
 }

@@ -40,7 +40,7 @@ pub mod stream;
 pub mod timing;
 
 pub use accuracy::{detection_matches, score, AccuracyReport, BorderlinePolicy};
-pub use analytic::{expected_undetectable_rate, fn_probability_synced, race_probability};
+pub use analytic::{fn_probability_synced, race_probability};
 pub use causal::{detect_conjunctive, CausalOccurrence, StampFamily};
 pub use detect::{
     detect_occurrences, detect_occurrences_instrumented, detect_occurrences_traced, Detection,
@@ -51,4 +51,4 @@ pub use modal::{modal_status, ModalStatus};
 pub use online::OnlineStatus;
 pub use spec::{Conjunct, Expr, Predicate};
 pub use stream::{modal_status_streaming, StreamingModal};
-pub use timing::{detect_timing, match_timing, TimingMatch, TimingSpec};
+pub use timing::{detect_timing, TimingMatch, TimingSpec};

@@ -50,7 +50,7 @@ impl DetectorMetrics {
     /// Record one emitted occurrence. `seen_at` is the root-local arrival
     /// time of the report that exposed the rising edge (None for
     /// occurrences already true at deployment, which have no latency).
-    pub fn on_occurrence(&self, d: &Detection, seen_at: Option<SimTime>) {
+    pub(crate) fn on_occurrence(&self, d: &Detection, seen_at: Option<SimTime>) {
         self.occurrences.inc();
         if d.borderline {
             self.borderline.inc();

@@ -55,7 +55,7 @@ pub struct TimingMatch {
     /// Start of the matched Y occurrence.
     pub y_start: SimTime,
     /// End of the matched Y occurrence (horizon if open).
-    pub y_end: SimTime,
+    pub(crate) y_end: SimTime,
     /// True if either constituent detection was race-involved (borderline).
     pub borderline: bool,
 }
@@ -65,7 +65,7 @@ fn closed(d: &Detection, horizon: SimTime) -> (SimTime, SimTime) {
 }
 
 /// Evaluate `spec` over two detected occurrence lists.
-pub fn match_timing(
+pub(crate) fn match_timing(
     xs: &[Detection],
     ys: &[Detection],
     spec: &TimingSpec,

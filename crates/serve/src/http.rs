@@ -152,7 +152,7 @@ pub(crate) fn prom_name(name: &str) -> String {
 /// the tracked quantiles as labelled samples. Telemetry phase totals are
 /// exposed per shard (plus a `shard="coordinator"` series) so a scrape
 /// sees the same attribution `psn-profile` reports from a JSONL dump.
-pub fn prometheus_text(metrics: &MetricsSnapshot, telemetry: &TelemetrySnapshot) -> String {
+pub(crate) fn prometheus_text(metrics: &MetricsSnapshot, telemetry: &TelemetrySnapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for c in &metrics.counters {

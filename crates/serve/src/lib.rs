@@ -33,7 +33,7 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
-pub use http::{prometheus_text, serve_metrics, HttpHandle};
-pub use server::{clamp_subscription, serve, ServerHandle};
-pub use session::{ServeConfig, ServeSession, ServeSnapshot, MAX_SLICE};
+pub use http::{serve_metrics, HttpHandle};
+pub use server::{serve, ServerHandle};
+pub use session::{ServeConfig, ServeSession, ServeSnapshot};
 pub use wire::{read_frame, write_frame, ErrorCode, Request, Response, WireError, MAX_FRAME};

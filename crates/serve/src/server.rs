@@ -61,13 +61,13 @@ impl Shared {
 /// [`MIN_PUSH_INTERVAL_MS`] would let one connection monopolise the
 /// session lock, and an unbounded count would pin the reader thread
 /// forever.
-pub const MIN_PUSH_INTERVAL_MS: u64 = 10;
+pub(crate) const MIN_PUSH_INTERVAL_MS: u64 = 10;
 /// Maximum push frames one subscription may request.
-pub const MAX_PUSH_COUNT: u32 = 10_000;
+pub(crate) const MAX_PUSH_COUNT: u32 = 10_000;
 
 /// Apply the server's subscription clamps to a requested
 /// `(interval_ms, count)` pair.
-pub fn clamp_subscription(interval_ms: u64, count: u32) -> (u64, u32) {
+pub(crate) fn clamp_subscription(interval_ms: u64, count: u32) -> (u64, u32) {
     (interval_ms.max(MIN_PUSH_INTERVAL_MS), count.min(MAX_PUSH_COUNT))
 }
 
@@ -258,7 +258,7 @@ impl Link {
             self.flush()?;
             std::thread::sleep(Duration::from_millis(interval_ms));
             self.burst.push(match cursor {
-                Some(from) => Request::TraceSlice { from, limit: crate::MAX_SLICE },
+                Some(from) => Request::TraceSlice { from, limit: crate::session::MAX_SLICE },
                 None => Request::Metrics,
             });
             // The cursor advances by however many reports each push

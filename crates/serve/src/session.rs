@@ -35,7 +35,7 @@ use psn_world::WorldState;
 use crate::wire::{ErrorCode, Request, Response};
 
 /// Server-side cap on one `TraceSlice` reply.
-pub const MAX_SLICE: usize = 1024;
+pub(crate) const MAX_SLICE: usize = 1024;
 
 /// Configuration of a serving session.
 #[derive(Debug, Clone)]

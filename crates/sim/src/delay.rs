@@ -87,7 +87,7 @@ impl DelayModel {
     /// narrower than this bound without missing a cross-shard message. Zero
     /// (synchronous, `delta(Δ)`, exponential) means no lookahead: the
     /// engine then keeps one lane whatever its shard count.
-    pub fn min_bound(&self) -> SimDuration {
+    pub(crate) fn min_bound(&self) -> SimDuration {
         match *self {
             DelayModel::Synchronous => SimDuration::ZERO,
             DelayModel::Fixed(d) => d,
@@ -107,11 +107,6 @@ impl DelayModel {
             DelayModel::Exponential { mean, .. } => mean,
         }
     }
-
-    /// True if this is the synchronous (Δ = 0) model.
-    pub fn is_synchronous(&self) -> bool {
-        matches!(self, DelayModel::Synchronous)
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,6 @@ mod tests {
             assert_eq!(DelayModel::Synchronous.sample(&mut r), SimDuration::ZERO);
         }
         assert_eq!(DelayModel::Synchronous.delta_bound(), Some(SimDuration::ZERO));
-        assert!(DelayModel::Synchronous.is_synchronous());
     }
 
     #[test]

@@ -299,7 +299,6 @@ impl<M: Message> Lane<M> {
         let mut ctx = Context {
             now: self.now,
             id,
-            n: self.actors.len(),
             trace_on: self.trace.is_enabled(),
             rng: &mut self.rngs[id],
             actions: &mut actions,

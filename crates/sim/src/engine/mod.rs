@@ -13,7 +13,7 @@
 //!   borrow structure trivial and the application order deterministic.
 //! - Every queue event carries a **canonical key** derived from its content
 //!   (message id, `(actor, timer counter)`, fault-op index — see
-//!   [`crate::queue::event_key`]), so simultaneous events fire in an order
+//!   `event_key`), so simultaneous events fire in an order
 //!   that does not depend on the order they were scheduled in. This is what
 //!   lets a sharded engine ([`Engine::set_shards`]) replay a run
 //!   bit-identically in parallel.
@@ -35,7 +35,7 @@
 //! engine's life. One lane runs its events inline. Several lanes advance
 //! concurrently through half-open time windows `[t, t + L)`, where the
 //! lookahead `L` is the network's minimum channel delay
-//! ([`crate::delay::DelayModel::min_bound`]). A message sent at
+//! (`DelayModel::min_bound`). A message sent at
 //! `u ∈ [t, t+L)` arrives no earlier than `u + L ≥ t + L`, i.e. strictly
 //! after the window — so shards cannot causally interact *within* a window
 //! and may process their local events in parallel. Cross-shard messages are
@@ -95,7 +95,7 @@ pub enum EngineError {
         actors: usize,
     },
     /// The actor was already recovered with [`Engine::take_actor`] /
-    /// [`Engine::try_take_actor`].
+    /// `Engine::try_take_actor`.
     ActorTaken {
         /// The already-taken id.
         id: ActorId,
@@ -191,7 +191,6 @@ struct ProcessTrace {
 pub struct Context<'a, M> {
     now: SimTime,
     id: ActorId,
-    n: usize,
     trace_on: bool,
     rng: &'a mut RngStream,
     actions: &'a mut Vec<Action<M>>,
@@ -210,11 +209,6 @@ impl<M> Context<'_, M> {
     /// This actor's id.
     pub fn id(&self) -> ActorId {
         self.id
-    }
-
-    /// Total number of actors in the simulation.
-    pub fn actor_count(&self) -> usize {
-        self.n
     }
 
     /// This actor's private random stream.
@@ -391,7 +385,7 @@ impl<M: Message> Engine<M> {
     /// `shards` is clamped to `[1, n]` and actor `i` runs on lane
     /// `i / ceil(n / shards)`, which keeps neighbour-heavy topologies
     /// (rings, grids) mostly intra-shard. A network with zero lookahead
-    /// ([`crate::delay::DelayModel::min_bound`]) keeps one lane. The lanes
+    /// (`DelayModel::min_bound`) keeps one lane. The lanes
     /// are split at the first advance and persist, so the shard count is
     /// set once, before it: a later call panics.
     ///
@@ -662,7 +656,7 @@ impl<M: Message> Engine<M> {
     }
 
     /// True once an actor has called [`Context::halt`].
-    pub fn is_halted(&self) -> bool {
+    pub(crate) fn is_halted(&self) -> bool {
         self.lanes.iter().any(|l| l.halted)
     }
 
@@ -828,15 +822,6 @@ impl<M: Message> Engine<M> {
         self.lanes.iter().map(|l| l.events_processed).sum()
     }
 
-    /// Mutable access to the network configuration (e.g. to flip overlay
-    /// links between runs). Note: per-sender loss-model state is cloned at
-    /// [`Engine::add_actor`] time, so swapping `loss` here does not affect
-    /// already-registered senders, and a sharded engine's delay model must
-    /// keep a nonzero lookahead.
-    pub fn network_mut(&mut self) -> &mut NetworkConfig {
-        Arc::make_mut(&mut self.network)
-    }
-
     /// Read a resident actor's state between runs or steps: `None` if `id`
     /// is out of range or the actor was taken. Upcast the reference to
     /// `&dyn Any` to reach the concrete type.
@@ -848,14 +833,17 @@ impl<M: Message> Engine<M> {
     ///
     /// Panics if `id` is out of range or the actor was already taken; hosts
     /// handling externally supplied ids should use
-    /// [`Engine::try_take_actor`].
+    /// `Engine::try_take_actor`.
     pub fn take_actor(&mut self, id: ActorId) -> Box<dyn Actor<M> + Send> {
         self.try_take_actor(id).expect("actor present")
     }
 
     /// The checked form of [`Engine::take_actor`]: an out-of-range id or a
     /// doubly-taken actor is a typed error, not a panic.
-    pub fn try_take_actor(&mut self, id: ActorId) -> Result<Box<dyn Actor<M> + Send>, EngineError> {
+    pub(crate) fn try_take_actor(
+        &mut self,
+        id: ActorId,
+    ) -> Result<Box<dyn Actor<M> + Send>, EngineError> {
         let h = host_of(&self.lanes, id);
         let lane = &mut self.lanes[h];
         let n = lane.actors.len();
@@ -1140,6 +1128,18 @@ fn apply_plane_op<M: Message>(
                 plane.active_rules -= 1;
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl<M: Message> Engine<M> {
+    /// Mutable access to the network configuration (e.g. to flip overlay
+    /// links between runs). Note: per-sender loss-model state is cloned at
+    /// [`Engine::add_actor`] time, so swapping `loss` here does not affect
+    /// already-registered senders, and a sharded engine's delay model must
+    /// keep a nonzero lookahead.
+    pub(crate) fn network_mut(&mut self) -> &mut NetworkConfig {
+        Arc::make_mut(&mut self.network)
     }
 }
 
@@ -1754,6 +1754,8 @@ mod tests {
     struct Gossip {
         rounds: u64,
         period: SimDuration,
+        /// Actors in the engine, gossip targets included.
+        n: usize,
     }
     impl Actor<TestMsg> for Gossip {
         fn on_start(&mut self, ctx: &mut Context<'_, TestMsg>) {
@@ -1767,7 +1769,7 @@ mod tests {
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, TestMsg>, tag: u64) {
-            let n = ctx.actor_count();
+            let n = self.n;
             let a = (ctx.id() + 1 + tag as usize) % n;
             let b = (ctx.id() + 5) % n;
             ctx.send(a, TestMsg::Ping(tag as u32 + 1));
@@ -1782,7 +1784,7 @@ mod tests {
         let net = NetworkConfig::full_mesh(n, delay);
         let mut e = Engine::new(net, seed);
         for _ in 0..n {
-            e.add_actor(Box::new(Gossip { rounds: 12, period: SimDuration::from_millis(10) }));
+            e.add_actor(Box::new(Gossip { rounds: 12, period: SimDuration::from_millis(10), n }));
         }
         e
     }
@@ -2185,7 +2187,11 @@ mod tests {
     fn feed_engine(halt_at: SimTime) -> Engine<TestMsg> {
         let mut e = Engine::new(NetworkConfig::full_mesh(11, shardable_delay()), 2024);
         for _ in 0..10 {
-            e.add_actor(Box::new(Gossip { rounds: 12, period: SimDuration::from_millis(10) }));
+            e.add_actor(Box::new(Gossip {
+                rounds: 12,
+                period: SimDuration::from_millis(10),
+                n: 11,
+            }));
         }
         e.add_actor(Box::new(HaltAfter { at: halt_at }));
         e.enable_trace();

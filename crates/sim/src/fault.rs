@@ -341,20 +341,20 @@ pub struct FaultStats {
     pub heals: u64,
     pub clock_faults: u64,
     /// Deliveries discarded because the destination was down.
-    pub dropped_at_down: u64,
+    pub(crate) dropped_at_down: u64,
     /// Timers discarded because the owner was down.
-    pub timers_suppressed: u64,
+    pub(crate) timers_suppressed: u64,
     /// Messages dropped at transmit time by an active cut.
-    pub dropped_by_partition: u64,
+    pub(crate) dropped_by_partition: u64,
     /// In-flight messages dropped when a cut activated.
-    pub dropped_in_flight: u64,
+    pub(crate) dropped_in_flight: u64,
     /// Messages dropped by a [`ChannelEffect::Drop`] rule.
     pub dropped_by_channel: u64,
     pub corrupted: u64,
     pub duplicated: u64,
     pub reordered: u64,
     pub parked: u64,
-    pub unparked: u64,
+    pub(crate) unparked: u64,
     /// Messages still parked when the run ended (counted as in-flight).
     pub parked_leftover: u64,
 }
@@ -362,7 +362,7 @@ pub struct FaultStats {
 impl FaultStats {
     /// Add every counter of `other` into `self` (used to merge per-shard
     /// transmit-side counters into the plane's op-side counters).
-    pub fn absorb(&mut self, other: &FaultStats) {
+    pub(crate) fn absorb(&mut self, other: &FaultStats) {
         self.crashes += other.crashes;
         self.recoveries += other.recoveries;
         self.cuts += other.cuts;
@@ -437,7 +437,7 @@ pub(crate) struct Parked<M> {
 /// The runtime state of an installed [`FaultScript`]. Owned by the engine;
 /// not constructed directly.
 #[derive(Debug)]
-pub struct FaultPlane<M> {
+pub(crate) struct FaultPlane<M> {
     pub(crate) ops: Vec<(SimTime, PlaneOp)>,
     pub(crate) cuts: Vec<CutState>,
     pub(crate) active_cuts: usize,

@@ -46,7 +46,7 @@ impl LossModel {
     }
 
     /// Decide whether the next message is lost (advances burst state).
-    pub fn is_lost(&mut self, rng: &mut RngStream) -> bool {
+    pub(crate) fn is_lost(&mut self, rng: &mut RngStream) -> bool {
         match self {
             LossModel::None => false,
             LossModel::Bernoulli { p } => rng.bernoulli(*p),
@@ -64,9 +64,12 @@ impl LossModel {
             }
         }
     }
+}
 
+#[cfg(test)]
+impl LossModel {
     /// The long-run average loss probability of this model.
-    pub fn steady_state_loss(&self) -> f64 {
+    pub(crate) fn steady_state_loss(&self) -> f64 {
         match *self {
             LossModel::None => 0.0,
             LossModel::Bernoulli { p } => p.clamp(0.0, 1.0),

@@ -67,32 +67,13 @@ impl Topology {
     }
 
     /// Are `a` and `b` directly connected? (No self-loops.)
-    pub fn connected(&self, a: ActorId, b: ActorId) -> bool {
+    pub(crate) fn connected(&self, a: ActorId, b: ActorId) -> bool {
         if a == b {
             return false;
         }
         match self {
             Topology::FullMesh { n } => a < *n && b < *n,
             Topology::Graph { adj } => a < adj.len() && b < adj.len() && adj[a][b],
-        }
-    }
-
-    /// Bring a link up or down. L is a *dynamically changing* graph in the
-    /// paper's model; experiments can reconfigure mid-run. A `FullMesh` is
-    /// first materialized into an explicit graph.
-    pub fn set_link(&mut self, a: ActorId, b: ActorId, up: bool) {
-        if a == b {
-            return;
-        }
-        if let Topology::FullMesh { n } = *self {
-            let adj = (0..n).map(|i| (0..n).map(|j| i != j).collect()).collect();
-            *self = Topology::Graph { adj };
-        }
-        if let Topology::Graph { adj } = self {
-            if a < adj.len() && b < adj.len() {
-                adj[a][b] = up;
-                adj[b][a] = up;
-            }
         }
     }
 
@@ -106,7 +87,7 @@ impl Topology {
     /// Collect the neighbours of `a` (ascending id order) into `out`,
     /// clearing it first. Allocation-free once `out` has warmed up — the
     /// engine calls this on every broadcast.
-    pub fn collect_neighbors(&self, a: ActorId, out: &mut Vec<ActorId>) {
+    pub(crate) fn collect_neighbors(&self, a: ActorId, out: &mut Vec<ActorId>) {
         out.clear();
         match self {
             Topology::FullMesh { n } => {
@@ -149,18 +130,6 @@ impl NetworkConfig {
             fifo: true,
         }
     }
-
-    /// Replace the loss model (builder style).
-    pub fn with_loss(mut self, loss: LossModel) -> Self {
-        self.loss = loss;
-        self
-    }
-
-    /// Set FIFO / non-FIFO channel ordering (builder style).
-    pub fn with_fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
-    }
 }
 
 /// Counters the engine maintains about network-plane activity. Experiment
@@ -191,7 +160,7 @@ impl NetStats {
     /// Fold another counter set into this one. The sharded engine keeps
     /// per-shard stats during a run and merges them at the end; every field
     /// is a sum-decomposable counter, so the merge is exact.
-    pub fn absorb(&mut self, other: &NetStats) {
+    pub(crate) fn absorb(&mut self, other: &NetStats) {
         self.messages_sent += other.messages_sent;
         self.messages_delivered += other.messages_delivered;
         self.messages_lost += other.messages_lost;
@@ -199,6 +168,21 @@ impl NetStats {
         self.broadcasts += other.broadcasts;
         self.messages_faulted += other.messages_faulted;
         self.messages_duplicated += other.messages_duplicated;
+    }
+}
+
+#[cfg(test)]
+impl NetworkConfig {
+    /// Replace the loss model (builder style).
+    pub(crate) fn with_loss(mut self, loss: LossModel) -> Self {
+        self.loss = loss;
+        self
+    }
+
+    /// Set FIFO / non-FIFO channel ordering (builder style).
+    pub(crate) fn with_fifo(mut self, fifo: bool) -> Self {
+        self.fifo = fifo;
+        self
     }
 }
 
@@ -236,24 +220,6 @@ mod tests {
         for i in 1..6 {
             assert_eq!(t.neighbors(i), vec![0]);
         }
-    }
-
-    #[test]
-    fn dynamic_link_changes() {
-        let mut t = Topology::FullMesh { n: 3 };
-        t.set_link(0, 1, false);
-        assert!(!t.connected(0, 1));
-        assert!(!t.connected(1, 0));
-        assert!(t.connected(0, 2), "other links unaffected");
-        t.set_link(0, 1, true);
-        assert!(t.connected(0, 1));
-    }
-
-    #[test]
-    fn self_links_are_ignored() {
-        let mut t = Topology::FullMesh { n: 3 };
-        t.set_link(1, 1, true);
-        assert!(!t.connected(1, 1));
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl RngFactory {
         RngFactory { master }
     }
 
-    /// The master seed this factory was built from.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Derive the stream with the given stable identifier.
     ///
     /// The same `(master, id)` pair always yields an identical stream.
@@ -82,13 +77,8 @@ pub struct RngStream {
 }
 
 impl RngStream {
-    /// A uniformly distributed `u64`.
-    pub fn next_u64(&mut self) -> u64 {
-        self.rng.gen()
-    }
-
     /// A uniform draw in `[0, 1)`.
-    pub fn uniform01(&mut self) -> f64 {
+    pub(crate) fn uniform01(&mut self) -> f64 {
         self.rng.gen::<f64>()
     }
 
@@ -141,7 +131,7 @@ impl RngStream {
 
     /// A standard-normal draw (Box–Muller; one value per call for
     /// reproducibility under refactoring).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         let u1: f64 = 1.0 - self.uniform01();
         let u2: f64 = self.uniform01();
         (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
@@ -153,12 +143,12 @@ impl RngStream {
     }
 
     /// A uniformly drawn duration in `[lo, hi]` inclusive.
-    pub fn uniform_duration(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
+    pub(crate) fn uniform_duration(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
         SimDuration::from_nanos(self.uniform_u64(lo.as_nanos(), hi.as_nanos()))
     }
 
     /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.index(i + 1);
             xs.swap(i, j);
@@ -168,6 +158,14 @@ impl RngStream {
     /// Pick a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.index(xs.len())]
+    }
+}
+
+#[cfg(test)]
+impl RngStream {
+    /// A uniformly distributed `u64`.
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.rng.gen()
     }
 }
 

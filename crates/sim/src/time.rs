@@ -56,10 +56,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-    /// This instant expressed in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
 
     /// The duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future.
@@ -108,10 +104,6 @@ impl SimDuration {
     /// This duration expressed in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-    /// This duration expressed in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// True if this is the zero duration.

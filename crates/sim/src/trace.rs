@@ -12,7 +12,7 @@
 //!
 //! - **Canonical staging.** Records are staged with a *canonical cursor* —
 //!   the canonical key of the engine event being processed when the record
-//!   was made (see [`crate::queue::event_key`]) plus an intra-event counter
+//!   was made (see `event_key`) plus an intra-event counter
 //!   — instead of a globally assigned sequence number. [`Trace::seal`]
 //!   sorts staged records by `(time, cursor, intra)` and only then assigns
 //!   the dense `seq` numbers. Because the sort key is derived from event
@@ -38,7 +38,7 @@ use crate::network::ActorId;
 use crate::time::SimTime;
 
 /// Staged records reserved per actor by [`Trace::configure_actors`].
-pub const STAGED_RECORDS_PER_ACTOR: usize = 64;
+pub(crate) const STAGED_RECORDS_PER_ACTOR: usize = 64;
 
 /// Identity of one attempted transmission, monotone within a run.
 ///
@@ -142,13 +142,13 @@ impl FaultRecordKind {
 
 /// How many vector components a [`ClockStamp`] keeps in-struct before
 /// spilling to the heap (mirrors `psn-clocks`' inline small-vector stamps).
-pub const STAMP_INLINE: usize = 8;
+pub(crate) const STAMP_INLINE: usize = 8;
 
 /// A logical timestamp attached to a process event.
 ///
 /// `psn-sim` cannot depend on `psn-clocks` (the dependency points the other
 /// way), so the trace layer carries stamps in this self-contained form:
-/// scalar value or vector of components, with up to [`STAMP_INLINE`]
+/// scalar value or vector of components, with up to `STAMP_INLINE`
 /// components stored inline so stamping stays allocation-free for the
 /// paper-scale deployments.
 #[derive(Debug, Clone)]
@@ -177,7 +177,7 @@ impl ClockStamp {
 
     /// Strict vector-clock order `self < other`: `Some(true/false)` when
     /// both are vector stamps of equal length, `None` otherwise.
-    pub fn vector_lt(&self, other: &ClockStamp) -> Option<bool> {
+    pub(crate) fn vector_lt(&self, other: &ClockStamp) -> Option<bool> {
         let (a, b) = (self.as_vector()?, other.as_vector()?);
         if a.len() != b.len() {
             return None;
@@ -250,7 +250,7 @@ impl Deserialize for ClockStamp {
 }
 
 /// The component storage of [`ClockStamp::Vector`]: inline up to
-/// [`STAMP_INLINE`] components, heap spill above.
+/// `STAMP_INLINE` components, heap spill above.
 #[derive(Debug, Clone)]
 pub struct StampVec {
     len: u32,
@@ -338,16 +338,6 @@ impl TraceKind {
             | TraceKind::Fault { actor, .. } => *actor,
         }
     }
-
-    /// The transmission id, for message records.
-    pub fn msg_id(&self) -> Option<MsgId> {
-        match self {
-            TraceKind::Sent { msg, .. }
-            | TraceKind::Delivered { msg, .. }
-            | TraceKind::Lost { msg, .. } => Some(*msg),
-            _ => None,
-        }
-    }
 }
 
 /// A record staged during the run, carrying its canonical sort key instead
@@ -391,16 +381,16 @@ impl Trace {
     /// Cursor for records made while dispatching `on_start` to `actor`
     /// (starts precede every queue event at t = 0).
     #[inline]
-    pub fn start_cursor(actor: ActorId) -> u128 {
+    pub(crate) fn start_cursor(actor: ActorId) -> u128 {
         actor as u128
     }
 
     /// Cursor for records made while processing the queue event with
-    /// canonical key `key` (see [`crate::queue::event_key`]). Orders after
+    /// canonical key `key` (see [`event_key`]). Orders after
     /// every start cursor; among themselves, event cursors order exactly
     /// like the events fire.
     #[inline]
-    pub fn event_cursor(key: u64) -> u128 {
+    pub(crate) fn event_cursor(key: u64) -> u128 {
         (1u128 << 64) | key as u128
     }
 
@@ -430,7 +420,7 @@ impl Trace {
     /// Preallocate staging space for a run over `n` actors (no-op when
     /// disabled). The engine calls this at run start so early recording
     /// does not regrow the buffer step by step.
-    pub fn configure_actors(&mut self, n: usize) {
+    pub(crate) fn configure_actors(&mut self, n: usize) {
         if !self.enabled {
             return;
         }
@@ -442,7 +432,7 @@ impl Trace {
     /// event; direct users of `Trace` (benches, tests) can ignore it —
     /// records then sort by recording order within each timestamp.
     #[inline]
-    pub fn set_cursor(&mut self, cursor: u128) {
+    pub(crate) fn set_cursor(&mut self, cursor: u128) {
         if !self.enabled {
             return;
         }
@@ -472,7 +462,7 @@ impl Trace {
     /// copy. If this trace was already sealed (a run resumed after
     /// [`crate::engine::Engine::finish`]), the incoming records are sealed
     /// on their own and appended in plain seq order instead.
-    pub fn absorb(&mut self, other: &mut Trace) {
+    pub(crate) fn absorb(&mut self, other: &mut Trace) {
         if self.canonical {
             debug_assert!(other.canonical, "absorb requires an unsealed source");
             if self.staged.is_empty() {
@@ -536,22 +526,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// All `Note` annotations from a given actor, with their times.
-    pub fn notes_of(&self, actor: ActorId) -> Vec<(SimTime, &str)> {
-        self.records()
-            .iter()
-            .filter_map(|e| match &e.kind {
-                TraceKind::Note { actor: a, label } if *a == actor => Some((e.at, label.as_str())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Count records matching a predicate.
-    pub fn count_matching(&self, f: impl Fn(&TraceKind) -> bool) -> usize {
-        self.records().iter().filter(|e| f(&e.kind)).count()
-    }
 }
 
 impl Serialize for Trace {
@@ -582,6 +556,25 @@ impl Deserialize for Trace {
         // in plain seq order.
         trace.canonical = false;
         Ok(trace)
+    }
+}
+
+#[cfg(test)]
+impl Trace {
+    /// All `Note` annotations from a given actor, with their times.
+    pub(crate) fn notes_of(&self, actor: ActorId) -> Vec<(SimTime, &str)> {
+        self.records()
+            .iter()
+            .filter_map(|e| match &e.kind {
+                TraceKind::Note { actor: a, label } if *a == actor => Some((e.at, label.as_str())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Count records matching a predicate.
+    pub(crate) fn count_matching(&self, f: impl Fn(&TraceKind) -> bool) -> usize {
+        self.records().iter().filter(|e| f(&e.kind)).count()
     }
 }
 

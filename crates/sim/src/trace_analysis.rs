@@ -14,15 +14,15 @@
 //!   ticking the causal vector, so physical edges would overapproximate
 //!   causality.
 //! - **Critical paths** — the chain of records behind an event
-//!   ([`TraceAnalysis::critical_path`]): walk a `Delivered` back to its
+//!   (`TraceAnalysis::critical_path`): walk a `Delivered` back to its
 //!   `Sent` (one message hop = one latency attribution) and every other
 //!   record back to its actor-local predecessor, ending at the originating
 //!   cause (for a detection: the world-plane sense injection). The
 //!   detector-verdict variant [`TraceAnalysis::detection_chain`] binds a
 //!   `Detect` record to the report delivery that completed the occurrence.
-//! - **Loss vicinity** — merged time windows around every `Lost` record
-//!   ([`TraceAnalysis::loss_windows`]); experiment E9's far-from-loss
-//!   filter is [`TraceAnalysis::near_any_loss`].
+//! - **Loss vicinity** — is any `Lost` record within a window of an
+//!   interval; experiment E9's far-from-loss filter is
+//!   [`TraceAnalysis::near_any_loss`].
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -124,8 +124,6 @@ pub struct TraceAnalysis<'a> {
     records: &'a [TraceRecord],
     /// `MsgId.0` → index of the `Sent` record.
     send_of: HashMap<u64, usize>,
-    /// `MsgId.0` → index of the `Delivered` record.
-    delivery_of: HashMap<u64, usize>,
     /// Per record: index of the previous record of the same actor.
     local_prev: Vec<Option<usize>>,
     channels: BTreeMap<(ActorId, ActorId), ChannelStats>,
@@ -140,7 +138,6 @@ impl<'a> TraceAnalysis<'a> {
     pub fn build(trace: &'a Trace) -> Self {
         let records = trace.records();
         let mut send_of = HashMap::new();
-        let mut delivery_of = HashMap::new();
         let mut local_prev = vec![None; records.len()];
         let mut last_of_actor: HashMap<ActorId, usize> = HashMap::new();
         let mut channels: BTreeMap<(ActorId, ActorId), ChannelStats> = BTreeMap::new();
@@ -158,7 +155,6 @@ impl<'a> TraceAnalysis<'a> {
                     ch.bytes += *bytes as u64;
                 }
                 TraceKind::Delivered { msg, .. } => {
-                    delivery_of.insert(msg.0, i);
                     if let Some(&s) = send_of.get(&msg.0) {
                         if let TraceKind::Sent { from, to, .. } = &records[s].kind {
                             let ch = channels.entry((*from, *to)).or_default();
@@ -180,15 +176,7 @@ impl<'a> TraceAnalysis<'a> {
         // sorted here, not trusted.
         loss_times.sort_unstable();
         fault_times.sort_unstable();
-        TraceAnalysis {
-            records,
-            send_of,
-            delivery_of,
-            local_prev,
-            channels,
-            loss_times,
-            fault_times,
-        }
+        TraceAnalysis { records, send_of, local_prev, channels, loss_times, fault_times }
     }
 
     /// The records this analysis indexes.
@@ -200,16 +188,6 @@ impl<'a> TraceAnalysis<'a> {
     /// histograms, keyed `(from, to)` in deterministic order.
     pub fn channel_stats(&self) -> &BTreeMap<(ActorId, ActorId), ChannelStats> {
         &self.channels
-    }
-
-    /// Index of the `Sent` record for a transmission id.
-    pub fn send_of(&self, msg: u64) -> Option<usize> {
-        self.send_of.get(&msg).copied()
-    }
-
-    /// Index of the `Delivered` record for a transmission id.
-    pub fn delivery_of(&self, msg: u64) -> Option<usize> {
-        self.delivery_of.get(&msg).copied()
     }
 
     /// Indices of the `Process` records carrying vector stamps — the nodes
@@ -274,7 +252,7 @@ impl<'a> TraceAnalysis<'a> {
     /// anything else steps to the same actor's previous record. Terminates
     /// at a record with no predecessor — for a sense-triggered chain, the
     /// world plane's injected delivery.
-    pub fn critical_path(&self, target: usize) -> CriticalPath {
+    pub(crate) fn critical_path(&self, target: usize) -> CriticalPath {
         assert!(target < self.records.len(), "record index out of range");
         let mut chain = vec![target];
         let mut cur = target;
@@ -349,26 +327,6 @@ impl<'a> TraceAnalysis<'a> {
         Some(path)
     }
 
-    /// Merged `[t − vicinity, t + vicinity]` windows around every `Lost`
-    /// record, ascending and non-overlapping: the parts of the run where
-    /// the paper says detection may be wrong (§4.2.2).
-    pub fn loss_windows(&self, vicinity: SimDuration) -> Vec<(SimTime, SimTime)> {
-        let mut windows: Vec<(SimTime, SimTime)> = Vec::new();
-        for &t in &self.loss_times {
-            let lo = SimTime(t.as_nanos().saturating_sub(vicinity.as_nanos()));
-            let hi = t.saturating_add(vicinity);
-            match windows.last_mut() {
-                Some((_, end)) if lo <= *end => {
-                    if hi > *end {
-                        *end = hi;
-                    }
-                }
-                _ => windows.push((lo, hi)),
-            }
-        }
-        windows
-    }
-
     /// Is any message loss within `vicinity` of the interval
     /// `[start, end]`? (Experiment E9's far-from-loss filter.)
     pub fn near_any_loss(&self, start: SimTime, end: SimTime, vicinity: SimDuration) -> bool {
@@ -393,6 +351,29 @@ impl<'a> TraceAnalysis<'a> {
         let hi = end.saturating_add(vicinity).as_nanos();
         let first = times.partition_point(|t| t.as_nanos() < lo);
         times.get(first).is_some_and(|t| t.as_nanos() <= hi)
+    }
+}
+
+#[cfg(test)]
+impl TraceAnalysis<'_> {
+    /// Merged `[t − vicinity, t + vicinity]` windows around every `Lost`
+    /// record, ascending and non-overlapping: the parts of the run where
+    /// the paper says detection may be wrong (§4.2.2).
+    pub(crate) fn loss_windows(&self, vicinity: SimDuration) -> Vec<(SimTime, SimTime)> {
+        let mut windows: Vec<(SimTime, SimTime)> = Vec::new();
+        for &t in &self.loss_times {
+            let lo = SimTime(t.as_nanos().saturating_sub(vicinity.as_nanos()));
+            let hi = t.saturating_add(vicinity);
+            match windows.last_mut() {
+                Some((_, end)) if lo <= *end => {
+                    if hi > *end {
+                        *end = hi;
+                    }
+                }
+                _ => windows.push((lo, hi)),
+            }
+        }
+        windows
     }
 }
 

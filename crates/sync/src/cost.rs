@@ -20,11 +20,11 @@ use crate::rbs::SyncOutcome;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Energy units per transmission.
-    pub tx_cost: f64,
+    pub(crate) tx_cost: f64,
     /// Energy units per reception.
-    pub rx_cost: f64,
+    pub(crate) rx_cost: f64,
     /// Energy units per payload byte transmitted.
-    pub byte_cost: f64,
+    pub(crate) byte_cost: f64,
 }
 
 impl Default for CostModel {

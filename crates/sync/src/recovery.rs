@@ -21,12 +21,12 @@ use crate::cost::CostModel;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResyncParams {
     /// Two-way exchanges performed (TPSN uses several to average jitter).
-    pub exchanges: u64,
+    pub(crate) exchanges: u64,
     /// Round-trip time of one exchange (propagation + processing, both
     /// ways). The plan is conservative: exchanges run sequentially.
     pub rtt: SimDuration,
     /// Payload bytes per exchange message (two readings).
-    pub bytes_per_message: u64,
+    pub(crate) bytes_per_message: u64,
 }
 
 impl Default for ResyncParams {

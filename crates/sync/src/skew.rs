@@ -10,7 +10,7 @@ use psn_clocks::Oscillator;
 use psn_sim::time::{SimDuration, SimTime};
 
 /// The largest pairwise disagreement among clocks at ground-truth time `t`.
-pub fn max_pairwise_skew(clocks: &[Oscillator], t: SimTime) -> SimDuration {
+pub(crate) fn max_pairwise_skew(clocks: &[Oscillator], t: SimTime) -> SimDuration {
     let readings: Vec<i64> = clocks.iter().map(|c| c.read(t).0).collect();
     let mut worst = 0u64;
     for i in 0..readings.len() {
@@ -19,29 +19,6 @@ pub fn max_pairwise_skew(clocks: &[Oscillator], t: SimTime) -> SimDuration {
         }
     }
     SimDuration::from_nanos(worst)
-}
-
-/// The largest absolute error versus ground truth at time `t`.
-pub fn max_truth_error(clocks: &[Oscillator], t: SimTime) -> SimDuration {
-    clocks.iter().map(|c| c.error_at(t)).max().unwrap_or(SimDuration::ZERO)
-}
-
-/// Mean absolute pairwise skew at time `t`.
-pub fn mean_pairwise_skew(clocks: &[Oscillator], t: SimTime) -> SimDuration {
-    let readings: Vec<i64> = clocks.iter().map(|c| c.read(t).0).collect();
-    let n = readings.len();
-    if n < 2 {
-        return SimDuration::ZERO;
-    }
-    let mut total = 0u128;
-    let mut pairs = 0u128;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            total += u128::from(readings[i].abs_diff(readings[j]));
-            pairs += 1;
-        }
-    }
-    SimDuration::from_nanos((total / pairs) as u64)
 }
 
 #[cfg(test)]
@@ -57,7 +34,6 @@ mod tests {
         let clocks = vec![osc(-500), osc(0), osc(1500)];
         let t = SimTime::from_secs(1);
         assert_eq!(max_pairwise_skew(&clocks, t), SimDuration::from_nanos(2000));
-        assert_eq!(max_truth_error(&clocks, t), SimDuration::from_nanos(1500));
     }
 
     #[test]
@@ -67,17 +43,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_skew_averages_pairs() {
-        let clocks = vec![osc(0), osc(300), osc(600)];
-        // Pairs: 300, 600, 300 → mean 400.
-        assert_eq!(mean_pairwise_skew(&clocks, SimTime::ZERO), SimDuration::from_nanos(400));
-    }
-
-    #[test]
     fn degenerate_inputs() {
         assert_eq!(max_pairwise_skew(&[], SimTime::ZERO), SimDuration::ZERO);
-        assert_eq!(mean_pairwise_skew(&[osc(5)], SimTime::ZERO), SimDuration::ZERO);
-        assert_eq!(max_truth_error(&[], SimTime::ZERO), SimDuration::ZERO);
     }
 
     #[test]

@@ -74,21 +74,6 @@ pub fn truth_intervals(
     intervals
 }
 
-/// Total time the predicate held, up to `horizon`.
-pub fn truth_duty_cycle(
-    timeline: &Timeline,
-    pred: impl Fn(&WorldState) -> bool,
-    horizon: SimTime,
-) -> f64 {
-    let total: u64 =
-        truth_intervals(timeline, pred).iter().map(|iv| iv.duration(horizon).as_nanos()).sum();
-    if horizon == SimTime::ZERO {
-        0.0
-    } else {
-        total as f64 / horizon.as_nanos() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,13 +159,5 @@ mod tests {
         let open = TruthInterval { start: SimTime::from_millis(10), end: None };
         assert_eq!(open.duration(SimTime::from_millis(25)), SimDuration::from_millis(15));
         assert!(open.contains(SimTime::from_secs(100)));
-    }
-
-    #[test]
-    fn duty_cycle() {
-        let t = counter_timeline(&[(10, 5), (20, 0), (30, 5), (40, 0)]);
-        let dc = truth_duty_cycle(&t, |s| s.get_int(K) > 3, SimTime::from_millis(100));
-        assert!((dc - 0.2).abs() < 1e-12, "20ms of 100ms, got {dc}");
-        assert_eq!(truth_duty_cycle(&t, |s| s.get_int(K) > 3, SimTime::ZERO), 0.0);
     }
 }

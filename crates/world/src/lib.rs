@@ -12,22 +12,22 @@
 //! - [`object`] — objects, attributes, and the ground-truth [`object::WorldState`];
 //! - [`timeline`] — the event timeline with covert-channel `caused_by`
 //!   edges (ground truth invisible to detectors);
-//! - [`ground_truth`] — exact truth intervals of any predicate, for scoring
+//! - `ground_truth` — exact truth intervals of any predicate, for scoring
 //!   detector accuracy;
-//! - [`mobility`] — room-graph walkers and random-waypoint motion;
+//! - `mobility` — room-graph walkers and random-waypoint motion;
 //! - [`scenarios`] — the paper's application scenarios: exhibition hall
 //!   (§5), smart office (§3.1), hospital (§5), and habitat monitoring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ground_truth;
-pub mod mobility;
+mod ground_truth;
+mod mobility;
 pub mod object;
 pub mod scenarios;
 pub mod timeline;
 
-pub use ground_truth::{truth_duty_cycle, truth_intervals, TruthInterval};
-pub use object::{AttrId, AttrKey, AttrValue, ObjectId, ObjectSpec, WorldState};
+pub use ground_truth::{truth_intervals, TruthInterval};
+pub use object::{AttrKey, AttrValue, ObjectSpec, WorldState};
 pub use scenarios::{Scenario, SensorAssignment};
 pub use timeline::{Timeline, WorldEvent, WorldEventId};

@@ -1,13 +1,9 @@
 //! Mobility models for world-plane objects.
 //!
 //! The paper's objects "may be static or mobile (e.g., objects with RFID
-//! tags, animals with embedded chips, humans)". Two models cover the
-//! scenarios:
-//!
-//! - [`RoomGraph`] — discrete rooms connected by doors; people transition
-//!   along edges (smart office, hospital, exhibition hall);
-//! - [`Waypoint`] — continuous 2-D random-waypoint motion (habitat
-//!   monitoring, sensing-range studies).
+//! tags, animals with embedded chips, humans)". The scenarios move people
+//! over a [`RoomGraph`]: discrete rooms connected by doors, walked along
+//! edges (smart office, hospital, exhibition hall).
 
 use serde::{Deserialize, Serialize};
 
@@ -16,22 +12,12 @@ use psn_sim::time::{SimDuration, SimTime};
 
 /// A discrete room-adjacency graph.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoomGraph {
+pub(crate) struct RoomGraph {
     /// `adj[r]` = rooms reachable from room `r` in one transition.
     adj: Vec<Vec<usize>>,
 }
 
 impl RoomGraph {
-    /// A graph from an explicit adjacency list.
-    pub fn new(adj: Vec<Vec<usize>>) -> Self {
-        for (r, ns) in adj.iter().enumerate() {
-            for &n in ns {
-                assert!(n < adj.len(), "room {r} links to out-of-range {n}");
-            }
-        }
-        RoomGraph { adj }
-    }
-
     /// A corridor: rooms `0..n` in a line, each connected to its
     /// neighbours.
     pub fn corridor(n: usize) -> Self {
@@ -51,28 +37,13 @@ impl RoomGraph {
     }
 
     /// A hub-and-spoke building: room 0 is a lobby connected to all others.
-    pub fn lobby(n: usize) -> Self {
+    pub(crate) fn lobby(n: usize) -> Self {
         let mut adj = vec![Vec::new(); n];
         for r in 1..n {
             adj[0].push(r);
             adj[r].push(0);
         }
         RoomGraph { adj }
-    }
-
-    /// Number of rooms.
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// True if there are no rooms.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
-    /// Rooms adjacent to `r`.
-    pub fn neighbors(&self, r: usize) -> &[usize] {
-        &self.adj[r]
     }
 
     /// One random transition from `r` (stays put if `r` is isolated).
@@ -90,13 +61,13 @@ impl RoomGraph {
 /// room for an exponentially-distributed dwell time, then moves to a random
 /// adjacent room.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RoomWalker {
+pub(crate) struct RoomWalker {
     /// Current room.
     pub room: usize,
     /// Mean dwell time per room.
     pub mean_dwell: SimDuration,
     /// When the next transition happens.
-    pub next_move: SimTime,
+    pub(crate) next_move: SimTime,
 }
 
 impl RoomWalker {
@@ -107,7 +78,7 @@ impl RoomWalker {
     }
 
     /// If `now ≥ next_move`, transition and return `Some((old, new))`.
-    pub fn maybe_move(
+    pub(crate) fn maybe_move(
         &mut self,
         now: SimTime,
         graph: &RoomGraph,
@@ -123,64 +94,26 @@ impl RoomWalker {
     }
 }
 
-/// Continuous random-waypoint motion in a `w × h` rectangle: pick a random
-/// destination and speed, walk straight there, repeat.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Waypoint {
-    /// Current position.
-    pub pos: (f64, f64),
-    dest: (f64, f64),
-    speed: f64, // units per second
-    bounds: (f64, f64),
-    speed_range: (f64, f64),
-    last_update: SimTime,
-}
-
-impl Waypoint {
-    /// A walker starting at a random position in the rectangle.
-    pub fn new(bounds: (f64, f64), speed_range: (f64, f64), rng: &mut RngStream) -> Self {
-        let pos = (rng.uniform_f64(0.0, bounds.0), rng.uniform_f64(0.0, bounds.1));
-        let mut w = Waypoint {
-            pos,
-            dest: pos,
-            speed: 0.0,
-            bounds,
-            speed_range,
-            last_update: SimTime::ZERO,
-        };
-        w.pick_new_dest(rng);
-        w
-    }
-
-    fn pick_new_dest(&mut self, rng: &mut RngStream) {
-        self.dest = (rng.uniform_f64(0.0, self.bounds.0), rng.uniform_f64(0.0, self.bounds.1));
-        self.speed = rng.uniform_f64(self.speed_range.0, self.speed_range.1).max(1e-9);
-    }
-
-    /// Advance to time `now`, updating the position (and picking new
-    /// waypoints as they are reached).
-    pub fn advance(&mut self, now: SimTime, rng: &mut RngStream) {
-        let mut remaining = now.saturating_since(self.last_update).as_secs_f64();
-        self.last_update = now;
-        while remaining > 0.0 {
-            let (dx, dy) = (self.dest.0 - self.pos.0, self.dest.1 - self.pos.1);
-            let dist = (dx * dx + dy * dy).sqrt();
-            let time_to_dest = dist / self.speed;
-            if time_to_dest > remaining {
-                let f = remaining * self.speed / dist;
-                self.pos = (self.pos.0 + dx * f, self.pos.1 + dy * f);
-                break;
+#[cfg(test)]
+impl RoomGraph {
+    /// A graph from an explicit adjacency list.
+    pub fn new(adj: Vec<Vec<usize>>) -> Self {
+        for (r, ns) in adj.iter().enumerate() {
+            for &n in ns {
+                assert!(n < adj.len(), "room {r} links to out-of-range {n}");
             }
-            self.pos = self.dest;
-            remaining -= time_to_dest;
-            self.pick_new_dest(rng);
         }
+        RoomGraph { adj }
     }
 
-    /// Euclidean distance to a point.
-    pub fn distance_to(&self, p: (f64, f64)) -> f64 {
-        let (dx, dy) = (self.pos.0 - p.0, self.pos.1 - p.1);
-        (dx * dx + dy * dy).sqrt()
+    /// Number of rooms.
+    pub fn len(&self) -> usize {
+        self.adj.len()
+    }
+
+    /// Rooms adjacent to `r`.
+    pub fn neighbors(&self, r: usize) -> &[usize] {
+        &self.adj[r]
     }
 }
 
@@ -265,34 +198,5 @@ mod tests {
         }
         // ~4000s / 2s mean dwell ≈ 2000 moves; allow wide tolerance.
         assert!((1700..=2300).contains(&moves), "moves = {moves}");
-    }
-
-    #[test]
-    fn waypoint_stays_in_bounds() {
-        let mut r = rng();
-        let mut w = Waypoint::new((100.0, 50.0), (0.5, 2.0), &mut r);
-        for s in 1..500 {
-            w.advance(SimTime::from_secs(s), &mut r);
-            assert!((0.0..=100.0).contains(&w.pos.0), "x = {}", w.pos.0);
-            assert!((0.0..=50.0).contains(&w.pos.1), "y = {}", w.pos.1);
-        }
-    }
-
-    #[test]
-    fn waypoint_speed_is_respected() {
-        let mut r = rng();
-        let mut w = Waypoint::new((1000.0, 1000.0), (1.0, 1.0), &mut r);
-        let p0 = w.pos;
-        w.advance(SimTime::from_secs(10), &mut r);
-        let moved = w.distance_to(p0);
-        assert!(moved <= 10.0 + 1e-9, "speed 1 u/s for 10 s moved {moved}");
-    }
-
-    #[test]
-    fn waypoint_distance() {
-        let mut r = rng();
-        let mut w = Waypoint::new((10.0, 10.0), (1.0, 1.0), &mut r);
-        w.pos = (3.0, 4.0);
-        assert!((w.distance_to((0.0, 0.0)) - 5.0).abs() < 1e-12);
     }
 }

@@ -11,10 +11,10 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 /// Identity of a world object (dense, per scenario).
-pub type ObjectId = usize;
+pub(crate) type ObjectId = usize;
 
 /// Identity of an attribute within an object (dense, per object).
-pub type AttrId = usize;
+pub(crate) type AttrId = usize;
 
 /// A fully qualified attribute: which object, which attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -70,18 +70,6 @@ impl AttrValue {
             AttrValue::Float(f) => f != 0.0,
         }
     }
-
-    /// Is the change from `self` to `new` *significant* at the given
-    /// threshold? The execution model records a sense event only on a
-    /// significant change (paper §2.2). Discrete attributes change
-    /// significantly on any change; floats when the move exceeds the
-    /// threshold.
-    pub fn significant_change(&self, new: &AttrValue, float_threshold: f64) -> bool {
-        match (self, new) {
-            (AttrValue::Float(a), AttrValue::Float(b)) => (a - b).abs() >= float_threshold,
-            (a, b) => a != b,
-        }
-    }
 }
 
 /// A static description of one world object.
@@ -91,7 +79,7 @@ pub struct ObjectSpec {
     pub id: ObjectId,
     /// Human-readable name ("door-3", "room-B-temp", "pen").
     pub name: String,
-    /// Attribute names and initial values, indexed by [`AttrId`].
+    /// Attribute names and initial values, indexed by `AttrId`.
     pub attrs: Vec<(String, AttrValue)>,
 }
 
@@ -132,12 +120,12 @@ impl WorldState {
     }
 
     /// Read an attribute as a float, defaulting to 0.0.
-    pub fn get_float(&self, key: AttrKey) -> f64 {
+    pub(crate) fn get_float(&self, key: AttrKey) -> f64 {
         self.get(key).map(|v| v.as_float()).unwrap_or(0.0)
     }
 
     /// Read an attribute as a boolean, defaulting to false.
-    pub fn get_bool(&self, key: AttrKey) -> bool {
+    pub(crate) fn get_bool(&self, key: AttrKey) -> bool {
         self.get(key).map(|v| v.as_bool()).unwrap_or(false)
     }
 
@@ -168,16 +156,6 @@ mod tests {
         assert!(AttrValue::Float(0.5).as_bool());
         assert!(!AttrValue::Int(0).as_bool());
         assert_eq!(AttrValue::Float(2.9).as_int(), 2);
-    }
-
-    #[test]
-    fn significant_change_rules() {
-        let t = 0.5;
-        assert!(AttrValue::Int(1).significant_change(&AttrValue::Int(2), t));
-        assert!(!AttrValue::Int(1).significant_change(&AttrValue::Int(1), t));
-        assert!(AttrValue::Bool(false).significant_change(&AttrValue::Bool(true), t));
-        assert!(!AttrValue::Float(1.0).significant_change(&AttrValue::Float(1.2), t));
-        assert!(AttrValue::Float(1.0).significant_change(&AttrValue::Float(1.6), t));
     }
 
     #[test]

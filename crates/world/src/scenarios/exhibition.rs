@@ -152,15 +152,15 @@ pub fn occupancy(state: &WorldState, doors: usize) -> i64 {
         .sum()
 }
 
-/// The §5 predicate: occupancy strictly above capacity.
-pub fn over_capacity(doors: usize, capacity: i64) -> impl Fn(&WorldState) -> bool {
-    move |state| occupancy(state, doors) > capacity
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ground_truth::truth_intervals;
+
+    /// The §5 predicate: occupancy strictly above capacity.
+    fn over_capacity(doors: usize, capacity: i64) -> impl Fn(&WorldState) -> bool {
+        move |state| occupancy(state, doors) > capacity
+    }
 
     fn small() -> ExhibitionParams {
         ExhibitionParams {

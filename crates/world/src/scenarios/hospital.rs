@@ -16,7 +16,7 @@ use psn_sim::rng::RngFactory;
 use psn_sim::time::{SimDuration, SimTime};
 
 use crate::mobility::{RoomGraph, RoomWalker};
-use crate::object::{AttrKey, AttrValue, ObjectSpec, WorldState};
+use crate::object::{AttrKey, AttrValue, ObjectSpec};
 use crate::timeline::{Timeline, WorldEvent};
 
 use super::{Scenario, SensorAssignment};
@@ -160,20 +160,21 @@ pub fn generate(params: &HospitalParams, seed: u64) -> Scenario {
     }
 }
 
-/// The waiting room is overcrowded: more than `limit` visitors in ward 0.
-pub fn waiting_room_over(limit: i64) -> impl Fn(&WorldState) -> bool {
-    move |state| state.get_int(AttrKey::new(0, ATTR_COUNT)) > limit
-}
-
-/// Someone is inside the infectious ward.
-pub fn infectious_ward_breached(ward: usize) -> impl Fn(&WorldState) -> bool {
-    move |state| state.get_bool(AttrKey::new(ward, ATTR_INTRUSION))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ground_truth::truth_intervals;
+    use crate::object::WorldState;
+
+    /// The waiting room is overcrowded: more than `limit` visitors in ward 0.
+    fn waiting_room_over(limit: i64) -> impl Fn(&WorldState) -> bool {
+        move |state| state.get_int(AttrKey::new(0, ATTR_COUNT)) > limit
+    }
+
+    /// Someone is inside the infectious ward.
+    fn infectious_ward_breached(ward: usize) -> impl Fn(&WorldState) -> bool {
+        move |state| state.get_bool(AttrKey::new(ward, ATTR_INTRUSION))
+    }
 
     fn small() -> HospitalParams {
         HospitalParams {

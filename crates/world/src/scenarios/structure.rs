@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use psn_sim::rng::RngFactory;
 use psn_sim::time::{SimDuration, SimTime};
 
-use crate::object::{AttrKey, AttrValue, ObjectSpec, WorldState};
+use crate::object::{AttrKey, AttrValue, ObjectSpec};
 use crate::timeline::{Timeline, WorldEvent};
 
 use super::{Scenario, SensorAssignment};
@@ -139,17 +139,19 @@ pub fn generate(params: &StructureParams, seed: u64) -> Scenario {
     }
 }
 
-/// The structural-alarm predicate: at least `k` segments vibrating at once
-/// (a propagating shock, as opposed to local noise).
-pub fn widespread_vibration(segments: usize, k: usize) -> impl Fn(&WorldState) -> bool {
-    move |state| {
-        (0..segments).filter(|&s| state.get_int(AttrKey::new(s, ATTR_VIBRATION)) > 0).count() >= k
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::WorldState;
+
+    /// The structural-alarm predicate: at least `k` segments vibrating at once
+    /// (a propagating shock, as opposed to local noise).
+    fn widespread_vibration(segments: usize, k: usize) -> impl Fn(&WorldState) -> bool {
+        move |state| {
+            (0..segments).filter(|&s| state.get_int(AttrKey::new(s, ATTR_VIBRATION)) > 0).count()
+                >= k
+        }
+    }
 
     fn small() -> StructureParams {
         StructureParams {

@@ -149,10 +149,13 @@ impl Timeline {
         }
         false
     }
+}
 
+#[cfg(test)]
+impl Timeline {
     /// Fraction of causally-related event pairs — a measure of how much
     /// hidden-channel structure a scenario has.
-    pub fn causal_density(&self) -> f64 {
+    pub(crate) fn causal_density(&self) -> f64 {
         let n = self.events.len();
         if n < 2 {
             return 0.0;
