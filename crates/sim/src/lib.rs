@@ -10,7 +10,7 @@
 //!
 //! - integer-nanosecond ground-truth time ([`time`]),
 //! - per-entity splittable random streams ([`rng`]),
-//! - a stable-tie-breaking future-event list ([`queue`]),
+//! - a stable-tie-breaking future-event list (`queue`),
 //! - the paper's delay models and message-loss models ([`delay`], [`loss`]),
 //! - dynamic logical overlays with broadcast, FIFO/non-FIFO channels and
 //!   byte accounting ([`network`]),
@@ -67,7 +67,7 @@ pub mod loss;
 pub mod metrics;
 pub mod network;
 pub mod provider;
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod stats;
 pub mod sweep;
