@@ -7,7 +7,10 @@
 //! All detectors share one skeleton: the root P₀ reconstructs the global
 //! state by replaying the reports **in the order a clock discipline says
 //! they happened**, evaluating φ after each update and emitting rising /
-//! falling edges. The disciplines differ only in the ordering key:
+//! falling edges. That edge state machine is written once, as `Sweep`:
+//! [`detect_occurrences`] feeds it a whole trace sorted by the discipline's
+//! key, and the streaming detector ([`crate::stream`]) feeds it each report
+//! its hold-back releases. The disciplines differ only in the ordering key:
 //!
 //! | Discipline | Orders by | Error behaviour (paper) |
 //! |---|---|---|
@@ -32,10 +35,9 @@ use serde::{Deserialize, Serialize};
 
 use psn_core::{ExecutionTrace, ReceivedReport};
 use psn_sim::time::SimTime;
-use psn_world::{AttrValue, WorldState};
+use psn_world::{AttrKey, AttrValue, WorldState};
 
-use crate::metrics::DetectorMetrics;
-use crate::spec::Predicate;
+use crate::spec::{Compiled, Predicate};
 
 /// One detected occurrence, in ground-truth coordinates (the truth times of
 /// the sense events the detector attributed the edges to).
@@ -121,88 +123,6 @@ pub fn detect_occurrences(
     initial: &WorldState,
     discipline: Discipline,
 ) -> Vec<Detection> {
-    detect_occurrences_instrumented(
-        trace,
-        predicate,
-        initial,
-        discipline,
-        &DetectorMetrics::disabled(),
-    )
-}
-
-/// [`detect_occurrences`], recording occurrences emitted, borderline-bin
-/// size, and per-occurrence detection latency vs ground truth into
-/// `metrics`. Output is identical to the uninstrumented call.
-pub fn detect_occurrences_instrumented(
-    trace: &ExecutionTrace,
-    predicate: &Predicate,
-    initial: &WorldState,
-    discipline: Discipline,
-    metrics: &DetectorMetrics,
-) -> Vec<Detection> {
-    detect_impl(trace, predicate, initial, discipline, metrics, None)
-}
-
-/// [`detect_occurrences`], additionally appending a stamped
-/// [`psn_sim::trace::TraceKind::Process`] record (kind
-/// [`psn_sim::trace::ProcessEventKind::Detect`]) to `sink` for every
-/// occurrence the detector emits — at the root-local arrival time of the
-/// report that completed it, stamped with the root's vector clock at that
-/// receive, with `detail` naming the reporting process (`u64::MAX` for the
-/// trailing still-open interval, which no report completed). Passing the
-/// execution's own sealed [`psn_sim::trace::Trace`] (cloned) yields one
-/// merged causal trace: sense → send → receive → **detect**, ready for
-/// [`psn_sim::trace_analysis::TraceAnalysis::detection_chain`]. `sink` is
-/// re-sealed before returning. Detection output is identical to the
-/// untraced call.
-pub fn detect_occurrences_traced(
-    trace: &ExecutionTrace,
-    predicate: &Predicate,
-    initial: &WorldState,
-    discipline: Discipline,
-    sink: &mut psn_sim::trace::Trace,
-) -> Vec<Detection> {
-    let out = detect_impl(
-        trace,
-        predicate,
-        initial,
-        discipline,
-        &DetectorMetrics::disabled(),
-        Some(sink),
-    );
-    sink.seal();
-    out
-}
-
-fn detect_impl(
-    trace: &ExecutionTrace,
-    predicate: &Predicate,
-    initial: &WorldState,
-    discipline: Discipline,
-    metrics: &DetectorMetrics,
-    mut sink: Option<&mut psn_sim::trace::Trace>,
-) -> Vec<Detection> {
-    use psn_sim::trace::{ClockStamp, ProcessEventKind, TraceKind};
-    let root = trace.root_id();
-    // The verdict record for an occurrence completed by report `r`: emitted
-    // at the root, at r's arrival, stamped with the root's merged vector at
-    // that receive (so the verdict inherits the receive's causal past).
-    let emit = |sink: &mut Option<&mut psn_sim::trace::Trace>, r: Option<&ReceivedReport>| {
-        if let Some(sink) = sink.as_deref_mut() {
-            let (at, stamp, detail) = match r {
-                Some(r) => (
-                    r.arrived_at,
-                    ClockStamp::vector(r.root_vector.as_slice()),
-                    r.report.process as u64,
-                ),
-                None => (trace.ended_at, ClockStamp::None, u64::MAX),
-            };
-            sink.record(
-                at,
-                TraceKind::Process { actor: root, kind: ProcessEventKind::Detect, stamp, detail },
-            );
-        }
-    };
     // Order the observation stream per the discipline (a stable sort: equal
     // keys keep arrival order).
     let mut ordered: Vec<(SweepKey, &ReceivedReport)> = trace
@@ -214,98 +134,159 @@ fn detect_impl(
         .collect();
     ordered.sort_by_key(|&(key, _)| key);
 
-    let mut state = predicate.compile(initial);
-    let vector = discipline == Discipline::VectorStrobe;
-
     // The race window for borderline classification: reports within this
     // many sweep positions of each other can be concurrent-and-adjacent.
-    let window = trace.n.max(2);
-
-    let mut detections: Vec<Detection> = Vec::new();
-    // (start, borderline, root-local arrival of the rising-edge report —
-    // None for the deployment-time open interval).
-    let mut open: Option<(SimTime, bool, Option<SimTime>)> = None;
-    let mut holds = state.holds();
-    if holds {
-        open = Some((SimTime::ZERO, false, None));
+    let window = (discipline == Discipline::VectorStrobe).then_some(trace.n.max(2));
+    let mut sweep = Sweep::new(predicate, initial, window);
+    let mut detections = Vec::new();
+    // Positions count every sorted report, relevant or not.
+    for (pos, &(_, r)) in ordered.iter().enumerate() {
+        let rr = &r.report;
+        detections.extend(sweep.step(pos, rr.key, rr.value, rr.stamps.truth, Some(r)));
     }
-    // Recent relevant history for race probes: (index, report, the value of
-    // its key before it applied), oldest first.
-    let mut recent: VecDeque<(usize, &ReceivedReport, AttrValue)> = VecDeque::new();
+    detections.extend(sweep.finish());
+    detections
+}
 
-    for (idx, &(_, r)) in ordered.iter().enumerate() {
-        // An irrelevant report leaves the observed state, and so φ, as it
-        // was: no edge, no probe, no history entry.
-        let Some(prev_value) = state.set(r.report.key, r.report.value) else { continue };
-        let now_holds = state.holds();
-        // The history entries racing with `r`: within the window, another
-        // process's, concurrent in strobe-vector order. Newest first, and
-        // walked only at an edge or by the near-miss probe, so the vector
-        // comparisons are paid only there.
-        let racing = || {
-            recent.iter().rev().take_while(|(i, ..)| idx - i <= window).filter(|(_, s, _)| {
+/// The relational edge state machine: the observed state, whether φ holds
+/// on it, and the open occurrence, advanced one report at a time in the
+/// order a discipline gives. [`detect_occurrences`] feeds it a whole sorted
+/// trace; the streaming detector feeds it each report its hold-back
+/// releases, under `ScalarStrobe`.
+#[derive(Debug, Clone)]
+pub(crate) struct Sweep<'a> {
+    state: Compiled,
+    holds: bool,
+    /// The open occurrence: its truth start, and whether its rising edge
+    /// was involved in a race.
+    open: Option<(SimTime, bool)>,
+    /// `VectorStrobe` only: the recent history the race probes read.
+    races: Option<RaceWindow<'a>>,
+}
+
+/// Recent relevant history for race probes.
+#[derive(Debug, Clone)]
+struct RaceWindow<'a> {
+    /// Reports within this many sweep positions of each other can be
+    /// concurrent-and-adjacent.
+    width: usize,
+    /// (position, report, the value of its key before it applied), oldest
+    /// first.
+    recent: VecDeque<(usize, &'a ReceivedReport, AttrValue)>,
+}
+
+impl<'a> RaceWindow<'a> {
+    /// The history entries racing with `r` at position `pos`: within the
+    /// window, another process's, concurrent in strobe-vector order. Newest
+    /// first, and walked only at an edge or by the near-miss probe, so the
+    /// vector comparisons are paid only there.
+    fn racing<'s>(
+        &'s self,
+        pos: usize,
+        r: &'s ReceivedReport,
+    ) -> impl Iterator<Item = &'s (usize, &'a ReceivedReport, AttrValue)> + 's {
+        self.recent.iter().rev().take_while(move |(i, ..)| pos - i <= self.width).filter(
+            move |(_, s, _)| {
                 s.report.process != r.report.process
                     && s.report.stamps.strobe_vector.concurrent(&r.report.stamps.strobe_vector)
-            })
-        };
-        let is_race = || vector && racing().next().is_some();
+            },
+        )
+    }
+}
 
-        match (holds, now_holds) {
+impl<'a> Sweep<'a> {
+    /// A sweep of `predicate` from the observed state `initial`. A
+    /// `race_window` (the `VectorStrobe` discipline) turns on race
+    /// classification into the borderline bin and the near-miss probe.
+    pub(crate) fn new(
+        predicate: &Predicate,
+        initial: &WorldState,
+        race_window: Option<usize>,
+    ) -> Self {
+        let mut state = predicate.compile(initial);
+        let holds = state.holds();
+        Sweep {
+            state,
+            holds,
+            open: holds.then_some((SimTime::ZERO, false)),
+            races: race_window.map(|width| RaceWindow { width, recent: VecDeque::new() }),
+        }
+    }
+
+    /// Whether a report on `key` can change the observed state.
+    pub(crate) fn watches(&self, key: AttrKey) -> bool {
+        self.state.watches(key)
+    }
+
+    /// Truth start of the open occurrence, if φ holds now.
+    pub(crate) fn open_since(&self) -> Option<SimTime> {
+        self.open.map(|(start, _)| start)
+    }
+
+    /// Apply the report at sweep position `pos` that sets `attr` to `value`
+    /// (sensed at truth time `truth`), and return the occurrence it
+    /// completes: a falling edge, or a near-miss blip. `report` is the
+    /// report itself, which only a race window reads.
+    pub(crate) fn step(
+        &mut self,
+        pos: usize,
+        attr: AttrKey,
+        value: AttrValue,
+        truth: SimTime,
+        report: Option<&'a ReceivedReport>,
+    ) -> Option<Detection> {
+        // An irrelevant report leaves the observed state, and so φ, as it
+        // was: no edge, no probe, no history entry.
+        let prev_value = self.state.set(attr, value)?;
+        let now_holds = self.state.holds();
+        let races = self.races.as_ref().zip(report);
+        let is_race = || races.is_some_and(|(w, r)| w.racing(pos, r).next().is_some());
+
+        let found = match (self.holds, now_holds) {
             (false, true) => {
-                open = Some((r.report.stamps.truth, is_race(), Some(r.arrived_at)));
+                self.open = Some((truth, is_race()));
+                None
             }
             (true, false) => {
-                let (start, race_at_start, seen_at) = open.take().expect("open interval");
-                let d = Detection {
-                    start,
-                    end: Some(r.report.stamps.truth),
-                    borderline: race_at_start || is_race(),
-                };
-                metrics.on_occurrence(&d, seen_at);
-                emit(&mut sink, Some(r));
-                detections.push(d);
+                let (start, race_at_start) = self.open.take().expect("open interval");
+                Some(Detection { start, end: Some(truth), borderline: race_at_start || is_race() })
             }
             // Near-miss probe (vector strobe only): if φ did not rise, but
             // would have risen had this report been ordered before an
             // adjacent concurrent report, the occurrence may exist in truth
             // — emit a borderline blip so the application can err on the
             // safe side.
-            (false, false) if vector => {
-                for (_, s, s_prev) in racing() {
-                    // Tentatively roll back S (as if R preceded it): write
-                    // one slot, evaluate, restore it.
-                    let cur = state.set(s.report.key, *s_prev).expect("history is relevant");
-                    let probe = state.holds();
-                    state.set(s.report.key, cur);
-                    if probe {
-                        let d = Detection {
-                            start: r.report.stamps.truth,
-                            end: Some(r.report.stamps.truth),
-                            borderline: true,
-                        };
-                        metrics.on_occurrence(&d, Some(r.arrived_at));
-                        emit(&mut sink, Some(r));
-                        detections.push(d);
-                        break;
-                    }
-                }
+            (false, false) => {
+                let near_miss = races.is_some_and(|(w, r)| {
+                    w.racing(pos, r).any(|(_, s, s_prev)| {
+                        // Tentatively roll back S (as if R preceded it):
+                        // write one slot, evaluate, restore it.
+                        let cur =
+                            self.state.set(s.report.key, *s_prev).expect("history is relevant");
+                        let probe = self.state.holds();
+                        self.state.set(s.report.key, cur);
+                        probe
+                    })
+                });
+                near_miss.then_some(Detection { start: truth, end: Some(truth), borderline: true })
             }
-            _ => {}
-        }
+            (true, true) => None,
+        };
 
-        holds = now_holds;
-        recent.push_back((idx, r, prev_value));
-        if recent.len() > 2 * window {
-            recent.pop_front();
+        self.holds = now_holds;
+        if let Some((w, r)) = self.races.as_mut().zip(report) {
+            w.recent.push_back((pos, r, prev_value));
+            if w.recent.len() > 2 * w.width {
+                w.recent.pop_front();
+            }
         }
+        found
     }
-    if let Some((start, race, seen_at)) = open {
-        let d = Detection { start, end: None, borderline: race };
-        metrics.on_occurrence(&d, seen_at);
-        emit(&mut sink, None);
-        detections.push(d);
+
+    /// End of stream: the occurrence still open, if any.
+    pub(crate) fn finish(self) -> Option<Detection> {
+        self.open.map(|(start, race)| Detection { start, end: None, borderline: race })
     }
-    detections
 }
 
 #[cfg(test)]
@@ -423,74 +404,6 @@ mod tests {
             detected.iter().any(|d| d.borderline),
             "high event rate with Δ=1s must produce races"
         );
-    }
-
-    #[test]
-    fn instrumented_detection_is_identical_and_counts() {
-        let s = scenario(8.0, 60);
-        let trace = run_execution(
-            &s,
-            &ExecutionConfig {
-                delay: DelayModel::delta(SimDuration::from_secs(1)),
-                ..Default::default()
-            },
-        );
-        let pred = Predicate::occupancy_over(3, 60);
-        let init = s.timeline.initial_state();
-        let plain = detect_occurrences(&trace, &pred, &init, Discipline::VectorStrobe);
-        let m = psn_sim::metrics::Metrics::new();
-        let dm = crate::metrics::DetectorMetrics::attach(&m);
-        let inst =
-            detect_occurrences_instrumented(&trace, &pred, &init, Discipline::VectorStrobe, &dm);
-        assert_eq!(plain, inst, "metrics must not change detection output");
-        let snap = m.snapshot();
-        assert_eq!(snap.counter("detector.occurrences"), Some(inst.len() as u64));
-        assert_eq!(
-            snap.counter("detector.borderline"),
-            Some(inst.iter().filter(|d| d.borderline).count() as u64)
-        );
-        let lat = snap.timer("detector.latency_ns").unwrap();
-        assert!(lat.count >= 1, "report-triggered occurrences have a latency sample");
-        assert!(lat.mean > 0.0, "Δ=1s delays give positive detection latency");
-    }
-
-    #[test]
-    fn traced_detection_appends_stamped_verdicts() {
-        let s = scenario(2.0, 40);
-        let trace =
-            run_execution(&s, &ExecutionConfig { record_sim_trace: true, ..Default::default() });
-        let pred = Predicate::occupancy_over(3, 40);
-        let init = s.timeline.initial_state();
-        let plain = detect_occurrences(&trace, &pred, &init, Discipline::Arrival);
-        let mut sink = trace.sim.clone();
-        let before = sink.len();
-        let traced =
-            detect_occurrences_traced(&trace, &pred, &init, Discipline::Arrival, &mut sink);
-        assert_eq!(plain, traced, "tracing must not change detection output");
-        use psn_sim::trace::{ProcessEventKind, TraceKind};
-        let verdicts: Vec<_> = sink
-            .records()
-            .iter()
-            .filter(|r| {
-                matches!(&r.kind, TraceKind::Process { kind: ProcessEventKind::Detect, .. })
-            })
-            .collect();
-        assert_eq!(sink.len(), before + verdicts.len(), "only Detect records were appended");
-        assert_eq!(verdicts.len(), traced.len(), "one verdict per occurrence");
-        for (v, d) in verdicts.iter().zip(&traced) {
-            if let TraceKind::Process { actor, stamp, detail, .. } = &v.kind {
-                assert_eq!(*actor, trace.root_id());
-                if d.end.is_some() {
-                    assert!(stamp.as_vector().is_some(), "report-completed verdicts are stamped");
-                    assert!(*detail < trace.n as u64);
-                } else {
-                    assert_eq!(*detail, u64::MAX, "trailing open interval has no reporter");
-                }
-            }
-        }
-        // The merged trace stays a valid total order: seal was called and
-        // the verdict sits at the completing report's arrival time.
-        assert!(sink.records().windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]

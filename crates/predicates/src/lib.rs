@@ -7,17 +7,15 @@
 //!
 //! - [`spec`] — the predicate language: conjunctive and relational
 //!   predicates over world attributes (§3.1.2);
-//! - [`detect`] — the sweep detectors: one skeleton, six clock disciplines
-//!   (oracle / ε-synced physical / unsynced physical / arrival / scalar
-//!   strobe / vector strobe with the borderline bin);
+//! - [`detect`] — the relational sweep: one edge state machine, six clock
+//!   disciplines (oracle / ε-synced physical / unsynced physical / arrival
+//!   / scalar strobe / vector strobe with the borderline bin), run over a
+//!   whole trace here and one released report at a time by [`stream`];
 //! - [`causal`] — `Possibly` / `Definitely` detection of conjunctive
 //!   predicates over vector-stamped intervals (Cooper–Marzullo modalities,
 //!   Garg–Waldecker advancement), under causal or strobe stamps;
 //! - [`accuracy`] — FP/FN scoring against ground truth with tolerance and
 //!   the borderline policy (§5's "err on the safe side");
-//! - [`metrics`] — detector instrumentation (occurrences emitted,
-//!   borderline-bin size, detection latency vs ground truth) recorded into
-//!   a [`psn_sim::metrics::Metrics`] registry without changing output;
 //! - [`online`] — the on-line readout ([`OnlineStatus`]) a live query
 //!   reads from the streaming detector;
 //! - [`stream`] — the on-line detector: reports held back and released in
@@ -32,7 +30,6 @@ pub mod accuracy;
 pub mod analytic;
 pub mod causal;
 pub mod detect;
-pub mod metrics;
 pub mod modal;
 pub mod online;
 pub mod spec;
@@ -42,11 +39,7 @@ pub mod timing;
 pub use accuracy::{detection_matches, score, AccuracyReport, BorderlinePolicy};
 pub use analytic::{fn_probability_synced, race_probability};
 pub use causal::{detect_conjunctive, CausalOccurrence, StampFamily};
-pub use detect::{
-    detect_occurrences, detect_occurrences_instrumented, detect_occurrences_traced, Detection,
-    Discipline,
-};
-pub use metrics::DetectorMetrics;
+pub use detect::{detect_occurrences, Detection, Discipline};
 pub use modal::{modal_status, ModalStatus};
 pub use online::OnlineStatus;
 pub use spec::{Conjunct, Expr, Predicate};

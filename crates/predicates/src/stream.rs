@@ -13,9 +13,10 @@
 //!   streaming detector makes is made on the same data in the same order.
 //!   A report released below a key already released is applied anyway and
 //!   counted as late.
-//! - **Relational** predicates run the scalar-strobe sweep one released
-//!   report at a time (state map + edge detection), keeping only counts and
-//!   the open interval — O(1) beyond the hold-back buffer.
+//! - **Relational** predicates run the whole-trace detector's own sweep
+//!   ([`crate::detect`]) under `ScalarStrobe`, one released report at a
+//!   time, keeping only the count of closed occurrences and the open one —
+//!   O(1) beyond the hold-back buffer.
 //! - **Conjunctive** predicates build each conjunct's truth intervals with
 //!   the builder [`crate::causal::detect_conjunctive`] replays, and feed the
 //!   closed ones to the same [`psn_lattice::stream::AdvancementFrontier`]:
@@ -51,9 +52,10 @@ use psn_sim::time::{SimDuration, SimTime};
 use psn_world::{AttrKey, AttrValue, WorldState};
 
 use crate::causal::ConjunctBuilder;
+use crate::detect::Sweep;
 use crate::modal::ModalStatus;
 use crate::online::OnlineStatus;
-use crate::spec::{Compiled, Conjunct, Predicate};
+use crate::spec::{Conjunct, Predicate};
 
 /// Strobe order: scalar strobe, then process, then sense sequence — the
 /// offline sweep's sort key.
@@ -143,48 +145,12 @@ impl HoldBack {
 enum Shape {
     /// Empty conjunctive predicate: vacuously never occurs.
     Vacuous,
-    Relational(RelationalSweep),
+    /// The relational sweep and the occurrences it has closed.
+    Relational {
+        sweep: Sweep<'static>,
+        closed: usize,
+    },
     Conjunctive(ConjunctiveStream),
-}
-
-/// Incremental scalar-strobe sweep: the offline relational detector's
-/// state machine with only counts retained.
-#[derive(Debug, Clone)]
-struct RelationalSweep {
-    state: Compiled,
-    holds: bool,
-    /// Truth start of the currently open occurrence.
-    open: Option<SimTime>,
-    closed: usize,
-}
-
-impl RelationalSweep {
-    fn new(predicate: &Predicate, initial: &WorldState) -> Self {
-        let mut state = predicate.compile(initial);
-        let holds = state.holds();
-        let open = holds.then_some(SimTime::ZERO);
-        RelationalSweep { state, holds, open, closed: 0 }
-    }
-
-    fn apply(&mut self, e: &Held) {
-        // Only relevant keys are buffered, so the slot exists.
-        self.state.set(e.attr, e.value);
-        let now = self.state.holds();
-        match (self.holds, now) {
-            (false, true) => self.open = Some(e.truth),
-            (true, false) => {
-                self.open = None;
-                self.closed += 1;
-            }
-            _ => {}
-        }
-        self.holds = now;
-    }
-
-    fn seal(&self) -> ModalStatus {
-        let possibly = self.closed + usize::from(self.open.is_some());
-        ModalStatus { possibly, definitely: possibly, holding_now: self.open.is_some() }
-    }
 }
 
 /// Conjunctive streaming: builders + the lattice advancement frontier, with
@@ -298,7 +264,9 @@ impl StreamingModal {
             Predicate::Conjunctive(cs) => {
                 Shape::Conjunctive(ConjunctiveStream::new(cs, initial, n + 1))
             }
-            Predicate::Relational(_) => Shape::Relational(RelationalSweep::new(predicate, initial)),
+            Predicate::Relational(_) => {
+                Shape::Relational { sweep: Sweep::new(predicate, initial, None), closed: 0 }
+            }
         };
         StreamingModal { shape, buffer: HoldBack::new(hold_back), mem_high_water: 0 }
     }
@@ -311,7 +279,7 @@ impl StreamingModal {
             Shape::Vacuous => None,
             // Irrelevant attributes cannot change the swept state, so they
             // cannot produce an edge — skip them entirely.
-            Shape::Relational(sw) => sw.state.watches(r.report.key).then(|| base(None)),
+            Shape::Relational { sweep, .. } => sweep.watches(r.report.key).then(|| base(None)),
             // Every report of a watched process matters (it advances that
             // conjunct's last delivered stamp even when the attribute is
             // irrelevant), and it carries the strobe vector.
@@ -339,7 +307,11 @@ impl StreamingModal {
         while let Some(e) = self.buffer.pop_due(watermark) {
             match &mut self.shape {
                 Shape::Vacuous => {}
-                Shape::Relational(sw) => sw.apply(&e),
+                Shape::Relational { sweep, closed } => {
+                    // Under `ScalarStrobe` the only occurrence a report
+                    // completes is a falling edge.
+                    *closed += usize::from(sweep.step(0, e.attr, e.value, e.truth, None).is_some());
+                }
                 Shape::Conjunctive(cs) => cs.apply(&e),
             }
         }
@@ -369,7 +341,7 @@ impl StreamingModal {
         let mut probe = self.clone();
         probe.release_until(SimTime::MAX);
         let open_since = match &probe.shape {
-            Shape::Relational(sw) => sw.open,
+            Shape::Relational { sweep, .. } => sweep.open_since(),
             _ => None,
         };
         let modal = probe.shape.seal();
@@ -431,7 +403,11 @@ impl Shape {
     fn seal(self) -> ModalStatus {
         match self {
             Shape::Vacuous => ModalStatus { possibly: 0, definitely: 0, holding_now: false },
-            Shape::Relational(sw) => sw.seal(),
+            Shape::Relational { sweep, closed } => {
+                let open = sweep.finish().is_some();
+                let possibly = closed + usize::from(open);
+                ModalStatus { possibly, definitely: possibly, holding_now: open }
+            }
             Shape::Conjunctive(cs) => cs.seal(),
         }
     }

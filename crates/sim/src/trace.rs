@@ -61,8 +61,7 @@ impl Deserialize for MsgId {
 }
 
 /// The semantic process events actors can stamp into the trace (the
-/// paper's event alphabet at trace granularity: `n`/`s`/`r`/`a` plus the
-/// detector's verdicts).
+/// paper's event alphabet at trace granularity: `n`/`s`/`r`/`a`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProcessEventKind {
     /// A sense event `n` (detail: the world event id).
@@ -73,9 +72,6 @@ pub enum ProcessEventKind {
     Receive,
     /// An actuate event `a` (detail: the actuated object id).
     Actuate,
-    /// A detector occurrence verdict (detail: the process whose report
-    /// completed the occurrence, or `u64::MAX` when none did).
-    Detect,
 }
 
 impl ProcessEventKind {
@@ -86,7 +82,6 @@ impl ProcessEventKind {
             ProcessEventKind::Send => "send",
             ProcessEventKind::Receive => "receive",
             ProcessEventKind::Actuate => "actuate",
-            ProcessEventKind::Detect => "detect",
         }
     }
 }
@@ -676,16 +671,8 @@ mod tests {
         t.seal();
         t.seal();
         assert_eq!(t.len(), 1);
-        // Post-hoc append (the detector-verdict pattern), then re-seal.
-        t.record(
-            SimTime::from_millis(2),
-            TraceKind::Process {
-                actor: 1,
-                kind: ProcessEventKind::Detect,
-                stamp: ClockStamp::Scalar(7),
-                detail: 0,
-            },
-        );
+        // Post-hoc append, then re-seal.
+        t.record(SimTime::from_millis(2), TraceKind::Note { actor: 1, label: "after".into() });
         t.seal();
         assert_eq!(t.len(), 2);
         assert_eq!(t.records()[1].seq, 1);

@@ -13,13 +13,6 @@
 //!   physical message graph: strobe deliveries merge strobe clocks without
 //!   ticking the causal vector, so physical edges would overapproximate
 //!   causality.
-//! - **Critical paths** — the chain of records behind an event
-//!   (`TraceAnalysis::critical_path`): walk a `Delivered` back to its
-//!   `Sent` (one message hop = one latency attribution) and every other
-//!   record back to its actor-local predecessor, ending at the originating
-//!   cause (for a detection: the world-plane sense injection). The
-//!   detector-verdict variant [`TraceAnalysis::detection_chain`] binds a
-//!   `Detect` record to the report delivery that completed the occurrence.
 //! - **Loss vicinity** — is any `Lost` record within a window of an
 //!   interval; experiment E9's far-from-loss filter is
 //!   [`TraceAnalysis::near_any_loss`].
@@ -28,7 +21,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::network::ActorId;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{ProcessEventKind, Trace, TraceKind, TraceRecord};
+use crate::trace::{Trace, TraceKind, TraceRecord};
 
 /// Log₂-bucketed latency histogram plus exact count/sum/min/max. Bucket
 /// `k` counts samples with `ns` in `[2^k, 2^(k+1))` (bucket 0 also takes
@@ -107,25 +100,9 @@ pub struct ChannelStats {
     pub latency: LatencyHistogram,
 }
 
-/// A cause→effect chain of trace records with per-hop latency attribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalPath {
-    /// Indices into [`Trace::records`], cause first, target last.
-    pub records: Vec<usize>,
-    /// `hops[i]` = time from `records[i]` to `records[i+1]`
-    /// (`records.len() - 1` entries).
-    pub hops: Vec<SimDuration>,
-    /// End-to-end time (the sum of `hops`).
-    pub total: SimDuration,
-}
-
 /// Index over a sealed [`Trace`]. Build once, query many times.
 pub struct TraceAnalysis<'a> {
     records: &'a [TraceRecord],
-    /// `MsgId.0` → index of the `Sent` record.
-    send_of: HashMap<u64, usize>,
-    /// Per record: index of the previous record of the same actor.
-    local_prev: Vec<Option<usize>>,
     channels: BTreeMap<(ActorId, ActorId), ChannelStats>,
     /// Times of `Lost` records, ascending.
     loss_times: Vec<SimTime>,
@@ -137,16 +114,13 @@ impl<'a> TraceAnalysis<'a> {
     /// Index `trace` (must be sealed — the engine seals at end of run).
     pub fn build(trace: &'a Trace) -> Self {
         let records = trace.records();
+        // `MsgId.0` → index of the `Sent` record.
         let mut send_of = HashMap::new();
-        let mut local_prev = vec![None; records.len()];
-        let mut last_of_actor: HashMap<ActorId, usize> = HashMap::new();
         let mut channels: BTreeMap<(ActorId, ActorId), ChannelStats> = BTreeMap::new();
         let mut loss_times = Vec::new();
         let mut fault_times = Vec::new();
 
         for (i, r) in records.iter().enumerate() {
-            let actor = r.kind.actor();
-            local_prev[i] = last_of_actor.insert(actor, i);
             match &r.kind {
                 TraceKind::Sent { from, to, bytes, msg } => {
                     send_of.insert(msg.0, i);
@@ -171,12 +145,12 @@ impl<'a> TraceAnalysis<'a> {
             }
         }
         // Seal order is by seq, not time: records appended after a seal
-        // (detector verdicts, merged traces) carry later seqs but may carry
+        // (merged traces) carry later seqs but may carry
         // earlier times, so the binary-searched indices below must be
         // sorted here, not trusted.
         loss_times.sort_unstable();
         fault_times.sort_unstable();
-        TraceAnalysis { records, send_of, local_prev, channels, loss_times, fault_times }
+        TraceAnalysis { records, channels, loss_times, fault_times }
     }
 
     /// The records this analysis indexes.
@@ -247,86 +221,6 @@ impl<'a> TraceAnalysis<'a> {
         edges
     }
 
-    /// The cause→effect chain ending at record `target`: a `Delivered`
-    /// steps back across the network to its `Sent` (one message hop);
-    /// anything else steps to the same actor's previous record. Terminates
-    /// at a record with no predecessor — for a sense-triggered chain, the
-    /// world plane's injected delivery.
-    pub(crate) fn critical_path(&self, target: usize) -> CriticalPath {
-        assert!(target < self.records.len(), "record index out of range");
-        let mut chain = vec![target];
-        let mut cur = target;
-        loop {
-            let prev = match &self.records[cur].kind {
-                TraceKind::Delivered { msg, .. } => self.send_of.get(&msg.0).copied(),
-                _ => self.local_prev[cur],
-            };
-            match prev {
-                Some(p) => {
-                    chain.push(p);
-                    cur = p;
-                }
-                None => break,
-            }
-        }
-        chain.reverse();
-        let hops: Vec<SimDuration> =
-            chain.windows(2).map(|w| self.records[w[1]].at - self.records[w[0]].at).collect();
-        let total = self.records[target].at - self.records[chain[0]].at;
-        CriticalPath { records: chain, hops, total }
-    }
-
-    /// Indices of detector-verdict records (`Process` with
-    /// [`ProcessEventKind::Detect`]).
-    pub fn detections(&self) -> Vec<usize> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| {
-                matches!(&r.kind, TraceKind::Process { kind: ProcessEventKind::Detect, .. })
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The end-to-end critical path behind a detector verdict: the chain
-    /// sense → report send → delivery → detection, with per-hop latency.
-    ///
-    /// `detect` must index a `Detect` record whose `detail` names the
-    /// process whose report completed the occurrence (as written by the
-    /// traced detectors); returns `None` when no matching report delivery
-    /// exists in the trace (e.g. a deployment-time open interval).
-    pub fn detection_chain(&self, detect: usize) -> Option<CriticalPath> {
-        let rec = &self.records[detect];
-        let TraceKind::Process { actor: root, kind: ProcessEventKind::Detect, detail, .. } =
-            &rec.kind
-        else {
-            return None;
-        };
-        // The triggering delivery: the last report from `detail` delivered
-        // to the root at the verdict's time. Detect records are appended
-        // post-hoc (their seq is past the run), so bind by (from, to, at)
-        // rather than by local predecessor.
-        let trigger = self.records[..detect]
-            .iter()
-            .enumerate()
-            .rev()
-            .filter(|(_, r)| r.at == rec.at)
-            .find_map(|(i, r)| match &r.kind {
-                TraceKind::Delivered { from, to, .. }
-                    if *to == *root && *from as u64 == *detail =>
-                {
-                    Some(i)
-                }
-                _ => None,
-            })?;
-        let mut path = self.critical_path(trigger);
-        path.records.push(detect);
-        path.hops.push(rec.at - self.records[trigger].at);
-        path.total = rec.at - self.records[path.records[0]].at;
-        Some(path)
-    }
-
     /// Is any message loss within `vicinity` of the interval
     /// `[start, end]`? (Experiment E9's far-from-loss filter.)
     pub fn near_any_loss(&self, start: SimTime, end: SimTime, vicinity: SimDuration) -> bool {
@@ -387,7 +281,8 @@ mod tests {
     }
 
     /// A hand-built two-sensor chain: world inject → sense → send →
-    /// deliver at root → receive → detect.
+    /// deliver at root → receive, then a root record with the receive's
+    /// own vector.
     fn chain_trace() -> Trace {
         let mut tr = Trace::enabled();
         tr.record(t(10), TraceKind::Delivered { from: 0, to: 0, msg: MsgId(0) }); // world inject
@@ -421,12 +316,13 @@ mod tests {
             },
         );
         tr.seal();
-        // Post-hoc detector verdict bound to sensor 0's report.
+        // Appended after the seal, stamped with the root's state at the
+        // receive, as a record that ticks no clock of its own would be.
         tr.record(
             t(40),
             TraceKind::Process {
                 actor: 2,
-                kind: ProcessEventKind::Detect,
+                kind: ProcessEventKind::Actuate,
                 stamp: ClockStamp::vector(&[2, 0, 1]),
                 detail: 0,
             },
@@ -459,43 +355,17 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_walks_message_hops_and_local_steps() {
-        let tr = chain_trace();
-        let a = TraceAnalysis::build(&tr);
-        let receive = 5; // the Receive process record
-        let path = a.critical_path(receive);
-        // inject → sense → send-evt → sent → delivered → receive.
-        assert_eq!(path.records, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(path.total, SimDuration::from_millis(30));
-        assert_eq!(path.hops.iter().copied().sum::<SimDuration>(), path.total);
-        assert_eq!(path.hops[3], SimDuration::from_millis(30), "the network hop");
-    }
-
-    #[test]
-    fn detection_chain_binds_verdict_to_the_completing_report() {
-        let tr = chain_trace();
-        let a = TraceAnalysis::build(&tr);
-        let det = a.detections();
-        assert_eq!(det.len(), 1);
-        let path = a.detection_chain(det[0]).expect("bound");
-        assert_eq!(*path.records.last().unwrap(), det[0]);
-        assert_eq!(path.records[0], 0, "terminates at the world inject");
-        assert_eq!(path.total, SimDuration::from_millis(30));
-    }
-
-    #[test]
     fn hb_edges_cover_exactly_stamp_order() {
         let tr = chain_trace();
         let a = TraceAnalysis::build(&tr);
         let nodes = a.hb_nodes();
         assert_eq!(nodes.len(), 4);
         let edges = a.hb_edges();
-        // sense → send-evt → {receive, detect}: the detect record carries
-        // the *same* vector as the receive (the verdict is stamped with the
-        // root's state at the completing report), so the two are unordered
+        // sense → send-evt → {receive, actuate}: the actuate record carries
+        // the *same* vector as the receive, so the two are unordered
         // siblings under the send event, not a chain.
         assert_eq!(edges, vec![(nodes[0], nodes[1]), (nodes[1], nodes[2]), (nodes[1], nodes[3])]);
-        assert!(a.happened_before(nodes[0], nodes[3]), "sense still precedes the verdict stamp");
+        assert!(a.happened_before(nodes[0], nodes[3]), "sense still precedes the appended stamp");
         assert!(!a.happened_before(nodes[2], nodes[3]), "equal stamps are not strictly ordered");
     }
 

@@ -92,9 +92,8 @@ pub mod prelude {
         ActuationRule, ClockConfig, ExecMetrics, ExecutionConfig, ExecutionTrace, StrobePolicy,
     };
     pub use psn_predicates::{
-        detect_conjunctive, detect_occurrences, detect_occurrences_instrumented, score,
-        AccuracyReport, BorderlinePolicy, Conjunct, Detection, DetectorMetrics, Discipline, Expr,
-        Predicate, StampFamily,
+        detect_conjunctive, detect_occurrences, score, AccuracyReport, BorderlinePolicy, Conjunct,
+        Detection, Discipline, Expr, Predicate, StampFamily,
     };
     pub use psn_sim::delay::DelayModel;
     pub use psn_sim::fault::{

@@ -22,12 +22,15 @@
 //!   misses are counted and pinned.
 //! - **Relational.** Replaying the reports in `(strobe scalar, process,
 //!   sense_seq)` order gives the occurrences every scalar-strobe detector
-//!   must report.
+//!   must report. Replaying them in truth, ε-synced, raw physical or log
+//!   order (ties broken the same way) gives what the `Oracle`,
+//!   `SyncedPhysical`, `UnsyncedPhysical` and `Arrival` sweeps must report.
 //! - **Lattice.** Counting the consistent cuts of the strobe history, in
 //!   total and per level, gives what `enumerate_lattice` must return.
 
 use std::collections::HashMap;
 
+use pervasive_time::core::ReceivedReport;
 use pervasive_time::lattice::{enumerate_lattice, History};
 use pervasive_time::predicates::{
     detect_conjunctive, detect_occurrences, modal_status, modal_status_streaming, Discipline,
@@ -339,6 +342,50 @@ fn trailing_interval_miss_is_pinned() {
     }
 }
 
+/// What a replay orders a report by, given its position in the root's log.
+type Reading = fn(usize, &ReceivedReport) -> i128;
+
+/// The reading each replayed discipline orders reports by, written from its
+/// definition: strobe scalar, truth, ε-synced reading, raw reading, or
+/// position in the root's log. Ties break by `(process, sense_seq)`.
+const REPLAYED: [(Discipline, Reading); 5] = [
+    (Discipline::ScalarStrobe, |_, r| i128::from(r.report.stamps.strobe_scalar.value)),
+    (Discipline::Oracle, |_, r| i128::from(r.report.stamps.truth.as_nanos())),
+    (Discipline::SyncedPhysical, |_, r| i128::from(r.report.stamps.synced.0)),
+    (Discipline::UnsyncedPhysical, |_, r| i128::from(r.report.stamps.physical.0)),
+    (Discipline::Arrival, |pos, _| pos as i128),
+];
+
+/// The occurrences of `pred` when the reports are applied in `order`: a
+/// rising edge opens one at the report's truth time, a falling edge closes
+/// it, and one still open at the end has no end.
+fn replay<'a>(
+    pred: &Predicate,
+    initial: &WorldState,
+    order: impl Iterator<Item = &'a ReceivedReport>,
+) -> Vec<Detection> {
+    let mut applied = HashMap::new();
+    let mut holds = pred.eval(&reader(initial, &applied));
+    let mut open = holds.then_some(SimTime::ZERO);
+    let mut found = Vec::new();
+    for r in order {
+        applied.insert(r.report.key, r.report.value);
+        let now = pred.eval(&reader(initial, &applied));
+        match (holds, now) {
+            (false, true) => open = Some(r.report.stamps.truth),
+            (true, false) => found.push(Detection {
+                start: open.take().expect("open"),
+                end: Some(r.report.stamps.truth),
+                borderline: false,
+            }),
+            _ => {}
+        }
+        holds = now;
+    }
+    found.extend(open.map(|start| Detection { start, end: None, borderline: false }));
+    found
+}
+
 #[test]
 fn relational_occurrences_match_the_scalar_replay() {
     let mut cases = 0;
@@ -349,43 +396,35 @@ fn relational_occurrences_match_the_scalar_replay() {
                 let (scenario, trace) = tiny(doors, &delay, seed);
                 let initial = scenario.timeline.initial_state();
                 let pred = Predicate::occupancy_over(doors, 1);
-
-                let mut reports: Vec<_> = trace.log.reports.iter().collect();
-                reports.sort_by_key(|r| {
-                    (r.report.stamps.strobe_scalar.value, r.report.process, r.report.sense_seq)
-                });
-                let mut applied = HashMap::new();
-                let mut holds = pred.eval(&reader(&initial, &applied));
-                let mut open = holds.then_some(SimTime::ZERO);
-                let mut oracle = Vec::new();
-                for r in reports {
-                    applied.insert(r.report.key, r.report.value);
-                    let now = pred.eval(&reader(&initial, &applied));
-                    match (holds, now) {
-                        (false, true) => open = Some(r.report.stamps.truth),
-                        (true, false) => {
-                            oracle.push((open.take().expect("open"), Some(r.report.stamps.truth)))
-                        }
-                        _ => {}
-                    }
-                    holds = now;
-                }
-                oracle.extend(open.map(|start| (start, None)));
-
                 let at = format!("doors {doors} {delay:?} seed {seed}");
-                let pairs = |ds: Vec<Detection>| -> Vec<(SimTime, Option<SimTime>)> {
-                    ds.into_iter().map(|d| (d.start, d.end)).collect()
-                };
-                let sweep = detect_occurrences(&trace, &pred, &initial, Discipline::ScalarStrobe);
-                assert_eq!(pairs(sweep), oracle, "detect_occurrences at {at}");
+
+                let replays: Vec<Vec<Detection>> = REPLAYED
+                    .iter()
+                    .map(|&(discipline, reading)| {
+                        let mut order: Vec<_> = trace.log.reports.iter().enumerate().collect();
+                        order.sort_by_key(|&(pos, r)| {
+                            (reading(pos, r), r.report.process, r.report.sense_seq)
+                        });
+                        let expected = replay(&pred, &initial, order.into_iter().map(|(_, r)| r));
+                        let found = detect_occurrences(&trace, &pred, &initial, discipline);
+                        assert_eq!(
+                            found, expected,
+                            "detect_occurrences under {discipline:?} at {at}"
+                        );
+                        expected
+                    })
+                    .collect();
+                // The scalar replay: what every scalar-strobe detector must report.
+                let oracle = &replays[0];
+
                 let mut streaming =
                     StreamingModal::new(&pred, &initial, trace.n, hold_back(&delay));
                 for r in &trace.log.reports {
                     streaming.offer(r);
                 }
                 let (online, _) = streaming.readout();
-                let closed = oracle.iter().filter(|(_, end)| end.is_some()).count();
-                let open = oracle.last().filter(|(_, end)| end.is_none()).map(|&(start, _)| start);
+                let closed = oracle.iter().filter(|d| d.end.is_some()).count();
+                let open = oracle.last().filter(|d| d.end.is_none()).map(|d| d.start);
                 assert_eq!(
                     (online.occurrences, online.holds, online.open_since),
                     (closed, open.is_some(), open),
@@ -394,7 +433,7 @@ fn relational_occurrences_match_the_scalar_replay() {
                 let expected = ModalStatus {
                     possibly: oracle.len(),
                     definitely: oracle.len(),
-                    holding_now: oracle.last().is_some_and(|(_, end)| end.is_none()),
+                    holding_now: open.is_some(),
                 };
                 assert_eq!(modal_status(&trace, &pred, &initial), expected, "modal_status at {at}");
                 assert_eq!(streaming.seal(), expected, "StreamingModal at {at}");

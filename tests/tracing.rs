@@ -1,13 +1,11 @@
 //! End-to-end exercises of the causal tracing pipeline: a real execution's
-//! structured trace, merged detector verdicts, critical-path extraction
-//! behind a detection, channel statistics, and exporter validity.
+//! structured trace, its channel statistics, and exporter validity.
 
 use pervasive_time::prelude::*;
-use pervasive_time::sim::trace::{ProcessEventKind, TraceKind};
 use pervasive_time::sim::trace_analysis::TraceAnalysis;
 use pervasive_time::sim::trace_export;
 
-fn traced_run() -> (pervasive_time::core::execution::ExecutionTrace, Predicate, WorldState) {
+fn traced_run() -> pervasive_time::core::execution::ExecutionTrace {
     let params = ExhibitionParams {
         doors: 3,
         arrival_rate_hz: 3.0,
@@ -22,73 +20,12 @@ fn traced_run() -> (pervasive_time::core::execution::ExecutionTrace, Predicate, 
         record_sim_trace: true,
         ..Default::default()
     };
-    let trace = run_execution(&scenario, &cfg);
-    let pred = Predicate::occupancy_over(3, 60);
-    // Fixture sanity (probed once): this (scenario, seed) yields several
-    // truth occurrences, of which at least one closes within the run.
-    let init = scenario.timeline.initial_state();
-    (trace, pred, init)
-}
-
-/// The acceptance-criterion chain: a detector occurrence is attributed
-/// end-to-end — sense at the reporting process, the report send, its
-/// network delivery at the root, and the verdict — with per-hop latency.
-#[test]
-fn critical_path_attributes_a_detection_end_to_end() {
-    let (trace, pred, init) = traced_run();
-    let mut sink = trace.sim.clone();
-    let detections = pervasive_time::predicates::detect_occurrences_traced(
-        &trace,
-        &pred,
-        &init,
-        Discipline::Arrival,
-        &mut sink,
-    );
-    assert!(
-        detections.iter().any(|d| d.end.is_some()),
-        "scenario must produce at least one report-completed occurrence"
-    );
-
-    let a = TraceAnalysis::build(&sink);
-    let verdicts = a.detections();
-    assert_eq!(verdicts.len(), detections.len(), "one Detect record per occurrence");
-
-    let mut attributed = 0usize;
-    for &v in &verdicts {
-        let Some(chain) = a.detection_chain(v) else { continue };
-        attributed += 1;
-        let records = a.records();
-        // The chain is causally ordered in time and ends at the verdict.
-        assert!(chain.records.windows(2).all(|w| records[w[0]].at <= records[w[1]].at));
-        assert_eq!(*chain.records.last().unwrap(), v);
-        // It crosses the network: the completing report's send and delivery
-        // are both on the path, and the sense that caused the report roots
-        // it.
-        let kinds: Vec<&TraceKind> = chain.records.iter().map(|&i| &records[i].kind).collect();
-        assert!(kinds.iter().any(|k| matches!(k, TraceKind::Sent { .. })));
-        assert!(kinds.iter().any(|k| matches!(k, TraceKind::Delivered { .. })));
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, TraceKind::Process { kind: ProcessEventKind::Sense, .. })));
-        // Per-hop latency attribution sums to the end-to-end total.
-        assert_eq!(chain.hops.len() + 1, chain.records.len());
-        assert_eq!(chain.hops.iter().copied().sum::<SimDuration>(), chain.total);
-        // The network hop is the Δ-bounded (≤300 ms) sampled delivery delay.
-        let net_hop = chain
-            .records
-            .windows(2)
-            .zip(&chain.hops)
-            .find(|(w, _)| matches!(records[w[1]].kind, TraceKind::Delivered { .. }))
-            .map(|(_, h)| *h)
-            .expect("chain contains the delivery hop");
-        assert!(net_hop <= SimDuration::from_millis(300), "hop within the Δ bound");
-    }
-    assert!(attributed >= 1, "at least one detection attributed end-to-end");
+    run_execution(&scenario, &cfg)
 }
 
 #[test]
 fn channel_stats_histogram_the_report_path() {
-    let (trace, _, _) = traced_run();
+    let trace = traced_run();
     let a = TraceAnalysis::build(&trace.sim);
     let stats = a.channel_stats();
     assert!(!stats.is_empty());
@@ -113,36 +50,26 @@ fn channel_stats_histogram_the_report_path() {
 
 #[test]
 fn exporters_round_trip_a_real_execution() {
-    let (trace, pred, init) = traced_run();
-    let mut sink = trace.sim.clone();
-    pervasive_time::predicates::detect_occurrences_traced(
-        &trace,
-        &pred,
-        &init,
-        Discipline::Arrival,
-        &mut sink,
-    );
+    let trace = traced_run();
     let root = trace.root_id();
     let name = |a: usize| if a == root { "root".to_string() } else { format!("sensor {a}") };
 
-    let chrome = trace_export::chrome_trace_json(&sink, name);
+    let chrome = trace_export::chrome_trace_json(&trace.sim, name);
     let summary = trace_export::validate_chrome(&chrome).expect("valid Chrome trace JSON");
     assert!(summary.events > 0);
     assert!(summary.flows > 0, "messages appear as flow arrows");
 
-    let jsonl = trace_export::jsonl(&sink);
-    let mut detect_lines = 0usize;
+    let jsonl = trace_export::jsonl(&trace.sim);
+    let mut process_lines = 0usize;
     for line in jsonl.lines() {
         let v = serde_json::parse(line).expect("each JSONL line parses");
         let map = v.as_map().expect("each line is an object");
         assert!(map.iter().any(|(k, _)| k == "seq"));
         assert!(map.iter().any(|(k, _)| k == "at_ns"));
-        if map.iter().any(|(k, v)| k == "event" && v.as_str() == Some("process"))
-            && line.contains("\"detect\"")
-        {
-            detect_lines += 1;
+        if map.iter().any(|(k, v)| k == "event" && v.as_str() == Some("process")) {
+            process_lines += 1;
         }
     }
-    assert_eq!(jsonl.lines().count(), sink.len(), "one line per record");
-    assert!(detect_lines > 0, "merged verdicts survive the JSONL export");
+    assert_eq!(jsonl.lines().count(), trace.sim.len(), "one line per record");
+    assert!(process_lines > 0, "process events survive the JSONL export");
 }
