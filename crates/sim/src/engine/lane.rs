@@ -358,6 +358,7 @@ impl<M: Message> Lane<M> {
                 self.trace
                     .record(self.now, TraceKind::Process { actor: from, kind, stamp, detail });
             }
+            #[cfg(test)]
             Action::Halt => self.halted = true,
         }
     }

@@ -148,9 +148,9 @@ pub trait Message: Clone + Send + Sync + 'static {
 ///
 /// All callbacks receive a [`Context`] through which the actor reads the
 /// current time, draws randomness from its private stream, sends messages,
-/// sets timers, annotates the trace, and can halt the run. `Any` is a
-/// supertrait so a host can read a resident actor's state by its concrete
-/// type ([`Engine::actor`]) or take it back after the run
+/// sets timers and annotates the trace (tests can also halt the run).
+/// `Any` is a supertrait so a host can read a resident actor's state by its
+/// concrete type ([`Engine::actor`]), or take it back after the run
 /// ([`Engine::take_actor`]) and downcast it.
 pub trait Actor<M: Message>: Any {
     /// Called once before the first event, in actor-id order.
@@ -167,14 +167,25 @@ pub trait Actor<M: Message>: Any {
 
 /// Buffered actions produced by an actor callback.
 enum Action<M> {
-    Send { to: ActorId, msg: M },
-    Broadcast { msg: M },
-    SetTimer { after: SimDuration, tag: u64 },
-    Note { label: String },
+    Send {
+        to: ActorId,
+        msg: M,
+    },
+    Broadcast {
+        msg: M,
+    },
+    SetTimer {
+        after: SimDuration,
+        tag: u64,
+    },
+    Note {
+        label: String,
+    },
     // Boxed so the rarely-hot stamped payload (a ClockStamp is ~100 bytes
     // inline) doesn't widen every Action the dispatch loop moves; the box
     // is only ever allocated while tracing is enabled.
     Trace(Box<ProcessTrace>),
+    #[cfg(test)]
     Halt,
 }
 
@@ -253,7 +264,8 @@ impl<M> Context<'_, M> {
     }
 
     /// Stop the simulation after the current event is fully applied.
-    pub fn halt(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn halt(&mut self) {
         self.actions.push(Action::Halt);
     }
 }
@@ -389,10 +401,9 @@ impl<M: Message> Engine<M> {
     /// are split at the first advance and persist, so the shard count is
     /// set once, before it: a later call panics.
     ///
-    /// Caveat: [`Context::halt`] stops a sharded advance at the end of the
-    /// window (or start batch) that observed it, not mid-window — halting
-    /// protocols should keep one shard. `now()` reports the latest lane's
-    /// time.
+    /// Caveat: a halt (`Context::halt`, a test hook) stops a sharded
+    /// advance at the end of the window (or start batch) that observed it,
+    /// not mid-window. `now()` reports the latest lane's time.
     pub fn set_shards(&mut self, shards: usize) {
         assert!(!self.started, "the shard count is set before the first advance");
         self.shards = shards;
@@ -655,7 +666,7 @@ impl<M: Message> Engine<M> {
         self.now()
     }
 
-    /// True once an actor has called [`Context::halt`].
+    /// True once an actor has called `Context::halt` (a test hook).
     pub(crate) fn is_halted(&self) -> bool {
         self.lanes.iter().any(|l| l.halted)
     }

@@ -45,7 +45,7 @@
 //!         if ctx.id() == 0 { ctx.send(self.peer, Hello(1)); }
 //!     }
 //!     fn on_message(&mut self, ctx: &mut Context<'_, Hello>, _from: ActorId, msg: Hello) {
-//!         if msg.0 < 3 { ctx.send(self.peer, Hello(msg.0 + 1)); } else { ctx.halt(); }
+//!         if msg.0 < 3 { ctx.send(self.peer, Hello(msg.0 + 1)); }
 //!     }
 //! }
 //!

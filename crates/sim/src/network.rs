@@ -44,7 +44,8 @@ impl Topology {
 
     /// A star with node 0 at the centre — the common sensornet configuration
     /// with a distinguished root/back-end server P₀.
-    pub fn star(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn star(n: usize) -> Self {
         let mut adj = vec![vec![false; n]; n];
         adj[0][1..].iter_mut().for_each(|e| *e = true);
         for row in adj.iter_mut().skip(1) {
@@ -78,7 +79,8 @@ impl Topology {
     }
 
     /// The neighbours of `a`.
-    pub fn neighbors(&self, a: ActorId) -> Vec<ActorId> {
+    #[cfg(test)]
+    pub(crate) fn neighbors(&self, a: ActorId) -> Vec<ActorId> {
         let mut out = Vec::new();
         self.collect_neighbors(a, &mut out);
         out
