@@ -2,17 +2,21 @@
 //! n = 1 025 actors, Δ ∈ [40 ms, 240 ms], 60 s at 16 arrivals/s) stepped by
 //! `LiveExecution::advance_to` in 100 ms watermarks, at each shard count
 //! given. Prints the median wall time per advance over `--reps` sessions
-//! per shard count, run interleaved, and checks that every shard count
-//! finishes with the batch run's log and counters.
+//! per shard count, run interleaved, and checks that at every shard count
+//! what the advances recorded, collected after each one (a session retires
+//! it at its next advance), is the batch run's log, and that the session's
+//! reports and counters are the batch run's.
 //!
 //! ```sh
 //! cargo run --release -p psn-core --example live_scaling -- --reps 3 1 2
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use psn_core::live::LiveExecution;
-use psn_core::{run_execution, world_events, ExecutionConfig, ExecutionTrace};
+use psn_core::{
+    run_execution, world_events, ExecutionConfig, ExecutionLog, ExecutionTrace, ProcEvent,
+};
 use psn_sim::delay::DelayModel;
 use psn_sim::provider::TimelineProvider;
 use psn_sim::time::{SimDuration, SimTime};
@@ -57,15 +61,20 @@ fn main() {
             let cfg = ExecutionConfig { shards, ..cfg.clone() };
             let provider = TimelineProvider::new(world_events(&scenario));
             let mut live = LiveExecution::new(scenario.num_processes(), cfg, Box::new(provider));
-            let (mut t, mut advances) = (SimTime::ZERO, 0u32);
-            let t0 = Instant::now();
+            let mut logs = vec![Vec::new(); live.n() + 1];
+            let (mut t, mut advances, mut stepping) = (SimTime::ZERO, 0u32, Duration::ZERO);
             while t < end {
                 t = t.saturating_add(step);
+                let t0 = Instant::now();
                 live.advance_to(t).expect("monotone watermark");
+                stepping += t0.elapsed();
                 advances += 1;
+                for (p, log) in logs.iter_mut().enumerate() {
+                    log.extend_from_slice(live.recorded(p));
+                }
             }
-            per_advance[i].push(t0.elapsed().as_nanos() as f64 / advances as f64);
-            check(&live.finish(), &batch, shards);
+            per_advance[i].push(stepping.as_nanos() as f64 / advances as f64);
+            check(&live, logs, &batch, shards);
         }
     }
     println!("shards  ns/advance (median of {reps})  advances of 100 ms");
@@ -76,9 +85,13 @@ fn main() {
     }
 }
 
-/// A live session finishes with the batch run's log and counters.
-fn check(live: &ExecutionTrace, batch: &ExecutionTrace, shards: usize) {
-    assert_eq!(live.log.events, batch.log.events, "shards={shards}: events");
-    assert_eq!(live.log.reports, batch.log.reports, "shards={shards}: reports");
-    assert_eq!(live.net, batch.net, "shards={shards}: net counters");
+/// A live session, with the process logs its advances recorded, ends on
+/// the batch run's log and counters.
+fn check(live: &LiveExecution, logs: Vec<Vec<ProcEvent>>, batch: &ExecutionTrace, shards: usize) {
+    assert_eq!(live.event_count(), batch.log.events.len(), "shards={shards}: event count");
+    let log = ExecutionLog::seal(logs, live.reports().to_vec(), Vec::new());
+    assert_eq!(log.events, batch.log.events, "shards={shards}: events");
+    assert_eq!(log.reports, batch.log.reports, "shards={shards}: reports");
+    assert_eq!(log.actuations, batch.log.actuations, "shards={shards}: actuations");
+    assert_eq!(live.net(), batch.net, "shards={shards}: net counters");
 }

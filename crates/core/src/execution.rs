@@ -269,9 +269,8 @@ pub(crate) fn root(engine: &Engine<NetMsg>, n: usize) -> &RootProcess {
     actor.downcast_ref().expect("actor n is the root")
 }
 
-/// The one engine → [`ExecutionTrace`] tail of the batch runner and
-/// [`LiveExecution::finish`](crate::live::LiveExecution::finish): finish
-/// the engine (sealing its trace), read its counters, then take the `n`
+/// The engine → [`ExecutionTrace`] tail of the batch runner: finish the
+/// engine (sealing its trace), read its counters, then take the `n`
 /// sensors and the root out, drop the engine, and seal their logs into one
 /// [`ExecutionLog`]: each log is moved, never copied (see
 /// [`ExecutionLog::seal`]).

@@ -18,12 +18,27 @@
 //! actors, fault plane and [`shards`](ExecutionConfig::shards) alike — and
 //! steps through the engine's one advance at every shard count, a
 //! timeline-fed live session replays **bit-identically** to the batch run
-//! of the same scenario, and a snapshot restores at any shard count. The
-//! two share one engine → [`ExecutionTrace`] tail; batch stays a thin
-//! [`Engine::feed`](psn_sim::engine::Engine::feed) plus
+//! of the same scenario, and a snapshot restores at any shard count. Batch
+//! stays a thin [`Engine::feed`](psn_sim::engine::Engine::feed) plus
 //! [`run`](psn_sim::engine::Engine::run), since journalling every world
 //! event and polling a provider would give up the feed's in-flight-only
 //! queue.
+//!
+//! ## What a session keeps
+//!
+//! A session answers from what the root P₀ has received (paper §2.1): its
+//! reports, its frontier and the counters. The process logs are read back
+//! by nothing, so each advance first **retires** the process events the
+//! previous one recorded; until then [`LiveExecution::recorded`] shows
+//! them. Each sensor carries its last event, which a crash recovery with
+//! [`replay_log`](crate::process::RecoveryPolicy::replay_log) replays, and
+//! [`event_count`](LiveExecution::event_count) keeps counting what was
+//! retired. The retained heap per ingest is then its report and its
+//! journal entry, and the logs' buffers are reused from one advance to the
+//! next instead of growing. A host that wants the whole log collects
+//! [`recorded`](LiveExecution::recorded) after every advance; the batch
+//! path keeps every log and seals it into an
+//! [`ExecutionTrace`](crate::execution::ExecutionTrace).
 //!
 //! ## Snapshot / restore
 //!
@@ -31,24 +46,29 @@
 //! state is a pure function of `(n, config, injected events, watermark)`.
 //! A [`LiveSnapshot`] therefore stores the durable ingest journal — every
 //! event ever injected, in injection order — plus the watermark, and
-//! [`LiveSnapshot::restore`] replays it through a fresh engine. The
-//! restored session's causal frontier, log, and network counters are
-//! byte-for-byte those of the interrupted one: a restarted server loses
-//! nothing. Injection *order* matters (inject ids feed delivery
-//! tie-breaking), which is why the journal is kept in arrival order rather
-//! than time order.
+//! [`LiveSnapshot::restore`] replays it through a fresh engine, then
+//! retires what the replay recorded. The restored session's causal
+//! frontier, reports, event count and network counters are byte-for-byte
+//! those of the interrupted one: a restarted server loses nothing.
+//! Injection *order* matters (inject ids feed delivery tie-breaking), which
+//! is why the journal is kept in arrival order rather than time order.
+
+use std::any::Any;
 
 use serde::{Deserialize, Serialize};
 
-use psn_clocks::VectorStamp;
+use psn_clocks::{ProcessId, VectorStamp};
 use psn_sim::engine::{Engine, EngineError};
+use psn_sim::network::NetStats;
 use psn_sim::provider::{EventProvider, ExternalEvent};
 use psn_sim::time::SimTime;
 
-use crate::execution::{build_engine, into_trace, root, sensor, ExecutionConfig, ExecutionTrace};
+use crate::event::ProcEvent;
+use crate::execution::{build_engine, root, sensor, ExecutionConfig};
 use crate::log::ReceivedReport;
 use crate::message::NetMsg;
-use crate::root::{ActuationRule, NoActuation};
+use crate::process::SensorProcess;
+use crate::root::{ActuationRule, NoActuation, RootProcess};
 
 /// One durably journalled ingest event (the serializable twin of
 /// [`ExternalEvent`]).
@@ -146,7 +166,7 @@ impl LiveSnapshot {
 
     /// Rebuild a live session from this snapshot by deterministic replay,
     /// then hand future ingest to `provider`. The restored session's
-    /// frontier, log, and counters equal the captured session's.
+    /// frontier, reports and counters equal the captured session's.
     pub fn restore(
         &self,
         provider: Box<dyn EventProvider<NetMsg>>,
@@ -177,6 +197,7 @@ impl LiveSnapshot {
         }
         live.engine.step_until(self.watermark)?;
         live.watermark = self.watermark;
+        live.retire_logs();
         Ok(live)
     }
 }
@@ -195,6 +216,8 @@ pub struct LiveExecution {
     /// arrival order.
     pending: Vec<LoggedEvent>,
     rejected: u64,
+    /// Process events retired from the logs so far.
+    retired: usize,
     scratch: Vec<ExternalEvent<NetMsg>>,
     /// Coordinator-slot handle of the attached telemetry registry (inert
     /// until [`LiveExecution::set_telemetry`]); times the ingest drain.
@@ -235,6 +258,7 @@ impl LiveExecution {
             journal: Vec::new(),
             pending: Vec::new(),
             rejected: 0,
+            retired: 0,
             scratch: Vec::new(),
             tel: psn_sim::telemetry::ShardTelemetry::disabled(),
         }
@@ -263,10 +287,11 @@ impl LiveExecution {
         &self.pending
     }
 
-    /// Pull every due event from the provider and then from the
-    /// [`ingest`](Self::ingest) buffer, inject it, and step the engine to
-    /// `t`. Returns the engine clock (`t`, unless the run halted
-    /// or hit a configured end time first).
+    /// Retire the process events the previous advance recorded (see the
+    /// module doc), pull every due event from the provider and then from
+    /// the [`ingest`](Self::ingest) buffer, inject it, and step the engine
+    /// to `t`. Returns the engine clock (`t`, unless the run halted or hit
+    /// a configured end time first).
     ///
     /// Individual events the engine's boundary rejects (unknown process,
     /// time behind the watermark) are *counted and skipped* — a live
@@ -277,6 +302,7 @@ impl LiveExecution {
         if t < self.watermark {
             return Err(EngineError::TimeRegression { at: t, now: self.watermark });
         }
+        self.retire_logs();
         // The poll + inject drain is coordinator work in the live session:
         // time it on the coordinator slot so serve-side profiles separate
         // ingest cost from engine stepping.
@@ -311,6 +337,19 @@ impl LiveExecution {
         Ok(now)
     }
 
+    /// Empty every process log into the running count, each sensor
+    /// carrying its last event.
+    fn retire_logs(&mut self) {
+        for id in 0..self.n {
+            let actor: &mut dyn Any = self.engine.actor_mut(id).expect("sensors stay resident");
+            let sensor: &mut SensorProcess = actor.downcast_mut().expect("actors 0..n are sensors");
+            self.retired += sensor.retire_log();
+        }
+        let actor: &mut dyn Any = self.engine.actor_mut(self.n).expect("the root stays resident");
+        let root: &mut RootProcess = actor.downcast_mut().expect("actor n is the root");
+        self.retired += root.retire_events();
+    }
+
     /// Number of sensor processes (the root is process `n`).
     pub fn n(&self) -> usize {
         self.n
@@ -332,6 +371,12 @@ impl LiveExecution {
         self.rejected
     }
 
+    /// The network counters so far: at the end of a timeline, the batch
+    /// run's [`ExecutionTrace::net`](crate::execution::ExecutionTrace::net).
+    pub fn net(&self) -> NetStats {
+        self.engine.stats()
+    }
+
     /// The durable ingest journal: every injected event, in injection
     /// order.
     pub fn journal(&self) -> &[LoggedEvent] {
@@ -344,10 +389,7 @@ impl LiveExecution {
     /// report arrives the frontier is the zero vector (over n sensors + the
     /// root).
     pub fn frontier(&self) -> VectorStamp {
-        match self.reports().last() {
-            Some(r) => r.root_vector.clone(),
-            None => VectorStamp::zero(self.n + 1),
-        }
+        root(&self.engine, self.n).frontier().clone()
     }
 
     /// The reports the root has received, in arrival order: read in place
@@ -357,10 +399,21 @@ impl LiveExecution {
         root(&self.engine, self.n).reports()
     }
 
-    /// How many events the processes have recorded, the root's included.
+    /// How many events the processes have recorded, the root's included,
+    /// retired ones too.
     pub fn event_count(&self) -> usize {
-        (0..self.n).map(|id| sensor(&self.engine, id).log().len()).sum::<usize>()
-            + root(&self.engine, self.n).events().len()
+        self.retired + (0..=self.n).map(|p| self.recorded(p).len()).sum::<usize>()
+    }
+
+    /// The events process `p` (the root is `n`) recorded in the latest
+    /// advance, in recording order; the next advance retires them. After a
+    /// restore, nothing.
+    pub fn recorded(&self, p: ProcessId) -> &[ProcEvent] {
+        if p == self.n {
+            root(&self.engine, self.n).events()
+        } else {
+            sensor(&self.engine, p).log()
+        }
     }
 
     /// Capture a restartable snapshot of the session as of its watermark.
@@ -373,13 +426,6 @@ impl LiveExecution {
             events: self.journal.clone(),
         }
     }
-
-    /// Finish the session: seal the engine trace and the process logs
-    /// (moved, not copied) and return the final [`ExecutionTrace`] (the
-    /// batch result shape).
-    pub fn finish(self) -> ExecutionTrace {
-        into_trace(self.engine, self.n)
-    }
 }
 
 #[cfg(test)]
@@ -388,38 +434,13 @@ impl LiveExecution {
     pub(crate) fn provider_exhausted(&self) -> bool {
         self.provider.exhausted() && self.pending.is_empty()
     }
-
-    /// A detector-consumable view of the execution so far. The process
-    /// logs are cloned and sealed exactly like the batch trace (events in
-    /// `(at, process, seq)` order); `ended_at` is the current watermark.
-    /// The simulator-internal trace is not included (it is still being
-    /// written).
-    pub(crate) fn trace_view(&self) -> ExecutionTrace {
-        let root = root(&self.engine, self.n);
-        let logs = (0..self.n)
-            .map(|id| sensor(&self.engine, id).log().to_vec())
-            .chain(std::iter::once(root.events().to_vec()))
-            .collect();
-        let log = crate::log::ExecutionLog::seal(
-            logs,
-            root.reports().to_vec(),
-            root.actuations().to_vec(),
-        );
-        ExecutionTrace {
-            n: self.n,
-            log,
-            net: self.engine.stats(),
-            sim: psn_sim::trace::Trace::disabled(),
-            ended_at: self.watermark,
-            faults: self.engine.fault_stats(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execution::{run_execution, world_events};
+    use crate::execution::{run_execution, world_events, ExecutionTrace};
+    use crate::log::ExecutionLog;
     use psn_sim::delay::DelayModel;
     use psn_sim::provider::TimelineProvider;
     use psn_sim::time::SimDuration;
@@ -447,14 +468,64 @@ mod tests {
         )
     }
 
-    /// Step to `end` in fixed chunks, then once more past the settle tail.
-    fn drive(live: &mut LiveExecution, end: SimTime, chunk: SimDuration) {
-        let mut t = live.watermark();
-        while t < end {
-            t = t.saturating_add(chunk);
-            live.advance_to(t).expect("monotone watermark");
+    /// The process events a session's advances recorded, collected after
+    /// each one: the whole log, which the session itself retires.
+    struct Collected(Vec<Vec<ProcEvent>>);
+
+    impl Collected {
+        fn new(live: &LiveExecution) -> Self {
+            Collected(vec![Vec::new(); live.n() + 1])
         }
-        live.advance_to(end.saturating_add(SimDuration::from_secs(30))).expect("settle");
+
+        /// Advance `live` to `t` and collect what it recorded.
+        fn advance(&mut self, live: &mut LiveExecution, t: SimTime) {
+            live.advance_to(t).expect("monotone watermark");
+            for (p, log) in self.0.iter_mut().enumerate() {
+                log.extend_from_slice(live.recorded(p));
+            }
+        }
+
+        /// Step to `end` in fixed chunks, then once more past the settle
+        /// tail.
+        fn drive(&mut self, live: &mut LiveExecution, end: SimTime, chunk: SimDuration) {
+            let mut t = live.watermark();
+            while t < end {
+                t = t.saturating_add(chunk);
+                self.advance(live, t);
+            }
+            self.advance(live, end.saturating_add(SimDuration::from_secs(30)));
+        }
+
+        /// Seal the collected logs with the session's reports, actuations,
+        /// counters and finished engine trace, in the batch result's shape.
+        fn seal(self, mut live: LiveExecution) -> ExecutionTrace {
+            let ended_at = live.engine.finish();
+            let root = root(&live.engine, live.n);
+            let log =
+                ExecutionLog::seal(self.0, root.reports().to_vec(), root.actuations().to_vec());
+            ExecutionTrace {
+                n: live.n,
+                log,
+                net: live.net(),
+                sim: live.engine.trace().clone(),
+                ended_at,
+                faults: live.engine.fault_stats(),
+            }
+        }
+    }
+
+    /// Drive a fresh session of `s` under `cfg` to `end` in `chunk` steps
+    /// and seal what it recorded.
+    fn whole(
+        s: &Scenario,
+        cfg: &ExecutionConfig,
+        end: SimTime,
+        chunk: SimDuration,
+    ) -> ExecutionTrace {
+        let mut live = live_from(s, cfg);
+        let mut rec = Collected::new(&live);
+        rec.drive(&mut live, end, chunk);
+        rec.seal(live)
     }
 
     /// The shards axis: the default Δ = 100 ms delay has no lookahead and
@@ -482,11 +553,14 @@ mod tests {
         let tel = psn_sim::telemetry::Telemetry::new();
         let mut live = live_from(&s, cfg);
         live.set_telemetry(&tel);
-        drive(&mut live, SimTime::from_secs(90), chunk);
+        let mut rec = Collected::new(&live);
+        rec.drive(&mut live, SimTime::from_secs(90), chunk);
         assert!(live.provider_exhausted());
         assert_eq!(tel.snapshot().shards.len(), lanes, "shards={}", cfg.shards);
-        let t = live.finish();
+        let events = live.event_count();
+        let t = rec.seal(live);
         let shards = cfg.shards;
+        assert_eq!(events, batch.log.events.len(), "shards={shards}: a running count");
         assert_eq!(t.log.events, batch.log.events, "shards={shards}");
         assert_eq!(t.log.reports, batch.log.reports, "shards={shards}");
         assert_eq!(t.log.actuations, batch.log.actuations, "shards={shards}");
@@ -536,7 +610,8 @@ mod tests {
         let end = live.frontier();
         assert!(mid.lt(&end), "the frontier only grows");
         assert!(!live.reports().is_empty());
-        assert_eq!(live.reports().last().map(|r| &r.root_vector), Some(&end));
+        let root = s.num_processes();
+        assert_eq!(live.recorded(root).last().map(|e| &e.stamps.vector), Some(&end));
     }
 
     #[test]
@@ -547,34 +622,35 @@ mod tests {
 
         // Uninterrupted run.
         let mut whole = live_from(&s, &cfg);
-        drive(&mut whole, SimTime::from_secs(90), SimDuration::from_millis(900));
-        let whole_frontier = whole.frontier();
-        let whole_trace = whole.finish();
+        let mut rec = Collected::new(&whole);
+        rec.drive(&mut whole, SimTime::from_secs(90), SimDuration::from_millis(900));
+        let (whole_frontier, whole_events) = (whole.frontier(), whole.event_count());
+        let whole_trace = rec.seal(whole);
 
         // Interrupted at `cut`: snapshot, drop the session, restore, and
         // feed the rest of the timeline.
         let mut first = live_from(&s, &cfg);
+        let mut rec = Collected::new(&first);
         let mut t = SimTime::ZERO;
         while t < cut {
             t = t.saturating_add(SimDuration::from_millis(900));
-            first.advance_to(t.min(cut)).unwrap();
+            rec.advance(&mut first, t.min(cut));
         }
         let snap = first.snapshot();
         let json = snap.to_json();
+        let cut_events = first.event_count();
         drop(first);
 
         let snap = LiveSnapshot::from_json(&json).expect("roundtrip");
         let rest: Vec<_> = world_events(&s).into_iter().filter(|e| e.at >= cut).collect();
         let mut second = snap.restore(Box::new(TimelineProvider::new(rest))).expect("restore");
         assert_eq!(second.watermark(), cut);
-        let mut t = cut;
-        while t < SimTime::from_secs(90) {
-            t = t.saturating_add(SimDuration::from_millis(900));
-            second.advance_to(t).unwrap();
-        }
-        second.advance_to(SimTime::from_secs(120)).unwrap();
+        assert_eq!(second.event_count(), cut_events, "the replay is counted");
+        assert!((0..=second.n()).all(|p| second.recorded(p).is_empty()), "and retired");
+        rec.drive(&mut second, SimTime::from_secs(90), SimDuration::from_millis(900));
         assert_eq!(second.frontier(), whole_frontier, "no causal frontier state lost");
-        let trace = second.finish();
+        assert_eq!(second.event_count(), whole_events);
+        let trace = rec.seal(second);
         assert_eq!(trace.log.events, whole_trace.log.events);
         assert_eq!(trace.log.reports, whole_trace.log.reports);
         assert_eq!(trace.net, whole_trace.net);
@@ -597,7 +673,7 @@ mod tests {
     #[test]
     fn snapshot_json_is_pinned_byte_for_byte() {
         use crate::bundle::{StampSet, StrobePayload};
-        use crate::message::Report;
+        use crate::message::ReportMsg;
         use psn_clocks::{PhysReading, ScalarStamp};
         use psn_world::{AttrKey, AttrValue};
 
@@ -628,7 +704,7 @@ mod tests {
                 seq: 9,
                 payload: StrobePayload::new(ScalarStamp { value: 4, process: 2 }, wide(1)),
             },
-            NetMsg::Report(Box::new(Report {
+            NetMsg::Report(Box::new(ReportMsg {
                 process: 2,
                 sense_seq: 1,
                 key,
@@ -675,12 +751,12 @@ mod tests {
         let s = scenario();
         let cfg = ExecutionConfig::default();
         let cut = SimTime::from_secs(40);
-        let mut whole = live_from(&s, &cfg);
-        drive(&mut whole, SimTime::from_secs(90), SimDuration::from_millis(900));
-        let whole_trace = whole.finish();
+        let chunk = SimDuration::from_millis(900);
+        let whole_trace = whole(&s, &cfg, SimTime::from_secs(90), chunk);
 
         let mut first = live_from(&s, &cfg);
-        first.advance_to(cut).unwrap();
+        let mut head = Collected::new(&first);
+        head.advance(&mut first, cut);
         let json = first.snapshot().to_json();
         let anchor = r#""fifo_dense_limit":null"#;
         for retired in [
@@ -694,8 +770,9 @@ mod tests {
             let snap = LiveSnapshot::from_json(&old).expect("unknown key is skipped");
             let rest: Vec<_> = world_events(&s).into_iter().filter(|e| e.at >= cut).collect();
             let mut second = snap.restore(Box::new(TimelineProvider::new(rest))).expect("restore");
-            drive(&mut second, SimTime::from_secs(90), SimDuration::from_millis(900));
-            let trace = second.finish();
+            let mut rec = Collected(head.0.clone());
+            rec.drive(&mut second, SimTime::from_secs(90), chunk);
+            let trace = rec.seal(second);
             assert_eq!(trace.log.events, whole_trace.log.events, "{retired}");
             assert_eq!(trace.log.reports, whole_trace.log.reports, "{retired}");
             assert_eq!(trace.net, whole_trace.net, "{retired}");
@@ -714,20 +791,19 @@ mod tests {
         let s = scenario();
         let cfg = ExecutionConfig { faults: Some(script), ..Default::default() };
         let cut = SimTime::from_secs(35);
-
-        let mut whole = live_from(&s, &cfg);
-        drive(&mut whole, SimTime::from_secs(90), SimDuration::from_millis(1100));
-        let whole_trace = whole.finish();
+        let chunk = SimDuration::from_millis(1100);
+        let whole_trace = whole(&s, &cfg, SimTime::from_secs(90), chunk);
 
         let mut first = live_from(&s, &cfg);
-        first.advance_to(cut).unwrap();
+        let mut rec = Collected::new(&first);
+        rec.advance(&mut first, cut);
         let snap = first.snapshot();
         drop(first);
 
         let rest: Vec<_> = world_events(&s).into_iter().filter(|e| e.at >= cut).collect();
         let mut second = snap.restore(Box::new(TimelineProvider::new(rest))).expect("restore");
-        drive(&mut second, SimTime::from_secs(90), SimDuration::from_millis(1100));
-        let trace = second.finish();
+        rec.drive(&mut second, SimTime::from_secs(90), chunk);
+        let trace = rec.seal(second);
         assert_eq!(trace.log.events, whole_trace.log.events);
         assert_eq!(trace.log.reports, whole_trace.log.reports);
         assert_eq!(trace.faults, whole_trace.faults);
@@ -754,7 +830,8 @@ mod tests {
         );
         live.advance_to(SimTime::from_secs(120)).unwrap();
         assert_eq!(live.rejected(), 1);
-        let senses = live.trace_view().log.sense_events().len();
+        let senses =
+            (0..=live.n()).flat_map(|p| live.recorded(p)).filter(|e| e.kind.is_relevant()).count();
         assert_eq!(senses, s.timeline.len(), "the good events all landed");
         assert!(live.advance_to(SimTime::from_secs(1)).is_err(), "watermark cannot regress");
     }
@@ -772,17 +849,66 @@ mod tests {
         assert!(format!("{err}").contains("99"));
     }
 
+    /// Each advance retires what the previous one recorded: between
+    /// advances, `recorded` holds exactly the latest advance's events, in
+    /// recording order, and `event_count` keeps counting.
     #[test]
-    fn trace_view_is_queryable_mid_run() {
+    fn recorded_holds_the_latest_advance() {
         let s = scenario();
         let mut live = live_from(&s, &ExecutionConfig::default());
-        live.advance_to(SimTime::from_secs(45)).unwrap();
-        let view = live.trace_view();
-        assert_eq!(view.ended_at, SimTime::from_secs(45));
-        assert!(!view.log.events.is_empty());
-        // Canonical order, same as the batch trace.
-        for w in view.log.events.windows(2) {
-            assert!((w[0].at, w[0].process, w[0].seq) <= (w[1].at, w[1].process, w[1].seq));
+        let mut total = 0;
+        for (from, to) in [(0, 45), (45, 60), (60, 200)] {
+            live.advance_to(SimTime::from_secs(to)).unwrap();
+            let mut recorded = 0;
+            for p in 0..=live.n() {
+                let log = live.recorded(p);
+                recorded += log.len();
+                assert!(log.iter().all(|e| e.process == p));
+                assert!(log.iter().all(|e| e.at >= SimTime::from_secs(from)), "retired");
+                assert!(log.iter().all(|e| e.at < SimTime::from_secs(to)));
+                for w in log.windows(2) {
+                    assert!(w[0].at <= w[1].at, "recording order");
+                }
+            }
+            assert!(recorded > 0, "[{from} s, {to} s) recorded events");
+            total += recorded;
+            assert_eq!(live.event_count(), total);
+        }
+    }
+
+    /// A crash and a recovery that fall exactly on advance watermarks: the
+    /// sensor recovers after its log was retired, and its replay reads the
+    /// carried last event, as the batch run reads the last of its log.
+    #[test]
+    fn crash_recovery_across_a_retire_boundary_matches_batch() {
+        use crate::process::RecoveryPolicy;
+        use psn_sim::fault::{FaultScript, FaultSpec};
+        let chunk = SimDuration::from_millis(2500);
+        let script = FaultScript::new().with(
+            SimTime::from_secs(20),
+            FaultSpec::Crash { actor: 1, recover_after: Some(SimDuration::from_secs(15)) },
+        );
+        let recovery = RecoveryPolicy { replay_log: true, ..Default::default() };
+        let cfg = ExecutionConfig { faults: Some(script), recovery, ..Default::default() };
+        let s = scenario();
+        for (cfg, _) in shard_axis(cfg) {
+            let shards = cfg.shards;
+            let batch = run_execution(&s, &ExecutionConfig { shards: 1, ..cfg.clone() });
+            let mut live = live_from(&s, &cfg);
+            let mut rec = Collected::new(&live);
+            let mut t = SimTime::ZERO;
+            while t < SimTime::from_secs(90) {
+                t = t.saturating_add(chunk);
+                rec.advance(&mut live, t);
+            }
+            rec.advance(&mut live, SimTime::from_secs(120));
+            let trace = rec.seal(live);
+            let before = |e: &&ProcEvent| e.process == 1 && e.at < SimTime::from_secs(20);
+            assert!(batch.log.events.iter().any(|e| before(&e)), "P1 logged before its crash");
+            assert_eq!(trace.log.events, batch.log.events, "shards={shards}");
+            assert_eq!(trace.log.reports, batch.log.reports, "shards={shards}");
+            assert_eq!(trace.net, batch.net, "shards={shards}");
+            assert_eq!(trace.faults, batch.faults, "shards={shards}");
         }
     }
 }

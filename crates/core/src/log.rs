@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use psn_clocks::{ProcessId, VectorStamp};
+use psn_clocks::ProcessId;
 use psn_sim::time::SimTime;
 use psn_world::{AttrKey, AttrValue};
 
@@ -34,9 +34,6 @@ pub struct ReceivedReport {
     pub report: Report,
     /// Ground-truth arrival time at the root (scoring only).
     pub arrived_at: SimTime,
-    /// The root's causal vector clock *after* merging this report — the
-    /// root's knowledge frontier at this point of the observation stream.
-    pub root_vector: VectorStamp,
 }
 
 /// An actuation command issued by the root.
@@ -135,7 +132,7 @@ impl ExecutionLog {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use psn_clocks::{PhysReading, ScalarStamp};
+    use psn_clocks::{PhysReading, ScalarStamp, VectorStamp};
 
     fn ev(p: ProcessId, seq: usize, relevant: bool) -> ProcEvent {
         ProcEvent {
@@ -192,5 +189,35 @@ mod tests {
         let sealed = ExecutionLog::seal(logs, Vec::new(), Vec::new());
         assert_eq!(sealed.events, expected);
         assert!(ExecutionLog::seal(Vec::new(), Vec::new(), Vec::new()).events.is_empty());
+    }
+
+    /// Logs written while each report still carried the send event's
+    /// piggybacked stamps and the root vector after its merge read back as
+    /// the slim report: both retired keys are skipped.
+    #[test]
+    fn reports_with_the_retired_piggyback_and_root_vector_read_back() {
+        let stamps = ev(0, 1, true).stamps;
+        let received = ReceivedReport {
+            report: Report {
+                process: 0,
+                sense_seq: 1,
+                key: AttrKey::new(0, 0),
+                value: AttrValue::Int(1),
+                stamps: stamps.clone(),
+                world_event: 0,
+            },
+            arrived_at: SimTime::from_millis(3),
+        };
+        let json = serde_json::to_string(&received).expect("serializes");
+        let piggyback = serde_json::to_string(&stamps).expect("serializes");
+        let old = json
+            .replacen(
+                r#","world_event""#,
+                &format!(r#","send_stamps":{piggyback},"world_event""#),
+                1,
+            )
+            .replacen(r#""arrived_at":3000000"#, r#""arrived_at":3000000,"root_vector":[1,0]"#, 1);
+        assert!(old.contains(r#""send_stamps":{"#) && old.contains(r#""root_vector":["#), "{old}");
+        assert_eq!(serde_json::from_str::<ReceivedReport>(&old).expect("parses"), received);
     }
 }

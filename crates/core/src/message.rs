@@ -22,7 +22,8 @@ use psn_world::{AttrKey, AttrValue, WorldEventId};
 
 use crate::bundle::{StampSet, StrobePayload};
 
-/// A report of one sense event, sent sensor → root.
+/// A report of one sense event, as the root P₀ logs it and detectors read
+/// it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Report {
     /// The reporting process.
@@ -36,11 +37,31 @@ pub struct Report {
     pub value: AttrValue,
     /// Timestamps of the **sense** event (what detectors reason over).
     pub stamps: StampSet,
-    /// Timestamps of the **send** event (piggyback for the root's
-    /// causality-based clocks, rules SC3/VC3).
-    pub(crate) send_stamps: StampSet,
     /// Ground-truth id of the observed world event — scoring only.
     pub world_event: WorldEventId,
+}
+
+/// A [`Report`] on the wire, sensor → root: the report's fields plus the
+/// send event's stamps, piggybacked for the root's causality-based clocks
+/// (rules SC3/VC3). The root merges the piggyback on receipt and logs the
+/// [`Report`] alone. The fields are in their wire order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ReportMsg {
+    pub(crate) process: ProcessId,
+    pub(crate) sense_seq: usize,
+    pub(crate) key: AttrKey,
+    pub(crate) value: AttrValue,
+    pub(crate) stamps: StampSet,
+    pub(crate) send_stamps: StampSet,
+    pub(crate) world_event: WorldEventId,
+}
+
+impl ReportMsg {
+    /// The report the root logs, and the piggybacked send stamps.
+    pub(crate) fn split(self) -> (Report, StampSet) {
+        let ReportMsg { process, sense_seq, key, value, stamps, send_stamps, world_event } = self;
+        (Report { process, sense_seq, key, value, stamps, world_event }, send_stamps)
+    }
 }
 
 /// Everything that travels between actors in an execution.
@@ -72,7 +93,7 @@ pub enum NetMsg {
     /// Sensor → root report of a sense event. Boxed: a report carries two
     /// stamp sets, and every queue entry, channel slot and broadcast clone is
     /// as large as the enum's largest variant.
-    Report(Box<Report>),
+    Report(Box<ReportMsg>),
     /// Root → sensor actuation command. A computation message: it carries
     /// the root's send stamps so the sensor's actuate event is causally
     /// ordered after the detection (the §4.1 chain
@@ -206,7 +227,7 @@ mod tests {
 
     #[test]
     fn report_size_includes_both_stamp_sets() {
-        let r = NetMsg::Report(Box::new(Report {
+        let r = NetMsg::Report(Box::new(ReportMsg {
             process: 0,
             sense_seq: 1,
             key: AttrKey::new(0, 0),

@@ -19,7 +19,7 @@ use psn_sim::network::ActorId;
 
 use crate::bundle::{ClockBundle, ClockConfig, StrobePayload};
 use crate::event::{EventKind, ProcEvent};
-use crate::message::{NetMsg, Report};
+use crate::message::{NetMsg, ReportMsg};
 use crate::metrics::ExecMetrics;
 
 /// Per-process strobe policy.
@@ -128,8 +128,12 @@ pub(crate) struct SensorProcess {
     strobe_seq: u64,
     /// Flood dedup: highest strobe seq seen per origin.
     seen_strobes: Vec<u64>,
-    /// This process's durable, append-only event log, in recording order.
+    /// This process's durable, append-only event log, in recording order
+    /// (since the last [`retire_log`](Self::retire_log)).
     log: Vec<ProcEvent>,
+    /// The last event [`retire_log`](Self::retire_log) took from `log`:
+    /// what a recovery replays when `log` is empty.
+    carried: Option<ProcEvent>,
     /// Sense events in `log`: durable with it, so a recovery restores the
     /// sense counter without scanning the log.
     logged_senses: usize,
@@ -161,6 +165,7 @@ impl SensorProcess {
             strobe_seq: 0,
             seen_strobes: vec![0; n + 1],
             log: Vec::new(),
+            carried: None,
             logged_senses: 0,
             metrics: ExecMetrics::disabled(),
             trace_stamp: TraceStampMode::default(),
@@ -190,9 +195,22 @@ impl SensorProcess {
         self
     }
 
-    /// Everything this process has recorded, in recording order.
+    /// Everything this process has recorded since the last
+    /// [`retire_log`](Self::retire_log), in recording order.
     pub fn log(&self) -> &[ProcEvent] {
         &self.log
+    }
+
+    /// Drop the events recorded so far and return how many there were: a
+    /// live session keeps only what it reads back. The last one is carried
+    /// for a recovery to replay.
+    pub(crate) fn retire_log(&mut self) -> usize {
+        let retired = self.log.len();
+        if let Some(last) = self.log.pop() {
+            self.carried = Some(last);
+        }
+        self.log.clear();
+        retired
     }
 
     /// Give up the log (sealing an execution).
@@ -236,7 +254,7 @@ impl SensorProcess {
     fn recover(&mut self, ctx: &mut Context<'_, NetMsg>) {
         let mut bundle = ClockBundle::new(self.id, self.n + 1, &self.cfg, ctx.rng());
         if self.recovery.replay_log {
-            if let Some(last) = self.log.last() {
+            if let Some(last) = self.log.last().or(self.carried.as_ref()) {
                 bundle.lamport.fast_forward(last.stamps.lamport.value);
                 bundle.vector.prime(&last.stamps.vector);
                 // Strobe clocks re-prime via their merge rules (SSC2/SVC2):
@@ -348,7 +366,7 @@ impl Actor<NetMsg> for SensorProcess {
                 }
                 ctx.send(
                     self.root,
-                    NetMsg::Report(Box::new(Report {
+                    NetMsg::Report(Box::new(ReportMsg {
                         process: self.id,
                         sense_seq: self.sense_count,
                         key,

@@ -8,7 +8,7 @@
 //! its logs: its own receive and send events, the reports it received, and
 //! the actuation commands it issued.
 
-use psn_clocks::ProcessId;
+use psn_clocks::{ProcessId, VectorStamp};
 use psn_sim::engine::{Actor, Context};
 use psn_sim::network::ActorId;
 use psn_world::{AttrKey, AttrValue};
@@ -59,8 +59,12 @@ pub(crate) struct RootProcess {
     /// [`crate::process::StrobePolicy::quarantine`]).
     quarantine: bool,
     seen_strobes: Vec<u64>,
-    /// The root's own receive and send events, in recording order.
+    /// The root's own receive and send events, in recording order (since
+    /// the last [`retire_events`](Self::retire_events)).
     events: Vec<ProcEvent>,
+    /// The vector clock after merging the latest report: the root's
+    /// knowledge frontier.
+    frontier: VectorStamp,
     /// Reports in arrival order.
     reports: Vec<ReceivedReport>,
     /// Actuation commands issued.
@@ -83,6 +87,7 @@ impl RootProcess {
             quarantine: false,
             seen_strobes: vec![0; n + 1],
             events: Vec::new(),
+            frontier: VectorStamp::zero(n + 1),
             reports: Vec::new(),
             actuations: Vec::new(),
             metrics: ExecMetrics::disabled(),
@@ -121,9 +126,24 @@ impl RootProcess {
         &self.events
     }
 
+    /// Drop the own events recorded so far and return how many there
+    /// were: a live session keeps only what it reads back.
+    pub(crate) fn retire_events(&mut self) -> usize {
+        let retired = self.events.len();
+        self.events.clear();
+        retired
+    }
+
     /// The reports received so far, in arrival order.
     pub fn reports(&self) -> &[ReceivedReport] {
         &self.reports
+    }
+
+    /// The vector clock after merging the latest report (zero before the
+    /// first): component `p` counts the relevant events of process `p` the
+    /// root's state causally reflects.
+    pub fn frontier(&self) -> &VectorStamp {
+        &self.frontier
     }
 
     /// Give up the logs (sealing an execution): own events, reports,
@@ -141,13 +161,14 @@ impl Actor<NetMsg> for RootProcess {
     fn on_message(&mut self, ctx: &mut Context<'_, NetMsg>, from: ActorId, msg: NetMsg) {
         let now = ctx.now();
         match msg {
-            NetMsg::Report(report) => {
+            NetMsg::Report(msg) => {
+                let (report, send_stamps) = msg.split();
                 let bundle = self.bundle.as_mut().expect("started");
                 // Receive event r: merge piggybacked stamps (SC3/VC3).
-                let stamps = bundle.on_receive(&report.send_stamps, now);
+                let stamps = bundle.on_receive(&send_stamps, now);
                 self.metrics.receives.inc();
                 self.event_seq += 1;
-                let root_vector = stamps.vector.clone();
+                self.frontier = stamps.vector.clone();
                 if ctx.trace_enabled() {
                     ctx.trace_process(
                         psn_sim::trace::ProcessEventKind::Receive,
@@ -163,7 +184,7 @@ impl Actor<NetMsg> for RootProcess {
                     stamps,
                 });
                 let commands = self.rule.on_report(&report, &self.reports);
-                self.reports.push(ReceivedReport { report: *report, arrived_at: now, root_vector });
+                self.reports.push(ReceivedReport { report, arrived_at: now });
                 for (target, key, command) in commands {
                     self.actuations.push(ActuationRecord { at: now, target, key, command });
                     // The command is a computation message: a send event s
@@ -248,7 +269,8 @@ mod tests {
         }
     }
 
-    fn run(rule: Box<dyn ActuationRule>) -> ExecutionLog {
+    /// The sealed log and the root's final frontier.
+    fn run(rule: Box<dyn ActuationRule>) -> (ExecutionLog, VectorStamp) {
         let net = NetworkConfig::full_mesh(3, DelayModel::Synchronous);
         let mut engine = Engine::new(net, 1);
         for id in 0..2 {
@@ -282,12 +304,13 @@ mod tests {
             },
         );
         engine.run();
-        crate::execution::into_trace(engine, 2).log
+        let frontier = crate::execution::root(&engine, 2).frontier().clone();
+        (crate::execution::into_trace(engine, 2).log, frontier)
     }
 
     #[test]
     fn root_collects_reports_in_order() {
-        let log = run(Box::new(NoActuation));
+        let (log, _) = run(Box::new(NoActuation));
         assert_eq!(log.reports.len(), 2);
         assert_eq!(log.reports[0].report.process, 0);
         assert_eq!(log.reports[1].report.process, 1);
@@ -296,15 +319,15 @@ mod tests {
 
     #[test]
     fn root_vector_advances_monotonically() {
-        let log = run(Box::new(NoActuation));
-        let v0 = &log.reports[0].root_vector;
-        let v1 = &log.reports[1].root_vector;
-        assert!(v0.lt(v1), "the root's knowledge frontier only grows");
+        let (log, frontier) = run(Box::new(NoActuation));
+        let receives = log.events_of(2);
+        assert!(receives[0].stamps.vector.lt(&frontier), "the root's knowledge frontier grows");
+        assert_eq!(receives[1].stamps.vector, frontier);
     }
 
     #[test]
     fn actuation_rule_closes_the_loop() {
-        let log = run(Box::new(Threshold));
+        let (log, _) = run(Box::new(Threshold));
         assert_eq!(log.actuations.len(), 1, "only the report with value 9 triggers");
         assert_eq!(log.actuations[0].target, 1);
         // The actuated sensor recorded an 'a' event.
@@ -314,7 +337,7 @@ mod tests {
 
     #[test]
     fn receive_events_recorded_at_root() {
-        let log = run(Box::new(NoActuation));
+        let (log, _) = run(Box::new(NoActuation));
         let root_events = log.events_of(2);
         assert_eq!(root_events.len(), 2);
         assert!(root_events.iter().all(|e| e.kind.tag() == 'r'));

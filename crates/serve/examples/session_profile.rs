@@ -9,6 +9,16 @@
 //! events per second and the `Advance` nanoseconds per event; repetitions
 //! continue until `--seconds` have passed.
 //!
+//! Where `/proc/self/stat` exists, each line also prints the minor page
+//! faults the repetition took per ingest: pages the process touched for
+//! the first time, so about the bytes an ingest newly touches / 4 096. A
+//! session that keeps growing what it retains faults at a flat rate per
+//! event; one that reuses its buffers faults only as its reports and
+//! journal grow. Run it under the benchmark's allocator settings
+//! (`MALLOC_ARENA_MAX=1 MALLOC_MMAP_THRESHOLD_=131072`), where every buffer
+//! past 128 KiB is mapped afresh and so faults again in each repetition.
+//! Elsewhere the column is omitted.
+//!
 //! ```sh
 //! cargo run --release -p psn-serve --example session_profile -- \
 //!     [--events 45000] [--seed 3] [--seconds 10]
@@ -70,6 +80,15 @@ fn arg(args: &[String], flag: &str, default: u64) -> u64 {
     }
 }
 
+/// Minor page faults this process has taken (field 10 of
+/// `/proc/self/stat`), or `None` where that file is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name in field 2 may hold spaces; the fields after its
+    // closing parenthesis start at field 3.
+    stat[stat.rfind(')')? + 1..].split_whitespace().nth(7)?.parse().ok()
+}
+
 /// One fresh session over the whole timeline: `(total ns, Advance ns)`.
 fn rep(
     scenario: &Scenario,
@@ -121,26 +140,38 @@ fn main() {
 
     let mut rates = Vec::new();
     let mut advance_ns = Vec::new();
+    let mut faults = Vec::new();
     let start = Instant::now();
     while rates.is_empty() || start.elapsed() < Duration::from_secs(seconds) {
+        let before = minor_faults();
         let (total, advance) = rep(&scenario, &predicate, &ingests);
         rates.push(n / total.as_secs_f64());
         advance_ns.push(advance.as_nanos() as f64 / n);
+        let per_ingest = before.zip(minor_faults()).map(|(b, a)| (a - b) as f64 / n);
+        faults.extend(per_ingest);
         println!(
-            "rep {:>3}: {:>9.0} ev/s  advance {:>6.0} ns/event",
+            "rep {:>3}: {:>9.0} ev/s  advance {:>6.0} ns/event{}",
             rates.len(),
             rates.last().unwrap(),
-            advance_ns.last().unwrap()
+            advance_ns.last().unwrap(),
+            fault_column(per_ingest)
         );
     }
     let median = |v: &mut Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
+    let faults = (!faults.is_empty()).then(|| median(&mut faults));
     println!(
-        "median of {}: {:.0} ev/s  advance {:.0} ns/event",
+        "median of {}: {:.0} ev/s  advance {:.0} ns/event{}",
         rates.len(),
         median(&mut rates),
-        median(&mut advance_ns)
+        median(&mut advance_ns),
+        fault_column(faults)
     );
+}
+
+/// The minor-faults column, empty where the count is unavailable.
+fn fault_column(per_ingest: Option<f64>) -> String {
+    per_ingest.map_or_else(String::new, |f| format!("  {f:.3} minor faults/ingest"))
 }

@@ -252,7 +252,8 @@ pub enum Response {
         vector: VectorStamp,
         /// Reports received at the root so far.
         reports: usize,
-        /// Process events logged so far.
+        /// Process events recorded so far (the session retires them; this
+        /// counts them all).
         events: usize,
         /// Ingest events the engine boundary rejected.
         rejected: u64,
@@ -305,7 +306,9 @@ pub enum Response {
         from: usize,
         /// Total reports available.
         total: usize,
-        /// The reports.
+        /// The reports as the root logged them: each sense report and its
+        /// arrival time (the piggybacked send stamps are merged into the
+        /// root's clocks on receipt, not kept).
         reports: Vec<ReceivedReport>,
     },
     /// Metrics + telemetry snapshot (reply to [`Request::Metrics`], and

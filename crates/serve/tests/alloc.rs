@@ -3,7 +3,8 @@
 //! body plus the strings the message owns — no keys, no trees, no digits.
 //! The same allocator tracks live heap bytes and their high-water mark,
 //! which bounds what sealing an execution costs beyond the trace it
-//! returns.
+//! returns, and prices one served ingest: the heap it retains and the
+//! allocations it makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -143,4 +144,83 @@ fn the_codec_allocates_only_what_the_message_owns() {
     let (n, decoded) = allocations(|| read_frame::<Response>(&mut &buf[..]));
     assert_eq!(decoded.expect("decodes"), Some(status));
     assert!(n <= 2, "decoding a Status reply: the body buffer and its name ({n})");
+}
+
+/// The cost model of one served ingest, in `serve_burst`'s shape: 4 doors
+/// at 40 Hz, rounds of 32 `Ingest` + `Advance` + `Status` over 4 500
+/// ingests. A session keeps what it reads back (each report and each
+/// journal entry), not the process events an ingest causes, so the heap it
+/// retains stays under 1 000 B per ingest (it was over 1 464 B while the
+/// process logs and the piggybacked send stamps were kept). In steady
+/// state, `Ingest` + `Advance` make one allocation per ingest: the sensor
+/// boxes each `NetMsg::Report` (a `Box<ReportMsg>`) to send to the root.
+#[test]
+fn a_served_ingest_retains_its_report_and_journal_entry() {
+    use psn_core::{world_events, NetMsg};
+    use psn_predicates::Predicate;
+    use psn_serve::{ServeConfig, ServeSession};
+    use psn_sim::time::SimDuration;
+    use psn_world::scenarios::exhibition::{self, ExhibitionParams};
+
+    const DOORS: usize = 4;
+    const INGESTS: usize = 4_500;
+    const ROUND: usize = 32;
+    let params = ExhibitionParams {
+        doors: DOORS,
+        arrival_rate_hz: 40.0,
+        mean_stay: SimDuration::from_secs(60),
+        duration: SimTime::from_secs(140),
+        capacity: 2_400,
+    };
+    let scenario = exhibition::generate(&params, 3);
+    let ingests: Vec<Request> = world_events(&scenario)
+        .into_iter()
+        .filter_map(|e| match e.msg {
+            NetMsg::WorldSense { key, value, .. } => {
+                Some(Request::Ingest { at: e.at, process: e.to, key, value })
+            }
+            _ => None,
+        })
+        .take(INGESTS)
+        .collect();
+    assert_eq!(ingests.len(), INGESTS);
+
+    let (held, _, (session, allocs, steady)) = high_water(|| {
+        let mut cfg = ServeConfig::new(DOORS);
+        cfg.initial = scenario.timeline.initial_state();
+        let mut session = ServeSession::new(cfg);
+        let predicate = Predicate::occupancy_over(DOORS, 2_400);
+        session.handle(Request::Watch { name: "occ".into(), predicate });
+        // The first quarter warms the buffers an advance reuses.
+        let (mut allocs, mut steady) = (0, 0);
+        for (i, round) in ingests.chunks(ROUND).enumerate() {
+            let Request::Ingest { at: to, .. } = round[round.len() - 1] else { unreachable!() };
+            let (n, ()) = allocations(|| {
+                for req in round {
+                    let reply = session.handle(req.clone());
+                    assert!(matches!(reply, Response::Ingested { .. }), "{reply:?}");
+                }
+                let reply = session.handle(Request::Advance { to });
+                assert!(matches!(reply, Response::Advanced { .. }), "{reply:?}");
+            });
+            if i >= ingests.len() / ROUND / 4 {
+                (allocs, steady) = (allocs + n, steady + round.len());
+            }
+            let reply = session.handle(Request::Status { name: "occ".into() });
+            assert!(matches!(reply, Response::Status { .. }), "{reply:?}");
+        }
+        (session, allocs, steady)
+    });
+    let reports = session.live().reports().len();
+    assert!(reports + ROUND >= INGESTS, "{reports} reports: the last round's are in flight");
+    let per_ingest = held as f64 / INGESTS as f64;
+    println!("retained {per_ingest:.0} B per ingest");
+    assert!(per_ingest <= 1_000.0, "the session retains {per_ingest:.0} B per ingest");
+    let per_ingest = allocs as f64 / steady as f64;
+    println!("Ingest + Advance: {per_ingest:.3} allocations per ingest in steady state");
+    assert!(
+        per_ingest <= 1.05,
+        "Ingest + Advance make {per_ingest:.3} allocations per ingest; the one expected is \
+         the Box<ReportMsg> of each report a sensor sends"
+    );
 }

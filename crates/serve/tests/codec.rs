@@ -419,5 +419,5 @@ fn every_variant_is_generated() {
         (0..400).map(|_| tag(response(&mut rng, pool).to_value())).collect();
     assert_eq!(requests.len(), 12, "{requests:?}");
     assert_eq!(responses.len(), 12, "{responses:?}");
-    assert!(pool.reports.iter().any(|r| r.root_vector.len() > 8), "spilled stamps");
+    assert!(pool.reports.iter().any(|r| r.report.stamps.vector.len() > 8), "spilled stamps");
 }

@@ -150,7 +150,8 @@ pub trait Message: Clone + Send + Sync + 'static {
 /// current time, draws randomness from its private stream, sends messages,
 /// sets timers and annotates the trace (tests can also halt the run).
 /// `Any` is a supertrait so a host can read a resident actor's state by its
-/// concrete type ([`Engine::actor`]), or take it back after the run
+/// concrete type ([`Engine::actor`]), write it between steps
+/// ([`Engine::actor_mut`]), or take it back after the run
 /// ([`Engine::take_actor`]) and downcast it.
 pub trait Actor<M: Message>: Any {
     /// Called once before the first event, in actor-id order.
@@ -838,6 +839,13 @@ impl<M: Message> Engine<M> {
     /// `&dyn Any` to reach the concrete type.
     pub fn actor(&self, id: ActorId) -> Option<&(dyn Actor<M> + Send)> {
         self.lanes[host_of(&self.lanes, id)].actors.get(id)?.as_deref()
+    }
+
+    /// [`Engine::actor`] for writing between runs or steps, e.g. to retire
+    /// state a host has already read.
+    pub fn actor_mut(&mut self, id: ActorId) -> Option<&mut (dyn Actor<M> + Send)> {
+        let h = host_of(&self.lanes, id);
+        self.lanes[h].actors.get_mut(id)?.as_deref_mut()
     }
 
     /// Recover an actor after the run to read its final state.
