@@ -134,8 +134,9 @@ pub(crate) struct SensorProcess {
     /// The last event [`retire_log`](Self::retire_log) took from `log`:
     /// what a recovery replays when `log` is empty.
     carried: Option<ProcEvent>,
-    /// Sense events in `log`: durable with it, so a recovery restores the
-    /// sense counter without scanning the log.
+    /// Sense events this process has recorded, retired ones included:
+    /// durable with the log, so a recovery restores the sense counter
+    /// without scanning it.
     logged_senses: usize,
     metrics: ExecMetrics,
     trace_stamp: TraceStampMode,
