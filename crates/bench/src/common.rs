@@ -112,31 +112,6 @@ pub(crate) fn delta_config(delta: SimDuration, seed: u64) -> ExecutionConfig {
     ExecutionConfig { delay, seed, shards: shards(), ..Default::default() }
 }
 
-/// Analytic per-family wire bytes for one execution (the strobe payloads
-/// share one simulated message; experiment E7 separates them):
-/// each strobe broadcast reaches n−1 + 1 (root) peers.
-pub(crate) struct FamilyBytes {
-    /// O(1) scalar strobe payloads.
-    pub strobe_scalar: u64,
-    /// O(n) vector strobe payloads.
-    pub strobe_vector: u64,
-    /// Report piggybacks for the causal clocks (one vector per report).
-    pub(crate) causal_piggyback: u64,
-}
-
-/// Compute the analytic byte costs for a trace.
-pub(crate) fn family_bytes(trace: &ExecutionTrace) -> FamilyBytes {
-    let n = trace.n as u64;
-    let receivers = n; // n−1 peers + the root
-    let broadcasts = trace.net.broadcasts;
-    let reports = trace.log.reports.len() as u64;
-    FamilyBytes {
-        strobe_scalar: broadcasts * receivers * 8,
-        strobe_vector: broadcasts * receivers * 8 * (n + 1),
-        causal_piggyback: reports * 8 * (n + 1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,8 +168,8 @@ mod tests {
             SimTime::from_millis(500),
         );
         let trace = run_execution(&s, &delta_config(SimDuration::from_millis(10), 1));
-        let fb = family_bytes(&trace);
-        assert!(fb.strobe_vector > fb.strobe_scalar, "O(n) > O(1) payloads");
-        assert_eq!(fb.strobe_vector, fb.strobe_scalar * 3, "n+1 = 3 components");
+        let [scalar, vector, _] = psn_core::family_bytes(trace.n, trace.net.broadcasts, 0);
+        assert!(vector > scalar, "O(n) > O(1) payloads");
+        assert_eq!(vector, scalar * 3, "n+1 = 3 components");
     }
 }

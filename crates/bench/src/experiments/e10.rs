@@ -3,13 +3,13 @@
 //! strobes, logical vector strobes), compared on one execution for
 //! accuracy, message cost, and assumptions.
 
-use psn_core::run_execution;
+use psn_core::{family_bytes, run_execution};
 use psn_predicates::{detect_occurrences, score, BorderlinePolicy, Discipline, Predicate};
 use psn_sim::time::{SimDuration, SimTime};
 use psn_world::scenarios::exhibition::{self, ExhibitionParams};
 use psn_world::truth_intervals;
 
-use crate::common::{delta_config, family_bytes};
+use crate::common::delta_config;
 use crate::table::Table;
 
 /// Run E10.
@@ -27,7 +27,8 @@ pub fn run(quick: bool) -> Table {
     let truth = truth_intervals(&scenario.timeline, |s| pred.eval_state(s));
     let trace = run_execution(&scenario, &delta_config(delta, 3));
     let init = scenario.timeline.initial_state();
-    let fb = family_bytes(&trace);
+    let reports = trace.log.reports.len() as u64;
+    let [strobe_scalar, strobe_vector, _] = family_bytes(trace.n, trace.net.broadcasts, reports);
     let events = trace.log.sense_events().len().max(1) as u64;
 
     let mut table = Table::new(
@@ -48,8 +49,8 @@ pub fn run(quick: bool) -> Table {
         (Discipline::Oracle, "perfect physical (ideal, impractical)", 0, "yes (perfect)"),
         (Discipline::SyncedPhysical, "ε-synced physical (RBS/TPSN)", 0, "yes (ε service)"),
         (Discipline::UnsyncedPhysical, "raw local oscillators", 0, "no"),
-        (Discipline::ScalarStrobe, "logical scalar strobes (SSC)", fb.strobe_scalar / events, "no"),
-        (Discipline::VectorStrobe, "logical vector strobes (SVC)", fb.strobe_vector / events, "no"),
+        (Discipline::ScalarStrobe, "logical scalar strobes (SSC)", strobe_scalar / events, "no"),
+        (Discipline::VectorStrobe, "logical vector strobes (SVC)", strobe_vector / events, "no"),
     ];
 
     for (d, label, bytes, sync) in rows {

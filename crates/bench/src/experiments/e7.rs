@@ -11,13 +11,13 @@
 //!   clock-sync service (RBS every 30 s, and TPSN every 30 s) running for
 //!   the same hour regardless of events.
 
-use psn_core::run_execution_instrumented;
+use psn_core::{family_bytes, run_execution_instrumented};
 use psn_sim::metrics::Metrics;
 use psn_sim::time::{SimDuration, SimTime};
 use psn_sync::{run_rbs, run_tpsn, CostModel, RbsParams, TpsnParams};
 use psn_world::scenarios::habitat::{self, HabitatParams};
 
-use crate::common::{delta_config, family_bytes};
+use crate::common::delta_config;
 use crate::metrics_out;
 use crate::table::Table;
 use crate::trace_out;
@@ -72,13 +72,15 @@ pub fn run(quick: bool) -> Table {
             &metrics.snapshot(),
         );
         trace_out::emit_cell_trace("e7", &format!("n={n}"), &trace.sim, trace.n);
-        let fb = family_bytes(&trace);
+        let reports = trace.log.reports.len() as u64;
+        let [strobe_scalar, strobe_vector, piggyback] =
+            family_bytes(trace.n, trace.net.broadcasts, reports);
         // Event-driven protocol energy: strobe broadcasts (scalar payload)
         // + reports.
         let strobe_energy = cost.energy(
             trace.net.messages_sent,
             trace.net.messages_delivered,
-            fb.strobe_scalar + fb.causal_piggyback,
+            strobe_scalar + piggyback,
         );
         let rounds = (duration.as_secs_f64() / resync_every).ceil();
         let rbs = run_rbs(&RbsParams { receivers: n.max(2), beacons: 5, ..Default::default() }, 7);
@@ -86,9 +88,9 @@ pub fn run(quick: bool) -> Table {
         table.row(vec![
             n.to_string(),
             scenario.timeline.len().to_string(),
-            fb.strobe_scalar.to_string(),
-            fb.strobe_vector.to_string(),
-            fb.causal_piggyback.to_string(),
+            strobe_scalar.to_string(),
+            strobe_vector.to_string(),
+            piggyback.to_string(),
             format!("{:.0}", strobe_energy),
             format!("{:.0}", cost.sync_energy(&rbs) * rounds),
             format!("{:.0}", cost.sync_energy(&tpsn) * rounds),

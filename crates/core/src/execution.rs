@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use psn_sim::delay::DelayModel;
 use psn_sim::engine::Engine;
 use psn_sim::loss::LossModel;
-use psn_sim::metrics::Metrics;
+use psn_sim::metrics::{Metrics, PublishedCounters};
 use psn_sim::network::{ActorId, NetStats, NetworkConfig, Topology};
 use psn_sim::provider::ExternalEvent;
 use psn_sim::telemetry::Telemetry;
@@ -26,7 +26,6 @@ use psn_world::Scenario;
 use crate::bundle::ClockConfig;
 use crate::log::ExecutionLog;
 use crate::message::NetMsg;
-use crate::metrics::ExecMetrics;
 use crate::process::{RecoveryPolicy, SensorProcess, StrobePolicy, TraceStampMode};
 use crate::root::{ActuationRule, NoActuation, RootProcess};
 
@@ -148,10 +147,11 @@ pub fn run_execution_with_rule(
     run_execution_inner(scenario, cfg, rule, &Metrics::disabled(), &Telemetry::disabled())
 }
 
-/// Run `scenario` under `cfg`, recording engine and execution metrics
+/// Run `scenario` under `cfg`, publishing engine and execution metrics
 /// (events, delivered/dropped messages, semantic event counts, strobe wire
-/// bytes by clock discipline) into `metrics`. The returned trace is
-/// bit-identical to an uninstrumented [`run_execution`] of the same inputs.
+/// bytes by clock discipline) into `metrics` when the run ends. The
+/// returned trace is bit-identical to an uninstrumented [`run_execution`]
+/// of the same inputs.
 pub fn run_execution_instrumented(
     scenario: &Scenario,
     cfg: &ExecutionConfig,
@@ -182,7 +182,8 @@ pub fn world_events(scenario: &Scenario) -> Vec<ExternalEvent<NetMsg>> {
 
 /// Build the engine for an `n`-sensor execution: network plane, shard
 /// count, metrics, tracing, end-time policy, the n [`SensorProcess`] actors
-/// plus the root, and the fault plane. Shared by the batch runner and
+/// plus the root, and the fault plane; and the publisher of its `exec.*`
+/// counters. Shared by the batch runner and
 /// [`LiveExecution`](crate::live::LiveExecution) so both paths wire the
 /// actors identically — the precondition for batch/live bit-identity.
 /// `heartbeat_horizon` bounds heartbeat-driven runs that set no explicit
@@ -194,7 +195,7 @@ pub(crate) fn build_engine(
     rule: Box<dyn ActuationRule>,
     metrics: &Metrics,
     heartbeat_horizon: Option<SimTime>,
-) -> Engine<NetMsg> {
+) -> (Engine<NetMsg>, PublishedCounters<8>) {
     assert!(n > 0, "execution needs at least one sensor process");
     let topology = match &cfg.topology {
         Some(t) => {
@@ -215,7 +216,6 @@ pub(crate) fn build_engine(
         engine.set_fifo_dense_limit(limit);
     }
     engine.set_metrics(metrics);
-    let exec_metrics = ExecMetrics::attach(metrics, n);
     if cfg.record_sim_trace {
         engine.enable_trace();
     }
@@ -239,7 +239,6 @@ pub(crate) fn build_engine(
                 cfg.clocks.clone(),
                 cfg.strobes,
             )
-            .with_metrics(exec_metrics.clone())
             .with_trace_stamp(cfg.trace_stamp)
             .with_recovery(cfg.recovery.clone()),
         ));
@@ -248,13 +247,62 @@ pub(crate) fn build_engine(
         RootProcess::new(n, n, cfg.clocks.clone(), rule)
             .with_flood(cfg.strobes.flood)
             .with_quarantine(cfg.strobes.quarantine)
-            .with_metrics(exec_metrics.clone())
             .with_trace_stamp(cfg.trace_stamp),
     ));
     if let Some(script) = &cfg.faults {
         engine.install_faults(script);
     }
-    engine
+    (engine, PublishedCounters::attach(metrics, EXEC_COUNTERS))
+}
+
+/// E7's analytic wire bytes of an `n`-sensor execution with `broadcasts`
+/// strobe broadcasts and `reports` reports, per clock family: `[scalar
+/// strobe payloads, vector strobe payloads, causal report piggybacks]`. A
+/// broadcast reaches the `n−1` peers plus the root; a scalar strobe is 8
+/// bytes, a vector strobe and a report's causal vector `8·(n+1)`.
+pub fn family_bytes(n: usize, broadcasts: u64, reports: u64) -> [u64; 3] {
+    let (n, vector) = (n as u64, 8 * (n as u64 + 1));
+    [broadcasts * n * 8, broadcasts * n * vector, reports * vector]
+}
+
+/// The counters [`publish_exec`] publishes, in its order.
+const EXEC_COUNTERS: [&str; 8] = [
+    "exec.senses",
+    "exec.sends",
+    "exec.receives",
+    "exec.actuates",
+    "exec.strobes_broadcast",
+    "exec.strobe_scalar_bytes",
+    "exec.strobe_vector_bytes",
+    "exec.causal_piggyback_bytes",
+];
+
+/// Publish what the ⟨P, L, O, C⟩ planes of an `n`-sensor execution did:
+/// the paper's semantic events (sense `n`, send `s`, receive `r`, actuate
+/// `a`), strobe broadcasts, and the [`family_bytes`] of the strobes and
+/// reports sent. It reads the counts the processes and the network keep
+/// anyway: every report follows a sense, and every command the root sends
+/// is an actuation it records.
+pub(crate) fn publish_exec(engine: &Engine<NetMsg>, n: usize, exec: &mut PublishedCounters<8>) {
+    let (mut senses, mut actuates) = (0, 0);
+    for id in 0..n {
+        senses += sensor(engine, id).senses();
+        actuates += sensor(engine, id).actuates();
+    }
+    let root = root(engine, n);
+    let strobes = engine.stats().broadcasts;
+    let [scalar, vector, piggyback] = family_bytes(n, strobes, senses);
+    let (commands, reports) = (root.actuations().len() as u64, root.reports().len() as u64);
+    exec.publish([
+        senses,
+        senses + commands,
+        reports,
+        actuates,
+        strobes,
+        scalar,
+        vector,
+        piggyback,
+    ]);
 }
 
 /// Sensor `id` of an engine [`build_engine`] wired, read in place.
@@ -318,7 +366,7 @@ fn run_execution_inner(
     let n = scenario.num_processes();
     assert!(n > 0, "scenario must have at least one sensor process");
     let horizon = scenario.timeline.duration() + psn_sim::time::SimDuration::from_secs(30);
-    let mut engine = build_engine(n, cfg, rule, metrics, Some(horizon));
+    let (mut engine, mut exec) = build_engine(n, cfg, rule, metrics, Some(horizon));
     engine.set_telemetry(telemetry);
 
     // The engine injects each world event as its clock reaches it, under
@@ -328,6 +376,7 @@ fn run_execution_inner(
     // plane has delays.
     engine.feed(world_events(scenario));
     engine.run();
+    publish_exec(&engine, n, &mut exec);
     into_trace(engine, n)
 }
 
@@ -393,6 +442,14 @@ mod tests {
             Some(inst.net.broadcasts * n * 8 * (n + 1))
         );
         assert_eq!(snap.counter("engine.messages_delivered"), Some(inst.net.messages_delivered));
+    }
+
+    #[test]
+    fn byte_accounting_matches_the_e7_model() {
+        // n = 4 sensors: 2 broadcasts × 4 receivers × 8 bytes.
+        // The vector payload is (n+1)× the scalar payload; one report
+        // piggybacks one vector.
+        assert_eq!(family_bytes(4, 2, 1), [64, 64 * 5, 8 * 5]);
     }
 
     #[test]
@@ -713,20 +770,39 @@ mod tests {
         assert_eq!(seq.log.events, par.log.events);
         let a = m_seq.snapshot();
         let b = m_par.snapshot();
-        for name in [
-            "exec.senses",
-            "exec.sends",
-            "exec.receives",
-            "exec.actuates",
-            "exec.strobes_broadcast",
-            "exec.strobe_scalar_bytes",
-            "exec.strobe_vector_bytes",
-            "exec.causal_piggyback_bytes",
+        // Every counter of the run itself; `engine.windows` and
+        // `engine.op_barriers` count how it was stepped.
+        let names = EXEC_COUNTERS.into_iter().chain([
             "engine.events_processed",
             "engine.messages_delivered",
             "engine.messages_dropped",
-        ] {
+        ]);
+        for name in names.clone() {
             assert_eq!(a.counter(name), b.counter(name), "{name} differs across shard counts");
+        }
+        assert!(a.counter("exec.senses").unwrap() > 0);
+
+        // A live session publishes after each advance what batch counts.
+        for shards in [1, 2, 4] {
+            let m = psn_sim::metrics::Metrics::new();
+            let cfg = ExecutionConfig { delay: floored_delay(), shards, ..Default::default() };
+            let mut live = crate::live::LiveExecution::new_full(
+                s.num_processes(),
+                cfg,
+                Box::new(NoActuation),
+                &m,
+                Box::new(psn_sim::provider::TimelineProvider::new(world_events(&s))),
+            );
+            let end = s.timeline.duration() + SimDuration::from_secs(5);
+            let mut t = SimTime::ZERO;
+            while t < end {
+                t += SimDuration::from_millis(2_500);
+                live.advance_to(t).expect("the watermark only grows");
+            }
+            let c = m.snapshot();
+            for name in names.clone() {
+                assert_eq!(c.counter(name), a.counter(name), "live {name}, shards={shards}");
+            }
         }
     }
 

@@ -15,13 +15,14 @@
 //!   report;
 //! - [`root`] — the distinguished root P₀: collect, merge clocks, actuate;
 //! - [`execution`] — run a scenario end to end and return the
-//!   [`execution::ExecutionTrace`] detectors consume;
+//!   [`execution::ExecutionTrace`] detectors consume, publishing the
+//!   execution's own counts (semantic events, strobe broadcasts, E7's
+//!   wire bytes by clock discipline, [`execution::family_bytes`]) into a
+//!   [`psn_sim::metrics::Metrics`] registry when the run ends;
 //! - [`live`] — the same engine advanced incrementally from an
 //!   [`psn_sim::provider::EventProvider`], with snapshot/restore by
-//!   deterministic journal replay (the substrate of `psn-serve`);
-//! - [`metrics`] — execution-level instrumentation (semantic event counts,
-//!   strobe broadcasts, wire bytes by clock discipline) recorded into a
-//!   [`psn_sim::metrics::Metrics`] registry without perturbing the run.
+//!   deterministic journal replay (the substrate of `psn-serve`),
+//!   publishing the same counts after each advance.
 //!
 //! ## Example
 //!
@@ -54,20 +55,18 @@ pub mod io;
 pub mod live;
 pub mod log;
 pub mod message;
-pub mod metrics;
 pub mod process;
 pub mod root;
 
 pub use bundle::{ClockConfig, StampSet, StrobePayload};
 pub use event::{EventKind, ProcEvent};
 pub use execution::{
-    run_execution, run_execution_instrumented, run_execution_profiled, run_execution_with_rule,
-    world_events, ExecutionConfig, ExecutionTrace,
+    family_bytes, run_execution, run_execution_instrumented, run_execution_profiled,
+    run_execution_with_rule, world_events, ExecutionConfig, ExecutionTrace,
 };
 pub use io::TraceFile;
 pub use live::{LiveExecution, LiveSnapshot, LoggedEvent, RestoreError};
 pub use log::{ActuationRecord, ExecutionLog, ReceivedReport};
 pub use message::{NetMsg, Report};
-pub use metrics::ExecMetrics;
 pub use process::{RecoveryPolicy, StrobePolicy, TraceStampMode};
 pub use root::{ActuationRule, NoActuation};

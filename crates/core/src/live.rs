@@ -59,12 +59,13 @@ use serde::{Deserialize, Serialize};
 
 use psn_clocks::{ProcessId, VectorStamp};
 use psn_sim::engine::{Engine, EngineError};
+use psn_sim::metrics::PublishedCounters;
 use psn_sim::network::NetStats;
 use psn_sim::provider::{EventProvider, ExternalEvent};
 use psn_sim::time::SimTime;
 
 use crate::event::ProcEvent;
-use crate::execution::{build_engine, root, sensor, ExecutionConfig};
+use crate::execution::{build_engine, publish_exec, root, sensor, ExecutionConfig};
 use crate::log::ReceivedReport;
 use crate::message::NetMsg;
 use crate::process::SensorProcess;
@@ -196,6 +197,7 @@ impl LiveSnapshot {
             live.journal.push(ev.clone());
         }
         live.engine.step_until(self.watermark)?;
+        publish_exec(&live.engine, live.n, &mut live.exec);
         live.watermark = self.watermark;
         live.retire_logs();
         Ok(live)
@@ -207,6 +209,8 @@ impl LiveSnapshot {
 /// [`EventProvider`].
 pub struct LiveExecution {
     engine: Engine<NetMsg>,
+    /// The `exec.*` counters, published after each advance.
+    exec: PublishedCounters<8>,
     provider: Box<dyn EventProvider<NetMsg>>,
     n: usize,
     config: ExecutionConfig,
@@ -248,9 +252,10 @@ impl LiveExecution {
         metrics: &psn_sim::metrics::Metrics,
         provider: Box<dyn EventProvider<NetMsg>>,
     ) -> Self {
-        let engine = build_engine(n, &cfg, rule, metrics, None);
+        let (engine, exec) = build_engine(n, &cfg, rule, metrics, None);
         LiveExecution {
             engine,
+            exec,
             provider,
             n,
             config: cfg,
@@ -290,8 +295,8 @@ impl LiveExecution {
     /// Retire the process events the previous advance recorded (see the
     /// module doc), pull every due event from the provider and then from
     /// the [`ingest`](Self::ingest) buffer, inject it, and step the engine
-    /// to `t`. Returns the engine clock (`t`, unless the run halted or hit
-    /// a configured end time first).
+    /// to `t`, then publish the `exec.*` counters. Returns the engine clock
+    /// (`t`, unless a configured end time came first).
     ///
     /// Individual events the engine's boundary rejects (unknown process,
     /// time behind the watermark) are *counted and skipped* — a live
@@ -333,6 +338,7 @@ impl LiveExecution {
         self.scratch = batch;
         self.tel.record(psn_sim::telemetry::Phase::CoordinatorDrain, d0);
         let now = self.engine.step_until(t)?;
+        publish_exec(&self.engine, self.n, &mut self.exec);
         self.watermark = t;
         Ok(now)
     }

@@ -20,7 +20,6 @@ use psn_sim::network::ActorId;
 use crate::bundle::{ClockBundle, ClockConfig, StrobePayload};
 use crate::event::{EventKind, ProcEvent};
 use crate::message::{NetMsg, ReportMsg};
-use crate::metrics::ExecMetrics;
 
 /// Per-process strobe policy.
 ///
@@ -138,7 +137,8 @@ pub(crate) struct SensorProcess {
     /// durable with the log, so a recovery restores the sense counter
     /// without scanning it.
     logged_senses: usize,
-    metrics: ExecMetrics,
+    /// Actuate events this process has recorded, retired ones included.
+    actuates: u64,
     trace_stamp: TraceStampMode,
     recovery: RecoveryPolicy,
     /// Current heartbeat chain generation (see [`TIMER_HEARTBEAT_BASE`]).
@@ -168,7 +168,7 @@ impl SensorProcess {
             log: Vec::new(),
             carried: None,
             logged_senses: 0,
-            metrics: ExecMetrics::disabled(),
+            actuates: 0,
             trace_stamp: TraceStampMode::default(),
             recovery: RecoveryPolicy::default(),
             heartbeat_gen: 0,
@@ -179,13 +179,6 @@ impl SensorProcess {
     /// after a crash (builder style).
     pub(crate) fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
-        self
-    }
-
-    /// Record semantic event counts and strobe byte accounting into
-    /// `metrics` (builder style). Recording never changes behaviour.
-    pub(crate) fn with_metrics(mut self, metrics: ExecMetrics) -> Self {
-        self.metrics = metrics;
         self
     }
 
@@ -212,6 +205,17 @@ impl SensorProcess {
         }
         self.log.clear();
         retired
+    }
+
+    /// Sense events recorded over the process's life, retired ones and
+    /// those before a crash included.
+    pub(crate) fn senses(&self) -> u64 {
+        self.logged_senses as u64
+    }
+
+    /// Actuate events recorded over the process's life.
+    pub(crate) fn actuates(&self) -> u64 {
+        self.actuates
     }
 
     /// Give up the log (sealing an execution).
@@ -242,7 +246,6 @@ impl SensorProcess {
         let payload = StrobePayload::new(snap.strobe_scalar, snap.strobe_vector);
         let seq = self.next_strobe_seq();
         ctx.broadcast(NetMsg::Strobe { origin: self.id, seq, payload });
-        self.metrics.on_strobe_broadcast();
     }
 
     /// The crash-recover protocol. The engine delivers this after the
@@ -337,7 +340,6 @@ impl Actor<NetMsg> for SensorProcess {
                 // The sense event n: tick all relevant-event clocks.
                 let (stamps, strobe) = bundle.on_sense(now);
                 self.sense_count += 1;
-                self.metrics.senses.inc();
                 self.record(now, EventKind::Sense { key, value, world_event }, stamps.clone());
                 if ctx.trace_enabled() {
                     ctx.trace_process(
@@ -351,12 +353,10 @@ impl Actor<NetMsg> for SensorProcess {
                 if self.sense_count.is_multiple_of(self.policy.every) {
                     let seq = self.next_strobe_seq();
                     ctx.broadcast(NetMsg::Strobe { origin: self.id, seq, payload: strobe });
-                    self.metrics.on_strobe_broadcast();
                 }
                 // The report to P0: a semantic send event s.
                 let bundle = self.bundle.as_mut().expect("started");
                 let send_stamps = bundle.on_send(now);
-                self.metrics.on_report_sent();
                 self.record(now, EventKind::Send { to: self.root }, send_stamps.clone());
                 if ctx.trace_enabled() {
                     ctx.trace_process(
@@ -393,7 +393,6 @@ impl Actor<NetMsg> for SensorProcess {
                     self.seen_strobes[origin] = seq;
                     if self.policy.flood && origin != self.id {
                         ctx.broadcast(NetMsg::Strobe { origin, seq, payload });
-                        self.metrics.on_strobe_broadcast();
                     }
                 }
             }
@@ -404,7 +403,7 @@ impl Actor<NetMsg> for SensorProcess {
                 let bundle = self.bundle.as_mut().expect("started");
                 bundle.on_receive(&piggyback, now);
                 let stamps = bundle.on_internal(now);
-                self.metrics.actuates.inc();
+                self.actuates += 1;
                 if ctx.trace_enabled() {
                     ctx.trace_process(
                         psn_sim::trace::ProcessEventKind::Actuate,

@@ -17,7 +17,6 @@ use crate::bundle::{ClockBundle, ClockConfig};
 use crate::event::{EventKind, ProcEvent};
 use crate::log::{ActuationRecord, ReceivedReport};
 use crate::message::{NetMsg, Report};
-use crate::metrics::ExecMetrics;
 
 /// A rule the root evaluates online on each arriving report. Returning
 /// commands closes the actuation loop.
@@ -69,7 +68,6 @@ pub(crate) struct RootProcess {
     reports: Vec<ReceivedReport>,
     /// Actuation commands issued.
     actuations: Vec<ActuationRecord>,
-    metrics: ExecMetrics,
     trace_stamp: crate::process::TraceStampMode,
 }
 
@@ -90,7 +88,6 @@ impl RootProcess {
             frontier: VectorStamp::zero(n + 1),
             reports: Vec::new(),
             actuations: Vec::new(),
-            metrics: ExecMetrics::disabled(),
             trace_stamp: crate::process::TraceStampMode::default(),
         }
     }
@@ -114,13 +111,6 @@ impl RootProcess {
         self
     }
 
-    /// Record semantic event counts and strobe byte accounting into
-    /// `metrics` (builder style). Recording never changes behaviour.
-    pub(crate) fn with_metrics(mut self, metrics: ExecMetrics) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
     /// The root's own receive and send events, in recording order.
     pub fn events(&self) -> &[ProcEvent] {
         &self.events
@@ -137,6 +127,11 @@ impl RootProcess {
     /// The reports received so far, in arrival order.
     pub fn reports(&self) -> &[ReceivedReport] {
         &self.reports
+    }
+
+    /// The actuation commands issued so far.
+    pub fn actuations(&self) -> &[ActuationRecord] {
+        &self.actuations
     }
 
     /// The vector clock after merging the latest report (zero before the
@@ -166,7 +161,6 @@ impl Actor<NetMsg> for RootProcess {
                 let bundle = self.bundle.as_mut().expect("started");
                 // Receive event r: merge piggybacked stamps (SC3/VC3).
                 let stamps = bundle.on_receive(&send_stamps, now);
-                self.metrics.receives.inc();
                 self.event_seq += 1;
                 self.frontier = stamps.vector.clone();
                 if ctx.trace_enabled() {
@@ -191,7 +185,6 @@ impl Actor<NetMsg> for RootProcess {
                     // at the root (SC2/VC2), stamps piggybacked.
                     let bundle = self.bundle.as_mut().expect("started");
                     let send_stamps = bundle.on_send(now);
-                    self.metrics.sends.inc();
                     self.event_seq += 1;
                     if ctx.trace_enabled() {
                         ctx.trace_process(
@@ -224,7 +217,6 @@ impl Actor<NetMsg> for RootProcess {
                     self.seen_strobes[origin] = seq;
                     if self.flood {
                         ctx.broadcast(NetMsg::Strobe { origin, seq, payload });
-                        self.metrics.on_strobe_broadcast();
                     }
                 }
             }
@@ -232,14 +224,6 @@ impl Actor<NetMsg> for RootProcess {
                 // The root senses nothing and is never actuated.
             }
         }
-    }
-}
-
-#[cfg(test)]
-impl RootProcess {
-    /// The actuation commands issued so far.
-    pub fn actuations(&self) -> &[ActuationRecord] {
-        &self.actuations
     }
 }
 

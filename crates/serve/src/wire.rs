@@ -237,7 +237,7 @@ pub enum Response {
     },
     /// The engine advanced.
     Advanced {
-        /// The engine clock after stepping (≤ watermark if halted).
+        /// The engine clock after stepping (≤ watermark past an end time).
         now: SimTime,
         /// The new watermark.
         watermark: SimTime,

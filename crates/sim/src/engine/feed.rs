@@ -86,7 +86,7 @@ impl<M: Message> Feed<M> {
     }
 
     /// Inject everything left: the events a run never reached (past its
-    /// end time, or after a halt) stay in flight as if injected up front.
+    /// end time) stay in flight as if injected up front.
     pub(in crate::engine) fn admit_rest(&mut self, lanes: &mut [Lane<M>]) {
         for fed in self.events.drain(..) {
             admit(lanes, fed);

@@ -11,10 +11,7 @@ use crate::telemetry::ShardTelemetry;
 use crate::time::SimTime;
 use crate::trace::{FaultRecordKind, MsgId, Trace, TraceKind};
 
-use super::{
-    Action, Actor, Context, Dispatch, EngineMetrics, Message, Pending, ProcessTrace,
-    DENSE_ACTOR_LIMIT,
-};
+use super::{Action, Actor, Context, Dispatch, Message, Pending, ProcessTrace, DENSE_ACTOR_LIMIT};
 use std::collections::HashMap;
 use std::sync::mpsc;
 
@@ -92,18 +89,24 @@ pub(in crate::engine) struct Lane<M: Message> {
     /// Signed because a lane can deliver (−1) messages another lane sent
     /// (+1); only the sum across lanes is meaningful.
     pub(in crate::engine) in_flight: i64,
+    /// The largest `in_flight` this lane reached.
+    pub(in crate::engine) in_flight_high: i64,
+    /// The largest queue length this lane held after an event or an
+    /// admission.
+    pub(in crate::engine) queue_high: u64,
+    /// Sends to a peer the topology gives no link, dropped before they
+    /// count as sent (so [`NetStats`] never sees them).
+    pub(in crate::engine) unlinked: u64,
     pub(in crate::engine) events_processed: u64,
-    pub(in crate::engine) halted: bool,
     pub(in crate::engine) action_scratch: Vec<Action<M>>,
     pub(in crate::engine) peer_scratch: Vec<ActorId>,
-    pub(in crate::engine) m: EngineMetrics,
     /// Phase-scoped wall-clock telemetry for this shard. Inert (no clock
     /// reads, no stores) unless a live [`Telemetry`] registry was attached.
     pub(in crate::engine) tel: ShardTelemetry,
 }
 
 impl<M: Message> Lane<M> {
-    pub(in crate::engine) fn new(m: EngineMetrics) -> Self {
+    pub(in crate::engine) fn new() -> Self {
         Lane {
             shard: 0,
             now: SimTime::ZERO,
@@ -126,11 +129,12 @@ impl<M: Message> Lane<M> {
             fstats: FaultStats::default(),
             parked_out: Vec::new(),
             in_flight: 0,
+            in_flight_high: 0,
+            queue_high: 0,
+            unlinked: 0,
             events_processed: 0,
-            halted: false,
             action_scratch: Vec::new(),
             peer_scratch: Vec::new(),
-            m,
             tel: ShardTelemetry::disabled(),
         }
     }
@@ -168,17 +172,26 @@ impl<M: Message> Lane<M> {
                 .send((at, key, pending))
                 .expect("every inbox lives as long as the lanes");
         }
+        self.add_in_flight();
+    }
+
+    /// Count one more message in flight, raising the high-water mark.
+    fn add_in_flight(&mut self) {
         self.in_flight += 1;
-        self.m.in_flight.set(self.in_flight.max(0) as u64);
+        self.in_flight_high = self.in_flight_high.max(self.in_flight);
+    }
+
+    /// Raise the queue-length high-water mark to the current length.
+    pub(in crate::engine) fn sample_queue(&mut self) {
+        self.queue_high = self.queue_high.max(self.queue.len() as u64);
     }
 
     /// Schedule an external delivery (injected or fed) in this lane's
     /// heap, where it counts as in flight.
     pub(in crate::engine) fn admit(&mut self, at: SimTime, key: u64, pending: Pending<M>) {
         self.queue.schedule_keyed(at, key, pending);
-        self.in_flight += 1;
-        self.m.in_flight.set(self.in_flight.max(0) as u64);
-        self.m.queue_depth.set(self.queue.len() as u64);
+        self.add_in_flight();
+        self.sample_queue();
     }
 
     /// Absorb every delivery waiting in this lane's inbox into the local
@@ -204,9 +217,6 @@ impl<M: Message> Lane<M> {
         plane: Option<&FaultPlane<M>>,
     ) {
         for i in 0..self.members.len() {
-            if self.halted {
-                break;
-            }
             let id = self.members[i];
             self.trace.set_cursor(Trace::start_cursor(id));
             self.dispatch(id, Dispatch::Start, net, plane);
@@ -222,8 +232,7 @@ impl<M: Message> Lane<M> {
         net: &NetworkConfig,
         plane: Option<&FaultPlane<M>>,
     ) {
-        while !self.halted {
-            let Some(at) = self.queue.peek_time() else { break };
+        while let Some(at) = self.queue.peek_time() {
             if let Some(end) = wend {
                 if at >= end {
                     break;
@@ -233,7 +242,6 @@ impl<M: Message> Lane<M> {
             debug_assert!(at >= self.now, "time must be monotone");
             self.now = at;
             self.events_processed += 1;
-            self.m.events.inc();
             self.trace.set_cursor(Trace::event_cursor(key));
             match pending {
                 Pending::Deliver { from, to, msg, id } => {
@@ -247,9 +255,7 @@ impl<M: Message> Lane<M> {
                                 .record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
                             self.stats.messages_lost += 1;
                             self.stats.messages_faulted += 1;
-                            self.m.dropped.inc();
                             self.in_flight -= 1;
-                            self.m.in_flight.set(self.in_flight.max(0) as u64);
                         }
                         _ => {
                             self.trace.record(
@@ -257,9 +263,7 @@ impl<M: Message> Lane<M> {
                                 TraceKind::Delivered { from, to, msg: MsgId(id) },
                             );
                             self.stats.messages_delivered += 1;
-                            self.m.delivered.inc();
                             self.in_flight -= 1;
-                            self.m.in_flight.set(self.in_flight.max(0) as u64);
                             self.dispatch(to, Dispatch::Message { from, msg }, net, plane);
                         }
                     }
@@ -279,7 +283,7 @@ impl<M: Message> Lane<M> {
                     }
                 }
             }
-            self.m.queue_depth.set(self.queue.len() as u64);
+            self.sample_queue();
         }
     }
 
@@ -358,8 +362,6 @@ impl<M: Message> Lane<M> {
                 self.trace
                     .record(self.now, TraceKind::Process { actor: from, kind, stamp, detail });
             }
-            #[cfg(test)]
-            Action::Halt => self.halted = true,
         }
     }
 
@@ -372,7 +374,7 @@ impl<M: Message> Lane<M> {
         plane: Option<&FaultPlane<M>>,
     ) {
         if !net.topology.connected(from, to) {
-            self.m.dropped.inc();
+            self.unlinked += 1;
             return; // no link: silently dropped
         }
         // One predictable branch: with a fault plane installed the
@@ -388,7 +390,6 @@ impl<M: Message> Lane<M> {
         self.trace.record(self.now, TraceKind::Sent { from, to, bytes, msg: MsgId(id) });
         if self.loss[from].is_lost(&mut self.net_rngs[from]) {
             self.stats.messages_lost += 1;
-            self.m.dropped.inc();
             self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
             return;
         }
@@ -427,7 +428,6 @@ impl<M: Message> Lane<M> {
                 CutPolicy::Drop => {
                     self.stats.messages_lost += 1;
                     self.stats.messages_faulted += 1;
-                    self.m.dropped.inc();
                     self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
                     self.fstats.dropped_by_partition += 1;
                 }
@@ -438,8 +438,7 @@ impl<M: Message> Lane<M> {
                     );
                     self.parked_out.push(Parked { from, to, msg, id, deliver_at: self.now });
                     self.fstats.parked += 1;
-                    self.in_flight += 1; // parked still counts as in flight
-                    self.m.in_flight.set(self.in_flight.max(0) as u64);
+                    self.add_in_flight(); // parked still counts as in flight
                 }
             }
             return;
@@ -454,7 +453,6 @@ impl<M: Message> Lane<M> {
                 Some(ChannelEffect::Drop) => {
                     self.stats.messages_lost += 1;
                     self.stats.messages_faulted += 1;
-                    self.m.dropped.inc();
                     self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
                     self.trace.record(
                         self.now,
@@ -493,7 +491,6 @@ impl<M: Message> Lane<M> {
         // path (same per-sender net stream draw order).
         if self.loss[from].is_lost(&mut self.net_rngs[from]) {
             self.stats.messages_lost += 1;
-            self.m.dropped.inc();
             self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
             return;
         }

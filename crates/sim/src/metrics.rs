@@ -4,21 +4,21 @@
 //! everything built on it: a [`Metrics`] registry hands out pre-registered
 //! handles — [`Counter`], [`Gauge`] (with high-water tracking), and
 //! [`Timer`] (a fixed-width histogram plus [`OnlineStats`] moments, reusing
-//! [`crate::stats`]) — that are cheap enough to leave enabled everywhere.
+//! [`crate::stats`]).
 //!
 //! Design rules, in priority order:
 //!
-//! 1. **Determinism is untouchable.** Recording a metric never consults a
-//!    random stream, never reorders events, and never feeds back into
-//!    simulation state. A run with metrics enabled is bit-identical (trace
-//!    and detection output) to the same run with metrics disabled — there
-//!    is a test for this at the workspace root
-//!    (`tests/metrics_determinism.rs`).
-//! 2. **Zero heap allocation on the hot path.** All allocation happens at
-//!    registration time (cold). [`Counter::add`] and [`Gauge::set`] are
-//!    single atomic RMW operations; [`Timer::record`] takes an uncontended
-//!    [`std::sync::Mutex`] around a fixed-size `Histogram` bump and a
-//!    Welford update — no allocation, no system calls.
+//! 1. **Determinism is untouchable.** The engine and the execution count
+//!    their events once, in the plain counters they keep anyway, and
+//!    publish them at advance boundaries ([`PublishedCounters`],
+//!    [`Gauge::set_with_high`]): nothing is recorded per event, and
+//!    nothing feeds back into the run. A run with metrics enabled is
+//!    bit-identical to the same run with metrics disabled, and its
+//!    published snapshot is pinned (`tests/metrics_determinism.rs`).
+//! 2. **No allocation after registration.** [`Counter::add`] and
+//!    [`Gauge::set`] are single atomic operations; [`Timer::record`] takes
+//!    an uncontended [`std::sync::Mutex`] around a fixed-size `Histogram`
+//!    bump and a Welford update.
 //! 3. **Thread-safe by construction.** Handles are `Clone + Send + Sync`
 //!    (shared via `Arc`), so sweep workers on different OS threads can
 //!    record into one registry.
@@ -217,17 +217,10 @@ pub struct Counter {
 
 impl Counter {
     /// Add `n` to the counter.
-    #[inline]
     pub fn add(&self, n: u64) {
         if self.active {
             self.cell.fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
     }
 
     /// Current value.
@@ -246,7 +239,6 @@ pub struct Gauge {
 impl Gauge {
     /// Set the current value, updating the high-water mark. The locked
     /// read-modify-write runs only when `v` may raise the mark.
-    #[inline]
     pub fn set(&self, v: u64) {
         if self.active {
             self.cell.value.store(v, Ordering::Relaxed);
@@ -256,14 +248,36 @@ impl Gauge {
         }
     }
 
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.value.load(Ordering::Relaxed)
+    /// Publish a value together with the high-water mark its source kept:
+    /// the mark rises to `high` (or `v`, if larger).
+    pub fn set_with_high(&self, v: u64, high: u64) {
+        if self.active {
+            self.cell.value.store(v, Ordering::Relaxed);
+            self.cell.high.fetch_max(high.max(v), Ordering::Relaxed);
+        }
+    }
+}
+
+/// Counters published from counts their source keeps anyway: each
+/// [`publish`](Self::publish) adds what grew since the last one, so
+/// sources sharing a registry add up.
+pub struct PublishedCounters<const N: usize> {
+    counters: [Counter; N],
+    published: [u64; N],
+}
+
+impl<const N: usize> PublishedCounters<N> {
+    /// Register the counters `names` in `metrics`.
+    pub fn attach(metrics: &Metrics, names: [&str; N]) -> Self {
+        PublishedCounters { counters: names.map(|n| metrics.counter(n)), published: [0; N] }
     }
 
-    /// Largest value ever set.
-    pub fn high(&self) -> u64 {
-        self.cell.high.load(Ordering::Relaxed)
+    /// Publish the source's running totals, in `names` order.
+    pub fn publish(&mut self, totals: [u64; N]) {
+        for ((counter, last), now) in self.counters.iter().zip(&mut self.published).zip(totals) {
+            counter.add(now - *last);
+            *last = now;
+        }
     }
 }
 
@@ -278,7 +292,6 @@ pub struct Timer {
 
 impl Timer {
     /// Record one observation.
-    #[inline]
     pub fn record(&self, x: f64) {
         if self.active {
             let mut cell = self.cell.lock().expect(METRICS_POISONED);
@@ -288,19 +301,8 @@ impl Timer {
     }
 
     /// Record a wall-clock duration in nanoseconds.
-    #[inline]
     pub(crate) fn record_duration(&self, d: std::time::Duration) {
         self.record(d.as_nanos() as f64);
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.cell.lock().expect(METRICS_POISONED).stats.count()
-    }
-
-    /// Mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.cell.lock().expect(METRICS_POISONED).stats.mean()
     }
 }
 
@@ -382,10 +384,22 @@ mod tests {
     fn counters_count() {
         let m = Metrics::new();
         let c = m.counter("events");
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(m.snapshot().counter("events"), Some(5));
+    }
+
+    #[test]
+    fn published_counters_add_what_grew() {
+        let m = Metrics::new();
+        let mut a = PublishedCounters::attach(&m, ["x", "y"]);
+        let mut b = PublishedCounters::attach(&m, ["x", "y"]);
+        a.publish([3, 1]);
+        a.publish([5, 1]);
+        b.publish([2, 0]);
+        let snap = m.snapshot();
+        assert_eq!((snap.counter("x"), snap.counter("y")), (Some(7), Some(1)));
     }
 
     #[test]
@@ -406,9 +420,12 @@ mod tests {
         g.set(3);
         g.set(10);
         g.set(4);
-        assert_eq!(g.get(), 4);
-        assert_eq!(g.high(), 10);
         assert_eq!(m.snapshot().gauge("depth"), Some((4, 10)));
+        // A published mark only rises, and never below the value.
+        g.set_with_high(2, 7);
+        assert_eq!(m.snapshot().gauge("depth"), Some((2, 10)));
+        g.set_with_high(12, 11);
+        assert_eq!(m.snapshot().gauge("depth"), Some((12, 12)));
     }
 
     #[test]
@@ -438,16 +455,16 @@ mod tests {
         g.set(7);
         t.record(7.0);
         assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(t.count(), 0);
+        assert_eq!(g.cell.value.load(Ordering::Relaxed), 0);
+        assert_eq!(t.cell.lock().unwrap().stats.count(), 0);
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
     fn snapshot_is_sorted_and_stable() {
         let m = Metrics::new();
-        m.counter("zeta").inc();
-        m.counter("alpha").inc();
+        m.counter("zeta").add(1);
+        m.counter("alpha").add(1);
         m.gauge("mid").set(1);
         let s1 = m.snapshot();
         let names: Vec<&str> = s1.counters.iter().map(|c| c.name.as_str()).collect();
@@ -488,7 +505,7 @@ mod tests {
                 let t = t.clone();
                 s.spawn(move || {
                     for i in 0..1000 {
-                        c.inc();
+                        c.add(1);
                         if i % 100 == 0 {
                             t.record(i as f64 / 100.0);
                         }
