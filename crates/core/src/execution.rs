@@ -77,13 +77,6 @@ pub struct ExecutionConfig {
     /// Requires a delay model with a nonzero minimum (lookahead);
     /// zero-lookahead models keep one lane.
     pub shards: usize,
-    /// Override the engine's dense-FIFO actor limit
-    /// ([`psn_sim::engine::DENSE_ACTOR_LIMIT`]). `None` (default) keeps the
-    /// built-in threshold: runs with more actors use the sparse channel
-    /// store, smaller runs the dense matrix. `Some(0)` forces the sparse
-    /// path — the dense-vs-sparse cross-validation tests run the same cell
-    /// both ways and require bit-identical results.
-    pub fifo_dense_limit: Option<usize>,
 }
 
 impl Default for ExecutionConfig {
@@ -102,7 +95,6 @@ impl Default for ExecutionConfig {
             faults: None,
             recovery: RecoveryPolicy::default(),
             shards: 1,
-            fifo_dense_limit: None,
         }
     }
 }
@@ -212,9 +204,6 @@ pub(crate) fn build_engine(
     };
     let mut engine: Engine<NetMsg> = Engine::new(net, cfg.seed);
     engine.set_shards(cfg.shards);
-    if let Some(limit) = cfg.fifo_dense_limit {
-        engine.set_fifo_dense_limit(limit);
-    }
     engine.set_metrics(metrics);
     if cfg.record_sim_trace {
         engine.enable_trace();

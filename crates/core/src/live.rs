@@ -674,8 +674,8 @@ mod tests {
     /// not drift. Pinned byte for byte: a scripted session's snapshot, and a
     /// journal holding every `NetMsg` variant with stamps wide enough to
     /// spill. The constants are the earlier formats' bytes with only the
-    /// two retired config entries, the window discipline and the partition
-    /// plan (both `null`), removed.
+    /// three retired config entries, the window discipline, the partition
+    /// plan and the dense-FIFO limit (all `null`), removed.
     #[test]
     fn snapshot_json_is_pinned_byte_for_byte() {
         use crate::bundle::{StampSet, StrobePayload};
@@ -688,7 +688,7 @@ mod tests {
         let json = live.snapshot().to_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (5591, 5638301643168460564),
+            (5567, 9190218638637764835),
             "scripted session"
         );
 
@@ -740,7 +740,7 @@ mod tests {
         let json = snap.to_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (1716, 2577971987606110009),
+            (1692, 2433714806589127280),
             "every message kind"
         );
         let back = LiveSnapshot::from_json(&json).expect("round trip");
@@ -748,10 +748,10 @@ mod tests {
     }
 
     /// Snapshots written while `ExecutionConfig` still carried a window
-    /// discipline or a shard plan restore: each retired entry is an unknown
-    /// key the deserializer skips, whatever its value, and the restored
-    /// session runs on exactly like an uninterrupted one (neither choice
-    /// ever changed an output).
+    /// discipline, a shard plan or a dense-FIFO limit restore: each retired
+    /// entry is an unknown key the deserializer skips, whatever its value,
+    /// and the restored session runs on exactly like an uninterrupted one
+    /// (no such choice ever changed an output).
     #[test]
     fn snapshot_with_retired_speculation_key_restores_and_runs_on() {
         let s = scenario();
@@ -764,12 +764,14 @@ mod tests {
         let mut head = Collected::new(&first);
         head.advance(&mut first, cut);
         let json = first.snapshot().to_json();
-        let anchor = r#""fifo_dense_limit":null"#;
+        let anchor = r#""shards":1"#;
         for retired in [
             r#","speculation":null"#,
             r#","speculation":"Optimistic""#,
             r#","shard_plan":null"#,
             r#","shard_plan":"Affinity""#,
+            r#","fifo_dense_limit":null"#,
+            r#","fifo_dense_limit":0"#,
         ] {
             let old = json.replacen(anchor, &format!("{anchor}{retired}"), 1);
             assert_eq!(old.len(), json.len() + retired.len(), "fixture carries {retired}");

@@ -525,42 +525,3 @@ fn sharded_run_reproduces_the_sequential_golden_hash() {
 /// `sharded_run_reproduces_the_sequential_golden_hash`; deterministic
 /// across machines (FNV-1a over the full trace format).
 const FLOORED_DELTA_GOLDEN_FULL_TRACE_HASH: u64 = 397811650213989502;
-
-/// The sparse channel store is a drop-in for the dense FIFO matrix: the
-/// same E7 habitat cell, run with the dense path (default threshold) and
-/// with the sparse path forced (`fifo_dense_limit: Some(0)`), must produce
-/// the identical execution down to the full-format trace hash. Above
-/// `DENSE_ACTOR_LIMIT` the switch happens automatically; this pins that the
-/// switch is unobservable.
-#[test]
-fn sparse_channel_store_matches_dense_on_an_e7_cell() {
-    let params = HabitatParams {
-        stations: 8,
-        animals: 4,
-        mean_dwell: SimDuration::from_secs(600),
-        duration: SimTime::from_secs(3600),
-    };
-    let scenario = habitat::generate(&params, 42);
-    let cell = |dense_limit: Option<usize>| {
-        let cfg = ExecutionConfig {
-            delay: DelayModel::delta(SimDuration::from_millis(300)),
-            seed: 1,
-            record_sim_trace: true,
-            fifo_dense_limit: dense_limit,
-            ..Default::default()
-        };
-        run_execution(&scenario, &cfg)
-    };
-    let dense = cell(None);
-    let sparse = cell(Some(0));
-    assert_eq!(
-        trace_full_hash(&sparse.sim),
-        trace_full_hash(&dense.sim),
-        "sparse FIFO store must reproduce the dense trace byte-for-byte"
-    );
-    assert_eq!(trace_projection_hash(&sparse.sim), trace_projection_hash(&dense.sim));
-    assert_eq!(sparse.log.events, dense.log.events);
-    assert_eq!(sparse.log.reports, dense.log.reports);
-    assert_eq!(sparse.net, dense.net);
-    assert_eq!(sparse.ended_at, dense.ended_at);
-}
