@@ -2,6 +2,15 @@
 //! transmission through the network and fault planes, and the FIFO clamp.
 //! A one-shard engine runs exactly one lane; a sharded engine splits the
 //! actors over several, once, and keeps them.
+//!
+//! Every send goes through one pipeline, [`Lane::transmit`]: the link
+//! check, then (with a fault plane installed) the partition and
+//! channel-fault stages, then loss, delay, reorder-or-FIFO and scheduling,
+//! then the duplicate copy. Each send lands in one ledger, [`NetStats`]:
+//! it is sent, and then delivered, lost, or still in flight. A send with
+//! no link is sent and lost at once, with no message id, no random draw
+//! and no trace record. The fault plane's own counts ([`FaultStats`]) say
+//! which stage took a message; they are not a second ledger.
 
 use crate::fault::{ChannelEffect, CutPolicy, FaultPlane, FaultStats, Parked};
 use crate::network::{ActorId, NetStats, NetworkConfig};
@@ -11,20 +20,20 @@ use crate::telemetry::ShardTelemetry;
 use crate::time::SimTime;
 use crate::trace::{FaultRecordKind, MsgId, Trace, TraceKind};
 
-use super::{Action, Actor, Context, Dispatch, Message, Pending, ProcessTrace, DENSE_ACTOR_LIMIT};
+use super::{Action, Actor, Context, Dispatch, Message, Pending, ProcessTrace};
 use std::collections::HashMap;
 use std::sync::mpsc;
 
 /// Per-channel last-scheduled-delivery times backing the FIFO clamp.
 ///
-/// `Dense` stores a `members × n` matrix indexed by the *rank* of the
-/// sending actor within this lane (not `n × n` per lane, so sharded large
-/// runs don't multiply the footprint). `Sparse` is a flat map keyed
-/// `(from << 32) | to`; it is only ever probed per-message, never iterated,
-/// so map order cannot leak into behaviour.
+/// Built once per lane, at the first advance, when the actors and the
+/// topology are fixed. `Dense` stores a `members × n` matrix indexed by the
+/// *rank* of the sending actor within this lane (not `n × n` per lane, so
+/// sharded large runs don't multiply the footprint). `Sparse` is a flat map
+/// keyed `(from << 32) | to`; it is only ever probed per-message, never
+/// iterated, so map order cannot leak into behaviour.
 pub(in crate::engine) enum FifoStore {
-    /// FIFO disabled, or not yet initialised (built on first clamp).
-    Unset,
+    /// FIFO disabled (or the first advance has not built the store yet).
     Off,
     Dense {
         stride: usize,
@@ -34,6 +43,30 @@ pub(in crate::engine) enum FifoStore {
     Sparse {
         last: HashMap<u64, SimTime>,
     },
+}
+
+impl FifoStore {
+    /// The store for a lane owning `members`, over node ids `0..n` (the
+    /// larger of the topology and the actor count): the dense matrix up to
+    /// `dense_limit` ids, the map above.
+    pub(in crate::engine) fn new(
+        fifo: bool,
+        n: usize,
+        members: &[ActorId],
+        dense_limit: usize,
+    ) -> Self {
+        if !fifo {
+            return FifoStore::Off;
+        }
+        if n > dense_limit {
+            return FifoStore::Sparse { last: HashMap::new() };
+        }
+        let mut rank = vec![u32::MAX; n];
+        for (r, &id) in members.iter().enumerate() {
+            rank[id] = r as u32;
+        }
+        FifoStore::Dense { stride: n, rank, last: vec![SimTime::ZERO; members.len() * n] }
+    }
 }
 
 /// What crosses shards: a delivery as `(delivery time, canonical key,
@@ -77,7 +110,6 @@ pub(in crate::engine) struct Lane<M: Message> {
     /// engine.
     pub(in crate::engine) peers: Vec<mpsc::Sender<Crossing<M>>>,
     pub(in crate::engine) fifo: FifoStore,
-    pub(in crate::engine) fifo_dense_limit: usize,
     pub(in crate::engine) trace: Trace,
     pub(in crate::engine) stats: NetStats,
     /// Transmit/delivery-side fault counters (the plane is read-only during
@@ -94,9 +126,6 @@ pub(in crate::engine) struct Lane<M: Message> {
     /// The largest queue length this lane held after an event or an
     /// admission.
     pub(in crate::engine) queue_high: u64,
-    /// Sends to a peer the topology gives no link, dropped before they
-    /// count as sent (so [`NetStats`] never sees them).
-    pub(in crate::engine) unlinked: u64,
     pub(in crate::engine) events_processed: u64,
     pub(in crate::engine) action_scratch: Vec<Action<M>>,
     pub(in crate::engine) peer_scratch: Vec<ActorId>,
@@ -122,8 +151,7 @@ impl<M: Message> Lane<M> {
             owner: Vec::new(),
             inbox: None,
             peers: Vec::new(),
-            fifo: FifoStore::Unset,
-            fifo_dense_limit: DENSE_ACTOR_LIMIT,
+            fifo: FifoStore::Off,
             trace: Trace::disabled(),
             stats: NetStats::default(),
             fstats: FaultStats::default(),
@@ -131,7 +159,6 @@ impl<M: Message> Lane<M> {
             in_flight: 0,
             in_flight_high: 0,
             queue_high: 0,
-            unlinked: 0,
             events_processed: 0,
             action_scratch: Vec::new(),
             peer_scratch: Vec::new(),
@@ -254,7 +281,6 @@ impl<M: Message> Lane<M> {
                             self.trace
                                 .record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
                             self.stats.messages_lost += 1;
-                            self.stats.messages_faulted += 1;
                             self.in_flight -= 1;
                         }
                         _ => {
@@ -365,137 +391,105 @@ impl<M: Message> Lane<M> {
         }
     }
 
+    /// The one send pipeline: the link check; the fault plane's partition
+    /// and channel-fault stages, if a plane is installed; loss, delay, and
+    /// reorder or FIFO clamp; scheduling; the duplicate copy. The network
+    /// stream draws loss then delay, and the plane stream draws the
+    /// channel effect, a corruption, then the copy's delay, so each
+    /// sender's draw order is the same with or without a plane. The plane
+    /// is read-only here: counters and parked messages land in this lane's
+    /// own accumulators.
     fn transmit(
-        &mut self,
-        from: ActorId,
-        to: ActorId,
-        msg: M,
-        net: &NetworkConfig,
-        plane: Option<&FaultPlane<M>>,
-    ) {
-        if !net.topology.connected(from, to) {
-            self.unlinked += 1;
-            return; // no link: silently dropped
-        }
-        // One predictable branch: with a fault plane installed the
-        // transmission goes through the partition/channel-fault pipeline,
-        // which replicates this hot path exactly when no fault applies.
-        if let Some(plane) = plane {
-            return self.transmit_faulted(from, to, msg, net, plane);
-        }
-        let bytes = msg.size_bytes();
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        let id = self.next_msg_id(from);
-        self.trace.record(self.now, TraceKind::Sent { from, to, bytes, msg: MsgId(id) });
-        if self.loss[from].is_lost(&mut self.net_rngs[from]) {
-            self.stats.messages_lost += 1;
-            self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
-            return;
-        }
-        let delay = net.delay.sample(&mut self.net_rngs[from]);
-        let mut deliver_at = self.now + delay;
-        if net.fifo {
-            deliver_at = self.fifo_clamp(from, to, deliver_at, net);
-        }
-        self.schedule_delivery(deliver_at, from, to, msg, id);
-    }
-
-    /// [`Lane::transmit`] with the fault plane interposed: partitions
-    /// block or park, channel-fault rules drop/duplicate/reorder/corrupt,
-    /// then the normal loss/delay/FIFO pipeline runs. When nothing in the
-    /// plane applies, this performs exactly the same accounting, records,
-    /// and RNG draws as the plain path (the faults-off determinism test
-    /// relies on it). The plane is read-only here — all mutation
-    /// (counters, parked messages) lands in this lane's own accumulators.
-    fn transmit_faulted(
         &mut self,
         from: ActorId,
         to: ActorId,
         mut msg: M,
         net: &NetworkConfig,
-        plane: &FaultPlane<M>,
+        plane: Option<&FaultPlane<M>>,
     ) {
         let bytes = msg.size_bytes();
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += bytes as u64;
+        if !net.topology.connected(from, to) {
+            self.stats.messages_lost += 1;
+            return;
+        }
         let id = self.next_msg_id(from);
         self.trace.record(self.now, TraceKind::Sent { from, to, bytes, msg: MsgId(id) });
 
-        // 1. Partitions sever the channel before anything else.
-        if plane.active_cuts > 0 && plane.blocked(from, to) {
-            match plane.cut_policy(from, to) {
-                CutPolicy::Drop => {
-                    self.stats.messages_lost += 1;
-                    self.stats.messages_faulted += 1;
-                    self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
-                    self.fstats.dropped_by_partition += 1;
-                }
-                CutPolicy::Park => {
-                    self.trace.record(
-                        self.now,
-                        TraceKind::Fault { actor: from, kind: FaultRecordKind::Parked, detail: id },
-                    );
-                    self.parked_out.push(Parked { from, to, msg, id, deliver_at: self.now });
-                    self.fstats.parked += 1;
-                    self.add_in_flight(); // parked still counts as in flight
-                }
-            }
-            return;
-        }
-
-        // 2. Channel-fault pipeline (draws only from the sender's plane
-        // stream).
         let mut duplicate = false;
         let mut extra_delay = None;
-        if plane.active_rules > 0 {
-            match plane.channel_effect(from, to, &mut self.fault_rngs[from]) {
-                Some(ChannelEffect::Drop) => {
-                    self.stats.messages_lost += 1;
-                    self.stats.messages_faulted += 1;
-                    self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
-                    self.trace.record(
-                        self.now,
-                        TraceKind::Fault {
-                            actor: from,
-                            kind: FaultRecordKind::ChannelDrop,
-                            detail: id,
-                        },
-                    );
-                    self.fstats.dropped_by_channel += 1;
-                    return;
-                }
-                // Not a match guard: corrupt() both decides and mutates,
-                // and a failed guard would fall through to other arms.
-                #[allow(clippy::collapsible_match)]
-                Some(ChannelEffect::Corrupt) => {
-                    if msg.corrupt(&mut self.fault_rngs[from]) {
-                        self.fstats.corrupted += 1;
+        if let Some(plane) = plane {
+            // Partitions sever the channel before anything else.
+            if plane.active_cuts > 0 && plane.blocked(from, to) {
+                match plane.cut_policy(from, to) {
+                    CutPolicy::Drop => {
+                        self.stats.messages_lost += 1;
+                        self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
+                        self.fstats.dropped_by_partition += 1;
+                    }
+                    CutPolicy::Park => {
                         self.trace.record(
                             self.now,
                             TraceKind::Fault {
                                 actor: from,
-                                kind: FaultRecordKind::Corrupted,
+                                kind: FaultRecordKind::Parked,
                                 detail: id,
                             },
                         );
+                        self.parked_out.push(Parked { from, to, msg, id, deliver_at: self.now });
+                        self.fstats.parked += 1;
+                        self.add_in_flight(); // parked still counts as in flight
                     }
                 }
-                Some(ChannelEffect::Duplicate) => duplicate = true,
-                Some(ChannelEffect::Reorder { extra }) => extra_delay = Some(extra),
-                None => {}
+                return;
+            }
+            if plane.active_rules > 0 {
+                match plane.channel_effect(from, to, &mut self.fault_rngs[from]) {
+                    Some(ChannelEffect::Drop) => {
+                        self.stats.messages_lost += 1;
+                        self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
+                        self.trace.record(
+                            self.now,
+                            TraceKind::Fault {
+                                actor: from,
+                                kind: FaultRecordKind::ChannelDrop,
+                                detail: id,
+                            },
+                        );
+                        self.fstats.dropped_by_channel += 1;
+                        return;
+                    }
+                    // Not a match guard: corrupt() both decides and
+                    // mutates, and a failed guard would fall through to
+                    // other arms.
+                    #[allow(clippy::collapsible_match)]
+                    Some(ChannelEffect::Corrupt) => {
+                        if msg.corrupt(&mut self.fault_rngs[from]) {
+                            self.fstats.corrupted += 1;
+                            self.trace.record(
+                                self.now,
+                                TraceKind::Fault {
+                                    actor: from,
+                                    kind: FaultRecordKind::Corrupted,
+                                    detail: id,
+                                },
+                            );
+                        }
+                    }
+                    Some(ChannelEffect::Duplicate) => duplicate = true,
+                    Some(ChannelEffect::Reorder { extra }) => extra_delay = Some(extra),
+                    None => {}
+                }
             }
         }
 
-        // 3. The normal loss/delay/FIFO pipeline, identical to the plain
-        // path (same per-sender net stream draw order).
         if self.loss[from].is_lost(&mut self.net_rngs[from]) {
             self.stats.messages_lost += 1;
             self.trace.record(self.now, TraceKind::Lost { from, to, msg: MsgId(id) });
             return;
         }
-        let delay = net.delay.sample(&mut self.net_rngs[from]);
-        let mut deliver_at = self.now + delay;
+        let mut deliver_at = self.now + net.delay.sample(&mut self.net_rngs[from]);
         if let Some(extra) = extra_delay {
             // Reorder: extra delay and no FIFO clamp (and no fifo-state
             // update), so later sends on this channel may overtake.
@@ -505,19 +499,18 @@ impl<M: Message> Lane<M> {
                 self.now,
                 TraceKind::Fault { actor: from, kind: FaultRecordKind::Reordered, detail: id },
             );
-        } else if net.fifo {
-            deliver_at = self.fifo_clamp(from, to, deliver_at, net);
+        } else {
+            deliver_at = self.fifo_clamp(from, to, deliver_at);
         }
-        let copy = if duplicate { Some(msg.clone()) } else { None };
+        let copy = duplicate.then(|| msg.clone());
         self.schedule_delivery(deliver_at, from, to, msg, id);
 
-        // 4. The duplicate copy: its own message id, its own delay (from
-        // the sender's plane stream), no FIFO clamp.
+        // The duplicate copy: its own message id, its own delay (from the
+        // sender's plane stream), no FIFO clamp.
         if let Some(copy) = copy {
             let dup_id = self.next_msg_id(from);
             self.stats.messages_sent += 1;
             self.stats.bytes_sent += bytes as u64;
-            self.stats.messages_duplicated += 1;
             self.fstats.duplicated += 1;
             self.trace.record(self.now, TraceKind::Sent { from, to, bytes, msg: MsgId(dup_id) });
             self.trace.record(
@@ -531,108 +524,20 @@ impl<M: Message> Lane<M> {
 
     /// Apply the per-channel FIFO clamp and update the channel state.
     #[inline]
-    fn fifo_clamp(
-        &mut self,
-        from: ActorId,
-        to: ActorId,
-        deliver_at: SimTime,
-        net: &NetworkConfig,
-    ) -> SimTime {
-        loop {
-            match &mut self.fifo {
-                FifoStore::Off => return deliver_at,
-                FifoStore::Dense { stride, rank, last } => {
-                    if to >= *stride || from >= rank.len() {
-                        self.fifo_setup(net); // topology grew: rebuild
-                        continue;
-                    }
-                    let r = rank[from] as usize;
-                    debug_assert!(r != u32::MAX as usize, "sender not a member of this lane");
-                    let slot = r * *stride + to;
-                    let cell = &mut last[slot];
-                    let t = if deliver_at < *cell { *cell } else { deliver_at };
-                    *cell = t;
-                    return t;
-                }
-                FifoStore::Sparse { last } => {
-                    let key = ((from as u64) << 32) | to as u64;
-                    let cell = last.entry(key).or_insert(SimTime::ZERO);
-                    let t = if deliver_at < *cell { *cell } else { deliver_at };
-                    *cell = t;
-                    return t;
-                }
-                FifoStore::Unset => {
-                    self.fifo_setup(net);
-                    continue;
-                }
+    fn fifo_clamp(&mut self, from: ActorId, to: ActorId, deliver_at: SimTime) -> SimTime {
+        let cell = match &mut self.fifo {
+            FifoStore::Off => return deliver_at,
+            FifoStore::Dense { stride, rank, last } => {
+                let r = rank[from] as usize;
+                debug_assert!(r != u32::MAX as usize, "sender not a member of this lane");
+                &mut last[r * *stride + to]
             }
-        }
-    }
-
-    /// (Re)build the FIFO store for the current topology size, preserving
-    /// any existing channel state. Cold: runs once per run (or per
-    /// topology-size change).
-    #[cold]
-    fn fifo_setup(&mut self, net: &NetworkConfig) {
-        if !net.fifo {
-            self.fifo = FifoStore::Off;
-            return;
-        }
-        let n = net.topology.len().max(self.actors.len());
-        let old = std::mem::replace(&mut self.fifo, FifoStore::Unset);
-        if n <= self.fifo_dense_limit {
-            let mut rank = vec![u32::MAX; n];
-            for (r, &id) in self.members.iter().enumerate() {
-                if id < n {
-                    rank[id] = r as u32;
-                }
+            FifoStore::Sparse { last } => {
+                last.entry(((from as u64) << 32) | to as u64).or_insert(SimTime::ZERO)
             }
-            let mut last = vec![SimTime::ZERO; self.members.len() * n];
-            // Preserve prior clamp state across a rebuild (re-runs after
-            // topology growth).
-            match old {
-                FifoStore::Dense { stride, rank: old_rank, last: old_last } => {
-                    for (from, &r_old) in old_rank.iter().enumerate() {
-                        if r_old == u32::MAX || from >= n || rank[from] == u32::MAX {
-                            continue;
-                        }
-                        let r_new = rank[from] as usize;
-                        for to in 0..stride.min(n) {
-                            last[r_new * n + to] = old_last[r_old as usize * stride + to];
-                        }
-                    }
-                }
-                FifoStore::Sparse { last: old_last } => {
-                    for (key, at) in old_last {
-                        let (from, to) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
-                        if from < n && to < n && rank[from] != u32::MAX {
-                            last[rank[from] as usize * n + to] = at;
-                        }
-                    }
-                }
-                _ => {}
-            }
-            self.fifo = FifoStore::Dense { stride: n, rank, last };
-        } else {
-            let mut map = HashMap::new();
-            match old {
-                FifoStore::Dense { stride, rank: old_rank, last: old_last } => {
-                    for (from, &r) in old_rank.iter().enumerate() {
-                        if r == u32::MAX {
-                            continue;
-                        }
-                        for to in 0..stride {
-                            let at = old_last[r as usize * stride + to];
-                            if at != SimTime::ZERO {
-                                map.insert(((from as u64) << 32) | to as u64, at);
-                            }
-                        }
-                    }
-                }
-                FifoStore::Sparse { last } => map = last,
-                _ => {}
-            }
-            self.fifo = FifoStore::Sparse { last: map };
-        }
+        };
+        let t = if deliver_at < *cell { *cell } else { deliver_at };
+        *cell = t;
+        t
     }
 }

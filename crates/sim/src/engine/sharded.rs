@@ -51,7 +51,6 @@ impl<M: Message> Engine<M> {
                 owner: owner.clone(),
                 inbox: Some(inbox),
                 peers: peers.clone(),
-                fifo_dense_limit: base.fifo_dense_limit,
                 trace: if base.trace.is_enabled() { Trace::enabled() } else { Trace::disabled() },
                 tel: self.tel.shard(shard),
                 // What the injections before the split raised stays raised.

@@ -134,28 +134,27 @@ impl NetworkConfig {
     }
 }
 
-/// Counters the engine maintains about network-plane activity. Experiment
-/// E7 ("clock sync is not free"; strobe scalar O(1) vs strobe vector O(n))
-/// reads these.
+/// The engine's one ledger of network-plane activity: every message sent
+/// is, in the end, delivered, lost, or still in flight (or parked by a
+/// partition). Experiment E7 ("clock sync is not free"; strobe scalar O(1)
+/// vs strobe vector O(n)) reads these. The fault plane's `FaultStats` say
+/// which fault took a lost message or made a duplicate.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
     /// Point-to-point message transmissions attempted (a broadcast to k
-    /// neighbours counts k).
+    /// neighbours counts k; a channel-fault duplicate counts once more; a
+    /// send to a peer with no link counts too).
     pub messages_sent: u64,
     /// Messages actually delivered.
     pub messages_delivered: u64,
-    /// Messages dropped by the loss model.
+    /// Messages that will never be delivered: sent with no link, dropped
+    /// by the loss model, or removed by the fault plane (at a down node,
+    /// by a partition, by a channel-fault rule).
     pub messages_lost: u64,
     /// Total payload bytes across attempted transmissions.
     pub bytes_sent: u64,
     /// Number of broadcast operations performed.
     pub broadcasts: u64,
-    /// Messages removed by the fault plane (down-node drops, partition
-    /// drops, channel-fault drops). Always a subset of `messages_lost`.
-    pub messages_faulted: u64,
-    /// Extra copies injected by channel-fault duplication (each also counts
-    /// in `messages_sent`).
-    pub messages_duplicated: u64,
 }
 
 impl NetStats {
@@ -168,8 +167,6 @@ impl NetStats {
         self.messages_lost += other.messages_lost;
         self.bytes_sent += other.bytes_sent;
         self.broadcasts += other.broadcasts;
-        self.messages_faulted += other.messages_faulted;
-        self.messages_duplicated += other.messages_duplicated;
     }
 }
 
