@@ -299,11 +299,6 @@ impl Timer {
             cell.stats.push(x);
         }
     }
-
-    /// Record a wall-clock duration in nanoseconds.
-    pub(crate) fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos() as f64);
-    }
 }
 
 /// Point-in-time export of a [`Metrics`] registry: plain data, sorted by
