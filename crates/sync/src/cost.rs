@@ -86,7 +86,6 @@ mod tests {
             messages_lost: 5,
             bytes_sent: 400,
             broadcasts: 10,
-            ..Default::default()
         };
         let m = CostModel::default();
         assert!((m.net_energy(&stats) - (50.0 + 36.0 + 8.0)).abs() < 1e-9);
