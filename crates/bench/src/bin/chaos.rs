@@ -54,13 +54,10 @@
 //! usage and exits with code 2.
 
 use psn_bench::cli::Args;
-use psn_bench::metrics_out::cell_object;
-use psn_bench::telemetry_out;
-use psn_core::{run_execution, run_execution_profiled, ExecutionConfig, ExecutionTrace};
+use psn_bench::obs_out::{self, cell_object};
+use psn_core::{run_execution, run_execution_instrumented, ExecutionConfig};
 use psn_predicates::{detect_occurrences, detection_matches, Discipline, Expr, Predicate};
 use psn_sim::fault::{ChaosConfig, FaultScript};
-use psn_sim::metrics::Metrics;
-use psn_sim::telemetry::Telemetry;
 use psn_sim::time::{SimDuration, SimTime};
 use psn_sim::trace_analysis::TraceAnalysis;
 use psn_world::scenarios::exhibition::ExhibitionParams;
@@ -69,7 +66,7 @@ use psn_world::{truth_intervals, AttrKey};
 use serde::Value;
 
 const USAGE: &str = "usage: chaos [--seeds N] [--quick] [--shards K] \
-     [--telemetry-out <path.jsonl>] [--only LIST] [--grammar]\n\
+     [--obs-out <path.jsonl>] [--only LIST] [--grammar]\n\
      --only LIST  soak specific targets: a comma- or space-separated list of\n\
                   built-in world names (exhibition, office, hospital, habitat)\n\
                   and/or .psn file paths, e.g. `--only office,hospital` or\n\
@@ -217,25 +214,18 @@ fn compiled_case(
 fn soak(case: &SoakCase) -> Result<String, String> {
     let SoakCase { label, scenario, cfg, preds, discipline, horizon } = case;
     let shards = cfg.shards;
-    // With a --telemetry-out sink open the primary run is profiled and one
-    // JSONL record is emitted per run; otherwise this is run_execution.
-    let trace: ExecutionTrace = if telemetry_out::is_enabled() {
-        let metrics = Metrics::new();
-        let telemetry = Telemetry::new();
-        let trace = run_execution_profiled(scenario, cfg, &metrics, &telemetry);
-        telemetry_out::emit_cell(
-            "chaos",
-            cell_object(
-                &format!("{label} shards={shards}"),
-                &[("seed", Value::UInt(cfg.seed)), ("shards", Value::UInt(shards as u64))],
-            ),
-            &metrics.snapshot(),
-            &telemetry.snapshot(),
-        );
-        trace
-    } else {
-        run_execution(scenario, cfg)
-    };
+    // With an --obs-out sink open the primary run records into an enabled
+    // registry and one JSONL record is emitted per run.
+    let metrics = obs_out::registry();
+    let trace = run_execution_instrumented(scenario, cfg, &metrics);
+    obs_out::emit_cell(
+        "chaos",
+        cell_object(
+            &format!("{label} shards={shards}"),
+            &[("seed", Value::UInt(cfg.seed)), ("shards", Value::UInt(shards as u64))],
+        ),
+        &metrics,
+    );
 
     // 1. Determinism: same (scenario, script, seed) ⇒ identical run. When
     // the primary run is sharded, the replay runs sequentially — the same
@@ -358,7 +348,7 @@ fn main() {
     // --only takes a comma- or space-separated list of built-in names
     // and/or .psn paths, terminated by the next --flag.
     let mut only: Vec<String> = Vec::new();
-    let mut telemetry_path: Option<String> = None;
+    let mut obs_path: Option<String> = None;
     while let Some(arg) = args.next_arg() {
         match arg.as_str() {
             "--quick" => quick = true,
@@ -366,7 +356,7 @@ fn main() {
             "--seeds" => seeds = args.parse("--seeds"),
             "--shards" => shards = args.parse("--shards"),
             "--only" => only = args.list("--only"),
-            "--telemetry-out" => telemetry_path = Some(args.value("--telemetry-out")),
+            "--obs-out" => obs_path = Some(args.value("--obs-out")),
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return;
@@ -384,9 +374,9 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if let Some(path) = telemetry_path {
-        if let Err(e) = telemetry_out::set_telemetry_out(&path) {
-            eprintln!("cannot open --telemetry-out {path}: {e}");
+    if let Some(path) = obs_path {
+        if let Err(e) = obs_out::set_obs_out(&path) {
+            eprintln!("cannot open --obs-out {path}: {e}");
             std::process::exit(1);
         }
     }
@@ -425,7 +415,7 @@ fn main() {
             tally(run_builtin_seed("exhibition", seed, quick, shards));
         }
     }
-    telemetry_out::finish();
+    obs_out::finish();
     if failures > 0 {
         eprintln!("chaos: {failures}/{runs} run(s) violated an invariant");
         std::process::exit(1);

@@ -6,7 +6,7 @@
 //! cargo run --release -p psn-bench --bin experiments -- --only e2 e5
 //! cargo run --release -p psn-bench --bin experiments -- --only e9,e11,e12
 //! cargo run --release -p psn-bench --bin experiments -- --csv --only e8
-//! cargo run --release -p psn-bench --bin experiments -- --only e7 --metrics-out /tmp/m.jsonl
+//! cargo run --release -p psn-bench --bin experiments -- --only e7 --obs-out /tmp/obs.jsonl
 //! cargo run --release -p psn-bench --bin experiments -- --only e7 e9 --trace-out /tmp/traces
 //! cargo run --release -p psn-bench --bin experiments -- --only e7 --shards 4 --delay-floor-ms 50
 //! ```
@@ -22,12 +22,11 @@ use std::time::Instant;
 
 use psn_bench::cli::Args;
 use psn_bench::experiments::{run_one, ALL};
-use psn_bench::metrics_out;
-use psn_bench::telemetry_out;
+use psn_bench::obs_out;
 use psn_bench::trace_out;
 
 const USAGE: &str = "usage: experiments [--quick] [--csv] [--only e1 e2,e3 ...] [--list] \
-     [--metrics-out <path.jsonl>] [--telemetry-out <path.jsonl>] \
+     [--obs-out <path.jsonl>] \
      [--trace-out <dir>] [--trace-format chrome|jsonl] \
      [--shards N] [--delay-floor-ms X]\n\
      \n\
@@ -39,9 +38,8 @@ const USAGE: &str = "usage: experiments [--quick] [--csv] [--only e1 e2,e3 ...] 
 fn main() {
     let mut args = Args::from_env(USAGE);
     let (mut quick, mut csv, mut list) = (false, false, false);
-    let mut metrics_path: Option<String> = None;
+    let mut obs_path: Option<String> = None;
     let mut trace_dir: Option<String> = None;
-    let mut telemetry_path: Option<String> = None;
     let mut trace_format = trace_out::TraceFormat::default();
     let mut only: Vec<String> = ALL.iter().map(|s| s.to_string()).collect();
     while let Some(arg) = args.next_arg() {
@@ -52,9 +50,8 @@ fn main() {
             "--only" => {
                 only = args.list("--only").into_iter().map(|id| id.to_lowercase()).collect()
             }
-            "--metrics-out" => metrics_path = Some(args.value("--metrics-out")),
+            "--obs-out" => obs_path = Some(args.value("--obs-out")),
             "--trace-out" => trace_dir = Some(args.value("--trace-out")),
-            "--telemetry-out" => telemetry_path = Some(args.value("--telemetry-out")),
             "--trace-format" => {
                 let f = args.value("--trace-format");
                 trace_format = trace_out::TraceFormat::parse(&f).unwrap_or_else(|| {
@@ -73,15 +70,9 @@ fn main() {
             other => args.fail(&format!("unexpected argument {other}")),
         }
     }
-    if let Some(path) = metrics_path {
-        if let Err(e) = metrics_out::set_metrics_out(&path) {
-            eprintln!("cannot open --metrics-out {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = telemetry_path {
-        if let Err(e) = telemetry_out::set_telemetry_out(&path) {
-            eprintln!("cannot open --telemetry-out {path}: {e}");
+    if let Some(path) = obs_path {
+        if let Err(e) = obs_out::set_obs_out(&path) {
+            eprintln!("cannot open --obs-out {path}: {e}");
             std::process::exit(1);
         }
     }
@@ -112,8 +103,7 @@ fn main() {
             None => eprintln!("unknown experiment id: {id} (known: {})", ALL.join(", ")),
         }
     }
-    metrics_out::finish();
-    telemetry_out::finish();
+    obs_out::finish();
     let traces = trace_out::finish();
     if traces > 0 {
         eprintln!("trace-out: wrote {traces} cell trace file(s)");

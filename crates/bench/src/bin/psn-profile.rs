@@ -1,14 +1,15 @@
-//! `psn-profile` — phase-attribution reports from `--telemetry-out` dumps.
+//! `psn-profile` — phase-attribution reports from `--obs-out` dumps.
 //!
 //! ```sh
 //! psn-profile <dump.jsonl>            # human-readable report, one section per cell
 //! psn-profile --check <dump.jsonl>    # schema + sanity validation, exit nonzero on failure
 //! ```
 //!
-//! The input is the JSONL format written by the `--telemetry-out` flag of
-//! `experiments`, `chaos`, and `psn-script` (one record per cell, carrying a
-//! `MetricsSnapshot` and a `TelemetrySnapshot`). For each cell the report
-//! answers the questions the telemetry plane exists for:
+//! The input is the JSONL format written by the `--obs-out` flag of
+//! `experiments`, `chaos`, and `psn-script` (one record per cell, carrying
+//! both sections of the cell's registry: a `MetricsSnapshot` and a
+//! `TelemetrySnapshot`). For each cell the report answers the questions
+//! the registry's phase view exists for:
 //!
 //! - **top time sinks** — every shard's phase breakdown, sorted by cost,
 //!   with its share of the shard's accounted time;
@@ -214,7 +215,7 @@ fn main() {
     let checking = args.iter().any(|a| a == "--check");
     let path = args.iter().find(|a| !a.starts_with("--"));
     if args.iter().any(|a| a == "--help" || a == "-h") || path.is_none() {
-        eprintln!("usage: psn-profile [--check] <telemetry-dump.jsonl>   (use - for stdin)");
+        eprintln!("usage: psn-profile [--check] <obs-dump.jsonl>   (use - for stdin)");
         std::process::exit(if path.is_none() && !args.iter().any(|a| a == "--help" || a == "-h") {
             2
         } else {

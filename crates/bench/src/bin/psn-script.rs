@@ -4,14 +4,13 @@
 //! the command line is compiled into a world + execution config +
 //! predicates and, unless `--check` is given, run end-to-end through the
 //! engine. Per-predicate detections are scored against ground truth and
-//! the usual output sinks are available (`--metrics-out`,
-//! `--telemetry-out`, `--trace-out`).
+//! the usual output sinks are available (`--obs-out`, `--trace-out`).
 //!
 //! ```sh
 //! cargo run --release -p psn-bench --bin psn-script -- scenarios/exhibition.psn
 //! cargo run --release -p psn-bench --bin psn-script -- --check scenarios/*.psn
 //! cargo run --release -p psn-bench --bin psn-script -- scenarios/office.psn \
-//!     --shards 4 --telemetry-out tel.jsonl
+//!     --shards 4 --obs-out obs.jsonl
 //! ```
 //!
 //! `--check` parses and type-checks without running (a pre-commit lint);
@@ -27,19 +26,17 @@
 //! ```
 
 use psn_bench::cli::Args;
-use psn_bench::metrics_out::{self, cell_object};
-use psn_bench::{telemetry_out, trace_out};
-use psn_core::run_execution_profiled;
+use psn_bench::obs_out::{self, cell_object};
+use psn_bench::trace_out;
+use psn_core::run_execution_instrumented;
 use psn_lang::{compile, render, CompiledScenario};
 use psn_predicates::{detect_occurrences, modal_status, score, BorderlinePolicy, StreamingModal};
-use psn_sim::metrics::Metrics;
-use psn_sim::telemetry::Telemetry;
 use psn_sim::time::SimDuration;
 use psn_world::truth_intervals;
 use serde::Value;
 
 const USAGE: &str = "usage: psn-script [--check] [--stream] FILE.psn... [--shards K] \
-    [--metrics-out <path.jsonl>] [--telemetry-out <path.jsonl>] \
+    [--obs-out <path.jsonl>] \
     [--trace-out <dir>] [--trace-format chrome|jsonl]\n\
     --check parses and type-checks without running.\n\
     --stream also scores each predicate through the streaming detector \
@@ -62,17 +59,10 @@ fn parse_args() -> Options {
             "--check" => opts.check = true,
             "--stream" => opts.stream = true,
             "--shards" => opts.shards = Some(args.parse("--shards")),
-            "--metrics-out" => {
-                let v = args.value("--metrics-out");
-                if let Err(e) = metrics_out::set_metrics_out(&v) {
-                    eprintln!("cannot open --metrics-out {v}: {e}");
-                    std::process::exit(2);
-                }
-            }
-            "--telemetry-out" => {
-                let v = args.value("--telemetry-out");
-                if let Err(e) = telemetry_out::set_telemetry_out(&v) {
-                    eprintln!("cannot open --telemetry-out {v}: {e}");
+            "--obs-out" => {
+                let v = args.value("--obs-out");
+                if let Err(e) = obs_out::set_obs_out(&v) {
+                    eprintln!("cannot open --obs-out {v}: {e}");
                     std::process::exit(2);
                 }
             }
@@ -127,9 +117,8 @@ fn run_file(path: &str, opts: &Options) -> Result<(), ()> {
         compiled.config.shards = shards;
     }
 
-    let metrics = Metrics::new();
-    let telemetry = Telemetry::new();
-    let trace = run_execution_profiled(&compiled.scenario, &compiled.config, &metrics, &telemetry);
+    let metrics = obs_out::registry();
+    let trace = run_execution_instrumented(&compiled.scenario, &compiled.config, &metrics);
     let horizon = trace.ended_at;
     println!(
         "{path}: scenario \"{}\" seed {} n={} shards={} — {} world events, {} sent / {} delivered / {} lost, ended at {:?}",
@@ -210,12 +199,7 @@ fn run_file(path: &str, opts: &Options) -> Result<(), ()> {
             ("shards", Value::UInt(compiled.config.shards as u64)),
         ],
     );
-    if metrics_out::is_enabled() {
-        metrics_out::emit_cell("psn-script", cell.clone(), &metrics.snapshot());
-    }
-    if telemetry_out::is_enabled() {
-        telemetry_out::emit_cell("psn-script", cell, &metrics.snapshot(), &telemetry.snapshot());
-    }
+    obs_out::emit_cell("psn-script", cell, &metrics);
     if trace_out::is_enabled() {
         trace_out::emit_cell_trace("psn-script", &compiled.name, &trace.sim, trace.n);
     }
@@ -243,8 +227,7 @@ fn main() {
             failures += 1;
         }
     }
-    metrics_out::finish();
-    telemetry_out::finish();
+    obs_out::finish();
     trace_out::finish();
     if failures > 0 {
         eprintln!("psn-script: {failures}/{} file(s) failed", opts.files.len());

@@ -36,19 +36,15 @@
 
 use std::time::Instant;
 
-use psn_core::{
-    run_execution_instrumented, run_execution_profiled, ExecutionConfig, ExecutionTrace,
-};
+use psn_core::{run_execution_instrumented, ExecutionConfig, ExecutionTrace};
 use psn_sim::delay::DelayModel;
 use psn_sim::fault::{CutPolicy, FaultScript, FaultSpec};
 use psn_sim::metrics::Metrics;
-use psn_sim::telemetry::Telemetry;
 use psn_sim::time::{SimDuration, SimTime};
 use psn_world::scenarios::exhibition::{self, ExhibitionParams};
 
-use crate::metrics_out::cell_object;
+use crate::obs_out::{self, cell_object};
 use crate::table::Table;
-use crate::telemetry_out;
 use serde::Value;
 
 /// The Δ-band every E14 cell runs under: 40 ms minimum (= the sharded
@@ -79,32 +75,25 @@ fn run_cell(n: usize, shards: usize, faults: Option<FaultScript>, duration: SimT
     let scenario = exhibition::generate(&params, 11);
     let faulted = faults.is_some();
     let cfg = ExecutionConfig { delay: delay(), seed: 1, shards, faults, ..Default::default() };
+    // The table reads the registry's counters, so it is always enabled;
+    // with an --obs-out sink open, each cell is also one JSONL record.
     let metrics = Metrics::new();
-    // With a --telemetry-out sink open, run through the profiled entry
-    // point and emit one JSONL record per cell; otherwise the registry is
-    // disabled and the run is exactly as before.
-    let telemetry =
-        if telemetry_out::is_enabled() { Telemetry::new() } else { Telemetry::disabled() };
     let t0 = Instant::now();
-    let trace = run_execution_profiled(&scenario, &cfg, &metrics, &telemetry);
+    let trace = run_execution_instrumented(&scenario, &cfg, &metrics);
     let wall = t0.elapsed().as_secs_f64();
     let snap = metrics.snapshot();
-    if telemetry.is_enabled() {
-        let label = format!("n={n} shards={shards}");
-        telemetry_out::emit_cell(
-            "e14",
-            cell_object(
-                &label,
-                &[
-                    ("n", Value::UInt(n as u64)),
-                    ("shards", Value::UInt(shards as u64)),
-                    ("faults", Value::Bool(faulted)),
-                ],
-            ),
-            &snap,
-            &telemetry.snapshot(),
-        );
-    }
+    obs_out::emit_cell(
+        "e14",
+        cell_object(
+            &format!("n={n} shards={shards}"),
+            &[
+                ("n", Value::UInt(n as u64)),
+                ("shards", Value::UInt(shards as u64)),
+                ("faults", Value::Bool(faulted)),
+            ],
+        ),
+        &metrics,
+    );
     Cell {
         events: snap.counter("engine.events_processed").unwrap_or(0),
         windows: snap.counter("engine.windows").unwrap_or(0),

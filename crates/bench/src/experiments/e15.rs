@@ -15,19 +15,19 @@
 
 use std::time::Instant;
 
-use psn_core::run_execution;
+use psn_core::{run_execution, run_execution_instrumented};
 use psn_predicates::{modal_status, Predicate, StreamingModal};
+use psn_sim::metrics::Metrics;
 use psn_sim::sweep::run_sweep_auto;
-use psn_sim::telemetry::{Phase, Telemetry};
+use psn_sim::telemetry::Phase;
 use psn_sim::time::{SimDuration, SimTime};
 use psn_world::scenarios::exhibition::{self, ExhibitionParams};
 use psn_world::truth_intervals;
 use serde::Value;
 
 use crate::common::delta_config;
-use crate::metrics_out::cell_object;
+use crate::obs_out::{self, cell_object};
 use crate::table::Table;
-use crate::telemetry_out;
 
 struct Cell {
     reports: usize,
@@ -101,11 +101,11 @@ pub fn run(quick: bool) -> Table {
             }
         });
 
-        // One extra profiled pass per rate when a telemetry sink is open:
+        // One extra profiled pass per rate when an --obs-out sink is open:
         // the detector phase is timed around the full offer loop so
         // `psn-profile` sees a `detector` column next to the engine phases.
-        if telemetry_out::is_enabled() {
-            emit_telemetry_cell(&params, delta, hold_back, rate);
+        if obs_out::is_enabled() {
+            emit_obs_cell(&params, delta, hold_back, rate);
         }
 
         let reports: usize = cells.iter().map(|c| c.reports).sum();
@@ -146,20 +146,14 @@ pub fn run(quick: bool) -> Table {
     table
 }
 
-fn emit_telemetry_cell(
-    params: &ExhibitionParams,
-    delta: SimDuration,
-    hold_back: SimDuration,
-    rate: f64,
-) {
+fn emit_obs_cell(params: &ExhibitionParams, delta: SimDuration, hold_back: SimDuration, rate: f64) {
     let scenario = exhibition::generate(params, 4000);
     let pred = Predicate::occupancy_over(params.doors, params.capacity);
     let init = scenario.timeline.initial_state();
-    let metrics = psn_sim::metrics::Metrics::new();
-    let telemetry = Telemetry::new();
+    let metrics = Metrics::new();
+    let telemetry = metrics.telemetry();
     let wall = Instant::now();
-    let trace =
-        psn_core::run_execution_profiled(&scenario, &delta_config(delta, 0), &metrics, &telemetry);
+    let trace = run_execution_instrumented(&scenario, &delta_config(delta, 0), &metrics);
     let tel = telemetry.coordinator();
     let mut s = StreamingModal::new(&pred, &init, trace.n, hold_back);
     let t0 = tel.start();
@@ -169,7 +163,7 @@ fn emit_telemetry_cell(
     std::hint::black_box(s.seal());
     tel.record(Phase::Detector, t0);
     telemetry.record_run_wall(wall.elapsed().as_nanos() as u64);
-    telemetry_out::emit_cell(
+    obs_out::emit_cell(
         "e15",
         cell_object(
             &format!("rate={rate}"),
@@ -179,7 +173,6 @@ fn emit_telemetry_cell(
                 ("reports", Value::UInt(trace.log.reports.len() as u64)),
             ],
         ),
-        &metrics.snapshot(),
-        &telemetry.snapshot(),
+        &metrics,
     );
 }

@@ -12,13 +12,12 @@
 //!   the same hour regardless of events.
 
 use psn_core::{family_bytes, run_execution_instrumented};
-use psn_sim::metrics::Metrics;
 use psn_sim::time::{SimDuration, SimTime};
 use psn_sync::{run_rbs, run_tpsn, CostModel, RbsParams, TpsnParams};
 use psn_world::scenarios::habitat::{self, HabitatParams};
 
 use crate::common::delta_config;
-use crate::metrics_out;
+use crate::obs_out;
 use crate::table::Table;
 use crate::trace_out;
 
@@ -52,16 +51,16 @@ pub fn run(quick: bool) -> Table {
         };
         let seed = 1u64;
         let scenario = habitat::generate(&params, 42);
-        // A live registry only when `--metrics-out` opened a sink; engine
+        // An enabled registry only when `--obs-out` opened a sink; engine
         // trace recording only when `--trace-out` opened one. The run is
         // bit-identical either way (core's instrumentation tests).
-        let metrics = if metrics_out::is_enabled() { Metrics::new() } else { Metrics::disabled() };
+        let metrics = obs_out::registry();
         let mut cfg = delta_config(SimDuration::from_millis(300), seed);
         cfg.record_sim_trace = trace_out::is_enabled();
         let trace = run_execution_instrumented(&scenario, &cfg, &metrics);
-        metrics_out::emit_cell(
+        obs_out::emit_cell(
             "e7",
-            metrics_out::cell_object(
+            obs_out::cell_object(
                 &format!("n={n}"),
                 &[
                     ("n", serde::Value::UInt(n as u64)),
@@ -69,7 +68,7 @@ pub fn run(quick: bool) -> Table {
                     ("seed", serde::Value::UInt(seed)),
                 ],
             ),
-            &metrics.snapshot(),
+            &metrics,
         );
         trace_out::emit_cell_trace("e7", &format!("n={n}"), &trace.sim, trace.n);
         let reports = trace.log.reports.len() as u64;

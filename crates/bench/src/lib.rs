@@ -6,16 +6,14 @@
 //! - [`cli`] — strict argument reading shared by the binaries;
 //! - [`common`] — shared scaffolding (controlled two-pulse scenarios,
 //!   strobe-stamp histories, per-clock-family byte accounting);
-//! - [`metrics_out`] — the `--metrics-out` JSONL sink: one line per
-//!   instrumented experiment cell, carrying the cell parameters and a full
-//!   [`psn_sim::metrics::MetricsSnapshot`];
+//! - [`obs_out`] — the `--obs-out` JSONL sink: one line per instrumented
+//!   cell, carrying the cell parameters and both sections of its
+//!   [`psn_sim::metrics::Metrics`] registry — the deterministic
+//!   `MetricsSnapshot` and the phase-profiling `TelemetrySnapshot` the
+//!   `psn-profile` report tool reads;
 //! - [`trace_out`] — the `--trace-out` sink: one causally stamped
 //!   structured trace file per experiment cell (Chrome trace-event JSON
-//!   for Perfetto, or JSONL);
-//! - [`telemetry_out`] — the `--telemetry-out` sink: one JSONL record per
-//!   cell with both the metrics and the phase-profiling
-//!   [`psn_sim::telemetry::TelemetrySnapshot`], consumed by the
-//!   `psn-profile` report tool.
+//!   for Perfetto, or JSONL).
 //!
 //! Criterion micro-benchmarks live in `benches/` (clock operations,
 //! detectors, lattice enumeration, engine throughput, sweep scaling).
@@ -26,9 +24,14 @@
 pub mod cli;
 pub mod common;
 pub mod experiments;
-pub mod metrics_out;
+pub mod obs_out;
 pub mod table;
-pub mod telemetry_out;
 pub mod trace_out;
+
+// Tests of the two sections of an `obs_out` record, one module each.
+#[cfg(test)]
+mod metrics_out;
+#[cfg(test)]
+mod telemetry_out;
 
 pub use table::Table;

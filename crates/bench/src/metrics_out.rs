@@ -1,118 +1,29 @@
-//! JSONL metrics sink for the experiment runner.
-//!
-//! `experiments --metrics-out <path>` opens a process-wide sink here; each
-//! instrumented experiment cell then calls [`emit_cell`] with the
-//! [`MetricsSnapshot`] of its run, producing **one JSON line per cell**.
-//! The `cell` field is a structured object carrying the human-readable
-//! label plus the sweep cell's parameters and seed, so downstream tools
-//! can group and join lines without parsing labels:
-//!
-//! ```json
-//! {"experiment":"e7","cell":{"label":"n=4","n":4,"seed":42},"metrics":{"counters":[...],...}}
-//! ```
-//!
-//! When no sink is set (the default, and always in `cargo test`), the whole
-//! module is inert: [`is_enabled`] is `false`, experiments run with a
-//! disabled [`psn_sim::metrics::Metrics`] registry, and [`emit_cell`] is a
-//! no-op — so the flag adds zero cost and zero output when absent.
+//! Tests of the `metrics` section of an [`crate::obs_out`] record: the
+//! deterministic counters of a cell's registry, one JSONL line per cell,
+//! and the registry a run gets with the sink closed and open.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::sync::Mutex;
-
-use psn_sim::metrics::MetricsSnapshot;
-use serde::{Serialize, Value};
-
-/// The sink plus a reusable line buffer: the JSON text of each record is
-/// rendered into `line` (whose capacity persists across cells), streamed
-/// into the `BufWriter`, and flushed **once per cell** — a cell is the
-/// atomic output unit, so readers tailing the file never see a torn line,
-/// while the snapshot's many counters/gauges/timers still hit the `File`
-/// in one buffered write rather than many small ones.
-struct Sink {
-    writer: BufWriter<File>,
-    line: String,
-}
-
-static SINK: Mutex<Option<Sink>> = Mutex::new(None);
-
-/// Open `path` (truncating) as the process-wide metrics sink.
-pub fn set_metrics_out(path: &str) -> std::io::Result<()> {
-    let file = File::create(path)?;
-    *SINK.lock().expect("metrics sink lock") =
-        Some(Sink { writer: BufWriter::new(file), line: String::new() });
-    Ok(())
-}
-
-/// Is a sink open? Experiments use this to decide whether to pay for a
-/// live [`psn_sim::metrics::Metrics`] registry.
-pub fn is_enabled() -> bool {
-    SINK.lock().expect("metrics sink lock").is_some()
-}
-
-/// Build the structured `cell` object for [`emit_cell`]: the label plus
-/// each `(name, value)` sweep parameter (the run's seed belongs here too).
-pub fn cell_object(label: &str, params: &[(&str, Value)]) -> Value {
-    let mut map = Vec::with_capacity(params.len() + 1);
-    map.push(("label".to_string(), Value::Str(label.to_string())));
-    map.extend(params.iter().map(|(k, v)| (k.to_string(), v.clone())));
-    Value::Map(map)
-}
-
-/// Append one JSONL record for (`experiment`, `cell`). Build `cell` with
-/// [`cell_object`]. No-op without a sink.
-pub fn emit_cell(experiment: &str, cell: Value, metrics: &MetricsSnapshot) {
-    let mut guard = SINK.lock().expect("metrics sink lock");
-    if let Some(sink) = guard.as_mut() {
-        // Assemble the record as a borrowing Value tree — no snapshot
-        // clone; `to_value` converts the snapshot directly.
-        let record = Value::Map(vec![
-            ("experiment".to_string(), Value::Str(experiment.to_string())),
-            ("cell".to_string(), cell),
-            ("metrics".to_string(), metrics.to_value()),
-        ]);
-        sink.line.clear();
-        serde_json::write_value_to(&record, &mut sink.line);
-        sink.line.push('\n');
-        if let Err(e) =
-            sink.writer.write_all(sink.line.as_bytes()).and_then(|()| sink.writer.flush())
-        {
-            eprintln!("metrics-out: write failed: {e}");
-        }
-    }
-}
-
-/// Flush and close the sink (end of the runner's main loop).
-pub fn finish() {
-    let mut guard = SINK.lock().expect("metrics sink lock");
-    if let Some(mut sink) = guard.take() {
-        if let Err(e) = sink.writer.flush() {
-            eprintln!("metrics-out: flush failed: {e}");
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::obs_out::*;
     use psn_sim::metrics::Metrics;
+    use serde::Value;
 
     #[test]
     fn disabled_sink_is_inert_and_enabled_sink_writes_jsonl() {
-        // Single test covering both states: the sink is process-global, so
-        // ordering within one test avoids cross-test interference.
+        let _serial = TEST_SINK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!is_enabled());
+        assert!(!registry().is_enabled());
         let m = Metrics::new();
         m.counter("x.bytes").add(7);
         let cell1 = || cell_object("n=1", &[("n", Value::UInt(1)), ("seed", Value::UInt(42))]);
-        emit_cell("e0", cell1(), &m.snapshot()); // no-op
+        emit_cell("e0", cell1(), &m); // no-op
 
-        let path = std::env::temp_dir().join("psn_metrics_out_test.jsonl");
+        let path = std::env::temp_dir().join("psn_obs_out_metrics_test.jsonl");
         let path = path.to_str().expect("utf-8 temp path");
-        set_metrics_out(path).expect("open sink");
+        set_obs_out(path).expect("open sink");
         assert!(is_enabled());
-        emit_cell("e0", cell1(), &m.snapshot());
-        emit_cell("e0", cell_object("n=2", &[("n", Value::UInt(2))]), &m.snapshot());
+        assert!(registry().is_enabled());
+        emit_cell("e0", cell1(), &m);
+        emit_cell("e0", cell_object("n=2", &[("n", Value::UInt(2))]), &m);
         finish();
         assert!(!is_enabled());
 
@@ -121,7 +32,9 @@ mod tests {
         assert_eq!(lines.len(), 2, "one JSON line per cell");
         assert!(lines[0].contains("\"experiment\":\"e0\""));
         assert!(lines[0].contains("\"cell\":{\"label\":\"n=1\",\"n\":1,\"seed\":42}"));
+        assert!(lines[0].contains("\"metrics\":"));
         assert!(lines[0].contains("x.bytes"));
+        assert!(lines[1].contains("\"cell\":{\"label\":\"n=2\",\"n\":2}"));
         std::fs::remove_file(path).ok();
     }
 }

@@ -11,7 +11,7 @@
 //!   process and flow arrows binding each send to its delivery;
 //! - `jsonl`: `<experiment>-<cell>.jsonl` — one JSON object per trace
 //!   record ([`psn_sim::trace_export::jsonl`]), the stream-processing twin
-//!   of `--metrics-out`.
+//!   of `--obs-out`.
 //!
 //! When no sink is set (the default, and always in `cargo test`), the
 //! module is inert: [`is_enabled`] is `false`, experiments skip trace
@@ -30,7 +30,7 @@ pub enum TraceFormat {
     /// Chrome trace-event JSON, loadable in Perfetto (default).
     #[default]
     Chrome,
-    /// One JSON object per trace record, parallel to `--metrics-out`.
+    /// One JSON object per trace record, parallel to `--obs-out`.
     Jsonl,
 }
 

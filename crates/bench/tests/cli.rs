@@ -22,7 +22,8 @@ fn experiments_rejects_bad_arguments() {
     rejects(bin, &["--shards", "x", "--list"], "--shards");
     rejects(bin, &["--shard-plan", "affinity", "--list"], "--shard-plan");
     rejects(bin, &["--shrads", "4", "--list"], "--shrads");
-    rejects(bin, &["--list", "--metrics-out"], "--metrics-out");
+    rejects(bin, &["--list", "--obs-out"], "--obs-out");
+    rejects(bin, &["--telemetry-out", "/dev/null", "--list"], "--telemetry-out");
 }
 
 #[test]
@@ -31,6 +32,8 @@ fn chaos_rejects_bad_arguments() {
     rejects(bin, &["--shards", "x", "--help"], "--shards");
     rejects(bin, &["--shard-plan", "affinity", "--help"], "--shard-plan");
     rejects(bin, &["--seeds", "-1", "--help"], "--seeds");
+    rejects(bin, &["--obs-out", "--help"], "--obs-out");
+    rejects(bin, &["--telemetry-out", "/dev/null", "--help"], "--telemetry-out");
 }
 
 #[test]
@@ -38,4 +41,6 @@ fn psn_script_rejects_bad_arguments() {
     let bin = env!("CARGO_BIN_EXE_psn-script");
     rejects(bin, &["--shards", "x", "--help"], "--shards");
     rejects(bin, &["--shard-plan", "affinity", "--help"], "--shard-plan");
+    rejects(bin, &["--obs-out", "--help"], "--obs-out");
+    rejects(bin, &["--telemetry-out", "/dev/null", "--help"], "--telemetry-out");
 }

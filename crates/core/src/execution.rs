@@ -19,7 +19,6 @@ use psn_sim::loss::LossModel;
 use psn_sim::metrics::{Metrics, PublishedCounters};
 use psn_sim::network::{ActorId, NetStats, NetworkConfig, Topology};
 use psn_sim::provider::ExternalEvent;
-use psn_sim::telemetry::Telemetry;
 use psn_sim::time::SimTime;
 use psn_world::Scenario;
 
@@ -136,20 +135,22 @@ pub fn run_execution_with_rule(
     cfg: &ExecutionConfig,
     rule: Box<dyn ActuationRule>,
 ) -> ExecutionTrace {
-    run_execution_inner(scenario, cfg, rule, &Metrics::disabled(), &Telemetry::disabled())
+    run_execution_inner(scenario, cfg, rule, &Metrics::disabled())
 }
 
-/// Run `scenario` under `cfg`, publishing engine and execution metrics
-/// (events, delivered/dropped messages, semantic event counts, strobe wire
-/// bytes by clock discipline) into `metrics` when the run ends. The
-/// returned trace is bit-identical to an uninstrumented [`run_execution`]
-/// of the same inputs.
+/// Run `scenario` under `cfg` with the observability registry `metrics`
+/// attached: the run publishes engine and execution metrics (events,
+/// delivered/dropped messages, semantic event counts, strobe wire bytes by
+/// clock discipline) when it ends, and times its phases (per-shard busy /
+/// barrier-wait / exchange, coordinator drain, run wall) in the registry's
+/// [`Metrics::telemetry`] view. The returned trace is bit-identical to an
+/// uninstrumented [`run_execution`] of the same inputs.
 pub fn run_execution_instrumented(
     scenario: &Scenario,
     cfg: &ExecutionConfig,
     metrics: &Metrics,
 ) -> ExecutionTrace {
-    run_execution_inner(scenario, cfg, Box::new(NoActuation), metrics, &Telemetry::disabled())
+    run_execution_inner(scenario, cfg, Box::new(NoActuation), metrics)
 }
 
 /// The world timeline as an injection sequence: each world event becomes an
@@ -330,33 +331,16 @@ pub(crate) fn into_trace(mut engine: Engine<NetMsg>, n: usize) -> ExecutionTrace
     ExecutionTrace { n, log, net, sim, ended_at, faults }
 }
 
-/// Run `scenario` with both a metrics registry and a phase-scoped
-/// wall-clock [`psn_sim::telemetry::Telemetry`] registry attached. The
-/// telemetry plane records where the host machine's time goes (per-shard
-/// busy / barrier-wait / exchange, coordinator drain) and is strictly
-/// observational: the returned trace is bit-identical
-/// to an unprofiled [`run_execution`] of the same inputs.
-pub fn run_execution_profiled(
-    scenario: &Scenario,
-    cfg: &ExecutionConfig,
-    metrics: &Metrics,
-    telemetry: &Telemetry,
-) -> ExecutionTrace {
-    run_execution_inner(scenario, cfg, Box::new(NoActuation), metrics, telemetry)
-}
-
 fn run_execution_inner(
     scenario: &Scenario,
     cfg: &ExecutionConfig,
     rule: Box<dyn ActuationRule>,
     metrics: &Metrics,
-    telemetry: &Telemetry,
 ) -> ExecutionTrace {
     let n = scenario.num_processes();
     assert!(n > 0, "scenario must have at least one sensor process");
     let horizon = scenario.timeline.duration() + psn_sim::time::SimDuration::from_secs(30);
     let (mut engine, mut exec) = build_engine(n, cfg, rule, metrics, Some(horizon));
-    engine.set_telemetry(telemetry);
 
     // The engine injects each world event as its clock reaches it, under
     // the inject id its list position gives, so the run is bit-identical

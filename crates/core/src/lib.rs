@@ -61,8 +61,8 @@ pub mod root;
 pub use bundle::{ClockConfig, StampSet, StrobePayload};
 pub use event::{EventKind, ProcEvent};
 pub use execution::{
-    family_bytes, run_execution, run_execution_instrumented, run_execution_profiled,
-    run_execution_with_rule, world_events, ExecutionConfig, ExecutionTrace,
+    family_bytes, run_execution, run_execution_instrumented, run_execution_with_rule, world_events,
+    ExecutionConfig, ExecutionTrace,
 };
 pub use io::TraceFile;
 pub use live::{LiveExecution, LiveSnapshot, LoggedEvent, RestoreError};

@@ -223,8 +223,7 @@ pub struct LiveExecution {
     /// Process events retired from the logs so far.
     retired: usize,
     scratch: Vec<ExternalEvent<NetMsg>>,
-    /// Coordinator-slot handle of the attached telemetry registry (inert
-    /// until [`LiveExecution::set_telemetry`]); times the ingest drain.
+    /// The registry's coordinator-slot handle; times the ingest drain.
     tel: psn_sim::telemetry::ShardTelemetry,
 }
 
@@ -241,10 +240,12 @@ impl LiveExecution {
         )
     }
 
-    /// Start a live session with a custom actuation rule and a metrics
-    /// registry. The actors are wired by the same builder as the batch
-    /// path, so a timeline-fed live session replays batch runs
-    /// bit-identically.
+    /// Start a live session with a custom actuation rule and an
+    /// observability registry: the engine publishes its metrics and times
+    /// its phases there, and [`advance_to`](Self::advance_to) times its
+    /// provider poll + inject drain on the coordinator slot. The actors
+    /// are wired by the same builder as the batch path, so a timeline-fed
+    /// live session replays batch runs bit-identically, registry or not.
     pub fn new_full(
         n: usize,
         cfg: ExecutionConfig,
@@ -265,19 +266,8 @@ impl LiveExecution {
             rejected: 0,
             retired: 0,
             scratch: Vec::new(),
-            tel: psn_sim::telemetry::ShardTelemetry::disabled(),
+            tel: metrics.telemetry().coordinator(),
         }
-    }
-
-    /// Attach a phase-scoped wall-clock [`psn_sim::telemetry::Telemetry`]
-    /// registry: the engine records its run phases (busy, barrier wait,
-    /// exchange, …) and [`advance_to`](Self::advance_to) times its
-    /// provider poll + inject drain on the coordinator slot. Strictly
-    /// observational — the session's results are bit-identical with or
-    /// without telemetry attached.
-    pub fn set_telemetry(&mut self, t: &psn_sim::telemetry::Telemetry) {
-        self.engine.set_telemetry(t);
-        self.tel = t.coordinator();
     }
 
     /// Queue an event for injection once the watermark passes its time.
@@ -556,13 +546,18 @@ mod tests {
     fn live_matches_batch(cfg: &ExecutionConfig, lanes: usize, chunk: SimDuration) {
         let s = scenario();
         let batch = run_execution(&s, &ExecutionConfig { shards: 1, ..cfg.clone() });
-        let tel = psn_sim::telemetry::Telemetry::new();
-        let mut live = live_from(&s, cfg);
-        live.set_telemetry(&tel);
+        let metrics = psn_sim::metrics::Metrics::new();
+        let mut live = LiveExecution::new_full(
+            s.num_processes(),
+            cfg.clone(),
+            Box::new(NoActuation),
+            &metrics,
+            Box::new(TimelineProvider::new(world_events(&s))),
+        );
         let mut rec = Collected::new(&live);
         rec.drive(&mut live, SimTime::from_secs(90), chunk);
         assert!(live.provider_exhausted());
-        assert_eq!(tel.snapshot().shards.len(), lanes, "shards={}", cfg.shards);
+        assert_eq!(metrics.telemetry().snapshot().shards.len(), lanes, "shards={}", cfg.shards);
         let events = live.event_count();
         let t = rec.seal(live);
         let shards = cfg.shards;

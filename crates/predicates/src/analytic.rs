@@ -230,17 +230,17 @@ mod tests {
             }
             events.push((t, rng.index(n)));
         }
-        let mut raced = 0usize;
-        for (i, &(ti, pi)) in events.iter().enumerate() {
-            let mut hit = false;
-            for (j, &(tj, pj)) in events.iter().enumerate() {
-                if i != j && pi != pj && (ti - tj).abs() <= delta {
-                    hit = true;
-                    break;
-                }
-            }
-            raced += usize::from(hit);
-        }
+        // The events ascend in time, so the ones within ±Δ of event i are
+        // the neighbours on each side up to the first farther one.
+        let raced = (0..events.len())
+            .filter(|&i| {
+                let (ti, pi) = events[i];
+                let races = |j: &usize| (ti - events[*j].0).abs() <= delta;
+                let other = |j: usize| events[j].1 != pi;
+                (0..i).rev().take_while(races).any(other)
+                    || (i + 1..events.len()).take_while(races).any(other)
+            })
+            .count();
         let mc = raced as f64 / events.len() as f64;
         let analytic = race_probability(rate, n, SimDuration::from_secs_f64(delta));
         assert!((mc - analytic).abs() < 0.02, "mc {mc} vs analytic {analytic}");

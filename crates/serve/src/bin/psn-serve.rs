@@ -111,7 +111,7 @@ fn config(o: &Options) -> ServeConfig {
     cfg
 }
 
-/// Serve `session`'s registries as Prometheus text on `127.0.0.1:port`.
+/// Serve `session`'s registry as Prometheus text on `127.0.0.1:port`.
 fn metrics_endpoint(session: &ServeSession, port: u16) -> Result<psn_serve::HttpHandle, String> {
     let (m, t) = (session.metrics_registry(), session.telemetry_registry());
     let l = TcpListener::bind(("127.0.0.1", port)).map_err(|e| format!("bind metrics: {e}"))?;

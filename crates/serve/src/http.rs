@@ -2,10 +2,10 @@
 //!
 //! A deliberately tiny, dependency-free HTTP/1.0 listener that answers
 //! `GET /metrics` with the [Prometheus text exposition format] rendered
-//! from the session's [`Metrics`] and [`Telemetry`] registries. Both
-//! registries are `Arc`-shared with the engine, so the listener snapshots
-//! them directly — it never takes the session lock and therefore cannot
-//! delay ingest or queries.
+//! from the session's [`Metrics`] registry: its metrics and its
+//! [`Telemetry`] phase view. The registry is `Arc`-shared with the engine,
+//! so the listener snapshots it directly — it never takes the session
+//! lock and therefore cannot delay ingest or queries.
 //!
 //! The parser is defensive by construction: it reads at most
 //! `MAX_HEAD` bytes of request head under a short read timeout, answers
@@ -231,7 +231,7 @@ mod tests {
         let metrics = Metrics::new();
         metrics.counter("engine.events").add(42);
         metrics.gauge("serve.ingest_occupancy").set(3);
-        let telemetry = Telemetry::new();
+        let telemetry = metrics.telemetry();
         telemetry.shard(0).record_ns(Phase::Busy, 1_000);
         telemetry.coordinator().record_ns(Phase::CoordinatorDrain, 250);
         telemetry.record_run_wall(1_500);

@@ -18,7 +18,7 @@
 //!   otherwise — can panic or wedge the engine;
 //! - [`http`] — an optional Prometheus-text `GET /metrics` endpoint
 //!   (`--metrics-listen`) that snapshots the session's `Arc`-shared
-//!   metrics and telemetry registries without taking the session lock.
+//!   observability registry without taking the session lock.
 //!
 //! The `psn-serve` binary wraps this into a CLI (see `--help`); its
 //! `--smoke` mode runs a scripted ingest-detect-snapshot-restore cycle

@@ -28,7 +28,7 @@ use psn_predicates::{Predicate, StreamingModal};
 use psn_sim::engine::EngineError;
 use psn_sim::metrics::Metrics;
 use psn_sim::provider::TimelineProvider;
-use psn_sim::telemetry::Telemetry;
+use psn_sim::telemetry::{Phase, ShardTelemetry, Telemetry};
 use psn_sim::time::SimDuration;
 use psn_world::WorldState;
 
@@ -132,27 +132,25 @@ pub struct ServeSession {
     hold_back: SimDuration,
     initial: WorldState,
     snapshot_path: Option<PathBuf>,
-    /// The session's metrics registry, shared with the live engine.
+    /// The session's observability registry, shared with the live engine.
     /// Clones are cheap `Arc` handles; the HTTP exposition listener holds
     /// one and snapshots it without taking the session lock.
     metrics: Metrics,
-    /// The phase-scoped wall-clock telemetry registry (same sharing).
-    telemetry: Telemetry,
+    /// The registry's coordinator-slot handle: times the `detector` phase.
+    coord: ShardTelemetry,
 }
 
 impl ServeSession {
     /// A fresh session under `cfg`.
     pub fn new(cfg: ServeConfig) -> Self {
         let metrics = Metrics::new();
-        let telemetry = Telemetry::new();
-        let mut live = LiveExecution::new_full(
+        let live = LiveExecution::new_full(
             cfg.n,
             cfg.exec,
             Box::new(NoActuation),
             &metrics,
             Box::new(TimelineProvider::new(Vec::new())),
         );
-        live.set_telemetry(&telemetry);
         ServeSession {
             live,
             detectors: Vec::new(),
@@ -161,8 +159,8 @@ impl ServeSession {
             hold_back: cfg.hold_back,
             initial: cfg.initial,
             snapshot_path: cfg.snapshot_path,
+            coord: metrics.telemetry().coordinator(),
             metrics,
-            telemetry,
         }
     }
 
@@ -177,13 +175,11 @@ impl ServeSession {
         snapshot_path: Option<PathBuf>,
     ) -> Result<Self, RestoreError> {
         let metrics = Metrics::new();
-        let telemetry = Telemetry::new();
         let mut live = snap.live.restore_full(
             Box::new(TimelineProvider::new(Vec::new())),
             Box::new(NoActuation),
             &metrics,
         )?;
-        live.set_telemetry(&telemetry);
         let mut next_world_event = 0;
         for e in live.journal().iter().chain(&snap.pending) {
             if let NetMsg::WorldSense { world_event, .. } = e.msg {
@@ -212,8 +208,8 @@ impl ServeSession {
             hold_back: snap.hold_back,
             initial: snap.initial,
             snapshot_path,
+            coord: metrics.telemetry().coordinator(),
             metrics,
-            telemetry,
         };
         for (name, predicate) in snap.watches {
             session.add_watch(name, predicate);
@@ -227,17 +223,17 @@ impl ServeSession {
         &self.live
     }
 
-    /// A handle to the session's metrics registry. Snapshotting through a
-    /// clone is thread-safe and does not take the session lock —
+    /// A handle to the session's observability registry. Snapshotting
+    /// through a clone is thread-safe and does not take the session lock —
     /// this is what the `--metrics-listen` HTTP exposition listener holds.
     pub fn metrics_registry(&self) -> Metrics {
         self.metrics.clone()
     }
 
-    /// A handle to the session's telemetry registry (same sharing rules
-    /// as [`metrics_registry`](Self::metrics_registry)).
+    /// The registry's wall-clock phase view (same sharing rules as
+    /// [`metrics_registry`](Self::metrics_registry)).
     pub fn telemetry_registry(&self) -> Telemetry {
-        self.telemetry.clone()
+        self.metrics.telemetry()
     }
 
     fn add_watch(&mut self, name: String, predicate: Predicate) {
@@ -259,8 +255,7 @@ impl ServeSession {
     /// read in place from the root's report log, timed as the `detector`
     /// telemetry phase, with the per-detector memory gauges refreshed after.
     fn pump_detectors(&mut self) {
-        let tel = self.telemetry.coordinator();
-        let t0 = tel.start();
+        let t0 = self.coord.start();
         let reports = self.live.reports();
         for r in &reports[self.report_cursor..] {
             for d in &mut self.detectors {
@@ -272,7 +267,7 @@ impl ServeSession {
             d.mem_gauge.set(d.modal.mem_high_water_cuts());
             d.width_gauge.set(d.modal.frontier_width() as u64);
         }
-        tel.record(psn_sim::telemetry::Phase::Detector, t0);
+        self.coord.record(Phase::Detector, t0);
     }
 
     fn engine_error(e: EngineError) -> Response {
@@ -367,10 +362,9 @@ impl ServeSession {
                 // Both answers come from one sealed clone of the streaming
                 // detector's bounded frontier — O(window), never a
                 // whole-trace sweep.
-                let tel = self.telemetry.coordinator();
-                let t0 = tel.start();
+                let t0 = self.coord.start();
                 let (online, modal) = d.modal.readout();
-                tel.record(psn_sim::telemetry::Phase::Detector, t0);
+                self.coord.record(Phase::Detector, t0);
                 Response::Status {
                     name,
                     online,
@@ -381,7 +375,7 @@ impl ServeSession {
             }
             Request::Metrics => Response::Metrics {
                 metrics: self.metrics.snapshot(),
-                telemetry: self.telemetry.snapshot(),
+                telemetry: self.metrics.telemetry().snapshot(),
             },
             // The ack, with the server's clamps applied; the reader that
             // received the subscription paces the push frames (see

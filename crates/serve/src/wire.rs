@@ -174,9 +174,9 @@ pub enum Request {
         /// Maximum number of reports to return (server-capped).
         limit: usize,
     },
-    /// The session's metrics and telemetry registries, snapshotted now:
-    /// engine counters/gauges/timers plus the phase-scoped wall-clock
-    /// telemetry (per-shard busy / barrier-wait / …).
+    /// The session's observability registry, snapshotted now: engine
+    /// counters/gauges/timers plus its phase-scoped wall-clock telemetry
+    /// view (per-shard busy / barrier-wait / …).
     Metrics,
     /// Subscribe to periodic [`Response::Metrics`] push frames on this
     /// connection: after the [`Response::Subscribed`] ack, the server
@@ -314,10 +314,10 @@ pub enum Response {
     /// Metrics + telemetry snapshot (reply to [`Request::Metrics`], and
     /// the push frame of a `SubscribeMetrics` stream).
     Metrics {
-        /// The session's metrics registry (engine + exec counters,
+        /// The registry's deterministic section (engine + exec counters,
         /// gauges, timers), snapshotted at reply time.
         metrics: psn_sim::metrics::MetricsSnapshot,
-        /// The phase-scoped wall-clock telemetry snapshot (per-shard
+        /// The registry's wall-clock section (per-shard
         /// busy / barrier-wait / exchange, coordinator drain, log
         /// histograms).
         telemetry: psn_sim::telemetry::TelemetrySnapshot,

@@ -278,6 +278,9 @@ struct EngineMetrics {
     counters: PublishedCounters<5>,
     queue_depth: Gauge,
     in_flight: Gauge,
+    /// The registry's phase view: the run wall, and the lanes' and the
+    /// coordinator's span handles.
+    tel: Telemetry,
 }
 
 impl EngineMetrics {
@@ -295,6 +298,7 @@ impl EngineMetrics {
             ),
             queue_depth: m.gauge("engine.queue_depth"),
             in_flight: m.gauge("engine.in_flight"),
+            tel: m.telemetry(),
         }
     }
 }
@@ -342,9 +346,6 @@ pub struct Engine<M: Message> {
     windows: u64,
     op_barriers: u64,
     m: EngineMetrics,
-    /// Phase-scoped wall-clock telemetry registry. Disabled (inert, no
-    /// clock reads) unless [`Engine::set_telemetry`] attached a live one.
-    tel: Telemetry,
 }
 
 impl<M: Message> Engine<M> {
@@ -367,7 +368,6 @@ impl<M: Message> Engine<M> {
             windows: 0,
             op_barriers: 0,
             m: EngineMetrics::attach(&Metrics::disabled()),
-            tel: Telemetry::disabled(),
         }
     }
 
@@ -431,26 +431,21 @@ impl<M: Message> Engine<M> {
         self.lanes.iter().map(|l| l.in_flight).sum::<i64>().max(0) as u64
     }
 
-    /// Publish engine metrics (events processed, delivered vs dropped
-    /// messages, queue depth and in-flight with their high-water marks)
-    /// into `metrics` at the end of every advance; attach
-    /// before the first. Every name is registered here, before any
-    /// traffic. Publishing reads what the engine counts anyway: a run with
-    /// metrics attached is bit-identical to the same run without.
+    /// Attach an observability registry; attach before the first advance.
+    /// The engine publishes its metrics (events processed, delivered vs
+    /// dropped messages, queue depth and in-flight with their high-water
+    /// marks) at the end of every advance, every name registered here,
+    /// before any traffic. It times its phases in the registry's
+    /// [`Telemetry`] view: each lane into its shard slot, a sharded
+    /// engine's coordinator into the coordinator slot, and each run's
+    /// wall. Publishing reads what the engine counts anyway, and the
+    /// wall-clock reads feed only the phase slots: a run with a registry
+    /// attached is bit-identical to the same run without (see
+    /// `tests/metrics_determinism.rs` and `tests/telemetry_determinism.rs`).
     pub fn set_metrics(&mut self, metrics: &Metrics) {
         self.m = EngineMetrics::attach(metrics);
-    }
-
-    /// Attach a phase-scoped wall-clock [`Telemetry`] registry: each lane
-    /// records into its shard slot, and a sharded engine's coordinator into
-    /// the coordinator slot. Strictly off the deterministic path —
-    /// wall-clock reads feed only telemetry, and a run with telemetry
-    /// attached is bit-identical to the same run without (see the
-    /// `telemetry` module docs and `tests/telemetry_determinism.rs`).
-    pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.tel = t.clone();
         for (i, lane) in self.lanes.iter_mut().enumerate() {
-            lane.tel = t.shard(i);
+            lane.tel = self.m.tel.shard(i);
         }
     }
 
@@ -586,12 +581,14 @@ impl<M: Message> Engine<M> {
     /// A later `run` (say, after [`Engine::set_end_time`] moved the end)
     /// resumes where this one stopped, as one uninterrupted run would.
     pub fn run(&mut self) -> SimTime {
-        let wall_start = Instant::now();
+        let t0 = self.m.tel.is_enabled().then(Instant::now);
         self.advance(None);
         self.feed.admit_rest(&mut self.lanes);
         self.publish();
         let end = self.finish();
-        self.tel.record_run_wall(wall_start.elapsed().as_nanos() as u64);
+        if let Some(t0) = t0 {
+            self.m.tel.record_run_wall(t0.elapsed().as_nanos() as u64);
+        }
         end
     }
 
@@ -659,7 +656,7 @@ impl<M: Message> Engine<M> {
     /// lane runs inline; several run lookahead windows on scoped workers,
     /// spawned for this advance.
     fn advance(&mut self, limit: Option<SimTime>) {
-        let t0 = self.tel.is_enabled().then(Instant::now);
+        let t0 = self.m.tel.is_enabled().then(Instant::now);
         self.ensure_started();
         let plane = RwLock::new(self.fault.take());
         if self.lanes.len() == 1 {
@@ -672,11 +669,11 @@ impl<M: Message> Engine<M> {
             // busy time. During the window loop the coordinator records
             // only drains, so its busy spans never overlap the shards' own
             // accounting.
-            self.tel.coordinator().record(Phase::Busy, t0);
+            self.m.tel.coordinator().record(Phase::Busy, t0);
             let net = Arc::clone(&self.network);
             let tels: Vec<ShardTelemetry> =
-                (0..self.lanes.len()).map(|i| self.tel.shard(i)).collect();
-            let tel_on = self.tel.is_enabled();
+                (0..self.lanes.len()).map(|i| self.m.tel.shard(i)).collect();
+            let tel_on = self.m.tel.is_enabled();
             std::thread::scope(|scope| {
                 let workers = Workers::spawn(scope, &net, &plane, tels, tel_on);
                 self.coordinate(&plane, Some(&workers), limit);
@@ -703,7 +700,7 @@ impl<M: Message> Engine<M> {
         workers: Option<&Workers<M>>,
         limit: Option<SimTime>,
     ) {
-        let coord = self.tel.coordinator();
+        let coord = self.m.tel.coordinator();
         let lookahead = self.network.delay.min_bound();
         assert!(workers.is_none() || !lookahead.is_zero(), "sharded lanes need a lookahead");
         let op_time = |plane: &FaultPlane<M>, cursor: usize| plane.ops.get(cursor).map(|op| op.0);
@@ -1827,16 +1824,16 @@ mod tests {
 
     /// The contiguous partition clamps its shard count to `[1, n]` and
     /// runs one lane per block of `ceil(n / shards)` actors; the lanes show
-    /// as the shard slots of an attached telemetry registry.
+    /// as the shard slots of an attached registry's phase view.
     #[test]
     fn contiguous_partition_clamps_to_the_actor_count() {
         for (n, shards, lanes) in [(10, 4, 4), (10, 6, 5), (3, 16, 3)] {
-            let tel = Telemetry::new();
+            let m = Metrics::new();
             let mut e = gossip_engine(n, shardable_delay(), 99);
-            e.set_telemetry(&tel);
+            e.set_metrics(&m);
             e.set_shards(shards);
             e.run();
-            assert_eq!(tel.snapshot().shards.len(), lanes, "n={n} shards={shards}");
+            assert_eq!(m.telemetry().snapshot().shards.len(), lanes, "n={n} shards={shards}");
         }
     }
 
@@ -2062,14 +2059,14 @@ mod tests {
         let mut seq = gossip_engine(8, DelayModel::delta(SimDuration::from_millis(20)), 5);
         seq.enable_trace();
         seq.run();
-        let tel = Telemetry::new();
+        let m = Metrics::new();
         let mut par = gossip_engine(8, DelayModel::delta(SimDuration::from_millis(20)), 5);
         par.enable_trace();
-        par.set_telemetry(&tel);
+        par.set_metrics(&m);
         par.set_shards(4);
         par.run();
         assert_eq!(fingerprint(&par), fingerprint(&seq));
-        assert_eq!(tel.snapshot().shards.len(), 1, "one lane");
+        assert_eq!(m.telemetry().snapshot().shards.len(), 1, "one lane");
     }
 
     #[test]

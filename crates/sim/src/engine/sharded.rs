@@ -52,7 +52,7 @@ impl<M: Message> Engine<M> {
                 inbox: Some(inbox),
                 peers: peers.clone(),
                 trace: if base.trace.is_enabled() { Trace::enabled() } else { Trace::disabled() },
-                tel: self.tel.shard(shard),
+                tel: self.m.tel.shard(shard),
                 // What the injections before the split raised stays raised.
                 in_flight_high: base.in_flight_high,
                 queue_high: base.queue_high,

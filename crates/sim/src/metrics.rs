@@ -1,10 +1,16 @@
-//! Run-wide metrics and instrumentation.
+//! The one observability registry.
 //!
-//! A lightweight, deterministic observability layer for the simulator and
-//! everything built on it: a [`Metrics`] registry hands out pre-registered
-//! handles — [`Counter`], [`Gauge`] (with high-water tracking), and
-//! [`Timer`] (a fixed-width histogram plus [`OnlineStats`] moments, reusing
-//! [`crate::stats`]).
+//! A lightweight, observation-only layer for the simulator and everything
+//! built on it. A [`Metrics`] registry holds two sections under one
+//! `enabled` flag:
+//!
+//! - pre-registered handles — [`Counter`], [`Gauge`] (with high-water
+//!   tracking), and [`Timer`] (a fixed-width histogram plus
+//!   [`OnlineStats`] moments, reusing [`crate::stats`]) — exported as the
+//!   deterministic [`MetricsSnapshot`];
+//! - the per-shard and coordinator phase slots of its wall-clock view,
+//!   [`Metrics::telemetry`] ([`crate::telemetry`]), exported as the
+//!   [`crate::telemetry::TelemetrySnapshot`].
 //!
 //! Design rules, in priority order:
 //!
@@ -12,8 +18,8 @@
 //!    their events once, in the plain counters they keep anyway, and
 //!    publish them at advance boundaries ([`PublishedCounters`],
 //!    [`Gauge::set_with_high`]): nothing is recorded per event, and
-//!    nothing feeds back into the run. A run with metrics enabled is
-//!    bit-identical to the same run with metrics disabled, and its
+//!    nothing feeds back into the run. A run with an enabled registry is
+//!    bit-identical to the same run with a disabled one, and its
 //!    published snapshot is pinned (`tests/metrics_determinism.rs`).
 //! 2. **No allocation after registration.** [`Counter::add`] and
 //!    [`Gauge::set`] are single atomic operations; [`Timer::record`] takes
@@ -28,8 +34,8 @@
 //! instrumentation unconditionally and let the registry decide.
 //!
 //! Export: [`Metrics::snapshot`] produces a [`MetricsSnapshot`] — plain
-//! serde-serializable data sorted by metric name — which `serde_json` turns
-//! into one JSON object (the `--metrics-out` JSONL records of `psn-bench`).
+//! serde-serializable data sorted by metric name. The `--obs-out` JSONL
+//! records of `psn-bench` carry it beside the phase view's snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,11 +43,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use crate::stats::{Histogram, OnlineStats};
-
-/// Default bounds for timing histograms: [0, 1s) in 64 bins of ~15.6ms.
-const DEFAULT_TIMER_HI: f64 = 1e9;
-/// Default bin count for timing histograms.
-const DEFAULT_TIMER_BINS: usize = 64;
+use crate::telemetry::{PhaseSlots, Telemetry};
 
 /// A registry lock is poisoned only if a thread panicked inside it.
 const METRICS_POISONED: &str = "a thread panicked while holding a metrics lock";
@@ -52,6 +54,7 @@ struct Inner {
     counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
     gauges: Mutex<Vec<(String, Arc<GaugeCell>)>>,
     timers: Mutex<Vec<(String, Arc<Mutex<TimerCell>>)>>,
+    phases: PhaseSlots,
 }
 
 #[derive(Default)]
@@ -65,7 +68,8 @@ struct TimerCell {
     stats: OnlineStats,
 }
 
-/// A registry of named counters, gauges, and timing histograms.
+/// A registry of named counters, gauges, and timing histograms, and of
+/// the wall-clock phase slots behind [`Metrics::telemetry`].
 ///
 /// Cloning is cheap (an `Arc` bump) and clones share the same metrics —
 /// pass clones into engines, sweep workers, and detectors freely.
@@ -87,8 +91,9 @@ impl Metrics {
     }
 
     /// A disabled registry: handles registered against it are inert no-ops
-    /// and [`Metrics::snapshot`] is empty. Use where instrumentation is
-    /// threaded unconditionally but the caller did not ask for metrics.
+    /// that never read the wall clock, and [`Metrics::snapshot`] is empty.
+    /// Use where instrumentation is threaded unconditionally but the caller
+    /// did not ask for it.
     pub fn disabled() -> Self {
         Metrics { inner: Arc::new(Inner { enabled: false, ..Default::default() }) }
     }
@@ -127,12 +132,6 @@ impl Metrics {
         Gauge { cell, active: self.inner.enabled }
     }
 
-    /// Register (or re-attach to) the timer `name` with the default
-    /// histogram range `[0, 1s)` in nanoseconds.
-    pub fn timer(&self, name: &str) -> Timer {
-        self.timer_with_range(name, 0.0, DEFAULT_TIMER_HI, DEFAULT_TIMER_BINS)
-    }
-
     /// Register (or re-attach to) the timer `name` with an explicit
     /// fixed-width histogram over `[lo, hi)` with `bins` buckets.
     /// Observations outside the range clamp into the end bins
@@ -151,6 +150,17 @@ impl Metrics {
             }
         };
         Timer { cell, active: self.inner.enabled }
+    }
+
+    /// The registry's wall-clock phase view: per-shard and coordinator
+    /// span handles, and the run wall. It shares this registry's slots and
+    /// its `enabled` flag.
+    pub fn telemetry(&self) -> Telemetry {
+        Telemetry::of(self.clone())
+    }
+
+    pub(crate) fn phase_slots(&self) -> &PhaseSlots {
+        &self.inner.phases
     }
 
     /// A point-in-time copy of every metric, sorted by name. Empty for a
@@ -445,7 +455,7 @@ mod tests {
         let m = Metrics::disabled();
         let c = m.counter("c");
         let g = m.gauge("g");
-        let t = m.timer("t");
+        let t = m.timer_with_range("t", 0.0, 1e9, 64);
         c.add(7);
         g.set(7);
         t.record(7.0);

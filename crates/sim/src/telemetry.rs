@@ -1,8 +1,9 @@
 //! Phase-scoped wall-clock telemetry: *where does real time go?*
 //!
 //! The [`crate::metrics`] registry counts what the simulation did (events,
-//! deliveries, windows); this module measures where the **host machine's
-//! wall clock** went while doing it — per shard, per phase:
+//! deliveries, windows); its phase view, [`Telemetry`]
+//! ([`Metrics::telemetry`]), measures where the **host machine's wall
+//! clock** went while doing it — per shard, per phase:
 //!
 //! - `busy` — executing events inside `Lane::advance_until` windows;
 //! - `barrier_wait` — a shard worker blocked waiting for its next window
@@ -25,20 +26,23 @@
 //! This is the one subsystem allowed to call [`Instant::now`] during a
 //! run — and **nothing it reads ever feeds back**: no RNG draw, no event
 //! ordering, no branch in simulation logic depends on a telemetry value.
-//! A telemetry-on run is bit-identical to a telemetry-off run (pinned by
-//! `tests/telemetry_determinism.rs` across sequential and sharded runs),
-//! and a disabled registry costs one `Option` branch per span — the
-//! sequential-engine overhead guard holds it ≤ 2%.
+//! A run with an enabled registry is bit-identical to a run with a
+//! disabled one (pinned by `tests/telemetry_determinism.rs` across
+//! sequential and sharded runs), and a disabled registry costs one
+//! `Option` branch per span — the sequential-engine overhead guard holds
+//! the whole registry ≤ 2%.
 //!
-//! The API mirrors [`crate::metrics`]: a cloneable [`Telemetry`] registry
-//! hands out per-shard [`ShardTelemetry`] handles that are inert when the
-//! registry is disabled.
+//! The slots live in the [`Metrics`] registry, under its one `enabled`
+//! flag: [`Telemetry`] hands out per-shard [`ShardTelemetry`] handles that
+//! are inert when the registry is disabled.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+use crate::metrics::Metrics;
 
 /// Number of log2 buckets per phase histogram: bucket `i` counts spans
 /// with `floor(log2(max(ns, 1))) == i`, so the full `u64` nanosecond range
@@ -140,8 +144,8 @@ impl ShardSlot {
 /// The shard table is poisoned only if a thread panicked while growing it.
 const SHARDS_POISONED: &str = "a thread panicked while registering a telemetry shard";
 
-struct Inner {
-    enabled: bool,
+/// The phase slots a [`Metrics`] registry owns.
+pub(crate) struct PhaseSlots {
     /// Indexed by shard; grown on demand by [`Telemetry::shard`].
     shards: Mutex<Vec<Arc<ShardSlot>>>,
     /// Coordinator-side spans (inbox drains, op barriers, live ingest).
@@ -150,54 +154,45 @@ struct Inner {
     runs: AtomicU64,
 }
 
-/// A cloneable telemetry registry; clones share storage. Mirrors
-/// [`crate::metrics::Metrics`]: build with [`Telemetry::new`], or
-/// [`Telemetry::disabled`] for an inert one.
-#[derive(Clone)]
-pub struct Telemetry {
-    inner: Arc<Inner>,
-}
-
-impl Default for Telemetry {
+impl Default for PhaseSlots {
     fn default() -> Self {
-        Telemetry::new()
-    }
-}
-
-impl Telemetry {
-    /// An enabled registry.
-    pub fn new() -> Self {
-        Telemetry { inner: Self::build(true) }
-    }
-
-    /// A disabled registry: every handle it hands out is inert and records
-    /// nothing (and never reads the wall clock).
-    pub fn disabled() -> Self {
-        Telemetry { inner: Self::build(false) }
-    }
-
-    fn build(enabled: bool) -> Arc<Inner> {
-        Arc::new(Inner {
-            enabled,
+        PhaseSlots {
             shards: Mutex::new(Vec::new()),
             coord: ShardSlot::new(),
             run_wall_ns: AtomicU64::new(0),
             runs: AtomicU64::new(0),
-        })
+        }
+    }
+}
+
+/// The phase view of a [`Metrics`] registry ([`Metrics::telemetry`]);
+/// clones share the registry's slots and its `enabled` flag.
+#[derive(Clone)]
+pub struct Telemetry {
+    registry: Metrics,
+}
+
+impl Telemetry {
+    pub(crate) fn of(registry: Metrics) -> Self {
+        Telemetry { registry }
     }
 
-    /// Is this registry recording?
+    fn slots(&self) -> &PhaseSlots {
+        self.registry.phase_slots()
+    }
+
+    /// Is the registry recording?
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
+        self.registry.is_enabled()
     }
 
     /// The recording handle for shard `idx` (find-or-create). Handles from
     /// a disabled registry are inert.
     pub fn shard(&self, idx: usize) -> ShardTelemetry {
-        if !self.inner.enabled {
+        if !self.is_enabled() {
             return ShardTelemetry::disabled();
         }
-        let mut shards = self.inner.shards.lock().expect(SHARDS_POISONED);
+        let mut shards = self.slots().shards.lock().expect(SHARDS_POISONED);
         while shards.len() <= idx {
             shards.push(ShardSlot::new());
         }
@@ -207,33 +202,34 @@ impl Telemetry {
     /// The coordinator-side recording handle (barrier inbox drains, op
     /// barriers, live ingest drains).
     pub fn coordinator(&self) -> ShardTelemetry {
-        if !self.inner.enabled {
+        if !self.is_enabled() {
             return ShardTelemetry::disabled();
         }
-        ShardTelemetry { slot: Some(self.inner.coord.clone()) }
+        ShardTelemetry { slot: Some(self.slots().coord.clone()) }
     }
 
     /// Accumulate one engine run's wall time.
     pub fn record_run_wall(&self, ns: u64) {
-        if self.inner.enabled {
-            self.inner.run_wall_ns.fetch_add(ns, Ordering::Relaxed);
-            self.inner.runs.fetch_add(1, Ordering::Relaxed);
+        if self.is_enabled() {
+            self.slots().run_wall_ns.fetch_add(ns, Ordering::Relaxed);
+            self.slots().runs.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// A serializable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let shards = self.inner.shards.lock().expect(SHARDS_POISONED);
+        let slots = self.slots();
+        let shards = slots.shards.lock().expect(SHARDS_POISONED);
         TelemetrySnapshot {
-            enabled: self.inner.enabled,
-            run_wall_ns: self.inner.run_wall_ns.load(Ordering::Relaxed),
-            runs: self.inner.runs.load(Ordering::Relaxed),
+            enabled: self.is_enabled(),
+            run_wall_ns: slots.run_wall_ns.load(Ordering::Relaxed),
+            runs: slots.runs.load(Ordering::Relaxed),
             shards: shards
                 .iter()
                 .enumerate()
                 .map(|(i, slot)| ShardSample { shard: i, phases: slot.sample() })
                 .collect(),
-            coordinator: self.inner.coord.sample(),
+            coordinator: slots.coord.sample(),
         }
     }
 }
@@ -247,14 +243,8 @@ pub struct ShardTelemetry {
 
 impl ShardTelemetry {
     /// An inert handle (what a disabled registry hands out).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         ShardTelemetry { slot: None }
-    }
-
-    /// Is this handle recording?
-    #[inline]
-    pub fn active(&self) -> bool {
-        self.slot.is_some()
     }
 
     /// Open a span: reads the wall clock only when recording. Pass the
@@ -369,10 +359,9 @@ mod tests {
 
     #[test]
     fn disabled_handles_are_inert_and_read_no_clock() {
-        let t = Telemetry::disabled();
+        let t = Metrics::disabled().telemetry();
         assert!(!t.is_enabled());
         let h = t.shard(0);
-        assert!(!h.active());
         assert_eq!(h.start(), None, "no Instant::now() when disabled");
         h.record(Phase::Busy, None);
         h.record_ns(Phase::Busy, 1_000);
@@ -385,7 +374,7 @@ mod tests {
 
     #[test]
     fn spans_accumulate_per_shard_and_per_phase() {
-        let t = Telemetry::new();
+        let t = Metrics::new().telemetry();
         let s0 = t.shard(0);
         let s1 = t.shard(1);
         s0.record_ns(Phase::Busy, 100);
@@ -409,7 +398,7 @@ mod tests {
 
     #[test]
     fn live_spans_record_elapsed_time() {
-        let t = Telemetry::new();
+        let t = Metrics::new().telemetry();
         let h = t.shard(0);
         let t0 = h.start();
         assert!(t0.is_some());
@@ -421,7 +410,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_through_json() {
-        let t = Telemetry::new();
+        let t = Metrics::new().telemetry();
         t.shard(0).record_ns(Phase::Busy, 1234);
         t.coordinator().record_ns(Phase::CoordinatorDrain, 55);
         t.record_run_wall(9_999);

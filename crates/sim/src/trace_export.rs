@@ -8,7 +8,7 @@
 //!   notes and stamped process events become instant events whose `args`
 //!   carry the logical stamps.
 //! - [`jsonl`] renders one self-describing JSON object per record — the
-//!   streaming companion of the `--metrics-out` snapshots.
+//!   streaming companion of the `--obs-out` snapshots.
 //! - [`validate_chrome`] is the small schema check CI runs over emitted
 //!   files: top-level shape, required fields per phase, and every flow
 //!   start matched by exactly one flow finish.

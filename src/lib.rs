@@ -88,8 +88,8 @@ pub mod prelude {
         VectorClock, VectorStamp,
     };
     pub use psn_core::{
-        run_execution, run_execution_instrumented, run_execution_profiled, run_execution_with_rule,
-        ActuationRule, ClockConfig, ExecutionConfig, ExecutionTrace, StrobePolicy,
+        run_execution, run_execution_instrumented, run_execution_with_rule, ActuationRule,
+        ClockConfig, ExecutionConfig, ExecutionTrace, StrobePolicy,
     };
     pub use psn_predicates::{
         detect_conjunctive, detect_occurrences, score, AccuracyReport, BorderlinePolicy, Conjunct,

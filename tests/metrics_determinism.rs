@@ -57,7 +57,8 @@ fn instrumented_pipeline_output_is_bit_identical() {
             "seed {seed}: detections must be bit-identical"
         );
 
-        // And the instrumentation actually observed the run.
+        // And the instrumentation actually observed the run: its counts,
+        // and the phase spans of its one engine run.
         let snap = metrics.snapshot();
         assert!(snap.counter("engine.events_processed").unwrap_or(0) > 0);
         assert_eq!(
@@ -65,6 +66,9 @@ fn instrumented_pipeline_output_is_bit_identical() {
             Some(trace_on.net.messages_delivered),
             "seed {seed}"
         );
+        let phases = metrics.telemetry().snapshot();
+        assert!(phases.enabled && phases.runs == 1 && phases.run_wall_ns > 0, "seed {seed}");
+        assert!(phases.phase_ns(0, Phase::Busy) > 0, "seed {seed}: {phases:?}");
     }
 }
 

@@ -1,12 +1,13 @@
-//! The telemetry plane is observational: wall-clock reads feed histograms
-//! only, never scheduling decisions, so attaching a live [`Telemetry`]
-//! registry must not change a single byte of any output — on the
-//! sequential engine or the sharded engine at any shard count. These tests
-//! enforce that three ways: telemetry-on vs telemetry-off bit-identity of the serialized
-//! outputs, a pinned golden hash (the same constant for every execution
-//! mode — the sharded-equals-sequential guarantee and the telemetry-is-
-//! free guarantee in one number), and a paired A/B wall-clock guard on
-//! the sequential engine.
+//! The registry's telemetry view is observational: wall-clock reads feed
+//! histograms only, never scheduling decisions, so attaching an enabled
+//! [`Metrics`] registry must not change a single byte of any output — on
+//! the sequential engine or the sharded engine at any shard count. These
+//! tests enforce that three ways: registry-on vs registry-off bit-identity
+//! of the serialized outputs, a pinned golden hash (the same constant for
+//! every execution mode — the sharded-equals-sequential guarantee and the
+//! observation-is-free guarantee in one number), and a paired A/B
+//! wall-clock guard on the sequential engine that prices the whole
+//! registry.
 
 use pervasive_time::prelude::*;
 
@@ -50,9 +51,6 @@ fn cfg(shards: usize) -> ExecutionConfig {
 /// back: its sense fields and arrival time, without the send event's
 /// piggybacked stamps (already merged into the root's clocks) or the root
 /// vector after the merge (the frontier, served from the root itself).
-/// The network counters are hashed without the fault plane's drop and
-/// duplicate sums, which the fault ledger (`ExecutionTrace::faults`)
-/// holds.
 fn output_bytes(trace: &ExecutionTrace) -> String {
     let json = serde_json::to_string(&trace.log).expect("log serializes");
     let mut log = serde_json::parse(&json).expect("the log's JSON parses");
@@ -64,12 +62,7 @@ fn output_bytes(trace: &ExecutionTrace) -> String {
         }
     }
     let mut s = serde_json::to_string(&log).expect("log serializes");
-    let json = serde_json::to_string(&trace.net).expect("net serializes");
-    let mut net = serde_json::parse(&json).expect("the net counters' JSON parses");
-    if let serde_json::Value::Map(fields) = &mut net {
-        fields.retain(|(key, _)| key != "messages_faulted" && key != "messages_duplicated");
-    }
-    s.push_str(&serde_json::to_string(&net).expect("net serializes"));
+    s.push_str(&serde_json::to_string(&trace.net).expect("net serializes"));
     s
 }
 
@@ -92,7 +85,7 @@ fn output_hash(trace: &ExecutionTrace) -> u64 {
 }
 
 /// One constant for all six runs of the matrix below: {sequential,
-/// 2 shards, 4 shards} × {telemetry off, on}.
+/// 2 shards, 4 shards} × {registry off, on}.
 /// Regenerate by running this test with the println uncommented if the
 /// workload or the engine's canonical ordering deliberately changes.
 const GOLDEN_OUTPUT_HASH: u64 = 0x2945_3482_a7a4_bacc;
@@ -103,16 +96,13 @@ fn telemetry_on_output_is_bit_identical_across_engines() {
     let modes: &[(usize, &str)] = &[(1, "sequential"), (2, "sharded x2"), (4, "sharded x4")];
     for &(shards, label) in modes {
         let cfg = cfg(shards);
-        let off = {
-            let telemetry = Telemetry::disabled();
-            run_execution_profiled(&scenario, &cfg, &Metrics::disabled(), &telemetry)
-        };
-        let telemetry = Telemetry::new();
-        let on = run_execution_profiled(&scenario, &cfg, &Metrics::disabled(), &telemetry);
+        let off = run_execution_instrumented(&scenario, &cfg, &Metrics::disabled());
+        let metrics = Metrics::new();
+        let on = run_execution_instrumented(&scenario, &cfg, &metrics);
         assert_eq!(
             output_bytes(&off),
             output_bytes(&on),
-            "{label}: telemetry-on output diverged from telemetry-off"
+            "{label}: registry-on output diverged from registry-off"
         );
         // println!("{label}: {:#x}", output_hash(&on));
         assert_eq!(
@@ -121,7 +111,7 @@ fn telemetry_on_output_is_bit_identical_across_engines() {
             "{label}: output hash drifted from the pinned golden value"
         );
         // The registry really recorded: the run is covered, not skipped.
-        let snap = telemetry.snapshot();
+        let snap = metrics.telemetry().snapshot();
         assert!(snap.enabled && snap.runs == 1 && snap.run_wall_ns > 0, "{label}: {snap:?}");
         assert!(
             snap.shards.iter().any(|s| s.phases.iter().any(|p| p.count > 0)),
@@ -136,7 +126,8 @@ fn telemetry_on_output_is_bit_identical_across_engines() {
     }
 }
 
-/// Telemetry must stay within 2% of the uninstrumented sequential engine.
+/// An enabled registry (metrics and phase timing together) must stay
+/// within 2% of the uninstrumented sequential engine.
 /// Median of 10 *paired* A/B runs (pairing cancels thermal/scheduler
 /// drift); the comparison is repeated up to 3 times before failing so a
 /// single noisy CI neighbor cannot flake the suite.
@@ -144,24 +135,19 @@ fn telemetry_on_output_is_bit_identical_across_engines() {
 fn sequential_telemetry_overhead_within_two_percent() {
     let scenario = scenario();
     let cfg = cfg(1);
-    let time_with = |telemetry: &Telemetry| {
+    let time_with = |metrics: &Metrics| {
         let t0 = std::time::Instant::now();
-        std::hint::black_box(run_execution_profiled(
-            &scenario,
-            &cfg,
-            &Metrics::disabled(),
-            telemetry,
-        ));
+        std::hint::black_box(run_execution_instrumented(&scenario, &cfg, metrics));
         t0.elapsed().as_secs_f64()
     };
     // Warm caches and the allocator before any timed run.
-    let _ = time_with(&Telemetry::disabled());
+    let _ = time_with(&Metrics::disabled());
     let mut last_median = f64::NAN;
     for _attempt in 0..3 {
-        let live = Telemetry::new();
+        let live = Metrics::new();
         let mut ratios: Vec<f64> = (0..10)
             .map(|_| {
-                let off = time_with(&Telemetry::disabled());
+                let off = time_with(&Metrics::disabled());
                 let on = time_with(&live);
                 on / off
             })
@@ -172,5 +158,5 @@ fn sequential_telemetry_overhead_within_two_percent() {
             return;
         }
     }
-    panic!("telemetry overhead ratio {last_median:.4} > 1.02 after 3 attempts");
+    panic!("registry overhead ratio {last_median:.4} > 1.02 after 3 attempts");
 }
