@@ -68,7 +68,6 @@ pub(crate) struct RootProcess {
     reports: Vec<ReceivedReport>,
     /// Actuation commands issued.
     actuations: Vec<ActuationRecord>,
-    trace_stamp: crate::process::TraceStampMode,
 }
 
 impl RootProcess {
@@ -88,7 +87,6 @@ impl RootProcess {
             frontier: VectorStamp::zero(n + 1),
             reports: Vec::new(),
             actuations: Vec::new(),
-            trace_stamp: crate::process::TraceStampMode::default(),
         }
     }
 
@@ -101,13 +99,6 @@ impl RootProcess {
     /// Drop corrupted strobes instead of merging them (builder style).
     pub(crate) fn with_quarantine(mut self, quarantine: bool) -> Self {
         self.quarantine = quarantine;
-        self
-    }
-
-    /// Which logical stamp to attach to structured trace records (builder
-    /// style). Only consulted when the engine trace is enabled.
-    pub(crate) fn with_trace_stamp(mut self, mode: crate::process::TraceStampMode) -> Self {
-        self.trace_stamp = mode;
         self
     }
 
@@ -163,13 +154,6 @@ impl Actor<NetMsg> for RootProcess {
                 let stamps = bundle.on_receive(&send_stamps, now);
                 self.event_seq += 1;
                 self.frontier = stamps.vector.clone();
-                if ctx.trace_enabled() {
-                    ctx.trace_process(
-                        psn_sim::trace::ProcessEventKind::Receive,
-                        self.trace_stamp.stamp_of(&stamps),
-                        from as u64,
-                    );
-                }
                 self.events.push(ProcEvent {
                     process: self.id,
                     seq: self.event_seq,
@@ -186,13 +170,6 @@ impl Actor<NetMsg> for RootProcess {
                     let bundle = self.bundle.as_mut().expect("started");
                     let send_stamps = bundle.on_send(now);
                     self.event_seq += 1;
-                    if ctx.trace_enabled() {
-                        ctx.trace_process(
-                            psn_sim::trace::ProcessEventKind::Send,
-                            self.trace_stamp.stamp_of(&send_stamps),
-                            target as u64,
-                        );
-                    }
                     ctx.send(
                         target,
                         NetMsg::Actuate { key, command, stamps: Box::new(send_stamps.clone()) },

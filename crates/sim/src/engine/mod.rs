@@ -54,7 +54,7 @@ use crate::queue::{event_key, key_class};
 use crate::rng::{RngFactory, RngStream};
 use crate::telemetry::{Phase, Telemetry};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{ClockStamp, FaultRecordKind, MsgId, ProcessEventKind, Trace, TraceKind};
+use crate::trace::{FaultRecordKind, MsgId, Trace, TraceKind};
 
 use std::any::Any;
 use std::sync::{Arc, RwLock};
@@ -172,16 +172,6 @@ enum Action<M> {
     Broadcast { msg: M },
     SetTimer { after: SimDuration, tag: u64 },
     Note { label: String },
-    // Boxed so the rarely-hot stamped payload (a ClockStamp is ~100 bytes
-    // inline) doesn't widen every Action the dispatch loop moves; the box
-    // is only ever allocated while tracing is enabled.
-    Trace(Box<ProcessTrace>),
-}
-
-struct ProcessTrace {
-    kind: ProcessEventKind,
-    stamp: ClockStamp,
-    detail: u64,
 }
 
 /// The per-callback view an actor has of the simulation.
@@ -191,7 +181,6 @@ struct ProcessTrace {
 pub struct Context<'a, M> {
     now: SimTime,
     id: ActorId,
-    trace_on: bool,
     rng: &'a mut RngStream,
     actions: &'a mut Vec<Action<M>>,
 }
@@ -235,21 +224,6 @@ impl<M> Context<'_, M> {
     /// Record a free-form annotation in the trace.
     pub fn note(&mut self, label: impl Into<String>) {
         self.actions.push(Action::Note { label: label.into() });
-    }
-
-    /// Is trace recording on for this run? Actors use this to skip building
-    /// stamps for [`Context::trace_process`] when nobody is listening.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_on
-    }
-
-    /// Record a logically stamped semantic process event
-    /// ([`TraceKind::Process`]) for this actor. No-op when tracing is off;
-    /// recording is observational and cannot change the run.
-    pub fn trace_process(&mut self, kind: ProcessEventKind, stamp: ClockStamp, detail: u64) {
-        if self.trace_on {
-            self.actions.push(Action::Trace(Box::new(ProcessTrace { kind, stamp, detail })));
-        }
     }
 }
 

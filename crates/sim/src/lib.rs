@@ -16,9 +16,9 @@
 //!   byte accounting ([`network`]),
 //! - an actor-based engine ([`engine`]) whose sharded mode exchanges
 //!   cross-shard messages through one channel into each shard,
-//! - causally stamped structured run traces ([`trace`]) with Chrome
-//!   trace-event / JSONL exporters ([`trace_export`]) and offline
-//!   happened-before analysis ([`trace_analysis`]),
+//! - structured network-plane run traces ([`trace`]) with Chrome
+//!   trace-event / JSONL exporters ([`trace_export`]) and an offline
+//!   loss- and fault-vicinity index ([`trace_analysis`]),
 //! - summary statistics ([`stats`]),
 //! - a deterministic parallel sweep runner ([`sweep`]), and
 //! - a run-wide metrics/instrumentation registry ([`metrics`]) and a
@@ -94,8 +94,6 @@ pub mod prelude {
     pub use crate::sweep::{run_sweep, run_sweep_auto, run_sweep_instrumented};
     pub use crate::telemetry::{Phase, ShardTelemetry, Telemetry, TelemetrySnapshot};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{
-        ClockStamp, MsgId, ProcessEventKind, Trace, TraceEvent, TraceKind, TraceRecord,
-    };
+    pub use crate::trace::{MsgId, Trace, TraceKind, TraceRecord};
     pub use crate::trace_analysis::TraceAnalysis;
 }

@@ -5,8 +5,7 @@
 //!   Every actor becomes a named thread track (pid 0); message records
 //!   become short slices with **flow arrows** from each `Sent` slice to its
 //!   `Delivered` slice, bound by the per-run [`MsgId`](crate::trace::MsgId); losses, timers,
-//!   notes and stamped process events become instant events whose `args`
-//!   carry the logical stamps.
+//!   notes and fault-plane events become instant events.
 //! - [`jsonl`] renders one self-describing JSON object per record — the
 //!   streaming companion of the `--obs-out` snapshots.
 //! - [`validate_chrome`] is the small schema check CI runs over emitted
@@ -22,7 +21,7 @@
 
 use std::collections::HashSet;
 
-use serde::{Serialize, Value};
+use serde::Value;
 
 use crate::network::ActorId;
 use crate::time::SimTime;
@@ -136,19 +135,6 @@ pub fn chrome_trace_json(trace: &Trace, actor_name: impl Fn(ActorId) -> String) 
                 e.push(("s".to_string(), Value::Str("t".to_string())));
                 events.push(Value::Map(e));
             }
-            TraceKind::Process { actor, kind, stamp, detail } => {
-                let mut e = event("i", *actor, r.at, kind.label().to_string());
-                e.push(("cat".to_string(), Value::Str("process".to_string())));
-                e.push(("s".to_string(), Value::Str("t".to_string())));
-                e.push((
-                    "args".to_string(),
-                    Value::Map(vec![
-                        ("stamp".to_string(), stamp.to_value()),
-                        ("detail".to_string(), Value::UInt(*detail)),
-                    ]),
-                ));
-                events.push(Value::Map(e));
-            }
             TraceKind::Fault { actor, kind, detail } => {
                 let mut e = event("i", *actor, r.at, format!("fault: {}", kind.label()));
                 e.push(("cat".to_string(), Value::Str("fault".to_string())));
@@ -210,13 +196,6 @@ pub fn jsonl(trace: &Trace) -> String {
                 m.push(("event".to_string(), Value::Str("note".to_string())));
                 m.push(("actor".to_string(), Value::UInt(*actor as u64)));
                 m.push(("label".to_string(), Value::Str(label.clone())));
-            }
-            TraceKind::Process { actor, kind, stamp, detail } => {
-                m.push(("event".to_string(), Value::Str("process".to_string())));
-                m.push(("actor".to_string(), Value::UInt(*actor as u64)));
-                m.push(("kind".to_string(), Value::Str(kind.label().to_string())));
-                m.push(("detail".to_string(), Value::UInt(*detail)));
-                m.push(("stamp".to_string(), stamp.to_value()));
             }
             TraceKind::Fault { actor, kind, detail } => {
                 m.push(("event".to_string(), Value::Str("fault".to_string())));
@@ -298,22 +277,13 @@ pub fn validate_chrome(json: &str) -> Result<ChromeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{ClockStamp, MsgId, ProcessEventKind};
+    use crate::trace::MsgId;
 
     fn sample_trace() -> Trace {
         let mut t = Trace::enabled();
         t.record(
             SimTime::from_millis(1),
             TraceKind::Sent { from: 0, to: 1, bytes: 16, msg: MsgId(7) },
-        );
-        t.record(
-            SimTime::from_millis(2),
-            TraceKind::Process {
-                actor: 0,
-                kind: ProcessEventKind::Sense,
-                stamp: ClockStamp::vector(&[1, 0]),
-                detail: 3,
-            },
         );
         t.record(SimTime::from_millis(4), TraceKind::Delivered { from: 0, to: 1, msg: MsgId(7) });
         t.record(SimTime::from_millis(5), TraceKind::Lost { from: 1, to: 0, msg: MsgId(8) });
@@ -349,7 +319,7 @@ mod tests {
             serde_json::parse(line).expect("each line parses");
         }
         assert!(lines[0].contains("\"event\":\"sent\""));
-        assert!(lines[1].contains("\"vector\":[1,0]"));
+        assert!(lines[1].contains("\"event\":\"delivered\""));
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! End-to-end exercises of the causal tracing pipeline: a real execution's
-//! structured trace, its channel statistics, and exporter validity.
+//! End-to-end exercises of the tracing pipeline: a real execution's
+//! network-plane trace, its message pairing, and exporter validity.
+
+use std::collections::HashMap;
 
 use pervasive_time::prelude::*;
-use pervasive_time::sim::trace_analysis::TraceAnalysis;
+use pervasive_time::sim::trace::TraceKind;
 use pervasive_time::sim::trace_export;
 
 fn traced_run() -> pervasive_time::core::execution::ExecutionTrace {
@@ -24,28 +26,34 @@ fn traced_run() -> pervasive_time::core::execution::ExecutionTrace {
 }
 
 #[test]
-fn channel_stats_histogram_the_report_path() {
+fn every_send_pairs_with_one_delivery_by_msg_id() {
     let trace = traced_run();
-    let a = TraceAnalysis::build(&trace.sim);
-    let stats = a.channel_stats();
-    assert!(!stats.is_empty());
     let root = trace.root_id();
-    // Every sensor→root channel carried reports with positive latency.
-    let mut sensor_channels = 0usize;
-    for ((from, to), cs) in stats {
-        if *to == root {
-            sensor_channels += 1;
-            assert!(cs.sent > 0 && cs.bytes > 0);
-            assert!(cs.latency.count() > 0);
-            let mean = cs.latency.mean();
-            assert!(
-                cs.latency.min() <= mean && mean <= cs.latency.max(),
-                "histogram moments must be consistent"
-            );
+    // `MsgId` → (send time, deliveries): a lossless run delivers every
+    // transmission exactly once, never before it was sent.
+    let mut sends: HashMap<u64, (SimTime, usize)> = HashMap::new();
+    let mut reporters = vec![false; trace.n];
+    for r in trace.sim.records() {
+        match &r.kind {
+            TraceKind::Sent { from, to, bytes, msg } => {
+                assert!(from != to && *bytes > 0, "no self-channels, no empty payloads");
+                assert!(sends.insert(msg.0, (r.at, 0)).is_none(), "ids are never reused");
+                if *to == root {
+                    reporters[*from] = true;
+                }
+            }
+            TraceKind::Delivered { msg, .. } => {
+                if let Some((sent_at, n)) = sends.get_mut(&msg.0) {
+                    assert!(r.at >= *sent_at, "delivered before it was sent");
+                    *n += 1;
+                }
+            }
+            TraceKind::Lost { .. } => panic!("the run has no loss model"),
+            _ => {}
         }
-        assert!(*from != *to, "no self-channels in the trace");
     }
-    assert_eq!(sensor_channels, trace.n, "every sensor reported to the root");
+    assert!(sends.values().all(|&(_, n)| n == 1), "each send delivered exactly once");
+    assert!(reporters.iter().all(|&r| r), "every sensor sent to the root");
 }
 
 #[test]
@@ -60,16 +68,19 @@ fn exporters_round_trip_a_real_execution() {
     assert!(summary.flows > 0, "messages appear as flow arrows");
 
     let jsonl = trace_export::jsonl(&trace.sim);
-    let mut process_lines = 0usize;
+    let mut sent_lines = 0usize;
     for line in jsonl.lines() {
         let v = serde_json::parse(line).expect("each JSONL line parses");
         let map = v.as_map().expect("each line is an object");
         assert!(map.iter().any(|(k, _)| k == "seq"));
         assert!(map.iter().any(|(k, _)| k == "at_ns"));
-        if map.iter().any(|(k, v)| k == "event" && v.as_str() == Some("process")) {
-            process_lines += 1;
-        }
+        let event = map.iter().find(|(k, _)| k == "event").and_then(|(_, v)| v.as_str());
+        assert!(
+            matches!(event, Some("sent" | "delivered" | "lost" | "timer" | "note" | "fault")),
+            "network-plane kinds only: {line}"
+        );
+        sent_lines += usize::from(event == Some("sent"));
     }
     assert_eq!(jsonl.lines().count(), trace.sim.len(), "one line per record");
-    assert!(process_lines > 0, "process events survive the JSONL export");
+    assert!(sent_lines > 0, "sends survive the JSONL export");
 }
