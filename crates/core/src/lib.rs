@@ -68,5 +68,5 @@ pub use io::TraceFile;
 pub use live::{LiveExecution, LiveSnapshot, LoggedEvent, RestoreError};
 pub use log::{ActuationRecord, ExecutionLog, ReceivedReport};
 pub use message::{NetMsg, Report};
-pub use process::{RecoveryPolicy, StrobePolicy, TraceStampMode};
+pub use process::{RecoveryPolicy, StrobePolicy};
 pub use root::{ActuationRule, NoActuation};

@@ -670,7 +670,8 @@ mod tests {
     /// journal holding every `NetMsg` variant with stamps wide enough to
     /// spill. The constants are the earlier formats' bytes with only the
     /// three retired config entries, the window discipline, the partition
-    /// plan and the dense-FIFO limit (all `null`), removed.
+    /// plan and the dense-FIFO limit (all `null`), and the trace stamp
+    /// mode (`"Vector"`), removed.
     #[test]
     fn snapshot_json_is_pinned_byte_for_byte() {
         use crate::bundle::{StampSet, StrobePayload};
@@ -683,7 +684,7 @@ mod tests {
         let json = live.snapshot().to_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (5567, 9190218638637764835),
+            (5544, 9697798942878055315),
             "scripted session"
         );
 
@@ -735,7 +736,7 @@ mod tests {
         let json = snap.to_json();
         assert_eq!(
             (json.len(), fnv1a(json.as_bytes())),
-            (1692, 2433714806589127280),
+            (1669, 18321840733920132792),
             "every message kind"
         );
         let back = LiveSnapshot::from_json(&json).expect("round trip");
@@ -743,10 +744,10 @@ mod tests {
     }
 
     /// Snapshots written while `ExecutionConfig` still carried a window
-    /// discipline, a shard plan or a dense-FIFO limit restore: each retired
-    /// entry is an unknown key the deserializer skips, whatever its value,
-    /// and the restored session runs on exactly like an uninterrupted one
-    /// (no such choice ever changed an output).
+    /// discipline, a shard plan, a dense-FIFO limit or a trace stamp mode
+    /// restore: each retired entry is an unknown key the deserializer
+    /// skips, whatever its value, and the restored session runs on exactly
+    /// like an uninterrupted one (no such choice ever changed an output).
     #[test]
     fn snapshot_with_retired_speculation_key_restores_and_runs_on() {
         let s = scenario();
@@ -767,6 +768,8 @@ mod tests {
             r#","shard_plan":"Affinity""#,
             r#","fifo_dense_limit":null"#,
             r#","fifo_dense_limit":0"#,
+            r#","trace_stamp":"Vector""#,
+            r#","trace_stamp":"Scalar""#,
         ] {
             let old = json.replacen(anchor, &format!("{anchor}{retired}"), 1);
             assert_eq!(old.len(), json.len() + retired.len(), "fixture carries {retired}");

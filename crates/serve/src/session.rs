@@ -568,7 +568,8 @@ mod tests {
     /// journal, the pending tail and the watch are all in it. The constants
     /// are the earlier formats' bytes with only the three retired config
     /// entries, the window discipline, the partition plan and the
-    /// dense-FIFO limit (all `null`), removed.
+    /// dense-FIFO limit (all `null`), and the trace stamp mode
+    /// (`"Vector"`), removed.
     #[test]
     fn snapshot_json_is_pinned_byte_for_byte() {
         let mut s = scripted_session();
@@ -577,7 +578,7 @@ mod tests {
         let fnv1a = json
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
-        assert_eq!((json.len(), fnv1a), (1487, 4424935717751166612));
+        assert_eq!((json.len(), fnv1a), (1464, 9177712957850499076));
     }
 
     /// A snapshot is input too: a pending event `Ingest` would refuse, or a
