@@ -13,8 +13,6 @@
 //! [`StreamingModal`] with a `2Δ` hold-back and compares the sealed
 //! verdict against [`modal_status`].
 
-use std::time::Instant;
-
 use psn_core::{run_execution, run_execution_instrumented};
 use psn_predicates::{modal_status, Predicate, StreamingModal};
 use psn_sim::metrics::Metrics;
@@ -152,7 +150,6 @@ fn emit_obs_cell(params: &ExhibitionParams, delta: SimDuration, hold_back: SimDu
     let init = scenario.timeline.initial_state();
     let metrics = Metrics::new();
     let telemetry = metrics.telemetry();
-    let wall = Instant::now();
     let trace = run_execution_instrumented(&scenario, &delta_config(delta, 0), &metrics);
     let tel = telemetry.coordinator();
     let mut s = StreamingModal::new(&pred, &init, trace.n, hold_back);
@@ -162,7 +159,6 @@ fn emit_obs_cell(params: &ExhibitionParams, delta: SimDuration, hold_back: SimDu
     }
     std::hint::black_box(s.seal());
     tel.record(Phase::Detector, t0);
-    telemetry.record_run_wall(wall.elapsed().as_nanos() as u64);
     obs_out::emit_cell(
         "e15",
         cell_object(
