@@ -62,7 +62,7 @@ pub fn run(quick: bool) -> Table {
                     &trace.sim,
                     trace.n,
                 );
-                // The happened-before analysis indexes loss times once;
+                // The trace analysis indexes loss times once;
                 // its vicinity query is the loss-locality cross-check the
                 // table note appeals to.
                 let analysis = TraceAnalysis::build(&trace.sim);

@@ -11,7 +11,7 @@
 //!   [`psn_sim::metrics::Metrics`] registry — the deterministic
 //!   `MetricsSnapshot` and the phase-profiling `TelemetrySnapshot` the
 //!   `psn-profile` report tool reads;
-//! - [`trace_out`] — the `--trace-out` sink: one causally stamped
+//! - [`trace_out`] — the `--trace-out` sink: one network-plane
 //!   structured trace file per experiment cell (Chrome trace-event JSON
 //!   for Perfetto, or JSONL).
 //!
