@@ -67,7 +67,7 @@ pub(crate) struct ConjunctBuilder {
 
 impl ConjunctBuilder {
     pub(crate) fn new(conjunct: &Conjunct, initial: &WorldState, n_stamp: usize) -> Self {
-        let mut state = conjunct.expr.compile(initial);
+        let state = conjunct.expr.compile(initial);
         let holds = state.holds();
         let open = holds.then(|| (VectorStamp::zero(n_stamp), SimTime::ZERO));
         ConjunctBuilder {
@@ -89,9 +89,9 @@ impl ConjunctBuilder {
         truth: SimTime,
         stamp: &VectorStamp,
     ) -> Option<FrontierInterval> {
-        let relevant = self.state.set(attr, value).is_some();
+        self.state.set(attr, value);
         self.last_stamp = stamp.clone();
-        let now = if relevant { self.state.holds() } else { self.holds };
+        let now = self.state.holds();
         let out = match (self.holds, now) {
             (false, true) => {
                 self.open = Some((stamp.clone(), truth));

@@ -37,7 +37,7 @@ use psn_core::{ExecutionTrace, ReceivedReport};
 use psn_sim::time::SimTime;
 use psn_world::{AttrKey, AttrValue, WorldState};
 
-use crate::spec::{Compiled, Predicate};
+use crate::spec::{Compiled, Predicate, SavedState};
 
 /// One detected occurrence, in ground-truth coordinates (the truth times of
 /// the sense events the detector attributed the edges to).
@@ -164,6 +164,15 @@ pub(crate) struct Sweep<'a> {
     races: Option<RaceWindow<'a>>,
 }
 
+/// A [`Sweep`]'s observed state, verdict and open occurrence, copied by
+/// [`Sweep::mark`] for [`Sweep::restore`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SweepMark {
+    state: SavedState,
+    holds: bool,
+    open: Option<(SimTime, bool)>,
+}
+
 /// Recent relevant history for race probes.
 #[derive(Debug, Clone)]
 struct RaceWindow<'a> {
@@ -203,7 +212,7 @@ impl<'a> Sweep<'a> {
         initial: &WorldState,
         race_window: Option<usize>,
     ) -> Self {
-        let mut state = predicate.compile(initial);
+        let state = predicate.compile(initial);
         let holds = state.holds();
         Sweep {
             state,
@@ -281,6 +290,23 @@ impl<'a> Sweep<'a> {
             }
         }
         found
+    }
+
+    /// Copy what [`step`](Self::step) changes into `to`, for
+    /// [`restore`](Self::restore). A race window's history is not copied, so
+    /// only a sweep without one is marked.
+    pub(crate) fn mark(&self, to: &mut SweepMark) {
+        debug_assert!(self.races.is_none(), "a race window's history is not marked");
+        self.state.save(&mut to.state);
+        to.holds = self.holds;
+        to.open = self.open;
+    }
+
+    /// Return to the point `from` marked.
+    pub(crate) fn restore(&mut self, from: &SweepMark) {
+        self.state.restore(&from.state);
+        self.holds = from.holds;
+        self.open = from.open;
     }
 
     /// End of stream: the occurrence still open, if any.

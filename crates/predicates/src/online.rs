@@ -20,8 +20,9 @@ use psn_sim::time::SimTime;
 /// A point-in-time readout of a streaming detector — what a live query
 /// (`psn-serve`'s `status` request) reports without disturbing the stream.
 /// [`StreamingModal::readout`](crate::stream::StreamingModal::readout)
-/// derives it from the same sealed clone as the modal answer, so the two
-/// always agree.
+/// derives it from the same flush as the modal answer — the held reports
+/// applied in key order to the live sweep and then undone (relational), or
+/// a sealed clone (conjunctive) — so the two always agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OnlineStatus {
     /// Does the predicate hold at the end of the reports offered so far
@@ -88,7 +89,7 @@ mod tests {
             let (scenario, trace) = fixture(200, seed);
             let pred = Predicate::occupancy_over(3, 70);
             let init = scenario.timeline.initial_state();
-            let s = stream(&trace, &pred, &init, 400); // 2Δ
+            let mut s = stream(&trace, &pred, &init, 400); // 2Δ
             let (online, _) = s.readout();
             assert_eq!(restated(online), offline(&trace, &pred, &init), "seed {seed}");
         }
@@ -98,7 +99,7 @@ mod tests {
     fn no_late_reports_with_adequate_holdback() {
         let (scenario, trace) = fixture(300, 9);
         let pred = Predicate::occupancy_over(3, 70);
-        let s = stream(&trace, &pred, &scenario.timeline.initial_state(), 600);
+        let mut s = stream(&trace, &pred, &scenario.timeline.initial_state(), 600);
         assert_eq!(s.late_reports(), 0);
         assert_eq!(s.readout().0.late_reports, 0);
     }
@@ -155,7 +156,7 @@ mod tests {
             assert!(stats.dropped_by_channel > 0, "seed {seed}: loss must fire");
             let pred = Predicate::occupancy_over(3, 70);
             let init = scenario.timeline.initial_state();
-            let s = stream(&trace, &pred, &init, 2 * 150 + 300 + 50);
+            let mut s = stream(&trace, &pred, &init, 2 * 150 + 300 + 50);
             assert_eq!(s.late_reports(), 0, "seed {seed}: hold-back must suffice");
             let (online, _) = s.readout();
             assert_eq!(restated(online), offline(&trace, &pred, &init), "seed {seed}");

@@ -11,6 +11,8 @@
 //! evaluable against *any* variable source: the ground-truth
 //! [`WorldState`], or the root's reconstructed observation map.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use psn_clocks::ProcessId;
@@ -270,19 +272,30 @@ impl Predicate {
     }
 }
 
-/// One instruction of a [`Compiled`] program: postfix over an `f64` stack.
-/// A boolean result is pushed as 1.0 / 0.0 and an operand is true iff it is
-/// `!= 0.0` — the coercions of [`Expr::eval_num`] / [`Expr::eval_bool`].
+/// One node of a [`Compiled`] program. Nodes are stored in postfix order,
+/// each after its operands, with the root last. A boolean result is 1.0 /
+/// 0.0 and an operand is true iff it is `!= 0.0` — the coercions of
+/// [`Expr::eval_num`] / [`Expr::eval_bool`].
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    op: Op,
+    /// The operand nodes `a`, `b` of a binary node; the operand `a` of
+    /// `Not`; the slot `a` of `Slot`; the operands `terms[a..b]` of `Sum`.
+    a: u32,
+    b: u32,
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Lit(f64),
-    /// Push the current value of slot `i`.
-    Slot(usize),
+    /// A literal: its value is cached once and never recomputed.
+    Lit,
+    /// The current value of slot `a`.
+    Slot,
     Add,
     Sub,
     Mul,
-    /// Replace the top `n` operands by their sum, added first to last.
-    Sum(usize),
+    /// The sum of its operands, added first to last.
+    Sum,
     Gt,
     Ge,
     Lt,
@@ -292,21 +305,118 @@ enum Op {
     Not,
 }
 
+/// What compiling fixes: the variables, the nodes and, per slot, the nodes
+/// its value reaches. A [`Compiled`]'s clones share it.
+#[derive(Debug)]
+struct Program {
+    /// Sorted; slot `i` holds the value of `vars[i]`.
+    vars: Vec<AttrKey>,
+    nodes: Vec<Node>,
+    /// The operands of every `Sum` node, as node indices.
+    terms: Vec<u32>,
+    /// Slot `i` reaches `reach[reach_at[i]..reach_at[i + 1]]`: its leaves
+    /// and their ancestors, ascending — so each after its operands.
+    reach: Vec<u32>,
+    reach_at: Vec<u32>,
+}
+
+impl Program {
+    /// The program of `nodes` over `vars`, with each slot's reach.
+    fn new(vars: Vec<AttrKey>, nodes: Vec<Node>, terms: Vec<u32>) -> Self {
+        let mut program = Program { vars, nodes, terms, reach: Vec::new(), reach_at: Vec::new() };
+        // Each node but the root has one reader; walk up from every leaf.
+        let mut parent = vec![u32::MAX; program.nodes.len()];
+        for n in 0..program.nodes.len() {
+            for o in program.operands(n) {
+                parent[o as usize] = n as u32;
+            }
+        }
+        let mut reached = Vec::new();
+        for (leaf, node) in program.nodes.iter().enumerate() {
+            if let Op::Slot = node.op {
+                let mut n = leaf as u32;
+                while n != u32::MAX {
+                    reached.push((node.a, n));
+                    n = parent[n as usize];
+                }
+            }
+        }
+        reached.sort_unstable();
+        reached.dedup();
+        program.reach_at = vec![0; program.vars.len() + 1];
+        for &(slot, _) in &reached {
+            program.reach_at[slot as usize + 1] += 1;
+        }
+        for i in 0..program.vars.len() {
+            program.reach_at[i + 1] += program.reach_at[i];
+        }
+        program.reach = reached.into_iter().map(|(_, n)| n).collect();
+        program
+    }
+
+    /// Node `n`'s value from the slots and its operands' cached values (a
+    /// literal keeps its own).
+    fn compute(&self, n: usize, vals: &[AttrValue], values: &[f64]) -> f64 {
+        let Node { op, a, b } = self.nodes[n];
+        let truth = |b: bool| f64::from(u8::from(b));
+        let x = |i: u32| values[i as usize];
+        match op {
+            Op::Lit => values[n],
+            Op::Slot => vals[a as usize].as_float(),
+            Op::Sum => self.terms[a as usize..b as usize].iter().map(|&t| x(t)).sum(),
+            Op::Add => x(a) + x(b),
+            Op::Sub => x(a) - x(b),
+            Op::Mul => x(a) * x(b),
+            Op::Gt => truth(x(a) > x(b)),
+            Op::Ge => truth(x(a) >= x(b)),
+            Op::Lt => truth(x(a) < x(b)),
+            Op::Eq => truth(x(a) == x(b)),
+            Op::And => truth(x(a) != 0.0 && x(b) != 0.0),
+            Op::Or => truth(x(a) != 0.0 || x(b) != 0.0),
+            Op::Not => truth(x(a) == 0.0),
+        }
+    }
+
+    /// The nodes node `n` reads.
+    fn operands(&self, n: usize) -> Vec<u32> {
+        let Node { op, a, b } = self.nodes[n];
+        match op {
+            Op::Lit | Op::Slot => Vec::new(),
+            Op::Not => vec![a],
+            Op::Sum => self.terms[a as usize..b as usize].to_vec(),
+            _ => vec![a, b],
+        }
+    }
+}
+
 /// A predicate compiled once against its sorted [`Predicate::variables`]:
-/// the observed state is one dense slot per variable and φ is a flat postfix
-/// program over those slots. Every detector holds one of these — per report
-/// it costs a binary search over the predicate's own variables and one pass
-/// over the program, performing the same `f64` operations in the same order
-/// as [`Predicate::eval`], which stays the definition (and the oracle the
-/// proptests check this against).
+/// the observed state is one dense slot per variable, and φ is a postfix
+/// program over those slots that caches one `f64` per node. [`set`] writes
+/// a slot and recomputes only the nodes its value reaches, in postfix
+/// order; [`holds`] reads the root. Each node is computed by the same `f64`
+/// operation, on the same operand values, as [`Predicate::eval`] computes
+/// it — a sum re-adds its cached operands first to last — so every verdict
+/// is `eval`'s, which stays the definition (and the oracle the proptests
+/// check this against). Every detector holds one of these; its clones
+/// share the program and copy only the slots and node values.
+///
+/// [`set`]: Self::set
+/// [`holds`]: Self::holds
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// Sorted; `vals[i]` is the observed value of `vars[i]`.
-    vars: Vec<AttrKey>,
+    program: Arc<Program>,
+    /// `vals[i]` is the observed value of `program.vars[i]`.
     vals: Vec<AttrValue>,
-    ops: Vec<Op>,
-    /// Operand stack, kept for its capacity.
-    stack: Vec<f64>,
+    /// `values[n]` is node `n`'s value on the observed state.
+    values: Vec<f64>,
+}
+
+/// A copy of a [`Compiled`]'s observed state, for [`Compiled::restore`];
+/// its buffers are reused from one save to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SavedState {
+    vals: Vec<AttrValue>,
+    values: Vec<f64>,
 }
 
 impl Compiled {
@@ -318,22 +428,32 @@ impl Compiled {
         vars: Vec<AttrKey>,
         initial: &WorldState,
     ) -> Self {
-        let mut ops = Vec::new();
-        for (i, e) in exprs.enumerate() {
-            lower(e, &vars, &mut ops);
-            if i > 0 {
-                ops.push(Op::And);
-            }
+        let mut lowering =
+            Lowering { vars: &vars, nodes: Vec::new(), literals: Vec::new(), terms: Vec::new() };
+        let mut root = None;
+        for e in exprs {
+            let n = lowering.lower(e);
+            root = Some(match root {
+                Some(left) => lowering.push(Op::And, left, n, 0.0),
+                None => n,
+            });
         }
-        if ops.is_empty() {
-            ops.push(Op::Lit(1.0));
+        if root.is_none() {
+            lowering.push(Op::Lit, 0, 0, 1.0);
         }
-        let vals = vars.iter().map(|&k| initial.get(k).unwrap_or(AttrValue::Int(0))).collect();
-        Compiled { vars, vals, ops, stack: Vec::new() }
+        let Lowering { nodes, literals, terms, .. } = lowering;
+        let vals: Vec<AttrValue> =
+            vars.iter().map(|&k| initial.get(k).unwrap_or(AttrValue::Int(0))).collect();
+        let program = Program::new(vars, nodes, terms);
+        let mut values = literals;
+        for n in 0..values.len() {
+            values[n] = program.compute(n, &vals, &values);
+        }
+        Compiled { program: Arc::new(program), vals, values }
     }
 
     fn slot(&self, key: AttrKey) -> Option<usize> {
-        self.vars.binary_search(&key).ok()
+        self.program.vars.binary_search(&key).ok()
     }
 
     /// Is `key` one of the predicate's variables?
@@ -346,76 +466,81 @@ impl Compiled {
     /// irrelevant, nothing changed, and [`holds`](Self::holds) cannot have.
     pub fn set(&mut self, key: AttrKey, value: AttrValue) -> Option<AttrValue> {
         let slot = self.slot(key)?;
-        Some(std::mem::replace(&mut self.vals[slot], value))
+        let old = std::mem::replace(&mut self.vals[slot], value);
+        let p = &*self.program;
+        for &n in &p.reach[p.reach_at[slot] as usize..p.reach_at[slot + 1] as usize] {
+            self.values[n as usize] = p.compute(n as usize, &self.vals, &self.values);
+        }
+        Some(old)
     }
 
     /// Does the predicate hold in the observed state?
-    pub fn holds(&mut self) -> bool {
-        fn binary(stack: &mut Vec<f64>, f: impl FnOnce(f64, f64) -> f64) {
-            let b = stack.pop().expect("right operand");
-            let a = stack.pop().expect("left operand");
-            stack.push(f(a, b));
-        }
-        let truth = |b: bool| f64::from(u8::from(b));
-        let stack = &mut self.stack;
-        stack.clear();
-        for op in &self.ops {
-            match *op {
-                Op::Lit(x) => stack.push(x),
-                Op::Slot(i) => stack.push(self.vals[i].as_float()),
-                Op::Sum(n) => {
-                    let terms = stack.len() - n;
-                    let sum = stack[terms..].iter().sum();
-                    stack.truncate(terms);
-                    stack.push(sum);
-                }
-                Op::Add => binary(stack, |a, b| a + b),
-                Op::Sub => binary(stack, |a, b| a - b),
-                Op::Mul => binary(stack, |a, b| a * b),
-                Op::Gt => binary(stack, |a, b| truth(a > b)),
-                Op::Ge => binary(stack, |a, b| truth(a >= b)),
-                Op::Lt => binary(stack, |a, b| truth(a < b)),
-                Op::Eq => binary(stack, |a, b| truth(a == b)),
-                Op::And => binary(stack, |a, b| truth(a != 0.0 && b != 0.0)),
-                Op::Or => binary(stack, |a, b| truth(a != 0.0 || b != 0.0)),
-                Op::Not => {
-                    let a = stack.pop().expect("operand");
-                    stack.push(truth(a == 0.0));
-                }
-            }
-        }
-        stack.pop().expect("a program leaves its result") != 0.0
+    pub fn holds(&self) -> bool {
+        *self.values.last().expect("a program has a root") != 0.0
+    }
+
+    /// Copy the observed state into `to`.
+    pub(crate) fn save(&self, to: &mut SavedState) {
+        to.vals.clone_from(&self.vals);
+        to.values.clone_from(&self.values);
+    }
+
+    /// Return to the observed state `from` saved.
+    pub(crate) fn restore(&mut self, from: &SavedState) {
+        self.vals.copy_from_slice(&from.vals);
+        self.values.copy_from_slice(&from.values);
     }
 }
 
-/// Append `e` in postfix; `vars` is sorted and lists every variable of `e`.
-fn lower(e: &Expr, vars: &[AttrKey], ops: &mut Vec<Op>) {
-    let (a, b, op) = match e {
-        Expr::Lit(v) => return ops.push(Op::Lit(v.as_float())),
-        Expr::Var(k) => {
-            return ops.push(Op::Slot(vars.binary_search(k).expect("compiled over its variables")))
-        }
-        Expr::Sum(xs) => {
-            xs.iter().for_each(|x| lower(x, vars, ops));
-            return ops.push(Op::Sum(xs.len()));
-        }
-        Expr::Not(a) => {
-            lower(a, vars, ops);
-            return ops.push(Op::Not);
-        }
-        Expr::Add(a, b) => (a, b, Op::Add),
-        Expr::Sub(a, b) => (a, b, Op::Sub),
-        Expr::Mul(a, b) => (a, b, Op::Mul),
-        Expr::Gt(a, b) => (a, b, Op::Gt),
-        Expr::Ge(a, b) => (a, b, Op::Ge),
-        Expr::Lt(a, b) => (a, b, Op::Lt),
-        Expr::Eq(a, b) => (a, b, Op::Eq),
-        Expr::And(a, b) => (a, b, Op::And),
-        Expr::Or(a, b) => (a, b, Op::Or),
-    };
-    lower(a, vars, ops);
-    lower(b, vars, ops);
-    ops.push(op);
+/// Appends an expression's nodes in postfix order.
+struct Lowering<'a> {
+    /// Sorted; lists every variable lowered.
+    vars: &'a [AttrKey],
+    nodes: Vec<Node>,
+    /// Each node's value if it is a literal, else a placeholder.
+    literals: Vec<f64>,
+    terms: Vec<u32>,
+}
+
+impl Lowering<'_> {
+    fn push(&mut self, op: Op, a: u32, b: u32, literal: f64) -> u32 {
+        self.nodes.push(Node { op, a, b });
+        self.literals.push(literal);
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Append `e`; returns its root node.
+    fn lower(&mut self, e: &Expr) -> u32 {
+        let (a, b, op) = match e {
+            Expr::Lit(v) => return self.push(Op::Lit, 0, 0, v.as_float()),
+            Expr::Var(k) => {
+                let slot = self.vars.binary_search(k).expect("compiled over its variables");
+                return self.push(Op::Slot, slot as u32, 0, 0.0);
+            }
+            Expr::Sum(xs) => {
+                let operands: Vec<u32> = xs.iter().map(|x| self.lower(x)).collect();
+                let start = self.terms.len() as u32;
+                self.terms.extend(operands);
+                return self.push(Op::Sum, start, self.terms.len() as u32, 0.0);
+            }
+            Expr::Not(a) => {
+                let a = self.lower(a);
+                return self.push(Op::Not, a, 0, 0.0);
+            }
+            Expr::Add(a, b) => (a, b, Op::Add),
+            Expr::Sub(a, b) => (a, b, Op::Sub),
+            Expr::Mul(a, b) => (a, b, Op::Mul),
+            Expr::Gt(a, b) => (a, b, Op::Gt),
+            Expr::Ge(a, b) => (a, b, Op::Ge),
+            Expr::Lt(a, b) => (a, b, Op::Lt),
+            Expr::Eq(a, b) => (a, b, Op::Eq),
+            Expr::And(a, b) => (a, b, Op::And),
+            Expr::Or(a, b) => (a, b, Op::Or),
+        };
+        let a = self.lower(a);
+        let b = self.lower(b);
+        self.push(op, a, b, 0.0)
+    }
 }
 
 #[cfg(test)]

@@ -25,16 +25,19 @@
 //!   sequence exactly. Consumed intervals pop
 //!   immediately; stalled queues are garbage-collected under delivered-
 //!   stamp dominance ([`AdvancementFrontier::prune`]) — the Δ-bound GC.
-//! - [`StreamingModal::status`] is **exact**: it seals a clone of the
-//!   bounded live state (buffer flushed in key order, open intervals
-//!   closed, advancement run to quiescence) and returns precisely
-//!   [`modal_status`] of the reports offered so far — in O(window), not
-//!   O(trace) — whenever release order was globally correct (zero
+//! - [`StreamingModal::status`] is **exact**: it returns precisely
+//!   [`modal_status`] of the reports offered so far whenever release order
+//!   was globally correct (zero
 //!   [`late_reports`](StreamingModal::late_reports), guaranteed by an
-//!   adequate hold-back). [`StreamingModal::readout`] restates the same
-//!   sealed answer as the on-line readout a live query reports
-//!   ([`OnlineStatus`]: holds, open since, closed occurrences, buffered,
-//!   late).
+//!   adequate hold-back), and leaves the stream as it was. A relational
+//!   predicate answers in O(held): the held reports are applied to the live
+//!   sweep in key order, the answer is read, and the sweep is restored by
+//!   copy — no clone, no allocation in steady state. A conjunctive one
+//!   seals a clone of the bounded live state (buffer flushed in key order,
+//!   open intervals closed, advancement run to quiescence), in O(window),
+//!   not O(trace). [`StreamingModal::readout`] restates the same answer as
+//!   the on-line readout a live query reports ([`OnlineStatus`]: holds,
+//!   open since, closed occurrences, buffered, late).
 //! - [`modal_status_streaming`] is the sealed-trace adapter: it feeds a
 //!   whole trace with an infinite hold-back (so the seal performs the full
 //!   sort) and is **unconditionally** bit-identical to [`modal_status`] —
@@ -52,7 +55,7 @@ use psn_sim::time::{SimDuration, SimTime};
 use psn_world::{AttrKey, AttrValue, WorldState};
 
 use crate::causal::ConjunctBuilder;
-use crate::detect::Sweep;
+use crate::detect::{Sweep, SweepMark};
 use crate::modal::ModalStatus;
 use crate::online::OnlineStatus;
 use crate::spec::{Conjunct, Predicate};
@@ -145,12 +148,23 @@ impl HoldBack {
 enum Shape {
     /// Empty conjunctive predicate: vacuously never occurs.
     Vacuous,
-    /// The relational sweep and the occurrences it has closed.
+    /// The relational sweep, the occurrences it has closed, and the
+    /// buffers a readout reuses.
     Relational {
         sweep: Sweep<'static>,
         closed: usize,
+        scratch: ReadoutScratch,
     },
     Conjunctive(ConjunctiveStream),
+}
+
+/// What a relational readout reuses from call to call: the held entries'
+/// heap positions in key order, and the sweep as it stood before they
+/// applied.
+#[derive(Debug, Clone, Default)]
+struct ReadoutScratch {
+    order: Vec<usize>,
+    mark: SweepMark,
 }
 
 /// Conjunctive streaming: builders + the lattice advancement frontier, with
@@ -236,7 +250,8 @@ impl ConjunctiveStream {
 /// one predicate, O(window) memory, exact [`modal_status`] answers.
 ///
 /// Feed reports in arrival order with [`offer`](Self::offer); query with
-/// [`status`](Self::status) (non-destructive, O(window)); finish with
+/// [`status`](Self::status) (observation-only: O(held) on a relational
+/// predicate, O(window) on a conjunctive one); finish with
 /// [`seal`](Self::seal). `hold_back ≥ 2Δ` keeps the release order equal to
 /// the offline sort (zero late reports) and therefore every answer
 /// bit-identical to the offline sweep over the same reports.
@@ -265,7 +280,8 @@ impl StreamingModal {
                 Shape::Conjunctive(ConjunctiveStream::new(cs, initial, n + 1))
             }
             Predicate::Relational(_) => {
-                Shape::Relational { sweep: Sweep::new(predicate, initial, None), closed: 0 }
+                let sweep = Sweep::new(predicate, initial, None);
+                Shape::Relational { sweep, closed: 0, scratch: ReadoutScratch::default() }
             }
         };
         StreamingModal { shape, buffer: HoldBack::new(hold_back), mem_high_water: 0 }
@@ -307,7 +323,7 @@ impl StreamingModal {
         while let Some(e) = self.buffer.pop_due(watermark) {
             match &mut self.shape {
                 Shape::Vacuous => {}
-                Shape::Relational { sweep, closed } => {
+                Shape::Relational { sweep, closed, .. } => {
                     // Under `ScalarStrobe` the only occurrence a report
                     // completes is a falling edge.
                     *closed += usize::from(sweep.step(0, e.attr, e.value, e.truth, None).is_some());
@@ -324,27 +340,57 @@ impl StreamingModal {
     /// The exact modal status of everything offered so far — equal to
     /// [`modal_status`] over the same reports whenever release order was
     /// globally correct ([`late_reports`](Self::late_reports) == 0).
-    /// O(window): clones the bounded live state and seals the clone; the
-    /// stream itself is undisturbed.
+    /// O(held) on a relational predicate, O(window) on a conjunctive one;
+    /// see [`readout`](Self::readout). The stream is left as it was.
     ///
     /// [`modal_status`]: crate::modal::modal_status
-    pub fn status(&self) -> ModalStatus {
+    pub fn status(&mut self) -> ModalStatus {
         self.readout().1
     }
 
-    /// [`status`](Self::status) together with its on-line restatement,
-    /// from the one sealed clone: `holds` is `holding_now`, `occurrences`
-    /// is `possibly − holding_now`, `open_since` is the open occurrence's
-    /// truth start on a relational predicate (`None` otherwise), and
-    /// `buffered` / `late_reports` are the live hold-back's.
-    pub fn readout(&self) -> (OnlineStatus, ModalStatus) {
-        let mut probe = self.clone();
-        probe.release_until(SimTime::MAX);
-        let open_since = match &probe.shape {
-            Shape::Relational { sweep, .. } => sweep.open_since(),
-            _ => None,
+    /// [`status`](Self::status) together with its on-line restatement:
+    /// `holds` is `holding_now`, `occurrences` is `possibly − holding_now`,
+    /// `open_since` is the open occurrence's truth start on a relational
+    /// predicate (`None` otherwise), and `buffered` / `late_reports` are the
+    /// live hold-back's.
+    ///
+    /// A relational predicate answers in O(held): the held reports are
+    /// applied to the live sweep in key order — the order a flush would
+    /// release them in — the answer is read, and the sweep's slots, node
+    /// values, verdict and open occurrence are copied back. Nothing is
+    /// cloned and, once the reused buffers have grown, nothing allocated.
+    /// Equal keys are one report delivered twice, so their order among
+    /// themselves cannot change the answer. A conjunctive predicate seals a
+    /// clone of the bounded live state (buffer flushed in key order, open
+    /// intervals closed, advancement run to quiescence).
+    pub fn readout(&mut self) -> (OnlineStatus, ModalStatus) {
+        let (modal, open_since) = match &mut self.shape {
+            Shape::Relational { sweep, closed, scratch } => {
+                let held = self.buffer.heap.as_slice();
+                scratch.order.clear();
+                // As roomy as the heap, so it grows only after the heap has.
+                scratch.order.reserve(self.buffer.heap.capacity());
+                scratch.order.extend(0..held.len());
+                scratch.order.sort_unstable_by_key(|&i| held[i].0.key);
+                sweep.mark(&mut scratch.mark);
+                let mut possibly = *closed;
+                for &i in &scratch.order {
+                    let e = &held[i].0;
+                    possibly +=
+                        usize::from(sweep.step(0, e.attr, e.value, e.truth, None).is_some());
+                }
+                let open_since = sweep.open_since();
+                sweep.restore(&scratch.mark);
+                let holding_now = open_since.is_some();
+                possibly += usize::from(holding_now);
+                (ModalStatus { possibly, definitely: possibly, holding_now }, open_since)
+            }
+            _ => {
+                let mut probe = self.clone();
+                probe.release_until(SimTime::MAX);
+                (probe.shape.seal(), None)
+            }
         };
-        let modal = probe.shape.seal();
         let online = OnlineStatus {
             holds: modal.holding_now,
             open_since,
@@ -403,7 +449,7 @@ impl Shape {
     fn seal(self) -> ModalStatus {
         match self {
             Shape::Vacuous => ModalStatus { possibly: 0, definitely: 0, holding_now: false },
-            Shape::Relational { sweep, closed } => {
+            Shape::Relational { sweep, closed, .. } => {
                 let open = sweep.finish().is_some();
                 let possibly = closed + usize::from(open);
                 ModalStatus { possibly, definitely: possibly, holding_now: open }

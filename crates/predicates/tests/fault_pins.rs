@@ -11,14 +11,17 @@
 //!
 //! The constants were computed before the hold-back became a keyed heap. A
 //! change to the release order among equal keys moves a constant.
+//!
+//! On the same traces, a readout after every offer must leave a stream —
+//! relational or conjunctive — exactly as a stream that is never read.
 
 use psn_core::{run_execution, ExecutionConfig, ExecutionTrace};
-use psn_predicates::{ModalStatus, Predicate, StreamingModal};
+use psn_predicates::{Conjunct, Expr, ModalStatus, Predicate, StreamingModal};
 use psn_sim::delay::DelayModel;
 use psn_sim::fault::{ChannelEffect, ChannelFaultRule, FaultScript, FaultSpec};
 use psn_sim::time::{SimDuration, SimTime};
 use psn_world::scenarios::exhibition::{self, ExhibitionParams};
-use psn_world::Scenario;
+use psn_world::{AttrKey, Scenario};
 
 const DOORS: usize = 3;
 const HOLD_BACKS_MS: [u64; 4] = [0, 100, 300, 700];
@@ -125,4 +128,43 @@ fn both_detectors_are_pinned_under_duplicate_and_reorder_faults() {
     }
     assert!(duplicated > 1_000, "the pin must see many duplicate deliveries, saw {duplicated}");
     assert!(moved.is_empty(), "detector output moved:\n{}", moved.join("\n"));
+}
+
+/// `readout()` is observation-only: a stream read after every offer and one
+/// never read report the same `late_reports`, `buffered` and
+/// `frontier_width` after each offer, and seal to the same verdict — for the
+/// relational occupancy predicate, which a readout applies and undoes, and a
+/// conjunctive one, which it answers from a sealed clone.
+#[test]
+fn readouts_leave_the_stream_as_it_was() {
+    let conjunctive = Predicate::Conjunctive(
+        (0..DOORS)
+            .map(|d| Conjunct {
+                process: d,
+                expr: Expr::var(AttrKey::new(d, 0))
+                    .sub(Expr::var(AttrKey::new(d, 1)))
+                    .gt(Expr::int(2)),
+            })
+            .collect(),
+    );
+    for seed in 0..6u64 {
+        let (scenario, trace) = faulted_run(seed);
+        let init = scenario.timeline.initial_state();
+        for pred in [Predicate::occupancy_over(DOORS, 20), conjunctive.clone()] {
+            for hold in HOLD_BACKS_MS {
+                let hold = SimDuration::from_millis(hold);
+                let mut read = StreamingModal::new(&pred, &init, trace.n, hold);
+                let mut quiet = StreamingModal::new(&pred, &init, trace.n, hold);
+                for (i, r) in trace.log.reports.iter().enumerate() {
+                    read.offer(r);
+                    quiet.offer(r);
+                    read.readout();
+                    let seen =
+                        |s: &StreamingModal| (s.late_reports(), s.buffered(), s.frontier_width());
+                    assert_eq!(seen(&read), seen(&quiet), "seed {seed}, {hold:?}, offer {i}");
+                }
+                assert_eq!(read.seal(), quiet.seal(), "seed {seed}, {hold:?}");
+            }
+        }
+    }
 }

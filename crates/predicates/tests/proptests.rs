@@ -97,16 +97,27 @@ fn value() -> BoxedStrategy<AttrValue> {
 
 /// A key from a pool of six; object 9 is in no generated expression.
 fn key() -> impl Strategy<Value = AttrKey> {
-    (0usize..3, 0usize..2).prop_map(|(o, a)| AttrKey::new(o, a))
+    key_of(3)
+}
+
+/// A key of one of `objects` objects, attribute 0 or 1.
+fn key_of(objects: usize) -> impl Strategy<Value = AttrKey> {
+    (0..objects, 0usize..2).prop_map(|(o, a)| AttrKey::new(o, a))
 }
 
 /// Expression trees of every node kind, `depth` levels below the root.
 fn expr(depth: u32) -> BoxedStrategy<Expr> {
-    let leaf = prop_oneof![value().prop_map(Expr::Lit), key().prop_map(Expr::Var)];
+    expr_of(depth, 3)
+}
+
+/// [`expr`] over the variables of `objects` objects: the fewer, the more
+/// often one variable appears at several leaves.
+fn expr_of(depth: u32, objects: usize) -> BoxedStrategy<Expr> {
+    let leaf = prop_oneof![value().prop_map(Expr::Lit), key_of(objects).prop_map(Expr::Var)];
     if depth == 0 {
         return leaf.boxed();
     }
-    let sub = expr(depth - 1);
+    let sub = expr_of(depth - 1, objects);
     let pair = || (sub.clone(), sub.clone());
     prop_oneof![
         leaf,
@@ -176,6 +187,38 @@ proptest! {
             } else {
                 prop_assert!(replaced.is_none());
             }
+            prop_assert_eq!(compiled.holds(), predicate.eval_state(&world));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The incremental kernel: one `Compiled` taken through a long run of
+    /// `set`s — over a pool of two variables, so one variable feeds several
+    /// leaves and several sets land on it in a row — recomputes only what
+    /// each set reaches, and after every set `holds()` is `Predicate::eval`
+    /// on the same values.
+    #[test]
+    fn incremental_sets_track_eval(
+        exprs in proptest::collection::vec(expr_of(5, 1), 1..3),
+        relational in 0u8..2,
+        sets in proptest::collection::vec((0usize..2, value()), 1..64),
+    ) {
+        let predicate = if relational == 1 {
+            Predicate::Relational(exprs[0].clone())
+        } else {
+            Predicate::Conjunctive(
+                exprs.iter().map(|e| Conjunct { process: 0, expr: e.clone() }).collect(),
+            )
+        };
+        let mut world = WorldState::default();
+        let mut compiled = predicate.compile(&world);
+        for &(attr, v) in &sets {
+            let k = AttrKey::new(0, attr);
+            compiled.set(k, v);
+            world.set(k, v);
             prop_assert_eq!(compiled.holds(), predicate.eval_state(&world));
         }
     }
@@ -314,7 +357,8 @@ proptest! {
             prop_assert_eq!(one.seal(), offline.clone());
 
             // Chunked, probing status() between chunks (the probe must not
-            // perturb the final verdict — it clones before sealing).
+            // perturb the final verdict — it undoes what it applies, or reads a
+            // sealed clone).
             let mut chunked = StreamingModal::new(&pred, &init, trace.n, hold_back);
             for batch in trace.log.reports.chunks(chunk) {
                 for r in batch {

@@ -6,8 +6,9 @@
 //! 200 ms hold-back, one watched occupancy predicate. Each repetition feeds
 //! the whole timeline to a fresh session as rounds of 32 `Ingest` +
 //! `Advance` (to the last event's time) + `Status`, and prints the session's
-//! events per second and the `Advance` nanoseconds per event; repetitions
-//! continue until `--seconds` have passed.
+//! events per second, the `Advance` nanoseconds per event and the `Status`
+//! nanoseconds per call; repetitions continue until `--seconds` have
+//! passed.
 //!
 //! Where `/proc/self/stat` exists, each line also prints the minor page
 //! faults the repetition took per ingest: pages the process touched for
@@ -89,19 +90,20 @@ fn minor_faults() -> Option<u64> {
     stat[stat.rfind(')')? + 1..].split_whitespace().nth(7)?.parse().ok()
 }
 
-/// One fresh session over the whole timeline: `(total ns, Advance ns)`.
+/// One fresh session over the whole timeline: `(total, Advance, Status)`
+/// wall times.
 fn rep(
     scenario: &Scenario,
     predicate: &Predicate,
     ingests: &[(SimTime, Request)],
-) -> (Duration, Duration) {
+) -> (Duration, Duration, Duration) {
     let mut cfg = ServeConfig::new(DOORS);
     cfg.initial = scenario.timeline.initial_state();
     let mut session = ServeSession::new(cfg);
     let watching =
         session.handle(Request::Watch { name: WATCH.into(), predicate: predicate.clone() });
     assert!(matches!(watching, Response::Watching { .. }), "Watch refused: {watching:?}");
-    let mut advance = Duration::ZERO;
+    let (mut advance, mut status) = (Duration::ZERO, Duration::ZERO);
     let t0 = Instant::now();
     for round in ingests.chunks(ROUND) {
         for (_, req) in round {
@@ -113,10 +115,13 @@ fn rep(
         let reply = session.handle(Request::Advance { to });
         advance += a0.elapsed();
         assert!(matches!(reply, Response::Advanced { .. }), "{reply:?}");
-        let reply = session.handle(Request::Status { name: WATCH.into() });
+        let request = Request::Status { name: WATCH.into() };
+        let s0 = Instant::now();
+        let reply = session.handle(request);
+        status += s0.elapsed();
         assert!(matches!(reply, Response::Status { .. }), "{reply:?}");
     }
-    (t0.elapsed(), advance)
+    (t0.elapsed(), advance, status)
 }
 
 fn main() {
@@ -140,20 +145,24 @@ fn main() {
 
     let mut rates = Vec::new();
     let mut advance_ns = Vec::new();
+    let mut status_ns = Vec::new();
+    let rounds = ingests.len().div_ceil(ROUND) as f64;
     let mut faults = Vec::new();
     let start = Instant::now();
     while rates.is_empty() || start.elapsed() < Duration::from_secs(seconds) {
         let before = minor_faults();
-        let (total, advance) = rep(&scenario, &predicate, &ingests);
+        let (total, advance, status) = rep(&scenario, &predicate, &ingests);
         rates.push(n / total.as_secs_f64());
         advance_ns.push(advance.as_nanos() as f64 / n);
+        status_ns.push(status.as_nanos() as f64 / rounds);
         let per_ingest = before.zip(minor_faults()).map(|(b, a)| (a - b) as f64 / n);
         faults.extend(per_ingest);
         println!(
-            "rep {:>3}: {:>9.0} ev/s  advance {:>6.0} ns/event{}",
+            "rep {:>3}: {:>9.0} ev/s  advance {:>6.0} ns/event  status {:>6.0} ns/call{}",
             rates.len(),
             rates.last().unwrap(),
             advance_ns.last().unwrap(),
+            status_ns.last().unwrap(),
             fault_column(per_ingest)
         );
     }
@@ -163,10 +172,11 @@ fn main() {
     };
     let faults = (!faults.is_empty()).then(|| median(&mut faults));
     println!(
-        "median of {}: {:.0} ev/s  advance {:.0} ns/event{}",
+        "median of {}: {:.0} ev/s  advance {:.0} ns/event  status {:.0} ns/call{}",
         rates.len(),
         median(&mut rates),
         median(&mut advance_ns),
+        median(&mut status_ns),
         fault_column(faults)
     );
 }

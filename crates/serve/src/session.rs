@@ -353,15 +353,17 @@ impl ServeSession {
                 Response::Watching { name, watched: self.detectors.len() }
             }
             Request::Status { name } => {
-                let Some(d) = self.detectors.iter().find(|d| d.name == name) else {
+                let Some(d) = self.detectors.iter_mut().find(|d| d.name == name) else {
                     return Response::Error {
                         code: ErrorCode::UnknownPredicate,
                         message: format!("no predicate named {name:?} is watched"),
                     };
                 };
-                // Both answers come from one sealed clone of the streaming
-                // detector's bounded frontier — O(window), never a
-                // whole-trace sweep.
+                // Both answers come from one flush of the streaming
+                // detector's held reports: on a relational watch they are
+                // applied to the live sweep and undone by copy, in O(held)
+                // and without allocating; a conjunctive watch seals a clone
+                // of its bounded frontier. Never a whole-trace sweep.
                 let t0 = self.coord.start();
                 let (online, modal) = d.modal.readout();
                 self.coord.record(Phase::Detector, t0);

@@ -4,7 +4,7 @@
 //! The same allocator tracks live heap bytes and their high-water mark,
 //! which bounds what sealing an execution costs beyond the trace it
 //! returns, and prices one served ingest: the heap it retains and the
-//! allocations it makes.
+//! allocations it makes. A `Status` on a relational watch makes none.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -223,4 +223,63 @@ fn a_served_ingest_retains_its_report_and_journal_entry() {
         "Ingest + Advance make {per_ingest:.3} allocations per ingest; the one expected is \
          the Box<ReportMsg> of each report a sensor sends"
     );
+}
+
+/// A `Status` on a relational watch applies the held reports to the live
+/// sweep and copies its state back, reusing its buffers: once they have
+/// grown, it makes no allocation. The same 4-door hall in rounds of 32
+/// `Ingest` + `Advance` + `Status`; the first quarter of the rounds warms
+/// the buffers, and every later `Status` must answer over held reports.
+#[test]
+fn a_relational_status_allocates_nothing_in_steady_state() {
+    use psn_core::{world_events, NetMsg};
+    use psn_predicates::Predicate;
+    use psn_serve::{ServeConfig, ServeSession};
+    use psn_sim::time::SimDuration;
+    use psn_world::scenarios::exhibition::{self, ExhibitionParams};
+
+    const DOORS: usize = 4;
+    const INGESTS: usize = 1_600;
+    const ROUND: usize = 32;
+    let params = ExhibitionParams {
+        doors: DOORS,
+        arrival_rate_hz: 40.0,
+        mean_stay: SimDuration::from_secs(60),
+        duration: SimTime::from_secs(60),
+        capacity: 2_400,
+    };
+    let scenario = exhibition::generate(&params, 3);
+    let ingests: Vec<Request> = world_events(&scenario)
+        .into_iter()
+        .filter_map(|e| match e.msg {
+            NetMsg::WorldSense { key, value, .. } => {
+                Some(Request::Ingest { at: e.at, process: e.to, key, value })
+            }
+            _ => None,
+        })
+        .take(INGESTS)
+        .collect();
+    assert_eq!(ingests.len(), INGESTS);
+
+    let mut cfg = ServeConfig::new(DOORS);
+    cfg.initial = scenario.timeline.initial_state();
+    let mut session = ServeSession::new(cfg);
+    let predicate = Predicate::occupancy_over(DOORS, 2_400);
+    session.handle(Request::Watch { name: "occ".into(), predicate });
+    let (mut allocs, mut statuses, mut held) = (0, 0, 0);
+    for (i, round) in ingests.chunks(ROUND).enumerate() {
+        let Request::Ingest { at: to, .. } = round[round.len() - 1] else { unreachable!() };
+        for req in round {
+            session.handle(req.clone());
+        }
+        session.handle(Request::Advance { to });
+        let status = Request::Status { name: "occ".into() };
+        let (n, reply) = allocations(|| session.handle(status));
+        let Response::Status { online, .. } = reply else { panic!("{reply:?}") };
+        if i >= ingests.len() / ROUND / 4 {
+            (allocs, statuses, held) = (allocs + n, statuses + 1, held + online.buffered);
+        }
+    }
+    assert!(held >= statuses, "each Status must answer over held reports ({held} held)");
+    assert_eq!(allocs, 0, "{statuses} relational Status calls made {allocs} allocations");
 }
