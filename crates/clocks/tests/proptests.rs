@@ -264,134 +264,6 @@ proptest! {
         prop_assert!(!sa.lt(&sa), "irreflexive");
     }
 
-    /// Inline (≤8 components) and spilled (heap) `VectorStamp` storage are
-    /// observationally identical: `le`, `concurrent`, `merge_from`, `Eq` and
-    /// `Hash` may not depend on which representation holds the components.
-    /// Lengths straddle the 8-component boundary so both regimes — and the
-    /// boundary itself — are exercised.
-    #[test]
-    fn inline_and_spilled_representations_agree(
-        len in 1usize..=12,
-        seed_a in proptest::collection::vec(0u64..50, 12),
-        seed_b in proptest::collection::vec(0u64..50, 12),
-    ) {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let a: Vec<u64> = seed_a[..len].to_vec();
-        let b: Vec<u64> = seed_b[..len].to_vec();
-        let ia = VectorStamp::from(a.clone());
-        let ib = VectorStamp::from(b.clone());
-        let sa = VectorStamp::spilled(a.clone());
-        let sb = VectorStamp::spilled(b.clone());
-        // Representation is as expected on each side of the boundary.
-        prop_assert_eq!(ia.is_inline(), len <= 8);
-        prop_assert!(!sa.is_inline());
-        // Cross-representation observational equality.
-        prop_assert_eq!(&ia, &sa);
-        prop_assert_eq!(ia.le(&ib), sa.le(&sb));
-        prop_assert_eq!(ia.le(&sb), sa.le(&ib));
-        prop_assert_eq!(ia.concurrent(&ib), sa.concurrent(&sb));
-        prop_assert_eq!(ia.causality(&ib), sa.causality(&sb));
-        let hash = |s: &VectorStamp| {
-            let mut h = DefaultHasher::new();
-            s.hash(&mut h);
-            h.finish()
-        };
-        prop_assert_eq!(hash(&ia), hash(&sa), "Hash must ignore representation");
-        // merge_from produces identical components whichever side spilled.
-        let mut m1 = ia.clone();
-        m1.merge_from(&sb);
-        let mut m2 = sa.clone();
-        m2.merge_from(&ib);
-        prop_assert_eq!(m1.as_slice(), m2.as_slice());
-        prop_assert_eq!(
-            m1.as_slice().to_vec(),
-            a.iter().zip(&b).map(|(x, y)| *x.max(y)).collect::<Vec<_>>()
-        );
-    }
-
-    /// Clones of a stamp are independent values even though wide ones share
-    /// a buffer: a write through any mutator on one side is never visible
-    /// through the other side, nor through a third clone taken beforehand
-    /// (the copy an execution log would hold). Lengths cover the empty
-    /// stamp, the inline/spilled boundary and the SIMD kernels' tails.
-    #[test]
-    fn a_write_through_one_clone_never_reaches_another(
-        len in 0usize..=129,
-        force_spill in 0u8..2,
-        seed_a in proptest::collection::vec(0u64..1000, 129),
-        seed_b in proptest::collection::vec(0u64..1000, 129),
-        k_seed in 0usize..129,
-    ) {
-        let a: Vec<u64> = seed_a[..len].to_vec();
-        let b: Vec<u64> = seed_b[..len].to_vec();
-        let joined: Vec<u64> = a.iter().zip(&b).map(|(x, y)| *x.max(y)).collect();
-        let fresh = || {
-            if force_spill == 1 { VectorStamp::spilled(a.clone()) } else { VectorStamp::from(a.clone()) }
-        };
-        let other = VectorStamp::from(b.clone());
-        let k = k_seed % len.max(1);
-        let bumped = |by: u64| {
-            let mut v = a.clone();
-            v[k] += by;
-            v
-        };
-        // (name, the write, the components it must leave behind)
-        type Mutator<'m> = (&'m str, Box<dyn Fn(&mut VectorStamp) + 'm>, Vec<u64>);
-        let mut mutators: Vec<Mutator<'_>> = vec![
-            ("merge_from", Box::new(|s| s.merge_from(&other)), joined.clone()),
-            (
-                "as_mut_slice",
-                Box::new(|s| s.as_mut_slice().iter_mut().for_each(|c| *c += 7)),
-                a.iter().map(|c| c + 7).collect(),
-            ),
-        ];
-        if len > 0 {
-            mutators.push(("tick", Box::new(|s| s.tick(k)), bumped(1)));
-            mutators.push(("IndexMut", Box::new(|s| s[k] += 5), bumped(5)));
-        }
-        for (name, write, expected) in &mutators {
-            // Written through the clone, then through the original.
-            for write_to_clone in [true, false] {
-                let mut original = fresh();
-                let logged = original.clone();
-                let mut copy = original.clone();
-                let (written, kept) =
-                    if write_to_clone { (&mut copy, &original) } else { (&mut original, &copy) };
-                write(written);
-                prop_assert_eq!(kept.as_slice(), &a[..], "{} leaked into the other side", name);
-                prop_assert_eq!(logged.as_slice(), &a[..], "{} leaked into the logged clone", name);
-                prop_assert_eq!(written.as_slice(), &expected[..], "{} wrote the wrong value", name);
-            }
-        }
-
-        // The clocks hand out clones of their own state on every rule; each
-        // stamp handed out must stay what it was when the clock moves on.
-        if len > 0 {
-            let mut clock = VectorClock::new(k, len);
-            clock.prime(&fresh());
-            let s0 = clock.current();
-            let s1 = clock.on_local_event();
-            let s2 = clock.on_receive(&other);
-            clock.prime(&VectorStamp::from(vec![5000; len]));
-            let mut expected = a.clone();
-            prop_assert_eq!(s0.as_slice(), &expected[..], "current() moved with the clock");
-            expected[k] += 1;
-            prop_assert_eq!(s1.as_slice(), &expected[..], "on_local_event()'s stamp moved");
-            let mut expected: Vec<u64> = expected.iter().zip(&b).map(|(x, y)| *x.max(y)).collect();
-            expected[k] += 1;
-            prop_assert_eq!(s2.as_slice(), &expected[..], "on_receive()'s stamp moved");
-            prop_assert_eq!(clock.current().as_slice(), &vec![5000; len][..]);
-
-            let mut strobe = StrobeVectorClock::new(k, len);
-            strobe.on_strobe(&fresh());
-            let t0 = strobe.current();
-            strobe.on_strobe(&other);
-            prop_assert_eq!(t0.as_slice(), &a[..], "SVC2 merge wrote into a stamp handed out");
-            prop_assert_eq!(strobe.current().as_slice(), &joined[..]);
-        }
-    }
-
     /// Scalar stamps form a total order: exactly one of <, >, = holds.
     #[test]
     fn scalar_total_order(v1 in 0u64..100, p1 in 0usize..8, v2 in 0u64..100, p2 in 0usize..8) {

@@ -154,17 +154,6 @@ impl LiveSnapshot {
         serde_json::from_str(s)
     }
 
-    /// Write to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Read from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let s = std::fs::read_to_string(path)?;
-        Self::from_json(&s).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Rebuild a live session from this snapshot by deterministic replay,
     /// then hand future ingest to `provider`. The restored session's
     /// frontier, reports and counters equal the captured session's.

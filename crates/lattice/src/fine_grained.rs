@@ -17,16 +17,16 @@
 //! distinctions that need message-chain information beyond stamp order).
 //! The coarse `Possibly`/`Definitely` overlap tests used by the detectors
 //! are projections of this code ([`RelationCode::possibly_overlaps`],
-//! [`RelationCode::definitely_overlaps`]).
-
-use serde::{Deserialize, Serialize};
+//! [`RelationCode::definitely_overlaps`]). No detector needs the full
+//! code, so the module is compiled for tests only: it is the independent
+//! derivation [`StampedInterval`]'s overlap tests are checked against.
 
 use crate::intervals::StampedInterval;
 use psn_clocks::{Causality, Timestamp, VectorStamp};
 
 /// The causality relation of one bounding-event pair, collapsed to three
 /// values (Equal counts as Concurrent: neither strictly precedes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Trit {
     /// The X-side event strictly precedes the Y-side event.
     Before,
@@ -45,7 +45,7 @@ fn trit(a: &VectorStamp, b: &VectorStamp) -> Trit {
 }
 
 /// The fine-grained relation code of an interval pair (X, Y).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RelationCode {
     /// lo(X) vs lo(Y).
     pub(crate) lo_lo: Trit,
@@ -155,6 +155,8 @@ impl RelationCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::History;
+    use proptest::prelude::*;
 
     fn vs(v: &[u64]) -> VectorStamp {
         VectorStamp::from_slice(v)
@@ -278,5 +280,39 @@ mod tests {
             }
         }
         assert!(seen.len() > 10, "a rich family of codes occurs, got {}", seen.len());
+    }
+
+    proptest! {
+        /// Fine-grained relation codes from real stamp pairs are always
+        /// internally consistent, and their projections match the interval
+        /// tests.
+        #[test]
+        fn relation_codes_consistent_on_generated_intervals(
+            n in 2usize..4,
+            per_proc in 2usize..5,
+            lags in proptest::collection::vec(0usize..10, 1..8),
+        ) {
+            let h = History::strobed(n, per_proc, &lags);
+            // Build intervals from consecutive stamp pairs at each process.
+            let mut intervals: Vec<StampedInterval> = Vec::new();
+            for p in 0..n {
+                for w in 0..h.len_of(p).saturating_sub(1) {
+                    intervals.push(StampedInterval {
+                        lo: h.stamps[p][w].clone(),
+                        hi: h.stamps[p][w + 1].clone(),
+                    });
+                }
+            }
+            for x in &intervals {
+                for y in &intervals {
+                    let c = RelationCode::classify(x, y);
+                    prop_assert!(c.is_consistent(), "inconsistent code {}", c.as_str());
+                    prop_assert_eq!(c.surely_precedes(), x.surely_precedes(y));
+                    prop_assert_eq!(c.possibly_overlaps(), x.possibly_overlaps(y));
+                    prop_assert_eq!(c.definitely_overlaps(), x.definitely_overlaps(y));
+                    prop_assert_eq!(c.inverse(), RelationCode::classify(y, x));
+                }
+            }
+        }
     }
 }

@@ -67,9 +67,12 @@ impl Allen {
             Equal => Equal,
         }
     }
+}
 
+#[cfg(test)]
+impl Allen {
     /// Do the two intervals share at least one instant under this relation?
-    pub fn intersects(self) -> bool {
+    pub(crate) fn intersects(self) -> bool {
         !matches!(self, Allen::Before | Allen::After | Allen::Meets | Allen::MetBy)
     }
 }
@@ -197,6 +200,15 @@ mod tests {
         assert!(!allen_relation(iv(0, 2), iv(2, 3)).intersects(), "half-open: meets is empty");
         assert!(allen_relation(iv(0, 2), iv(1, 3)).intersects());
         assert!(allen_relation(iv(1, 2), iv(0, 3)).intersects());
+        // Every pair on a small grid agrees with raw arithmetic on
+        // half-open intervals.
+        let grid = || (0..8).flat_map(|a| (a + 1..9).map(move |b| iv(a, b)));
+        for a in grid() {
+            for b in grid() {
+                let raw = a.0 < b.1 && b.0 < a.1;
+                assert_eq!(allen_relation(a, b).intersects(), raw, "{a:?} {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
 mod fine_grained;
 pub mod history;
 pub mod intervals;
@@ -26,7 +27,6 @@ pub mod lattice;
 pub mod slim;
 pub mod stream;
 
-pub use fine_grained::RelationCode;
 pub use history::History;
 pub use intervals::{allen_relation, Allen, StampedInterval};
 pub use lattice::{enumerate_lattice, LatticeStats};

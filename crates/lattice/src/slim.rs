@@ -49,47 +49,12 @@ pub fn measure(history: &History, cap: u64) -> SlimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psn_clocks::{LogicalClock, StrobeVectorClock, VectorStamp};
-
-    /// Simulate the strobe protocol analytically: `n` processes take turns
-    /// sensing; each strobe is delivered to everyone after `delay_events`
-    /// subsequent events (0 = synchronous). Returns the per-process strobe
-    /// stamps.
-    fn strobed_history(n: usize, rounds: usize, delay_events: usize) -> History {
-        let mut clocks: Vec<StrobeVectorClock> =
-            (0..n).map(|i| StrobeVectorClock::new(i, n)).collect();
-        let mut stamps: Vec<Vec<VectorStamp>> = vec![Vec::new(); n];
-        // In-flight strobes: (deliver_after_event_counter, sender, stamp).
-        let mut in_flight: Vec<(usize, usize, VectorStamp)> = Vec::new();
-        let mut event_counter = 0usize;
-        for r in 0..rounds {
-            for p in 0..n {
-                // Deliver due strobes first.
-                let due: Vec<_> =
-                    in_flight.iter().filter(|&&(at, _, _)| at <= event_counter).cloned().collect();
-                in_flight.retain(|&(at, _, _)| at > event_counter);
-                for (_, sender, s) in due {
-                    for (q, c) in clocks.iter_mut().enumerate() {
-                        if q != sender {
-                            c.on_strobe(&s);
-                        }
-                    }
-                }
-                let s = clocks[p].on_local_event();
-                stamps[p].push(s.clone());
-                in_flight.push((event_counter + delay_events, p, s));
-                event_counter += 1;
-            }
-            let _ = r;
-        }
-        History::new(stamps)
-    }
 
     #[test]
     fn zero_delay_gives_chain() {
         // Δ = 0 (strobes delivered before the next event): the lattice is
         // the paper's "linear order of np states".
-        let h = strobed_history(3, 4, 0);
+        let h = History::strobed(3, 4, &[0]);
         let r = measure(&h, 1_000_000);
         assert_eq!(r.states, r.chain, "Δ=0 collapses the lattice to a chain");
         assert_eq!(r.width, 1);
@@ -97,9 +62,9 @@ mod tests {
 
     #[test]
     fn slower_strobes_fatten_the_lattice() {
-        let fast = measure(&strobed_history(3, 4, 1), 1_000_000);
-        let slow = measure(&strobed_history(3, 4, 6), 1_000_000);
-        let none = measure(&strobed_history(3, 4, usize::MAX / 2), 1_000_000);
+        let fast = measure(&History::strobed(3, 4, &[1]), 1_000_000);
+        let slow = measure(&History::strobed(3, 4, &[6]), 1_000_000);
+        let none = measure(&History::strobed(3, 4, &[usize::MAX / 2]), 1_000_000);
         assert!(fast.states <= slow.states, "faster strobes ⇒ leaner lattice");
         assert!(slow.states <= none.states);
         assert!(none.states as f64 >= fast.states as f64 * 2.0, "effect is substantial");
@@ -108,7 +73,7 @@ mod tests {
     #[test]
     fn no_strobes_is_unconstrained() {
         // Strobes that never arrive leave all interleavings possible.
-        let h = strobed_history(3, 3, usize::MAX / 2);
+        let h = History::strobed(3, 3, &[usize::MAX / 2]);
         let r = measure(&h, 1_000_000);
         assert!((r.states as f64 - r.unconstrained).abs() < 1e-9, "O(p^n) states");
         assert!((r.slimness - 1.0).abs() < 1e-12);
@@ -116,15 +81,15 @@ mod tests {
 
     #[test]
     fn slimness_decreases_with_strobe_speed() {
-        let fast = measure(&strobed_history(4, 3, 0), 1_000_000);
-        let none = measure(&strobed_history(4, 3, usize::MAX / 2), 1_000_000);
+        let fast = measure(&History::strobed(4, 3, &[0]), 1_000_000);
+        let none = measure(&History::strobed(4, 3, &[usize::MAX / 2]), 1_000_000);
         assert!(fast.slimness < 0.1);
         assert!((none.slimness - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn truncation_reports() {
-        let h = strobed_history(4, 5, usize::MAX / 2);
+        let h = History::strobed(4, 5, &[usize::MAX / 2]);
         let r = measure(&h, 50);
         assert!(r.truncated);
         assert!(r.states > 50);

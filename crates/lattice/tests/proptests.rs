@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use psn_clocks::{LogicalClock, StrobeVectorClock, VectorStamp};
-use psn_lattice::{allen_relation, enumerate_lattice, History, RelationCode, StampedInterval};
+use psn_lattice::{allen_relation, enumerate_lattice, History};
 use psn_sim::time::SimTime;
 
 /// Generate a random but *valid* strobe execution: events round-robin with
@@ -101,41 +101,6 @@ proptest! {
         let b = (SimTime::from_millis(b0), SimTime::from_millis(b0 + blen));
         let r = allen_relation(a, b);
         prop_assert_eq!(allen_relation(b, a), r.inverse());
-        // intersects() must match raw arithmetic on half-open intervals.
-        let raw = a.0 < b.1 && b.0 < a.1;
-        prop_assert_eq!(r.intersects(), raw);
-    }
-
-    /// Fine-grained relation codes from real stamp pairs are always
-    /// internally consistent, and their projections match the interval
-    /// tests.
-    #[test]
-    fn relation_codes_consistent_on_generated_intervals(
-        n in 2usize..4,
-        per_proc in 2usize..5,
-        lags in proptest::collection::vec(0usize..10, 1..8),
-    ) {
-        let h = strobed_history(n, per_proc, &lags);
-        // Build intervals from consecutive stamp pairs at each process.
-        let mut intervals: Vec<StampedInterval> = Vec::new();
-        for p in 0..n {
-            for w in 0..h.len_of(p).saturating_sub(1) {
-                intervals.push(StampedInterval {
-                    lo: h.stamps[p][w].clone(),
-                    hi: h.stamps[p][w + 1].clone(),
-                });
-            }
-        }
-        for x in &intervals {
-            for y in &intervals {
-                let c = RelationCode::classify(x, y);
-                prop_assert!(c.is_consistent(), "inconsistent code {}", c.as_str());
-                prop_assert_eq!(c.surely_precedes(), x.surely_precedes(y));
-                prop_assert_eq!(c.possibly_overlaps(), x.possibly_overlaps(y));
-                prop_assert_eq!(c.definitely_overlaps(), x.definitely_overlaps(y));
-                prop_assert_eq!(c.inverse(), RelationCode::classify(y, x));
-            }
-        }
     }
 
     /// Immediate strobe delivery (lag 0 everywhere) gives the chain.

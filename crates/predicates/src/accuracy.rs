@@ -61,17 +61,6 @@ impl AccuracyReport {
             self.true_positives as f64 / d as f64
         }
     }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 /// Does `d` overlap truth interval `t` once `t` is expanded by
@@ -189,7 +178,6 @@ mod tests {
         assert_eq!((r.true_positives, r.false_positives, r.false_negatives), (2, 0, 0));
         assert_eq!(r.precision(), 1.0);
         assert_eq!(r.recall(), 1.0);
-        assert_eq!(r.f1(), 1.0);
     }
 
     #[test]

@@ -305,7 +305,6 @@ proptest! {
             "dropping borderline detections cannot gain TPs");
         prop_assert!(plus.recall() >= minus.recall() - 1e-12);
         prop_assert!(plus.precision() >= 0.0 && plus.precision() <= 1.0);
-        prop_assert!(plus.f1() >= 0.0 && plus.f1() <= 1.0);
     }
 
     /// Streaming ≡ offline: the streaming detector fed one report at a

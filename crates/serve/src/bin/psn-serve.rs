@@ -381,10 +381,12 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
     )?;
 
     // One pipelined round in a single write, so CI drives the server's
-    // burst path over a real socket: replies come back in request order.
+    // burst path over a real socket, and the wire's one metrics read:
+    // replies come back in request order.
     let t0 = 61_000 + SUSTAINED * 100;
     let mut round: Vec<Request> = (0..32).map(|i| ingest(t0 + i, (i % 2) as usize, 0, 1)).collect();
     round.push(Request::Advance { to: SimTime::from_millis(t0 + 1000) });
+    round.push(Request::Metrics);
     round.push(Request::Status { name: "occ".into() });
     let mut bytes = Vec::new();
     for req in &round {
@@ -397,14 +399,17 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
         let ok = match &r {
             Response::Ingested { world_event } => i < 32 && *world_event == first_id + i,
             Response::Advanced { new_reports, .. } => i == 32 && *new_reports >= 32,
-            Response::Status { .. } => i == 33,
+            Response::Metrics { metrics, .. } => {
+                i == 33 && metrics.counter("engine.events_processed").is_some_and(|n| n > 0)
+            }
+            Response::Status { .. } => i == 34,
             _ => false,
         };
         if !ok {
             return Err(format!("pipelined round, reply {i}: {r:?}"));
         }
     }
-    check(true, "pipelined round of 32 ingests + advance + status answered in order")?;
+    check(true, "pipelined round of 32 ingests + advance + metrics + status answered in order")?;
 
     check(roundtrip(&mut c, &Request::Shutdown)? == Response::ShuttingDown, "phase 2 shutdown")?;
     drop(c);

@@ -57,20 +57,6 @@ impl Shared {
     }
 }
 
-/// Server-side clamps for subscription streams: a push period below
-/// [`MIN_PUSH_INTERVAL_MS`] would let one connection monopolise the
-/// session lock, and an unbounded count would pin the reader thread
-/// forever.
-pub(crate) const MIN_PUSH_INTERVAL_MS: u64 = 10;
-/// Maximum push frames one subscription may request.
-pub(crate) const MAX_PUSH_COUNT: u32 = 10_000;
-
-/// Apply the server's subscription clamps to a requested
-/// `(interval_ms, count)` pair.
-pub(crate) fn clamp_subscription(interval_ms: u64, count: u32) -> (u64, u32) {
-    (interval_ms.max(MIN_PUSH_INTERVAL_MS), count.min(MAX_PUSH_COUNT))
-}
-
 /// A running server: address, in-process request path, and shutdown.
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -171,16 +157,13 @@ fn connection(stream: TcpStream, shared: Arc<Shared>) {
         // Blocks only with nothing decoded and nothing queued: whoever comes
         // back here with either has seen the next frame complete in `reader`.
         let step = match wire::read_frame::<Request>(&mut reader) {
-            Ok(Some(sub @ (Request::SubscribeMetrics { .. } | Request::SubscribeTrace { .. }))) => {
-                link.subscription(sub)
-            }
             Ok(Some(req)) => {
                 link.burst.push(req);
                 Ok(())
             }
             Ok(None) => Err(Close), // clean client disconnect
             // The error takes its frame's place among the replies.
-            Err(e) => link.dispatch().and_then(|_| {
+            Err(e) => link.dispatch().and_then(|()| {
                 let error = Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };
                 queue(&mut link.out, &error);
                 wire::recoverable(&e).then_some(()).ok_or(Close)
@@ -190,7 +173,7 @@ fn connection(stream: TcpStream, shared: Arc<Shared>) {
         if step.is_ok() && wire::frame_buffered(reader.buffer()) {
             continue;
         }
-        let step = step.and_then(|()| link.dispatch().map(drop));
+        let step = step.and_then(|()| link.dispatch());
         if link.flush().is_err() || step.is_err() {
             break;
         }
@@ -217,10 +200,10 @@ struct Link {
 }
 
 impl Link {
-    /// Apply the burst, queue its replies in order, return the last.
-    fn dispatch(&mut self) -> Result<Option<Response>, Close> {
+    /// Apply the burst and queue its replies in order.
+    fn dispatch(&mut self) -> Result<(), Close> {
         if self.burst.is_empty() {
-            return Ok(None);
+            return Ok(());
         }
         let replies = &mut self.replies;
         if !self.shared.apply(self.burst.drain(..), |r| replies.push(r)) {
@@ -228,7 +211,7 @@ impl Link {
         }
         match replies.drain(..).inspect(|r| queue(&mut self.out, r)).last() {
             Some(Response::ShuttingDown) => Err(Close),
-            last => Ok(last),
+            _ => Ok(()),
         }
     }
 
@@ -237,37 +220,6 @@ impl Link {
         let sent = self.writer.write_all(&self.out);
         self.out.clear();
         sent.map_err(|_| Close)
-    }
-
-    /// Run one subscription stream, served by this reader so every pushed
-    /// snapshot is consistent: apply `sub` behind the frames ahead of it (the
-    /// session acks it with the clamped [`Response::Subscribed`]), then push
-    /// `count` frames at `interval_ms` cadence, each an ordinary burst of one
-    /// under the session lock — `TraceSlice` from the trace cursor, or
-    /// `Metrics`.
-    fn subscription(&mut self, sub: Request) -> Result<(), Close> {
-        let mut cursor = match sub {
-            Request::SubscribeTrace { from, .. } => Some(from),
-            _ => None,
-        };
-        self.burst.push(sub);
-        let Some(Response::Subscribed { count, interval_ms, .. }) = self.dispatch()? else {
-            return Ok(());
-        };
-        for _ in 0..count {
-            self.flush()?;
-            std::thread::sleep(Duration::from_millis(interval_ms));
-            self.burst.push(match cursor {
-                Some(from) => Request::TraceSlice { from, limit: crate::session::MAX_SLICE },
-                None => Request::Metrics,
-            });
-            // The cursor advances by however many reports each push
-            // returned, so frames never repeat a report.
-            if let Some(Response::TraceSlice { from, reports, .. }) = self.dispatch()? {
-                cursor = Some(from + reports.len());
-            }
-        }
-        Ok(())
     }
 }
 
@@ -365,6 +317,9 @@ mod tests {
             b"{\"NoSuchRequest\":{}}",
             b"[\"almost\", \"a\", \"request\"]",
             b"{\"Ingest\":{\"at\":\"not a time\"}}",
+            // Push subscriptions are not requests: a read is one request, one reply.
+            b"{\"SubscribeMetrics\":{\"interval_ms\":10,\"count\":1}}",
+            b"{\"SubscribeTrace\":{\"from\":0,\"interval_ms\":10,\"count\":1}}",
         ] {
             let mut frame = Vec::new();
             frame.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
@@ -436,63 +391,6 @@ mod tests {
             panic!()
         };
         assert_eq!(new_reports, 50, "every concurrent ingest landed");
-        h.stop();
-    }
-
-    #[test]
-    fn subscribe_metrics_pushes_the_requested_frames() {
-        let h = start();
-        let mut c = connect(&h);
-        // Ask for 3 frames at the fastest cadence; the 1ms interval must
-        // come back clamped to the server minimum.
-        wire::write_frame(&mut c, &Request::SubscribeMetrics { interval_ms: 1, count: 3 })
-            .expect("write");
-        let ack = wire::read_frame::<Response>(&mut c).expect("read").expect("ack");
-        assert_eq!(
-            ack,
-            Response::Subscribed {
-                stream: "metrics".into(),
-                count: 3,
-                interval_ms: MIN_PUSH_INTERVAL_MS
-            }
-        );
-        for _ in 0..3 {
-            let frame = wire::read_frame::<Response>(&mut c).expect("read").expect("frame");
-            assert!(matches!(frame, Response::Metrics { .. }), "{frame:?}");
-        }
-        // The connection is back in request/response mode afterwards.
-        assert_eq!(roundtrip(&mut c, &Request::Ping), Response::Pong);
-        h.stop();
-    }
-
-    #[test]
-    fn subscribe_trace_advances_its_cursor_across_frames() {
-        let h = start();
-        let mut c = connect(&h);
-        for i in 0..4u64 {
-            let r = roundtrip(
-                &mut c,
-                &Request::Ingest {
-                    at: SimTime::from_secs(i + 1),
-                    process: (i % 2) as usize,
-                    key: AttrKey::new((i % 2) as usize, 0),
-                    value: AttrValue::Int(i as i64),
-                },
-            );
-            assert!(matches!(r, Response::Ingested { .. }));
-        }
-        let r = roundtrip(&mut c, &Request::Advance { to: SimTime::from_secs(30) });
-        assert!(matches!(r, Response::Advanced { new_reports: 4, .. }), "{r:?}");
-        wire::write_frame(&mut c, &Request::SubscribeTrace { from: 0, interval_ms: 1, count: 2 })
-            .expect("write");
-        let ack = wire::read_frame::<Response>(&mut c).expect("read").expect("ack");
-        assert!(matches!(ack, Response::Subscribed { .. }), "{ack:?}");
-        let first = wire::read_frame::<Response>(&mut c).expect("read").expect("frame");
-        let Response::TraceSlice { from: 0, reports, .. } = &first else { panic!("{first:?}") };
-        assert_eq!(reports.len(), 4, "first push delivers everything so far");
-        let second = wire::read_frame::<Response>(&mut c).expect("read").expect("frame");
-        let Response::TraceSlice { from: 4, reports, .. } = &second else { panic!("{second:?}") };
-        assert!(reports.is_empty(), "cursor moved past the consumed reports");
         h.stop();
     }
 }

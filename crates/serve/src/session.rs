@@ -98,11 +98,6 @@ impl ServeSnapshot {
         serde_json::from_str(s)
     }
 
-    /// Write to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
     /// Read from a file.
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         let s = std::fs::read_to_string(path)?;
@@ -379,17 +374,6 @@ impl ServeSession {
                 metrics: self.metrics.snapshot(),
                 telemetry: self.metrics.telemetry().snapshot(),
             },
-            // The ack, with the server's clamps applied; the reader that
-            // received the subscription paces the push frames (see
-            // `server::connection`), and in-process the ack is all.
-            Request::SubscribeMetrics { interval_ms, count } => {
-                let (interval_ms, count) = crate::server::clamp_subscription(interval_ms, count);
-                Response::Subscribed { stream: "metrics".into(), count, interval_ms }
-            }
-            Request::SubscribeTrace { interval_ms, count, .. } => {
-                let (interval_ms, count) = crate::server::clamp_subscription(interval_ms, count);
-                Response::Subscribed { stream: "trace".into(), count, interval_ms }
-            }
             Request::TraceSlice { from, limit } => {
                 let reports = self.live.reports();
                 let total = reports.len();
@@ -563,6 +547,27 @@ mod tests {
             panic!()
         };
         assert!(none.is_empty(), "out-of-range from clamps to empty, no panic");
+
+        // The stream read by cursor: each reply moves `from` on by what it
+        // returned, until it reaches `total`.
+        let mut seen = Vec::new();
+        let mut from = 0;
+        loop {
+            let Response::TraceSlice { from: at, total, reports } =
+                s.handle(Request::TraceSlice { from, limit: 4 })
+            else {
+                panic!()
+            };
+            assert_eq!((at, total), (from, 6));
+            from += reports.len();
+            seen.extend(reports);
+            if from == total {
+                break;
+            }
+        }
+        assert_eq!(seen, s.live().reports(), "every report once, in order");
+        let ids: Vec<_> = seen.iter().map(|r| r.report.world_event).collect();
+        assert_eq!(ids, (0..6).collect::<Vec<_>>());
     }
 
     /// The served snapshot is a file format and `session.snapshot_bytes` a

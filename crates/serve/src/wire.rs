@@ -167,42 +167,20 @@ pub enum Request {
         /// The name given at `Watch` time.
         name: String,
     },
-    /// A slice of the report stream (the causal observation history).
+    /// A slice of the report stream (the causal observation history), at
+    /// most 1 024 reports per reply. To read the stream, send it again
+    /// with `from += reports.len()` until `from` reaches the reply's
+    /// `total`.
     TraceSlice {
         /// First report index.
         from: usize,
-        /// Maximum number of reports to return (server-capped).
+        /// Maximum number of reports to return (capped at 1 024).
         limit: usize,
     },
     /// The session's observability registry, snapshotted now: engine
     /// counters/gauges/timers plus its phase-scoped wall-clock telemetry
     /// view (per-shard busy / barrier-wait / …).
     Metrics,
-    /// Subscribe to periodic [`Response::Metrics`] push frames on this
-    /// connection: after the [`Response::Subscribed`] ack, the server
-    /// writes one `Metrics` frame every `interval_ms` until `count`
-    /// frames have been pushed (both server-clamped). The connection is
-    /// dedicated to the stream until it completes; other requests on it
-    /// wait.
-    SubscribeMetrics {
-        /// Push period in milliseconds (clamped to ≥ 10).
-        interval_ms: u64,
-        /// Number of frames to push (clamped to ≤ 10 000).
-        count: u32,
-    },
-    /// Subscribe to the report stream: after the [`Response::Subscribed`]
-    /// ack, the server pushes a [`Response::TraceSlice`] every
-    /// `interval_ms` containing the reports that arrived since the last
-    /// push (starting at index `from`), until `count` frames have been
-    /// pushed. Empty slices are pushed too — the cadence is the contract.
-    SubscribeTrace {
-        /// First report index to stream from.
-        from: usize,
-        /// Push period in milliseconds (clamped to ≥ 10).
-        interval_ms: u64,
-        /// Number of frames to push (clamped to ≤ 10 000).
-        count: u32,
-    },
     /// Write a snapshot (to the server's configured path).
     Snapshot,
     /// Stop the server.
@@ -311,8 +289,7 @@ pub enum Response {
         /// root's clocks on receipt, not kept).
         reports: Vec<ReceivedReport>,
     },
-    /// Metrics + telemetry snapshot (reply to [`Request::Metrics`], and
-    /// the push frame of a `SubscribeMetrics` stream).
+    /// Metrics + telemetry snapshot (reply to [`Request::Metrics`]).
     Metrics {
         /// The registry's deterministic section (engine + exec counters,
         /// gauges, timers), snapshotted at reply time.
@@ -321,15 +298,6 @@ pub enum Response {
         /// busy / barrier-wait / exchange, coordinator drain, log
         /// histograms).
         telemetry: psn_sim::telemetry::TelemetrySnapshot,
-    },
-    /// A subscription was accepted; push frames follow on this connection.
-    Subscribed {
-        /// `"metrics"` or `"trace"`.
-        stream: String,
-        /// Frames the server will push (after clamping).
-        count: u32,
-        /// Push period in milliseconds (after clamping).
-        interval_ms: u64,
     },
     /// A snapshot was written.
     Snapshot {
@@ -370,8 +338,6 @@ mod tests {
             Request::Status { name: "occ".into() },
             Request::TraceSlice { from: 3, limit: 10 },
             Request::Metrics,
-            Request::SubscribeMetrics { interval_ms: 50, count: 3 },
-            Request::SubscribeTrace { from: 0, interval_ms: 50, count: 3 },
             Request::Snapshot,
             Request::Shutdown,
         ];

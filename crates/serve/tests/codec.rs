@@ -260,7 +260,7 @@ fn predicate(rng: &mut SmallRng) -> Predicate {
 }
 
 fn request(rng: &mut SmallRng) -> Request {
-    match rng.gen_range(0..12) {
+    match rng.gen_range(0..10) {
         0 => Request::Ping,
         1 => Request::Ingest {
             at: time(rng),
@@ -274,15 +274,13 @@ fn request(rng: &mut SmallRng) -> Request {
         5 => Request::Status { name: text(rng) },
         6 => Request::TraceSlice { from: rng.gen(), limit: rng.gen_range(0..2048) },
         7 => Request::Metrics,
-        8 => Request::SubscribeMetrics { interval_ms: rng.gen(), count: rng.gen() },
-        9 => Request::SubscribeTrace { from: rng.gen(), interval_ms: rng.gen(), count: rng.gen() },
-        10 => Request::Snapshot,
+        8 => Request::Snapshot,
         _ => Request::Shutdown,
     }
 }
 
 fn response(rng: &mut SmallRng, pool: &Pool) -> Response {
-    match rng.gen_range(0..12) {
+    match rng.gen_range(0..11) {
         0 => Response::Pong,
         1 => Response::Ingested { world_event: rng.gen() },
         2 => Response::Advanced { now: time(rng), watermark: time(rng), new_reports: rng.gen() },
@@ -326,9 +324,8 @@ fn response(rng: &mut SmallRng, pool: &Pool) -> Response {
             }
         }
         7 => pool.metrics[rng.gen_range(0..pool.metrics.len())].clone(),
-        8 => Response::Subscribed { stream: text(rng), count: rng.gen(), interval_ms: rng.gen() },
-        9 => Response::Snapshot { path: rng.gen_bool(0.5).then(|| text(rng)), bytes: rng.gen() },
-        10 => Response::ShuttingDown,
+        8 => Response::Snapshot { path: rng.gen_bool(0.5).then(|| text(rng)), bytes: rng.gen() },
+        9 => Response::ShuttingDown,
         _ => Response::Error {
             code: [
                 ErrorCode::BadRequest,
@@ -417,7 +414,7 @@ fn every_variant_is_generated() {
         (0..400).map(|_| tag(request(&mut rng).to_value())).collect();
     let responses: std::collections::BTreeSet<String> =
         (0..400).map(|_| tag(response(&mut rng, pool).to_value())).collect();
-    assert_eq!(requests.len(), 12, "{requests:?}");
-    assert_eq!(responses.len(), 12, "{responses:?}");
+    assert_eq!(requests.len(), 10, "{requests:?}");
+    assert_eq!(responses.len(), 11, "{responses:?}");
     assert!(pool.reports.iter().any(|r| r.report.stamps.vector.len() > 8), "spilled stamps");
 }

@@ -125,29 +125,6 @@ fn a_truncated_frame_gets_its_error_after_the_complete_ones_and_eof_answers_firs
 }
 
 #[test]
-fn a_subscription_mid_burst_keeps_its_place() {
-    let (h, mut c) = start(2);
-    let burst = [
-        frame(&Request::Ping),
-        frame(&Request::SubscribeMetrics { interval_ms: 1, count: 2 }),
-        frame(&Request::Frontier),
-        frame(&Request::SubscribeTrace { from: 0, interval_ms: 1, count: 1 }),
-        frame(&Request::Ping),
-    ]
-    .concat();
-    c.write_all(&burst).expect("send");
-    assert_eq!(reply(&mut c), Some(Response::Pong));
-    assert!(matches!(reply(&mut c), Some(Response::Subscribed { count: 2, .. })));
-    assert!(matches!(reply(&mut c), Some(Response::Metrics { .. })));
-    assert!(matches!(reply(&mut c), Some(Response::Metrics { .. })));
-    assert!(matches!(reply(&mut c), Some(Response::Frontier { .. })));
-    assert!(matches!(reply(&mut c), Some(Response::Subscribed { count: 1, .. })));
-    assert!(matches!(reply(&mut c), Some(Response::TraceSlice { from: 0, .. })));
-    assert_eq!(reply(&mut c), Some(Response::Pong));
-    h.stop();
-}
-
-#[test]
 fn shutdown_mid_burst_is_the_last_request_applied() {
     let (h, mut c) = start(2);
     let burst = [frame(&ingest(1000, 0, 1)), frame(&Request::Shutdown), frame(&ingest(2000, 1, 2))]
@@ -327,7 +304,7 @@ fn a_high_surrogate_before_a_non_low_escape_is_a_bad_request() {
 /// frame bodies, `count` times over the script; prefixes are rewritten, so
 /// every frame stays well-delimited. A frame that happens to decode to a
 /// request with wall-clock output or connection-level effects (metrics,
-/// subscriptions, shutdown) is put back as it was.
+/// shutdown) is put back as it was.
 fn mutate(frames: &[Vec<u8>], rng: &mut Rng, count: usize) -> Vec<Vec<u8>> {
     const INSERTS: [&[u8]; 5] = [b"\\", b"\"", b"[", b"{", b"\\u"];
     let mut bodies: Vec<Vec<u8>> = frames.iter().map(|f| f[4..].to_vec()).collect();
@@ -353,12 +330,7 @@ fn mutate(frames: &[Vec<u8>], rng: &mut Rng, count: usize) -> Vec<Vec<u8>> {
         .map(|(body, clean)| {
             let mutated = raw_frame(body);
             match read_frame::<Request>(&mut &mutated[..]) {
-                Ok(Some(
-                    Request::Metrics
-                    | Request::SubscribeMetrics { .. }
-                    | Request::SubscribeTrace { .. }
-                    | Request::Shutdown,
-                )) => clean.clone(),
+                Ok(Some(Request::Metrics | Request::Shutdown)) => clean.clone(),
                 _ => mutated,
             }
         })

@@ -79,6 +79,7 @@ mod tests {
     use super::*;
     use crate::object::{AttrKey, AttrValue, ObjectSpec};
     use crate::timeline::WorldEvent;
+    use proptest::prelude::*;
 
     fn counter_timeline(changes: &[(u64, i64)]) -> Timeline {
         let objects = vec![ObjectSpec {
@@ -159,5 +160,23 @@ mod tests {
         let open = TruthInterval { start: SimTime::from_millis(10), end: None };
         assert_eq!(open.duration(SimTime::from_millis(25)), SimDuration::from_millis(15));
         assert!(open.contains(SimTime::from_secs(100)));
+    }
+
+    proptest! {
+        /// The predicate's value at any instant matches interval membership.
+        #[test]
+        fn truth_intervals_match_pointwise_evaluation(
+            changes in proptest::collection::vec((0u64..10_000, -50i64..50), 0..30),
+            probe_ms in 0u64..10_000,
+            thresh in -20i64..20,
+        ) {
+            let t = counter_timeline(&changes);
+            let pred = |s: &WorldState| s.get_int(AttrKey::new(0, 0)) > thresh;
+            let ivs = truth_intervals(&t, pred);
+            let probe = SimTime::from_millis(probe_ms);
+            let by_interval = ivs.iter().any(|iv| iv.contains(probe));
+            let by_state = pred(&t.state_at(probe));
+            prop_assert_eq!(by_interval, by_state);
+        }
     }
 }

@@ -107,9 +107,12 @@ impl Timeline {
             f(&state, e);
         }
     }
+}
 
+#[cfg(test)]
+impl Timeline {
     /// The exact world state at time `t` (after all events with `at ≤ t`).
-    pub fn state_at(&self, t: SimTime) -> WorldState {
+    pub(crate) fn state_at(&self, t: SimTime) -> WorldState {
         let mut state = self.initial_state();
         for e in &self.events {
             if e.at > t {
@@ -123,7 +126,7 @@ impl Timeline {
     /// Ground-truth causality through covert channels: is there a causal
     /// path from event `a` to event `b`? (Reflexive: an event reaches
     /// itself.) This is world-plane truth the network plane cannot see.
-    pub fn world_causally_precedes(&self, a: WorldEventId, b: WorldEventId) -> bool {
+    pub(crate) fn world_causally_precedes(&self, a: WorldEventId, b: WorldEventId) -> bool {
         if a == b {
             return true;
         }
@@ -149,10 +152,7 @@ impl Timeline {
         }
         false
     }
-}
 
-#[cfg(test)]
-impl Timeline {
     /// Fraction of causally-related event pairs — a measure of how much
     /// hidden-channel structure a scenario has.
     pub(crate) fn causal_density(&self) -> f64 {
@@ -241,6 +241,29 @@ mod tests {
         assert!(!t.world_causally_precedes(2, 0), "never backwards");
         assert!(!t.world_causally_precedes(0, 3), "no covert path");
         assert!(t.world_causally_precedes(1, 1), "reflexive");
+    }
+
+    /// Every generated `caused_by` edge is a covert causal path, and none
+    /// runs backwards.
+    #[test]
+    fn generated_edges_are_covert_causal_paths() {
+        use crate::scenarios::exhibition::{generate, ExhibitionParams};
+        let params = ExhibitionParams {
+            doors: 2,
+            arrival_rate_hz: 2.0,
+            mean_stay: psn_sim::time::SimDuration::from_secs(10),
+            duration: SimTime::from_secs(60),
+            capacity: 10,
+        };
+        for seed in 0..200 {
+            let t = generate(&params, seed).timeline;
+            for e in &t.events {
+                for &c in &e.caused_by {
+                    assert!(t.world_causally_precedes(c, e.id), "seed {seed}: {c} -> {}", e.id);
+                    assert!(!t.world_causally_precedes(e.id, c), "seed {seed}: {} -> {c}", e.id);
+                }
+            }
+        }
     }
 
     #[test]

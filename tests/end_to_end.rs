@@ -166,7 +166,9 @@ fn strobe_throttling_trades_messages_for_accuracy() {
         let truth = truth_intervals(&s.timeline, |st| pred.eval_state(st));
         let r =
             score(&det, &truth, horizon, SimDuration::from_secs(2), BorderlinePolicy::AsPositive);
-        (trace.net.broadcasts, r.f1())
+        // F1: the harmonic mean of precision and recall.
+        let (p, q) = (r.precision(), r.recall());
+        (trace.net.broadcasts, if p + q == 0.0 { 0.0 } else { 2.0 * p * q / (p + q) })
     };
     let (msgs_every, f1_every) = run_with(1);
     let (msgs_throttled, f1_throttled) = run_with(8);
