@@ -14,6 +14,8 @@
 //! detected — the reason Mattern/Fidge clocks remain strictly more powerful
 //! even at Δ = 0 (paper §4.2.3, item 5).
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::traits::{Causality, LogicalClock, ProcessId, Timestamp};
@@ -27,6 +29,13 @@ pub struct ScalarStamp {
     pub value: u64,
     /// The process that assigned the stamp (total-order tie-break).
     pub process: ProcessId,
+}
+
+// What `StrobeScalarClock::on_strobe` takes (see `LogicalClock::on_strobe`).
+impl From<ScalarStamp> for Cow<'_, ScalarStamp> {
+    fn from(s: ScalarStamp) -> Self {
+        Cow::Owned(s)
+    }
 }
 
 impl Timestamp for ScalarStamp {
@@ -101,7 +110,7 @@ impl LogicalClock for LamportClock {
         self.current()
     }
 
-    fn current(&self) -> ScalarStamp {
+    fn current(&mut self) -> ScalarStamp {
         ScalarStamp { value: self.value, process: self.id }
     }
 }

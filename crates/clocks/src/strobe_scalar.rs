@@ -13,6 +13,8 @@
 //! strobe vector clock: in the presence of races it can produce both false
 //! negatives *and* false positives in predicate detection (paper §3.3).
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::lamport::ScalarStamp;
@@ -56,11 +58,11 @@ impl LogicalClock for StrobeScalarClock {
     }
 
     /// SSC2: catch up to the strobe **without ticking**.
-    fn on_strobe(&mut self, stamp: &ScalarStamp) {
-        self.value = self.value.max(stamp.value);
+    fn on_strobe<'a>(&mut self, stamp: impl Into<Cow<'a, ScalarStamp>>) {
+        self.value = self.value.max(stamp.into().value);
     }
 
-    fn current(&self) -> ScalarStamp {
+    fn current(&mut self) -> ScalarStamp {
         ScalarStamp { value: self.value, process: self.id }
     }
 }
@@ -82,9 +84,9 @@ mod tests {
     fn ssc2_catches_up_without_tick() {
         let mut c = StrobeScalarClock::new(1);
         c.on_local_event(); // 1
-        c.on_strobe(&ScalarStamp { value: 7, process: 0 });
+        c.on_strobe(ScalarStamp { value: 7, process: 0 });
         assert_eq!(c.value(), 7, "max, no +1 — unlike Lamport SC3");
-        c.on_strobe(&ScalarStamp { value: 3, process: 0 });
+        c.on_strobe(ScalarStamp { value: 3, process: 0 });
         assert_eq!(c.value(), 7, "stale strobes are ignored");
     }
 
@@ -93,9 +95,9 @@ mod tests {
         let mut a = StrobeScalarClock::new(0);
         let mut b = StrobeScalarClock::new(1);
         let s = a.on_local_event(); // a=1, broadcast
-        b.on_strobe(&s); // b catches up to 1
+        b.on_strobe(s); // b catches up to 1
         let t = b.on_local_event(); // b=2, broadcast
-        a.on_strobe(&t); // a catches up to 2
+        a.on_strobe(t); // a catches up to 2
         assert_eq!(a.value(), 2);
         assert_eq!(b.value(), 2);
     }
@@ -114,7 +116,7 @@ mod tests {
         assert_eq!(b.value(), 1);
         // One strobe re-synchronizes.
         let s = a.current();
-        b.on_strobe(&s);
+        b.on_strobe(s);
         assert_eq!(b.value(), 10);
     }
 
@@ -129,7 +131,7 @@ mod tests {
             if k % 2 == 0 {
                 c.on_local_event();
             }
-            c.on_strobe(&ScalarStamp { value: v, process: 1 });
+            c.on_strobe(ScalarStamp { value: v, process: 1 });
             assert!(c.value() >= last, "clock went backwards");
             last = c.value();
         }
@@ -140,7 +142,7 @@ mod tests {
         let mut a = StrobeScalarClock::new(0);
         let mut b = StrobeScalarClock::new(1);
         let e = a.on_local_event();
-        b.on_strobe(&e);
+        b.on_strobe(e);
         let f = b.on_local_event();
         assert_eq!(e.causality(&f), Causality::Before);
     }

@@ -12,6 +12,8 @@
 //! Both produce timestamps that can be compared; vector timestamps form a
 //! genuine partial order, scalar timestamps a total preorder.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 /// The identity of a process in the network plane P. Processes are numbered
@@ -80,13 +82,19 @@ pub trait LogicalClock {
     }
 
     /// Rule for receiving a strobe (SSC2 / SVC2): merge **without ticking**.
+    /// The stamp is taken by value, so a clock may keep it until it is next
+    /// read; a borrowed one is cloned only if the clock keeps it.
     /// Causality-based clocks do not implement this.
-    fn on_strobe(&mut self, _stamp: &Self::Stamp) {
+    fn on_strobe<'a>(&mut self, _stamp: impl Into<Cow<'a, Self::Stamp>>)
+    where
+        Self::Stamp: 'a,
+    {
         unimplemented!("this clock does not process strobes")
     }
 
-    /// The current reading, without ticking.
-    fn current(&self) -> Self::Stamp;
+    /// The current reading, without ticking. `&mut`, because a strobe
+    /// clock merges the strobes it has received since its last reading here.
+    fn current(&mut self) -> Self::Stamp;
 }
 
 #[cfg(test)]

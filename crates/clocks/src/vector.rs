@@ -17,8 +17,11 @@
 //! a wider one is one reference-counted buffer that clones share and the
 //! first write through a shared stamp copies. Reading a clock, broadcasting
 //! a strobe and logging an event are therefore O(1) in n; the protocol's
-//! O(n) per receiver is the VC3/SVC2 merge itself.
+//! O(n) is the VC3 merge per message received and the SVC2 merge per
+//! *read* of a strobe clock, which folds the wide strobes it has received
+//! since its last read in one go (see `strobe_vector`).
 
+use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
@@ -178,9 +181,14 @@ impl VectorStamp {
 
     /// Componentwise maximum, in place.
     #[inline]
-    #[allow(unsafe_code)]
     pub fn merge_from(&mut self, other: &VectorStamp) {
-        let b = other.as_slice();
+        self.merge_slice(other.as_slice());
+    }
+
+    /// Componentwise maximum with `b`, in place.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub(crate) fn merge_slice(&mut self, b: &[u64]) {
         let a = self.as_mut_slice();
         assert_eq!(a.len(), b.len(), "vector stamps must have equal arity");
         #[cfg(target_arch = "x86_64")]
@@ -197,6 +205,21 @@ impl VectorStamp {
             }
         }
         merge_max_scalar(a, b);
+    }
+
+    /// True if the components are stored in-struct (n ≤ 8, unless a test
+    /// spilled them on purpose).
+    pub(crate) fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+
+    /// The components as one shared buffer: a spilled stamp's own, moved
+    /// out without touching its reference count; an inline one's, copied.
+    pub(crate) fn into_shared(self) -> Arc<[u64]> {
+        match self.0 {
+            Repr::Spilled(v) => v,
+            Repr::Inline { len, buf } => buf[..len as usize].into(),
+        }
     }
 
     /// The componentwise maximum of two stamps.
@@ -288,17 +311,24 @@ impl VectorStamp {
     pub(crate) fn spilled(v: Vec<u64>) -> Self {
         VectorStamp(Repr::Spilled(v.into()))
     }
-
-    /// True if the components are stored in-struct (n ≤ 8 and not
-    /// explicitly spilled).
-    pub(crate) fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Inline { .. })
-    }
 }
 
 impl From<Vec<u64>> for VectorStamp {
     fn from(v: Vec<u64>) -> Self {
         VectorStamp::from_slice(&v)
+    }
+}
+
+// What `LogicalClock::on_strobe` takes: a stamp, or a borrowed one that the
+// clock clones only if it keeps it.
+impl From<VectorStamp> for Cow<'_, VectorStamp> {
+    fn from(v: VectorStamp) -> Self {
+        Cow::Owned(v)
+    }
+}
+impl<'a> From<&'a VectorStamp> for Cow<'a, VectorStamp> {
+    fn from(v: &'a VectorStamp) -> Self {
+        Cow::Borrowed(v)
     }
 }
 
@@ -432,7 +462,7 @@ impl LogicalClock for VectorClock {
         self.v.clone()
     }
 
-    fn current(&self) -> VectorStamp {
+    fn current(&mut self) -> VectorStamp {
         self.v.clone()
     }
 }
@@ -761,7 +791,7 @@ mod tests {
                 prop_assert_eq!(clock.current().as_slice(), &vec![5000; len][..]);
 
                 let mut strobe = crate::StrobeVectorClock::new(k, len);
-                strobe.on_strobe(&fresh());
+                strobe.on_strobe(fresh());
                 let t0 = strobe.current();
                 strobe.on_strobe(&other);
                 prop_assert_eq!(t0.as_slice(), &a[..], "SVC2 merge wrote into a stamp handed out");

@@ -8,6 +8,7 @@
 //! the execution graph, and check both directions.
 
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
 use psn_clocks::{
     Causality, LamportClock, LogicalClock, StrobeScalarClock, StrobeVectorClock, Timestamp,
@@ -222,7 +223,7 @@ proptest! {
         for (kind, strobe) in ops {
             match kind {
                 0 => { c.on_local_event(); }
-                _ => { c.on_strobe(&VectorStamp::from(strobe)); }
+                _ => { c.on_strobe(VectorStamp::from(strobe)); }
             }
             let cur = c.current();
             prop_assert!(prev.le(&cur), "regressed: {:?} -> {:?}", prev, cur);
@@ -240,7 +241,7 @@ proptest! {
         for (kind, v) in ops {
             match kind {
                 0 => { c.on_local_event(); }
-                _ => c.on_strobe(&psn_clocks::ScalarStamp { value: v, process: 0 }),
+                _ => c.on_strobe(psn_clocks::ScalarStamp { value: v, process: 0 }),
             }
             prop_assert!(c.value() >= prev);
             prev = c.value();
@@ -275,4 +276,79 @@ proptest! {
             prop_assert_eq!(c, Causality::Equal);
         }
     }
+}
+
+/// Components of a generated strobe: mostly small, so that some components
+/// lead the receiver and some trail it, and one in eight arbitrary, on
+/// either side of 2⁶³ — a garbled payload, which no sender's history makes
+/// monotone.
+fn strobe_components(width: usize, seed: u64) -> Vec<u64> {
+    (0..width as u64)
+        .map(|k| {
+            let x =
+                (seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let x = x ^ (x >> 31);
+            if x.is_multiple_of(8) {
+                x
+            } else {
+                x % 64
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// SVC2's merges may wait for the clock's next read: whatever the
+    /// interleaving of strobes, ticks and reads, every stamp the clock hands
+    /// out is the componentwise max a clock merging each strobe at once
+    /// would hand out. Widths straddle the inline/spilled boundary (8/9)
+    /// and go to E14's 1 025; runs of up to 160 strobes between reads cross
+    /// the pending list's fold bound. Equality and serialization see the
+    /// folded reading while strobes are still pending.
+    #[test]
+    fn deferred_strobe_folds_read_as_eager_merges(
+        width_idx in 0usize..6,
+        owner_seed in 0usize..1025,
+        ops in proptest::collection::vec((0u8..24, 0u64..u64::MAX), 0..160),
+    ) {
+        let width = [1, 5, 8, 9, 64, 1025][width_idx];
+        let owner = owner_seed % width;
+        let mut clock = StrobeVectorClock::new(owner, width);
+        let mut reference = vec![0u64; width];
+        for (kind, seed) in ops {
+            match kind {
+                0 | 1 => {
+                    reference[owner] += 1;
+                    prop_assert_eq!(clock.on_local_event().as_slice(), &reference[..], "SVC1 stamp");
+                }
+                2 => prop_assert_eq!(clock.current().as_slice(), &reference[..], "reading"),
+                3 => {
+                    let copy = StrobeVectorClock::from_value(&clock.to_value()).expect("round trip");
+                    prop_assert_eq!(&copy, &clock, "a clock and its round trip differ");
+                    let mut copy = copy;
+                    prop_assert_eq!(copy.current().as_slice(), &reference[..], "serialized reading");
+                }
+                _ => {
+                    let strobe = strobe_components(width, seed);
+                    for (r, s) in reference.iter_mut().zip(&strobe) {
+                        *r = (*r).max(*s);
+                    }
+                    clock.on_strobe(VectorStamp::from(strobe));
+                }
+            }
+        }
+        prop_assert_eq!(clock.current().as_slice(), &reference[..], "final reading");
+    }
+}
+
+/// The arity check is made as a strobe is received, not when the pending
+/// list is folded: a mismatched wide stamp panics with nothing read after it.
+#[test]
+#[should_panic(expected = "vector stamps must have equal arity")]
+fn a_wrong_arity_strobe_panics_at_receipt() {
+    let mut clock = StrobeVectorClock::new(0, 64);
+    clock.on_strobe(VectorStamp::from(vec![1; 64]));
+    clock.on_strobe(VectorStamp::from(vec![1; 9]));
 }

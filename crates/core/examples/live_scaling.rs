@@ -5,7 +5,9 @@
 //! per shard count, run interleaved, and checks that at every shard count
 //! what the advances recorded, collected after each one (a session retires
 //! it at its next advance), is the batch run's log, and that the session's
-//! reports and counters are the batch run's.
+//! reports and counters are the batch run's. Where `/proc/self` exists,
+//! each session also prints the process's peak resident set so far
+//! (`VmHWM`) and the minor page faults its advances took, per advance.
 //!
 //! ```sh
 //! cargo run --release -p psn-core --example live_scaling -- --reps 3 1 2
@@ -63,11 +65,14 @@ fn main() {
             let mut live = LiveExecution::new(scenario.num_processes(), cfg, Box::new(provider));
             let mut logs = vec![Vec::new(); live.n() + 1];
             let (mut t, mut advances, mut stepping) = (SimTime::ZERO, 0u32, Duration::ZERO);
+            let mut faults = Some(0);
             while t < end {
                 t = t.saturating_add(step);
+                let before = minor_faults();
                 let t0 = Instant::now();
                 live.advance_to(t).expect("monotone watermark");
                 stepping += t0.elapsed();
+                faults = faults.zip(before.zip(minor_faults())).map(|(f, (a, b))| f + b - a);
                 advances += 1;
                 for (p, log) in logs.iter_mut().enumerate() {
                     log.extend_from_slice(live.recorded(p));
@@ -75,6 +80,10 @@ fn main() {
             }
             per_advance[i].push(stepping.as_nanos() as f64 / advances as f64);
             check(&live, logs, &batch, shards);
+            if let (Some(hwm), Some(faults)) = (vm_hwm_kb(), faults) {
+                let per = faults as f64 / advances as f64;
+                println!("shards {shards}: VmHWM {hwm} kB, {per:.1} minor faults per advance");
+            }
         }
     }
     println!("shards  ns/advance (median of {reps})  advances of 100 ms");
@@ -83,6 +92,23 @@ fn main() {
         v.sort_by(f64::total_cmp);
         println!("{shards:>6}  {:>28.0}  {}", v[v.len() / 2], end.as_nanos() / step.as_nanos());
     }
+}
+
+/// The process's peak resident set so far in kB (`VmHWM` in
+/// `/proc/self/status`), or `None` where that file is absent.
+fn vm_hwm_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.split_whitespace().next()?.parse().ok()
+}
+
+/// Minor page faults this process has taken (field 10 of
+/// `/proc/self/stat`), or `None` where that file is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name in field 2 may hold spaces; the fields after its
+    // closing parenthesis start at field 3.
+    stat[stat.rfind(')')? + 1..].split_whitespace().nth(7)?.parse().ok()
 }
 
 /// A live session, with the process logs its advances recorded, ends on

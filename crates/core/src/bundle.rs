@@ -76,8 +76,9 @@ impl ClockBundle {
         }
     }
 
-    /// Read every clock *without ticking* at ground-truth time `now`.
-    pub fn snapshot(&self, now: SimTime) -> StampSet {
+    /// Read every clock *without ticking* at ground-truth time `now`. The
+    /// strobe vector clock folds the strobes it has pending here.
+    pub fn snapshot(&mut self, now: SimTime) -> StampSet {
         let (physical, synced) = match self.frozen {
             Some(readings) => readings,
             None => (self.oscillator.read(now), self.synced.read(now)),
@@ -154,10 +155,11 @@ impl ClockBundle {
         self.snapshot(now)
     }
 
-    /// Apply the strobe rules (SSC2, SVC2): merge without ticking.
-    pub fn on_strobe(&mut self, strobe: &StrobePayload) {
-        self.strobe_scalar.on_strobe(&strobe.scalar);
-        self.strobe_vector.on_strobe(&strobe.vector);
+    /// Apply the strobe rules (SSC2, SVC2): merge without ticking. The
+    /// vector is moved in: a wide one waits for the clock's next read.
+    pub fn on_strobe(&mut self, strobe: StrobePayload) {
+        self.strobe_scalar.on_strobe(strobe.scalar);
+        self.strobe_vector.on_strobe(strobe.vector);
     }
 }
 
@@ -263,7 +265,7 @@ mod tests {
         let mut a = bundle(0, 2);
         let mut b = bundle(1, 2);
         let (_, strobe) = a.on_sense(SimTime::ZERO);
-        b.on_strobe(&strobe);
+        b.on_strobe(strobe);
         let snap = b.snapshot(SimTime::from_millis(1));
         assert_eq!(snap.strobe_scalar.value, 1);
         assert_eq!(snap.strobe_vector.as_slice(), [1, 0]);
@@ -284,7 +286,7 @@ mod tests {
 
     #[test]
     fn physical_readings_reflect_now() {
-        let b = bundle(0, 1);
+        let mut b = bundle(0, 1);
         let t1 = b.snapshot(SimTime::from_secs(1));
         let t2 = b.snapshot(SimTime::from_secs(2));
         assert!(t2.physical > t1.physical, "oscillator advances with truth");

@@ -433,9 +433,16 @@ mod tests {
     use psn_world::Scenario;
 
     fn scenario() -> Scenario {
+        hall(3)
+    }
+
+    /// The exhibition hall with `doors` doors: one sensor per door and the
+    /// root, so its vector stamps are `doors + 1` wide, inline up to 7 doors
+    /// and spilled from 8.
+    fn hall(doors: usize) -> Scenario {
         exhibition::generate(
             &ExhibitionParams {
-                doors: 3,
+                doors,
                 arrival_rate_hz: 1.0,
                 mean_stay: SimDuration::from_secs(20),
                 duration: SimTime::from_secs(90),
@@ -515,7 +522,7 @@ mod tests {
 
     /// The shards axis: the default Δ = 100 ms delay has no lookahead and
     /// keeps one lane; a floored, traced configuration splits into every
-    /// shard count (the scenario has four actors).
+    /// shard count (the smallest hall has four actors).
     fn shard_axis(cfg: ExecutionConfig) -> Vec<(ExecutionConfig, usize)> {
         let delay = DelayModel::DeltaBounded {
             min: SimDuration::from_millis(40),
@@ -529,19 +536,18 @@ mod tests {
         axis
     }
 
-    /// Drive `cfg` live in `chunk` steps and compare everything observable
-    /// with the batch run of the same configuration on one shard; the
-    /// engine runs on `lanes` lanes.
-    fn live_matches_batch(cfg: &ExecutionConfig, lanes: usize, chunk: SimDuration) {
-        let s = scenario();
-        let batch = run_execution(&s, &ExecutionConfig { shards: 1, ..cfg.clone() });
+    /// Drive `s` under `cfg` live in `chunk` steps and compare everything
+    /// observable with the batch run of the same configuration on one
+    /// shard; the engine runs on `lanes` lanes.
+    fn live_matches_batch(s: &Scenario, cfg: &ExecutionConfig, lanes: usize, chunk: SimDuration) {
+        let batch = run_execution(s, &ExecutionConfig { shards: 1, ..cfg.clone() });
         let metrics = psn_sim::metrics::Metrics::new();
         let mut live = LiveExecution::new_full(
             s.num_processes(),
             cfg.clone(),
             Box::new(NoActuation),
             &metrics,
-            Box::new(TimelineProvider::new(world_events(&s))),
+            Box::new(TimelineProvider::new(world_events(s))),
         );
         let mut rec = Collected::new(&live);
         rec.drive(&mut live, SimTime::from_secs(90), chunk);
@@ -563,14 +569,24 @@ mod tests {
     #[test]
     fn live_stepping_matches_batch_bit_for_bit() {
         for (cfg, lanes) in shard_axis(ExecutionConfig::default()) {
-            live_matches_batch(&cfg, lanes, SimDuration::from_millis(700));
+            live_matches_batch(&scenario(), &cfg, lanes, SimDuration::from_millis(700));
         }
     }
 
     #[test]
     fn live_stepping_matches_batch_under_faults() {
-        use psn_sim::fault::{FaultScript, FaultSpec};
+        use psn_sim::fault::{ChannelEffect, ChannelFaultRule, FaultScript, FaultSpec};
+        // Garbled and doubled strobes from the crashing sensor and another
+        // one, throughout: in the 10-door hall they are wide, and wait on
+        // receivers' pending lists across advances and the crash.
+        let channel = |from, effect| {
+            let rule =
+                ChannelFaultRule { from: Some(from), to: None, prob: 0.3, effect, duration: None };
+            FaultSpec::Channel(rule)
+        };
         let script = FaultScript::new()
+            .with(SimTime::ZERO, channel(1, ChannelEffect::Corrupt))
+            .with(SimTime::ZERO, channel(2, ChannelEffect::Duplicate))
             .with(
                 SimTime::from_secs(20),
                 FaultSpec::Crash { actor: 1, recover_after: Some(SimDuration::from_secs(15)) },
@@ -584,8 +600,12 @@ mod tests {
                 },
             );
         let cfg = ExecutionConfig { faults: Some(script), ..Default::default() };
-        for (cfg, lanes) in shard_axis(cfg) {
-            live_matches_batch(&cfg, lanes, SimDuration::from_millis(1300));
+        for s in [scenario(), hall(10)] {
+            let faults = run_execution(&s, &cfg).faults.expect("a fault plane");
+            assert!(faults.corrupted > 0 && faults.duplicated > 0, "{faults:?}");
+            for (cfg, lanes) in shard_axis(cfg.clone()) {
+                live_matches_batch(&s, &cfg, lanes, SimDuration::from_millis(1300));
+            }
         }
     }
 

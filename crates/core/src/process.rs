@@ -96,8 +96,9 @@ pub(crate) struct SensorProcess {
     event_seq: usize,
     /// This process's strobe counter (event-driven + heartbeat strobes).
     strobe_seq: u64,
-    /// Flood dedup: highest strobe seq seen per origin.
-    seen_strobes: Vec<u64>,
+    /// Flood dedup: highest strobe seq seen per origin. Only under
+    /// [`StrobePolicy::flood`]; nothing reads it otherwise.
+    seen_strobes: Option<Vec<u64>>,
     /// This process's durable, append-only event log, in recording order
     /// (since the last [`retire_log`](Self::retire_log)).
     log: Vec<ProcEvent>,
@@ -134,7 +135,7 @@ impl SensorProcess {
             sense_count: 0,
             event_seq: 0,
             strobe_seq: 0,
-            seen_strobes: vec![0; n + 1],
+            seen_strobes: policy.flood.then(|| vec![0; n + 1]),
             log: Vec::new(),
             carried: None,
             logged_senses: 0,
@@ -204,7 +205,7 @@ impl SensorProcess {
     /// Broadcast the current clocks without ticking (heartbeat / recovery
     /// announce — the §4.2 synchronize-at-any-time strobe).
     fn broadcast_current_strobe(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let snap = self.bundle.as_ref().expect("started").snapshot(ctx.now());
+        let snap = self.bundle.as_mut().expect("started").snapshot(ctx.now());
         let payload = StrobePayload::new(snap.strobe_scalar, snap.strobe_vector);
         let seq = self.next_strobe_seq();
         ctx.broadcast(NetMsg::Strobe { origin: self.id, seq, payload });
@@ -225,7 +226,7 @@ impl SensorProcess {
                 bundle.vector.prime(&last.stamps.vector);
                 // Strobe clocks re-prime via their merge rules (SSC2/SVC2):
                 // absorbing our own last stamp never ticks.
-                bundle.strobe_scalar.on_strobe(&last.stamps.strobe_scalar);
+                bundle.strobe_scalar.on_strobe(last.stamps.strobe_scalar);
                 bundle.strobe_vector.on_strobe(&last.stamps.strobe_vector);
                 self.event_seq = last.seq;
             } else {
@@ -332,17 +333,20 @@ impl Actor<NetMsg> for SensorProcess {
                     // (and never relay it).
                     return;
                 }
-                // SSC2/SVC2: merge, no tick, no logged event (control
-                // message).
-                self.bundle.as_mut().expect("started").on_strobe(&payload);
                 // Flood relay: forward strobes not seen before so the
                 // System-wide_Broadcast covers multi-hop overlays.
-                if origin < self.seen_strobes.len() && seq > self.seen_strobes[origin] {
-                    self.seen_strobes[origin] = seq;
-                    if self.policy.flood && origin != self.id {
-                        ctx.broadcast(NetMsg::Strobe { origin, seq, payload });
+                if let Some(seen) = &mut self.seen_strobes {
+                    if origin < seen.len() && seq > seen[origin] {
+                        seen[origin] = seq;
+                        if origin != self.id {
+                            let payload = payload.clone();
+                            ctx.broadcast(NetMsg::Strobe { origin, seq, payload });
+                        }
                     }
                 }
+                // SSC2/SVC2: merge, no tick, no logged event (control
+                // message).
+                self.bundle.as_mut().expect("started").on_strobe(payload);
             }
             NetMsg::Actuate { key, command, stamps: piggyback } => {
                 // Receive event r (merge the root's stamps, SC3/VC3), then

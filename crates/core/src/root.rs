@@ -52,12 +52,13 @@ pub(crate) struct RootProcess {
     bundle: Option<ClockBundle>,
     event_seq: usize,
     rule: Box<dyn ActuationRule>,
-    /// Relay unseen strobes (multi-hop overlays where the root is a hub).
-    flood: bool,
     /// Drop strobes whose integrity checksum fails (see
     /// [`crate::process::StrobePolicy::quarantine`]).
     quarantine: bool,
-    seen_strobes: Vec<u64>,
+    /// Flood dedup, highest strobe seq seen per origin: present only when
+    /// the root relays unseen strobes (multi-hop overlays where it is a
+    /// hub).
+    seen_strobes: Option<Vec<u64>>,
     /// The root's own receive and send events, in recording order (since
     /// the last [`retire_events`](Self::retire_events)).
     events: Vec<ProcEvent>,
@@ -80,9 +81,8 @@ impl RootProcess {
             bundle: None,
             event_seq: 0,
             rule,
-            flood: false,
             quarantine: false,
-            seen_strobes: vec![0; n + 1],
+            seen_strobes: None,
             events: Vec::new(),
             frontier: VectorStamp::zero(n + 1),
             reports: Vec::new(),
@@ -92,7 +92,7 @@ impl RootProcess {
 
     /// Enable strobe flood relay at the root (builder style).
     pub(crate) fn with_flood(mut self, flood: bool) -> Self {
-        self.flood = flood;
+        self.seen_strobes = flood.then(|| vec![0; self.n + 1]);
         self
     }
 
@@ -187,15 +187,16 @@ impl Actor<NetMsg> for RootProcess {
                 if self.quarantine && !payload.verify() {
                     return; // corrupted in transit: drop, never relay
                 }
-                // The root participates in the strobe protocol as a
-                // listener (it is in P, so system-wide broadcasts reach it).
-                self.bundle.as_mut().expect("started").on_strobe(&payload);
-                if origin < self.seen_strobes.len() && seq > self.seen_strobes[origin] {
-                    self.seen_strobes[origin] = seq;
-                    if self.flood {
+                if let Some(seen) = &mut self.seen_strobes {
+                    if origin < seen.len() && seq > seen[origin] {
+                        seen[origin] = seq;
+                        let payload = payload.clone();
                         ctx.broadcast(NetMsg::Strobe { origin, seq, payload });
                     }
                 }
+                // The root participates in the strobe protocol as a
+                // listener (it is in P, so system-wide broadcasts reach it).
+                self.bundle.as_mut().expect("started").on_strobe(payload);
             }
             NetMsg::WorldSense { .. } | NetMsg::Actuate { .. } => {
                 // The root senses nothing and is never actuated.

@@ -155,7 +155,7 @@ impl RelationCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::History;
+    use crate::strobed::strobed_history;
     use proptest::prelude::*;
 
     fn vs(v: &[u64]) -> VectorStamp {
@@ -292,7 +292,7 @@ mod tests {
             per_proc in 2usize..5,
             lags in proptest::collection::vec(0usize..10, 1..8),
         ) {
-            let h = History::strobed(n, per_proc, &lags);
+            let h = strobed_history(n, per_proc, &lags);
             // Build intervals from consecutive stamp pairs at each process.
             let mut intervals: Vec<StampedInterval> = Vec::new();
             for p in 0..n {

@@ -26,6 +26,9 @@ pub mod intervals;
 pub mod lattice;
 pub mod slim;
 pub mod stream;
+#[cfg(test)]
+#[path = "../tests/support/strobed.rs"]
+mod strobed;
 
 pub use history::History;
 pub use intervals::{allen_relation, Allen, StampedInterval};

@@ -49,12 +49,13 @@ pub fn measure(history: &History, cap: u64) -> SlimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strobed::strobed_history;
 
     #[test]
     fn zero_delay_gives_chain() {
         // Δ = 0 (strobes delivered before the next event): the lattice is
         // the paper's "linear order of np states".
-        let h = History::strobed(3, 4, &[0]);
+        let h = strobed_history(3, 4, &[0]);
         let r = measure(&h, 1_000_000);
         assert_eq!(r.states, r.chain, "Δ=0 collapses the lattice to a chain");
         assert_eq!(r.width, 1);
@@ -62,9 +63,9 @@ mod tests {
 
     #[test]
     fn slower_strobes_fatten_the_lattice() {
-        let fast = measure(&History::strobed(3, 4, &[1]), 1_000_000);
-        let slow = measure(&History::strobed(3, 4, &[6]), 1_000_000);
-        let none = measure(&History::strobed(3, 4, &[usize::MAX / 2]), 1_000_000);
+        let fast = measure(&strobed_history(3, 4, &[1]), 1_000_000);
+        let slow = measure(&strobed_history(3, 4, &[6]), 1_000_000);
+        let none = measure(&strobed_history(3, 4, &[usize::MAX / 2]), 1_000_000);
         assert!(fast.states <= slow.states, "faster strobes ⇒ leaner lattice");
         assert!(slow.states <= none.states);
         assert!(none.states as f64 >= fast.states as f64 * 2.0, "effect is substantial");
@@ -73,7 +74,7 @@ mod tests {
     #[test]
     fn no_strobes_is_unconstrained() {
         // Strobes that never arrive leave all interleavings possible.
-        let h = History::strobed(3, 3, &[usize::MAX / 2]);
+        let h = strobed_history(3, 3, &[usize::MAX / 2]);
         let r = measure(&h, 1_000_000);
         assert!((r.states as f64 - r.unconstrained).abs() < 1e-9, "O(p^n) states");
         assert!((r.slimness - 1.0).abs() < 1e-12);
@@ -81,15 +82,15 @@ mod tests {
 
     #[test]
     fn slimness_decreases_with_strobe_speed() {
-        let fast = measure(&History::strobed(4, 3, &[0]), 1_000_000);
-        let none = measure(&History::strobed(4, 3, &[usize::MAX / 2]), 1_000_000);
+        let fast = measure(&strobed_history(4, 3, &[0]), 1_000_000);
+        let none = measure(&strobed_history(4, 3, &[usize::MAX / 2]), 1_000_000);
         assert!(fast.slimness < 0.1);
         assert!((none.slimness - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn truncation_reports() {
-        let h = History::strobed(4, 5, &[usize::MAX / 2]);
+        let h = strobed_history(4, 5, &[usize::MAX / 2]);
         let r = measure(&h, 50);
         assert!(r.truncated);
         assert!(r.states > 50);

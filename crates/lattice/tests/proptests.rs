@@ -2,41 +2,12 @@
 
 use proptest::prelude::*;
 
-use psn_clocks::{LogicalClock, StrobeVectorClock, VectorStamp};
 use psn_lattice::{allen_relation, enumerate_lattice, History};
 use psn_sim::time::SimTime;
 
-/// Generate a random but *valid* strobe execution: events round-robin with
-/// random strobe delivery lags, yielding per-process monotone stamp
-/// sequences.
-fn strobed_history(n: usize, per_proc: usize, lags: &[usize]) -> History {
-    let mut clocks: Vec<StrobeVectorClock> = (0..n).map(|i| StrobeVectorClock::new(i, n)).collect();
-    let mut stamps: Vec<Vec<VectorStamp>> = vec![Vec::new(); n];
-    let mut in_flight: Vec<(usize, usize, VectorStamp)> = Vec::new();
-    let mut counter = 0usize;
-    let mut lag_idx = 0usize;
-    for _ in 0..per_proc {
-        for p in 0..n {
-            let due: Vec<_> =
-                in_flight.iter().filter(|&&(at, _, _)| at <= counter).cloned().collect();
-            in_flight.retain(|&(at, _, _)| at > counter);
-            for (_, from, s) in due {
-                for (q, c) in clocks.iter_mut().enumerate() {
-                    if q != from {
-                        c.on_strobe(&s);
-                    }
-                }
-            }
-            let s = clocks[p].on_local_event();
-            stamps[p].push(s.clone());
-            let lag = lags[lag_idx % lags.len()];
-            lag_idx += 1;
-            in_flight.push((counter + lag, p, s));
-            counter += 1;
-        }
-    }
-    History::new(stamps)
-}
+#[path = "support/strobed.rs"]
+mod strobed;
+use strobed::strobed_history;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

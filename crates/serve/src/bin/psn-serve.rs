@@ -406,7 +406,10 @@ fn smoke(metrics_listen: Option<u16>) -> Result<(), String> {
             _ => false,
         };
         if !ok {
-            return Err(format!("pipelined round, reply {i}: {r:?}"));
+            // The variant, not the reply: a `Metrics` reply prints ~3 KB.
+            let debug = format!("{r:?}");
+            let variant = debug.split(|c: char| !c.is_alphanumeric()).next().unwrap_or_default();
+            return Err(format!("pipelined round, reply {i}: unexpected {variant}"));
         }
     }
     check(true, "pipelined round of 32 ingests + advance + metrics + status answered in order")?;
